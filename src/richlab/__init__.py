@@ -2,8 +2,7 @@
 schedules, composed into multigrid and Krylov solvers."""
 
 from .sparse import SparseMatrix, spmv, read_matrix_market, write_matrix_market
-from .spectral import (SpectralBounds, dense_spectral_bounds,
-                       estimate_lambda_max, estimate_lambda_min)
+from .spectral import SpectralBounds, dense_spectral_bounds
 from .transforms import dst2, dst2_inv, sine_mode
 from .problems import (AnisotropicProblem, HelmholtzProblem, ProblemSpec,
                        assemble_anisotropic, assemble_helmholtz,

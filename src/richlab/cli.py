@@ -25,8 +25,9 @@ from .data import sample_dataset
 from .fgmres import FgmresConfig, fgmres
 from .metanet import MetaNet, meta_forward
 from .multigrid import build_hierarchy, v_cycle
-from .problems import (AnisotropicProblem, HelmholtzProblem,
-                       assemble_anisotropic, assemble_helmholtz)
+from .problems import (MIN_POINTS_PER_WAVELENGTH, AnisotropicProblem,
+                       HelmholtzProblem, assemble_anisotropic,
+                       assemble_helmholtz)
 from .richardson import DivergenceError, solve_stationary
 from .schedules import (WeightSchedule, chebyshev_schedule,
                         chebyshev_semi_schedule)
@@ -36,13 +37,14 @@ from .training import TrainConfig, make_preconditioner, train_ns
 
 CSV_COLUMNS = ["table", "eps", "theta", "n", "method", "m", "precond",
                "seed", "inner_iters", "outer_iters", "converged",
-               "rel_residual", "wall_ms"]
+               "rel_residual", "setup_ms", "wall_ms"]
 
 THETA_GRID = [0.0, np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3,
               5 * np.pi / 6, np.pi]
 N_GRID_FULL = [32, 64, 128, 256, 512]
 EPS_GRID = [1.0, 1e-2, 1e-4, 1e-6]
 
+HELMHOLTZ_N_MIN = 64
 DESK_N_LIMIT = 128
 DESK_TRAIN_LIMIT = 500
 
@@ -131,6 +133,28 @@ def _assemble(prob):
 
 # -- reproduce ----------------------------------------------------------
 
+def _helmholtz_n(freq, n):
+    """Grid side for a Helmholtz frequency.
+
+    An explicit ``n`` must resolve the wavelength; otherwise the
+    smallest power of two >= HELMHOLTZ_N_MIN that does is chosen.
+    """
+    def resolved(side):
+        prob = HelmholtzProblem(angular_frequency=2 * np.pi * freq, n=side)
+        return prob.wavelength_cells >= MIN_POINTS_PER_WAVELENGTH
+
+    if n is not None:
+        if not resolved(n):
+            raise ConfigError(
+                f"--n {n} gives fewer than {MIN_POINTS_PER_WAVELENGTH:g} "
+                f"grid points per wavelength at frequency {freq:g}")
+        return n
+    n = HELMHOLTZ_N_MIN
+    while not resolved(n):
+        n *= 2
+    return n
+
+
 def _grid_cells(table, args):
     """Deterministic cell list for a benchmark table."""
     cells = []
@@ -158,36 +182,55 @@ def _grid_cells(table, args):
     elif table == "helmholtz-sweep":
         freqs = [3.0, 5.0] if not args.full else [3.0, 5.0, 10.0, 20.0]
         for freq in freqs:
+            n = _helmholtz_n(freq, args.n)
             for method in ("fgmres-identity", "fgmres-vcycle"):
                 for seed in seeds:
                     cells.append(dict(table="helmholtz-sweep", eps="",
-                                      theta=freq, n=n_fixed, method=method,
+                                      theta=freq, n=n, method=method,
                                       seed=seed))
     else:
         raise ConfigError(f"unknown table id {table!r}")
     return cells
 
 
+def _cached(cache, key, build):
+    """(cache[key], seconds spent building it): build() runs on a miss."""
+    if key in cache:
+        return cache[key], 0.0
+    t0 = time.perf_counter()
+    cache[key] = build()
+    return cache[key], time.perf_counter() - t0
+
+
 def _run_cell(cell, args, cache):
-    """One benchmark grid cell -> CSV row dict."""
+    """One benchmark grid cell -> CSV row dict.
+
+    ``setup_ms`` is the time spent building the cell's cached operator,
+    bounds, hierarchy or network, so it is nonzero only on the first row
+    that needs them; ``wall_ms`` times the solve alone.
+    """
     row = dict.fromkeys(CSV_COLUMNS, "")
     row.update(table=cell["table"], eps=cell["eps"], theta=cell["theta"],
                n=cell["n"], method=cell["method"], m=args.m, precond="none",
                seed=cell["seed"])
+    if cell["method"] == "learned" and not args.checkpoint:
+        row["method"] = "skipped"
+        return row
     rng = np.random.default_rng(cell["seed"])
-    t0 = time.perf_counter()
     if cell["table"] == "helmholtz-sweep":
         prob = HelmholtzProblem(angular_frequency=2 * np.pi * cell["theta"],
                                 n=cell["n"])
-        key = ("H", cell["n"], cell["theta"])
-        if key not in cache:
+
+        def build():
             A = _assemble(prob)
             sched = WeightSchedule(
                 omega=np.full(5, 0.8 / (8.0 * cell["n"] ** 2)),
                 alpha=np.full(5, 0.3), variant="nag")
-            h = build_hierarchy(A, cell["n"], coarsest=16, schedules=sched)
-            cache[key] = (A, h)
-        A, h = cache[key]
+            return A, build_hierarchy(A, cell["n"], coarsest=16,
+                                      schedules=sched)
+
+        (A, h), setup = _cached(cache, ("H", cell["n"], cell["theta"]), build)
+        t0 = time.perf_counter()
         f = rng.standard_normal(A.ncols) + 1j * rng.standard_normal(A.ncols)
         pre = (lambda r: v_cycle(h, r)) \
             if cell["method"] == "fgmres-vcycle" else None
@@ -199,29 +242,30 @@ def _run_cell(cell, args, cache):
     else:
         prob = AnisotropicProblem(epsilon=cell["eps"], theta=cell["theta"],
                                   n=cell["n"])
-        key = ("A", cell["n"], cell["eps"], cell["theta"])
-        if key not in cache:
+
+        def build():
             A = _assemble(prob)
-            b = dense_spectral_bounds(A)
-            cache[key] = (A, b)
-        A, b = cache[key]
+            return A, dense_spectral_bounds(A)
+
+        (A, b), setup = _cached(
+            cache, ("A", cell["n"], cell["eps"], cell["theta"]), build)
         if cell["method"] == "cheb":
             sched = chebyshev_schedule(b.lambda_max, b.lambda_min, args.m)
         elif cell["method"] == "semi":
             sched = chebyshev_semi_schedule(b.lambda_max, args.m)
         else:  # learned
-            if not args.checkpoint:
-                row["method"] = "skipped"
-                return row
-            net = cache.setdefault(("net", args.checkpoint),
-                                   MetaNet.load(args.checkpoint))
+            net, load = _cached(cache, ("net", args.checkpoint),
+                                lambda: MetaNet.load(args.checkpoint))
+            setup += load
             sched = meta_forward(net, prob.mu)
+        t0 = time.perf_counter()
         f = rng.standard_normal(A.ncols)
         _, rep = solve_stationary(A, f, sched, tol=args.tol,
                                   max_outer=args.max_outer)
     row.update(inner_iters=rep.inner_iterations,
                outer_iters=rep.iterations, converged=rep.converged,
                rel_residual=f"{rep.final_relative_residual:.6e}",
+               setup_ms=f"{1e3 * setup:.1f}",
                wall_ms=f"{1e3 * (time.perf_counter() - t0):.1f}")
     return row
 

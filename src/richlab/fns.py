@@ -58,19 +58,46 @@ class SpectralCorrection:
 
 
 def sine_basis_eigenvalues(A, n):
-    """Diagonal of the operator in the orthonormal sine basis.
+    """Diagonal of the operator in the orthonormal sine basis, diag(S A S).
 
     Exact eigenvalues whenever the basis diagonalizes A; otherwise the
-    basis-diagonal part.
+    basis-diagonal part. S = s (x) s is the 2D DST-I with the 1D matrix
+    s[p, i] = sqrt(2/n) sin((p+1)(i+1) pi/n). The nonzeros of A are
+    grouped by their grid offset (d1, d2); the entries C_d[i, j] =
+    A[(i, j), (i+d1, j+d2)] of one offset add U_d1 C_d U_d2^T, where
+    U_d[p, i] = s[p, i] s[p, i+d]. No stencil is assumed, and memory is
+    O(n^2) per offset.
     """
-    size = (n - 1) ** 2
-    lam = np.empty(size)
-    e = np.zeros(size)
-    for k in range(size):
-        e[k] = 1.0
-        lam[k] = dst2(A.matvec(dst2_inv(e)))[k]
-        e[k] = 0.0
-    return lam
+    if A.is_complex:
+        raise ValueError("sine-basis diagonal requires a real matrix")
+    side = n - 1
+    if A.shape != (side * side, side * side):
+        raise ValueError(f"operator shape {A.shape} does not match the "
+                         f"interior of an n={n} grid")
+    idx = np.arange(1, n)
+    s = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(idx, idx) / n)
+
+    def shifted_products(d):
+        U = np.zeros((side, side))
+        if d >= 0:
+            U[:, :side - d] = s[:, :side - d] * s[:, d:]
+        else:
+            U[:, -d:] = s[:, -d:] * s[:, :side + d]
+        return U
+
+    rows = np.repeat(np.arange(side * side), np.diff(A.row_starts))
+    i, j = np.divmod(rows, side)
+    ci, cj = np.divmod(A.col_indices, side)
+    # |d2| < side, so d1 * 2 side + d2 names the offset uniquely
+    key = (ci - i) * (2 * side) + (cj - j)
+    lam = np.zeros((side, side))
+    for offset in np.unique(key):
+        mine = key == offset
+        d1, d2 = divmod(int(offset) + side, 2 * side)
+        C = np.zeros((side, side))
+        C[i[mine], j[mine]] = A.values[mine]
+        lam += shifted_products(d1) @ C @ shifted_products(d2 - side).T
+    return lam.reshape(-1)
 
 
 def fns_lite_step(A, f, u, schedule, M, corr: SpectralCorrection):

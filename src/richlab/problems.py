@@ -23,6 +23,10 @@ _GPTS = [(0.5 - 0.5 / np.sqrt(3.0), 0.5 - 0.5 / np.sqrt(3.0)),
 _GW = 0.25
 
 
+# grid points per wavelength below which a Helmholtz grid is refused
+MIN_POINTS_PER_WAVELENGTH = 10.0
+
+
 class ShannonViolation(ValueError):
     """Grid too coarse for the requested wavenumber."""
 
@@ -173,9 +177,10 @@ def damping_mask(p: HelmholtzProblem) -> np.ndarray:
 
 def assemble_helmholtz(p: HelmholtzProblem) -> SparseMatrix:
     """5-point damped Helmholtz operator, complex symmetric."""
-    if p.shannon_check and p.wavelength_cells < 10.0:
+    if p.shannon_check and p.wavelength_cells < MIN_POINTS_PER_WAVELENGTH:
         raise ShannonViolation(
-            f"only {p.wavelength_cells:.2f} grid points per wavelength (need >= 10)")
+            f"only {p.wavelength_cells:.2f} grid points per wavelength "
+            f"(need >= {MIN_POINTS_PER_WAVELENGTH:g})")
     n = p.n
     h = 1.0 / n
     m = n - 1

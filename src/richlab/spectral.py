@@ -1,98 +1,81 @@
-"""Extreme-eigenvalue estimation for symmetric positive definite operators."""
+"""Extreme-eigenvalue bounds for symmetric positive definite operators."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to reach the requested tolerance."""
-
-    def __init__(self, message, last_estimate, iterations):
-        super().__init__(message)
-        self.last_estimate = last_estimate
-        self.iterations = iterations
+SPD_ERROR = "operator is not symmetric positive definite"
 
 
 @dataclass(frozen=True)
 class SpectralBounds:
     lambda_max: float
     lambda_min: float
-    method: str  # power | shifted-power | dense-oracle
-    residual_tolerance: float
+    method: str  # lanczos
 
     def __post_init__(self):
         if not self.lambda_max >= self.lambda_min:
             raise ValueError(f"lambda_max={self.lambda_max} < lambda_min={self.lambda_min}")
 
 
-def _power_iteration(matvec, n, tol, max_iter, rng, monotone_check=False):
-    """Dominant eigenvalue of a symmetric operator via power iteration.
-
-    Returns (eigenvalue, achieved relative change). Rayleigh-quotient
-    estimates are non-decreasing for SPD operators; ``monotone_check``
-    asserts that per step.
-    """
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for k in range(1, max_iter + 1):
-        y = matvec(x)
-        lam_new = float(np.real(np.vdot(x, y)))
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0, 0.0
-        x = y / ny
-        change = abs(lam_new - lam) / max(abs(lam_new), np.finfo(float).tiny)
-        if monotone_check and k > 1 and lam_new < lam - 1e-12 * abs(lam):
-            raise AssertionError("Rayleigh quotient decreased on an SPD operator")
-        lam = lam_new
-        if k > 1 and change <= tol:
-            return lam, change
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} steps "
-        f"(last estimate {lam:.6g}, last change {change:.3g})",
-        last_estimate=lam, iterations=max_iter)
+def _lower_banded(csr):
+    """LAPACK lower band storage ab[i - j, j] = A[i, j] of a CSR matrix."""
+    coo = csr.tocoo()
+    lower = coo.row >= coo.col
+    rows, cols = coo.row[lower], coo.col[lower]
+    ab = np.zeros((int((rows - cols).max(initial=0)) + 1, csr.shape[0]))
+    ab[rows - cols, cols] = coo.data[lower]
+    return ab
 
 
-def estimate_lambda_max(A, tol=1e-8, max_iter=10_000, seed=0):
-    """Largest eigenvalue of symmetric A by power iteration."""
-    rng = np.random.default_rng(seed)
-    lam, change = _power_iteration(A.matvec, A.ncols, tol, max_iter, rng,
-                                   monotone_check=True)
-    return SpectralBounds(lambda_max=lam, lambda_min=lam, method="power",
-                          residual_tolerance=change)
-
-
-def estimate_lambda_min(A, lambda_max, tol=1e-8, max_iter=50_000, seed=0,
-                        shift_factor=1.01):
-    """Smallest eigenvalue of SPD A via power iteration on sigma*I - A.
-
-    ``lambda_max`` must be an upper bound of the true largest eigenvalue;
-    the shift is sigma = shift_factor * lambda_max.
-    """
-    sigma = shift_factor * lambda_max
-    matvec = lambda x: sigma * x - A.matvec(x)
-    rng = np.random.default_rng(seed)
-    lam_shifted, change = _power_iteration(matvec, A.ncols, tol, max_iter, rng)
-    lam_min = sigma - lam_shifted
-    return SpectralBounds(lambda_max=lambda_max, lambda_min=lam_min,
-                          method="shifted-power", residual_tolerance=change)
+def _banded_cholesky(ab):
+    """Lower banded Cholesky factor, or ValueError if ab is not SPD."""
+    try:
+        return scipy.linalg.cholesky_banded(ab, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(SPD_ERROR) from exc
 
 
 def dense_spectral_bounds(A):
-    """Exact extreme eigenvalues via a dense symmetric eigensolver.
+    """Extreme eigenvalues of a real symmetric positive definite matrix.
 
-    Intended for moderate sizes (N <= 64 grids); the matrix is
-    densified.
+    lambda_max comes from ARPACK Lanczos on A, and lambda_min from
+    Lanczos in shift-invert mode at sigma=0 through a banded Cholesky
+    factor of A. Both run to machine precision (tol=0) from a fixed
+    start vector, so repeated calls agree bit for bit, and no dense
+    N x N array is formed. lambda_min is certified by a banded Cholesky
+    factorisation of A - (1 - 1e-10) lambda_min I: if that fails, an
+    eigenvalue lies below the one found. A matrix that is asymmetric,
+    indefinite or singular to working precision raises ValueError.
+
+    The name predates the Lanczos method and is kept for its callers.
     """
-    dense = A.to_dense()
-    if np.iscomplexobj(dense):
-        raise ValueError("dense_spectral_bounds requires a real symmetric matrix")
-    n = dense.shape[0]
-    lo = scipy.linalg.eigh(dense, eigvals_only=True, subset_by_index=[0, 0])[0]
-    hi = scipy.linalg.eigh(dense, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0]
+    if A.is_complex:
+        raise ValueError("spectral bounds require a real symmetric matrix")
+    csr = A.to_scipy()
+    N = A.nrows
+    if A.ncols != N or abs(csr - csr.T).max() > 1e-12 * abs(csr).max():
+        raise ValueError(SPD_ERROR)
+    ab = _lower_banded(csr)
+    factor = _banded_cholesky(ab)
+    if N == 1:  # ARPACK needs more unknowns than requested eigenvalues
+        lo = hi = ab[0, 0]
+    else:
+        v0 = np.random.default_rng(0).standard_normal(N)
+        hi = scipy.sparse.linalg.eigsh(csr, k=1, which="LA", tol=0, v0=v0,
+                                       return_eigenvectors=False)[0]
+        inverse = scipy.sparse.linalg.LinearOperator(
+            (N, N), dtype=float,
+            matvec=lambda x: scipy.linalg.cho_solve_banded((factor, True), x))
+        lo = scipy.sparse.linalg.eigsh(csr, k=1, sigma=0.0, which="LM",
+                                       OPinv=inverse, tol=0, v0=v0,
+                                       return_eigenvectors=False)[0]
+    if not lo > np.finfo(float).eps * hi:
+        raise ValueError(SPD_ERROR)
+    ab[0] -= (1.0 - 1e-10) * lo
+    _banded_cholesky(ab)
     return SpectralBounds(lambda_max=float(hi), lambda_min=float(lo),
-                          method="dense-oracle", residual_tolerance=0.0)
+                          method="lanczos")

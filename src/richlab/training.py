@@ -58,6 +58,15 @@ def make_preconditioner(name, A):
     raise ValueError(f"unknown preconditioner {name!r}")
 
 
+def _cached_preconditioner(precond, sample, cache):
+    """The sample's preconditioner, built only on a cache miss."""
+    if cache is None:
+        return make_preconditioner(precond, sample.A)
+    if id(sample) not in cache:
+        cache[id(sample)] = make_preconditioner(precond, sample.A)
+    return cache[id(sample)]
+
+
 def unrolled_relative_residual(A, f, omega, alpha, alpha_t, K, variant,
                                P=None):
     """Plain-numpy K-step unroll; the tape-free twin of the training path."""
@@ -115,11 +124,7 @@ def loss_relative_residual(batch, net: MetaNet, K, precond=None, tape=None,
     losses = []
     for idx, sample in enumerate(batch):
         omega, alpha, alpha_t = net.forward_tape(tape, sample.mu, param_vars)
-        if precond_cache is not None:
-            P = precond_cache.setdefault(id(sample),
-                                         make_preconditioner(precond, sample.A))
-        else:
-            P = make_preconditioner(precond, sample.A)
+        P = _cached_preconditioner(precond, sample, precond_cache)
         li = _unroll_tape(sample.A, sample.f, omega, alpha, alpha_t, K,
                           net.variant, P)
         if not np.isfinite(li.value):
@@ -139,11 +144,7 @@ def evaluate_loss(samples, net: MetaNet, K, precond=None, precond_cache=None):
     total = 0.0
     for sample in samples:
         omega, alpha, alpha_t = net.schedule_arrays(sample.mu)
-        if precond_cache is not None:
-            P = precond_cache.setdefault(id(sample),
-                                         make_preconditioner(precond, sample.A))
-        else:
-            P = make_preconditioner(precond, sample.A)
+        P = _cached_preconditioner(precond, sample, precond_cache)
         total += unrolled_relative_residual(sample.A, sample.f, omega, alpha,
                                             alpha_t, K, net.variant, P)
     return total / len(samples)

@@ -55,8 +55,27 @@ def test_reproduce_rows_in_deterministic_grid_order(tmp_path, capsys):
     assert a.read_bytes().split(b"wall_ms")[0]  # header present
     ra, rb = read_rows(a), read_rows(b)
     for x, y in zip(ra, rb):
-        x.pop("wall_ms"), y.pop("wall_ms")
+        for timing in ("setup_ms", "wall_ms"):
+            x.pop(timing), y.pop(timing)
     assert ra == rb
+
+
+def test_reproduce_setup_charged_to_first_row_of_each_cell(tmp_path, capsys):
+    out = tmp_path / "t2.csv"
+    code, _, _ = run_cli(["reproduce", "t2", "--n", "16", "--seeds", "2",
+                          "--output", str(out)], capsys)
+    assert code == 0
+    seen = set()
+    for r in read_rows(out):
+        if r["method"] == "skipped":
+            assert r["setup_ms"] == "" and r["wall_ms"] == ""
+            continue
+        first = r["eps"] not in seen
+        seen.add(r["eps"])
+        # the operator and its bounds are shared by all rows of one eps
+        assert (float(r["setup_ms"]) > 0.0) == first
+        assert float(r["wall_ms"]) > 0.0
+    assert len(seen) == 4
 
 
 def test_reproduce_unknown_table_is_config_error(capsys):
@@ -75,6 +94,35 @@ def test_helmholtz_sweep_vcycle_beats_identity(tmp_path, capsys):
     by = {(r["theta"], r["method"]): int(r["inner_iters"]) for r in rows}
     for freq in ("3.0", "5.0"):
         assert by[(freq, "fgmres-vcycle")] < by[(freq, "fgmres-identity")]
+
+
+def test_helmholtz_grid_resolves_every_frequency():
+    from argparse import Namespace
+
+    from richlab.cli import ConfigError, _grid_cells
+
+    def sides(**kw):
+        cells = _grid_cells("helmholtz-sweep",
+                            Namespace(**{"seeds": 1, **kw}))
+        return {c["theta"]: c["n"] for c in cells}
+
+    assert sides(n=None, full=False) == {3.0: 64, 5.0: 64}
+    assert sides(n=None, full=True) == {3.0: 64, 5.0: 64, 10.0: 128,
+                                        20.0: 256}
+    assert sides(n=256, full=True) == dict.fromkeys((3.0, 5.0, 10.0, 20.0),
+                                                    256)
+    with pytest.raises(ConfigError, match="frequency 10"):
+        sides(n=64, full=True)
+    with pytest.raises(ConfigError, match="frequency 3"):
+        sides(n=16, full=False)
+
+
+def test_helmholtz_sweep_too_coarse_n_exits_before_any_row(capsys):
+    code, out, err = run_cli(["reproduce", "helmholtz-sweep", "--full",
+                              "--n", "64", "--seeds", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "grid points per wavelength" in err
 
 
 def test_solve_echoes_stopping_rule(capsys):

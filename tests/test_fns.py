@@ -1,18 +1,72 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from richlab.data import sample_dataset
 from richlab.fns import (FnsLiteModel, FnsTrainConfig, SpectralCorrection,
                          fns_lite_step, sine_basis_eigenvalues, solve_fns,
                          train_fns_lite)
-from richlab.problems import AnisotropicProblem, assemble_anisotropic
+from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
+                              assemble_anisotropic, assemble_helmholtz)
 from richlab.schedules import WeightSchedule
-from richlab.transforms import sine_mode
+from richlab.sparse import SparseMatrix
+from richlab.transforms import dst2, dst2_inv, sine_mode
 
 
 def stencil_problem(n, eps=1.0, theta=0.0):
     return assemble_anisotropic(AnisotropicProblem(epsilon=eps, theta=theta,
                                                    n=n))
+
+
+def per_mode_diagonal(A, n):
+    """Reference diag(S A S): one transform pair and one matvec per mode."""
+    size = (n - 1) ** 2
+    lam = np.empty(size)
+    e = np.zeros(size)
+    for k in range(size):
+        e[k] = 1.0
+        lam[k] = dst2(A.matvec(dst2_inv(e)))[k]
+        e[k] = 0.0
+    return lam
+
+
+def random_nine_point(n, rng):
+    """Random symmetric matrix on the 9-point stencil pattern."""
+    pattern = stencil_problem(n).to_scipy().tocoo()
+    M = scipy.sparse.coo_matrix((rng.standard_normal(pattern.nnz),
+                                 (pattern.row, pattern.col)),
+                                shape=pattern.shape)
+    return SparseMatrix.from_scipy(M + M.T)
+
+
+def diagonal_case(kind, n):
+    if kind == "rotated":
+        return stencil_problem(n, eps=1e-2, theta=np.pi / 3)
+    if kind == "random":
+        return random_nine_point(n, np.random.default_rng(n))
+    helm = assemble_helmholtz(HelmholtzProblem(
+        angular_frequency=2 * np.pi * 1.5, n=n, shannon_check=False))
+    return SparseMatrix.from_scipy(helm.to_scipy().real)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16])
+@pytest.mark.parametrize("kind", ["rotated", "random", "helmholtz-real"])
+def test_sine_diagonal_matches_per_mode_oracle(kind, n):
+    A = diagonal_case(kind, n)
+    ref = per_mode_diagonal(A, n)
+    got = sine_basis_eigenvalues(A, n)
+    # the sums run in another order: allow a hundred roundings
+    assert np.max(np.abs(got - ref)) <= 100 * np.finfo(float).eps * \
+        np.max(np.abs(ref))
+
+
+def test_sine_diagonal_rejects_complex_and_misfit_operators():
+    helm = assemble_helmholtz(HelmholtzProblem(
+        angular_frequency=2 * np.pi * 1.5, n=16))
+    with pytest.raises(ValueError, match="real matrix"):
+        sine_basis_eigenvalues(helm, 16)
+    with pytest.raises(ValueError, match="does not match"):
+        sine_basis_eigenvalues(stencil_problem(8), 9)
 
 
 def test_zero_correction_equals_pure_smoothing(rng):

@@ -1,75 +1,44 @@
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings, strategies as st
 
+from richlab import spectral
 from richlab.problems import AnisotropicProblem, assemble_anisotropic
 from richlab.sparse import SparseMatrix
-from richlab.spectral import (PowerIterationError, dense_spectral_bounds,
-                              estimate_lambda_max, estimate_lambda_min)
+from richlab.spectral import dense_spectral_bounds
 
 
-def tridiag(n):
+def tridiag(n, diag=2.0):
     return SparseMatrix.from_scipy(
-        scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)))
+        scipy.sparse.diags([-1.0, diag, -1.0], [-1, 0, 1], shape=(n, n)))
 
 
 def test_lambda_max_diagonal():
     A = SparseMatrix.from_scipy(scipy.sparse.diags([1.0, 2.0, 3.0]))
-    b = estimate_lambda_max(A, tol=1e-10, seed=0)
-    assert abs(b.lambda_max - 3.0) < 1e-8
+    b = dense_spectral_bounds(A)
+    assert abs(b.lambda_max - 3.0) < 1e-12
 
 
 def test_lambda_max_tridiag_closed_form():
     # 1D Dirichlet Laplacian eigenvalues are 2 - 2 cos(k pi / (n+1))
     A = tridiag(4)
     expect = 2.0 - 2.0 * np.cos(4 * np.pi / 5)
-    b = estimate_lambda_max(A, tol=1e-12, seed=1)
-    assert abs(b.lambda_max - expect) < 1e-8
-
-
-def test_lambda_max_vs_dense_oracle_fem():
-    A = assemble_anisotropic(AnisotropicProblem(epsilon=0.1, theta=np.pi / 6, n=8))
-    oracle = np.linalg.eigvalsh(A.to_dense())
-    b = estimate_lambda_max(A, tol=1e-12, max_iter=100_000, seed=2)
-    assert abs(b.lambda_max - oracle[-1]) / oracle[-1] <= 1e-6
+    b = dense_spectral_bounds(A)
+    assert abs(b.lambda_max - expect) < 1e-12
 
 
 def test_lambda_min_diagonal():
     A = SparseMatrix.from_scipy(scipy.sparse.diags([1.0, 2.0, 3.0]))
-    b = estimate_lambda_min(A, lambda_max=3.0, tol=1e-10, seed=0)
-    assert abs(b.lambda_min - 1.0) < 1e-7
+    b = dense_spectral_bounds(A)
+    assert abs(b.lambda_min - 1.0) < 1e-12
 
 
 def test_lambda_min_tridiag_closed_form():
     A = tridiag(4)
     expect = 2.0 - 2.0 * np.cos(np.pi / 5)
-    lam_max = 2.0 - 2.0 * np.cos(4 * np.pi / 5)
-    b = estimate_lambda_min(A, lambda_max=lam_max, tol=1e-12, seed=1)
-    assert abs(b.lambda_min - expect) < 1e-8
-
-
-def test_lambda_min_vs_dense_oracle_fem():
-    A = assemble_anisotropic(AnisotropicProblem(epsilon=1.0, theta=0.0, n=8))
-    oracle = np.linalg.eigvalsh(A.to_dense())
-    top = estimate_lambda_max(A, tol=1e-12, max_iter=100_000, seed=3)
-    b = estimate_lambda_min(A, lambda_max=top.lambda_max, tol=1e-12,
-                            max_iter=200_000, seed=3)
-    assert abs(b.lambda_min - oracle[0]) / oracle[0] <= 1e-4
-
-
-def test_nonconvergence_carries_estimate():
-    A = tridiag(50)
-    with pytest.raises(PowerIterationError) as exc:
-        estimate_lambda_max(A, tol=1e-14, max_iter=3, seed=0)
-    assert exc.value.last_estimate > 0
-    assert exc.value.iterations == 3
-
-
-def test_determinism_under_seed():
-    A = tridiag(20)
-    b1 = estimate_lambda_max(A, tol=1e-10, seed=7)
-    b2 = estimate_lambda_max(A, tol=1e-10, seed=7)
-    assert b1.lambda_max == b2.lambda_max
+    b = dense_spectral_bounds(A)
+    assert abs(b.lambda_min - expect) < 1e-12
 
 
 def test_dense_oracle_bounds():
@@ -77,4 +46,83 @@ def test_dense_oracle_bounds():
     b = dense_spectral_bounds(A)
     lam = np.linalg.eigvalsh(A.to_dense())
     assert np.isclose(b.lambda_min, lam[0]) and np.isclose(b.lambda_max, lam[-1])
-    assert b.method == "dense-oracle"
+    assert b.method == "lanczos"
+
+
+@settings(max_examples=30, deadline=None)
+@given(log_eps=st.floats(-6.0, 0.0), theta=st.floats(0.0, np.pi),
+       n=st.integers(2, 32))
+def test_bounds_match_eigvalsh(log_eps, theta, n):
+    A = assemble_anisotropic(
+        AnisotropicProblem(epsilon=10.0 ** log_eps, theta=theta, n=n))
+    lam = np.linalg.eigvalsh(A.to_dense())
+    b = dense_spectral_bounds(A)
+    assert abs(b.lambda_min - lam[0]) <= 1e-10 * lam[0]
+    assert abs(b.lambda_max - lam[-1]) <= 1e-10 * lam[-1]
+
+
+def test_one_by_one_system():
+    A = assemble_anisotropic(AnisotropicProblem(epsilon=0.5, theta=0.3, n=2))
+    assert A.shape == (1, 1)
+    b = dense_spectral_bounds(A)
+    assert b.lambda_min == b.lambda_max == A.to_dense()[0, 0]
+
+
+def test_repeated_calls_bit_identical():
+    A = assemble_anisotropic(
+        AnisotropicProblem(epsilon=1e-3, theta=np.pi / 3, n=24))
+    assert dense_spectral_bounds(A) == dense_spectral_bounds(A)
+
+
+def test_no_dense_matrix_is_formed(monkeypatch):
+    A = assemble_anisotropic(AnisotropicProblem(epsilon=1e-2, theta=0.4, n=16))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix formed")
+
+    monkeypatch.setattr(SparseMatrix, "to_dense", refuse)
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", refuse)
+    dense_spectral_bounds(A)
+
+
+def test_indefinite_matrix_raises():
+    with pytest.raises(ValueError, match="not symmetric positive definite"):
+        dense_spectral_bounds(tridiag(8, diag=1.0))
+
+
+def test_singular_matrix_raises():
+    # Neumann 1D Laplacian: constant vectors span the null space
+    L = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(8, 8)).tolil()
+    L[0, 0] = L[7, 7] = 1.0
+    with pytest.raises(ValueError, match="not symmetric positive definite"):
+        dense_spectral_bounds(SparseMatrix.from_scipy(L))
+
+
+def test_asymmetric_matrix_raises():
+    A = SparseMatrix.from_scipy(np.array([[2.0, 1.0], [0.0, 2.0]]))
+    with pytest.raises(ValueError, match="not symmetric positive definite"):
+        dense_spectral_bounds(A)
+
+
+def test_complex_matrix_raises():
+    A = SparseMatrix.from_scipy(scipy.sparse.diags([1.0 + 1j, 2.0]))
+    with pytest.raises(ValueError, match="real symmetric"):
+        dense_spectral_bounds(A)
+
+
+def test_certificate_rejects_a_non_minimal_eigenvalue(monkeypatch):
+    # shift-invert that lands on the second-smallest eigenvalue must not
+    # pass for lambda_min
+    A = tridiag(8)
+    second = np.linalg.eigvalsh(A.to_dense())[1]
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def wrong_shift_invert(*args, **kwargs):
+        if kwargs.get("sigma") is not None:
+            return np.array([second])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.scipy.sparse.linalg, "eigsh",
+                        wrong_shift_invert)
+    with pytest.raises(ValueError, match="not symmetric positive definite"):
+        dense_spectral_bounds(A)

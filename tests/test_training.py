@@ -130,3 +130,20 @@ def test_best_checkpoint_is_validation_argmin(small_dataset):
     trained = train_ns(cfg, small_dataset)
     vals = trained.training_history["val"]
     assert trained.best_epoch == int(np.argmin(vals))
+
+
+def test_preconditioner_built_once_per_sample(small_dataset, monkeypatch):
+    from richlab import training
+
+    calls = []
+    build = training.make_preconditioner
+
+    def counting(name, A):
+        calls.append(id(A))
+        return build(name, A)
+
+    monkeypatch.setattr(training, "make_preconditioner", counting)
+    cfg = TrainConfig(m=2, unroll=3, n_epochs=2, batch_size=2, seed=0,
+                      hidden=(4, 4), precond="jacobi")
+    train_ns(cfg, small_dataset)
+    assert sorted(calls) == sorted(id(s.A) for s in small_dataset)
