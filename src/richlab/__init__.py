@@ -12,15 +12,13 @@ from .schedules import (WeightSchedule, chebyshev_schedule,
                         chebyshev_semi_schedule, chebyshev_semi_weights,
                         chebyshev_weights)
 from .precond import Preconditioner, apply_preconditioner
-from .richardson import (DivergenceError, IterationState, SolveReport,
-                         outer_sweep, solve_stationary)
+from .richardson import DivergenceError, SolveReport, solve_stationary
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metanet import MetaNet, meta_forward
 from .training import (Adam, TrainConfig, evaluate_loss, train_ns,
                        make_preconditioner)
 from .multigrid import (Hierarchy, build_hierarchy, galerkin_coarse,
-                        prolong, prolongation_matrix, restrict,
-                        restriction_matrix, v_cycle)
+                        prolongation_matrix, restriction_matrix, v_cycle)
 from .fns import (FnsLiteModel, FnsTrainConfig, SpectralCorrection,
                   fns_lite_step, sine_basis_eigenvalues, solve_fns,
                   train_fns_lite)

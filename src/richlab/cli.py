@@ -67,15 +67,25 @@ def _load_config(path, section):
     return dict(parser[section])
 
 
-def _resolve(args, parser):
-    """Fill argparse defaults from the config file, CLI flags winning."""
+def _explicit_dests(argv):
+    """Dests set on the command line: a re-parse with every default
+    suppressed leaves only those in the namespace."""
+    parser, subparsers = build_parser()
+    for p in (parser, *subparsers.values()):
+        for action in p._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def _resolve(args, explicit):
+    """Fill the flags not in ``explicit`` from the config file."""
     file_values = _load_config(args.config, args.command)
     for key, raw in file_values.items():
         dest = key.replace("-", "_")
         if not hasattr(args, dest):
             raise ConfigError(f"unknown config key {key!r} in "
                               f"[{args.command}]")
-        if parser.get_default(dest) == getattr(args, dest):
+        if dest not in explicit:
             current = getattr(args, dest)
             if isinstance(current, bool):
                 setattr(args, dest, raw.lower() in ("1", "true", "yes"))
@@ -435,10 +445,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser, subparsers = build_parser()
+    parser, _ = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _resolve(args, subparsers[args.command])
+        args = _resolve(args, _explicit_dests(argv))
         if args.print_config:
             _print_config(args)
             return 0

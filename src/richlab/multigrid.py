@@ -49,16 +49,6 @@ def prolongation_matrix(n) -> SparseMatrix:
     return SparseMatrix.from_scipy(scipy.sparse.kron(p1, p1, format="csr"))
 
 
-def restrict(fine, n):
-    """Apply full-weighting restriction to a flat interior vector."""
-    return restriction_matrix(n).matvec(fine)
-
-
-def prolong(coarse, n):
-    """Apply bilinear interpolation up to the flat n-grid interior."""
-    return prolongation_matrix(n).matvec(coarse)
-
-
 def galerkin_coarse(A: SparseMatrix, R: SparseMatrix,
                     P: SparseMatrix) -> SparseMatrix:
     """Sparse triple product R A P."""

@@ -117,10 +117,6 @@ class Preconditioner:
 
         return cls("ssor", fn, fn_t, relax=relax)
 
-    @classmethod
-    def external(cls, apply_fn, apply_transpose_fn=None, kind="external"):
-        return cls(kind, apply_fn, apply_transpose_fn or apply_fn)
-
 
 def apply_preconditioner(P, r):
     """B^{-1} r for a built preconditioner (identity when P is None)."""

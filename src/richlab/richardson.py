@@ -7,7 +7,7 @@ persists across outer sweeps and is reset only at solver entry.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,18 +21,6 @@ class DivergenceError(RuntimeError):
     def __init__(self, message, inner_iteration):
         super().__init__(message)
         self.inner_iteration = inner_iteration
-
-
-@dataclass
-class IterationState:
-    u: np.ndarray
-    v: np.ndarray
-    outer_count: int = 0
-    residual_history: list = field(default_factory=list)
-
-    @classmethod
-    def start(cls, n, dtype=np.float64):
-        return cls(u=np.zeros(n, dtype=dtype), v=np.zeros(n, dtype=dtype))
 
 
 @dataclass
@@ -57,21 +45,6 @@ def _inner_update(A, f, u, v, i, schedule, P):
         r = f - A.matvec(u + at * v)
     v = a * v + w * apply_preconditioner(P, r)
     return u + v, v
-
-
-def outer_sweep(A, f, state, schedule, P=None):
-    """Apply the m inner updates of one outer sweep, mutating ``state``."""
-    u, v = state.u, state.v
-    for i in range(schedule.m):
-        u, v = _inner_update(A, f, u, v, i, schedule, P)
-        if not (np.all(np.isfinite(u.view(float))) and np.all(np.isfinite(v.view(float)))):
-            raise DivergenceError(
-                f"non-finite iterate in inner step {i + 1} of outer sweep "
-                f"{state.outer_count + 1}", inner_iteration=state.outer_count * schedule.m + i + 1)
-    state.u, state.v = u, v
-    state.outer_count += 1
-    state.residual_history.append(float(np.linalg.norm(f - A.matvec(state.u))))
-    return state
 
 
 def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,

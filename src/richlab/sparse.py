@@ -47,6 +47,7 @@ class SparseMatrix:
         self.values = values
         self._csr = scipy.sparse.csr_matrix(
             (values, col_indices, row_starts), shape=(nrows, ncols))
+        self._csr_t = None   # transposed view, built on first rmatvec
 
     @property
     def shape(self):
@@ -111,7 +112,9 @@ class SparseMatrix:
         if x.shape != (self.nrows,):
             raise DimensionMismatch(
                 f"matrix has {self.nrows} rows but vector has length {x.shape}")
-        return self._csr.T.dot(x)
+        if self._csr_t is None:
+            self._csr_t = self._csr.T
+        return self._csr_t.dot(x)
 
     def diagonal(self):
         return self._csr.diagonal()
@@ -131,6 +134,25 @@ class SparseMatrix:
     def __repr__(self):
         field = "complex" if self.is_complex else "real"
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz}, {field})"
+
+
+def block_diagonal(blocks):
+    """The block-diagonal matrix diag(blocks[0], blocks[1], ...), built by
+    concatenating the blocks' CSR arrays. Row b of a row stack X then
+    meets only block b in ``matvec(X.ravel())``, entry for entry in the
+    order of ``blocks[b].matvec(X[b])``."""
+    blocks = list(blocks)
+    if len(blocks) == 1:
+        return blocks[0]
+    nnz_offsets = np.cumsum([0] + [M.nnz for M in blocks])
+    col_offsets = np.cumsum([0] + [M.ncols for M in blocks])
+    row_starts = np.concatenate(
+        [[0]] + [M.row_starts[1:] + off for M, off in zip(blocks, nnz_offsets)])
+    col_indices = np.concatenate(
+        [M.col_indices + off for M, off in zip(blocks, col_offsets)])
+    values = np.concatenate([M.values for M in blocks])
+    return SparseMatrix(sum(M.nrows for M in blocks), int(col_offsets[-1]),
+                        row_starts, col_indices, values)
 
 
 def spmv(A, x):

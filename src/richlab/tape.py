@@ -4,7 +4,12 @@ Nodes hold whole arrays (or scalars); each recorded operation stores its
 parents together with local vector-Jacobian closures. Replaying the tape
 in reverse creation order visits every node exactly once, which is a
 valid reverse topological order because parents are always created
-before children.
+before children. The replay releases the graph as it goes, so the
+recorded arrays are freed by reference counting once it ends.
+
+The batched operations (``spmv`` on a row stack, ``linear_map``,
+``row_norms``, ``batch_mean``) also accept plain arrays and then return
+plain arrays, so one kernel serves recorded and tape-free evaluation.
 """
 from __future__ import annotations
 
@@ -28,23 +33,34 @@ class Tape:
         return Var(np.asarray(value, dtype=float), self, parents=parents)
 
     def backward(self, loss):
-        """Accumulate gradients of a scalar loss into every node's .grad."""
+        """Accumulate gradients of a scalar loss into the nodes' .grad.
+
+        A gradient is allocated on its node's first contribution; leaves
+        that receive none read zeros. Each node drops its parents once
+        it has passed its gradient on, and the tape drops its node list,
+        so the graph is released while it is replayed.
+        """
         if self._consumed:
             raise TapeReuseError("tape has already been replayed")
         self._consumed = True
         if np.ndim(loss.value) != 0:
             raise ValueError("backward needs a scalar loss node")
-        for node in self._nodes:
-            node.grad = np.zeros_like(node.value)
         loss.grad = np.ones_like(loss.value)
-        for node in reversed(self._nodes):
-            if node._parents and np.any(node.grad):
-                for parent, vjp in node._parents:
-                    parent.grad = parent.grad + vjp(node.grad)
+        nodes, self._nodes = self._nodes, []
+        while nodes:
+            node = nodes.pop()
+            parents, node._parents = node._parents, ()
+            if node.grad is None:
+                if not parents:
+                    node.grad = np.zeros_like(node.value)
+                continue
+            for parent, vjp in parents:
+                g = vjp(node.grad)
+                parent.grad = g if parent.grad is None else parent.grad + g
 
 
 class Var:
-    __slots__ = ("value", "tape", "_parents", "grad")
+    __slots__ = ("value", "tape", "_parents", "grad", "__weakref__")
 
     # make numpy defer to our reflected operators instead of broadcasting
     # a Var elementwise into an object array
@@ -188,15 +204,63 @@ def matvec(W: Var, x) -> Var:
     return W.tape._record(W.value @ x, ((W, lambda g: np.outer(g, x)),))
 
 
-def spmv(A, x: Var) -> Var:
-    """Sparse A @ x with a constant SparseMatrix A."""
-    return x.tape._record(A.matvec(x.value), ((x, lambda g: A.rmatvec(g)),))
+def _value(x):
+    return x.value if isinstance(x, Var) else np.asarray(x)
 
 
-def linear_map(apply_fn, apply_transpose_fn, x: Var) -> Var:
+def _track(x, value, vjp):
+    """``value`` recorded as the child of ``x`` when x is a Var, else
+    returned as a plain array."""
+    if isinstance(x, Var):
+        return x.tape._record(value, ((x, vjp),))
+    return value
+
+
+def spmv(A, x):
+    """Sparse A @ x with a constant SparseMatrix A. A row stack x of
+    shape (B, n) is multiplied as one vector by a block-diagonal A."""
+    X = _value(x)
+    shape = X.shape
+    return _track(x, A.matvec(X.reshape(-1)).reshape(shape),
+                  lambda g: A.rmatvec(g.reshape(-1)).reshape(shape))
+
+
+def linear_map(apply_fn, apply_transpose_fn, x):
     """y = L x for a constant linear operator with known transpose."""
-    return x.tape._record(apply_fn(x.value),
-                          ((x, lambda g: apply_transpose_fn(g)),))
+    return _track(x, apply_fn(_value(x)), apply_transpose_fn)
+
+
+def stack(xs) -> Var:
+    """One (len(xs), ...) node whose row b is xs[b]."""
+    return xs[0].tape._record(
+        np.stack([x.value for x in xs]),
+        tuple((x, lambda g, b=b: g[b]) for b, x in enumerate(xs)))
+
+
+def row_norms(x):
+    """Euclidean norm of each row of a (B, n) stack, one row at a time,
+    so row b matches ``norm2`` of that row bit for bit."""
+    X = _value(x)
+    n = np.array([np.linalg.norm(row) for row in X])
+
+    def vjp(g):
+        out = np.zeros_like(X)
+        live = n > 0
+        out[live] = g[live, None] * X[live] / n[live, None]
+        return out
+
+    return _track(x, n, vjp)
+
+
+def batch_mean(x):
+    """Mean of a 1-D stack by left-to-right adds, matching ``mean`` of
+    the same entries as a list bit for bit."""
+    values = _value(x)
+    total = values[0]
+    for item in values[1:]:
+        total = total + item
+    scale = 1.0 / len(values)
+    return _track(x, total * scale, lambda g: np.full(len(values), g * scale))
 
 
 def mean(xs) -> Var:

@@ -8,6 +8,7 @@ import numpy as np
 from . import tape as tp
 from .metanet import MetaNet, meta_forward
 from .precond import Preconditioner
+from .sparse import block_diagonal
 from .tape import Tape
 
 
@@ -67,46 +68,49 @@ def _cached_preconditioner(precond, sample, cache):
     return cache[id(sample)]
 
 
-def unrolled_relative_residual(A, f, omega, alpha, alpha_t, K, variant,
-                               P=None):
-    """Plain-numpy K-step unroll; the tape-free twin of the training path."""
-    m = len(omega)
-    n = len(f)
-    u = np.zeros(n)
-    v = np.zeros(n)
-    fnorm = np.linalg.norm(f)
-    for k in range(K):
-        i = k % m
-        if variant in ("plain", "mom"):
-            r = f - A.matvec(u)
-        else:
-            r = f - A.matvec(u + alpha_t[i] * v)
-        pr = P.apply(r) if P is not None else r
-        v = alpha[i] * v + omega[i] * pr
-        u = u + v
-    return np.linalg.norm(f - A.matvec(u)) / fnorm
+def _rowwise(Ps):
+    """(apply, apply_transpose) of per-instance preconditioners over a row
+    stack, row b through Ps[b]; None when there are none."""
+    if Ps is None or Ps[0] is None:
+        return None
+    return (lambda X: np.stack([P.apply(x) for P, x in zip(Ps, X)]),
+            lambda G: np.stack([P.apply_transpose(g) for P, g in zip(Ps, G)]))
 
 
-def _unroll_tape(A, f, omega, alpha, alpha_t, K, variant, P=None):
-    """Tape-recorded K-step unroll; returns the relative-residual Var."""
-    tape = omega.tape
-    n = len(f)
-    u = tape.var(np.zeros(n))
-    v = tape.var(np.zeros(n))
-    fnorm = float(np.linalg.norm(f))
-    m = omega.shape[0]
+def unrolled_relative_residuals(As, fs, omega, alpha, alpha_t, K, variant,
+                                Ps=None):
+    """Relative residuals ||f_b - A_b u_K|| / ||f_b|| of a batch after K
+    inner updates from a zero initial guess.
+
+    The batch runs as one (B, n) row stack against the block-diagonal
+    operator of ``As``. ``omega``, ``alpha`` and ``alpha_t`` hold one row
+    of m weights per instance (``alpha`` is unused for plain,
+    ``alpha_t`` for plain and mom). Given tape Vars the unroll is
+    recorded and a Var is returned; given arrays it runs tape-free. Each
+    row sees the operations of a one-instance unroll in the same order,
+    so its residual does not depend on the rest of the batch.
+    """
+    A = block_diagonal(As)
+    F = np.stack(fs)
+    inv_fnorm = 1.0 / np.array([np.linalg.norm(f) for f in fs])
+    precondition = _rowwise(Ps)
+    zeros = np.zeros(F.shape)
+    if isinstance(omega, tp.Var):
+        u, v = omega.tape.var(zeros), omega.tape.var(zeros)
+    else:
+        u, v = zeros, zeros
+    m = omega.shape[1]
     for k in range(K):
-        i = k % m
+        i = slice(k % m, k % m + 1)
         if variant in ("plain", "mom"):
-            r = f - tp.spmv(A, u)
-        else:
-            r = f - tp.spmv(A, u + alpha_t[i] * v)
-        pr = tp.linear_map(P.apply, P.apply_transpose, r) if P is not None else r
-        step = omega[i] * pr
-        v = alpha[i] * v + step if alpha is not None else step
+            r = F - tp.spmv(A, u)
+        else:  # nag, nagex: residual at the look-ahead point
+            r = F - tp.spmv(A, u + alpha_t[:, i] * v)
+        pr = tp.linear_map(*precondition, r) if precondition else r
+        step = omega[:, i] * pr
+        v = step if variant == "plain" else alpha[:, i] * v + step
         u = u + v
-    r = f - tp.spmv(A, u)
-    return tp.norm2(r) * (1.0 / fnorm)
+    return tp.row_norms(F - tp.spmv(A, u)) * inv_fnorm
 
 
 def loss_relative_residual(batch, net: MetaNet, K, precond=None, tape=None,
@@ -114,23 +118,28 @@ def loss_relative_residual(batch, net: MetaNet, K, precond=None, tape=None,
     """Mean K-step relative residual over a batch, recorded on a tape.
 
     Returns (loss Var, tape, param Vars). Each instance starts from a
-    zero initial guess.
+    zero initial guess. The network runs once per instance; its
+    schedules are stacked into (B, m) rows for one batched unroll.
     """
     if not batch:
         raise ValueError("batch must be nonempty")
     if tape is None:
         tape = Tape()
         param_vars = [tape.var(p) for p in net.parameters()]
-    losses = []
-    for idx, sample in enumerate(batch):
-        omega, alpha, alpha_t = net.forward_tape(tape, sample.mu, param_vars)
-        P = _cached_preconditioner(precond, sample, precond_cache)
-        li = _unroll_tape(sample.A, sample.f, omega, alpha, alpha_t, K,
-                          net.variant, P)
-        if not np.isfinite(li.value):
-            raise NanLossError(idx)
-        losses.append(li)
-    return tp.mean(losses), tape, param_vars
+    outs = [net.forward_tape(tape, sample.mu, param_vars) for sample in batch]
+    omega, alpha, alpha_t = zip(*outs)
+    tied = alpha_t[0] is alpha[0]   # all but nagex reuse the momentum Var
+    omega = tp.stack(omega)
+    alpha = None if alpha[0] is None else tp.stack(alpha)
+    alpha_t = alpha if tied else tp.stack(alpha_t)
+    losses = unrolled_relative_residuals(
+        [s.A for s in batch], [s.f for s in batch], omega, alpha, alpha_t, K,
+        net.variant,
+        [_cached_preconditioner(precond, s, precond_cache) for s in batch])
+    bad = np.flatnonzero(~np.isfinite(losses.value))
+    if bad.size:
+        raise NanLossError(int(bad[0]))
+    return tp.batch_mean(losses), tape, param_vars
 
 
 def gradient(loss, tape, param_vars):
@@ -140,14 +149,15 @@ def gradient(loss, tape, param_vars):
 
 
 def evaluate_loss(samples, net: MetaNet, K, precond=None, precond_cache=None):
-    """Tape-free mean loss, numerically identical to the recorded path."""
-    total = 0.0
-    for sample in samples:
-        omega, alpha, alpha_t = net.schedule_arrays(sample.mu)
-        P = _cached_preconditioner(precond, sample, precond_cache)
-        total += unrolled_relative_residual(sample.A, sample.f, omega, alpha,
-                                            alpha_t, K, net.variant, P)
-    return total / len(samples)
+    """Tape-free mean loss, equal bit for bit to the recorded loss of the
+    same batch."""
+    omega, alpha, alpha_t = (np.stack(a) for a in zip(
+        *(net.schedule_arrays(sample.mu) for sample in samples)))
+    losses = unrolled_relative_residuals(
+        [s.A for s in samples], [s.f for s in samples], omega, alpha,
+        alpha_t, K, net.variant,
+        [_cached_preconditioner(precond, s, precond_cache) for s in samples])
+    return tp.batch_mean(losses)
 
 
 class Adam:
@@ -188,7 +198,11 @@ def train_ns(config: TrainConfig, dataset, net=None):
     val = dataset.samples[len(dataset) - n_val:]
     if not train:
         train, val = dataset.samples, dataset.samples
+    # every factorisation is built before the first batch, so the
+    # batches' temporaries do not interleave with the factor builds
     cache = {}
+    for sample in dataset.samples:
+        _cached_preconditioner(config.precond, sample, cache)
 
     opt = Adam(net.parameters(), lr=config.learning_rate)
     history = {"train": [], "val": []}

@@ -181,6 +181,19 @@ def test_config_file_with_cli_override(tmp_path, capsys):
     assert "eps = 0.9" in out and "n = 16" in out
 
 
+def test_explicit_flag_equal_to_default_beats_config(tmp_path, capsys):
+    cfg = tmp_path / "conf.ini"
+    cfg.write_text("[solve]\nm = 5\ntol = 1e-3\n")
+    code, out, _ = run_cli(["--config", str(cfg), "--print-config", "solve",
+                            "--m", "3", "--tol", "1e-6"], capsys)
+    assert code == 0
+    assert "m = 3" in out.splitlines() and "tol = 1e-06" in out.splitlines()
+    # unset flags still take the file values
+    code, out, _ = run_cli(["--config", str(cfg), "--print-config", "solve"],
+                           capsys)
+    assert "m = 5" in out.splitlines() and "tol = 0.001" in out.splitlines()
+
+
 def test_unknown_config_key_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "conf.ini"
     cfg.write_text("[solve]\nbogus-key = 1\n")

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from richlab.multigrid import (build_hierarchy, galerkin_coarse, prolong,
-                               prolongation_matrix, restrict,
-                               restriction_matrix, two_grid_error_operator,
-                               v_cycle)
+from richlab.multigrid import (build_hierarchy, galerkin_coarse,
+                               prolongation_matrix, restriction_matrix,
+                               two_grid_error_operator, v_cycle)
 from richlab.problems import AnisotropicProblem, assemble_anisotropic
 from richlab.schedules import chebyshev_schedule
 from richlab.spectral import dense_spectral_bounds
@@ -29,13 +28,13 @@ def dense_restriction_stencil(n):
 
 def test_odd_n_rejected():
     with pytest.raises(ValueError):
-        restrict(np.zeros(6 * 6), 7)
+        restriction_matrix(7)
 
 
 def test_constant_restricts_to_constant_interior():
     n = 16
     fine = np.ones((n - 1) ** 2)
-    coarse = restrict(fine, n).reshape(n // 2 - 1, n // 2 - 1)
+    coarse = restriction_matrix(n).matvec(fine).reshape(n // 2 - 1, n // 2 - 1)
     assert np.allclose(coarse[1:-1, 1:-1], 1.0)
 
 
@@ -43,8 +42,8 @@ def test_transfer_transpose_relation(rng):
     n = 12
     x = rng.standard_normal((n - 1) ** 2)
     y = rng.standard_normal((n // 2 - 1) ** 2)
-    lhs = restrict(x, n) @ y
-    rhs = 0.25 * (x @ prolong(y, n))
+    lhs = restriction_matrix(n).matvec(x) @ y
+    rhs = 0.25 * (x @ prolongation_matrix(n).matvec(y))
     assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
 
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from richlab.precond import Preconditioner
-from richlab.richardson import (DivergenceError, IterationState, outer_sweep,
-                                solve_stationary, sweep_affine_term,
-                                sweep_operator)
+from richlab.richardson import (DivergenceError, solve_stationary,
+                                sweep_affine_term, sweep_operator)
 from richlab.schedules import WeightSchedule, chebyshev_weights
 from richlab.sparse import SparseMatrix
 
@@ -28,13 +27,20 @@ def run_variant_dense(A, f, u0, v0, schedule, sweeps, Binv=None):
     return u, v
 
 
+def after_sweeps(A, f, schedule, count, P=None, u0=None):
+    """The iterate of solve_stationary after exactly ``count`` outer sweeps."""
+    u, rep = solve_stationary(A, f, schedule, P=P, tol=1e-300,
+                              max_outer=count, u0=u0)
+    assert rep.iterations == count
+    return u
+
+
 class TestOuterSweep:
     def test_one_step_identity_fixed_point(self):
         A = SparseMatrix.identity(4)
         f = np.array([1.0, 2.0, 3.0, 4.0])
-        st = IterationState.start(4)
-        outer_sweep(A, f, st, WeightSchedule(omega=[1.0]))
-        assert np.array_equal(st.u, f)
+        u = after_sweeps(A, f, WeightSchedule(omega=[1.0]), 1)
+        assert np.array_equal(u, f)
 
     def test_plain_equals_explicit_operator_form(self):
         rng = np.random.default_rng(0)
@@ -44,10 +50,9 @@ class TestOuterSweep:
         u0 = rng.standard_normal(8)
         omega = rng.uniform(0.01, 0.2, size=3)
         sched = WeightSchedule(omega=omega)
-        st = IterationState(u=u0.copy(), v=np.zeros(8))
-        outer_sweep(A, f, st, sched)
+        u = after_sweeps(A, f, sched, 1, u0=u0)
         ref = sweep_operator(Ad, omega) @ u0 + sweep_affine_term(Ad, omega) @ f
-        assert np.linalg.norm(st.u - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.linalg.norm(u - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_velocity_persists_across_sweeps(self):
         rng = np.random.default_rng(1)
@@ -55,22 +60,24 @@ class TestOuterSweep:
         f = rng.standard_normal(6)
         sched = WeightSchedule(omega=[0.02, 0.03], alpha=[0.5, 0.4],
                                variant="mom")
-        st = IterationState.start(6)
-        outer_sweep(A, f, st, sched)
-        outer_sweep(A, f, st, sched)
-        ref_u, ref_v = run_variant_dense(A.to_dense(), f, np.zeros(6),
-                                         np.zeros(6), sched, sweeps=2)
-        assert np.allclose(st.u, ref_u, atol=1e-13)
-        assert np.allclose(st.v, ref_v, atol=1e-13)
+        Ad = A.to_dense()
+        u = after_sweeps(A, f, sched, 2)
+        ref_u, _ = run_variant_dense(Ad, f, np.zeros(6), np.zeros(6), sched,
+                                     sweeps=2)
+        # a velocity reset between the sweeps would give another iterate
+        one, _ = run_variant_dense(Ad, f, np.zeros(6), np.zeros(6), sched,
+                                   sweeps=1)
+        reset, _ = run_variant_dense(Ad, f, one, np.zeros(6), sched, sweeps=1)
+        assert np.allclose(u, ref_u, atol=1e-13)
+        assert not np.allclose(u, reset, atol=1e-13)
 
     def test_divergence_raises_with_index(self):
         A = SparseMatrix.identity(3).scaled(1e4)
         f = np.ones(3)
-        st = IterationState.start(3)
         sched = WeightSchedule(omega=[1e300, 1e300])
-        with pytest.raises(DivergenceError):
-            for _ in range(60):
-                outer_sweep(A, f, st, sched)
+        with pytest.raises(DivergenceError) as exc:
+            solve_stationary(A, f, sched, max_outer=60)
+        assert exc.value.inner_iteration == 1
 
 
 class TestReductionChain:
@@ -83,12 +90,8 @@ class TestReductionChain:
         self.rng = rng
 
     def _iterates(self, sched, sweeps=5):
-        st = IterationState.start(16)
-        out = []
-        for _ in range(sweeps):
-            outer_sweep(self.A, self.f, st, sched)
-            out.append(st.u.copy())
-        return out
+        return [after_sweeps(self.A, self.f, sched, k)
+                for k in range(1, sweeps + 1)]
 
     def test_nagex_with_tied_alpha_equals_nag(self):
         nag = WeightSchedule(omega=self.omega, alpha=self.alpha, variant="nag")
@@ -153,12 +156,10 @@ class TestSolveStationary:
         P = Preconditioner.ssor(A, relax=1.0)
         Binv = np.column_stack([P.apply(e) for e in np.eye(8)])
         sched = WeightSchedule(omega=[0.4, 0.6], alpha=[0.3, 0.2], variant="nag")
-        st = IterationState.start(8)
-        outer_sweep(A, f, st, sched, P)
-        outer_sweep(A, f, st, sched, P)
+        u = after_sweeps(A, f, sched, 2, P=P)
         ref_u, _ = run_variant_dense(A.to_dense(), f, np.zeros(8), np.zeros(8),
                                      sched, sweeps=2, Binv=Binv)
-        assert np.linalg.norm(st.u - ref_u) <= 1e-12 * np.linalg.norm(ref_u)
+        assert np.linalg.norm(u - ref_u) <= 1e-12 * np.linalg.norm(ref_u)
 
     def test_chebyshev_contraction_factor_spectral(self):
         # per-sweep error reduction bounded by 1/T_m(sigma) on the spectrum

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
-from richlab.sparse import (DimensionMismatch, SparseMatrix,
+from richlab.sparse import (DimensionMismatch, SparseMatrix, block_diagonal,
                             read_matrix_market, spmv, write_matrix_market)
 
 from conftest import random_sparse
@@ -74,3 +75,36 @@ def test_matrix_market_complex(tmp_path):
     assert "complex" in path.read_text().splitlines()[0]
     B = read_matrix_market(path)
     assert np.array_equal(A.to_dense(), B.to_dense())
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_rmatvec_equals_scipy_transpose_product(complex_values):
+    rng = np.random.default_rng(5)
+    M = scipy.sparse.random(9, 7, density=0.4, random_state=6, format="csr")
+    if complex_values:
+        M = M + 1j * scipy.sparse.random(9, 7, density=0.4, random_state=7,
+                                         format="csr")
+    A = SparseMatrix.from_scipy(M)
+    for _ in range(3):   # the cached transpose serves every call alike
+        x = rng.standard_normal(9) + (1j * rng.standard_normal(9)
+                                      if complex_values else 0.0)
+        assert np.array_equal(A.rmatvec(x), A.to_scipy().T @ x)
+    with pytest.raises(DimensionMismatch):
+        A.rmatvec(np.ones(7))
+
+
+def test_block_diagonal_rows_match_their_blocks_exactly():
+    rng = np.random.default_rng(8)
+    blocks = [random_sparse(n, rng) for n in (5, 3, 6)]
+    D = block_diagonal(blocks)
+    assert D.shape == (14, 14) and D.nnz == sum(b.nnz for b in blocks)
+    assert np.array_equal(D.to_dense(), scipy.linalg.block_diag(
+        *(b.to_dense() for b in blocks)))
+    xs = [rng.standard_normal(b.ncols) for b in blocks]
+    y, yt = D.matvec(np.concatenate(xs)), D.rmatvec(np.concatenate(xs))
+    pos = 0
+    for b, x in zip(blocks, xs):
+        assert np.array_equal(y[pos:pos + b.nrows], b.matvec(x))
+        assert np.array_equal(yt[pos:pos + b.nrows], b.rmatvec(x))
+        pos += b.nrows
+    assert block_diagonal(blocks[:1]) is blocks[0]

@@ -3,6 +3,7 @@ import pytest
 
 from richlab import tape as tp
 from richlab.precond import Preconditioner
+from richlab.sparse import block_diagonal
 from richlab.tape import Tape, TapeReuseError
 
 from conftest import random_spd
@@ -121,3 +122,45 @@ def test_mean():
     t.backward(m)
     for x in xs:
         assert np.isclose(x.grad, 0.25)
+
+
+def test_row_ops_match_per_row_ops_bit_for_bit(rng):
+    X0 = rng.standard_normal((4, 7))
+    t1, t2 = Tape(), Tape()
+    X = t1.var(X0)
+    batched = tp.batch_mean(tp.row_norms(X) * 0.5)
+    t1.backward(batched)
+    rows = [t2.var(x) for x in X0]
+    single = tp.mean([tp.norm2(x) * 0.5 for x in rows])
+    t2.backward(single)
+    assert np.array_equal(batched.value, single.value)
+    assert np.array_equal(X.grad, np.stack([x.grad for x in rows]))
+
+
+def test_stack_routes_row_gradients(rng):
+    t = Tape()
+    xs = [t.var(rng.standard_normal(3)) for _ in range(3)]
+    w = rng.standard_normal((3, 3))
+    t.backward(tp.batch_mean(tp.row_norms(tp.stack(xs) * w)))
+    for x, wb in zip(xs, w):
+        ref = wb * (x.value * wb) / np.linalg.norm(x.value * wb) / 3.0
+        assert np.allclose(x.grad, ref, rtol=1e-14)
+
+
+def test_batched_ops_accept_plain_arrays(rng):
+    A = random_spd(5, rng)
+    D = block_diagonal([A, A])
+    X0 = rng.standard_normal((2, 5))
+    P = Preconditioner.ssor(A)
+    t = Tape()
+
+    def chain(x):
+        y = tp.linear_map(lambda Z: np.stack([P.apply(z) for z in Z]),
+                          lambda Z: np.stack([P.apply_transpose(z) for z in Z]),
+                          tp.spmv(D, x))
+        return tp.batch_mean(tp.row_norms(y))
+
+    plain = chain(X0)
+    recorded = chain(t.var(X0))
+    assert not isinstance(plain, tp.Var)
+    assert plain == recorded.value

@@ -1,11 +1,18 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from richlab import tape as tp
 from richlab.data import sample_dataset
 from richlab.metanet import MetaNet
-from richlab.training import (Adam, TrainConfig, evaluate_loss, gradient,
-                              loss_relative_residual, train_ns,
-                              unrolled_relative_residual)
+from richlab.tape import Tape, TapeReuseError
+from richlab.training import (Adam, NanLossError, TrainConfig, evaluate_loss,
+                              gradient, loss_relative_residual,
+                              make_preconditioner, train_ns,
+                              unrolled_relative_residuals)
 
 
 def flat_params(net):
@@ -74,12 +81,102 @@ def test_gradient_matches_central_differences(small_dataset, variant, precond):
 
 def test_unrolled_oracle_rhs_scale_invariance(small_dataset):
     s = small_dataset[0]
-    omega = np.array([0.2, 0.3, 0.1])
-    alpha = np.array([0.1, 0.2, 0.3])
+    omega = np.array([[0.2, 0.3, 0.1]])
+    alpha = np.array([[0.1, 0.2, 0.3]])
     at = alpha
-    r1 = unrolled_relative_residual(s.A, s.f, omega, alpha, at, 9, "nag")
-    r2 = unrolled_relative_residual(s.A, 7.5 * s.f, omega, alpha, at, 9, "nag")
-    assert abs(r1 - r2) <= 1e-13
+    r1 = unrolled_relative_residuals([s.A], [s.f], omega, alpha, at, 9, "nag")
+    r2 = unrolled_relative_residuals([s.A], [7.5 * s.f], omega, alpha, at, 9,
+                                     "nag")
+    assert abs(r1[0] - r2[0]) <= 1e-13
+
+
+# -- the per-instance tape unroll, kept as an oracle for the batched one ----
+
+def per_instance_unroll(A, f, omega, alpha, alpha_t, K, variant, P=None):
+    """One instance recorded on its own, one tape node per vector op."""
+    tape = omega.tape
+    n = len(f)
+    u = tape.var(np.zeros(n))
+    v = tape.var(np.zeros(n))
+    fnorm = float(np.linalg.norm(f))
+    m = omega.shape[0]
+    for k in range(K):
+        i = k % m
+        if variant in ("plain", "mom"):
+            r = f - tp.spmv(A, u)
+        else:
+            r = f - tp.spmv(A, u + alpha_t[i] * v)
+        pr = tp.linear_map(P.apply, P.apply_transpose, r) if P is not None else r
+        step = omega[i] * pr
+        v = alpha[i] * v + step if alpha is not None else step
+        u = u + v
+    r = f - tp.spmv(A, u)
+    return tp.norm2(r) * (1.0 / fnorm)
+
+
+def per_instance_loss(batch, net, K, precond):
+    """Mean of the per-instance unrolls, and the parameter gradients."""
+    tape = Tape()
+    pvars = [tape.var(p) for p in net.parameters()]
+    losses = []
+    for sample in batch:
+        omega, alpha, alpha_t = net.forward_tape(tape, sample.mu, pvars)
+        P = make_preconditioner(precond, sample.A)
+        losses.append(per_instance_unroll(sample.A, sample.f, omega, alpha,
+                                          alpha_t, K, net.variant, P))
+    loss = tp.mean(losses)
+    tape.backward(loss)
+    return loss.value, [p.grad for p in pvars]
+
+
+@pytest.fixture(scope="module")
+def mixed_dataset():
+    # eps and theta drawn over their whole ranges, n=16 (225 unknowns)
+    return sample_dataset("anisotropic", 7, seed=13, n=16)
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 7])
+@pytest.mark.parametrize("precond", [None, "jacobi", "ssor"])
+@pytest.mark.parametrize("variant", ["plain", "mom", "nag", "nagex"])
+def test_batched_unroll_bit_identical_to_per_instance(mixed_dataset, variant,
+                                                      precond, batch_size):
+    net = MetaNet.create(m=3, variant=variant, seed=4, hidden=(6, 6))
+    batch = list(mixed_dataset)[:batch_size]
+    K = 10
+    ref_loss, ref_grads = per_instance_loss(batch, net, K, precond)
+    loss, tape, pvars = loss_relative_residual(batch, net, K, precond=precond)
+    grads = gradient(loss, tape, pvars)
+    assert np.array_equal(loss.value, ref_loss)
+    for g, ref in zip(grads, ref_grads, strict=True):
+        assert np.array_equal(g, ref)
+    assert evaluate_loss(batch, net, K, precond=precond) == loss.value
+
+
+def test_nan_instance_is_named(mixed_dataset):
+    batch = list(mixed_dataset)[:4]
+    f = batch[2].f.copy()
+    f[5] = np.nan
+    batch[2] = dataclasses.replace(batch[2], f=f)
+    net = MetaNet.create(m=3, variant="nag", seed=0, hidden=(4, 4))
+    with pytest.raises(NanLossError) as exc:
+        loss_relative_residual(batch, net, K=6)
+    assert exc.value.instance_index == 2
+
+
+def test_gradient_releases_the_tape(mixed_dataset):
+    net = MetaNet.create(m=3, variant="nagex", seed=0, hidden=(4, 4))
+    loss, tape, pvars = loss_relative_residual(list(mixed_dataset)[:3], net,
+                                               K=6, precond="ssor")
+    intermediate = weakref.ref(loss._parents[0][0])
+    gc.disable()   # the graph must go by reference counting alone
+    try:
+        gradient(loss, tape, pvars)
+        assert tape._nodes == []
+        assert intermediate() is None
+    finally:
+        gc.enable()
+    with pytest.raises(TapeReuseError):
+        tape.backward(loss)
 
 
 def test_adam_matches_reference_step():
