@@ -19,7 +19,7 @@ import numpy as np
 from . import tape as tp
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metanet import ANISOTROPIC_BOUNDS, MetaNet
-from .richardson import DivergenceError, SolveReport
+from .richardson import DivergenceError, SolveReport, _inner_update
 from .tape import Tape, Var
 from .training import Adam, TrainConfig
 from .transforms import dst2, dst2_inv
@@ -101,10 +101,20 @@ def sine_basis_eigenvalues(A, n):
 
 
 def fns_lite_step(A, f, u, schedule, M, corr: SpectralCorrection):
-    """One hybrid iteration: M inner smoothing updates, one correction."""
+    """One hybrid iteration: M inner smoothing updates, one correction.
+
+    The smoother is plain Richardson(m); momentum schedules are rejected.
+    """
+    if schedule.variant != "plain":
+        raise ValueError(f"the hybrid smoother is plain Richardson, got a "
+                         f"{schedule.variant!r} schedule")
+    f, u = np.asarray(f), np.asarray(u)
+    u = u.astype(np.result_type(u, f, A.dtype))   # a copy: u stays the caller's
+    v = np.empty_like(u)
+    omega = schedule.omega.tolist()
     for k in range(M):
-        u = u + schedule.omega[k % schedule.m] * (f - A.matvec(u))
-    u = u + corr.apply(f - A.matvec(u))
+        _inner_update(A, f, u, v, omega[k % schedule.m], 0.0, 0.0, "plain")
+    u += corr.apply(f - A.matvec(u))
     if not np.all(np.isfinite(u)):
         raise DivergenceError("hybrid step produced a non-finite iterate",
                               inner_iteration=M)

@@ -118,10 +118,14 @@ def _smooth(level: Level, f, u, count, schedule=None):
     s = schedule or level.schedule
     if count == 0 or s is None:
         return u
+    u = u.copy()
     v = np.zeros_like(u)
+    look = np.empty_like(u)
+    weights = list(zip(s.omega.tolist(), s.alpha.tolist(),
+                       s.alpha_tilde.tolist()))
     for _ in range(count):
-        for i in range(s.m):
-            u, v = _inner_update(level.A, f, u, v, i, s, None)
+        for w, a, at in weights:
+            _inner_update(level.A, f, u, v, w, a, at, s.variant, look=look)
     if not np.all(np.isfinite(u.view(float))):
         raise DivergenceError("smoother produced a non-finite iterate",
                               inner_iteration=count * s.m)

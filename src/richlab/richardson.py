@@ -6,6 +6,7 @@ persists across outer sweeps and is reset only at solver entry.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -34,17 +35,29 @@ class SolveReport:
     stagnated: bool = False
 
 
-def _inner_update(A, f, u, v, i, schedule, P):
-    """One inner update of the selected variant; returns (u, v)."""
-    w = schedule.omega[i]
-    a = schedule.alpha[i]
-    at = schedule.alpha_tilde[i]
-    if schedule.variant in ("plain", "mom"):
-        r = f - A.matvec(u)
-    else:  # nag, nagex: residual at the look-ahead point
-        r = f - A.matvec(u + at * v)
-    v = a * v + w * apply_preconditioner(P, r)
-    return u + v, v
+def _inner_update(A, f, u, v, w, a, at, variant, P=None, r=None, look=None):
+    """One inner update of ``variant`` with weight w and momentum
+    coefficients a (alpha) and at (alpha_tilde), in place on u and v.
+
+    ``r`` is the residual f - A u when the caller already has it (plain
+    and mom only); ``look`` is scratch for the nag/nagex look-ahead point.
+    The float operations are those of v <- a v + w B^{-1} r, u <- u + v.
+    """
+    if variant in ("nag", "nagex"):   # residual at the look-ahead point
+        look = np.multiply(v, at, out=look)
+        look += u
+        r = A.matvec(look)
+        np.subtract(f, r, out=r)
+    elif r is None:
+        r = A.matvec(u)
+        np.subtract(f, r, out=r)
+    z = apply_preconditioner(P, r)
+    if variant == "plain":
+        np.multiply(z, w, out=v)
+    else:
+        v *= a
+        v += z * w
+    u += v
 
 
 def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
@@ -63,7 +76,8 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
         raise ValueError("check must be 'outer' or 'inner'")
     t0 = time.perf_counter()
     n = A.ncols
-    dtype = np.promote_types(A.dtype, np.asarray(f).dtype)
+    f = np.asarray(f)
+    dtype = np.promote_types(A.dtype, f.dtype)
     u = np.zeros(n, dtype=dtype) if u0 is None else np.array(u0, dtype=dtype)
     v = np.zeros(n, dtype=dtype)
     fnorm = float(np.linalg.norm(f))
@@ -72,31 +86,30 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
                              np.array([0.0]))
         return u, report
 
+    m, variant = schedule.m, schedule.variant
+    omega = schedule.omega.tolist()
+    alpha = schedule.alpha.tolist()
+    alpha_t = schedule.alpha_tilde.tolist()
     # for plain/mom the step residual is the residual at the current u,
     # so one matvec per inner step suffices
-    reuse_residual = schedule.variant in ("plain", "mom")
+    reuse_residual = variant in ("plain", "mom")
+    look = None if reuse_residual else np.empty_like(u)
     r = f - A.matvec(u)
     rel = float(np.linalg.norm(r)) / fnorm
     trace = [rel]
+    limit = DIVERGENCE_FACTOR * max(rel, 1.0)
     inner = 0
     outer = 0
     converged = rel <= tol
     while not converged and outer < max_outer:
-        for i in range(schedule.m):
-            w = schedule.omega[i]
-            a = schedule.alpha[i]
-            at = schedule.alpha_tilde[i]
-            if reuse_residual:
-                step_r = r
-            else:
-                step_r = f - A.matvec(u + at * v)
-            v = a * v + w * apply_preconditioner(P, step_r)
-            u = u + v
+        for i in range(m):
+            _inner_update(A, f, u, v, omega[i], alpha[i], alpha_t[i], variant,
+                          P, r if reuse_residual else None, look)
             inner += 1
-            if reuse_residual or check == "inner" or i == schedule.m - 1:
-                r = f - A.matvec(u)
+            if reuse_residual or check == "inner" or i == m - 1:
+                np.subtract(f, A.matvec(u), out=r)
                 rel = float(np.linalg.norm(r)) / fnorm
-                if not np.isfinite(rel) or rel > DIVERGENCE_FACTOR * max(trace[0], 1.0):
+                if not math.isfinite(rel) or rel > limit:
                     raise DivergenceError(
                         f"residual blew up to {rel:.3g} at inner iteration {inner}",
                         inner_iteration=inner)

@@ -1,4 +1,11 @@
-"""Compressed sparse row matrices over a real or complex scalar field."""
+"""Compressed sparse row matrices over a real or complex scalar field.
+
+CSR is the storage. Products run through a kernel chosen from the
+sparsity pattern on first use: diagonal storage (DIA) when the occupied
+diagonals are at least half full, otherwise the CSR matrix itself. With
+its offsets ascending, DIA adds each row's products in CSR's column
+order, so for finite operands both kernels give the same bits.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -47,7 +54,8 @@ class SparseMatrix:
         self.values = values
         self._csr = scipy.sparse.csr_matrix(
             (values, col_indices, row_starts), shape=(nrows, ncols))
-        self._csr_t = None   # transposed view, built on first rmatvec
+        # (fast, exact) product kernels of A and A^T, built on first use
+        self._kernels = [None, None]
 
     @property
     def shape(self):
@@ -104,7 +112,7 @@ class SparseMatrix:
         if x.shape != (self.ncols,):
             raise DimensionMismatch(
                 f"matrix has {self.ncols} columns but vector has length {x.shape}")
-        return self._csr.dot(x)
+        return self._product(x, transpose=False)
 
     def rmatvec(self, x):
         """Transpose product A^T x (not conjugated)."""
@@ -112,9 +120,61 @@ class SparseMatrix:
         if x.shape != (self.nrows,):
             raise DimensionMismatch(
                 f"matrix has {self.nrows} rows but vector has length {x.shape}")
-        if self._csr_t is None:
-            self._csr_t = self._csr.T
-        return self._csr_t.dot(x)
+        return self._product(x, transpose=True)
+
+    def _product(self, x, transpose):
+        fast, exact = self._kernel(transpose)
+        y = fast.dot(x)
+        if fast is exact:
+            return y
+        # DIA padding multiplies every entry of x, so a non-finite x_j
+        # also reaches rows that A does not couple to j; CSR touches only
+        # the nonzeros. (A BLAS dot would be a cheaper probe on short
+        # vectors, but on long ones it wakes BLAS threads and can take
+        # milliseconds.)
+        return y if np.isfinite(y).all() else exact.dot(x)
+
+    def _kernel(self, transpose):
+        """(fast, exact) scipy kernels for A x, or A^T x when ``transpose``:
+        DIA and CSR, or CSR twice when the pattern is too scattered."""
+        if self._kernels[transpose] is None:
+            exact = self._csr.T if transpose else self._csr
+            if transpose:
+                # A^T's diagonals are A's, so it takes DIA exactly when A does
+                forward = self._kernel(False)[0]
+                parts = (_transposed_diagonals(forward.offsets, forward.data,
+                                               self.nrows)
+                         if forward.format == "dia" else None)
+            else:
+                parts = self._diagonals()
+            fast = exact if parts is None else scipy.sparse.dia_matrix(
+                (parts[1], parts[0]), shape=exact.shape)
+            self._kernels[transpose] = (fast, exact)
+        return self._kernels[transpose]
+
+    def _diagonals(self):
+        """(ascending offsets, DIA data) of A by one O(nnz) scatter of the
+        CSR arrays; None unless the occupied diagonals are at least half
+        full."""
+        if self.nnz == 0:
+            return None
+        nrows, ncols = self.nrows, self.ncols
+        # one index array, updated in place: fresh nnz-sized temporaries
+        # cost more in page faults than the arithmetic does
+        index = np.repeat(np.arange(nrows), np.diff(self.row_starts))
+        np.subtract(self.col_indices, index, out=index)
+        index += nrows - 1   # each entry's offset, moved to start at 0
+        occupied = np.bincount(index, minlength=nrows + ncols - 1) > 0
+        slot = np.cumsum(occupied) - 1
+        n_offsets = int(slot[-1]) + 1
+        if n_offsets * min(nrows, ncols) > 2 * self.nnz:
+            return None
+        np.take(slot, index, out=index)   # each entry's row of DIA data
+        index *= ncols
+        index += self.col_indices
+        data = np.zeros((n_offsets, ncols), dtype=self.dtype)
+        data.ravel()[index] = self.values
+        return np.flatnonzero(occupied) - (nrows - 1), data
 
     def diagonal(self):
         return self._csr.diagonal()
@@ -134,6 +194,18 @@ class SparseMatrix:
     def __repr__(self):
         field = "complex" if self.is_complex else "real"
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz}, {field})"
+
+
+def _transposed_diagonals(offsets, data, nrows):
+    """DIA (offsets, data) of A^T from those of an nrows-row A. Entry
+    (i, i+k) of A sits in A's diagonal k at column i+k and in A^T's
+    diagonal -k at column i."""
+    ncols = data.shape[1]
+    data_t = np.zeros((len(offsets), nrows), dtype=data.dtype)
+    for row, k in enumerate(offsets[::-1]):   # A^T's offsets -k ascend
+        lo, hi = max(0, -k), min(nrows, ncols - k)
+        data_t[row, lo:hi] = data[len(offsets) - 1 - row, lo + k:hi + k]
+    return -offsets[::-1], data_t
 
 
 def block_diagonal(blocks):

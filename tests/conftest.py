@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# every run draws the same examples, and slow shared machines do not
+# trip hypothesis' per-example deadline
+settings.register_profile("richlab", derandomize=True, deadline=None)
+settings.load_profile("richlab")
 
 from richlab.sparse import SparseMatrix
 

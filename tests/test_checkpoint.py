@@ -1,0 +1,110 @@
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from richlab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+
+
+def write_v1(path, metadata, arrays):
+    """The version-1 writer: no byte lengths and no payload hash."""
+    header = dict(metadata)
+    header["arrays"] = [{"name": k, "shape": list(np.shape(arrays[k]))}
+                        for k in arrays]
+    with open(path, "wb") as fh:
+        fh.write(b"RICHLAB-CHECKPOINT v1\n")
+        fh.write((json.dumps(header) + "\n\n").encode())
+        for k in arrays:
+            fh.write(np.ascontiguousarray(arrays[k], dtype="<f8").tobytes())
+
+
+def sample_arrays():
+    rng = np.random.default_rng(0)
+    return {"W0": rng.standard_normal((4, 3)), "b0": rng.standard_normal(4),
+            "scale": np.float64(2.5)}
+
+
+finite_arrays = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=4),
+    elements=st.floats(allow_nan=False, allow_infinity=True, width=64))
+
+
+@given(arrays=st.dictionaries(st.text("abcxyz_", min_size=1, max_size=5),
+                              finite_arrays, max_size=4),
+       meta=st.dictionaries(st.sampled_from(["kind", "n", "note"]),
+                            st.integers(-5, 5)))
+def test_round_trip_is_bit_exact(tmp_path_factory, arrays, meta):
+    path = tmp_path_factory.mktemp("ck") / "a.ckpt"
+    save_checkpoint(path, meta, arrays)
+    got_meta, got = load_checkpoint(path)
+    assert got_meta == meta
+    assert list(got) == list(arrays)
+    for k in arrays:
+        assert got[k].shape == np.shape(arrays[k])
+        assert got[k].tobytes() == np.asarray(arrays[k]).tobytes()
+
+
+def test_header_records_lengths_and_hash(tmp_path):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, {"kind": "x"}, sample_arrays())
+    lines = path.read_bytes().split(b"\n", 2)
+    assert lines[0].decode() == MAGIC
+    header = json.loads(lines[1])
+    assert [e["nbytes"] for e in header["arrays"]] == [96, 32, 8]
+    assert len(header["payload_sha256"]) == 64
+
+
+def test_reads_version_1_files(tmp_path):
+    path = tmp_path / "old.ckpt"
+    arrays = sample_arrays()
+    write_v1(path, {"kind": "metanet", "m": 3}, arrays)
+    meta, got = load_checkpoint(path)
+    assert meta == {"kind": "metanet", "m": 3}
+    for k in arrays:
+        assert np.array_equal(got[k], arrays[k])
+
+
+@pytest.mark.parametrize("writer", ["v1", "v2"])
+@pytest.mark.parametrize("cut", [1, 8, 40])
+def test_truncated_file_names_array_and_sizes(tmp_path, writer, cut):
+    path = tmp_path / "a.ckpt"
+    (write_v1 if writer == "v1" else save_checkpoint)(
+        path, {"kind": "x"}, sample_arrays())
+    path.write_bytes(path.read_bytes()[:-cut])
+    name, size = {1: ("scale", 7), 8: ("scale", 0), 40: ("b0", 0)}[cut]
+    expected = {"scale": 8, "b0": 32}[name]
+    with pytest.raises(ValueError, match=f"'{name}' is truncated: expected "
+                                         f"{expected} bytes, got {size}"):
+        load_checkpoint(path)
+
+
+def test_flipped_payload_byte_fails_the_hash(tmp_path):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, {"kind": "x"}, sample_arrays())
+    raw = bytearray(path.read_bytes())
+    raw[-20] ^= 0x01   # inside b0
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="sha256 mismatch"):
+        load_checkpoint(path)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, {"kind": "x"}, sample_arrays())
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
+    with pytest.raises(ValueError, match="8 bytes after its last array"):
+        load_checkpoint(path)
+
+
+def test_header_length_disagreeing_with_shape_rejected(tmp_path):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, {"kind": "x"}, sample_arrays())
+    magic, header, rest = path.read_bytes().split(b"\n", 2)
+    meta = json.loads(header)
+    meta["arrays"][1]["nbytes"] = 24
+    path.write_bytes(b"\n".join([magic, json.dumps(meta).encode(), rest]))
+    with pytest.raises(ValueError, match="'b0' of shape \\(4,\\) needs 32 "
+                                         "bytes, but the header lists 24"):
+        load_checkpoint(path)

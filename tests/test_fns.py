@@ -82,6 +82,36 @@ def test_zero_correction_equals_pure_smoothing(rng):
     assert np.allclose(u, v, atol=1e-15)
 
 
+@pytest.mark.parametrize("M", [0, 1, 4])
+def test_step_matches_allocating_reference_loop(M, rng):
+    from reference_iterations import reference_fns_lite_step
+
+    n = 16
+    A = stencil_problem(n, eps=1e-2, theta=np.pi / 3)
+    corr = SpectralCorrection(lambda_tilde=1.0 / sine_basis_eigenvalues(A, n),
+                              n=n)
+    sched = WeightSchedule(omega=np.array([0.1, 0.25, 0.4]))
+    f, u = rng.standard_normal((n - 1) ** 2), rng.standard_normal((n - 1) ** 2)
+    kept = u.copy()
+    for _ in range(3):
+        step = fns_lite_step(A, f, u, sched, M=M, corr=corr)
+        assert np.array_equal(step, reference_fns_lite_step(A, f, u, sched,
+                                                            M, corr))
+        assert np.array_equal(u, kept)   # the caller's u is untouched
+        u, kept = step, step.copy()
+
+
+@pytest.mark.parametrize("variant", ["mom", "nag", "nagex"])
+def test_step_rejects_momentum_schedules(variant):
+    n = 8
+    A = stencil_problem(n)
+    corr = SpectralCorrection(lambda_tilde=np.zeros((n - 1) ** 2), n=n)
+    sched = WeightSchedule(omega=[0.1, 0.2], alpha=[0.3, 0.3], variant=variant)
+    with pytest.raises(ValueError, match=variant):
+        fns_lite_step(A, np.ones((n - 1) ** 2), np.zeros((n - 1) ** 2), sched,
+                      M=2, corr=corr)
+
+
 def test_exact_inverse_correction_one_step(rng):
     n = 32
     A = stencil_problem(n, eps=1.0, theta=0.0)

@@ -137,3 +137,40 @@ def test_complex_operator_supported(rng):
     f = rng.standard_normal((n - 1) ** 2) + 1j * rng.standard_normal((n - 1) ** 2)
     u = v_cycle(h, f)
     assert np.iscomplexobj(u) and np.all(np.isfinite(u))
+
+
+def _smoothed_hierarchy(kind):
+    from richlab.problems import HelmholtzProblem, assemble_helmholtz
+    from richlab.schedules import WeightSchedule
+
+    n = 32
+    if kind == "helmholtz":
+        A = assemble_helmholtz(HelmholtzProblem(
+            angular_frequency=2 * np.pi * 1.5, n=n))
+        sched = WeightSchedule(omega=np.full(5, 0.8 / (8.0 * n ** 2)),
+                               alpha=np.full(5, 0.3), variant="nag")
+    else:
+        A = assemble_anisotropic(AnisotropicProblem(epsilon=0.1, theta=0.4,
+                                                    n=n))
+        sched = WeightSchedule(omega=[0.2, 0.3], alpha=[0.2, 0.1],
+                               variant="mom")
+    return build_hierarchy(A, n, coarsest=8, schedules=sched)
+
+
+@pytest.mark.parametrize("kind", ["helmholtz", "anisotropic"])
+def test_v_cycle_matches_allocating_reference_loop(kind, rng):
+    from reference_iterations import reference_v_cycle
+
+    h = _smoothed_hierarchy(kind)
+    size = h.levels[0].A.nrows
+    f = rng.standard_normal(size)
+    u0 = rng.standard_normal(size)
+    if kind == "helmholtz":
+        f, u0 = f + 1j * rng.standard_normal(size), u0 + 1j * rng.standard_normal(size)
+    kept = u0.copy()
+    for pre, post in ((1, 1), (2, 0), (0, 3)):
+        for start in (None, u0):
+            u = v_cycle(h, f, start, pre=pre, post=post)
+            ref = reference_v_cycle(h, f, start, pre=pre, post=post)
+            assert np.array_equal(u, ref) and u.dtype == ref.dtype
+            assert np.array_equal(u0, kept)   # the caller's u is untouched

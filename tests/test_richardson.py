@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
-from richlab.precond import Preconditioner
+from richlab.precond import Preconditioner, apply_preconditioner
+from richlab.problems import AnisotropicProblem, assemble_anisotropic
 from richlab.richardson import (DivergenceError, solve_stationary,
                                 sweep_affine_term, sweep_operator)
 from richlab.schedules import WeightSchedule, chebyshev_weights
 from richlab.sparse import SparseMatrix
 
 from conftest import random_spd
+from reference_iterations import reference_solve_stationary
 
 
 def run_variant_dense(A, f, u0, v0, schedule, sweeps, Binv=None):
@@ -196,3 +199,66 @@ class TestSolveStationary:
         sched = WeightSchedule(omega=[50.0])  # far beyond 2/lambda_max
         with pytest.raises(DivergenceError):
             solve_stationary(A, f, sched, max_outer=5000)
+
+
+def _oracle_system(field):
+    """Small rotated anisotropic system; complex data as a complex
+    right-hand side, or a complex-symmetric operator."""
+    rng = np.random.default_rng(11)
+    A = assemble_anisotropic(AnisotropicProblem(epsilon=1e-2, theta=0.3, n=8))
+    f = rng.standard_normal(A.nrows)
+    u0 = rng.standard_normal(A.nrows)
+    if field != "real":
+        f = f + 1j * rng.standard_normal(A.nrows)
+        u0 = u0 + 1j * rng.standard_normal(A.nrows)
+    if field == "complex":
+        A = SparseMatrix.from_scipy(
+            A.to_scipy() + 0.2j * scipy.sparse.diags(A.diagonal()))
+    return A, f, u0
+
+
+def _oracle_schedule(variant, A, P):
+    """Weights scaled to the preconditioned spectral radius."""
+    Ad = A.to_dense()
+    BA = np.column_stack([apply_preconditioner(P, col) for col in Ad.T])
+    rho = np.max(np.abs(np.linalg.eigvals(BA)))
+    omega = np.array([0.3, 0.9, 0.6]) / rho
+    if variant == "plain":
+        return WeightSchedule(omega=omega)
+    alpha = np.array([0.2, 0.3, 0.1])
+    at = np.array([0.1, 0.25, 0.05]) if variant == "nagex" else None
+    return WeightSchedule(omega=omega, alpha=alpha, alpha_tilde=at,
+                          variant=variant)
+
+
+# real SSOR factors cannot solve for a complex residual, so SSOR runs
+# on the real and the complex-operator systems only
+ORACLE_CASES = [(p, fld) for p in (None, "jacobi", "ssor")
+                for fld in ("real", "complex-rhs", "complex")
+                if (p, fld) != ("ssor", "complex-rhs")]
+
+
+@pytest.mark.parametrize("precond,field", ORACLE_CASES)
+@pytest.mark.parametrize("check", ["outer", "inner"])
+@pytest.mark.parametrize("variant", ["plain", "mom", "nag", "nagex"])
+def test_solve_matches_allocating_reference_loop(variant, check, precond,
+                                                 field):
+    A, f, u0 = _oracle_system(field)
+    P = {None: None, "jacobi": lambda: Preconditioner.weighted_jacobi(A),
+         "ssor": lambda: Preconditioner.ssor(A)}[precond]
+    P = P() if P else None
+    sched = _oracle_schedule(variant, A, P)
+    for start in (None, u0):
+        kept = None if start is None else start.copy()
+        u, rep = solve_stationary(A, f, sched, P=P, tol=1e-5, max_outer=150,
+                                  u0=start, check=check)
+        u_ref, ref = reference_solve_stationary(
+            A, f, sched, P=P, tol=1e-5, max_outer=150, u0=kept, check=check)
+        assert np.array_equal(u, u_ref) and u.dtype == u_ref.dtype
+        assert np.array_equal(rep.trace, ref.trace)
+        assert (rep.iterations, rep.inner_iterations, rep.converged,
+                rep.final_relative_residual) == (
+            ref.iterations, ref.inner_iterations, ref.converged,
+            ref.final_relative_residual)
+        if start is not None:
+            assert np.array_equal(start, kept)   # the caller's u0 is untouched
