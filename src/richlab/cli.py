@@ -9,7 +9,8 @@ assemble   build an operator and export it in Matrix Market form
 
 Configuration may come from an INI file with one section per subcommand;
 command-line flags override file values. Exit codes: 0 success, 1 solver
-divergence, 2 configuration error.
+or training failure (divergence, a failed coarse solve, a non-finite
+training loss), 2 configuration error.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 from .data import sample_dataset
 from .fgmres import FgmresConfig, fgmres
 from .metanet import MetaNet, meta_forward
-from .multigrid import build_hierarchy, v_cycle
+from .multigrid import CoarseSolveError, build_hierarchy, v_cycle
 from .problems import (MIN_POINTS_PER_WAVELENGTH, AnisotropicProblem,
                        HelmholtzProblem, assemble_anisotropic,
                        assemble_helmholtz)
@@ -33,7 +34,8 @@ from .schedules import (WeightSchedule, chebyshev_schedule,
                         chebyshev_semi_schedule)
 from .sparse import write_matrix_market
 from .spectral import dense_spectral_bounds
-from .training import TrainConfig, make_preconditioner, train_ns
+from .training import (NanLossError, TrainConfig, TrainingDiverged,
+                       make_preconditioner, train_ns)
 
 CSV_COLUMNS = ["table", "eps", "theta", "n", "method", "m", "precond",
                "seed", "inner_iters", "outer_iters", "converged",
@@ -458,6 +460,12 @@ def main(argv=None):
         return 2
     except DivergenceError as exc:
         print(f"solver diverged: {exc}", file=sys.stderr)
+        return 1
+    except CoarseSolveError as exc:
+        print(f"solver failed: {exc}", file=sys.stderr)
+        return 1
+    except (TrainingDiverged, NanLossError) as exc:
+        print(f"training failed: {exc}", file=sys.stderr)
         return 1
 
 

@@ -26,15 +26,21 @@ class FgmresConfig:
             raise ValueError("restart must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be >= 1")
 
 
 def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None, u0=None):
     """Solve A u = f; returns (u, SolveReport).
 
     ``report.iterations`` counts Arnoldi steps (preconditioner
-    applications); ``trace`` holds the recurrence relative residual per
-    step, with trace[0] the initial value. ``stagnated`` is set when a
-    full restart cycle produces no residual decrease.
+    applications) and ``report.restarts`` the restart cycles run;
+    ``trace`` holds the recurrence relative residual per step, with
+    trace[0] the initial value. ``stagnated`` is set when a full restart
+    cycle produces no residual decrease.
+
+    The Krylov bases are stored row-major, so every basis vector, and
+    the vector handed to ``precond_apply``, is contiguous.
     """
     if cfg is None:
         cfg = FgmresConfig()
@@ -56,26 +62,26 @@ def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None, u0=None):
     converged = rel <= cfg.tol
     stagnated = False
     outer = 0
+    mr = cfg.restart
+    V = np.zeros((mr + 1, n), dtype=dtype)
+    Z = np.zeros((mr, n), dtype=dtype)
+    tmp = np.empty(n, dtype=dtype)
     while not converged and not stagnated and outer < cfg.max_outer:
         cycle_start_rel = rel
-        mr = cfg.restart
-        V = np.zeros((n, mr + 1), dtype=dtype)
-        Z = np.zeros((n, mr), dtype=dtype)
         H = np.zeros((mr + 1, mr), dtype=dtype)
         cs = np.zeros(mr, dtype=dtype)
         sn = np.zeros(mr, dtype=dtype)
         g = np.zeros(mr + 1, dtype=dtype)
-        V[:, 0] = r / beta
+        np.divide(r, beta, out=V[0])
         g[0] = beta
         k = 0
         while k < mr:
-            z = np.asarray(precond_apply(V[:, k]), dtype=dtype)
-            Z[:, k] = z
-            w = A.matvec(z)
-            # modified Gram-Schmidt
+            Z[k] = precond_apply(V[k])
+            w = A.matvec(Z[k])
+            # modified Gram-Schmidt, in place on w
             for i in range(k + 1):
-                H[i, k] = np.vdot(V[:, i], w)
-                w = w - H[i, k] * V[:, i]
+                H[i, k] = np.vdot(V[i], w)
+                w -= np.multiply(H[i, k], V[i], out=tmp)
             hk1 = np.linalg.norm(w)
             H[k + 1, k] = hk1
             # apply stored Givens rotations to the new column
@@ -104,7 +110,7 @@ def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None, u0=None):
                 converged = True
                 break
             if hk1 > 0:
-                V[:, k] = w / hk1
+                np.divide(w, hk1, out=V[k])
         # solve the triangular system and update the iterate
         Hk = np.triu(H[:k, :k])
         if k == 0:
@@ -116,7 +122,7 @@ def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None, u0=None):
                 # singular projected system (breakdown on a singular
                 # operator): take the minimum-norm least-squares update
                 y, *_ = np.linalg.lstsq(Hk, g[:k], rcond=None)
-        u = u + Z[:, :k] @ y
+        u = u + y @ Z[:k]
         r = f - A.matvec(u)
         beta = float(np.linalg.norm(r))
         rel = beta / fnorm
@@ -127,5 +133,6 @@ def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None, u0=None):
     report = SolveReport(iterations=total, inner_iterations=total,
                          converged=converged, final_relative_residual=rel,
                          wall_time=time.perf_counter() - t0,
-                         trace=np.array(trace), stagnated=stagnated)
+                         trace=np.array(trace), stagnated=stagnated,
+                         restarts=outer)
     return u, report

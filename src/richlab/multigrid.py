@@ -113,19 +113,30 @@ def build_hierarchy(A: SparseMatrix, n, coarsest=8, schedules=None):
     return Hierarchy(levels=levels, coarsest_lu=lu)
 
 
-def _smooth(level: Level, f, u, count, schedule=None):
-    """``count`` outer sweeps of the level's schedule, fresh velocity."""
-    s = schedule or level.schedule
+def _smooth(level: Level, f, u, count):
+    """``count`` outer sweeps of the level's schedule with a fresh
+    velocity, in place on ``u``; returns ``u``.
+
+    ``u`` None starts from a zero iterate. The first step's residual is
+    then ``f`` itself, read but never written: a finite operator times
+    zeros is +0 in every entry, and f - (+0) is f bit for bit, so that
+    matvec is skipped.
+    """
+    s = level.schedule
+    first_r = None
+    if u is None:
+        u, first_r = np.zeros_like(f), f
     if count == 0 or s is None:
         return u
-    u = u.copy()
     v = np.zeros_like(u)
     look = np.empty_like(u)
     weights = list(zip(s.omega.tolist(), s.alpha.tolist(),
                        s.alpha_tilde.tolist()))
     for _ in range(count):
         for w, a, at in weights:
-            _inner_update(level.A, f, u, v, w, a, at, s.variant, look=look)
+            _inner_update(level.A, f, u, v, w, a, at, s.variant, r=first_r,
+                          look=look)
+            first_r = None
     if not np.all(np.isfinite(u.view(float))):
         raise DivergenceError("smoother produced a non-finite iterate",
                               inner_iteration=count * s.m)
@@ -133,16 +144,21 @@ def _smooth(level: Level, f, u, count, schedule=None):
 
 
 def v_cycle(h: Hierarchy, f, u=None, pre=1, post=1):
-    """One V-cycle for the finest-level system; returns the new iterate."""
+    """One V-cycle for the finest-level system; returns the new iterate.
+
+    ``u`` None starts from zero. Neither ``f`` nor ``u`` is modified.
+    """
     lvl0 = h.levels[0]
     dtype = np.promote_types(lvl0.A.dtype, np.asarray(f).dtype)
-    if u is None:
-        u = np.zeros(lvl0.A.ncols, dtype=dtype)
-    return _v_cycle_level(h, 0, np.asarray(f, dtype=dtype),
-                          np.asarray(u, dtype=dtype), pre, post)
+    if u is not None:
+        u = np.array(u, dtype=dtype)   # smoothed in place
+    return _v_cycle_level(h, 0, np.ascontiguousarray(f, dtype=dtype), u,
+                          pre, post)
 
 
 def _v_cycle_level(h, k, f, u, pre, post):
+    """The V-cycle from level k down; ``u`` (None: zero) is owned and
+    may be overwritten."""
     level = h.levels[k]
     if k == h.depth - 1:
         try:
@@ -150,10 +166,10 @@ def _v_cycle_level(h, k, f, u, pre, post):
         except (ValueError, scipy.linalg.LinAlgError) as exc:
             raise CoarseSolveError(f"coarsest solve failed: {exc}")
     u = _smooth(level, f, u, pre)
-    r = f - level.A.matvec(u)
-    fc = level.R.matvec(r)
-    ec = _v_cycle_level(h, k + 1, fc, np.zeros_like(fc), pre, post)
-    u = u + level.P.matvec(ec)
+    r = level.A.matvec(u)
+    np.subtract(f, r, out=r)
+    ec = _v_cycle_level(h, k + 1, level.R.matvec(r), None, pre, post)
+    u += level.P.matvec(ec)
     return _smooth(level, f, u, post)
 
 

@@ -36,12 +36,25 @@ def _tri_factor(T):
     """Cached solver for a triangular sparse matrix.
 
     A no-pivot natural-order LU of a triangular matrix is the matrix
-    itself, so this is just a fast C-level substitution routine.
+    itself, so this is just a fast C-level substitution routine. SuperLU
+    will not solve real factors for a complex right-hand side, so such a
+    side is solved as its real and imaginary parts.
     """
     lu = scipy.sparse.linalg.splu(T.tocsc(), permc_spec="NATURAL",
                                   diag_pivot_thresh=0.0,
                                   options={"SymmetricMode": True})
-    return lu.solve
+    if np.iscomplexobj(T.data):
+        return lu.solve
+
+    def solve(r):
+        if not np.iscomplexobj(r):
+            return lu.solve(r)
+        x = np.empty_like(r)
+        x.real = lu.solve(r.real)
+        x.imag = lu.solve(r.imag)
+        return x
+
+    return solve
 
 
 class Preconditioner:

@@ -33,23 +33,26 @@ class SolveReport:
     wall_time: float
     trace: np.ndarray          # relative residual per outer sweep, trace[0] = initial guess
     stagnated: bool = False
+    restarts: int = 0          # FGMRES restart cycles run, the first included
 
 
 def _inner_update(A, f, u, v, w, a, at, variant, P=None, r=None, look=None):
     """One inner update of ``variant`` with weight w and momentum
     coefficients a (alpha) and at (alpha_tilde), in place on u and v.
 
-    ``r`` is the residual f - A u when the caller already has it (plain
-    and mom only); ``look`` is scratch for the nag/nagex look-ahead point.
-    The float operations are those of v <- a v + w B^{-1} r, u <- u + v.
+    ``r`` is the step residual when the caller already has it: f - A u
+    for plain and mom, f - A (u + at v) at the nag/nagex look-ahead
+    point. It is read, never written. ``look`` is scratch for the
+    look-ahead point. The float operations are those of
+    v <- a v + w B^{-1} r, u <- u + v.
     """
-    if variant in ("nag", "nagex"):   # residual at the look-ahead point
-        look = np.multiply(v, at, out=look)
-        look += u
-        r = A.matvec(look)
-        np.subtract(f, r, out=r)
-    elif r is None:
-        r = A.matvec(u)
+    if r is None:
+        if variant in ("nag", "nagex"):   # residual at the look-ahead point
+            look = np.multiply(v, at, out=look)
+            look += u
+            r = A.matvec(look)
+        else:
+            r = A.matvec(u)
         np.subtract(f, r, out=r)
     z = apply_preconditioner(P, r)
     if variant == "plain":

@@ -1,15 +1,20 @@
-"""Allocate-per-step reference loops, kept as test oracles.
+"""Reference loops, kept as test oracles.
 
 These are the stationary solver, the V-cycle smoother and the hybrid
 step as they were written before the shared in-place update: every
 inner update builds new arrays, and every product is the CSR product of
 ``A.to_scipy()``. The library's iterates must equal theirs bit for bit.
+
+``reference_fgmres`` is FGMRES with its Krylov bases stored column by
+column. Its Gram-Schmidt dot products run on strided vectors, which
+BLAS sums in another order, so the library matches it to rounding only.
 """
 import time
 
 import numpy as np
 import scipy.linalg
 
+from richlab.fgmres import FgmresConfig
 from richlab.multigrid import CoarseSolveError
 from richlab.precond import apply_preconditioner
 from richlab.richardson import DIVERGENCE_FACTOR, DivergenceError, SolveReport
@@ -128,3 +133,102 @@ def reference_fns_lite_step(A, f, u, schedule, M, corr):
         raise DivergenceError("hybrid step produced a non-finite iterate",
                               inner_iteration=M)
     return u
+
+
+def reference_fgmres(A, f, precond_apply=None, cfg=None, u0=None):
+    """FGMRES with column-major Krylov bases V (n, restart+1) and
+    Z (n, restart); returns (u, SolveReport)."""
+    if cfg is None:
+        cfg = FgmresConfig()
+    if precond_apply is None:
+        precond_apply = lambda r: r
+    t0 = time.perf_counter()
+    n = A.ncols
+    dtype = np.promote_types(A.dtype, np.asarray(f).dtype)
+    u = np.zeros(n, dtype=dtype) if u0 is None else np.array(u0, dtype=dtype)
+    fnorm = float(np.linalg.norm(f))
+    if fnorm == 0.0:
+        return u, SolveReport(0, 0, True, 0.0, time.perf_counter() - t0,
+                              np.array([0.0]))
+    r = f - A.matvec(u)
+    beta = float(np.linalg.norm(r))
+    rel = beta / fnorm
+    trace = [rel]
+    total = 0
+    converged = rel <= cfg.tol
+    stagnated = False
+    outer = 0
+    while not converged and not stagnated and outer < cfg.max_outer:
+        cycle_start_rel = rel
+        mr = cfg.restart
+        V = np.zeros((n, mr + 1), dtype=dtype)
+        Z = np.zeros((n, mr), dtype=dtype)
+        H = np.zeros((mr + 1, mr), dtype=dtype)
+        cs = np.zeros(mr, dtype=dtype)
+        sn = np.zeros(mr, dtype=dtype)
+        g = np.zeros(mr + 1, dtype=dtype)
+        V[:, 0] = r / beta
+        g[0] = beta
+        k = 0
+        while k < mr:
+            z = np.asarray(precond_apply(V[:, k]), dtype=dtype)
+            Z[:, k] = z
+            w = A.matvec(z)
+            # modified Gram-Schmidt
+            for i in range(k + 1):
+                H[i, k] = np.vdot(V[:, i], w)
+                w = w - H[i, k] * V[:, i]
+            hk1 = np.linalg.norm(w)
+            H[k + 1, k] = hk1
+            # apply stored Givens rotations to the new column
+            for i in range(k):
+                t = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
+                H[i + 1, k] = -np.conj(sn[i]) * H[i, k] + np.conj(cs[i]) * H[i + 1, k]
+                H[i, k] = t
+            # new rotation zeroing H[k+1, k]
+            denom = np.sqrt(np.abs(H[k, k]) ** 2 + np.abs(hk1) ** 2)
+            if denom == 0.0:
+                cs[k], sn[k] = 1.0, 0.0
+            else:
+                cs[k] = np.conj(H[k, k]) / denom
+                sn[k] = np.conj(H[k + 1, k]) / denom
+            t = cs[k] * H[k, k] + sn[k] * H[k + 1, k]
+            H[k, k] = t
+            H[k + 1, k] = 0.0
+            g[k + 1] = -np.conj(sn[k]) * g[k]
+            g[k] = cs[k] * g[k]
+            total += 1
+            rel = float(np.abs(g[k + 1])) / fnorm
+            trace.append(rel)
+            happy = hk1 <= 1e-14 * max(1.0, float(np.abs(H[k, k])))
+            k += 1
+            if rel <= cfg.tol or happy:
+                converged = True
+                break
+            if hk1 > 0:
+                V[:, k] = w / hk1
+        # solve the triangular system and update the iterate
+        Hk = np.triu(H[:k, :k])
+        if k == 0:
+            y = np.zeros(0, dtype=dtype)
+        else:
+            try:
+                y = np.linalg.solve(Hk, g[:k])
+            except np.linalg.LinAlgError:
+                # singular projected system (breakdown on a singular
+                # operator): take the minimum-norm least-squares update
+                y, *_ = np.linalg.lstsq(Hk, g[:k], rcond=None)
+        u = u + Z[:, :k] @ y
+        r = f - A.matvec(u)
+        beta = float(np.linalg.norm(r))
+        rel = beta / fnorm
+        converged = rel <= cfg.tol
+        if not converged and rel >= cycle_start_rel:
+            stagnated = True
+        outer += 1
+    report = SolveReport(iterations=total, inner_iterations=total,
+                         converged=converged, final_relative_residual=rel,
+                         wall_time=time.perf_counter() - t0,
+                         trace=np.array(trace), stagnated=stagnated,
+                         restarts=outer)
+    return u, report

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from richlab.cli import CSV_COLUMNS, N_GRID_FULL, THETA_GRID, main
+from richlab.multigrid import CoarseSolveError
+from richlab.training import NanLossError, TrainingDiverged
 from richlab.sparse import read_matrix_market
 
 
@@ -224,3 +226,30 @@ def test_learned_rows_run_from_checkpoint(tmp_path, capsys):
     learned = [r for r in rows if r["method"] == "learned"]
     assert len(learned) == len(THETA_GRID)
     assert all(r["inner_iters"] != "" for r in learned)
+
+
+def _raise(exc):
+    def call(*args, **kwargs):
+        raise exc
+    return call
+
+
+@pytest.mark.parametrize("target,exc,argv,prefix", [
+    ("build_hierarchy",
+     CoarseSolveError("coarsest factorization failed: singular"),
+     ["reproduce", "helmholtz-sweep", "--seeds", "1"], "solver failed:"),
+    ("train_ns", TrainingDiverged("validation loss diverged", history={}),
+     ["train", "--n", "8", "--count", "4"], "training failed:"),
+    ("train_ns", NanLossError(2),
+     ["train", "--n", "8", "--count", "4"], "training failed:"),
+])
+def test_library_failure_exits_1_with_one_line(target, exc, argv, prefix,
+                                               tmp_path, capsys,
+                                               monkeypatch):
+    import richlab.cli
+
+    monkeypatch.setattr(richlab.cli, target, _raise(exc))
+    code, _, err = run_cli(argv + ["--output", str(tmp_path / "out")],
+                           capsys)
+    assert code == 1
+    assert err == f"{prefix} {exc}\n"

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from richlab.fgmres import FgmresConfig, fgmres
+from richlab.multigrid import build_hierarchy, v_cycle
+from richlab.problems import HelmholtzProblem, assemble_helmholtz
+from richlab.schedules import WeightSchedule
 from richlab.sparse import SparseMatrix
 
 from conftest import random_spd
+from reference_iterations import reference_fgmres
 
 
 def reference_gmres_iterates(Ad, f, steps):
@@ -80,6 +84,15 @@ def test_recurrence_matches_true_residual_at_restart(rng):
     true_rel = np.linalg.norm(f - A.matvec(u)) / np.linalg.norm(f)
     assert abs(rep.trace[-1] - true_rel) <= 1e-10 * max(1.0, true_rel)
     assert abs(rep.final_relative_residual - true_rel) <= 1e-12
+    assert rep.restarts == 1
+
+
+def test_restarts_count_cycles(rng):
+    A = random_spd(40, rng)
+    f = rng.standard_normal(40)
+    _, rep = fgmres(A, f, cfg=FgmresConfig(restart=5, tol=1e-10))
+    assert rep.converged and rep.iterations > 10
+    assert rep.restarts == -(-rep.iterations // 5)
 
 
 def test_matches_textbook_gmres_iterates(rng):
@@ -133,3 +146,43 @@ def test_invalid_config():
         FgmresConfig(restart=0)
     with pytest.raises(ValueError):
         FgmresConfig(tol=0.0)
+    for max_outer in (0, -1):
+        with pytest.raises(ValueError, match="max_outer"):
+            FgmresConfig(max_outer=max_outer)
+
+
+def _oracle_system(case, rng):
+    """(A, f, preconditioner) of a V-cycle-preconditioned Helmholtz
+    system at n=64, or of a random complex system."""
+    if case == "random-complex":
+        n = 80
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        A = dense_to_sparse(3.0 * np.eye(n) + M / np.sqrt(2 * n))
+        pre = None
+    else:
+        n = 64
+        A = assemble_helmholtz(HelmholtzProblem(
+            angular_frequency=2 * np.pi * float(case), n=n))
+        sched = WeightSchedule(omega=np.full(5, 0.8 / (8.0 * n ** 2)),
+                               alpha=np.full(5, 0.3), variant="nag")
+        h = build_hierarchy(A, n, coarsest=16, schedules=sched)
+        pre = lambda r: v_cycle(h, r)
+    f = rng.standard_normal(A.ncols) + 1j * rng.standard_normal(A.ncols)
+    return A, f, pre
+
+
+@pytest.mark.parametrize("case", ["1.5", "3", "random-complex"])
+def test_matches_column_major_reference(case, rng):
+    # restart=5 runs several cycles. The Gram-Schmidt dot products sum
+    # in another order on contiguous vectors, so iterates agree to
+    # rounding; a recurrence residual far below the initial one carries
+    # an absolute error of rounding size.
+    A, f, pre = _oracle_system(case, rng)
+    cfg = FgmresConfig(restart=5, tol=1e-10, max_outer=50)
+    u, rep = fgmres(A, f, pre, cfg)
+    u_ref, ref = reference_fgmres(A, f, pre, cfg)
+    assert ref.restarts > 1
+    assert (rep.iterations, rep.restarts, rep.stagnated, rep.converged) == (
+        ref.iterations, ref.restarts, ref.stagnated, ref.converged)
+    assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
+    np.testing.assert_allclose(rep.trace, ref.trace, rtol=1e-12, atol=1e-15)

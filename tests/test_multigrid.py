@@ -174,3 +174,12 @@ def test_v_cycle_matches_allocating_reference_loop(kind, rng):
             ref = reference_v_cycle(h, f, start, pre=pre, post=post)
             assert np.array_equal(u, ref) and u.dtype == ref.dtype
             assert np.array_equal(u0, kept)   # the caller's u is untouched
+
+
+def test_v_cycle_on_a_strided_column_equals_its_copy(rng):
+    h = _smoothed_hierarchy("helmholtz")
+    size = h.levels[0].A.nrows
+    V = rng.standard_normal((size, 3)) + 1j * rng.standard_normal((size, 3))
+    kept = V.copy()
+    assert np.array_equal(v_cycle(h, V[:, 1]), v_cycle(h, V[:, 1].copy()))
+    assert np.array_equal(V, kept)   # the caller's f is untouched

@@ -76,6 +76,18 @@ def test_apply_transpose_matches_dense_transpose(rng):
         assert np.allclose(Bt, B.T, atol=1e-12)
 
 
+def test_complex_residual_on_real_factors(rng):
+    A = random_sparse(6, rng)  # real, non-symmetric
+    r = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    for P in (Preconditioner.sor(A, 1.2), Preconditioner.ssor(A, 0.9),
+              Preconditioner.gauss_seidel(A)):
+        for apply in (P.apply, P.apply_transpose):
+            z = apply(r)
+            assert z.dtype == np.complex128
+            assert np.array_equal(z.real, apply(r.real))
+            assert np.array_equal(z.imag, apply(r.imag))
+
+
 def test_zero_diagonal_names_row():
     A = SparseMatrix.from_triplets(2, 2, [0, 0, 1], [0, 1, 0], [1.0, 2.0, 3.0])
     with pytest.raises(ZeroDiagonalError, match="row 1"):

@@ -231,11 +231,8 @@ def _oracle_schedule(variant, A, P):
                           variant=variant)
 
 
-# real SSOR factors cannot solve for a complex residual, so SSOR runs
-# on the real and the complex-operator systems only
 ORACLE_CASES = [(p, fld) for p in (None, "jacobi", "ssor")
-                for fld in ("real", "complex-rhs", "complex")
-                if (p, fld) != ("ssor", "complex-rhs")]
+                for fld in ("real", "complex-rhs", "complex")]
 
 
 @pytest.mark.parametrize("precond,field", ORACLE_CASES)

@@ -111,6 +111,24 @@ def test_block_diagonal_rows_match_their_blocks_exactly():
     assert block_diagonal(blocks[:1]) is blocks[0]
 
 
+@pytest.mark.parametrize("complex_block", [False, True])
+def test_block_diagonal_arrays_pass_validation_unchanged(complex_block):
+    # block_diagonal skips the constructor's checks; the validated build
+    # of the same arrays must accept them and keep them as they are
+    rng = np.random.default_rng(9)
+    blocks = [random_sparse(n, rng) for n in (4, 1, 7)] + _aniso_blocks()
+    if complex_block:
+        blocks[1] = SparseMatrix.from_scipy(blocks[1].to_scipy() * (1 + 2j))
+    D = block_diagonal(blocks)
+    checked = SparseMatrix(D.nrows, D.ncols, D.row_starts, D.col_indices,
+                           D.values)
+    for name in ("row_starts", "col_indices", "values"):
+        got, want = getattr(D, name), getattr(checked, name)
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+    assert D.shape == checked.shape and D.dtype == checked.dtype
+    assert (D.to_scipy() != checked.to_scipy()).nnz == 0
+
+
 # -- product kernels ------------------------------------------------------
 
 def _kernel_format(A, transpose=False):
