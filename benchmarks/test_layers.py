@@ -1,9 +1,14 @@
-"""Layer timings of the Helmholtz FGMRES/V-cycle solver at n=128.
+"""Layer timings of the Helmholtz FGMRES/V-cycle solver at n=128 and of
+one training batch at n=32.
 
-The system is that of the ``helmholtz-fgmres`` benchmark workload at
-frequency 5: damped Helmholtz at n=128 (16,129 complex unknowns), a
-Galerkin hierarchy down to n=16 with a NAG-Richardson(5) smoother
-(omega = 0.8/(8 n^2), alpha = 0.3). Run from the repository root:
+The Helmholtz system is that of the ``helmholtz-fgmres`` benchmark
+workload at frequency 5: damped Helmholtz at n=128 (16,129 complex
+unknowns), a Galerkin hierarchy down to n=16 with a NAG-Richardson(5)
+smoother (omega = 0.8/(8 n^2), alpha = 0.3). The training batches are
+drawn from the anisotropic set at n=32 (961 unknowns): a plain
+schedule-net batch of 5 with the ``train-schedule`` unroll K=50, and a
+hybrid batch of 20 with the ``FnsTrainConfig`` defaults (M=10 smoothing
+updates, 3 hybrid steps) in each phase. Run from the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks/test_layers.py \\
         --benchmark-json=layers.json
@@ -14,14 +19,22 @@ collect it.
 import numpy as np
 import pytest
 
+from richlab import tape as tp
+from richlab.data import sample_dataset
 from richlab.fgmres import FgmresConfig, fgmres
+from richlab.fns import FnsTrainConfig, _hybrid_loss, _initial_net
+from richlab.metanet import MetaNet
 from richlab.multigrid import build_hierarchy, v_cycle
 from richlab.problems import HelmholtzProblem, assemble_helmholtz
 from richlab.schedules import WeightSchedule
+from richlab.tape import Tape
+from richlab.training import (_recorded_schedules, gradient,
+                              loss_relative_residual)
 
 N = 128
 FREQUENCY = 5.0
 RESTART = 20
+TRAIN_N = 32
 
 
 @pytest.fixture(scope="module")
@@ -56,3 +69,46 @@ def test_fgmres_arnoldi_step(benchmark, system):
     _, rep = benchmark(fgmres, A, f, None, cfg)
     assert rep.iterations == RESTART
     benchmark.extra_info["arnoldi_steps_per_call"] = RESTART
+
+
+@pytest.fixture(scope="module")
+def training_batch():
+    return list(sample_dataset("anisotropic", 20, seed=0, n=TRAIN_N))
+
+
+def test_schedule_net_batch(benchmark, training_batch):
+    """Recorded forward and backward of one plain schedule-net batch."""
+    net = MetaNet.create(3, variant="plain", input_dim=2, seed=1)
+    batch = training_batch[:5]
+
+    def step():
+        return gradient(*loss_relative_residual(batch, net, 50))
+
+    benchmark(step)
+
+
+@pytest.mark.parametrize("phase", ["lambda", "omega"])
+def test_hybrid_batch(benchmark, training_batch, phase):
+    """Recorded forward and backward of one hybrid batch from the
+    training's initial state: the initial smoother and a zero correction
+    row per instance."""
+    cfg = FnsTrainConfig()
+    net = _initial_net(cfg, input_dim=2)
+    table = np.zeros((len(training_batch), (TRAIN_N - 1) ** 2))
+
+    def step():
+        tape = Tape()
+        if phase == "lambda":
+            pvars = [tape.var(row) for row in table]
+            omega = np.stack([net.schedule_arrays(s.mu)[0]
+                              for s in training_batch])
+            lam = tp.stack(pvars)
+        else:
+            pvars = [tape.var(p) for p in net.parameters()]
+            omega = _recorded_schedules(training_batch, net, tape, pvars)[0]
+            lam = table
+        loss = _hybrid_loss(training_batch, omega, lam, cfg.unroll,
+                            cfg.smooth_steps)
+        tape.backward(loss)
+
+    benchmark(step)

@@ -308,12 +308,24 @@ def cmd_train(args):
         raise ConfigError(
             f"training-set size {args.count} above the desk-scale limit "
             f"{DESK_TRAIN_LIMIT}; pass --full to proceed")
-    ds = sample_dataset(args.problem, args.count, seed=args.seed, n=args.n)
+    if args.epochs < 1:
+        raise ConfigError(f"--epochs must be at least 1, got {args.epochs}")
+    # the configs validate before the dataset is sampled
     if args.model == "schedule":
         cfg = TrainConfig(m=args.m, unroll=args.unroll,
                           n_epochs=args.epochs, batch_size=args.batch_size,
                           learning_rate=args.lr, seed=args.seed,
                           variant=args.variant, precond=args.precond)
+    else:
+        from .fns import FnsTrainConfig, train_fns_lite
+        # one hybrid step per ten inner updates, at least one; a negative
+        # --unroll reaches the config's check as it is
+        unroll = args.unroll if args.unroll < 0 else max(1, args.unroll // 10)
+        cfg = FnsTrainConfig(m=args.m, unroll=unroll, n_epochs=args.epochs,
+                             batch_size=args.batch_size,
+                             learning_rate=args.lr, seed=args.seed)
+    ds = sample_dataset(args.problem, args.count, seed=args.seed, n=args.n)
+    if args.model == "schedule":
         net = train_ns(cfg, ds)
         net.save(args.output, extra_metadata={"epochs": args.epochs,
                                               "unroll": args.unroll})
@@ -321,11 +333,6 @@ def cmd_train(args):
         print(f"saved {args.output} (best validation loss {best:.4g} at "
               f"epoch {net.best_epoch})")
     else:
-        from .fns import FnsTrainConfig, train_fns_lite
-        cfg = FnsTrainConfig(m=args.m, unroll=max(1, args.unroll // 10),
-                             n_epochs=args.epochs,
-                             batch_size=args.batch_size,
-                             learning_rate=args.lr, seed=args.seed)
         model = train_fns_lite(cfg, ds)
         model.save(args.output)
         print(f"saved {args.output}.net and {args.output}.corr")

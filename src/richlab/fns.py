@@ -20,8 +20,10 @@ from . import tape as tp
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metanet import ANISOTROPIC_BOUNDS, MetaNet
 from .richardson import DivergenceError, SolveReport, _inner_update
+from .sparse import block_diagonal
 from .tape import Tape, Var
-from .training import Adam, TrainConfig
+from .training import (Adam, _recorded_schedules, _relative_residuals,
+                       _unroll)
 from .transforms import dst2, dst2_inv
 
 import time
@@ -142,36 +144,28 @@ def solve_fns(A, f, schedule, corr, M, tol=1e-6, max_iters=10_000):
                           trace=np.array(trace))
 
 
-# -- differentiable pieces ----------------------------------------------
+# -- differentiable hybrid loss -----------------------------------------
 
-def _correction_tape(lam, r):
-    """dst2_inv(lam * dst2(r)) with either argument recorded on a tape."""
-    if isinstance(lam, Var):
-        Fr = dst2(r.value if isinstance(r, Var) else r)
-        val = dst2_inv(lam.value * Fr)
-        parents = [(lam, lambda g: dst2(g) * Fr)]
-        if isinstance(r, Var):
-            lam_v = lam.value
-            parents.append((r, lambda g: dst2_inv(lam_v * dst2(g))))
-        return lam.tape._record(val, tuple(parents))
-    return tp.linear_map(lambda x: dst2_inv(lam * dst2(x)),
-                         lambda g: dst2_inv(lam * dst2(g)), r)
+def _hybrid_loss(batch, omega, lam, n_hybrid, M):
+    """Mean relative residual of a batch after n_hybrid hybrid steps from
+    a zero initial guess, recorded on the tape of ``omega`` or ``lam``.
 
-
-def _unroll_fns_tape(A, f, omega, lam, n_hybrid, M, m):
-    """Tape-recorded hybrid unroll from zero; relative-residual Var.
-
-    ``omega`` is a Var (length m, cycled) or a constant array; ``lam``
-    likewise a Var or constant correction array.
+    The batch runs as one (B, N) row stack. Each step is M plain updates
+    of the training unroll with the (B, m) weight rows ``omega``, then
+    the correction u + S(lam * S(f - A u)) with the (B, N) correction
+    rows ``lam``; the row-wise sine transform S is symmetric, so it is
+    its own transpose. One of ``omega`` and ``lam`` is a Var, the other
+    a plain array.
     """
+    A = block_diagonal([s.A for s in batch])
+    F = np.stack([s.f for s in batch])
     tape = omega.tape if isinstance(omega, Var) else lam.tape
-    u = tape.var(np.zeros(len(f)))
-    fnorm = float(np.linalg.norm(f))
+    u = tape.var(np.zeros(F.shape))
     for _ in range(n_hybrid):
-        for k in range(M):
-            u = u + omega[k % m] * (f - tp.spmv(A, u))
-        u = u + _correction_tape(lam, f - tp.spmv(A, u))
-    return tp.norm2(f - tp.spmv(A, u)) * (1.0 / fnorm)
+        u = _unroll(A, F, u, omega, None, None, M, "plain", None)
+        r = F - tp.spmv(A, u)
+        u = u + tp.linear_map(dst2, dst2, lam * tp.linear_map(dst2, dst2, r))
+    return tp.batch_mean(_relative_residuals(A, F, u))
 
 
 # -- bucketed model ------------------------------------------------------
@@ -238,6 +232,10 @@ class FnsTrainConfig:
     hidden: tuple = (64, 64)
     omega_init: float = 0.5    # initial constant smoother weight
 
+    def __post_init__(self):
+        if self.unroll < 0 or self.batch_size < 1:
+            raise ValueError("unroll must be >= 0 and batch_size >= 1")
+
 
 def _initial_net(config, input_dim):
     net = MetaNet.create(config.m, variant="plain", hidden=config.hidden,
@@ -291,25 +289,20 @@ def train_fns_lite(config: FnsTrainConfig, dataset, net=None):
                 batch = [dataset[int(k)]
                          for k in order[start:start + config.batch_size]]
                 tape = Tape()
+                pvars = [tape.var(p) for p in params]
                 if train_lambda:
-                    lam_vars = {b: tape.var(p)
-                                for b, p in zip(buckets, params)}
-                    pvars = [lam_vars[b] for b in buckets]
+                    rows = dict(zip(buckets, pvars))
+                    lam = tp.stack([rows[model.bucket_of(s.mu)]
+                                    for s in batch])
+                    omega = np.stack([model.net.schedule_arrays(s.mu)[0]
+                                      for s in batch])
                 else:
-                    pvars = [tape.var(p) for p in params]
-                terms = []
-                for s in batch:
-                    b = model.bucket_of(s.mu)
-                    if train_lambda:
-                        omega = model.net.schedule_arrays(s.mu)[0]
-                        lam = lam_vars[b]
-                    else:
-                        omega = model.net.forward_tape(tape, s.mu, pvars)[0]
-                        lam = model.table[b[0], b[1]]
-                    terms.append(_unroll_fns_tape(
-                        s.A, s.f, omega, lam, config.unroll,
-                        config.smooth_steps, config.m))
-                loss = tp.mean(terms)
+                    omega = _recorded_schedules(batch, model.net, tape,
+                                                pvars)[0]
+                    lam = np.stack([model.table[model.bucket_of(s.mu)]
+                                    for s in batch])
+                loss = _hybrid_loss(batch, omega, lam, config.unroll,
+                                    config.smooth_steps)
                 tape.backward(loss)
                 params = opt.step(params, [p.grad for p in pvars])
                 if train_lambda:

@@ -171,20 +171,3 @@ def _v_cycle_level(h, k, f, u, pre, post):
     ec = _v_cycle_level(h, k + 1, level.R.matvec(r), None, pre, post)
     u += level.P.matvec(ec)
     return _smooth(level, f, u, post)
-
-
-def two_grid_error_operator(A: SparseMatrix, n, omega, pre=1, post=0):
-    """Dense error-propagation matrix of the two-grid cycle with a plain
-    Richardson smoother: E = S^post (I - P Ac^{-1} R A) S^pre."""
-    from .richardson import sweep_operator
-
-    Ad = A.to_dense()
-    R = restriction_matrix(n).to_dense()
-    P = prolongation_matrix(n).to_dense()
-    Ac = R @ Ad @ P
-    S = sweep_operator(Ad, omega)
-    n_int = Ad.shape[0]
-    cgc = np.eye(n_int) - P @ np.linalg.solve(Ac, R @ Ad)
-    E = np.linalg.matrix_power(S, pre)
-    E = cgc @ E
-    return np.linalg.matrix_power(S, post) @ E

@@ -128,26 +128,3 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
         final_relative_residual=rel, wall_time=time.perf_counter() - t0,
         trace=np.array(trace))
     return u, report
-
-
-def sweep_operator(A_dense, omega):
-    """Dense error-propagation operator T_m = prod_i (I - omega_i A)
-    of one plain sweep, applied right-to-left (i = 1 first)."""
-    n = A_dense.shape[0]
-    T = np.eye(n, dtype=A_dense.dtype)
-    for w in omega:
-        T = (np.eye(n, dtype=A_dense.dtype) - w * A_dense) @ T
-    return T
-
-
-def sweep_affine_term(A_dense, omega):
-    """Dense g with u_k = T_m u_{k-1} + g f for one plain sweep."""
-    n = A_dense.shape[0]
-    m = len(omega)
-    G = omega[-1] * np.eye(n, dtype=A_dense.dtype)
-    for j in range(m - 1):
-        M = omega[j] * np.eye(n, dtype=A_dense.dtype)
-        for i in range(j + 1, m):
-            M = (np.eye(n, dtype=A_dense.dtype) - omega[i] * A_dense) @ M
-        G += M
-    return G

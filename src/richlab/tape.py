@@ -117,19 +117,6 @@ class Var:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Var):
-            return self.tape._record(self.value / other.value, (
-                (self, lambda g: _unbroadcast(g / other.value, self.value)),
-                (other, lambda g: _unbroadcast(-g * self.value / other.value ** 2,
-                                               other.value))))
-        return self * (1.0 / np.asarray(other))
-
-    def __rtruediv__(self, other):
-        recip = self.tape._record(
-            1.0 / self.value, ((self, lambda g: -g / self.value ** 2),))
-        return recip * other
-
     def __getitem__(self, idx):
         def vjp(g):
             out = np.zeros_like(self.value)
@@ -172,27 +159,7 @@ def exp(x: Var) -> Var:
     return x.tape._record(y, ((x, lambda g: g * y),))
 
 
-def sqrt(x: Var) -> Var:
-    y = np.sqrt(x.value)
-    return x.tape._record(y, ((x, lambda g: g * 0.5 / y),))
-
-
 # -- linear algebra ----------------------------------------------------
-
-def dot(a: Var, b) -> Var:
-    if isinstance(b, Var):
-        return a.tape._record(a.value @ b.value, (
-            (a, lambda g: g * b.value),
-            (b, lambda g: g * a.value)))
-    b = np.asarray(b)
-    return a.tape._record(a.value @ b, ((a, lambda g: g * b),))
-
-
-def norm2(x: Var) -> Var:
-    n = np.linalg.norm(x.value)
-    return x.tape._record(n, ((x, lambda g: g * x.value / n if n > 0
-                               else np.zeros_like(x.value)),))
-
 
 def matvec(W: Var, x) -> Var:
     """Dense W @ x with a parameter matrix W."""
@@ -239,7 +206,7 @@ def stack(xs) -> Var:
 
 def row_norms(x):
     """Euclidean norm of each row of a (B, n) stack, one row at a time,
-    so row b matches ``norm2`` of that row bit for bit."""
+    so row b matches ``np.linalg.norm`` of that row bit for bit."""
     X = _value(x)
     n = np.array([np.linalg.norm(row) for row in X])
 
@@ -253,18 +220,11 @@ def row_norms(x):
 
 
 def batch_mean(x):
-    """Mean of a 1-D stack by left-to-right adds, matching ``mean`` of
-    the same entries as a list bit for bit."""
+    """Mean of a 1-D stack by left-to-right adds, matching the sum of the
+    same entries as a list, times 1/len, bit for bit."""
     values = _value(x)
     total = values[0]
     for item in values[1:]:
         total = total + item
     scale = 1.0 / len(values)
     return _track(x, total * scale, lambda g: np.full(len(values), g * scale))
-
-
-def mean(xs) -> Var:
-    total = xs[0]
-    for x in xs[1:]:
-        total = total + x
-    return total * (1.0 / len(xs))

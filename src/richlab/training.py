@@ -77,6 +77,33 @@ def _rowwise(Ps):
             lambda G: np.stack([P.apply_transpose(g) for P, g in zip(Ps, G)]))
 
 
+def _unroll(A, F, u, omega, alpha, alpha_t, K, variant, precondition):
+    """The (B, n) row stack u after K inner updates against the
+    block-diagonal A and the right-hand-side rows F, with the momentum
+    starting at zero. The weights are as in
+    :func:`unrolled_relative_residuals`; ``precondition`` is an
+    (apply, apply_transpose) pair over row stacks, or None."""
+    v = np.zeros(F.shape)
+    m = omega.shape[1]
+    for k in range(K):
+        i = slice(k % m, k % m + 1)
+        if variant in ("plain", "mom"):
+            r = F - tp.spmv(A, u)
+        else:  # nag, nagex: residual at the look-ahead point
+            r = F - tp.spmv(A, u + alpha_t[:, i] * v)
+        pr = tp.linear_map(*precondition, r) if precondition else r
+        step = omega[:, i] * pr
+        v = step if variant == "plain" else alpha[:, i] * v + step
+        u = u + v
+    return u
+
+
+def _relative_residuals(A, F, u):
+    """||F_b - A_b u_b|| / ||F_b|| for each row b."""
+    inv_fnorm = 1.0 / np.array([np.linalg.norm(f) for f in F])
+    return tp.row_norms(F - tp.spmv(A, u)) * inv_fnorm
+
+
 def unrolled_relative_residuals(As, fs, omega, alpha, alpha_t, K, variant,
                                 Ps=None):
     """Relative residuals ||f_b - A_b u_K|| / ||f_b|| of a batch after K
@@ -92,25 +119,24 @@ def unrolled_relative_residuals(As, fs, omega, alpha, alpha_t, K, variant,
     """
     A = block_diagonal(As)
     F = np.stack(fs)
-    inv_fnorm = 1.0 / np.array([np.linalg.norm(f) for f in fs])
-    precondition = _rowwise(Ps)
-    zeros = np.zeros(F.shape)
+    u = np.zeros(F.shape)
     if isinstance(omega, tp.Var):
-        u, v = omega.tape.var(zeros), omega.tape.var(zeros)
-    else:
-        u, v = zeros, zeros
-    m = omega.shape[1]
-    for k in range(K):
-        i = slice(k % m, k % m + 1)
-        if variant in ("plain", "mom"):
-            r = F - tp.spmv(A, u)
-        else:  # nag, nagex: residual at the look-ahead point
-            r = F - tp.spmv(A, u + alpha_t[:, i] * v)
-        pr = tp.linear_map(*precondition, r) if precondition else r
-        step = omega[:, i] * pr
-        v = step if variant == "plain" else alpha[:, i] * v + step
-        u = u + v
-    return tp.row_norms(F - tp.spmv(A, u)) * inv_fnorm
+        u = omega.tape.var(u)
+    u = _unroll(A, F, u, omega, alpha, alpha_t, K, variant, _rowwise(Ps))
+    return _relative_residuals(A, F, u)
+
+
+def _recorded_schedules(batch, net: MetaNet, tape, param_vars):
+    """(omega, alpha, alpha_t) of a batch as (B, m) Vars, or None where
+    the variant has no such weights. The network runs once per instance
+    and its outputs are stacked row by row."""
+    omega, alpha, alpha_t = zip(*(net.forward_tape(tape, sample.mu,
+                                                   param_vars)
+                                  for sample in batch))
+    tied = alpha_t[0] is alpha[0]   # all but nagex reuse the momentum Var
+    omega = tp.stack(omega)
+    alpha = None if alpha[0] is None else tp.stack(alpha)
+    return omega, alpha, alpha if tied else tp.stack(alpha_t)
 
 
 def loss_relative_residual(batch, net: MetaNet, K, precond=None, tape=None,
@@ -126,12 +152,7 @@ def loss_relative_residual(batch, net: MetaNet, K, precond=None, tape=None,
     if tape is None:
         tape = Tape()
         param_vars = [tape.var(p) for p in net.parameters()]
-    outs = [net.forward_tape(tape, sample.mu, param_vars) for sample in batch]
-    omega, alpha, alpha_t = zip(*outs)
-    tied = alpha_t[0] is alpha[0]   # all but nagex reuse the momentum Var
-    omega = tp.stack(omega)
-    alpha = None if alpha[0] is None else tp.stack(alpha)
-    alpha_t = alpha if tied else tp.stack(alpha_t)
+    omega, alpha, alpha_t = _recorded_schedules(batch, net, tape, param_vars)
     losses = unrolled_relative_residuals(
         [s.A for s in batch], [s.f for s in batch], omega, alpha, alpha_t, K,
         net.variant,

@@ -8,16 +8,28 @@ inner update builds new arrays, and every product is the CSR product of
 ``reference_fgmres`` is FGMRES with its Krylov bases stored column by
 column. Its Gram-Schmidt dot products run on strided vectors, which
 BLAS sums in another order, so the library matches it to rounding only.
+
+The dense operators (``sweep_operator``, ``sweep_affine_term``,
+``two_grid_error_operator``) give one sweep or one two-grid cycle as a
+matrix, for spectral checks on small grids.
+
+``reference_hybrid_unroll`` records the hybrid iteration one instance
+at a time on a tape, with ``norm2`` and ``mean`` as its reductions; the
+batched training loss must equal it.
 """
 import time
 
 import numpy as np
 import scipy.linalg
 
+from richlab import tape as tp
 from richlab.fgmres import FgmresConfig
-from richlab.multigrid import CoarseSolveError
+from richlab.multigrid import (CoarseSolveError, prolongation_matrix,
+                               restriction_matrix)
 from richlab.precond import apply_preconditioner
 from richlab.richardson import DIVERGENCE_FACTOR, DivergenceError, SolveReport
+from richlab.tape import Var
+from richlab.transforms import dst2, dst2_inv
 
 
 def csr_matvec(A, x):
@@ -232,3 +244,91 @@ def reference_fgmres(A, f, precond_apply=None, cfg=None, u0=None):
                          trace=np.array(trace), stagnated=stagnated,
                          restarts=outer)
     return u, report
+
+
+# -- dense error operators ----------------------------------------------
+
+def sweep_operator(A_dense, omega):
+    """Dense error-propagation operator T_m = prod_i (I - omega_i A)
+    of one plain sweep, applied right-to-left (i = 1 first)."""
+    n = A_dense.shape[0]
+    T = np.eye(n, dtype=A_dense.dtype)
+    for w in omega:
+        T = (np.eye(n, dtype=A_dense.dtype) - w * A_dense) @ T
+    return T
+
+
+def sweep_affine_term(A_dense, omega):
+    """Dense g with u_k = T_m u_{k-1} + g f for one plain sweep."""
+    n = A_dense.shape[0]
+    m = len(omega)
+    G = omega[-1] * np.eye(n, dtype=A_dense.dtype)
+    for j in range(m - 1):
+        M = omega[j] * np.eye(n, dtype=A_dense.dtype)
+        for i in range(j + 1, m):
+            M = (np.eye(n, dtype=A_dense.dtype) - omega[i] * A_dense) @ M
+        G += M
+    return G
+
+
+def two_grid_error_operator(A, n, omega, pre=1, post=0):
+    """Dense error-propagation matrix of the two-grid cycle with a plain
+    Richardson smoother: E = S^post (I - P Ac^{-1} R A) S^pre."""
+    Ad = A.to_dense()
+    R = restriction_matrix(n).to_dense()
+    P = prolongation_matrix(n).to_dense()
+    Ac = R @ Ad @ P
+    S = sweep_operator(Ad, omega)
+    n_int = Ad.shape[0]
+    cgc = np.eye(n_int) - P @ np.linalg.solve(Ac, R @ Ad)
+    E = np.linalg.matrix_power(S, pre)
+    E = cgc @ E
+    return np.linalg.matrix_power(S, post) @ E
+
+
+# -- per-instance tape oracles ------------------------------------------
+
+def norm2(x):
+    """Euclidean norm of a recorded vector."""
+    n = np.linalg.norm(x.value)
+    return x.tape._record(n, ((x, lambda g: g * x.value / n if n > 0
+                               else np.zeros_like(x.value)),))
+
+
+def mean(xs):
+    """Mean of recorded scalars by left-to-right adds."""
+    total = xs[0]
+    for x in xs[1:]:
+        total = total + x
+    return total * (1.0 / len(xs))
+
+
+def _correction_tape(lam, r):
+    """dst2_inv(lam * dst2(r)) with either argument recorded on a tape."""
+    if isinstance(lam, Var):
+        Fr = dst2(r.value if isinstance(r, Var) else r)
+        val = dst2_inv(lam.value * Fr)
+        parents = [(lam, lambda g: dst2(g) * Fr)]
+        if isinstance(r, Var):
+            lam_v = lam.value
+            parents.append((r, lambda g: dst2_inv(lam_v * dst2(g))))
+        return lam.tape._record(val, tuple(parents))
+    return tp.linear_map(lambda x: dst2_inv(lam * dst2(x)),
+                         lambda g: dst2_inv(lam * dst2(g)), r)
+
+
+def reference_hybrid_unroll(A, f, omega, lam, n_hybrid, M, m):
+    """Tape-recorded hybrid unroll of one instance from zero; its
+    relative residual as a Var.
+
+    ``omega`` is a Var (length m, cycled) or a constant array; ``lam``
+    likewise a Var or constant correction array.
+    """
+    tape = omega.tape if isinstance(omega, Var) else lam.tape
+    u = tape.var(np.zeros(len(f)))
+    fnorm = float(np.linalg.norm(f))
+    for _ in range(n_hybrid):
+        for k in range(M):
+            u = u + omega[k % m] * (f - tp.spmv(A, u))
+        u = u + _correction_tape(lam, f - tp.spmv(A, u))
+    return norm2(f - tp.spmv(A, u)) * (1.0 / fnorm)

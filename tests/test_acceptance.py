@@ -10,12 +10,11 @@ from richlab.data import sample_dataset
 from richlab.fgmres import FgmresConfig, fgmres
 from richlab.fns import SpectralCorrection, fns_lite_step, sine_basis_eigenvalues
 from richlab.metanet import MetaNet, meta_forward
-from richlab.multigrid import build_hierarchy, two_grid_error_operator, v_cycle
+from richlab.multigrid import build_hierarchy, v_cycle
 from richlab.precond import Preconditioner
 from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
                               assemble_anisotropic, assemble_helmholtz)
-from richlab.richardson import (solve_stationary, sweep_affine_term,
-                                sweep_operator)
+from richlab.richardson import solve_stationary
 from richlab.schedules import (WeightSchedule, chebyshev_schedule,
                                chebyshev_semi_schedule)
 from richlab.sparse import SparseMatrix
@@ -24,6 +23,8 @@ from richlab.training import (TrainConfig, gradient, loss_relative_residual,
                               evaluate_loss, make_preconditioner, train_ns)
 
 from conftest import random_spd
+from reference_iterations import (sweep_affine_term, sweep_operator,
+                                  two_grid_error_operator)
 
 TOL = 1e-6
 N_SEEDS = 10

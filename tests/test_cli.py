@@ -171,6 +171,28 @@ def test_train_desk_scale_guard(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--epochs", "0"], "--epochs must be at least 1, got 0"),
+    (["--model", "fns", "--epochs", "-1"], "--epochs must be at least 1"),
+    (["--model", "fns", "--batch-size", "0"], "batch_size >= 1"),
+    (["--model", "fns", "--unroll", "-10"], "unroll must be >= 0"),
+    (["--unroll", "-1"], "unroll must be >= 0"),
+])
+def test_train_rejects_bad_flags_before_sampling(flags, message, tmp_path,
+                                                 capsys, monkeypatch):
+    import richlab.cli
+
+    monkeypatch.setattr(richlab.cli, "sample_dataset",
+                        _raise(AssertionError("dataset sampled")))
+    out = tmp_path / "out"
+    code, _, err = run_cli(["train", "--n", "8", "--count", "4", *flags,
+                            "--output", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_with_cli_override(tmp_path, capsys):
     cfg = tmp_path / "conf.ini"
     cfg.write_text("[solve]\nn = 16\neps = 0.25\nm = 2\n")

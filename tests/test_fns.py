@@ -184,6 +184,67 @@ def test_correction_checkpoint_round_trip(tmp_path):
 
 
 @pytest.fixture(scope="module")
+def hybrid_dataset():
+    return sample_dataset("anisotropic", 3, seed=11, n=16)
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+@pytest.mark.parametrize("M,n_hybrid", [(0, 2), (4, 0), (4, 2)])
+@pytest.mark.parametrize("phase", ["lambda", "lambda-shared", "omega"])
+def test_hybrid_loss_matches_per_instance_oracle(hybrid_dataset, phase, M,
+                                                 n_hybrid, batch_size):
+    from reference_iterations import mean, reference_hybrid_unroll
+    from richlab import tape as tp
+    from richlab.fns import _hybrid_loss
+    from richlab.metanet import MetaNet
+    from richlab.tape import Tape
+    from richlab.training import _recorded_schedules
+
+    batch = list(hybrid_dataset)[:batch_size]
+    n, m = hybrid_dataset.n, 3
+    net = MetaNet.create(m, variant="plain", hidden=(6, 6), seed=2)
+    rng = np.random.default_rng(8)
+    # correction rows near the inverse of the sine-basis diagonal; the
+    # shared phase puts every instance in one bucket
+    table = [rng.uniform(0.5, 1.5, (n - 1) ** 2)
+             / sine_basis_eigenvalues(s.A, n) for s in batch]
+    bucket = [0] * batch_size if phase == "lambda-shared" \
+        else list(range(batch_size))
+
+    def run(batched):
+        tape = Tape()
+        if phase == "omega":
+            pvars = [tape.var(p) for p in net.parameters()]
+            lam = np.stack([table[b] for b in bucket])
+            omega = _recorded_schedules(batch, net, tape, pvars)[0] \
+                if batched else [net.forward_tape(tape, s.mu, pvars)[0]
+                                 for s in batch]
+        else:
+            pvars = [tape.var(row) for row in table]
+            lam = [pvars[b] for b in bucket]
+            lam = tp.stack(lam) if batched else lam
+            omega = np.stack([net.schedule_arrays(s.mu)[0] for s in batch])
+        if batched:
+            loss = _hybrid_loss(batch, omega, lam, n_hybrid, M)
+        else:
+            loss = mean([reference_hybrid_unroll(s.A, s.f, w, l, n_hybrid,
+                                                 M, m)
+                         for s, w, l in zip(batch, omega, lam)])
+        tape.backward(loss)
+        return loss.value, [p.grad for p in pvars]
+
+    ref_loss, ref_grads = run(batched=False)
+    loss, grads = run(batched=True)
+    assert np.array_equal(loss, ref_loss)
+    for g, ref in zip(grads, ref_grads, strict=True):
+        if phase == "lambda-shared":
+            # one bucket sums its instances' gradients in another order
+            assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+        else:
+            assert np.array_equal(g, ref)
+
+
+@pytest.fixture(scope="module")
 def tiny_dataset():
     return sample_dataset("anisotropic", 4, seed=3, n=8)
 
@@ -193,6 +254,13 @@ def fast_config(**kw):
                 batch_size=2, seed=5, hidden=(6, 6), n_buckets=16)
     base.update(kw)
     return FnsTrainConfig(**base)
+
+
+@pytest.mark.parametrize("kw", [dict(unroll=-1), dict(batch_size=0)])
+def test_config_rejects_negative_unroll_and_empty_batches(kw):
+    with pytest.raises(ValueError, match="unroll must be >= 0 and "
+                                         "batch_size >= 1"):
+        fast_config(**kw)
 
 
 def test_zero_cycles_trains_only_correction(tiny_dataset):

@@ -66,7 +66,7 @@ def test_hidden_weight_perturbation_matches_tape_gradient():
     omega, _, _ = net.forward_tape(t, mu, pv)
     probe = np.array([1.0, 2.0, -1.0])
     from richlab import tape as tp
-    y = tp.dot(omega, probe)
+    y = tp.linear_map(lambda x: x @ probe, lambda g: g * probe, omega)
     t.backward(y)
     g = pv[1].grad  # second hidden weight matrix
     h = 1e-6

@@ -3,10 +3,12 @@ import pytest
 
 from richlab.multigrid import (build_hierarchy, galerkin_coarse,
                                prolongation_matrix, restriction_matrix,
-                               two_grid_error_operator, v_cycle)
+                               v_cycle)
 from richlab.problems import AnisotropicProblem, assemble_anisotropic
 from richlab.schedules import chebyshev_schedule
 from richlab.spectral import dense_spectral_bounds
+
+from reference_iterations import two_grid_error_operator
 
 
 def dense_restriction_stencil(n):

@@ -4,13 +4,13 @@ import scipy.sparse
 
 from richlab.precond import Preconditioner, apply_preconditioner
 from richlab.problems import AnisotropicProblem, assemble_anisotropic
-from richlab.richardson import (DivergenceError, solve_stationary,
-                                sweep_affine_term, sweep_operator)
+from richlab.richardson import DivergenceError, solve_stationary
 from richlab.schedules import WeightSchedule, chebyshev_weights
 from richlab.sparse import SparseMatrix
 
 from conftest import random_spd
-from reference_iterations import reference_solve_stationary
+from reference_iterations import (reference_solve_stationary,
+                                  sweep_affine_term, sweep_operator)
 
 
 def run_variant_dense(A, f, u0, v0, schedule, sweeps, Binv=None):

@@ -7,6 +7,13 @@ from richlab.sparse import block_diagonal
 from richlab.tape import Tape, TapeReuseError
 
 from conftest import random_spd
+from reference_iterations import mean, norm2
+
+
+def weighted_sum(x, w):
+    """w . x as a constant linear map of the recorded vector x."""
+    w = np.asarray(w)
+    return tp.linear_map(lambda z: z @ w, lambda g: g * w, x)
 
 
 def numeric_grad(fn, x, h=1e-6):
@@ -22,7 +29,7 @@ def numeric_grad(fn, x, h=1e-6):
 def test_arithmetic_chain():
     t = Tape()
     x = t.var(np.array([1.0, 2.0, 3.0]))
-    y = tp.dot(x * 2.0 + 1.0, x)  # sum(2x^2 + x)
+    y = weighted_sum((x * 2.0 + 1.0) * x, np.ones(3))  # sum(2x^2 + x)
     t.backward(y)
     assert np.allclose(x.grad, 4.0 * x.value + 1.0)
 
@@ -40,7 +47,7 @@ def test_disconnected_parameter_gets_exact_zero():
     t = Tape()
     x = t.var(np.array([1.0, 2.0]))
     unused = t.var(np.array([[5.0, 6.0]]))
-    y = tp.norm2(x)
+    y = norm2(x)
     t.backward(y)
     assert np.array_equal(unused.grad, np.zeros((1, 2)))
 
@@ -48,8 +55,8 @@ def test_disconnected_parameter_gets_exact_zero():
 def test_scalar_scaling_linearity():
     t1, t2 = Tape(), Tape()
     x1, x2 = t1.var(np.array([1.0, -2.0])), t2.var(np.array([1.0, -2.0]))
-    y1 = tp.norm2(tp.tanh(x1))
-    y2 = tp.norm2(tp.tanh(x2)) * 2.0
+    y1 = norm2(tp.tanh(x1))
+    y2 = norm2(tp.tanh(x2)) * 2.0
     t1.backward(y1)
     t2.backward(y2)
     assert np.allclose(x2.grad, 2.0 * x1.grad, rtol=1e-15)
@@ -60,13 +67,12 @@ def test_scalar_scaling_linearity():
     (tp.sigmoid, lambda x: 1 / (1 + np.exp(-x))),
     (tp.softplus, lambda x: np.logaddexp(0, x)),
     (tp.exp, np.exp),
-    (tp.sqrt, np.sqrt),
 ])
 def test_elementwise_ops_vs_finite_differences(op, ref):
     x0 = np.array([0.2, 1.3, 0.7])
     t = Tape()
     x = t.var(x0)
-    y = tp.dot(op(x), np.array([1.0, -2.0, 0.5]))
+    y = weighted_sum(op(x), [1.0, -2.0, 0.5])
     t.backward(y)
     num = numeric_grad(lambda z: ref(z) @ np.array([1.0, -2.0, 0.5]), x0)
     assert np.allclose(x.grad, num, rtol=1e-6, atol=1e-9)
@@ -77,7 +83,7 @@ def test_spmv_gradient(rng):
     x0 = rng.standard_normal(6)
     t = Tape()
     x = t.var(x0)
-    y = tp.norm2(tp.spmv(A, x))
+    y = norm2(tp.spmv(A, x))
     t.backward(y)
     num = numeric_grad(lambda z: np.linalg.norm(A.to_dense() @ z), x0)
     assert np.allclose(x.grad, num, rtol=1e-5, atol=1e-8)
@@ -88,7 +94,7 @@ def test_matvec_parameter_gradient(rng):
     x = rng.standard_normal(4)
     t = Tape()
     W = t.var(W0)
-    y = tp.norm2(tp.matvec(W, x))
+    y = norm2(tp.matvec(W, x))
     t.backward(y)
     num = numeric_grad(lambda Z: np.linalg.norm(Z @ x), W0)
     assert np.allclose(W.grad, num, rtol=1e-5, atol=1e-8)
@@ -101,7 +107,7 @@ def test_linear_map_uses_transpose(rng):
     w = rng.standard_normal(5)
     t = Tape()
     x = t.var(x0)
-    y = tp.dot(tp.linear_map(P.apply, P.apply_transpose, x), w)
+    y = weighted_sum(tp.linear_map(P.apply, P.apply_transpose, x), w)
     t.backward(y)
     assert np.allclose(x.grad, P.apply_transpose(w), rtol=1e-12)
 
@@ -114,16 +120,6 @@ def test_getitem_scatter():
     assert np.array_equal(x.grad, [0.0, 5.0, 0.0])
 
 
-def test_mean():
-    t = Tape()
-    xs = [t.var(np.array(float(i))) for i in range(4)]
-    m = tp.mean(xs)
-    assert np.isclose(m.value, 1.5)
-    t.backward(m)
-    for x in xs:
-        assert np.isclose(x.grad, 0.25)
-
-
 def test_row_ops_match_per_row_ops_bit_for_bit(rng):
     X0 = rng.standard_normal((4, 7))
     t1, t2 = Tape(), Tape()
@@ -131,7 +127,7 @@ def test_row_ops_match_per_row_ops_bit_for_bit(rng):
     batched = tp.batch_mean(tp.row_norms(X) * 0.5)
     t1.backward(batched)
     rows = [t2.var(x) for x in X0]
-    single = tp.mean([tp.norm2(x) * 0.5 for x in rows])
+    single = mean([norm2(x) * 0.5 for x in rows])
     t2.backward(single)
     assert np.array_equal(batched.value, single.value)
     assert np.array_equal(X.grad, np.stack([x.grad for x in rows]))

@@ -14,6 +14,8 @@ from richlab.training import (Adam, NanLossError, TrainConfig, evaluate_loss,
                               make_preconditioner, train_ns,
                               unrolled_relative_residuals)
 
+from reference_iterations import mean, norm2
+
 
 def flat_params(net):
     return np.concatenate([p.ravel() for p in net.parameters()])
@@ -111,7 +113,7 @@ def per_instance_unroll(A, f, omega, alpha, alpha_t, K, variant, P=None):
         v = alpha[i] * v + step if alpha is not None else step
         u = u + v
     r = f - tp.spmv(A, u)
-    return tp.norm2(r) * (1.0 / fnorm)
+    return norm2(r) * (1.0 / fnorm)
 
 
 def per_instance_loss(batch, net, K, precond):
@@ -124,7 +126,7 @@ def per_instance_loss(batch, net, K, precond):
         P = make_preconditioner(precond, sample.A)
         losses.append(per_instance_unroll(sample.A, sample.f, omega, alpha,
                                           alpha_t, K, net.variant, P))
-    loss = tp.mean(losses)
+    loss = mean(losses)
     tape.backward(loss)
     return loss.value, [p.grad for p in pvars]
 
@@ -244,3 +246,15 @@ def test_preconditioner_built_once_per_sample(small_dataset, monkeypatch):
                       hidden=(4, 4), precond="jacobi")
     train_ns(cfg, small_dataset)
     assert sorted(calls) == sorted(id(s.A) for s in small_dataset)
+
+
+def test_zero_epochs_returns_the_initial_net(small_dataset):
+    cfg = TrainConfig(m=2, unroll=6, n_epochs=0, batch_size=2, seed=11,
+                      hidden=(6, 6))
+    init = MetaNet.create(cfg.m, variant=cfg.variant, hidden=cfg.hidden,
+                          input_dim=2, seed=cfg.seed)
+    net = train_ns(cfg, small_dataset)
+    for a, b in zip(init.parameters(), net.parameters(), strict=True):
+        assert np.array_equal(a, b)
+    assert net.best_epoch == -1
+    assert net.training_history == {"train": [], "val": []}

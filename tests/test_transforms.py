@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from richlab.problems import AnisotropicProblem, assemble_anisotropic
 from richlab.transforms import dst2, dst2_inv, sine_mode
@@ -29,6 +30,18 @@ def test_isometry():
         x = rng.standard_normal(7 * 7)
         assert abs(np.linalg.norm(dst2(x)) - np.linalg.norm(x)) \
             <= 1e-12 * np.linalg.norm(x)
+
+
+@given(side=st.integers(1, 24), rows=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(side=7, rows=4, seed=0)   # 4 x 49 entries: 196 is a square too
+def test_row_stack_transforms_each_row_bit_for_bit(side, rows, seed):
+    X = np.random.default_rng(seed).standard_normal((rows, side * side))
+    Y = dst2(X)
+    assert Y.shape == X.shape
+    for x, y in zip(X, Y):
+        assert np.array_equal(y, dst2(x))
+    assert np.array_equal(dst2_inv(X), Y)
 
 
 def test_non_square_length_rejected():
