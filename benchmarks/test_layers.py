@@ -28,8 +28,7 @@ from richlab.multigrid import build_hierarchy, v_cycle
 from richlab.problems import HelmholtzProblem, assemble_helmholtz
 from richlab.schedules import WeightSchedule
 from richlab.tape import Tape
-from richlab.training import (_recorded_schedules, gradient,
-                              loss_relative_residual)
+from richlab.training import _schedules, gradient, loss_relative_residual
 
 N = 128
 FREQUENCY = 5.0
@@ -100,12 +99,11 @@ def test_hybrid_batch(benchmark, training_batch, phase):
         tape = Tape()
         if phase == "lambda":
             pvars = [tape.var(row) for row in table]
-            omega = np.stack([net.schedule_arrays(s.mu)[0]
-                              for s in training_batch])
+            omega = _schedules(training_batch, net, net.parameters())[0]
             lam = tp.stack(pvars)
         else:
             pvars = [tape.var(p) for p in net.parameters()]
-            omega = _recorded_schedules(training_batch, net, tape, pvars)[0]
+            omega = _schedules(training_batch, net, pvars)[0]
             lam = table
         loss = _hybrid_loss(training_batch, omega, lam, cfg.unroll,
                             cfg.smooth_steps)

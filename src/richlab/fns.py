@@ -22,7 +22,7 @@ from .metanet import ANISOTROPIC_BOUNDS, MetaNet
 from .richardson import DivergenceError, SolveReport, _inner_update
 from .sparse import block_diagonal
 from .tape import Tape, Var
-from .training import (Adam, _recorded_schedules, _relative_residuals,
+from .training import (Adam, _check_config, _relative_residuals, _schedules,
                        _unroll)
 from .transforms import dst2, dst2_inv
 
@@ -233,8 +233,7 @@ class FnsTrainConfig:
     omega_init: float = 0.5    # initial constant smoother weight
 
     def __post_init__(self):
-        if self.unroll < 0 or self.batch_size < 1:
-            raise ValueError("unroll must be >= 0 and batch_size >= 1")
+        _check_config(self)
 
 
 def _initial_net(config, input_dim):
@@ -294,13 +293,12 @@ def train_fns_lite(config: FnsTrainConfig, dataset, net=None):
                     rows = dict(zip(buckets, pvars))
                     lam = tp.stack([rows[model.bucket_of(s.mu)]
                                     for s in batch])
-                    omega = np.stack([model.net.schedule_arrays(s.mu)[0]
-                                      for s in batch])
+                    net_params = model.net.parameters()
                 else:
-                    omega = _recorded_schedules(batch, model.net, tape,
-                                                pvars)[0]
                     lam = np.stack([model.table[model.bucket_of(s.mu)]
                                     for s in batch])
+                    net_params = pvars
+                omega = _schedules(batch, model.net, net_params)[0]
                 loss = _hybrid_loss(batch, omega, lam, config.unroll,
                                     config.smooth_steps)
                 tape.backward(loss)

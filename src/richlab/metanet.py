@@ -24,14 +24,6 @@ _GROUPS = {"plain": 1, "mom": 2, "nag": 2, "nagex": 3}
 ANISOTROPIC_BOUNDS = np.array([[-6.0, 0.0], [0.0, np.pi]])
 
 
-def _softplus(x):
-    return np.logaddexp(0.0, x)
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 @dataclass
 class MetaNet:
     widths: list
@@ -87,43 +79,30 @@ class MetaNet:
         lo, hi = self.input_bounds[:, 0], self.input_bounds[:, 1]
         return 2.0 * (np.asarray(mu, dtype=float) - lo) / (hi - lo) - 1.0
 
-    def raw_forward(self, mu):
-        h = self.normalize(mu)
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(W @ h + b)
-        return self.weights[-1] @ h + self.biases[-1]
-
-    def schedule_arrays(self, mu):
-        """(omega, alpha, alpha_tilde) as plain arrays."""
-        raw = self.raw_forward(mu)
-        m = self.m
-        omega = np.exp(raw[:m]) if self.learn_log_omega else _softplus(raw[:m])
-        groups = _GROUPS[self.variant]
-        alpha = _sigmoid(raw[m:2 * m]) if groups >= 2 else np.zeros(m)
-        if self.variant == "nagex":
-            alpha_t = _sigmoid(raw[2 * m:3 * m])
-        elif self.variant == "nag":
-            alpha_t = alpha
-        else:
-            alpha_t = np.zeros(m)
-        return omega, alpha, alpha_t
-
-    def forward_tape(self, tape, mu, param_vars):
-        """Tape-recorded forward; ``param_vars`` are Vars for parameters()."""
+    def forward_tape(self, mu, params):
+        """(omega, alpha, alpha_tilde) under ``params``, given in the order
+        of parameters(): recorded on their tape when they are Vars, plain
+        arrays when they are arrays. A weight the variant does not have is
+        None; nag's alpha_tilde is its alpha."""
         nw = len(self.weights)
-        Ws, bs = param_vars[:nw], param_vars[nw:]
+        Ws, bs = params[:nw], params[nw:]
         h = self.normalize(mu)
         for W, b in zip(Ws[:-1], bs[:-1]):
             h = tp.tanh(tp.matvec(W, h) + b)
         raw = tp.matvec(Ws[-1], h) + bs[-1]
         m = self.m
-        omega = tp.exp(raw[slice(0, m)]) if self.learn_log_omega \
-            else tp.softplus(raw[slice(0, m)])
-        groups = _GROUPS[self.variant]
-        alpha = tp.sigmoid(raw[slice(m, 2 * m)]) if groups >= 2 else None
-        alpha_t = tp.sigmoid(raw[slice(2 * m, 3 * m)]) \
-            if self.variant == "nagex" else alpha
-        return omega, alpha, alpha_t
+        omega = tp.exp(raw[:m]) if self.learn_log_omega \
+            else tp.softplus(raw[:m])
+        alpha = tp.sigmoid(raw[m:2 * m]) \
+            if _GROUPS[self.variant] >= 2 else None
+        if self.variant == "nagex":
+            return omega, alpha, tp.sigmoid(raw[2 * m:3 * m])
+        return omega, alpha, alpha if self.variant == "nag" else None
+
+    def schedule_arrays(self, mu):
+        """(omega, alpha, alpha_tilde) of the current parameters as plain
+        arrays, by the one forward pass :meth:`forward_tape`."""
+        return self.forward_tape(mu, self.parameters())
 
     # -- persistence -----------------------------------------------------
     def save(self, path, extra_metadata=None):
@@ -154,10 +133,4 @@ class MetaNet:
 
 def meta_forward(net: MetaNet, mu) -> WeightSchedule:
     """Deterministic map from PDE parameters to a weight schedule."""
-    omega, alpha, alpha_t = net.schedule_arrays(mu)
-    if net.variant == "plain":
-        return WeightSchedule(omega=omega)
-    if net.variant == "nag":
-        return WeightSchedule(omega=omega, alpha=alpha, variant="nag")
-    return WeightSchedule(omega=omega, alpha=alpha, alpha_tilde=alpha_t,
-                          variant=net.variant)
+    return WeightSchedule(*net.schedule_arrays(mu), variant=net.variant)

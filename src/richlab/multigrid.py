@@ -6,7 +6,7 @@ P = 4 R^T; coarse operators are Galerkin triple products R A P.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg

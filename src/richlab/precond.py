@@ -17,8 +17,6 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .sparse import SparseMatrix
-
 
 class ZeroDiagonalError(ValueError):
     def __init__(self, row):

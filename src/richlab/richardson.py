@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .precond import apply_preconditioner
-from .schedules import WeightSchedule
 
 DIVERGENCE_FACTOR = 1e12
 

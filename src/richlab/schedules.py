@@ -1,7 +1,7 @@
 """Weight schedules for one outer sweep of the Richardson(m) family."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

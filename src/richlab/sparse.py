@@ -194,9 +194,6 @@ class SparseMatrix:
     def diagonal(self):
         return self._csr.diagonal()
 
-    def transpose(self):
-        return SparseMatrix.from_scipy(self._csr.T)
-
     def __matmul__(self, other):
         if isinstance(other, SparseMatrix):
             return SparseMatrix.from_scipy(self._csr @ other._csr)

@@ -7,9 +7,9 @@ valid reverse topological order because parents are always created
 before children. The replay releases the graph as it goes, so the
 recorded arrays are freed by reference counting once it ends.
 
-The batched operations (``spmv`` on a row stack, ``linear_map``,
-``row_norms``, ``batch_mean``) also accept plain arrays and then return
-plain arrays, so one kernel serves recorded and tape-free evaluation.
+Every operation also accepts plain arrays and then returns the plain
+result of the same numpy expression, so one forward pass serves
+recorded and tape-free evaluation bit for bit.
 """
 from __future__ import annotations
 
@@ -73,12 +73,6 @@ class Var:
         self.grad = None
         tape._nodes.append(self)
 
-    # -- helpers ---------------------------------------------------------
-    def _lift(self, other):
-        if isinstance(other, Var):
-            return other
-        return None
-
     def __repr__(self):
         return f"Var({self.value!r})"
 
@@ -136,51 +130,49 @@ def _unbroadcast(g, target):
     return g
 
 
-# -- elementwise nonlinearities ----------------------------------------
-
-def tanh(x: Var) -> Var:
-    t = np.tanh(x.value)
-    return x.tape._record(t, ((x, lambda g: g * (1.0 - t ** 2)),))
-
-
-def sigmoid(x: Var) -> Var:
-    s = 1.0 / (1.0 + np.exp(-x.value))
-    return x.tape._record(s, ((x, lambda g: g * s * (1.0 - s)),))
-
-
-def softplus(x: Var) -> Var:
-    y = np.logaddexp(0.0, x.value)
-    s = 1.0 / (1.0 + np.exp(-x.value))
-    return x.tape._record(y, ((x, lambda g: g * s),))
-
-
-def exp(x: Var) -> Var:
-    y = np.exp(x.value)
-    return x.tape._record(y, ((x, lambda g: g * y),))
-
-
-# -- linear algebra ----------------------------------------------------
-
-def matvec(W: Var, x) -> Var:
-    """Dense W @ x with a parameter matrix W."""
-    if isinstance(x, Var):
-        return W.tape._record(W.value @ x.value, (
-            (W, lambda g: np.outer(g, x.value)),
-            (x, lambda g: W.value.T @ g)))
-    x = np.asarray(x)
-    return W.tape._record(W.value @ x, ((W, lambda g: np.outer(g, x)),))
-
-
 def _value(x):
     return x.value if isinstance(x, Var) else np.asarray(x)
 
 
-def _track(x, value, vjp):
-    """``value`` recorded as the child of ``x`` when x is a Var, else
-    returned as a plain array."""
-    if isinstance(x, Var):
-        return x.tape._record(value, ((x, vjp),))
-    return value
+def _track(value, *edges):
+    """``value`` recorded as the child of the Vars among the (input, vjp)
+    ``edges``, or returned as a plain array when there are none."""
+    edges = tuple((x, vjp) for x, vjp in edges if isinstance(x, Var))
+    if not edges:
+        return value
+    return edges[0][0].tape._record(value, edges)
+
+
+# -- elementwise nonlinearities ----------------------------------------
+
+def tanh(x):
+    t = np.tanh(_value(x))
+    return _track(t, (x, lambda g: g * (1.0 - t ** 2)))
+
+
+def sigmoid(x):
+    s = 1.0 / (1.0 + np.exp(-_value(x)))
+    return _track(s, (x, lambda g: g * s * (1.0 - s)))
+
+
+def softplus(x):
+    X = _value(x)
+    return _track(np.logaddexp(0.0, X),
+                  (x, lambda g: g * (1.0 / (1.0 + np.exp(-X)))))
+
+
+def exp(x):
+    y = np.exp(_value(x))
+    return _track(y, (x, lambda g: g * y))
+
+
+# -- linear algebra ----------------------------------------------------
+
+def matvec(W, x):
+    """Dense W @ x with a parameter matrix W."""
+    Wv, X = _value(W), _value(x)
+    return _track(Wv @ X, (W, lambda g: np.outer(g, X)),
+                  (x, lambda g: Wv.T @ g))
 
 
 def spmv(A, x):
@@ -188,20 +180,19 @@ def spmv(A, x):
     shape (B, n) is multiplied as one vector by a block-diagonal A."""
     X = _value(x)
     shape = X.shape
-    return _track(x, A.matvec(X.reshape(-1)).reshape(shape),
-                  lambda g: A.rmatvec(g.reshape(-1)).reshape(shape))
+    return _track(A.matvec(X.reshape(-1)).reshape(shape),
+                  (x, lambda g: A.rmatvec(g.reshape(-1)).reshape(shape)))
 
 
 def linear_map(apply_fn, apply_transpose_fn, x):
     """y = L x for a constant linear operator with known transpose."""
-    return _track(x, apply_fn(_value(x)), apply_transpose_fn)
+    return _track(apply_fn(_value(x)), (x, apply_transpose_fn))
 
 
-def stack(xs) -> Var:
+def stack(xs):
     """One (len(xs), ...) node whose row b is xs[b]."""
-    return xs[0].tape._record(
-        np.stack([x.value for x in xs]),
-        tuple((x, lambda g, b=b: g[b]) for b, x in enumerate(xs)))
+    return _track(np.stack([_value(x) for x in xs]),
+                  *((x, lambda g, b=b: g[b]) for b, x in enumerate(xs)))
 
 
 def row_norms(x):
@@ -216,7 +207,7 @@ def row_norms(x):
         out[live] = g[live, None] * X[live] / n[live, None]
         return out
 
-    return _track(x, n, vjp)
+    return _track(n, (x, vjp))
 
 
 def batch_mean(x):
@@ -227,4 +218,5 @@ def batch_mean(x):
     for item in values[1:]:
         total = total + item
     scale = 1.0 / len(values)
-    return _track(x, total * scale, lambda g: np.full(len(values), g * scale))
+    return _track(total * scale,
+                  (x, lambda g: np.full(len(values), g * scale)))

@@ -1,12 +1,12 @@
 """Training of weight-schedule networks through the unrolled iteration."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tape as tp
-from .metanet import MetaNet, meta_forward
+from .metanet import MetaNet
 from .precond import Preconditioner
 from .sparse import block_diagonal
 from .tape import Tape
@@ -31,7 +31,6 @@ class TrainConfig:
     n_epochs: int = 50
     batch_size: int = 20
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     seed: int = 0
     variant: str = "plain"
     precond: str | None = None      # None | "ssor" | "jacobi" | "gs"
@@ -41,8 +40,19 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.unroll < 0 or self.batch_size < 1:
-            raise ValueError("unroll must be >= 0 and batch_size >= 1")
+        _check_config(self)
+
+
+def _check_config(cfg):
+    """Reject the settings no training run can use (shared by the
+    hybrid's config)."""
+    if cfg.unroll < 0 or cfg.batch_size < 1:
+        raise ValueError("unroll must be >= 0 and batch_size >= 1")
+    if cfg.m < 1:
+        raise ValueError(f"m must be >= 1, got {cfg.m}")
+    if not cfg.learning_rate > 0:
+        raise ValueError(
+            f"learning_rate must be positive, got {cfg.learning_rate}")
 
 
 def make_preconditioner(name, A):
@@ -126,21 +136,34 @@ def unrolled_relative_residuals(As, fs, omega, alpha, alpha_t, K, variant,
     return _relative_residuals(A, F, u)
 
 
-def _recorded_schedules(batch, net: MetaNet, tape, param_vars):
-    """(omega, alpha, alpha_t) of a batch as (B, m) Vars, or None where
+def _schedules(batch, net: MetaNet, params):
+    """(omega, alpha, alpha_t) of a batch as (B, m) rows under ``params``
+    (Vars or arrays, as for :meth:`MetaNet.forward_tape`), or None where
     the variant has no such weights. The network runs once per instance
     and its outputs are stacked row by row."""
-    omega, alpha, alpha_t = zip(*(net.forward_tape(tape, sample.mu,
-                                                   param_vars)
+    omega, alpha, alpha_t = zip(*(net.forward_tape(sample.mu, params)
                                   for sample in batch))
-    tied = alpha_t[0] is alpha[0]   # all but nagex reuse the momentum Var
-    omega = tp.stack(omega)
-    alpha = None if alpha[0] is None else tp.stack(alpha)
-    return omega, alpha, alpha if tied else tp.stack(alpha_t)
+    tied = alpha_t[0] is alpha[0]   # nag reuses its momentum rows
+
+    def rows(xs):
+        return None if xs[0] is None else tp.stack(xs)
+
+    alpha = rows(alpha)
+    return rows(omega), alpha, alpha if tied else rows(alpha_t)
 
 
-def loss_relative_residual(batch, net: MetaNet, K, precond=None, tape=None,
-                           param_vars=None, precond_cache=None):
+def _batch_losses(batch, net: MetaNet, params, K, precond, precond_cache):
+    """Per-instance K-step relative residuals of a batch under ``params``:
+    recorded when they are Vars, tape-free when they are arrays."""
+    omega, alpha, alpha_t = _schedules(batch, net, params)
+    return unrolled_relative_residuals(
+        [s.A for s in batch], [s.f for s in batch], omega, alpha, alpha_t, K,
+        net.variant,
+        [_cached_preconditioner(precond, s, precond_cache) for s in batch])
+
+
+def loss_relative_residual(batch, net: MetaNet, K, precond=None,
+                           precond_cache=None):
     """Mean K-step relative residual over a batch, recorded on a tape.
 
     Returns (loss Var, tape, param Vars). Each instance starts from a
@@ -149,14 +172,9 @@ def loss_relative_residual(batch, net: MetaNet, K, precond=None, tape=None,
     """
     if not batch:
         raise ValueError("batch must be nonempty")
-    if tape is None:
-        tape = Tape()
-        param_vars = [tape.var(p) for p in net.parameters()]
-    omega, alpha, alpha_t = _recorded_schedules(batch, net, tape, param_vars)
-    losses = unrolled_relative_residuals(
-        [s.A for s in batch], [s.f for s in batch], omega, alpha, alpha_t, K,
-        net.variant,
-        [_cached_preconditioner(precond, s, precond_cache) for s in batch])
+    tape = Tape()
+    param_vars = [tape.var(p) for p in net.parameters()]
+    losses = _batch_losses(batch, net, param_vars, K, precond, precond_cache)
     bad = np.flatnonzero(~np.isfinite(losses.value))
     if bad.size:
         raise NanLossError(int(bad[0]))
@@ -172,13 +190,8 @@ def gradient(loss, tape, param_vars):
 def evaluate_loss(samples, net: MetaNet, K, precond=None, precond_cache=None):
     """Tape-free mean loss, equal bit for bit to the recorded loss of the
     same batch."""
-    omega, alpha, alpha_t = (np.stack(a) for a in zip(
-        *(net.schedule_arrays(sample.mu) for sample in samples)))
-    losses = unrolled_relative_residuals(
-        [s.A for s in samples], [s.f for s in samples], omega, alpha,
-        alpha_t, K, net.variant,
-        [_cached_preconditioner(precond, s, precond_cache) for s in samples])
-    return tp.batch_mean(losses)
+    return tp.batch_mean(_batch_losses(samples, net, net.parameters(), K,
+                                       precond, precond_cache))
 
 
 class Adam:

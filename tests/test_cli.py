@@ -177,6 +177,11 @@ def test_train_desk_scale_guard(capsys):
     (["--model", "fns", "--batch-size", "0"], "batch_size >= 1"),
     (["--model", "fns", "--unroll", "-10"], "unroll must be >= 0"),
     (["--unroll", "-1"], "unroll must be >= 0"),
+    (["--m", "0"], "m must be >= 1, got 0"),
+    (["--model", "fns", "--m", "0"], "m must be >= 1, got 0"),
+    (["--lr", "-1"], "learning_rate must be positive, got -1.0"),
+    (["--lr", "0"], "learning_rate must be positive, got 0.0"),
+    (["--model", "fns", "--lr", "0"], "learning_rate must be positive"),
 ])
 def test_train_rejects_bad_flags_before_sampling(flags, message, tmp_path,
                                                  capsys, monkeypatch):

@@ -198,7 +198,7 @@ def test_hybrid_loss_matches_per_instance_oracle(hybrid_dataset, phase, M,
     from richlab.fns import _hybrid_loss
     from richlab.metanet import MetaNet
     from richlab.tape import Tape
-    from richlab.training import _recorded_schedules
+    from richlab.training import _schedules
 
     batch = list(hybrid_dataset)[:batch_size]
     n, m = hybrid_dataset.n, 3
@@ -216,8 +216,8 @@ def test_hybrid_loss_matches_per_instance_oracle(hybrid_dataset, phase, M,
         if phase == "omega":
             pvars = [tape.var(p) for p in net.parameters()]
             lam = np.stack([table[b] for b in bucket])
-            omega = _recorded_schedules(batch, net, tape, pvars)[0] \
-                if batched else [net.forward_tape(tape, s.mu, pvars)[0]
+            omega = _schedules(batch, net, pvars)[0] \
+                if batched else [net.forward_tape(s.mu, pvars)[0]
                                  for s in batch]
         else:
             pvars = [tape.var(row) for row in table]

@@ -47,15 +47,39 @@ def test_log_omega_mode():
 
 
 def test_tape_forward_matches_numpy_forward():
-    net = MetaNet.create(m=3, variant="nagex", seed=3)
+    """The recorded forward and the tape-free one are the same pass: equal
+    bit for bit for every variant and both omega outputs, with None for
+    the weights a variant does not have."""
     mu = [-2.5, 2.0]
-    omega, alpha, alpha_t = net.schedule_arrays(mu)
-    t = Tape()
-    pv = [t.var(p) for p in net.parameters()]
-    ov, av, atv = net.forward_tape(t, mu, pv)
-    assert np.allclose(ov.value, omega, rtol=1e-15)
-    assert np.allclose(av.value, alpha, rtol=1e-15)
-    assert np.allclose(atv.value, alpha_t, rtol=1e-15)
+    for variant in ("plain", "mom", "nag", "nagex"):
+        for log_omega in (False, True):
+            net = MetaNet.create(m=3, variant=variant, seed=3,
+                                 learn_log_omega=log_omega)
+            plain = net.schedule_arrays(mu)
+            t = Tape()
+            recorded = net.forward_tape(mu, [t.var(p)
+                                             for p in net.parameters()])
+            for a, v in zip(plain, recorded, strict=True):
+                if a is None:
+                    assert v is None
+                else:
+                    assert isinstance(a, np.ndarray)
+                    assert np.array_equal(a, v.value)
+            has = {"plain": (False, False), "mom": (True, False),
+                   "nag": (True, True), "nagex": (True, True)}[variant]
+            assert (plain[1] is not None, plain[2] is not None) == has
+            if variant == "nag":
+                assert plain[2] is plain[1]
+
+
+def test_meta_forward_alpha_tilde_per_variant():
+    mu = [-1.0, 0.4]
+    mom = meta_forward(MetaNet.create(m=3, variant="mom", seed=6), mu)
+    assert np.all(mom.alpha > 0) and np.array_equal(mom.alpha_tilde,
+                                                    np.zeros(3))
+    nag = meta_forward(MetaNet.create(m=3, variant="nag", seed=6), mu)
+    assert np.all(nag.alpha > 0) and np.array_equal(nag.alpha_tilde,
+                                                    nag.alpha)
 
 
 def test_hidden_weight_perturbation_matches_tape_gradient():
@@ -63,7 +87,7 @@ def test_hidden_weight_perturbation_matches_tape_gradient():
     mu = [-1.5, 0.9]
     t = Tape()
     pv = [t.var(p) for p in net.parameters()]
-    omega, _, _ = net.forward_tape(t, mu, pv)
+    omega, _, _ = net.forward_tape(mu, pv)
     probe = np.array([1.0, 2.0, -1.0])
     from richlab import tape as tp
     y = tp.linear_map(lambda x: x @ probe, lambda g: g * probe, omega)

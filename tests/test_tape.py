@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from richlab import tape as tp
 from richlab.precond import Preconditioner
 from richlab.sparse import block_diagonal
 from richlab.tape import Tape, TapeReuseError
 
-from conftest import random_spd
+from conftest import random_sparse, random_spd
 from reference_iterations import mean, norm2
 
 
@@ -160,3 +162,55 @@ def test_batched_ops_accept_plain_arrays(rng):
     recorded = chain(t.var(X0))
     assert not isinstance(plain, tp.Var)
     assert plain == recorded.value
+
+
+def _row_stack_and_seed():
+    """A (B, n) row stack of moderate floats and a seed for the constant
+    operands drawn around it."""
+    shapes = st.tuples(st.integers(1, 4), st.integers(1, 6))
+    floats = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
+    return st.tuples(shapes.flatmap(lambda s: hnp.arrays(float, s,
+                                                         elements=floats)),
+                     st.integers(0, 2 ** 16))
+
+
+TAPE_OPS = ["tanh", "sigmoid", "softplus", "exp", "matvec", "stack", "spmv",
+            "linear_map", "row_norms", "batch_mean"]
+
+
+def _op_case(name, X, seed):
+    """(op, array arguments) of one tape op on the row stack X, with its
+    constant operands drawn under ``seed``."""
+    rng = np.random.default_rng(seed)
+    n = X.shape[1]
+    if name == "matvec":
+        return tp.matvec, (rng.standard_normal((n, n)), X[0])
+    if name == "stack":
+        return (lambda *rows: tp.stack(rows)), tuple(X)
+    if name == "spmv":
+        A = block_diagonal([random_sparse(n, rng)] * len(X))
+        return (lambda x: tp.spmv(A, x)), (X,)
+    if name == "linear_map":
+        M = rng.standard_normal((n, n))
+        return (lambda x: tp.linear_map(lambda Z: Z @ M.T, lambda G: G @ M,
+                                        x)), (X,)
+    if name == "batch_mean":
+        return tp.batch_mean, (X[:, 0],)
+    return getattr(tp, name), (X,)
+
+
+@pytest.mark.parametrize("name", TAPE_OPS)
+@given(case=_row_stack_and_seed())
+def test_every_op_runs_tape_free_bit_for_bit(name, case):
+    """Given plain arrays an op returns a plain numpy result whose bits are
+    the value it records given Vars."""
+    op, args = _op_case(name, *case)
+    plain = op(*args)
+    t = Tape()
+    recorded = op(*(t.var(a) for a in args))
+    assert not isinstance(plain, tp.Var) and isinstance(recorded, tp.Var)
+    plain = np.asarray(plain)
+    assert plain.dtype == recorded.value.dtype
+    assert plain.shape == recorded.value.shape
+    assert plain.tobytes() == recorded.value.tobytes()
+

@@ -7,6 +7,7 @@ import pytest
 
 from richlab import tape as tp
 from richlab.data import sample_dataset
+from richlab.fns import FnsTrainConfig
 from richlab.metanet import MetaNet
 from richlab.tape import Tape, TapeReuseError
 from richlab.training import (Adam, NanLossError, TrainConfig, evaluate_loss,
@@ -122,7 +123,7 @@ def per_instance_loss(batch, net, K, precond):
     pvars = [tape.var(p) for p in net.parameters()]
     losses = []
     for sample in batch:
-        omega, alpha, alpha_t = net.forward_tape(tape, sample.mu, pvars)
+        omega, alpha, alpha_t = net.forward_tape(sample.mu, pvars)
         P = make_preconditioner(precond, sample.A)
         losses.append(per_instance_unroll(sample.A, sample.f, omega, alpha,
                                           alpha_t, K, net.variant, P))
@@ -258,3 +259,17 @@ def test_zero_epochs_returns_the_initial_net(small_dataset):
         assert np.array_equal(a, b)
     assert net.best_epoch == -1
     assert net.training_history == {"train": [], "val": []}
+
+
+@pytest.mark.parametrize("config", [TrainConfig, FnsTrainConfig])
+@pytest.mark.parametrize("kw,message", [
+    (dict(m=0), "m must be >= 1, got 0"),
+    (dict(m=-2), "m must be >= 1, got -2"),
+    (dict(learning_rate=0.0), "learning_rate must be positive, got 0.0"),
+    (dict(learning_rate=-1e-3), "learning_rate must be positive"),
+    (dict(learning_rate=float("nan")), "learning_rate must be positive"),
+])
+def test_configs_reject_empty_schedules_and_non_positive_rates(config, kw,
+                                                               message):
+    with pytest.raises(ValueError, match=message):
+        config(**kw)
