@@ -8,7 +8,10 @@ smoother (omega = 0.8/(8 n^2), alpha = 0.3). The training batches are
 drawn from the anisotropic set at n=32 (961 unknowns): a plain
 schedule-net batch of 5 with the ``train-schedule`` unroll K=50, and a
 hybrid batch of 20 with the ``FnsTrainConfig`` defaults (M=10 smoothing
-updates, 3 hybrid steps) in each phase. Run from the repository root:
+updates, 3 hybrid steps) in each phase. The SSOR rows time one build at
+n=32 and one forward and one transposed apply over a 20-row stack, one
+preconditioner per row, as a preconditioned training batch runs them.
+Run from the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks/test_layers.py \\
         --benchmark-json=layers.json
@@ -25,10 +28,12 @@ from richlab.fgmres import FgmresConfig, fgmres
 from richlab.fns import FnsTrainConfig, _hybrid_loss, _initial_net
 from richlab.metanet import MetaNet
 from richlab.multigrid import build_hierarchy, v_cycle
+from richlab.precond import Preconditioner
 from richlab.problems import HelmholtzProblem, assemble_helmholtz
 from richlab.schedules import WeightSchedule
 from richlab.tape import Tape
-from richlab.training import _schedules, gradient, loss_relative_residual
+from richlab.training import (_rowwise, _schedules, gradient,
+                              loss_relative_residual)
 
 N = 128
 FREQUENCY = 5.0
@@ -110,3 +115,15 @@ def test_hybrid_batch(benchmark, training_batch, phase):
         tape.backward(loss)
 
     benchmark(step)
+
+
+def test_ssor_build(benchmark, training_batch):
+    benchmark(Preconditioner.ssor, training_batch[0].A)
+
+
+@pytest.mark.parametrize("direction", ["apply", "apply_transpose"])
+def test_ssor_row_stack(benchmark, training_batch, direction):
+    apply, apply_t = _rowwise([Preconditioner.ssor(s.A)
+                               for s in training_batch])
+    X = np.stack([s.f for s in training_batch])
+    benchmark(apply if direction == "apply" else apply_t, X)

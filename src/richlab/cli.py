@@ -22,13 +22,12 @@ import time
 
 import numpy as np
 
-from .data import sample_dataset
+from .data import assemble, sample_dataset
 from .fgmres import FgmresConfig, fgmres
 from .metanet import MetaNet, meta_forward
 from .multigrid import CoarseSolveError, build_hierarchy, v_cycle
 from .problems import (MIN_POINTS_PER_WAVELENGTH, AnisotropicProblem,
-                       HelmholtzProblem, assemble_anisotropic,
-                       assemble_helmholtz)
+                       HelmholtzProblem)
 from .richardson import DivergenceError, solve_stationary
 from .schedules import (WeightSchedule, chebyshev_schedule,
                         chebyshev_semi_schedule)
@@ -137,12 +136,6 @@ def _make_problem(args):
                             n=args.n)
 
 
-def _assemble(prob):
-    if isinstance(prob, AnisotropicProblem):
-        return assemble_anisotropic(prob)
-    return assemble_helmholtz(prob)
-
-
 # -- reproduce ----------------------------------------------------------
 
 def _helmholtz_n(freq, n):
@@ -234,7 +227,7 @@ def _run_cell(cell, args, cache):
                                 n=cell["n"])
 
         def build():
-            A = _assemble(prob)
+            A = assemble(prob)
             sched = WeightSchedule(
                 omega=np.full(5, 0.8 / (8.0 * cell["n"] ** 2)),
                 alpha=np.full(5, 0.3), variant="nag")
@@ -256,7 +249,7 @@ def _run_cell(cell, args, cache):
                                   n=cell["n"])
 
         def build():
-            A = _assemble(prob)
+            A = assemble(prob)
             return A, dense_spectral_bounds(A)
 
         (A, b), setup = _cached(
@@ -341,7 +334,7 @@ def cmd_train(args):
 
 def cmd_solve(args):
     prob = _make_problem(args)
-    A = _assemble(prob)
+    A = assemble(prob)
     print(f"# stopping rule: relative residual < {args.tol:g}")
     sched = _schedule_for(args, A)
     P = make_preconditioner(args.precond, A)
@@ -361,7 +354,7 @@ def cmd_solve(args):
 
 def cmd_assemble(args):
     prob = _make_problem(args)
-    A = _assemble(prob)
+    A = assemble(prob)
     print(f"assembled {args.problem} operator: {A.nrows}x{A.ncols}, "
           f"{A.nnz} nonzeros")
     if args.export:

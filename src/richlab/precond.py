@@ -9,7 +9,9 @@ SSOR correspond to
     alpha (2 - alpha) (D - alpha U)^{-1} D (D - alpha L)^{-1},
 
 where D is the diagonal and -L / -U the strict lower / upper parts of A.
-Triangular solves use the fixed lexicographic unknown ordering.
+Triangular solves use the fixed lexicographic unknown ordering. Each
+triangle is factored once, and B^{-T} solves with the transposes of the
+same factors.
 """
 from __future__ import annotations
 
@@ -31,7 +33,8 @@ def _check_diagonal(diag):
 
 
 def _tri_factor(T):
-    """Cached solver for a triangular sparse matrix.
+    """Cached solver ``solve(r, trans)`` for a triangular sparse matrix T:
+    T^{-1} r for trans "N", T^{-T} r for trans "T".
 
     A no-pivot natural-order LU of a triangular matrix is the matrix
     itself, so this is just a fast C-level substitution routine. SuperLU
@@ -44,23 +47,35 @@ def _tri_factor(T):
     if np.iscomplexobj(T.data):
         return lu.solve
 
-    def solve(r):
+    def solve(r, trans="N"):
         if not np.iscomplexobj(r):
-            return lu.solve(r)
+            return lu.solve(r, trans)
         x = np.empty_like(r)
-        x.real = lu.solve(r.real)
-        x.imag = lu.solve(r.imag)
+        x.real = lu.solve(r.real, trans)
+        x.imag = lu.solve(r.imag, trans)
         return x
 
     return solve
 
 
+def _relaxed_diagonal(A, relax, method):
+    """diag(A), after checking the relaxation and the diagonal."""
+    if not 0.0 < relax < 2.0:
+        raise ValueError(f"{method} relaxation must be in (0, 2), got {relax}")
+    diag = A.diagonal()
+    _check_diagonal(diag)
+    return diag
+
+
+def _triangle(diag, relax, strict):
+    """Solver for D + relax * strict, with strict a strict triangle of A."""
+    return _tri_factor((scipy.sparse.diags(diag) + relax * strict).tocsr())
+
+
 class Preconditioner:
     """Linear map r -> B^{-1} r with cached splitting factors of A."""
 
-    def __init__(self, kind, apply_fn, apply_transpose_fn, relax=None):
-        self.kind = kind
-        self.relax = relax
+    def __init__(self, apply_fn, apply_transpose_fn):
         self._apply = apply_fn
         self._apply_t = apply_transpose_fn
 
@@ -68,16 +83,9 @@ class Preconditioner:
         return self._apply(np.asarray(r))
 
     def apply_transpose(self, r):
-        """Action of B^{-T}, needed by reverse-mode differentiation."""
+        """Action of B^{-T} (not conjugated), needed by reverse-mode
+        differentiation."""
         return self._apply_t(np.asarray(r))
-
-    def __call__(self, r):
-        return self.apply(r)
-
-    @classmethod
-    def identity(cls):
-        ident = lambda r: r
-        return cls("identity", ident, ident)
 
     @classmethod
     def weighted_jacobi(cls, A, relax=2.0 / 3.0):
@@ -85,48 +93,27 @@ class Preconditioner:
         _check_diagonal(diag)
         scale = relax / diag
         fn = lambda r: scale * r
-        return cls("weighted-jacobi", fn, fn, relax=relax)
+        return cls(fn, fn)
 
     @classmethod
     def gauss_seidel(cls, A):
-        p = cls.sor(A, relax=1.0)
-        p.kind = "gauss-seidel"
-        p.relax = None
-        return p
+        return cls.sor(A, 1.0)
 
     @classmethod
     def sor(cls, A, relax):
-        if not 0.0 < relax < 2.0:
-            raise ValueError(f"SOR relaxation must be in (0, 2), got {relax}")
-        diag = A.diagonal()
-        _check_diagonal(diag)
-        csr = A.to_scipy()
-        DL = (scipy.sparse.diags(diag) + relax * scipy.sparse.tril(csr, k=-1)).tocsr()
-        solve, solve_t = _tri_factor(DL), _tri_factor(DL.T.tocsr())
-        fn = lambda r: relax * solve(r)
-        fn_t = lambda r: relax * solve_t(r)
-        return cls("sor", fn, fn_t, relax=relax)
+        diag = _relaxed_diagonal(A, relax, "SOR")
+        dl = _triangle(diag, relax, scipy.sparse.tril(A.to_scipy(), k=-1))
+        return cls(lambda r: relax * dl(r), lambda r: relax * dl(r, "T"))
 
     @classmethod
     def ssor(cls, A, relax=1.0):
-        if not 0.0 < relax < 2.0:
-            raise ValueError(f"SSOR relaxation must be in (0, 2), got {relax}")
-        diag = A.diagonal()
-        _check_diagonal(diag)
+        diag = _relaxed_diagonal(A, relax, "SSOR")
         csr = A.to_scipy()
-        DL = (scipy.sparse.diags(diag) + relax * scipy.sparse.tril(csr, k=-1)).tocsr()
-        DU = (scipy.sparse.diags(diag) + relax * scipy.sparse.triu(csr, k=1)).tocsr()
-        dl, du = _tri_factor(DL), _tri_factor(DU)
-        dlt, dut = _tri_factor(DL.T.tocsr()), _tri_factor(DU.T.tocsr())
+        dl = _triangle(diag, relax, scipy.sparse.tril(csr, k=-1))
+        du = _triangle(diag, relax, scipy.sparse.triu(csr, k=1))
         c = relax * (2.0 - relax)
-
-        def fn(r):
-            return c * du(diag * dl(r))
-
-        def fn_t(r):
-            return c * dlt(diag * dut(r))
-
-        return cls("ssor", fn, fn_t, relax=relax)
+        return cls(lambda r: c * du(diag * dl(r)),
+                   lambda r: c * dl(diag * du(r, "T"), "T"))
 
 
 def apply_preconditioner(P, r):

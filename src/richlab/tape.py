@@ -82,32 +82,26 @@ class Var:
 
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, Var):
-            return self.tape._record(self.value + other.value, (
-                (self, lambda g: _unbroadcast(g, self.value)),
-                (other, lambda g: _unbroadcast(g, other.value))))
-        return self.tape._record(self.value + other,
-                                 ((self, lambda g: _unbroadcast(g, self.value)),))
+        return _track(self.value + _value(other),
+                      (self, lambda g: _unbroadcast(g, self.value)),
+                      (other, lambda g: _unbroadcast(g, other.value)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.tape._record(-self.value, ((self, lambda g: -g),))
+        return _track(-self.value, (self, lambda g: -g))
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Var) else -np.asarray(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Var):
-            return self.tape._record(self.value * other.value, (
-                (self, lambda g: _unbroadcast(g * other.value, self.value)),
-                (other, lambda g: _unbroadcast(g * self.value, other.value))))
-        other = np.asarray(other)
-        return self.tape._record(self.value * other,
-                                 ((self, lambda g: _unbroadcast(g * other, self.value)),))
+        o = _value(other)
+        return _track(self.value * o,
+                      (self, lambda g: _unbroadcast(g * o, self.value)),
+                      (other, lambda g: _unbroadcast(g * self.value, o)))
 
     __rmul__ = __mul__
 
@@ -116,7 +110,7 @@ class Var:
             out = np.zeros_like(self.value)
             np.add.at(out, idx, g)
             return out
-        return self.tape._record(self.value[idx], ((self, vjp),))
+        return _track(self.value[idx], (self, vjp))
 
 
 def _unbroadcast(g, target):

@@ -58,8 +58,6 @@ def _check_config(cfg):
 def make_preconditioner(name, A):
     if name is None or name == "identity":
         return None
-    if callable(name):
-        return name(A)
     if name == "ssor":
         return Preconditioner.ssor(A, relax=1.0)
     if name == "jacobi":

@@ -50,7 +50,7 @@ def reference_inner_update(A, f, u, v, i, schedule, P):
 
 
 def reference_solve_stationary(A, f, schedule, P=None, tol=1e-6,
-                               max_outer=100_000, u0=None, check="outer"):
+                               max_outer=100_000, u0=None):
     t0 = time.perf_counter()
     n = A.ncols
     dtype = np.promote_types(A.dtype, np.asarray(f).dtype)
@@ -79,16 +79,13 @@ def reference_solve_stationary(A, f, schedule, P=None, tol=1e-6,
             v = a * v + w * apply_preconditioner(P, step_r)
             u = u + v
             inner += 1
-            if reuse_residual or check == "inner" or i == schedule.m - 1:
+            if reuse_residual or i == schedule.m - 1:
                 r = f - csr_matvec(A, u)
                 rel = float(np.linalg.norm(r)) / fnorm
                 if not np.isfinite(rel) or rel > DIVERGENCE_FACTOR * max(trace[0], 1.0):
                     raise DivergenceError(
                         f"residual blew up to {rel:.3g} at inner iteration {inner}",
                         inner_iteration=inner)
-            if check == "inner" and rel <= tol:
-                converged = True
-                break
         outer += 1
         trace.append(rel)
         if rel <= tol:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from richlab.precond import (Preconditioner, ZeroDiagonalError,
                              apply_preconditioner)
@@ -16,9 +18,7 @@ def split(A_dense):
 
 
 def test_identity():
-    P = Preconditioner.identity()
     r = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(P.apply(r), r)
     assert np.array_equal(apply_preconditioner(None, r), r)
 
 
@@ -68,12 +68,37 @@ def test_ssor_symmetric_for_symmetric_matrix(rng):
 
 
 def test_apply_transpose_matches_dense_transpose(rng):
-    A = random_sparse(6, rng)  # non-symmetric
-    for P in (Preconditioner.sor(A, 1.2), Preconditioner.ssor(A, 0.9),
-              Preconditioner.gauss_seidel(A)):
-        B = np.column_stack([P.apply(e) for e in np.eye(6)])
-        Bt = np.column_stack([P.apply_transpose(e) for e in np.eye(6)])
-        assert np.allclose(Bt, B.T, atol=1e-12)
+    nonsym = random_sparse(6, rng)
+    spd = random_spd(6, rng)
+    # complex symmetric: B^{-T} is the plain transpose, not the adjoint
+    csym = SparseMatrix.from_scipy(
+        spd.to_scipy() + 0.2j * scipy.sparse.diags(spd.diagonal()))
+    for A in (nonsym, spd, csym):
+        for P in (Preconditioner.sor(A, 1.2), Preconditioner.ssor(A, 0.9),
+                  Preconditioner.gauss_seidel(A)):
+            B = np.column_stack([P.apply(e) for e in np.eye(6)])
+            Bt = np.column_stack([P.apply_transpose(e) for e in np.eye(6)])
+            assert np.allclose(Bt, B.T, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("build,factors", [
+    (lambda A: Preconditioner.ssor(A, 1.1), 2),
+    (lambda A: Preconditioner.sor(A, 1.1), 1),
+    (Preconditioner.gauss_seidel, 1)], ids=["ssor", "sor", "gauss_seidel"])
+def test_each_triangle_is_factored_once(rng, monkeypatch, build, factors):
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+    P = build(random_sparse(6, rng))
+    r = rng.standard_normal(6)
+    P.apply(r)
+    P.apply_transpose(r)
+    assert len(calls) == factors
 
 
 def test_complex_residual_on_real_factors(rng):

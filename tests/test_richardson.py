@@ -236,10 +236,8 @@ ORACLE_CASES = [(p, fld) for p in (None, "jacobi", "ssor")
 
 
 @pytest.mark.parametrize("precond,field", ORACLE_CASES)
-@pytest.mark.parametrize("check", ["outer", "inner"])
 @pytest.mark.parametrize("variant", ["plain", "mom", "nag", "nagex"])
-def test_solve_matches_allocating_reference_loop(variant, check, precond,
-                                                 field):
+def test_solve_matches_allocating_reference_loop(variant, precond, field):
     A, f, u0 = _oracle_system(field)
     P = {None: None, "jacobi": lambda: Preconditioner.weighted_jacobi(A),
          "ssor": lambda: Preconditioner.ssor(A)}[precond]
@@ -248,9 +246,9 @@ def test_solve_matches_allocating_reference_loop(variant, check, precond,
     for start in (None, u0):
         kept = None if start is None else start.copy()
         u, rep = solve_stationary(A, f, sched, P=P, tol=1e-5, max_outer=150,
-                                  u0=start, check=check)
+                                  u0=start)
         u_ref, ref = reference_solve_stationary(
-            A, f, sched, P=P, tol=1e-5, max_outer=150, u0=kept, check=check)
+            A, f, sched, P=P, tol=1e-5, max_outer=150, u0=kept)
         assert np.array_equal(u, u_ref) and u.dtype == u_ref.dtype
         assert np.array_equal(rep.trace, ref.trace)
         assert (rep.iterations, rep.inner_iterations, rep.converged,

@@ -213,17 +213,6 @@ def test_training_reduces_validation_loss(small_dataset):
     assert after < before
 
 
-def test_zero_epochs_returns_initial_net(small_dataset):
-    cfg = TrainConfig(m=2, unroll=4, n_epochs=0, seed=9, variant="plain",
-                      hidden=(4, 4))
-    init = MetaNet.create(cfg.m, variant=cfg.variant, hidden=cfg.hidden,
-                          seed=cfg.seed)
-    out = train_ns(cfg, small_dataset)
-    for a, b in zip(init.parameters(), out.parameters()):
-        assert np.array_equal(a, b)
-    assert out.best_epoch == -1
-
-
 def test_best_checkpoint_is_validation_argmin(small_dataset):
     cfg = TrainConfig(m=3, unroll=8, n_epochs=8, batch_size=2, seed=2,
                       variant="nag", hidden=(6, 6))
