@@ -235,8 +235,13 @@ ORACLE_CASES = [(p, fld) for p in (None, "jacobi", "ssor")
                 for fld in ("real", "complex-rhs", "complex")]
 
 
+VARIANTS = ["plain", "mom", "nag", "nagex"]
+
+
+# "outer" in the ids names where convergence is tested: at sweep boundaries.
 @pytest.mark.parametrize("precond,field", ORACLE_CASES)
-@pytest.mark.parametrize("variant", ["plain", "mom", "nag", "nagex"])
+@pytest.mark.parametrize("variant", VARIANTS,
+                         ids=[f"{v}-outer" for v in VARIANTS])
 def test_solve_matches_allocating_reference_loop(variant, precond, field):
     A, f, u0 = _oracle_system(field)
     P = {None: None, "jacobi": lambda: Preconditioner.weighted_jacobi(A),
