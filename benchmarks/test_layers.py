@@ -1,5 +1,6 @@
-"""Layer timings of the Helmholtz FGMRES/V-cycle solver at n=128 and of
-one training batch at n=32.
+"""Layer timings of the Helmholtz FGMRES/V-cycle solver at n=128, of the
+anisotropic single-level layers at n=64 and of one training batch at
+n=32.
 
 The Helmholtz system is that of the ``helmholtz-fgmres`` benchmark
 workload at frequency 5: damped Helmholtz at n=128 (16,129 complex
@@ -11,6 +12,10 @@ hybrid batch of 20 with the ``FnsTrainConfig`` defaults (M=10 smoothing
 updates, 3 hybrid steps) in each phase. The SSOR rows time one build at
 n=32 and one forward and one transposed apply over a 20-row stack, one
 preconditioner per row, as a preconditioned training batch runs them.
+The anisotropic rows take the eps=1e-2, theta=0 cell of the
+``aniso-solve`` workload (n=64, 3,969 unknowns): its assembly and
+spectral bounds, one product with and without a caller-owned output,
+and plain Richardson inner updates as the solver runs them.
 Run from the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks/test_layers.py \\
@@ -27,10 +32,13 @@ from richlab.data import sample_dataset
 from richlab.fgmres import FgmresConfig, fgmres
 from richlab.fns import FnsTrainConfig, _hybrid_loss, _initial_net
 from richlab.metanet import MetaNet
-from richlab.multigrid import build_hierarchy, v_cycle
+from richlab.multigrid import _smooth, build_hierarchy, v_cycle
 from richlab.precond import Preconditioner
-from richlab.problems import HelmholtzProblem, assemble_helmholtz
+from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
+                              assemble_anisotropic, assemble_helmholtz)
+from richlab.richardson import solve_stationary
 from richlab.schedules import WeightSchedule
+from richlab.spectral import dense_spectral_bounds
 from richlab.tape import Tape
 from richlab.training import (_rowwise, _schedules, gradient,
                               loss_relative_residual)
@@ -39,6 +47,8 @@ N = 128
 FREQUENCY = 5.0
 RESTART = 20
 TRAIN_N = 32
+ANISO = AnisotropicProblem(epsilon=1e-2, theta=0.0, n=64)
+UPDATES = 50   # plain inner updates per timed solve
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +83,51 @@ def test_fgmres_arnoldi_step(benchmark, system):
     _, rep = benchmark(fgmres, A, f, None, cfg)
     assert rep.iterations == RESTART
     benchmark.extra_info["arnoldi_steps_per_call"] = RESTART
+
+
+def test_fine_level_nag_smoothing(benchmark, system):
+    """One NAG-Richardson(5) smoothing pass on the finest level, from a
+    copy of a fixed non-zero iterate."""
+    _, h, f = system
+    u = v_cycle(h, f)
+    benchmark(lambda: _smooth(h.levels[0], f, u.copy(), 1))
+
+
+@pytest.fixture(scope="module")
+def aniso():
+    A = assemble_anisotropic(ANISO)
+    x = np.random.default_rng(0).standard_normal(A.ncols)
+    return A, x
+
+
+def test_aniso_assembly(benchmark):
+    benchmark(assemble_anisotropic, ANISO)
+
+
+def test_aniso_spectral_bounds(benchmark, aniso):
+    benchmark(dense_spectral_bounds, aniso[0])
+
+
+@pytest.mark.parametrize("into", ["fresh", "out"])
+def test_aniso_matvec(benchmark, aniso, into):
+    A, x = aniso
+    if into == "fresh":
+        benchmark(A.matvec, x)
+    else:
+        benchmark(A.matvec, x, out=np.empty(A.nrows))
+
+
+def test_aniso_plain_inner_updates(benchmark, aniso):
+    """UPDATES plain inner updates of the solver (one sweep of a constant
+    schedule, each update followed by the residual and its norm); the
+    time per update is the call's time over UPDATES (``extra_info``)."""
+    A, f = aniso
+    omega = 1.0 / dense_spectral_bounds(A).lambda_max
+    schedule = WeightSchedule(omega=np.full(UPDATES, omega))
+    _, rep = benchmark(solve_stationary, A, f, schedule, tol=1e-300,
+                       max_outer=1)
+    assert rep.inner_iterations == UPDATES
+    benchmark.extra_info["inner_updates_per_call"] = UPDATES
 
 
 @pytest.fixture(scope="module")

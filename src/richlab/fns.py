@@ -113,10 +113,12 @@ def fns_lite_step(A, f, u, schedule, M, corr: SpectralCorrection):
     f, u = np.asarray(f), np.asarray(u)
     u = u.astype(np.result_type(u, f, A.dtype))   # a copy: u stays the caller's
     v = np.empty_like(u)
+    r = np.empty_like(u)   # each step's residual
     omega = schedule.omega.tolist()
     for k in range(M):
-        _inner_update(A, f, u, v, omega[k % schedule.m], 0.0, 0.0, "plain")
-    u += corr.apply(f - A.matvec(u))
+        _inner_update(A, f, u, v, omega[k % schedule.m], 0.0, 0.0, "plain",
+                      scratch=r)
+    u += corr.apply(np.subtract(f, A.matvec(u, out=r), out=r))
     if not np.all(np.isfinite(u)):
         raise DivergenceError("hybrid step produced a non-finite iterate",
                               inner_iteration=M)
@@ -155,12 +157,16 @@ def _hybrid_loss(batch, omega, lam, n_hybrid, M):
     the correction u + S(lam * S(f - A u)) with the (B, N) correction
     rows ``lam``; the row-wise sine transform S is symmetric, so it is
     its own transpose. One of ``omega`` and ``lam`` is a Var, the other
-    a plain array.
+    a plain array. When ``lam`` is the Var, nothing before the first
+    correction depends on it, so that segment runs tape-free.
     """
     A = block_diagonal([s.A for s in batch])
     F = np.stack([s.f for s in batch])
-    tape = omega.tape if isinstance(omega, Var) else lam.tape
-    u = tape.var(np.zeros(F.shape))
+    u = np.zeros(F.shape)
+    if isinstance(omega, Var):
+        u = omega.tape.var(u)
+    elif n_hybrid == 0:   # the loss must still be a node of lam's tape
+        u = lam.tape.var(u)
     for _ in range(n_hybrid):
         u = _unroll(A, F, u, omega, None, None, M, "plain", None)
         r = F - tp.spmv(A, u)

@@ -67,9 +67,19 @@ def _relaxed_diagonal(A, relax, method):
     return diag
 
 
-def _triangle(diag, relax, strict):
-    """Solver for D + relax * strict, with strict a strict triangle of A."""
-    return _tri_factor((scipy.sparse.diags(diag) + relax * strict).tocsr())
+def _triangle(A, relax, lower):
+    """Solver for D + relax * (the strict lower or upper triangle of A),
+    built from A's CSR arrays: each row keeps its diagonal entry and the
+    relaxed entries on one side of it, in column order. Like a scipy sum,
+    it drops entries that the relaxation rounds to zero."""
+    rows = np.repeat(np.arange(A.nrows), np.diff(A.row_starts))
+    cols = A.col_indices
+    values = np.where(cols == rows, A.values, relax * A.values)
+    keep = (cols <= rows) if lower else (cols >= rows)
+    keep &= values != 0
+    starts = np.concatenate(([0], np.cumsum(keep)))[A.row_starts]
+    return _tri_factor(scipy.sparse.csr_matrix(
+        (values[keep], cols[keep], starts), shape=A.shape))
 
 
 class Preconditioner:
@@ -101,16 +111,15 @@ class Preconditioner:
 
     @classmethod
     def sor(cls, A, relax):
-        diag = _relaxed_diagonal(A, relax, "SOR")
-        dl = _triangle(diag, relax, scipy.sparse.tril(A.to_scipy(), k=-1))
+        _relaxed_diagonal(A, relax, "SOR")
+        dl = _triangle(A, relax, lower=True)
         return cls(lambda r: relax * dl(r), lambda r: relax * dl(r, "T"))
 
     @classmethod
     def ssor(cls, A, relax=1.0):
         diag = _relaxed_diagonal(A, relax, "SSOR")
-        csr = A.to_scipy()
-        dl = _triangle(diag, relax, scipy.sparse.tril(csr, k=-1))
-        du = _triangle(diag, relax, scipy.sparse.triu(csr, k=1))
+        dl = _triangle(A, relax, lower=True)
+        du = _triangle(A, relax, lower=False)
         c = relax * (2.0 - relax)
         return cls(lambda r: c * du(diag * dl(r)),
                    lambda r: c * dl(diag * du(r, "T"), "T"))

@@ -35,30 +35,40 @@ class SolveReport:
     restarts: int = 0          # FGMRES restart cycles run, the first included
 
 
-def _inner_update(A, f, u, v, w, a, at, variant, P=None, r=None, look=None):
+def _norm(r):
+    """``np.linalg.norm`` of a float or complex vector by the same float
+    operations, without its dispatch: the solver takes one per update."""
+    if r.dtype.kind == "c":
+        return math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
+    return math.sqrt(r.dot(r))
+
+
+def _inner_update(A, f, u, v, w, a, at, variant, P=None, r=None, look=None,
+                  scratch=None):
     """One inner update of ``variant`` with weight w and momentum
     coefficients a (alpha) and at (alpha_tilde), in place on u and v.
 
     ``r`` is the step residual when the caller already has it: f - A u
     for plain and mom, f - A (u + at v) at the nag/nagex look-ahead
-    point. It is read, never written. ``look`` is scratch for the
-    look-ahead point. The float operations are those of
+    point. It is read, never written. Otherwise the residual is formed
+    in ``scratch``. ``look`` is scratch for the look-ahead point and then
+    for the weighted step. The float operations are those of
     v <- a v + w B^{-1} r, u <- u + v.
     """
     if r is None:
         if variant in ("nag", "nagex"):   # residual at the look-ahead point
             look = np.multiply(v, at, out=look)
             look += u
-            r = A.matvec(look)
+            r = A.matvec(look, out=scratch)
         else:
-            r = A.matvec(u)
+            r = A.matvec(u, out=scratch)
         np.subtract(f, r, out=r)
     z = apply_preconditioner(P, r)
     if variant == "plain":
         np.multiply(z, w, out=v)
     else:
         v *= a
-        v += z * w
+        v += np.multiply(z, w, out=look)
     u += v
 
 
@@ -90,11 +100,12 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
     alpha = schedule.alpha.tolist()
     alpha_t = schedule.alpha_tilde.tolist()
     # for plain/mom the step residual is the residual at the current u,
-    # so one matvec per inner step suffices
+    # so one matvec per inner step suffices; nag/nagex form theirs in r,
+    # which the sweep-end residual then overwrites
     reuse_residual = variant in ("plain", "mom")
-    look = None if reuse_residual else np.empty_like(u)
+    look = np.empty_like(u)
     r = f - A.matvec(u)
-    rel = float(np.linalg.norm(r)) / fnorm
+    rel = _norm(r) / fnorm
     trace = [rel]
     limit = DIVERGENCE_FACTOR * max(rel, 1.0)
     inner = 0
@@ -103,11 +114,11 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
     while not converged and outer < max_outer:
         for i in range(m):
             _inner_update(A, f, u, v, omega[i], alpha[i], alpha_t[i], variant,
-                          P, r if reuse_residual else None, look)
+                          P, r if reuse_residual else None, look, r)
             inner += 1
             if reuse_residual or i == m - 1:
-                np.subtract(f, A.matvec(u), out=r)
-                rel = float(np.linalg.norm(r)) / fnorm
+                np.subtract(f, A.matvec(u, out=r), out=r)
+                rel = _norm(r) / fnorm
                 if not math.isfinite(rel) or rel > limit:
                     raise DivergenceError(
                         f"residual blew up to {rel:.3g} at inner iteration {inner}",

@@ -4,13 +4,19 @@ CSR is the storage. Products run through a kernel chosen from the
 sparsity pattern on first use: diagonal storage (DIA) when the occupied
 diagonals are at least half full, otherwise the CSR matrix itself. With
 its offsets ascending, DIA adds each row's products in CSR's column
-order, so for finite operands both kernels give the same bits.
+order, so for finite operands both kernels give the same bits. Each
+product calls scipy's compiled kernel (``scipy.sparse._sparsetools``,
+the routine behind ``dot``) on a zeroed output, which the caller may
+own.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.io
 import scipy.sparse
+from scipy.sparse import _sparsetools
 
 
 class DimensionMismatch(ValueError):
@@ -67,7 +73,7 @@ class SparseMatrix:
         self.values = values
         self._csr = scipy.sparse.csr_matrix(
             (values, col_indices, row_starts), shape=(nrows, ncols))
-        # (fast, exact) product kernels of A and A^T, built on first use
+        # product kernels of A and A^T (see _kernel), built on first use
         self._kernels = [None, None]
 
     @property
@@ -120,12 +126,15 @@ class SparseMatrix:
     def to_dense(self):
         return self._csr.toarray()
 
-    def matvec(self, x):
+    def matvec(self, x, out=None):
+        """A x. ``out``, when given, receives the product and is
+        returned: a contiguous buffer of A's row count and the product's
+        dtype that does not overlap ``x``."""
         x = np.asarray(x)
         if x.shape != (self.ncols,):
             raise DimensionMismatch(
                 f"matrix has {self.ncols} columns but vector has length {x.shape}")
-        return self._product(x, transpose=False)
+        return self._product(x, transpose=False, out=out)
 
     def rmatvec(self, x):
         """Transpose product A^T x (not conjugated)."""
@@ -133,25 +142,37 @@ class SparseMatrix:
         if x.shape != (self.nrows,):
             raise DimensionMismatch(
                 f"matrix has {self.nrows} rows but vector has length {x.shape}")
-        return self._product(x, transpose=True)
+        return self._product(x, transpose=True, out=None)
 
-    def _product(self, x, transpose):
-        fast, exact = self._kernel(transpose)
-        y = fast.dot(x)
-        if fast is exact:
+    def _product(self, x, transpose, out):
+        _, _, fast, exact, padded = self._kernel(transpose)
+        dtype = np.promote_types(self.values.dtype, x.dtype)
+        size = self.ncols if transpose else self.nrows
+        if out is None:
+            y = np.zeros(size, dtype=dtype)
+        else:
+            _check_output(out, size, dtype, x)
+            # the kernels add into their output; zero bytes are +0, and a
+            # byte fill is numpy's cheapest way to write them
+            out.view(np.uint8).fill(0)
+            y = out
+        fast(x, y)
+        # DIA multiplies each padding zero by its x_j, so a non-finite x_j
+        # puts NaN in a padded row that CSR leaves alone. A padded row
+        # without NaN met only finite x_j there, and 0 x_j, a signed zero,
+        # leaves a sum that starts at +0 as it is; so only NaN in the
+        # padded rows calls for CSR. (count_nonzero is the cheap any.)
+        if padded is None or not np.count_nonzero(np.isnan(y.take(padded))):
             return y
-        # DIA padding multiplies every entry of x, so a non-finite x_j
-        # also reaches rows that A does not couple to j; CSR touches only
-        # the nonzeros. (A BLAS dot would be a cheaper probe on short
-        # vectors, but on long ones it wakes BLAS threads and can take
-        # milliseconds.) A complex y is probed through its float view,
-        # which numpy tests about twice as fast.
-        probe = y.view(np.float64) if y.dtype == np.complex128 else y
-        return y if np.isfinite(probe).all() else exact.dot(x)
+        y.view(np.uint8).fill(0)
+        exact(x, y)
+        return y
 
     def _kernel(self, transpose):
-        """(fast, exact) scipy kernels for A x, or A^T x when ``transpose``:
-        DIA and CSR, or CSR twice when the pattern is too scattered."""
+        """(fast, exact) scipy matrices for A x, or A^T x when
+        ``transpose`` (DIA and CSR, or CSR twice when the pattern is too
+        scattered), then their compiled products and the rows where the
+        DIA kernel multiplies padding (None when there are none)."""
         if self._kernels[transpose] is None:
             exact = self._csr.T if transpose else self._csr
             if transpose:
@@ -162,9 +183,18 @@ class SparseMatrix:
                          if forward.format == "dia" else None)
             else:
                 parts = self._diagonals()
-            fast = exact if parts is None else scipy.sparse.dia_matrix(
-                (parts[1], parts[0]), shape=exact.shape)
-            self._kernels[transpose] = (fast, exact)
+            run_exact = _compiled(exact)
+            if parts is None:
+                kernel = (exact, exact, run_exact, run_exact, None)
+            else:
+                offsets, data = parts
+                fast = scipy.sparse.dia_matrix((data, offsets),
+                                               shape=exact.shape)
+                entries = (np.bincount(self.col_indices, minlength=self.ncols)
+                           if transpose else np.diff(self.row_starts))
+                kernel = (fast, exact, _compiled(fast), run_exact,
+                          _padded_rows(offsets, entries, exact.shape[1]))
+            self._kernels[transpose] = kernel
         return self._kernels[transpose]
 
     def _diagonals(self):
@@ -208,6 +238,43 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz}, {field})"
 
 
+def _compiled(mat):
+    """scipy's compiled y += mat x for a DIA, CSR or CSC matrix, as a
+    function of (x, y): the kernel and arguments that ``mat.dot(x)``
+    runs on its zeroed output."""
+    if mat.format == "dia":
+        head = (*mat.shape, len(mat.offsets), mat.data.shape[1],
+                mat.offsets, mat.data)
+    else:
+        head = (*mat.shape, mat.indptr, mat.indices, mat.data)
+    return functools.partial(getattr(_sparsetools, mat.format + "_matvec"),
+                             *head)
+
+
+def _padded_rows(offsets, entries, ncols):
+    """The rows of a DIA matrix with ascending ``offsets`` and ``ncols``
+    columns that hold padding: more in-range diagonal slots than the
+    row's ``entries``. None when there are none."""
+    i = np.arange(len(entries))
+    slots = np.searchsorted(offsets, ncols - i) - np.searchsorted(offsets, -i)
+    rows = np.flatnonzero(slots > entries)
+    return rows if len(rows) else None
+
+
+def _check_output(out, size, dtype, x):
+    if not isinstance(out, np.ndarray) or out.shape != (size,):
+        raise DimensionMismatch(
+            f"out must be an array of shape ({size},), got "
+            f"{getattr(out, 'shape', type(out).__name__)}")
+    if out.dtype != dtype:
+        raise TypeError(f"out must have the product's dtype {dtype}, "
+                        f"got {out.dtype}")
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be contiguous")
+    if np.may_share_memory(out, x):
+        raise ValueError("out overlaps the input vector")
+
+
 def _transposed_diagonals(offsets, data, nrows):
     """DIA (offsets, data) of A^T from those of an nrows-row A. Entry
     (i, i+k) of A sits in A's diagonal k at column i+k and in A^T's
@@ -222,24 +289,29 @@ def _transposed_diagonals(offsets, data, nrows):
 
 def block_diagonal(blocks):
     """The block-diagonal matrix diag(blocks[0], blocks[1], ...), built by
-    concatenating the blocks' CSR arrays. Row b of a row stack X then
-    meets only block b in ``matvec(X.ravel())``, entry for entry in the
-    order of ``blocks[b].matvec(X[b])``."""
+    filling one set of CSR arrays with the blocks' arrays, each shifted
+    past the previous blocks. Row b of a row stack X then meets only
+    block b in ``matvec(X.ravel())``, entry for entry in the order of
+    ``blocks[b].matvec(X[b])``."""
     blocks = list(blocks)
     if len(blocks) == 1:
         return blocks[0]
-    nnz_offsets = np.cumsum([0] + [M.nnz for M in blocks])
-    col_offsets = np.cumsum([0] + [M.ncols for M in blocks])
-    row_starts = np.concatenate(
-        [[0]] + [M.row_starts[1:] + off for M, off in zip(blocks, nnz_offsets)])
-    col_indices = np.concatenate(
-        [M.col_indices + off for M, off in zip(blocks, col_offsets)])
-    values = np.concatenate([M.values for M in blocks])
+    nrows = sum(M.nrows for M in blocks)
+    nnz = sum(M.nnz for M in blocks)
+    row_starts = np.empty(nrows + 1, dtype=np.int64)
+    col_indices = np.empty(nnz, dtype=np.int64)
+    values = np.empty(nnz, dtype=np.result_type(*(M.values for M in blocks)))
+    row_starts[0] = 0
+    row = col = k = 0
+    for M in blocks:
+        np.add(M.row_starts[1:], k, out=row_starts[row + 1:row + 1 + M.nrows])
+        np.add(M.col_indices, col, out=col_indices[k:k + M.nnz])
+        values[k:k + M.nnz] = M.values
+        row, col, k = row + M.nrows, col + M.ncols, k + M.nnz
     # the blocks were validated when they were built, and shifting their
     # rows and columns past the previous blocks keeps every invariant
-    return SparseMatrix._from_valid_arrays(
-        sum(M.nrows for M in blocks), int(col_offsets[-1]), row_starts,
-        col_indices, values)
+    return SparseMatrix._from_valid_arrays(nrows, col, row_starts,
+                                           col_indices, values)
 
 
 def spmv(A, x):

@@ -244,6 +244,35 @@ def test_hybrid_loss_matches_per_instance_oracle(hybrid_dataset, phase, M,
             assert np.array_equal(g, ref)
 
 
+@pytest.mark.parametrize("phase", ["lambda", "omega"])
+def test_hybrid_loss_without_hybrid_steps_is_recorded(hybrid_dataset, phase):
+    # the lambda phase starts tape-free; with no hybrid step the loss of
+    # the zero iterate must still be a node of the parameters' tape
+    from richlab import tape as tp
+    from richlab.fns import _hybrid_loss
+    from richlab.metanet import MetaNet
+    from richlab.tape import Tape, Var
+    from richlab.training import _schedules
+
+    batch = list(hybrid_dataset)
+    net = MetaNet.create(3, variant="plain", hidden=(6, 6), seed=2)
+    rows = np.ones((len(batch), (hybrid_dataset.n - 1) ** 2))
+    tape = Tape()
+    if phase == "lambda":
+        pvars = [tape.var(row) for row in rows]
+        omega, lam = _schedules(batch, net, net.parameters())[0], \
+            tp.stack(pvars)
+    else:
+        pvars = [tape.var(p) for p in net.parameters()]
+        omega, lam = _schedules(batch, net, pvars)[0], rows
+    loss = _hybrid_loss(batch, omega, lam, 0, 4)
+    assert isinstance(loss, Var) and loss.tape is tape
+    assert abs(loss.value - 1.0) <= 1e-15
+    tape.backward(loss)
+    for p in pvars:
+        assert np.array_equal(p.grad, np.zeros_like(p.value))
+
+
 @pytest.fixture(scope="module")
 def tiny_dataset():
     return sample_dataset("anisotropic", 4, seed=3, n=8)
