@@ -1,0 +1,185 @@
+"""Layer timings of two source trees, interleaved in one process.
+
+Each tree's ``richlab`` package is loaded whole under its own name, so
+every module of one tree calls that tree's code, and each op set builds
+its inputs with that code. The op sets:
+
+- ``products``: the single-level anisotropic layers at n=64 (the
+  eps=1e-2, theta=0 cell of ``aniso-solve``, 3,969 unknowns): assembly,
+  spectral bounds, one product (the mean of MATVECS), and one plain
+  inner update as the solver runs it (a sweep of UPDATES updates of a
+  constant schedule, over UPDATES); and one NAG-Richardson(5) smoothing
+  pass on the finest level of the n=128 Helmholtz hierarchy of
+  ``benchmarks/test_layers.py``, from a copy of a fixed iterate.
+- ``precond``: one ``Preconditioner.ssor`` build at n=32, cycling
+  through the 20-sample anisotropic set, and one forward and one
+  transposed apply over its 20-row stack, one preconditioner per row,
+  as a preconditioned training batch runs them.
+- ``batches``: ``block_diagonal`` of that set (the mean of REPEATS) and
+  one recorded hybrid lambda-phase batch on it (forward and backward,
+  the ``FnsTrainConfig`` defaults, zero correction rows).
+
+In every round both trees run every op once, and which tree goes first
+alternates between rounds, so both see the same machine load. Run from
+the repository root:
+
+    python benchmarks/interleave.py OLD_SRC NEW_SRC \\
+        --ops products precond batches --rounds 100 --json out.json
+"""
+import argparse
+import importlib
+import importlib.util
+import itertools
+import json
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+N = 64
+HELMHOLTZ_N = 128
+TRAIN_N = 32
+UPDATES = 50
+MATVECS = 200
+REPEATS = 20
+
+
+def load_package(src, name):
+    """The ``richlab`` package under ``src`` as the top-level ``name``;
+    returns a function mapping a module name to that tree's module."""
+    root = Path(src) / "richlab"
+    spec = importlib.util.spec_from_file_location(
+        name, root / "__init__.py", submodule_search_locations=[str(root)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return lambda module: importlib.import_module(f"{name}.{module}")
+
+
+def _repeat(fn, count):
+    def run():
+        for _ in range(count):
+            fn()
+    return run
+
+
+def products(mod):
+    problems, spectral = mod("problems"), mod("spectral")
+    richardson, multigrid = mod("richardson"), mod("multigrid")
+    schedules = mod("schedules")
+    spec = problems.AnisotropicProblem(epsilon=1e-2, theta=0.0, n=N)
+    A = problems.assemble_anisotropic(spec)
+    x = np.random.default_rng(0).standard_normal(A.ncols)
+    lam = spectral.dense_spectral_bounds(A).lambda_max
+    plain = schedules.WeightSchedule(omega=np.full(UPDATES, 1.0 / lam))
+    H = problems.assemble_helmholtz(problems.HelmholtzProblem(
+        angular_frequency=2 * np.pi * 5.0, n=HELMHOLTZ_N))
+    smoother = schedules.WeightSchedule(
+        omega=np.full(5, 0.8 / (8.0 * HELMHOLTZ_N ** 2)),
+        alpha=np.full(5, 0.3), variant="nag")
+    h = multigrid.build_hierarchy(H, HELMHOLTZ_N, coarsest=16,
+                                  schedules=smoother)
+    rng = np.random.default_rng(0)
+    f = rng.standard_normal(H.ncols) + 1j * rng.standard_normal(H.ncols)
+    u = multigrid.v_cycle(h, f)
+    return {
+        "assembly": (lambda: problems.assemble_anisotropic(spec), 1),
+        "spectral_bounds": (lambda: spectral.dense_spectral_bounds(A), 1),
+        "matvec": (_repeat(lambda: A.matvec(x), MATVECS), MATVECS),
+        "plain_inner_update": (
+            lambda: richardson.solve_stationary(A, x, plain, tol=1e-300,
+                                                max_outer=1), UPDATES),
+        "nag_smoothing_pass": (
+            lambda: multigrid._smooth(h.levels[0], f, u.copy(), 1), 1),
+    }
+
+
+def _training_set(mod):
+    samples = list(mod("data").sample_dataset("anisotropic", 20, seed=0,
+                                              n=TRAIN_N))
+    return samples, np.stack([s.f for s in samples])
+
+
+def precond(mod):
+    ssor = mod("precond").Preconditioner.ssor
+    samples, X = _training_set(mod)
+    apply, apply_t = mod("training")._rowwise([ssor(s.A) for s in samples])
+    cycle = itertools.cycle(samples)
+    return {
+        "ssor_build": (lambda: ssor(next(cycle).A), 1),
+        "apply_20_rows": (lambda: apply(X), 1),
+        "apply_transpose_20_rows": (lambda: apply_t(X), 1),
+    }
+
+
+def batches(mod):
+    fns, tape, training = mod("fns"), mod("tape"), mod("training")
+    samples, _ = _training_set(mod)
+    blocks = [s.A for s in samples]
+    cfg = fns.FnsTrainConfig()
+    net = fns._initial_net(cfg, input_dim=2)
+    rows = np.zeros((len(samples), (TRAIN_N - 1) ** 2))
+
+    def hybrid_lambda_batch():
+        T = tape.Tape()
+        lam = tape.stack([T.var(row) for row in rows])
+        omega = training._schedules(samples, net, net.parameters())[0]
+        T.backward(fns._hybrid_loss(samples, omega, lam, cfg.unroll,
+                                    cfg.smooth_steps))
+
+    block_diagonal = mod("sparse").block_diagonal
+    return {
+        "block_diagonal_20x961": (
+            _repeat(lambda: block_diagonal(blocks), REPEATS), REPEATS),
+        "hybrid_lambda_batch": (hybrid_lambda_batch, 1),
+    }
+
+
+OP_SETS = {"products": products, "precond": precond, "batches": batches}
+
+
+def summary(times):
+    q1, med, q3 = np.percentile(times, [25, 50, 75])
+    return {"median_s": float(med), "q1_s": float(q1), "q3_s": float(q3)}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old_src")
+    ap.add_argument("new_src")
+    ap.add_argument("--ops", nargs="+", choices=OP_SETS, default=list(OP_SETS))
+    ap.add_argument("--rounds", type=int, default=100)
+    ap.add_argument("--json")
+    args = ap.parse_args()
+    ops = {}
+    for side, src in (("parent", args.old_src), ("change", args.new_src)):
+        mod = load_package(src, f"richlab_{side}")
+        ops[side] = {name: op for op_set in args.ops
+                     for name, op in OP_SETS[op_set](mod).items()}
+    names = list(ops["parent"])
+    times = {side: {name: [] for name in names} for side in ops}
+    for k in range(args.rounds):
+        for side in (list(ops) if k % 2 == 0 else list(ops)[::-1]):
+            for name, (run, per) in ops[side].items():
+                t0 = time.perf_counter()
+                run()
+                times[side][name].append((time.perf_counter() - t0) / per)
+    result = {}
+    for name in names:
+        sides = {side: summary(times[side][name]) for side in ops}
+        sides["change_over_parent"] = (sides["change"]["median_s"]
+                                       / sides["parent"]["median_s"])
+        result[name] = sides
+        print(f"{name:24s} parent {sides['parent']['median_s'] * 1e6:.1f} us"
+              f"  change {sides['change']['median_s'] * 1e6:.1f} us"
+              f"  ratio {sides['change_over_parent']:.3f}")
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump({"rounds": args.rounds, "ops": args.ops,
+                       "results": result}, fh, indent=1)
+            fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -14,8 +14,8 @@ n=32 and one forward and one transposed apply over a 20-row stack, one
 preconditioner per row, as a preconditioned training batch runs them.
 The anisotropic rows take the eps=1e-2, theta=0 cell of the
 ``aniso-solve`` workload (n=64, 3,969 unknowns): its assembly and
-spectral bounds, one product with and without a caller-owned output,
-and plain Richardson inner updates as the solver runs them.
+spectral bounds, one product, and plain Richardson inner updates as the
+solver runs them.
 Run from the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks/test_layers.py \\
@@ -108,13 +108,9 @@ def test_aniso_spectral_bounds(benchmark, aniso):
     benchmark(dense_spectral_bounds, aniso[0])
 
 
-@pytest.mark.parametrize("into", ["fresh", "out"])
-def test_aniso_matvec(benchmark, aniso, into):
+def test_aniso_matvec(benchmark, aniso):
     A, x = aniso
-    if into == "fresh":
-        benchmark(A.matvec, x)
-    else:
-        benchmark(A.matvec, x, out=np.empty(A.nrows))
+    benchmark(A.matvec, x)
 
 
 def test_aniso_plain_inner_updates(benchmark, aniso):

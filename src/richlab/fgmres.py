@@ -77,8 +77,7 @@ def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None, u0=None):
         k = 0
         while k < mr:
             Z[k] = precond_apply(V[k])
-            # the next basis vector, before normalisation
-            w = A.matvec(Z[k], out=V[k + 1])
+            w = A.matvec(Z[k])
             # modified Gram-Schmidt, in place on w
             for i in range(k + 1):
                 H[i, k] = np.vdot(V[i], w)
@@ -111,7 +110,7 @@ def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None, u0=None):
                 converged = True
                 break
             if hk1 > 0:
-                w /= hk1
+                np.divide(w, hk1, out=V[k])
         # solve the triangular system and update the iterate
         Hk = np.triu(H[:k, :k])
         if k == 0:

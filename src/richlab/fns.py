@@ -113,12 +113,10 @@ def fns_lite_step(A, f, u, schedule, M, corr: SpectralCorrection):
     f, u = np.asarray(f), np.asarray(u)
     u = u.astype(np.result_type(u, f, A.dtype))   # a copy: u stays the caller's
     v = np.empty_like(u)
-    r = np.empty_like(u)   # each step's residual
     omega = schedule.omega.tolist()
     for k in range(M):
-        _inner_update(A, f, u, v, omega[k % schedule.m], 0.0, 0.0, "plain",
-                      scratch=r)
-    u += corr.apply(np.subtract(f, A.matvec(u, out=r), out=r))
+        _inner_update(A, f, u, v, omega[k % schedule.m], 0.0, 0.0, "plain")
+    u += corr.apply(f - A.matvec(u))
     if not np.all(np.isfinite(u)):
         raise DivergenceError("hybrid step produced a non-finite iterate",
                               inner_iteration=M)

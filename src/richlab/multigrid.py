@@ -113,10 +113,9 @@ def build_hierarchy(A: SparseMatrix, n, coarsest=8, schedules=None):
     return Hierarchy(levels=levels, coarsest_lu=lu)
 
 
-def _smooth(level: Level, f, u, count, scratch=None):
+def _smooth(level: Level, f, u, count):
     """``count`` outer sweeps of the level's schedule with a fresh
-    velocity, in place on ``u``; returns ``u``. ``scratch``, a buffer
-    like ``f``, receives each step's residual.
+    velocity, in place on ``u``; returns ``u``.
 
     ``u`` None starts from a zero iterate. The first step's residual is
     then ``f`` itself, read but never written: a finite operator times
@@ -131,14 +130,12 @@ def _smooth(level: Level, f, u, count, scratch=None):
         return u
     v = np.zeros_like(u)
     look = np.empty_like(u)
-    if scratch is None:
-        scratch = np.empty_like(u)
     weights = list(zip(s.omega.tolist(), s.alpha.tolist(),
                        s.alpha_tilde.tolist()))
     for _ in range(count):
         for w, a, at in weights:
             _inner_update(level.A, f, u, v, w, a, at, s.variant, r=first_r,
-                          look=look, scratch=scratch)
+                          look=look)
             first_r = None
     if not np.all(np.isfinite(u.view(float))):
         raise DivergenceError("smoother produced a non-finite iterate",
@@ -168,12 +165,9 @@ def _v_cycle_level(h, k, f, u, pre, post):
             return scipy.linalg.lu_solve(h.coarsest_lu, f)
         except (ValueError, scipy.linalg.LinAlgError) as exc:
             raise CoarseSolveError(f"coarsest solve failed: {exc}")
-    # one work vector of the level: the smoothers' step residuals, the
-    # residual to restrict, then the prolonged correction
-    work = np.empty_like(f)
-    u = _smooth(level, f, u, pre, work)
-    r = level.A.matvec(u, out=work)
+    u = _smooth(level, f, u, pre)
+    r = level.A.matvec(u)
     np.subtract(f, r, out=r)
     ec = _v_cycle_level(h, k + 1, level.R.matvec(r), None, pre, post)
-    u += level.P.matvec(ec, out=work)
-    return _smooth(level, f, u, post, work)
+    u += level.P.matvec(ec)
+    return _smooth(level, f, u, post)

@@ -43,32 +43,30 @@ def _norm(r):
     return math.sqrt(r.dot(r))
 
 
-def _inner_update(A, f, u, v, w, a, at, variant, P=None, r=None, look=None,
-                  scratch=None):
+def _inner_update(A, f, u, v, w, a, at, variant, P=None, r=None, look=None):
     """One inner update of ``variant`` with weight w and momentum
     coefficients a (alpha) and at (alpha_tilde), in place on u and v.
 
     ``r`` is the step residual when the caller already has it: f - A u
     for plain and mom, f - A (u + at v) at the nag/nagex look-ahead
-    point. It is read, never written. Otherwise the residual is formed
-    in ``scratch``. ``look`` is scratch for the look-ahead point and then
-    for the weighted step. The float operations are those of
+    point. It is read, never written. ``look`` is scratch for the
+    look-ahead point. The float operations are those of
     v <- a v + w B^{-1} r, u <- u + v.
     """
     if r is None:
         if variant in ("nag", "nagex"):   # residual at the look-ahead point
             look = np.multiply(v, at, out=look)
             look += u
-            r = A.matvec(look, out=scratch)
+            r = A.matvec(look)
         else:
-            r = A.matvec(u, out=scratch)
+            r = A.matvec(u)
         np.subtract(f, r, out=r)
     z = apply_preconditioner(P, r)
     if variant == "plain":
         np.multiply(z, w, out=v)
     else:
         v *= a
-        v += np.multiply(z, w, out=look)
+        v += z * w
     u += v
 
 
@@ -100,10 +98,9 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
     alpha = schedule.alpha.tolist()
     alpha_t = schedule.alpha_tilde.tolist()
     # for plain/mom the step residual is the residual at the current u,
-    # so one matvec per inner step suffices; nag/nagex form theirs in r,
-    # which the sweep-end residual then overwrites
+    # so one matvec per inner step suffices
     reuse_residual = variant in ("plain", "mom")
-    look = np.empty_like(u)
+    look = None if reuse_residual else np.empty_like(u)
     r = f - A.matvec(u)
     rel = _norm(r) / fnorm
     trace = [rel]
@@ -114,10 +111,10 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
     while not converged and outer < max_outer:
         for i in range(m):
             _inner_update(A, f, u, v, omega[i], alpha[i], alpha_t[i], variant,
-                          P, r if reuse_residual else None, look, r)
+                          P, r if reuse_residual else None, look)
             inner += 1
             if reuse_residual or i == m - 1:
-                np.subtract(f, A.matvec(u, out=r), out=r)
+                np.subtract(f, A.matvec(u), out=r)
                 rel = _norm(r) / fnorm
                 if not math.isfinite(rel) or rel > limit:
                     raise DivergenceError(

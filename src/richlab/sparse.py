@@ -6,8 +6,7 @@ diagonals are at least half full, otherwise the CSR matrix itself. With
 its offsets ascending, DIA adds each row's products in CSR's column
 order, so for finite operands both kernels give the same bits. Each
 product calls scipy's compiled kernel (``scipy.sparse._sparsetools``,
-the routine behind ``dot``) on a zeroed output, which the caller may
-own.
+the routine behind ``dot``) on a zeroed output.
 """
 from __future__ import annotations
 
@@ -126,15 +125,12 @@ class SparseMatrix:
     def to_dense(self):
         return self._csr.toarray()
 
-    def matvec(self, x, out=None):
-        """A x. ``out``, when given, receives the product and is
-        returned: a contiguous buffer of A's row count and the product's
-        dtype that does not overlap ``x``."""
+    def matvec(self, x):
         x = np.asarray(x)
         if x.shape != (self.ncols,):
             raise DimensionMismatch(
                 f"matrix has {self.ncols} columns but vector has length {x.shape}")
-        return self._product(x, transpose=False, out=out)
+        return self._product(x, transpose=False)
 
     def rmatvec(self, x):
         """Transpose product A^T x (not conjugated)."""
@@ -142,20 +138,13 @@ class SparseMatrix:
         if x.shape != (self.nrows,):
             raise DimensionMismatch(
                 f"matrix has {self.nrows} rows but vector has length {x.shape}")
-        return self._product(x, transpose=True, out=None)
+        return self._product(x, transpose=True)
 
-    def _product(self, x, transpose, out):
+    def _product(self, x, transpose):
         _, _, fast, exact, padded = self._kernel(transpose)
-        dtype = np.promote_types(self.values.dtype, x.dtype)
-        size = self.ncols if transpose else self.nrows
-        if out is None:
-            y = np.zeros(size, dtype=dtype)
-        else:
-            _check_output(out, size, dtype, x)
-            # the kernels add into their output; zero bytes are +0, and a
-            # byte fill is numpy's cheapest way to write them
-            out.view(np.uint8).fill(0)
-            y = out
+        # the kernels add into their output, which starts at +0
+        y = np.zeros(self.ncols if transpose else self.nrows,
+                     dtype=np.promote_types(self.values.dtype, x.dtype))
         fast(x, y)
         # DIA multiplies each padding zero by its x_j, so a non-finite x_j
         # puts NaN in a padded row that CSR leaves alone. A padded row
@@ -164,7 +153,7 @@ class SparseMatrix:
         # padded rows calls for CSR. (count_nonzero is the cheap any.)
         if padded is None or not np.count_nonzero(np.isnan(y.take(padded))):
             return y
-        y.view(np.uint8).fill(0)
+        y.fill(0)
         exact(x, y)
         return y
 
@@ -259,20 +248,6 @@ def _padded_rows(offsets, entries, ncols):
     slots = np.searchsorted(offsets, ncols - i) - np.searchsorted(offsets, -i)
     rows = np.flatnonzero(slots > entries)
     return rows if len(rows) else None
-
-
-def _check_output(out, size, dtype, x):
-    if not isinstance(out, np.ndarray) or out.shape != (size,):
-        raise DimensionMismatch(
-            f"out must be an array of shape ({size},), got "
-            f"{getattr(out, 'shape', type(out).__name__)}")
-    if out.dtype != dtype:
-        raise TypeError(f"out must have the product's dtype {dtype}, "
-                        f"got {out.dtype}")
-    if not out.flags.c_contiguous:
-        raise ValueError("out must be contiguous")
-    if np.may_share_memory(out, x):
-        raise ValueError("out overlaps the input vector")
 
 
 def _transposed_diagonals(offsets, data, nrows):

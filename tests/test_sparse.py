@@ -203,53 +203,6 @@ def test_non_finite_input_matches_csr(data, banded, bad):
         assert y.tobytes() == expect.tobytes()
 
 
-@given(data=st.data(), banded=st.booleans(), complex_x=st.booleans(),
-       bad=st.sampled_from([None, np.nan, np.inf, -np.inf]))
-def test_product_into_out_equals_allocating_product(data, banded, complex_x,
-                                                    bad):
-    # the DIA and CSR kernels, real and complex operators and vectors in
-    # every pairing, into a buffer that starts as arbitrary bytes
-    A = data.draw(patterned_matrices(banded))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    x = _vector(rng, A.ncols, complex_x)
-    x[rng.random(A.ncols) < 0.3] = 0.0
-    x[rng.random(A.ncols) < 0.2] *= -0.0   # signed zeros
-    if bad is not None:
-        x[data.draw(st.integers(0, A.ncols - 1))] = bad
-    want = A.matvec(x)
-    garbage = rng.integers(0, 256, want.nbytes, dtype=np.uint8)
-    out = garbage.view(want.dtype)
-    assert A.matvec(x, out=out) is out
-    assert out.tobytes() == want.tobytes()
-
-
-def test_out_must_match_the_product():
-    A = tridiag(4)
-    x = np.ones(4)
-    for out in (np.empty(3), np.empty(5), np.empty((4, 1)), [0.0] * 4):
-        with pytest.raises(DimensionMismatch, match="out"):
-            A.matvec(x, out=out)
-    for out, vec in ((np.empty(4, complex), x), (np.empty(4, np.float32), x),
-                     (np.empty(4), x + 0j)):
-        with pytest.raises(TypeError, match="dtype"):
-            A.matvec(vec, out=out)
-
-
-def test_out_must_be_contiguous_and_apart_from_the_input():
-    # the kernels add into out, so an overlapping x would be read after
-    # it is overwritten
-    A = tridiag(4)
-    buf = np.arange(8.0)
-    for x, out in ((buf[:4], buf[:4]), (buf[:4], buf[2:6]),
-                   (buf[::2], buf[1:5])):
-        with pytest.raises(ValueError, match="overlaps"):
-            A.matvec(x, out=out)
-    y = A.matvec(buf[:4], out=buf[4:])
-    assert np.array_equal(y, A.to_dense() @ np.arange(4.0))
-    with pytest.raises(ValueError, match="contiguous"):
-        A.matvec(np.ones(4), out=np.empty(8)[::2])
-
-
 @pytest.mark.parametrize("fmt", ["dia", "csr", "csc"])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_compiled_kernels_give_scipys_bytes(fmt, dtype):
