@@ -15,22 +15,36 @@ its inputs with that code. The op sets:
   through the 20-sample anisotropic set, and one forward and one
   transposed apply over its 20-row stack, one preconditioner per row,
   as a preconditioned training batch runs them.
-- ``batches``: ``block_diagonal`` of that set (the mean of REPEATS) and
+- ``batches``: ``block_diagonal`` of that set (the mean of REPEATS);
   one recorded hybrid lambda-phase batch on it (forward and backward,
-  the ``FnsTrainConfig`` defaults, zero correction rows).
+  the ``FnsTrainConfig`` defaults, zero correction rows); and one
+  recorded forward and backward of each ``train-schedule`` net at its
+  untrained initial state with the unroll K=50: the plain net (log-omega
+  output, seed 1) on the first 5 samples, and the SSOR NAG-ex net (seed
+  0) on all 20, with the preconditioners built beforehand as training
+  builds them.
+- ``epochs``: one ``train_ns`` epoch of each schedule net of the
+  criterion-2/3 fixture (plain, nag, nagex and SSOR NAG-ex, with the
+  fixture's batch sizes, seeds and output maps) on its 200-sample set at
+  n=32, from the net's initial state; the preconditioners are built
+  inside the call, as training builds them.
+
+Each op's time and minor page faults (``resource.getrusage``) are
+taken per call.
 
 In every round both trees run every op once, and which tree goes first
 alternates between rounds, so both see the same machine load. Run from
 the repository root:
 
     python benchmarks/interleave.py OLD_SRC NEW_SRC \\
-        --ops products precond batches --rounds 100 --json out.json
+        --ops products precond batches epochs --rounds 100 --json out.json
 """
 import argparse
 import importlib
 import importlib.util
 import itertools
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -43,6 +57,7 @@ TRAIN_N = 32
 UPDATES = 50
 MATVECS = 200
 REPEATS = 20
+UNROLL = 50
 
 
 def load_package(src, name):
@@ -128,20 +143,63 @@ def batches(mod):
         T.backward(fns._hybrid_loss(samples, omega, lam, cfg.unroll,
                                     cfg.smooth_steps))
 
+    def schedule_batch(variant, precond, log_omega, batch_size, seed):
+        net = mod("metanet").MetaNet.create(
+            3, variant=variant, input_dim=2, learn_log_omega=log_omega,
+            seed=seed)
+        batch = samples[:batch_size]
+        cache = {}
+        for sample in batch:
+            training._cached_preconditioner(precond, sample, cache)
+        return lambda: training.gradient(*training.loss_relative_residual(
+            batch, net, UNROLL, precond=precond, precond_cache=cache))
+
     block_diagonal = mod("sparse").block_diagonal
     return {
         "block_diagonal_20x961": (
             _repeat(lambda: block_diagonal(blocks), REPEATS), REPEATS),
         "hybrid_lambda_batch": (hybrid_lambda_batch, 1),
+        "plain_schedule_batch_5": (
+            schedule_batch("plain", None, True, 5, 1), 1),
+        "nagex_ssor_schedule_batch_20": (
+            schedule_batch("nagex", "ssor", False, 20, 0), 1),
     }
 
 
-OP_SETS = {"products": products, "precond": precond, "batches": batches}
+# name, variant, preconditioner, log-omega output, batch size, seed
+FIXTURE_NETS = (("plain", "plain", None, True, 5, 1),
+                ("nag", "nag", None, False, 20, 0),
+                ("nagex", "nagex", None, False, 20, 0),
+                ("nagex_ssor", "nagex", "ssor", False, 20, 0))
 
 
-def summary(times):
+def epochs(mod):
+    training = mod("training")
+    dataset = mod("data").sample_dataset("anisotropic", 200, seed=42,
+                                         n=TRAIN_N)
+
+    def epoch(variant, precond, log_omega, batch_size, seed):
+        cfg = training.TrainConfig(
+            m=3, unroll=UNROLL, n_epochs=1, batch_size=batch_size, seed=seed,
+            variant=variant, precond=precond, learn_log_omega=log_omega)
+        return lambda: training.train_ns(cfg, dataset)
+
+    return {f"epoch_{name}": (epoch(*config), 1)
+            for name, *config in FIXTURE_NETS}
+
+
+OP_SETS = {"products": products, "precond": precond, "batches": batches,
+           "epochs": epochs}
+
+
+def summary(times, faults):
     q1, med, q3 = np.percentile(times, [25, 50, 75])
-    return {"median_s": float(med), "q1_s": float(q1), "q3_s": float(q3)}
+    return {"median_s": float(med), "q1_s": float(q1), "q3_s": float(q3),
+            "median_minor_faults": float(np.median(faults))}
+
+
+def _minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def main():
@@ -159,20 +217,26 @@ def main():
                      for name, op in OP_SETS[op_set](mod).items()}
     names = list(ops["parent"])
     times = {side: {name: [] for name in names} for side in ops}
+    faults = {side: {name: [] for name in names} for side in ops}
     for k in range(args.rounds):
         for side in (list(ops) if k % 2 == 0 else list(ops)[::-1]):
             for name, (run, per) in ops[side].items():
+                f0 = _minor_faults()
                 t0 = time.perf_counter()
                 run()
                 times[side][name].append((time.perf_counter() - t0) / per)
+                faults[side][name].append((_minor_faults() - f0) / per)
     result = {}
     for name in names:
-        sides = {side: summary(times[side][name]) for side in ops}
+        sides = {side: summary(times[side][name], faults[side][name])
+                 for side in ops}
         sides["change_over_parent"] = (sides["change"]["median_s"]
                                        / sides["parent"]["median_s"])
         result[name] = sides
-        print(f"{name:24s} parent {sides['parent']['median_s'] * 1e6:.1f} us"
+        print(f"{name:30s} parent {sides['parent']['median_s'] * 1e6:.1f} us"
+              f" ({sides['parent']['median_minor_faults']:.0f} faults)"
               f"  change {sides['change']['median_s'] * 1e6:.1f} us"
+              f" ({sides['change']['median_minor_faults']:.0f} faults)"
               f"  ratio {sides['change_over_parent']:.3f}")
     if args.json:
         with open(args.json, "w") as fh:

@@ -1,7 +1,7 @@
 """Momentum-accelerated Richardson(m) iterations with learned weight
 schedules, composed into multigrid and Krylov solvers."""
 
-from .sparse import SparseMatrix, spmv, read_matrix_market, write_matrix_market
+from .sparse import SparseMatrix, read_matrix_market, write_matrix_market
 from .spectral import SpectralBounds, dense_spectral_bounds
 from .transforms import dst2, dst2_inv, sine_mode
 from .problems import (AnisotropicProblem, HelmholtzProblem, ProblemSpec,

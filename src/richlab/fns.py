@@ -21,9 +21,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .metanet import ANISOTROPIC_BOUNDS, MetaNet
 from .richardson import DivergenceError, SolveReport, _inner_update
 from .sparse import block_diagonal
-from .tape import Tape, Var
-from .training import (Adam, _check_config, _relative_residuals, _schedules,
-                       _unroll)
+from .tape import Tape
+from .training import Adam, _check_config, _schedules, _unroll
 from .transforms import dst2, dst2_inv
 
 import time
@@ -150,26 +149,16 @@ def _hybrid_loss(batch, omega, lam, n_hybrid, M):
     """Mean relative residual of a batch after n_hybrid hybrid steps from
     a zero initial guess, recorded on the tape of ``omega`` or ``lam``.
 
-    The batch runs as one (B, N) row stack. Each step is M plain updates
-    of the training unroll with the (B, m) weight rows ``omega``, then
-    the correction u + S(lam * S(f - A u)) with the (B, N) correction
-    rows ``lam``; the row-wise sine transform S is symmetric, so it is
-    its own transpose. One of ``omega`` and ``lam`` is a Var, the other
-    a plain array. When ``lam`` is the Var, nothing before the first
-    correction depends on it, so that segment runs tape-free.
+    The batch runs as one (B, N) row stack through the training unroll:
+    each step is M plain updates with the (B, m) weight rows ``omega``,
+    then the correction u + S(lam * S(f - A u)) with the (B, N)
+    correction rows ``lam``. One of ``omega`` and ``lam`` is a Var, the
+    other a plain array.
     """
     A = block_diagonal([s.A for s in batch])
     F = np.stack([s.f for s in batch])
-    u = np.zeros(F.shape)
-    if isinstance(omega, Var):
-        u = omega.tape.var(u)
-    elif n_hybrid == 0:   # the loss must still be a node of lam's tape
-        u = lam.tape.var(u)
-    for _ in range(n_hybrid):
-        u = _unroll(A, F, u, omega, None, None, M, "plain", None)
-        r = F - tp.spmv(A, u)
-        u = u + tp.linear_map(dst2, dst2, lam * tp.linear_map(dst2, dst2, r))
-    return tp.batch_mean(_relative_residuals(A, F, u))
+    return tp.batch_mean(_unroll(A, F, omega, None, None, M, "plain",
+                                 lam=lam, cycles=n_hybrid))
 
 
 # -- bucketed model ------------------------------------------------------

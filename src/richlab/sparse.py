@@ -52,14 +52,18 @@ class SparseMatrix:
             drops = np.nonzero(np.diff(col_indices) <= 0)[0] + 1
             if not np.all(np.isin(drops, row_starts)):
                 raise ValueError("columns within a row are not strictly increasing")
-        self._adopt(nrows, ncols, row_starts, col_indices, values)
+        # checked as int64, so that no index wrapped on the way in
+        index = _index_dtype(nrows, ncols, len(values))
+        self._adopt(nrows, ncols, row_starts.astype(index, copy=False),
+                    col_indices.astype(index, copy=False), values)
 
     @classmethod
     def _from_valid_arrays(cls, nrows, ncols, row_starts, col_indices,
                            values):
         """Wrap CSR arrays that meet every invariant the constructor
-        checks (int64 indices, float64 or complex128 values, in-range and
-        strictly increasing columns per row) without checking them."""
+        checks (indices of :func:`_index_dtype`, float64 or complex128
+        values, in-range and strictly increasing columns per row) without
+        checking them."""
         self = cls.__new__(cls)
         self._adopt(nrows, ncols, row_starts, col_indices, values)
         return self
@@ -218,13 +222,17 @@ class SparseMatrix:
             return SparseMatrix.from_scipy(self._csr @ other._csr)
         return self.matvec(other)
 
-    def scaled(self, c):
-        return SparseMatrix(self.nrows, self.ncols, self.row_starts,
-                            self.col_indices, self.values * c)
-
     def __repr__(self):
         field = "complex" if self.is_complex else "real"
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz}, {field})"
+
+
+def _index_dtype(nrows, ncols, nnz):
+    """The index dtype scipy's CSR constructor keeps for these sizes:
+    int32 while every index and row start fits, else int64. Indices
+    stored in it reach scipy without a copy."""
+    fits = max(nrows, ncols, nnz) <= np.iinfo(np.int32).max
+    return np.int32 if fits else np.int64
 
 
 def _compiled(mat):
@@ -272,26 +280,24 @@ def block_diagonal(blocks):
     if len(blocks) == 1:
         return blocks[0]
     nrows = sum(M.nrows for M in blocks)
+    ncols = sum(M.ncols for M in blocks)
     nnz = sum(M.nnz for M in blocks)
-    row_starts = np.empty(nrows + 1, dtype=np.int64)
-    col_indices = np.empty(nnz, dtype=np.int64)
+    index = _index_dtype(nrows, ncols, nnz)
+    row_starts = np.empty(nrows + 1, dtype=index)
+    col_indices = np.empty(nnz, dtype=index)
     values = np.empty(nnz, dtype=np.result_type(*(M.values for M in blocks)))
     row_starts[0] = 0
     row = col = k = 0
     for M in blocks:
-        np.add(M.row_starts[1:], k, out=row_starts[row + 1:row + 1 + M.nrows])
-        np.add(M.col_indices, col, out=col_indices[k:k + M.nnz])
+        np.add(M.row_starts[1:], index(k),
+               out=row_starts[row + 1:row + 1 + M.nrows])
+        np.add(M.col_indices, index(col), out=col_indices[k:k + M.nnz])
         values[k:k + M.nnz] = M.values
         row, col, k = row + M.nrows, col + M.ncols, k + M.nnz
     # the blocks were validated when they were built, and shifting their
     # rows and columns past the previous blocks keeps every invariant
-    return SparseMatrix._from_valid_arrays(nrows, col, row_starts,
+    return SparseMatrix._from_valid_arrays(nrows, ncols, row_starts,
                                            col_indices, values)
-
-
-def spmv(A, x):
-    """y = A x."""
-    return A.matvec(x)
 
 
 def write_matrix_market(path, A):

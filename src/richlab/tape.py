@@ -10,6 +10,27 @@ recorded arrays are freed by reference counting once it ends.
 Every operation also accepts plain arrays and then returns the plain
 result of the same numpy expression, so one forward pass serves
 recorded and tape-free evaluation bit for bit.
+
+One node is recorded by hand rather than built from these operations:
+the Richardson(m) unroll of ``training._unroll``. Its forward keeps the
+history its adjoint reads, and its VJP runs the transposed recurrence.
+That VJP promises the bits that recording the unroll one vector
+operation at a time would give (``tests/reference_iterations.py`` keeps
+that recording as the oracle). So it follows the order in which this
+tape's replay accumulates:
+
+- a node's gradient is complete before its own VJPs run, and a parent
+  receives its children's contributions in reverse creation order, the
+  first assigned and each later one added;
+- so the iterate u_{t-1} receives u_t's gradient, then the product's;
+  the velocity v_t receives, in order, those of update t+1's momentum
+  term, of its look-ahead term, and of u_t;
+- a weight column's contributions are added from the last update back
+  to the first; under nag the momentum and look-ahead rows are one Var,
+  and its two contributions of each update go out through one edge in
+  that order (momentum first);
+- the correction rows of the hybrid collect one contribution per
+  correction, the last correction first.
 """
 from __future__ import annotations
 
@@ -169,39 +190,10 @@ def matvec(W, x):
                   (x, lambda g: Wv.T @ g))
 
 
-def spmv(A, x):
-    """Sparse A @ x with a constant SparseMatrix A. A row stack x of
-    shape (B, n) is multiplied as one vector by a block-diagonal A."""
-    X = _value(x)
-    shape = X.shape
-    return _track(A.matvec(X.reshape(-1)).reshape(shape),
-                  (x, lambda g: A.rmatvec(g.reshape(-1)).reshape(shape)))
-
-
-def linear_map(apply_fn, apply_transpose_fn, x):
-    """y = L x for a constant linear operator with known transpose."""
-    return _track(apply_fn(_value(x)), (x, apply_transpose_fn))
-
-
 def stack(xs):
     """One (len(xs), ...) node whose row b is xs[b]."""
     return _track(np.stack([_value(x) for x in xs]),
                   *((x, lambda g, b=b: g[b]) for b, x in enumerate(xs)))
-
-
-def row_norms(x):
-    """Euclidean norm of each row of a (B, n) stack, one row at a time,
-    so row b matches ``np.linalg.norm`` of that row bit for bit."""
-    X = _value(x)
-    n = np.array([np.linalg.norm(row) for row in X])
-
-    def vjp(g):
-        out = np.zeros_like(X)
-        live = n > 0
-        out[live] = g[live, None] * X[live] / n[live, None]
-        return out
-
-    return _track(n, (x, vjp))
 
 
 def batch_mean(x):

@@ -9,7 +9,8 @@ from . import tape as tp
 from .metanet import MetaNet
 from .precond import Preconditioner
 from .sparse import block_diagonal
-from .tape import Tape
+from .tape import Tape, Var, _track
+from .transforms import dst2
 
 
 class TrainingDiverged(RuntimeError):
@@ -78,38 +79,170 @@ def _cached_preconditioner(precond, sample, cache):
 
 def _rowwise(Ps):
     """(apply, apply_transpose) of per-instance preconditioners over a row
-    stack, row b through Ps[b]; None when there are none."""
+    stack, row b through Ps[b], each into ``out`` when it is given; None
+    when there are none."""
     if Ps is None or Ps[0] is None:
         return None
-    return (lambda X: np.stack([P.apply(x) for P, x in zip(Ps, X)]),
-            lambda G: np.stack([P.apply_transpose(g) for P, g in zip(Ps, G)]))
+    return (lambda X, out=None: np.stack(
+                [P.apply(x) for P, x in zip(Ps, X)], out=out),
+            lambda G, out=None: np.stack(
+                [P.apply_transpose(g) for P, g in zip(Ps, G)], out=out))
 
 
-def _unroll(A, F, u, omega, alpha, alpha_t, K, variant, precondition):
-    """The (B, n) row stack u after K inner updates against the
-    block-diagonal A and the right-hand-side rows F, with the momentum
-    starting at zero. The weights are as in
-    :func:`unrolled_relative_residuals`; ``precondition`` is an
-    (apply, apply_transpose) pair over row stacks, or None."""
-    v = np.zeros(F.shape)
-    m = omega.shape[1]
-    for k in range(K):
-        i = slice(k % m, k % m + 1)
-        if variant in ("plain", "mom"):
-            r = F - tp.spmv(A, u)
-        else:  # nag, nagex: residual at the look-ahead point
-            r = F - tp.spmv(A, u + alpha_t[:, i] * v)
-        pr = tp.linear_map(*precondition, r) if precondition else r
-        step = omega[:, i] * pr
-        v = step if variant == "plain" else alpha[:, i] * v + step
-        u = u + v
-    return u
+def _unroll(A, F, omega, alpha, alpha_t, K, variant, precondition=None,
+            lam=None, cycles=1):
+    """Relative residuals ||F_b - A_b u_b|| / ||F_b|| of the (B, n) row
+    stack u after ``cycles`` segments of K inner updates from u = 0,
+    against the block-diagonal A and the right-hand-side rows F.
 
+    This is the one Richardson(m) unroll of training and of the hybrid
+    loss. The weights are as in :func:`unrolled_relative_residuals`.
+    Each segment starts with zero momentum, and its update k takes
+    column k mod m of the weight rows. Given the (B, n) correction rows
+    ``lam``, each segment ends with the hybrid correction
+    u <- u + S(lam * S(F - A u)), S the row-wise sine transform.
+    ``precondition`` is an (apply, apply_transpose) pair over row stacks
+    (see :func:`_rowwise`), or None.
 
-def _relative_residuals(A, F, u):
-    """||F_b - A_b u_b|| / ||F_b|| for each row b."""
+    Given arrays it runs tape-free and returns an array. Given Vars it
+    keeps the history its adjoint reads, one (updates, B, n) block per
+    stored quantity, and records one tape node. The node has an edge to
+    each weight Var that an update or correction reads, and its VJP is
+    the transposed recurrence in the order :mod:`richlab.tape` states.
+    """
+    B, n = F.shape
+    W, Al, At, L = (x.value if isinstance(x, Var) else x
+                    for x in (omega, alpha, alpha_t, lam))
+    steps = K * cycles
+    momentum = variant != "plain"
+    look_ahead = variant in ("nag", "nagex")
+    m = W.shape[1] if steps else 1
+    read = {"omega": omega if steps else None,
+            "alpha": alpha if steps and momentum else None,
+            "alpha_t": alpha_t if steps and look_ahead else None,
+            "lam": lam if cycles else None}
+    tracked = {role: x for role, x in read.items() if isinstance(x, Var)}
+    keep_pr = "omega" in tracked
+    keep_v = "alpha" in tracked or "alpha_t" in tracked
+    keep_d = "lam" in tracked
+    pr_hist = np.empty((steps, B, n)) if keep_pr else None
+    v_hist = np.empty((steps, B, n)) if keep_v else None
+    d_hist = []
+
+    def product(X):
+        return A.matvec(X.reshape(-1)).reshape(B, n)
+
+    def product_t(G):
+        return A.rmatvec(G.reshape(-1)).reshape(B, n)
+
+    # the float operations are those of r = F - A x at x = u, or at the
+    # look-ahead point x = u + alpha_t v; v <- alpha v + omega B^{-1} r;
+    # u <- u + v
+    u = np.zeros((B, n))
+    v = np.zeros((B, n))
+    r_buf = np.empty((B, n))
+    scratch = np.empty((B, n))
+    pr_buf = np.empty((B, n)) if precondition and not keep_pr else None
+    j = 0
+    for _ in range(cycles):
+        v.fill(0.0)
+        for k in range(K):
+            c = slice(k % m, k % m + 1)
+            x = u
+            if look_ahead:
+                x = np.multiply(At[:, c], v, out=scratch)
+                x += u
+            r = pr_hist[j] if keep_pr and not precondition else r_buf
+            np.subtract(F, product(x), out=r)
+            pr = r
+            if precondition:
+                pr = precondition[0](r, out=pr_hist[j] if keep_pr
+                                     else pr_buf)
+            if keep_v:
+                v_hist[j] = v
+            if momentum:
+                v *= Al[:, c]
+                v += np.multiply(W[:, c], pr, out=scratch)
+            else:
+                np.multiply(W[:, c], pr, out=v)
+            u += v
+            j += 1
+        if lam is not None:
+            d = dst2(F - product(u))
+            if keep_d:
+                d_hist.append(d)
+            u += dst2(L * d)
+    res = F - product(u)
+    norms = np.array([np.linalg.norm(row) for row in res])
     inv_fnorm = 1.0 / np.array([np.linalg.norm(f) for f in F])
-    return tp.row_norms(F - tp.spmv(A, u)) * inv_fnorm
+    rel = norms * inv_fnorm
+    if not tracked:
+        given = [x for x in (omega, alpha, alpha_t, lam) if isinstance(x, Var)]
+        return given[0].tape.var(rel) if given else rel
+
+    tied = "alpha_t" in tracked and tracked["alpha_t"] is tracked.get("alpha")
+    if tied:   # nag: both momentum rows leave through one edge
+        del tracked["alpha_t"]
+
+    def adjoint(g):
+        """Gradients of the tracked weights, by role, from the gradient
+        g of the relative residuals."""
+        gn = g * inv_fnorm
+        gr = np.zeros_like(res)
+        live = norms > 0
+        gr[live] = gn[live, None] * res[live] / norms[live, None]
+        gu = product_t(-gr)
+        grads = {role: np.zeros((B, m)) for role in tracked if role != "lam"}
+        g_alpha = grads.get("alpha")
+        g_alpha_t = g_alpha if tied else grads.get("alpha_t")
+        g_lam = None
+        j = steps
+        for cycle in reversed(range(cycles)):
+            if lam is not None:
+                g_prod = dst2(gu)
+                if keep_d:
+                    part = g_prod * d_hist[cycle]
+                    g_lam = part if g_lam is None else g_lam + part
+                if cycle == 0 and not (keep_pr or keep_v):
+                    break   # nothing before the first correction is tracked
+                gu = gu + product_t(-dst2(g_prod * L))
+            gv_next = gla_next = None
+            for k in reversed(range(K)):
+                j -= 1
+                col = k % m
+                c = slice(col, col + 1)
+                gv = gu
+                if momentum and gv_next is not None:
+                    cn = slice((k + 1) % m, (k + 1) % m + 1)
+                    gv = gv_next * Al[:, cn]
+                    if look_ahead:
+                        gv = gv + gla_next * At[:, cn]
+                    gv = gv + gu
+                if g_alpha is not None:
+                    g_alpha[:, col] += (gv * v_hist[j]).sum(axis=1)
+                if keep_pr:
+                    grads["omega"][:, col] += (gv * pr_hist[j]).sum(axis=1)
+                g_pr = gv * W[:, c]
+                gla = product_t(-(precondition[1](g_pr) if precondition
+                                  else g_pr))
+                if g_alpha_t is not None:
+                    g_alpha_t[:, col] += (gla * v_hist[j]).sum(axis=1)
+                gu = gu + gla
+                gv_next, gla_next = gv, gla
+        if keep_d:
+            grads["lam"] = g_lam
+        return grads
+
+    grads = {}
+
+    def vjp(role):
+        def run(g):
+            if not grads:
+                grads.update(adjoint(g))
+            return grads.pop(role)
+        return run
+
+    return _track(rel, *((x, vjp(role)) for role, x in tracked.items()))
 
 
 def unrolled_relative_residuals(As, fs, omega, alpha, alpha_t, K, variant,
@@ -125,13 +258,8 @@ def unrolled_relative_residuals(As, fs, omega, alpha, alpha_t, K, variant,
     row sees the operations of a one-instance unroll in the same order,
     so its residual does not depend on the rest of the batch.
     """
-    A = block_diagonal(As)
-    F = np.stack(fs)
-    u = np.zeros(F.shape)
-    if isinstance(omega, tp.Var):
-        u = omega.tape.var(u)
-    u = _unroll(A, F, u, omega, alpha, alpha_t, K, variant, _rowwise(Ps))
-    return _relative_residuals(A, F, u)
+    return _unroll(block_diagonal(As), np.stack(fs), omega, alpha, alpha_t,
+                   K, variant, _rowwise(Ps))
 
 
 def _schedules(batch, net: MetaNet, params):

@@ -16,19 +16,23 @@ matrix, for spectral checks on small grids.
 ``reference_hybrid_unroll`` records the hybrid iteration one instance
 at a time on a tape, with ``norm2`` and ``mean`` as its reductions; the
 batched training loss must equal it.
+
+``reference_unroll`` is the batched training unroll as it was recorded
+before the one-node kernel: one tape node per vector operation, through
+the tape ops ``spmv``, ``linear_map`` and ``row_norms`` defined here.
+The kernel's values and gradients must equal its bit for bit.
 """
 import time
 
 import numpy as np
 import scipy.linalg
 
-from richlab import tape as tp
 from richlab.fgmres import FgmresConfig
 from richlab.multigrid import (CoarseSolveError, prolongation_matrix,
                                restriction_matrix)
 from richlab.precond import apply_preconditioner
 from richlab.richardson import DIVERGENCE_FACTOR, DivergenceError, SolveReport
-from richlab.tape import Var
+from richlab.tape import Var, _track, _value
 from richlab.transforms import dst2, dst2_inv
 
 
@@ -310,8 +314,8 @@ def _correction_tape(lam, r):
             lam_v = lam.value
             parents.append((r, lambda g: dst2_inv(lam_v * dst2(g))))
         return lam.tape._record(val, tuple(parents))
-    return tp.linear_map(lambda x: dst2_inv(lam * dst2(x)),
-                         lambda g: dst2_inv(lam * dst2(g)), r)
+    return linear_map(lambda x: dst2_inv(lam * dst2(x)),
+                      lambda g: dst2_inv(lam * dst2(g)), r)
 
 
 def reference_hybrid_unroll(A, f, omega, lam, n_hybrid, M, m):
@@ -326,6 +330,74 @@ def reference_hybrid_unroll(A, f, omega, lam, n_hybrid, M, m):
     fnorm = float(np.linalg.norm(f))
     for _ in range(n_hybrid):
         for k in range(M):
-            u = u + omega[k % m] * (f - tp.spmv(A, u))
-        u = u + _correction_tape(lam, f - tp.spmv(A, u))
-    return norm2(f - tp.spmv(A, u)) * (1.0 / fnorm)
+            u = u + omega[k % m] * (f - spmv(A, u))
+        u = u + _correction_tape(lam, f - spmv(A, u))
+    return norm2(f - spmv(A, u)) * (1.0 / fnorm)
+
+
+# -- the recorded batched unroll ----------------------------------------
+
+def spmv(A, x):
+    """Sparse A @ x with a constant SparseMatrix A. A row stack x of
+    shape (B, n) is multiplied as one vector by a block-diagonal A."""
+    X = _value(x)
+    shape = X.shape
+    return _track(A.matvec(X.reshape(-1)).reshape(shape),
+                  (x, lambda g: A.rmatvec(g.reshape(-1)).reshape(shape)))
+
+
+def linear_map(apply_fn, apply_transpose_fn, x):
+    """y = L x for a constant linear operator with known transpose."""
+    return _track(apply_fn(_value(x)), (x, apply_transpose_fn))
+
+
+def row_norms(x):
+    """Euclidean norm of each row of a (B, n) stack, one row at a time,
+    so row b matches ``np.linalg.norm`` of that row bit for bit."""
+    X = _value(x)
+    n = np.array([np.linalg.norm(row) for row in X])
+
+    def vjp(g):
+        out = np.zeros_like(X)
+        live = n > 0
+        out[live] = g[live, None] * X[live] / n[live, None]
+        return out
+
+    return _track(n, (x, vjp))
+
+
+def _reference_segment(A, F, u, omega, alpha, alpha_t, K, variant,
+                       precondition):
+    v = np.zeros(F.shape)
+    m = omega.shape[1]
+    for k in range(K):
+        i = slice(k % m, k % m + 1)
+        if variant in ("plain", "mom"):
+            r = F - spmv(A, u)
+        else:  # nag, nagex: residual at the look-ahead point
+            r = F - spmv(A, u + alpha_t[:, i] * v)
+        pr = linear_map(*precondition, r) if precondition else r
+        step = omega[:, i] * pr
+        v = step if variant == "plain" else alpha[:, i] * v + step
+        u = u + v
+    return u
+
+
+def reference_unroll(A, F, omega, alpha, alpha_t, K, variant,
+                     precondition=None, lam=None, cycles=1):
+    """``training._unroll`` recorded one vector operation at a time:
+    per-row relative residuals after ``cycles`` segments of K updates,
+    each followed by the hybrid correction when ``lam`` is given."""
+    u = np.zeros(F.shape)
+    if isinstance(omega, Var):
+        u = omega.tape.var(u)
+    elif isinstance(lam, Var) and cycles == 0:
+        u = lam.tape.var(u)
+    for _ in range(cycles):
+        u = _reference_segment(A, F, u, omega, alpha, alpha_t, K, variant,
+                               precondition)
+        if lam is not None:
+            r = F - spmv(A, u)
+            u = u + linear_map(dst2, dst2, lam * linear_map(dst2, dst2, r))
+    inv_fnorm = 1.0 / np.array([np.linalg.norm(f) for f in F])
+    return row_norms(F - spmv(A, u)) * inv_fnorm

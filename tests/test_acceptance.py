@@ -151,7 +151,8 @@ def test_criterion_4_equivalence_suite():
         m = int(rng.integers(1, 5))
         A = random_spd(n, rng)
         # unit spectral scale keeps the dense comparison at roundoff level
-        A = A.scaled(1.0 / np.linalg.norm(A.to_dense(), 2))
+        A = SparseMatrix.from_scipy(
+            A.to_scipy() * (1.0 / np.linalg.norm(A.to_dense(), 2)))
         Ad = A.to_dense()
         omega = rng.uniform(0.01, 1.5, size=m)
         f = rng.standard_normal(n)

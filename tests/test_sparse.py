@@ -5,7 +5,7 @@ import scipy.sparse
 from hypothesis import given, strategies as st
 
 from richlab.sparse import (DimensionMismatch, SparseMatrix, _compiled,
-                            block_diagonal, read_matrix_market, spmv,
+                            block_diagonal, read_matrix_market,
                             write_matrix_market)
 
 from conftest import random_sparse
@@ -19,12 +19,12 @@ def tridiag(n, lo=-1.0, di=2.0, up=-1.0):
 def test_identity_spmv():
     A = SparseMatrix.identity(3)
     x = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(spmv(A, x), x)
+    assert np.array_equal(A.matvec(x), x)
 
 
 def test_tridiag_hand_sum():
     A = tridiag(3)
-    y = spmv(A, np.ones(3))
+    y = A.matvec(np.ones(3))
     assert np.array_equal(y, [1.0, 0.0, 1.0])
 
 
@@ -33,7 +33,7 @@ def test_spmv_matches_dense_oracle():
     for _ in range(10):
         A = random_sparse(6, rng, density=0.4)
         x = rng.standard_normal(6)
-        y = spmv(A, x)
+        y = A.matvec(x)
         y_ref = A.to_dense() @ x
         assert np.linalg.norm(y - y_ref) <= 1e-14 * max(np.linalg.norm(y_ref), 1.0)
 
@@ -128,6 +128,18 @@ def test_block_diagonal_arrays_pass_validation_unchanged(complex_block):
         assert np.array_equal(got, want) and got.dtype == want.dtype
     assert D.shape == checked.shape and D.dtype == checked.dtype
     assert (D.to_scipy() != checked.to_scipy()).nnz == 0
+
+
+@pytest.mark.parametrize("build", ["constructor", "block_diagonal"])
+def test_scipy_view_shares_the_index_arrays(build):
+    # the stored index dtype is the one scipy keeps, so wrapping the
+    # arrays in a csr_matrix copies none of them
+    blocks = _aniso_blocks()
+    A = block_diagonal(blocks) if build == "block_diagonal" else blocks[0]
+    csr = A.to_scipy()
+    assert np.shares_memory(csr.indices, A.col_indices)
+    assert np.shares_memory(csr.indptr, A.row_starts)
+    assert np.shares_memory(csr.data, A.values)
 
 
 # -- product kernels ------------------------------------------------------

@@ -15,7 +15,7 @@ from richlab.training import (Adam, NanLossError, TrainConfig, evaluate_loss,
                               make_preconditioner, train_ns,
                               unrolled_relative_residuals)
 
-from reference_iterations import mean, norm2
+from reference_iterations import linear_map, mean, norm2, spmv
 
 
 def flat_params(net):
@@ -106,14 +106,14 @@ def per_instance_unroll(A, f, omega, alpha, alpha_t, K, variant, P=None):
     for k in range(K):
         i = k % m
         if variant in ("plain", "mom"):
-            r = f - tp.spmv(A, u)
+            r = f - spmv(A, u)
         else:
-            r = f - tp.spmv(A, u + alpha_t[i] * v)
-        pr = tp.linear_map(P.apply, P.apply_transpose, r) if P is not None else r
+            r = f - spmv(A, u + alpha_t[i] * v)
+        pr = linear_map(P.apply, P.apply_transpose, r) if P is not None else r
         step = omega[i] * pr
         v = alpha[i] * v + step if alpha is not None else step
         u = u + v
-    r = f - tp.spmv(A, u)
+    r = f - spmv(A, u)
     return norm2(r) * (1.0 / fnorm)
 
 
