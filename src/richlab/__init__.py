@@ -11,7 +11,7 @@ from .data import Dataset, sample_dataset, read_manifest, write_manifest
 from .schedules import (WeightSchedule, chebyshev_schedule,
                         chebyshev_semi_schedule, chebyshev_semi_weights,
                         chebyshev_weights)
-from .precond import Preconditioner, apply_preconditioner
+from .precond import Preconditioner
 from .richardson import DivergenceError, SolveReport, solve_stationary
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metanet import MetaNet, meta_forward

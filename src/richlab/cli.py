@@ -10,7 +10,8 @@ assemble   build an operator and export it in Matrix Market form
 Configuration may come from an INI file with one section per subcommand;
 command-line flags override file values. Exit codes: 0 success, 1 solver
 or training failure (divergence, a failed coarse solve, a non-finite
-training loss), 2 configuration error.
+training loss, an operator that is not SPD where spectral bounds need
+one, a zero diagonal under a preconditioner), 2 configuration error.
 """
 from __future__ import annotations
 
@@ -26,13 +27,14 @@ from .data import assemble, sample_dataset
 from .fgmres import FgmresConfig, fgmres
 from .metanet import MetaNet, meta_forward
 from .multigrid import CoarseSolveError, build_hierarchy, v_cycle
+from .precond import ZeroDiagonalError
 from .problems import (MIN_POINTS_PER_WAVELENGTH, AnisotropicProblem,
                        HelmholtzProblem)
 from .richardson import DivergenceError, solve_stationary
 from .schedules import (WeightSchedule, chebyshev_schedule,
                         chebyshev_semi_schedule)
 from .sparse import write_matrix_market
-from .spectral import dense_spectral_bounds
+from .spectral import NotSPDError, dense_spectral_bounds
 from .training import (NanLossError, TrainConfig, TrainingDiverged,
                        make_preconditioner, train_ns)
 
@@ -455,6 +457,13 @@ def main(argv=None):
             _print_config(args)
             return 0
         return args.func(args)
+    # the numerical failures subclass ValueError, so they come first
+    except NotSPDError as exc:
+        print(f"spectral bounds failed: {exc}", file=sys.stderr)
+        return 1
+    except ZeroDiagonalError as exc:
+        print(f"preconditioner failed: {exc}", file=sys.stderr)
+        return 1
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -35,9 +35,11 @@ def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None, u0=None):
 
     ``report.iterations`` counts Arnoldi steps (preconditioner
     applications) and ``report.restarts`` the restart cycles run;
-    ``trace`` holds the recurrence relative residual per step, with
-    trace[0] the initial value. ``stagnated`` is set when a full restart
-    cycle produces no residual decrease.
+    ``report.matvecs`` counts products with A: one per step, one per
+    restart and the initial residual's. ``trace`` holds the recurrence
+    relative residual per step, with trace[0] the initial value.
+    ``stagnated`` is set when a full restart cycle produces no residual
+    decrease.
 
     The Krylov bases are stored row-major, so every basis vector, and
     the vector handed to ``precond_apply``, is contiguous.
@@ -55,6 +57,7 @@ def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None, u0=None):
         return u, SolveReport(0, 0, True, 0.0, time.perf_counter() - t0,
                               np.array([0.0]))
     r = f - A.matvec(u)
+    matvecs = 1
     beta = float(np.linalg.norm(r))
     rel = beta / fnorm
     trace = [rel]
@@ -78,6 +81,7 @@ def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None, u0=None):
         while k < mr:
             Z[k] = precond_apply(V[k])
             w = A.matvec(Z[k])
+            matvecs += 1
             # modified Gram-Schmidt, in place on w
             for i in range(k + 1):
                 H[i, k] = np.vdot(V[i], w)
@@ -124,6 +128,7 @@ def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None, u0=None):
                 y, *_ = np.linalg.lstsq(Hk, g[:k], rcond=None)
         u = u + y @ Z[:k]
         r = f - A.matvec(u)
+        matvecs += 1
         beta = float(np.linalg.norm(r))
         rel = beta / fnorm
         converged = rel <= cfg.tol
@@ -134,5 +139,5 @@ def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None, u0=None):
                          converged=converged, final_relative_residual=rel,
                          wall_time=time.perf_counter() - t0,
                          trace=np.array(trace), stagnated=stagnated,
-                         restarts=outer)
+                         restarts=outer, matvecs=matvecs)
     return u, report

@@ -19,7 +19,7 @@ import numpy as np
 from . import tape as tp
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metanet import ANISOTROPIC_BOUNDS, MetaNet
-from .richardson import DivergenceError, SolveReport, _inner_update
+from .richardson import DivergenceError, SolveReport, _inner_step
 from .sparse import block_diagonal
 from .tape import Tape
 from .training import Adam, _check_config, _schedules, _unroll
@@ -111,10 +111,10 @@ def fns_lite_step(A, f, u, schedule, M, corr: SpectralCorrection):
                          f"{schedule.variant!r} schedule")
     f, u = np.asarray(f), np.asarray(u)
     u = u.astype(np.result_type(u, f, A.dtype))   # a copy: u stays the caller's
-    v = np.empty_like(u)
+    step = _inner_step(A, f, u, np.empty_like(u), "plain")
     omega = schedule.omega.tolist()
     for k in range(M):
-        _inner_update(A, f, u, v, omega[k % schedule.m], 0.0, 0.0, "plain")
+        step(omega[k % schedule.m], 0.0, 0.0)
     u += corr.apply(f - A.matvec(u))
     if not np.all(np.isfinite(u)):
         raise DivergenceError("hybrid step produced a non-finite iterate",

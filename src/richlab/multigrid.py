@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .richardson import DivergenceError, _inner_update
+from .richardson import DivergenceError, _inner_step
 from .schedules import WeightSchedule
 from .sparse import SparseMatrix
 
@@ -128,14 +128,12 @@ def _smooth(level: Level, f, u, count):
         u, first_r = np.zeros_like(f), f
     if count == 0 or s is None:
         return u
-    v = np.zeros_like(u)
-    look = np.empty_like(u)
+    step = _inner_step(level.A, f, u, np.zeros_like(u), s.variant)
     weights = list(zip(s.omega.tolist(), s.alpha.tolist(),
                        s.alpha_tilde.tolist()))
     for _ in range(count):
         for w, a, at in weights:
-            _inner_update(level.A, f, u, v, w, a, at, s.variant, r=first_r,
-                          look=look)
+            step(w, a, at, first_r)
             first_r = None
     if not np.all(np.isfinite(u.view(float))):
         raise DivergenceError("smoother produced a non-finite iterate",

@@ -124,9 +124,3 @@ class Preconditioner:
         return cls(lambda r: c * du(diag * dl(r)),
                    lambda r: c * dl(diag * du(r, "T"), "T"))
 
-
-def apply_preconditioner(P, r):
-    """B^{-1} r for a built preconditioner (identity when P is None)."""
-    if P is None:
-        return np.asarray(r)
-    return P.apply(r)

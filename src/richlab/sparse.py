@@ -6,7 +6,10 @@ diagonals are at least half full, otherwise the CSR matrix itself. With
 its offsets ascending, DIA adds each row's products in CSR's column
 order, so for finite operands both kernels give the same bits. Each
 product calls scipy's compiled kernel (``scipy.sparse._sparsetools``,
-the routine behind ``dot``) on a zeroed output.
+the routine behind ``dot``) on a zeroed output, in one place
+(``_run_kernel``). ``matvec`` then probes the rows that hold DIA
+padding and recomputes by CSR where they read NaN; the unprobed product
+leaves that check to a caller that tests its result anyway.
 """
 from __future__ import annotations
 
@@ -134,7 +137,7 @@ class SparseMatrix:
         if x.shape != (self.ncols,):
             raise DimensionMismatch(
                 f"matrix has {self.ncols} columns but vector has length {x.shape}")
-        return self._product(x, transpose=False)
+        return self._probed_product(x, transpose=False)
 
     def rmatvec(self, x):
         """Transpose product A^T x (not conjugated)."""
@@ -142,14 +145,13 @@ class SparseMatrix:
         if x.shape != (self.nrows,):
             raise DimensionMismatch(
                 f"matrix has {self.nrows} rows but vector has length {x.shape}")
-        return self._product(x, transpose=True)
+        return self._probed_product(x, transpose=True)
 
-    def _product(self, x, transpose):
+    def _probed_product(self, x, transpose):
         _, _, fast, exact, padded = self._kernel(transpose)
-        # the kernels add into their output, which starts at +0
-        y = np.zeros(self.ncols if transpose else self.nrows,
-                     dtype=np.promote_types(self.values.dtype, x.dtype))
-        fast(x, y)
+        size = self.ncols if transpose else self.nrows
+        dtype = np.promote_types(self.values.dtype, x.dtype)
+        y = _run_kernel(fast, size, dtype, x)
         # DIA multiplies each padding zero by its x_j, so a non-finite x_j
         # puts NaN in a padded row that CSR leaves alone. A padded row
         # without NaN met only finite x_j there, and 0 x_j, a signed zero,
@@ -157,9 +159,20 @@ class SparseMatrix:
         # padded rows calls for CSR. (count_nonzero is the cheap any.)
         if padded is None or not np.count_nonzero(np.isnan(y.take(padded))):
             return y
-        y.fill(0)
-        exact(x, y)
-        return y
+        return _run_kernel(exact, size, dtype, x)
+
+    def _unprobed_product(self, dtype, transpose=False):
+        """The product x -> A x (A^T x when ``transpose``) of contiguous
+        vectors x of ``dtype``, its kernel resolved once: no shape check
+        and no padded-row probe. Its bytes are those of :meth:`matvec`
+        whenever the result holds no NaN; where a non-finite x_j meets
+        DIA padding, a row may read NaN that CSR leaves finite, so a
+        caller that sees a non-finite result recomputes it by
+        :meth:`matvec`."""
+        fast = self._kernel(transpose)[2]
+        return functools.partial(
+            _run_kernel, fast, self.ncols if transpose else self.nrows,
+            np.promote_types(self.values.dtype, dtype))
 
     def _kernel(self, transpose):
         """(fast, exact) scipy matrices for A x, or A^T x when
@@ -233,6 +246,15 @@ def _index_dtype(nrows, ncols, nnz):
     stored in it reach scipy without a copy."""
     fits = max(nrows, ncols, nnz) <= np.iinfo(np.int32).max
     return np.int32 if fits else np.int64
+
+
+def _run_kernel(kernel, size, dtype, x):
+    """y = mat x by a compiled product of :func:`_compiled` on a zeroed
+    ``size`` output of ``dtype``: the one place a product runs."""
+    # the kernels add into their output, which starts at +0
+    y = np.zeros(size, dtype=dtype)
+    kernel(x, y)
+    return y
 
 
 def _compiled(mat):

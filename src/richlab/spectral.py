@@ -10,6 +10,14 @@ import scipy.sparse.linalg
 SPD_ERROR = "operator is not symmetric positive definite"
 
 
+class NotSPDError(ValueError):
+    """The operator is asymmetric, indefinite or singular to working
+    precision: a property of the matrix, not of how it was asked for."""
+
+    def __init__(self):
+        super().__init__(SPD_ERROR)
+
+
 @dataclass(frozen=True)
 class SpectralBounds:
     lambda_max: float
@@ -32,11 +40,11 @@ def _lower_banded(csr):
 
 
 def _banded_cholesky(ab):
-    """Lower banded Cholesky factor, or ValueError if ab is not SPD."""
+    """Lower banded Cholesky factor, or NotSPDError if ab is not SPD."""
     try:
         return scipy.linalg.cholesky_banded(ab, lower=True)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(SPD_ERROR) from exc
+        raise NotSPDError() from exc
 
 
 def dense_spectral_bounds(A):
@@ -49,7 +57,8 @@ def dense_spectral_bounds(A):
     N x N array is formed. lambda_min is certified by a banded Cholesky
     factorisation of A - (1 - 1e-10) lambda_min I: if that fails, an
     eigenvalue lies below the one found. A matrix that is asymmetric,
-    indefinite or singular to working precision raises ValueError.
+    indefinite or singular to working precision raises NotSPDError (a
+    ValueError); a complex one raises ValueError.
 
     The name predates the Lanczos method and is kept for its callers.
     """
@@ -58,7 +67,7 @@ def dense_spectral_bounds(A):
     csr = A.to_scipy()
     N = A.nrows
     if A.ncols != N or abs(csr - csr.T).max() > 1e-12 * abs(csr).max():
-        raise ValueError(SPD_ERROR)
+        raise NotSPDError()
     ab = _lower_banded(csr)
     factor = _banded_cholesky(ab)
     if N == 1:  # ARPACK needs more unknowns than requested eigenvalues
@@ -74,7 +83,7 @@ def dense_spectral_bounds(A):
                                        OPinv=inverse, tol=0, v0=v0,
                                        return_eigenvectors=False)[0]
     if not lo > np.finfo(float).eps * hi:
-        raise ValueError(SPD_ERROR)
+        raise NotSPDError()
     ab[0] -= (1.0 - 1e-10) * lo
     _banded_cholesky(ab)
     return SpectralBounds(lambda_max=float(hi), lambda_min=float(lo),

@@ -1,6 +1,7 @@
 """Training of weight-schedule networks through the unrolled iteration."""
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,25 +57,27 @@ def _check_config(cfg):
             f"learning_rate must be positive, got {cfg.learning_rate}")
 
 
+# each matrix's preconditioners by name, kept as long as the matrix lives
+_PRECONDITIONERS = weakref.WeakKeyDictionary()
+
+
 def make_preconditioner(name, A):
+    """The preconditioner ``name`` of A (None for none or "identity").
+    A matrix is immutable, so each (matrix, name) is built once, and
+    later calls return the same preconditioner."""
     if name is None or name == "identity":
         return None
-    if name == "ssor":
-        return Preconditioner.ssor(A, relax=1.0)
-    if name == "jacobi":
-        return Preconditioner.weighted_jacobi(A)
-    if name == "gs":
-        return Preconditioner.gauss_seidel(A)
-    raise ValueError(f"unknown preconditioner {name!r}")
-
-
-def _cached_preconditioner(precond, sample, cache):
-    """The sample's preconditioner, built only on a cache miss."""
-    if cache is None:
-        return make_preconditioner(precond, sample.A)
-    if id(sample) not in cache:
-        cache[id(sample)] = make_preconditioner(precond, sample.A)
-    return cache[id(sample)]
+    built = _PRECONDITIONERS.setdefault(A, {})
+    if name not in built:
+        if name == "ssor":
+            built[name] = Preconditioner.ssor(A, relax=1.0)
+        elif name == "jacobi":
+            built[name] = Preconditioner.weighted_jacobi(A)
+        elif name == "gs":
+            built[name] = Preconditioner.gauss_seidel(A)
+        else:
+            raise ValueError(f"unknown preconditioner {name!r}")
+    return built[name]
 
 
 def _rowwise(Ps):
@@ -278,18 +281,16 @@ def _schedules(batch, net: MetaNet, params):
     return rows(omega), alpha, alpha if tied else rows(alpha_t)
 
 
-def _batch_losses(batch, net: MetaNet, params, K, precond, precond_cache):
+def _batch_losses(batch, net: MetaNet, params, K, precond):
     """Per-instance K-step relative residuals of a batch under ``params``:
     recorded when they are Vars, tape-free when they are arrays."""
     omega, alpha, alpha_t = _schedules(batch, net, params)
     return unrolled_relative_residuals(
         [s.A for s in batch], [s.f for s in batch], omega, alpha, alpha_t, K,
-        net.variant,
-        [_cached_preconditioner(precond, s, precond_cache) for s in batch])
+        net.variant, [make_preconditioner(precond, s.A) for s in batch])
 
 
-def loss_relative_residual(batch, net: MetaNet, K, precond=None,
-                           precond_cache=None):
+def loss_relative_residual(batch, net: MetaNet, K, precond=None):
     """Mean K-step relative residual over a batch, recorded on a tape.
 
     Returns (loss Var, tape, param Vars). Each instance starts from a
@@ -300,7 +301,7 @@ def loss_relative_residual(batch, net: MetaNet, K, precond=None,
         raise ValueError("batch must be nonempty")
     tape = Tape()
     param_vars = [tape.var(p) for p in net.parameters()]
-    losses = _batch_losses(batch, net, param_vars, K, precond, precond_cache)
+    losses = _batch_losses(batch, net, param_vars, K, precond)
     bad = np.flatnonzero(~np.isfinite(losses.value))
     if bad.size:
         raise NanLossError(int(bad[0]))
@@ -313,11 +314,11 @@ def gradient(loss, tape, param_vars):
     return [p.grad for p in param_vars]
 
 
-def evaluate_loss(samples, net: MetaNet, K, precond=None, precond_cache=None):
+def evaluate_loss(samples, net: MetaNet, K, precond=None):
     """Tape-free mean loss, equal bit for bit to the recorded loss of the
     same batch."""
     return tp.batch_mean(_batch_losses(samples, net, net.parameters(), K,
-                                       precond, precond_cache))
+                                       precond))
 
 
 class Adam:
@@ -360,9 +361,8 @@ def train_ns(config: TrainConfig, dataset, net=None):
         train, val = dataset.samples, dataset.samples
     # every factorisation is built before the first batch, so the
     # batches' temporaries do not interleave with the factor builds
-    cache = {}
     for sample in dataset.samples:
-        _cached_preconditioner(config.precond, sample, cache)
+        make_preconditioner(config.precond, sample.A)
 
     opt = Adam(net.parameters(), lr=config.learning_rate)
     history = {"train": [], "val": []}
@@ -375,14 +375,13 @@ def train_ns(config: TrainConfig, dataset, net=None):
         for start in range(0, len(train), config.batch_size):
             batch = [train[j] for j in order[start:start + config.batch_size]]
             loss, tape, pvars = loss_relative_residual(
-                batch, net, config.unroll, precond=config.precond,
-                precond_cache=cache)
+                batch, net, config.unroll, precond=config.precond)
             grads = gradient(loss, tape, pvars)
             net.set_parameters(opt.step(net.parameters(), grads))
             epoch_losses.append(float(loss.value))
         train_loss = float(np.mean(epoch_losses))
         val_loss = evaluate_loss(val or train, net, config.unroll,
-                                 precond=config.precond, precond_cache=cache)
+                                 precond=config.precond)
         history["train"].append(train_loss)
         history["val"].append(val_loss)
         if val_loss < best[0]:

@@ -30,7 +30,6 @@ import scipy.linalg
 from richlab.fgmres import FgmresConfig
 from richlab.multigrid import (CoarseSolveError, prolongation_matrix,
                                restriction_matrix)
-from richlab.precond import apply_preconditioner
 from richlab.richardson import DIVERGENCE_FACTOR, DivergenceError, SolveReport
 from richlab.tape import Var, _track, _value
 from richlab.transforms import dst2, dst2_inv
@@ -38,6 +37,11 @@ from richlab.transforms import dst2, dst2_inv
 
 def csr_matvec(A, x):
     return A.to_scipy().dot(x)
+
+
+def precondition(P, r):
+    """B^{-1} r, the identity when P is None."""
+    return r if P is None else P.apply(r)
 
 
 def reference_inner_update(A, f, u, v, i, schedule, P):
@@ -49,7 +53,7 @@ def reference_inner_update(A, f, u, v, i, schedule, P):
         r = f - csr_matvec(A, u)
     else:  # nag, nagex: residual at the look-ahead point
         r = f - csr_matvec(A, u + at * v)
-    v = a * v + w * apply_preconditioner(P, r)
+    v = a * v + w * precondition(P, r)
     return u + v, v
 
 
@@ -80,7 +84,7 @@ def reference_solve_stationary(A, f, schedule, P=None, tol=1e-6,
                 step_r = r
             else:
                 step_r = f - csr_matvec(A, u + at * v)
-            v = a * v + w * apply_preconditioner(P, step_r)
+            v = a * v + w * precondition(P, step_r)
             u = u + v
             inner += 1
             if reuse_residual or i == schedule.m - 1:

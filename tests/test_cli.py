@@ -280,3 +280,45 @@ def test_library_failure_exits_1_with_one_line(target, exc, argv, prefix,
                            capsys)
     assert code == 1
     assert err == f"{prefix} {exc}\n"
+
+
+def _operator(kind):
+    """A real n=8 operator that a numerical step refuses: indefinite, or
+    with a zero diagonal entry in row 3."""
+    import scipy.sparse
+
+    from richlab.problems import AnisotropicProblem, assemble_anisotropic
+    from richlab.sparse import SparseMatrix
+
+    K = assemble_anisotropic(AnisotropicProblem(1.0, 0.0, 8)).to_scipy()
+    if kind == "indefinite":   # a shift into the middle of the spectrum
+        return SparseMatrix.from_scipy(
+            K - K.diagonal().mean() * scipy.sparse.identity(K.shape[0]))
+    K = K.tolil()
+    K[3, 3] = 0.0
+    return SparseMatrix.from_scipy(K.tocsr())
+
+
+@pytest.mark.parametrize("kind,flags,message", [
+    ("indefinite", ["--weights", "chebyshev"],
+     "spectral bounds failed: operator is not symmetric positive definite"),
+    ("zero-diagonal", ["--weights", "literal", "--precond", "jacobi"],
+     "preconditioner failed: zero diagonal entry in row 3"),
+], ids=["indefinite", "zero-diagonal"])
+def test_numerical_failure_of_the_operator_exits_1(kind, flags, message,
+                                                   capsys, monkeypatch):
+    import richlab.cli
+
+    A = _operator(kind)
+    monkeypatch.setattr(richlab.cli, "assemble", lambda prob: A)
+    code, _, err = run_cli(["solve", "--n", "8"] + flags, capsys)
+    assert code == 1
+    assert err == message + "\n"
+
+
+def test_spectral_bounds_of_a_complex_operator_stay_a_config_error(capsys):
+    code, _, err = run_cli(["solve", "--problem", "helmholtz", "--n", "16",
+                            "--frequency", "1", "--weights", "chebyshev"],
+                           capsys)
+    assert code == 2
+    assert err == "error: spectral bounds require a real symmetric matrix\n"

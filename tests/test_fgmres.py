@@ -95,6 +95,18 @@ def test_restarts_count_cycles(rng):
     assert rep.restarts == -(-rep.iterations // 5)
 
 
+def test_report_counts_products(rng, monkeypatch):
+    A = random_spd(40, rng)
+    f = rng.standard_normal(40)
+    calls = []
+    matvec = SparseMatrix.matvec
+    monkeypatch.setattr(SparseMatrix, "matvec",
+                        lambda self, x: calls.append(1) or matvec(self, x))
+    _, rep = fgmres(A, f, cfg=FgmresConfig(restart=5, tol=1e-10))
+    assert rep.restarts > 1
+    assert rep.matvecs == len(calls) == 1 + rep.iterations + rep.restarts
+
+
 def test_matches_textbook_gmres_iterates(rng):
     n = 15
     Ad = random_spd(n, rng).to_dense()

@@ -3,8 +3,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from richlab.precond import (Preconditioner, ZeroDiagonalError,
-                             apply_preconditioner)
+from richlab.precond import Preconditioner, ZeroDiagonalError
 from richlab.sparse import SparseMatrix
 
 from conftest import random_spd, random_sparse
@@ -15,11 +14,6 @@ def split(A_dense):
     L = -np.tril(A_dense, k=-1)
     U = -np.triu(A_dense, k=1)
     return D, L, U
-
-
-def test_identity():
-    r = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(apply_preconditioner(None, r), r)
 
 
 def test_weighted_jacobi_entrywise(rng):

@@ -1,15 +1,18 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings, strategies as st
 
-from richlab.precond import Preconditioner, apply_preconditioner
+from richlab.precond import Preconditioner
 from richlab.problems import AnisotropicProblem, assemble_anisotropic
 from richlab.richardson import DivergenceError, solve_stationary
 from richlab.schedules import WeightSchedule, chebyshev_weights
 from richlab.sparse import SparseMatrix
 
 from conftest import random_spd
-from reference_iterations import (reference_solve_stationary,
+from reference_iterations import (precondition, reference_solve_stationary,
                                   sweep_affine_term, sweep_operator)
 
 
@@ -223,7 +226,7 @@ def _oracle_system(field):
 def _oracle_schedule(variant, A, P):
     """Weights scaled to the preconditioned spectral radius."""
     Ad = A.to_dense()
-    BA = np.column_stack([apply_preconditioner(P, col) for col in Ad.T])
+    BA = np.column_stack([precondition(P, col) for col in Ad.T])
     rho = np.max(np.abs(np.linalg.eigvals(BA)))
     omega = np.array([0.3, 0.9, 0.6]) / rho
     if variant == "plain":
@@ -265,3 +268,135 @@ def test_solve_matches_allocating_reference_loop(variant, precond, field):
             ref.final_relative_residual)
         if start is not None:
             assert np.array_equal(start, kept)   # the caller's u0 is untouched
+
+
+def _counting_products(monkeypatch):
+    """Patch SparseMatrix so that every product the solver runs, probed
+    or not, appends to the returned list."""
+    calls = []
+    matvec = SparseMatrix.matvec
+    unprobed = SparseMatrix._unprobed_product
+
+    def counted_matvec(self, x):
+        calls.append("matvec")
+        return matvec(self, x)
+
+    def counted_unprobed(self, dtype, transpose=False):
+        product = unprobed(self, dtype, transpose)
+
+        def run(x):
+            calls.append("unprobed")
+            return product(x)
+        return run
+
+    monkeypatch.setattr(SparseMatrix, "matvec", counted_matvec)
+    monkeypatch.setattr(SparseMatrix, "_unprobed_product", counted_unprobed)
+    return calls
+
+
+@pytest.mark.parametrize("precond", [None, "jacobi", "ssor"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_report_counts_products_and_applies(variant, precond, monkeypatch):
+    A, f, _ = _oracle_system("real")
+    P = _oracle_preconditioner(precond, A)
+    sched = _oracle_schedule(variant, A, P)
+    calls = _counting_products(monkeypatch)
+    _, rep = solve_stationary(A, f, sched, P=P, tol=1e-5, max_outer=150)
+    assert rep.inner_iterations > 0
+    # one initial residual, one product per update; nag/nagex add the
+    # sweep-end residual
+    sweep_ends = 0 if variant in ("plain", "mom") else rep.iterations
+    assert rep.matvecs == len(calls) == 1 + rep.inner_iterations + sweep_ends
+    assert rep.precond_applies == (0 if P is None else rep.inner_iterations)
+
+
+def _oracle_preconditioner(precond, A):
+    if precond is None:
+        return None
+    if precond == "jacobi":
+        return Preconditioner.weighted_jacobi(A)
+    return Preconditioner.ssor(A)
+
+
+def _outcome(solve, *args, **kwargs):
+    """(u, trace, counts) of a solve, or (message, inner iteration) of
+    its divergence."""
+    try:
+        u, rep = solve(*args, **kwargs)
+    except DivergenceError as exc:
+        return str(exc), exc.inner_iteration
+    return u, rep.trace, (rep.iterations, rep.inner_iterations,
+                          rep.converged, rep.final_relative_residual)
+
+
+@pytest.mark.parametrize("variant", ["plain", "mom", "nag"])
+def test_non_finite_iterate_in_padded_rows_gives_the_csr_outcome(variant):
+    # one update from zero puts w f_j = inf in u_j alone. A CSR row meets
+    # at most that one infinite term, so its residual is +-inf or finite;
+    # a DIA row whose padding meets column j reads 0 * inf = NaN. The
+    # solver takes its residuals by the unprobed product, so it must
+    # recompute a non-finite one to report CSR's "inf", not "nan".
+    A = _aniso_blocks_padded()
+    csr = A.to_scipy()
+    fast = A._unprobed_product(np.float64)
+    weights = dict(omega=[1e160])
+    if variant != "plain":
+        weights.update(alpha=[0.5], variant=variant)
+    sched = WeightSchedule(**weights)
+    rng = np.random.default_rng(5)
+    differs = 0
+    for j in range(A.ncols):
+        f = rng.uniform(-1.0, 1.0, A.ncols)
+        f[j] = 1e150
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _outcome(solve_stationary, A, f, sched, max_outer=5)
+            want = _outcome(reference_solve_stationary, A, f, sched,
+                            max_outer=5)
+            first = sched.omega[0] * f
+            differs += bool(np.isnan(fast(first)).any()
+                            and not np.isnan(csr.dot(first)).any())
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b, equal_nan=True)
+            else:
+                assert a == b
+    assert differs > 0   # some j meet padding, so the recompute is run
+
+
+def _aniso_blocks_padded():
+    """An n=8 rotated anisotropic operator: its DIA product multiplies
+    padding in the rows where the stencil meets a grid line."""
+    A = assemble_anisotropic(AnisotropicProblem(epsilon=1e-2, theta=0.5, n=8))
+    assert A._kernel(False)[4] is not None
+    return A
+
+
+@functools.cache
+def _scaling_case(variant, precond, field):
+    A, f, _ = _oracle_system(field)
+    P = _oracle_preconditioner(precond, A)
+    sched = _oracle_schedule(variant, A, P)
+    u, rep = solve_stationary(A, f, sched, P=P, tol=1e-5, max_outer=150)
+    return A, f, P, sched, u, rep
+
+
+@settings(max_examples=60)
+@given(k=st.integers(-20, 20), variant=st.sampled_from(VARIANTS),
+       precond=st.sampled_from([None, "jacobi", "ssor"]),
+       field=st.sampled_from(["real", "complex-rhs", "complex"]))
+def test_scaling_f_by_a_power_of_two_scales_only_u(k, variant, precond,
+                                                   field):
+    # every operation is linear in f, and a power of two scales a
+    # rounded sum, product or square root exactly; the residual ratios
+    # therefore keep their bits
+    A, f, P, sched, u, rep = _scaling_case(variant, precond, field)
+    scale = 2.0 ** k
+    u_k, rep_k = solve_stationary(A, f * scale, sched, P=P, tol=1e-5,
+                                  max_outer=150)
+    assert np.array_equal(u_k, u * scale)
+    assert np.array_equal(rep_k.trace, rep.trace)
+    for name in ("iterations", "inner_iterations", "converged",
+                 "final_relative_residual", "stagnated", "restarts",
+                 "matvecs", "precond_applies"):
+        assert getattr(rep_k, name) == getattr(rep, name)

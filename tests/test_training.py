@@ -222,20 +222,35 @@ def test_best_checkpoint_is_validation_argmin(small_dataset):
 
 
 def test_preconditioner_built_once_per_sample(small_dataset, monkeypatch):
-    from richlab import training
+    from richlab.precond import Preconditioner
 
     calls = []
-    build = training.make_preconditioner
+    build = Preconditioner.weighted_jacobi.__func__
 
-    def counting(name, A):
+    def counting(cls, A, *args, **kwargs):
         calls.append(id(A))
-        return build(name, A)
+        return build(cls, A, *args, **kwargs)
 
-    monkeypatch.setattr(training, "make_preconditioner", counting)
+    monkeypatch.setattr(Preconditioner, "weighted_jacobi",
+                        classmethod(counting))
     cfg = TrainConfig(m=2, unroll=3, n_epochs=2, batch_size=2, seed=0,
                       hidden=(4, 4), precond="jacobi")
     train_ns(cfg, small_dataset)
     assert sorted(calls) == sorted(id(s.A) for s in small_dataset)
+    # the matrices are immutable, so a second run reuses every build
+    train_ns(cfg, small_dataset)
+    assert len(calls) == len(small_dataset)
+
+
+def test_preconditioner_memo_lives_only_as_long_as_its_matrix():
+    A = sample_dataset("anisotropic", 1, seed=7, n=8)[0].A
+    P = make_preconditioner("ssor", A)
+    assert make_preconditioner("ssor", A) is P
+    assert make_preconditioner("jacobi", A) is not P
+    matrix, built = weakref.ref(A), weakref.ref(P)
+    del A, P
+    gc.collect()
+    assert matrix() is None and built() is None
 
 
 def test_zero_epochs_returns_the_initial_net(small_dataset):
