@@ -2,63 +2,73 @@
 
 Each tree's ``richlab`` package is loaded whole under its own name, so
 every module of one tree calls that tree's code, and each op set builds
-its inputs with that code. The op sets:
+its inputs with that code. To time one tree, pass it twice. The op sets
+(``--ops``, all by default):
 
 - ``products``: the single-level anisotropic layers at n=64 (the
   eps=1e-2, theta=0 cell of ``aniso-solve``, 3,969 unknowns): assembly,
   spectral bounds, one product (the mean of MATVECS), and one plain
   inner update as the solver runs it (a sweep of UPDATES updates of a
-  constant schedule, over UPDATES); one NAG-ex update with SSOR at n=32
-  (eps=1e-2, theta=0), as the ``train-schedule`` held-out solves run it
-  (a sweep of UPDATES updates of a constant NAG-ex schedule with the
-  preconditioner built beforehand, over UPDATES); and one
-  NAG-Richardson(5) smoothing pass on the finest level of the n=128
-  Helmholtz hierarchy of ``benchmarks/test_layers.py``, from a copy of a
-  fixed iterate.
+  constant schedule, over UPDATES); and one NAG-ex update with SSOR at
+  n=32 (eps=1e-2, theta=0), as the ``train-schedule`` held-out solves
+  run it (a sweep of UPDATES updates of a constant NAG-ex schedule with
+  the preconditioner built beforehand, over UPDATES).
 - ``precond``: one ``Preconditioner.ssor`` build at n=32, cycling
   through the 20-sample anisotropic set, and one forward and one
   transposed apply over its 20-row stack, one preconditioner per row,
   as a preconditioned training batch runs them.
 - ``batches``: ``block_diagonal`` of that set (the mean of REPEATS);
-  one recorded hybrid lambda-phase batch on it (forward and backward,
-  the ``FnsTrainConfig`` defaults, zero correction rows); and one
-  recorded forward and backward of each ``train-schedule`` net at its
-  untrained initial state with the unroll K=50: the plain net (log-omega
-  output, seed 1) on the first 5 samples, and the SSOR NAG-ex net (seed
-  0) on all 20, with the preconditioners built beforehand as training
-  builds them.
+  one recorded hybrid batch on it in each training phase, lambda and
+  omega (forward and backward, the ``FnsTrainConfig`` defaults, the
+  initial smoother and zero correction rows); and one recorded forward
+  and backward of each ``train-schedule`` net at its untrained initial
+  state with the unroll K=50: the plain net (log-omega output, seed 1)
+  on the first 5 samples, and the SSOR NAG-ex net (seed 0) on all 20,
+  with the preconditioners built beforehand as training builds them.
+- ``helmholtz``: the ``helmholtz-fgmres`` layers at frequency 5, on
+  damped Helmholtz at n=128 (16,129 complex unknowns) and its
+  ``multigrid.helmholtz_hierarchy``: one complex product (the mean of
+  MATVECS), one V-cycle from zero, one Arnoldi step of unpreconditioned
+  FGMRES(RESTART) (a restart cycle, over RESTART), and one
+  NAG-Richardson(5) smoothing pass on the finest level, from a copy of
+  a fixed iterate.
 - ``epochs``: one ``train_ns`` epoch of each schedule net of the
   criterion-2/3 fixture (plain, nag, nagex and SSOR NAG-ex, with the
   fixture's batch sizes, seeds and output maps) on its 200-sample set at
-  n=32, from the net's initial state; the preconditioners are built
-  inside the call, as training builds them. A tree that keeps each
-  matrix's preconditioners with the matrix builds them in its first
-  round only, so its later rounds time a warm memo.
+  n=32, from the net's initial state. Training keeps each matrix's
+  preconditioners with the matrix, so later rounds time a warm memo.
 
 Each op's time and minor page faults (``resource.getrusage``) are
-taken per call.
+taken per call. ``--json`` also records the python, numpy, scipy and
+BLAS builds, ``OPENBLAS_NUM_THREADS`` and the CPU count: FGMRES bits
+and times move with the BLAS thread count, so fix it before comparing.
 
 In every round both trees run every op once, and which tree goes first
 alternates between rounds, so both see the same machine load. Run from
 the repository root:
 
-    python benchmarks/interleave.py OLD_SRC NEW_SRC \\
-        --ops products precond batches epochs --rounds 100 --json out.json
+    python benchmarks/interleave.py OLD_SRC NEW_SRC --rounds 100 \\
+        --json out.json
 """
 import argparse
 import importlib
 import importlib.util
 import itertools
 import json
+import os
+import platform
 import resource
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 N = 64
 HELMHOLTZ_N = 128
+FREQUENCY = 5.0
+RESTART = 20
 TRAIN_N = 32
 UPDATES = 50
 MATVECS = 200
@@ -87,23 +97,12 @@ def _repeat(fn, count):
 
 def products(mod):
     problems, spectral = mod("problems"), mod("spectral")
-    richardson, multigrid = mod("richardson"), mod("multigrid")
-    schedules = mod("schedules")
+    richardson, schedules = mod("richardson"), mod("schedules")
     spec = problems.AnisotropicProblem(epsilon=1e-2, theta=0.0, n=N)
     A = problems.assemble_anisotropic(spec)
     x = np.random.default_rng(0).standard_normal(A.ncols)
     lam = spectral.dense_spectral_bounds(A).lambda_max
     plain = schedules.WeightSchedule(omega=np.full(UPDATES, 1.0 / lam))
-    H = problems.assemble_helmholtz(problems.HelmholtzProblem(
-        angular_frequency=2 * np.pi * 5.0, n=HELMHOLTZ_N))
-    smoother = schedules.WeightSchedule(
-        omega=np.full(5, 0.8 / (8.0 * HELMHOLTZ_N ** 2)),
-        alpha=np.full(5, 0.3), variant="nag")
-    h = multigrid.build_hierarchy(H, HELMHOLTZ_N, coarsest=16,
-                                  schedules=smoother)
-    rng = np.random.default_rng(0)
-    f = rng.standard_normal(H.ncols) + 1j * rng.standard_normal(H.ncols)
-    u = multigrid.v_cycle(h, f)
     small = problems.assemble_anisotropic(problems.AnisotropicProblem(
         epsilon=1e-2, theta=0.0, n=TRAIN_N))
     ssor = mod("precond").Preconditioner.ssor(small)
@@ -122,8 +121,6 @@ def products(mod):
             lambda: richardson.solve_stationary(small, g, nagex, P=ssor,
                                                 tol=1e-300, max_outer=1),
             UPDATES),
-        "nag_smoothing_pass": (
-            lambda: multigrid._smooth(h.levels[0], f, u.copy(), 1), 1),
     }
 
 
@@ -153,39 +150,64 @@ def batches(mod):
     net = fns._initial_net(cfg, input_dim=2)
     rows = np.zeros((len(samples), (TRAIN_N - 1) ** 2))
 
-    def hybrid_lambda_batch():
-        T = tape.Tape()
-        lam = tape.stack([T.var(row) for row in rows])
-        omega = training._schedules(samples, net, net.parameters())[0]
-        T.backward(fns._hybrid_loss(samples, omega, lam, cfg.unroll,
-                                    cfg.smooth_steps))
+    def hybrid_batch(train_lambda):
+        def run():
+            T = tape.Tape()
+            if train_lambda:
+                lam = tape.stack([T.var(row) for row in rows])
+                params = net.parameters()
+            else:
+                lam, params = rows, [T.var(p) for p in net.parameters()]
+            omega = training._schedules(samples, net, params)[0]
+            T.backward(fns._hybrid_loss(samples, omega, lam, cfg.unroll,
+                                        cfg.smooth_steps))
+        return run
 
     def schedule_batch(variant, precond, log_omega, batch_size, seed):
         net = mod("metanet").MetaNet.create(
             3, variant=variant, input_dim=2, learn_log_omega=log_omega,
             seed=seed)
         batch = samples[:batch_size]
-        extra = {}
-        if hasattr(training, "_cached_preconditioner"):
-            # a tree whose training passes its preconditioners in a cache
-            extra["precond_cache"] = cache = {}
-            for sample in batch:
-                training._cached_preconditioner(precond, sample, cache)
-        else:   # a tree that keeps them with their matrices
-            for sample in batch:
-                training.make_preconditioner(precond, sample.A)
+        for sample in batch:
+            training.make_preconditioner(precond, sample.A)
         return lambda: training.gradient(*training.loss_relative_residual(
-            batch, net, UNROLL, precond=precond, **extra))
+            batch, net, UNROLL, precond=precond))
 
     block_diagonal = mod("sparse").block_diagonal
     return {
         "block_diagonal_20x961": (
             _repeat(lambda: block_diagonal(blocks), REPEATS), REPEATS),
-        "hybrid_lambda_batch": (hybrid_lambda_batch, 1),
+        "hybrid_lambda_batch": (hybrid_batch(True), 1),
+        "hybrid_omega_batch": (hybrid_batch(False), 1),
         "plain_schedule_batch_5": (
             schedule_batch("plain", None, True, 5, 1), 1),
         "nagex_ssor_schedule_batch_20": (
             schedule_batch("nagex", "ssor", False, 20, 0), 1),
+    }
+
+
+def helmholtz(mod):
+    problems, multigrid, krylov = (mod("problems"), mod("multigrid"),
+                                   mod("fgmres"))
+    A = problems.assemble_helmholtz(problems.HelmholtzProblem(
+        angular_frequency=2 * np.pi * FREQUENCY, n=HELMHOLTZ_N))
+    h = multigrid.helmholtz_hierarchy(A, HELMHOLTZ_N)
+    rng = np.random.default_rng(0)
+    f = rng.standard_normal(A.ncols) + 1j * rng.standard_normal(A.ncols)
+    u = multigrid.v_cycle(h, f)
+    cfg = krylov.FgmresConfig(restart=RESTART, tol=1e-300, max_outer=1)
+
+    def restart_cycle():
+        return krylov.fgmres(A, f, None, cfg)
+
+    assert restart_cycle()[1].iterations == RESTART
+    return {
+        "complex_fine_matvec": (_repeat(lambda: A.matvec(f), MATVECS),
+                                MATVECS),
+        "v_cycle": (lambda: multigrid.v_cycle(h, f), 1),
+        "fgmres_arnoldi_step": (restart_cycle, RESTART),
+        "nag_smoothing_pass": (
+            lambda: multigrid._smooth(h.levels[0], f, u.copy(), 1), 1),
     }
 
 
@@ -212,13 +234,23 @@ def epochs(mod):
 
 
 OP_SETS = {"products": products, "precond": precond, "batches": batches,
-           "epochs": epochs}
+           "helmholtz": helmholtz, "epochs": epochs}
 
 
 def summary(times, faults):
     q1, med, q3 = np.percentile(times, [25, 50, 75])
     return {"median_s": float(med), "q1_s": float(q1), "q3_s": float(q3),
             "median_minor_faults": float(np.median(faults))}
+
+
+def environment():
+    """The builds and thread settings the timings depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "cpu_count": os.cpu_count()}
 
 
 def _minor_faults():
@@ -264,7 +296,8 @@ def main():
     if args.json:
         with open(args.json, "w") as fh:
             json.dump({"rounds": args.rounds, "ops": args.ops,
-                       "results": result}, fh, indent=1)
+                       "environment": environment(), "results": result},
+                      fh, indent=1)
             fh.write("\n")
 
 

@@ -8,8 +8,8 @@ preconditioned vectors, so any solver step is a legal preconditioner.
 """
 import numpy as np
 
-from richlab import (FgmresConfig, HelmholtzProblem, WeightSchedule,
-                     assemble_helmholtz, build_hierarchy, fgmres, v_cycle)
+from richlab import (FgmresConfig, HelmholtzProblem, assemble_helmholtz,
+                     fgmres, helmholtz_hierarchy, v_cycle)
 
 N = 64
 freq = 5.0
@@ -21,9 +21,7 @@ f = rng.standard_normal(A.ncols) + 1j * rng.standard_normal(A.ncols)
 cfg = FgmresConfig(restart=20, tol=1e-6, max_outer=200)
 _, plain = fgmres(A, f, cfg=cfg)
 
-sched = WeightSchedule(omega=np.full(5, 0.8 / (8.0 * N ** 2)),
-                       alpha=np.full(5, 0.3), variant="nag")
-h = build_hierarchy(A, N, coarsest=16, schedules=sched)
+h = helmholtz_hierarchy(A, N)
 _, pre = fgmres(A, f, precond_apply=lambda r: v_cycle(h, r), cfg=cfg)
 
 print(f"frequency {freq:g}: identity preconditioner "

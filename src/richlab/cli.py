@@ -26,7 +26,7 @@ import numpy as np
 from .data import assemble, sample_dataset
 from .fgmres import FgmresConfig, fgmres
 from .metanet import MetaNet, meta_forward
-from .multigrid import CoarseSolveError, build_hierarchy, v_cycle
+from .multigrid import CoarseSolveError, helmholtz_hierarchy, v_cycle
 from .precond import ZeroDiagonalError
 from .problems import (MIN_POINTS_PER_WAVELENGTH, AnisotropicProblem,
                        HelmholtzProblem)
@@ -230,11 +230,7 @@ def _run_cell(cell, args, cache):
 
         def build():
             A = assemble(prob)
-            sched = WeightSchedule(
-                omega=np.full(5, 0.8 / (8.0 * cell["n"] ** 2)),
-                alpha=np.full(5, 0.3), variant="nag")
-            return A, build_hierarchy(A, cell["n"], coarsest=16,
-                                      schedules=sched)
+            return A, helmholtz_hierarchy(A, cell["n"])
 
         (A, h), setup = _cached(cache, ("H", cell["n"], cell["theta"]), build)
         t0 = time.perf_counter()
@@ -319,7 +315,7 @@ def cmd_train(args):
         cfg = FnsTrainConfig(m=args.m, unroll=unroll, n_epochs=args.epochs,
                              batch_size=args.batch_size,
                              learning_rate=args.lr, seed=args.seed)
-    ds = sample_dataset(args.problem, args.count, seed=args.seed, n=args.n)
+    ds = sample_dataset("anisotropic", args.count, seed=args.seed, n=args.n)
     if args.model == "schedule":
         net = train_ns(cfg, ds)
         net.save(args.output, extra_metadata={"epochs": args.epochs,
@@ -405,8 +401,6 @@ def build_parser():
 
     p = sub.add_parser("train", help="fit and save a model")
     p.add_argument("--model", choices=["schedule", "fns"], default="schedule")
-    p.add_argument("--problem", choices=["anisotropic", "helmholtz"],
-                   default="anisotropic")
     p.add_argument("--n", type=int, default=32)
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--m", type=int, default=3)

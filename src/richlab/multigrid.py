@@ -80,8 +80,8 @@ class Hierarchy:
 def build_hierarchy(A: SparseMatrix, n, coarsest=8, schedules=None):
     """Galerkin-coarsen by factors of 2 down to the ``coarsest`` grid.
 
-    ``schedules`` is a single WeightSchedule (shared by all levels) or a
-    list with one entry per level above the coarsest.
+    ``schedules`` is the WeightSchedule that smooths every level above
+    the coarsest (None: no smoothing).
     """
     if n < 2 * coarsest:
         raise ValueError(f"n={n} leaves no room to coarsen to {coarsest}")
@@ -97,11 +97,8 @@ def build_hierarchy(A: SparseMatrix, n, coarsest=8, schedules=None):
     levels.append(Level(n=side, A=Al))
     if (side - 1) ** 2 > 1024:
         raise ValueError("coarsest level exceeds the direct-solve budget")
-    if schedules is not None:
-        if isinstance(schedules, WeightSchedule):
-            schedules = [schedules] * (len(levels) - 1)
-        for lvl, s in zip(levels, schedules):
-            lvl.schedule = s
+    for lvl in levels[:-1]:
+        lvl.schedule = schedules
     dense = Al.to_dense()
     try:
         lu = scipy.linalg.lu_factor(dense)
@@ -111,6 +108,15 @@ def build_hierarchy(A: SparseMatrix, n, coarsest=8, schedules=None):
         raise CoarseSolveError("coarsest factorization produced non-finite "
                                "factors (singular coarse operator)")
     return Hierarchy(levels=levels, coarsest_lu=lu)
+
+
+def helmholtz_hierarchy(A: SparseMatrix, n) -> Hierarchy:
+    """The V-cycle hierarchy of a Helmholtz operator on the n grid:
+    Galerkin coarsening to the 16 grid, every level above it smoothed by
+    NAG-Richardson(5) with omega = 0.8/(8 n^2) and alpha = 0.3."""
+    smoother = WeightSchedule(omega=np.full(5, 0.8 / (8.0 * n ** 2)),
+                              alpha=np.full(5, 0.3), variant="nag")
+    return build_hierarchy(A, n, coarsest=16, schedules=smoother)
 
 
 def _smooth(level: Level, f, u, count):

@@ -346,6 +346,9 @@ def train_ns(config: TrainConfig, dataset, net=None):
 
     Deterministic under ``config.seed``.
     """
+    if dataset.kind != "anisotropic":
+        raise ValueError("schedule-net training expects an anisotropic "
+                         f"dataset, got {dataset.kind!r}")
     if net is None:
         input_dim = len(dataset[0].mu)
         net = MetaNet.create(config.m, variant=config.variant,

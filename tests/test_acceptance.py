@@ -10,7 +10,7 @@ from richlab.data import sample_dataset
 from richlab.fgmres import FgmresConfig, fgmres
 from richlab.fns import SpectralCorrection, fns_lite_step, sine_basis_eigenvalues
 from richlab.metanet import MetaNet, meta_forward
-from richlab.multigrid import build_hierarchy, v_cycle
+from richlab.multigrid import build_hierarchy, helmholtz_hierarchy, v_cycle
 from richlab.precond import Preconditioner
 from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
                               assemble_anisotropic, assemble_helmholtz)
@@ -324,9 +324,7 @@ def test_criterion_8_flexible_gmres():
     fh = rng.standard_normal(H.ncols) + 1j * rng.standard_normal(H.ncols)
     cfg = FgmresConfig(restart=20, tol=TOL, max_outer=200)
     _, ident = fgmres(H, fh, cfg=cfg)
-    sched = WeightSchedule(omega=np.full(5, 0.8 / (8.0 * n ** 2)),
-                           alpha=np.full(5, 0.3), variant="nag")
-    hier = build_hierarchy(H, n, coarsest=16, schedules=sched)
+    hier = helmholtz_hierarchy(H, n)
     _, pre = fgmres(H, fh, precond_apply=lambda r: v_cycle(hier, r), cfg=cfg)
     helm_ok = (pre.converged and ident.iterations > pre.iterations)
 

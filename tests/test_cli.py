@@ -262,7 +262,7 @@ def _raise(exc):
 
 
 @pytest.mark.parametrize("target,exc,argv,prefix", [
-    ("build_hierarchy",
+    ("helmholtz_hierarchy",
      CoarseSolveError("coarsest factorization failed: singular"),
      ["reproduce", "helmholtz-sweep", "--seeds", "1"], "solver failed:"),
     ("train_ns", TrainingDiverged("validation loss diverged", history={}),
@@ -314,6 +314,15 @@ def test_numerical_failure_of_the_operator_exits_1(kind, flags, message,
     code, _, err = run_cli(["solve", "--n", "8"] + flags, capsys)
     assert code == 1
     assert err == message + "\n"
+
+
+def test_train_takes_no_problem_flag(tmp_path, capsys):
+    # both trainers fit anisotropic sets only
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--problem", "helmholtz", "--n", "32", "--count", "4",
+              "--epochs", "1", "--output", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --problem" in capsys.readouterr().err
 
 
 def test_spectral_bounds_of_a_complex_operator_stay_a_config_error(capsys):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from richlab.fgmres import FgmresConfig, fgmres
-from richlab.multigrid import build_hierarchy, v_cycle
+from richlab.multigrid import helmholtz_hierarchy, v_cycle
 from richlab.problems import HelmholtzProblem, assemble_helmholtz
-from richlab.schedules import WeightSchedule
 from richlab.sparse import SparseMatrix
 
 from conftest import random_spd
@@ -175,9 +174,7 @@ def _oracle_system(case, rng):
         n = 64
         A = assemble_helmholtz(HelmholtzProblem(
             angular_frequency=2 * np.pi * float(case), n=n))
-        sched = WeightSchedule(omega=np.full(5, 0.8 / (8.0 * n ** 2)),
-                               alpha=np.full(5, 0.3), variant="nag")
-        h = build_hierarchy(A, n, coarsest=16, schedules=sched)
+        h = helmholtz_hierarchy(A, n)
         pre = lambda r: v_cycle(h, r)
     f = rng.standard_normal(A.ncols) + 1j * rng.standard_normal(A.ncols)
     return A, f, pre

@@ -1,16 +1,29 @@
 """Guards for the two timing harnesses that live outside ``testpaths``:
 the benchmark's tracer (``perfbench/tracing.py``) and the layer timings
-(``benchmarks/test_layers.py``). Both reach into the library by name, so
+(``benchmarks/interleave.py``). Both reach into the library by name, so
 a rename there breaks them without failing any library test.
 """
 import importlib.util
 import inspect
-import os
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# every op of the layer harness's op sets but ``epochs``, which takes
+# about 10 s a round and whose ``train_ns`` the library tests run
+LAYER_OPS = {
+    "products": ["assembly", "spectral_bounds", "matvec",
+                 "plain_inner_update", "nagex_ssor_inner_update"],
+    "precond": ["ssor_build", "apply_20_rows", "apply_transpose_20_rows"],
+    "batches": ["block_diagonal_20x961", "hybrid_lambda_batch",
+                "hybrid_omega_batch", "plain_schedule_batch_5",
+                "nagex_ssor_schedule_batch_20"],
+    "helmholtz": ["complex_fine_matvec", "v_cycle", "fgmres_arnoldi_step",
+                  "nag_smoothing_pass"],
+}
 
 
 def test_every_traced_attribute_resolves():
@@ -24,12 +37,16 @@ def test_every_traced_attribute_resolves():
     assert missing == []
 
 
-def test_layer_timings_run_once():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+def test_layer_timings_run_once(tmp_path):
+    out = tmp_path / "layers.json"
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "--benchmark-disable", "benchmarks/test_layers.py"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+        [sys.executable, "benchmarks/interleave.py", "src", "src",
+         "--rounds", "1", "--ops", *LAYER_OPS, "--json", str(out)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    record = json.loads(out.read_text())
+    names = [name for ops in LAYER_OPS.values() for name in ops]
+    assert list(record["results"]) == names
+    assert set(record["environment"]) == {
+        "python", "numpy", "scipy", "blas", "openblas_num_threads",
+        "cpu_count"}

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from richlab.multigrid import (build_hierarchy, galerkin_coarse,
-                               prolongation_matrix, restriction_matrix,
-                               v_cycle)
+                               helmholtz_hierarchy, prolongation_matrix,
+                               restriction_matrix, v_cycle)
 from richlab.problems import AnisotropicProblem, assemble_anisotropic
 from richlab.schedules import chebyshev_schedule
 from richlab.spectral import dense_spectral_bounds
@@ -185,3 +185,18 @@ def test_v_cycle_on_a_strided_column_equals_its_copy(rng):
     kept = V.copy()
     assert np.array_equal(v_cycle(h, V[:, 1]), v_cycle(h, V[:, 1].copy()))
     assert np.array_equal(V, kept)   # the caller's f is untouched
+
+
+def test_helmholtz_recipe_is_the_spelled_out_hierarchy(rng):
+    from richlab.problems import HelmholtzProblem, assemble_helmholtz
+    from richlab.schedules import WeightSchedule
+
+    n = 64
+    A = assemble_helmholtz(HelmholtzProblem(angular_frequency=2 * np.pi * 3,
+                                            n=n))
+    sched = WeightSchedule(omega=np.full(5, 0.8 / (8.0 * n ** 2)),
+                           alpha=np.full(5, 0.3), variant="nag")
+    spelled = build_hierarchy(A, n, coarsest=16, schedules=sched)
+    recipe = helmholtz_hierarchy(A, n)
+    f = rng.standard_normal(A.ncols) + 1j * rng.standard_normal(A.ncols)
+    assert np.array_equal(v_cycle(recipe, f), v_cycle(spelled, f))

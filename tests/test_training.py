@@ -253,6 +253,12 @@ def test_preconditioner_memo_lives_only_as_long_as_its_matrix():
     assert matrix() is None and built() is None
 
 
+def test_helmholtz_dataset_is_refused_before_any_net():
+    ds = sample_dataset("helmholtz", 2, seed=0, n=32)
+    with pytest.raises(ValueError, match="got 'helmholtz'"):
+        train_ns(TrainConfig(), ds)
+
+
 def test_zero_epochs_returns_the_initial_net(small_dataset):
     cfg = TrainConfig(m=2, unroll=6, n_epochs=0, batch_size=2, seed=11,
                       hidden=(6, 6))
