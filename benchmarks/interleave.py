@@ -39,9 +39,12 @@ its inputs with that code. To time one tree, pass it twice. The op sets
   preconditioners with the matrix, so later rounds time a warm memo.
 
 Each op's time and minor page faults (``resource.getrusage``) are
-taken per call. ``--json`` also records the python, numpy, scipy and
-BLAS builds, ``OPENBLAS_NUM_THREADS`` and the CPU count: FGMRES bits
-and times move with the BLAS thread count, so fix it before comparing.
+taken per call. ``--json`` also records the python, numpy and scipy
+builds, the BLAS of each (numpy's ``blas``, scipy's ``scipy_blas``: they
+load separate OpenBLAS libraries with separate thread pools; ARPACK and
+the banded Cholesky run on scipy's), ``OPENBLAS_NUM_THREADS`` and the
+CPU count: FGMRES bits and times move with the BLAS thread count, so
+fix it before comparing.
 
 In every round both trees run every op once, and which tree goes first
 alternates between rounds, so both see the same machine load. Run from
@@ -245,10 +248,13 @@ def summary(times, faults):
 
 def environment():
     """The builds and thread settings the timings depend on."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    def blas(show_config):
+        dep = show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{dep.get('name')} {dep.get('version')}"
+
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "scipy": scipy.__version__, "blas": blas(np.show_config),
+            "scipy_blas": blas(scipy.show_config),
             "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "cpu_count": os.cpu_count()}
 

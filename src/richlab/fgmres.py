@@ -68,7 +68,6 @@ def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None, u0=None):
     mr = cfg.restart
     V = np.zeros((mr + 1, n), dtype=dtype)
     Z = np.zeros((mr, n), dtype=dtype)
-    tmp = np.empty(n, dtype=dtype)
     while not converged and not stagnated and outer < cfg.max_outer:
         cycle_start_rel = rel
         H = np.zeros((mr + 1, mr), dtype=dtype)
@@ -82,10 +81,13 @@ def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None, u0=None):
             Z[k] = precond_apply(V[k])
             w = A.matvec(Z[k])
             matvecs += 1
-            # modified Gram-Schmidt, in place on w
-            for i in range(k + 1):
-                H[i, k] = np.vdot(V[i], w)
-                w -= np.multiply(H[i, k], V[i], out=tmp)
+            # classical Gram-Schmidt run twice, as block products
+            Vk = V[:k + 1]
+            h1 = np.conj(Vk @ np.conj(w))
+            w -= h1 @ Vk
+            h2 = np.conj(Vk @ np.conj(w))
+            w -= h2 @ Vk
+            H[:k + 1, k] = h1 + h2
             hk1 = np.linalg.norm(w)
             H[k + 1, k] = hk1
             # apply stored Givens rotations to the new column

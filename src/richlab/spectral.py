@@ -29,36 +29,79 @@ class SpectralBounds:
             raise ValueError(f"lambda_max={self.lambda_max} < lambda_min={self.lambda_min}")
 
 
-def _lower_banded(csr):
-    """LAPACK lower band storage ab[i - j, j] = A[i, j] of a CSR matrix."""
+def _shifted_cholesky(csr, sign, sigma):
+    """Lower banded Cholesky factor of sign * (A - sigma I) for the CSR
+    matrix A, or NotSPDError if that matrix is not positive definite.
+    The band, ab[i - j, j] = sign * A[i, j] in LAPACK's lower storage, is
+    built in the Fortran order LAPACK factors in place, so the factor is
+    the only band in memory."""
     coo = csr.tocoo()
     lower = coo.row >= coo.col
     rows, cols = coo.row[lower], coo.col[lower]
-    ab = np.zeros((int((rows - cols).max(initial=0)) + 1, csr.shape[0]))
-    ab[rows - cols, cols] = coo.data[lower]
-    return ab
-
-
-def _banded_cholesky(ab):
-    """Lower banded Cholesky factor, or NotSPDError if ab is not SPD."""
+    band = np.zeros((int((rows - cols).max(initial=0)) + 1, csr.shape[0]),
+                    order="F")
+    band[rows - cols, cols] = sign * coo.data[lower]
+    band[0] -= sign * sigma
     try:
-        return scipy.linalg.cholesky_banded(ab, lower=True)
+        return scipy.linalg.cholesky_banded(band, overwrite_ab=True,
+                                            lower=True)
     except np.linalg.LinAlgError as exc:
         raise NotSPDError() from exc
+
+
+def _nearest_eigenvalue(csr, sign, sigma, factor, v0):
+    """The eigenvalue of A nearest sigma, by ARPACK Lanczos in
+    shift-invert mode to machine precision, given the banded Cholesky
+    factor of sign * (A - sigma I)."""
+    def solve(x):
+        # the factor came out of a successful Cholesky, so it is finite
+        y = scipy.linalg.cho_solve_banded((factor, True), x,
+                                          check_finite=False)
+        return y if sign > 0 else np.negative(y, out=y)
+
+    inverse = scipy.sparse.linalg.LinearOperator(csr.shape, dtype=float,
+                                                 matvec=solve)
+    return scipy.sparse.linalg.eigsh(csr, k=1, sigma=sigma, which="LM",
+                                     OPinv=inverse, tol=0, v0=v0,
+                                     return_eigenvectors=False)[0]
+
+
+def _shift_above(csr, theta):
+    """A shift sigma > lambda_max above the Ritz value theta, with the
+    factor of sigma I - A whose success proves it. The gap starts at
+    1e-3 theta and grows fourfold after each failed factorisation."""
+    delta = 1e-3 * theta
+    while True:
+        try:
+            return theta + delta, _shifted_cholesky(csr, -1.0, theta + delta)
+        except NotSPDError:
+            delta *= 4.0
 
 
 def dense_spectral_bounds(A):
     """Extreme eigenvalues of a real symmetric positive definite matrix.
 
-    lambda_max comes from ARPACK Lanczos on A, and lambda_min from
-    Lanczos in shift-invert mode at sigma=0 through a banded Cholesky
-    factor of A. Both run to machine precision (tol=0) from a fixed
+    Both come from ARPACK Lanczos in shift-invert mode through a banded
+    Cholesky factor, run to machine precision (tol=0) from one fixed
     start vector, so repeated calls agree bit for bit, and no dense
-    N x N array is formed. lambda_min is certified by a banded Cholesky
-    factorisation of A - (1 - 1e-10) lambda_min I: if that fails, an
-    eigenvalue lies below the one found. A matrix that is asymmetric,
-    indefinite or singular to working precision raises NotSPDError (a
-    ValueError); a complex one raises ValueError.
+    N x N array is formed:
+
+    - lambda_min is the eigenvalue nearest sigma=0, through the factor
+      of A, which is also the check that A is positive definite.
+    - lambda_max: plain Lanczos on A to tol=1e-3 gives a top Ritz value
+      theta, and sigma = theta + 1e-3 theta. A successful factorisation
+      of sigma I - A proves sigma > lambda_max; on failure the gap above
+      theta grows fourfold and sigma I - A is factored again. The
+      eigenvalue nearest sigma is then lambda_max. On the clustered tops
+      of the anisotropic spectra this takes a few dozen solves, where
+      plain Lanczos to tol=0 takes hundreds to thousands of products.
+
+    lambda_min is certified by a banded Cholesky factorisation of
+    A - (1 - 1e-10) lambda_min I: if that fails, an eigenvalue lies
+    below the one found. Each factor lives only as long as the call
+    that uses it, so at most one is alive at a time. A matrix that is
+    asymmetric, indefinite or singular to working precision raises
+    NotSPDError (a ValueError); a complex one raises ValueError.
 
     The name predates the Lanczos method and is kept for its callers.
     """
@@ -68,23 +111,17 @@ def dense_spectral_bounds(A):
     N = A.nrows
     if A.ncols != N or abs(csr - csr.T).max() > 1e-12 * abs(csr).max():
         raise NotSPDError()
-    ab = _lower_banded(csr)
-    factor = _banded_cholesky(ab)
     if N == 1:  # ARPACK needs more unknowns than requested eigenvalues
-        lo = hi = ab[0, 0]
+        lo = hi = csr[0, 0]
     else:
         v0 = np.random.default_rng(0).standard_normal(N)
-        hi = scipy.sparse.linalg.eigsh(csr, k=1, which="LA", tol=0, v0=v0,
-                                       return_eigenvectors=False)[0]
-        inverse = scipy.sparse.linalg.LinearOperator(
-            (N, N), dtype=float,
-            matvec=lambda x: scipy.linalg.cho_solve_banded((factor, True), x))
-        lo = scipy.sparse.linalg.eigsh(csr, k=1, sigma=0.0, which="LM",
-                                       OPinv=inverse, tol=0, v0=v0,
-                                       return_eigenvectors=False)[0]
+        lo = _nearest_eigenvalue(csr, 1.0, 0.0,
+                                 _shifted_cholesky(csr, 1.0, 0.0), v0)
+        theta = scipy.sparse.linalg.eigsh(csr, k=1, which="LA", tol=1e-3,
+                                          v0=v0, return_eigenvectors=False)[0]
+        hi = _nearest_eigenvalue(csr, -1.0, *_shift_above(csr, theta), v0)
     if not lo > np.finfo(float).eps * hi:
         raise NotSPDError()
-    ab[0] -= (1.0 - 1e-10) * lo
-    _banded_cholesky(ab)
+    _shifted_cholesky(csr, 1.0, (1.0 - 1e-10) * lo)
     return SpectralBounds(lambda_max=float(hi), lambda_min=float(lo),
                           method="lanczos")

@@ -1,7 +1,8 @@
-"""Guards for the two timing harnesses that live outside ``testpaths``:
-the benchmark's tracer (``perfbench/tracing.py``) and the layer timings
-(``benchmarks/interleave.py``). Both reach into the library by name, so
-a rename there breaks them without failing any library test.
+"""Guards for the timing harnesses that live outside ``testpaths``: the
+benchmark's tracer (``perfbench/tracing.py``), the layer timings
+(``benchmarks/interleave.py``) and the spectral set-up cells
+(``benchmarks/spectral_cells.py``). All reach into the library by name,
+so a rename there breaks them without failing any library test.
 """
 import importlib.util
 import inspect
@@ -48,5 +49,24 @@ def test_layer_timings_run_once(tmp_path):
     names = [name for ops in LAYER_OPS.values() for name in ops]
     assert list(record["results"]) == names
     assert set(record["environment"]) == {
-        "python", "numpy", "scipy", "blas", "openblas_num_threads",
-        "cpu_count"}
+        "python", "numpy", "scipy", "blas", "scipy_blas",
+        "openblas_num_threads", "cpu_count"}
+
+
+def test_spectral_cells_run_once(tmp_path):
+    out = tmp_path / "spectral.json"
+    done = subprocess.run(
+        [sys.executable, "benchmarks/spectral_cells.py", "src", "src",
+         "--sizes", "16", "--rounds", "2", "--json", str(out)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    records = json.loads(out.read_text())["records"]
+    assert len(records) == 3
+    for record in records:
+        # one tree on both sides: the counts and bounds must repeat
+        parent, change = record["parent"], record["change"]
+        for key in ("products", "solves", "factorisations", "lambda_min",
+                    "lambda_max"):
+            assert parent[key] == change[key]
+        assert change["products"] > 0 and change["solves"] > 0
+        assert change["factorisations"] >= 3

@@ -126,3 +126,70 @@ def test_certificate_rejects_a_non_minimal_eigenvalue(monkeypatch):
                         wrong_shift_invert)
     with pytest.raises(ValueError, match="not symmetric positive definite"):
         dense_spectral_bounds(A)
+
+
+def _rotated(n):
+    return assemble_anisotropic(
+        AnisotropicProblem(epsilon=1e-2, theta=np.pi / 3, n=n))
+
+
+def test_shift_grows_until_its_factorisation_succeeds(monkeypatch):
+    # a top Ritz value at half of lambda_max puts the first shift below
+    # it, so sigma I - A fails to factor and the gap must grow
+    A = _rotated(12)
+    lam = np.linalg.eigvalsh(A.to_dense())
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def low_ritz_value(*args, **kwargs):
+        if kwargs.get("sigma") is None:
+            return np.array([lam[-1] / 2])
+        return eigsh(*args, **kwargs)
+
+    shifted_cholesky = spectral._shifted_cholesky
+    outcomes = []
+
+    def recorded(csr, sign, sigma):
+        try:
+            factor = shifted_cholesky(csr, sign, sigma)
+        except spectral.NotSPDError:
+            outcomes.append((sign, False))
+            raise
+        outcomes.append((sign, True))
+        return factor
+
+    monkeypatch.setattr(spectral.scipy.sparse.linalg, "eigsh", low_ritz_value)
+    monkeypatch.setattr(spectral, "_shifted_cholesky", recorded)
+    b = dense_spectral_bounds(A)
+    above = [ok for sign, ok in outcomes if sign < 0]
+    assert above[0] is False and above[-1] is True and not any(above[:-1])
+    assert abs(b.lambda_min - lam[0]) <= 1e-10 * lam[0]
+    assert abs(b.lambda_max - lam[-1]) <= 1e-10 * lam[-1]
+    assert dense_spectral_bounds(A) == b
+
+
+def test_lambda_max_takes_few_plain_products(monkeypatch):
+    # plain Lanczos to tol=0 needs hundreds of products at n=32; the
+    # loose top Ritz value needs a few dozen, and shift-invert as many
+    # solves
+    A = _rotated(32)
+    eigsh = scipy.sparse.linalg.eigsh
+    counts = {"products": 0, "solves": 0}
+
+    def counted(op, key):
+        def matvec(x):
+            counts[key] += 1
+            return op.matvec(x)
+        return scipy.sparse.linalg.LinearOperator(op.shape, matvec=matvec,
+                                                  dtype=float)
+
+    def counting_eigsh(A, *args, **kwargs):
+        if kwargs.get("sigma") is None:
+            A = counted(scipy.sparse.linalg.aslinearoperator(A), "products")
+        else:
+            kwargs["OPinv"] = counted(kwargs["OPinv"], "solves")
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(spectral.scipy.sparse.linalg, "eigsh", counting_eigsh)
+    dense_spectral_bounds(A)
+    assert 0 < counts["products"] <= 100
+    assert 0 < counts["solves"] <= 150
