@@ -12,7 +12,9 @@ its inputs with that code. To time one tree, pass it twice. The op sets
   constant schedule, over UPDATES); and one NAG-ex update with SSOR at
   n=32 (eps=1e-2, theta=0), as the ``train-schedule`` held-out solves
   run it (a sweep of UPDATES updates of a constant NAG-ex schedule with
-  the preconditioner built beforehand, over UPDATES).
+  the preconditioner built beforehand, over UPDATES); and the
+  ``train-schedule`` training set, ``sample_dataset`` of TRAIN_COUNT
+  anisotropic samples at n=32 (seed 42).
 - ``precond``: one ``Preconditioner.ssor`` build at n=32, cycling
   through the 20-sample anisotropic set, and one forward and one
   transposed apply over its 20-row stack, one preconditioner per row,
@@ -27,11 +29,11 @@ its inputs with that code. To time one tree, pass it twice. The op sets
   with the preconditioners built beforehand as training builds them.
 - ``helmholtz``: the ``helmholtz-fgmres`` layers at frequency 5, on
   damped Helmholtz at n=128 (16,129 complex unknowns) and its
-  ``multigrid.helmholtz_hierarchy``: one complex product (the mean of
-  MATVECS), one V-cycle from zero, one Arnoldi step of unpreconditioned
-  FGMRES(RESTART) (a restart cycle, over RESTART), and one
-  NAG-Richardson(5) smoothing pass on the finest level, from a copy of
-  a fixed iterate.
+  ``multigrid.helmholtz_hierarchy``: its assembly, one complex product
+  (the mean of MATVECS), one V-cycle from zero, one Arnoldi step of
+  unpreconditioned FGMRES(RESTART) (a restart cycle, over RESTART), and
+  one NAG-Richardson(5) smoothing pass on the finest level, from a copy
+  of a fixed iterate.
 - ``epochs``: one ``train_ns`` epoch of each schedule net of the
   criterion-2/3 fixture (plain, nag, nagex and SSOR NAG-ex, with the
   fixture's batch sizes, seeds and output maps) on its 200-sample set at
@@ -73,6 +75,7 @@ HELMHOLTZ_N = 128
 FREQUENCY = 5.0
 RESTART = 20
 TRAIN_N = 32
+TRAIN_COUNT = 200
 UPDATES = 50
 MATVECS = 200
 REPEATS = 20
@@ -113,6 +116,7 @@ def products(mod):
         omega=np.full(UPDATES, 0.5), alpha=np.full(UPDATES, 0.3),
         alpha_tilde=np.full(UPDATES, 0.2), variant="nagex")
     g = np.random.default_rng(1).standard_normal(small.ncols)
+    sample_dataset = mod("data").sample_dataset
     return {
         "assembly": (lambda: problems.assemble_anisotropic(spec), 1),
         "spectral_bounds": (lambda: spectral.dense_spectral_bounds(A), 1),
@@ -124,6 +128,9 @@ def products(mod):
             lambda: richardson.solve_stationary(small, g, nagex, P=ssor,
                                                 tol=1e-300, max_outer=1),
             UPDATES),
+        "sample_dataset": (
+            lambda: sample_dataset("anisotropic", TRAIN_COUNT, seed=42,
+                                   n=TRAIN_N), 1),
     }
 
 
@@ -192,8 +199,9 @@ def batches(mod):
 def helmholtz(mod):
     problems, multigrid, krylov = (mod("problems"), mod("multigrid"),
                                    mod("fgmres"))
-    A = problems.assemble_helmholtz(problems.HelmholtzProblem(
-        angular_frequency=2 * np.pi * FREQUENCY, n=HELMHOLTZ_N))
+    spec = problems.HelmholtzProblem(angular_frequency=2 * np.pi * FREQUENCY,
+                                     n=HELMHOLTZ_N)
+    A = problems.assemble_helmholtz(spec)
     h = multigrid.helmholtz_hierarchy(A, HELMHOLTZ_N)
     rng = np.random.default_rng(0)
     f = rng.standard_normal(A.ncols) + 1j * rng.standard_normal(A.ncols)
@@ -205,6 +213,7 @@ def helmholtz(mod):
 
     assert restart_cycle()[1].iterations == RESTART
     return {
+        "helmholtz_assembly": (lambda: problems.assemble_helmholtz(spec), 1),
         "complex_fine_matvec": (_repeat(lambda: A.matvec(f), MATVECS),
                                 MATVECS),
         "v_cycle": (lambda: multigrid.v_cycle(h, f), 1),
@@ -223,8 +232,8 @@ FIXTURE_NETS = (("plain", "plain", None, True, 5, 1),
 
 def epochs(mod):
     training = mod("training")
-    dataset = mod("data").sample_dataset("anisotropic", 200, seed=42,
-                                         n=TRAIN_N)
+    dataset = mod("data").sample_dataset("anisotropic", TRAIN_COUNT,
+                                         seed=42, n=TRAIN_N)
 
     def epoch(variant, precond, log_omega, batch_size, seed):
         cfg = training.TrainConfig(

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import (AnisotropicProblem, HelmholtzProblem, ProblemSpec,
-                       assemble_anisotropic, assemble_helmholtz)
+from .problems import (AnisotropicProblem, ProblemSpec, assemble_anisotropic,
+                       assemble_helmholtz)
 from .sparse import SparseMatrix
 
 EPS_RANGE = (1e-6, 1.0)
@@ -54,31 +54,23 @@ def assemble(spec: ProblemSpec) -> SparseMatrix:
 
 
 def sample_dataset(kind, count, seed, n) -> Dataset:
-    """Draw ``count`` problem instances deterministically under ``seed``.
-
-    Anisotropic: eps ~ U(1e-6, 1), theta ~ U(0, pi). Helmholtz: the
-    frequency is drawn so the grid resolves 20 to 40 points per
-    wavelength. Right-hand sides are standard normal (real, or complex
-    with independent normal parts for Helmholtz).
+    """Draw ``count`` anisotropic problem instances deterministically
+    under ``seed``: eps ~ U(1e-6, 1), theta ~ U(0, pi), and standard
+    normal right-hand sides. ``kind`` must be ``"anisotropic"``, the
+    family the schedule trainers accept; it is recorded in the metadata.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if kind != "anisotropic":
+        raise ValueError(f"unsupported dataset kind: {kind!r}")
     rng = np.random.default_rng(seed)
     samples = []
     for _ in range(count):
-        if kind == "anisotropic":
-            eps = rng.uniform(*EPS_RANGE)
-            theta = rng.uniform(*THETA_RANGE)
-            spec = AnisotropicProblem(epsilon=eps, theta=theta, n=n)
-            A = assemble_anisotropic(spec)
-            f = rng.standard_normal(spec.ndof)
-        elif kind == "helmholtz":
-            omega = 2.0 * np.pi * rng.uniform(n / 40.0, n / 20.0)
-            spec = HelmholtzProblem(angular_frequency=omega, n=n)
-            A = assemble_helmholtz(spec)
-            f = rng.standard_normal(spec.ndof) + 1j * rng.standard_normal(spec.ndof)
-        else:
-            raise ValueError(f"unsupported dataset kind: {kind!r}")
+        eps = rng.uniform(*EPS_RANGE)
+        theta = rng.uniform(*THETA_RANGE)
+        spec = AnisotropicProblem(epsilon=eps, theta=theta, n=n)
+        A = assemble_anisotropic(spec)
+        f = rng.standard_normal(spec.ndof)
         samples.append(Sample(spec=spec, A=A, f=f))
     return Dataset(kind=kind, seed=seed, n=n, samples=samples)
 

@@ -25,15 +25,12 @@ def _restriction_1d(n):
     """1D full-weighting (1/4)[1,2,1] from the n-1 interior to n/2-1."""
     if n % 2 != 0:
         raise ValueError(f"grid side {n} must be even to coarsen")
-    nc = n // 2
-    rows, cols, vals = [], [], []
-    for i in range(nc - 1):
-        for off, w in ((0, 0.25), (1, 0.5), (2, 0.25)):
-            rows.append(i)
-            cols.append(2 * i + off)
-            vals.append(w)
-    return scipy.sparse.csr_matrix((vals, (rows, cols)),
-                                   shape=(nc - 1, n - 1))
+    rows = n // 2 - 1
+    # row i holds columns 2i, 2i+1, 2i+2
+    cols = 2 * np.arange(rows)[:, None] + np.arange(3)
+    return scipy.sparse.csr_matrix(
+        (np.tile([0.25, 0.5, 0.25], rows), cols.reshape(-1),
+         3 * np.arange(rows + 1)), shape=(rows, n - 1))
 
 
 def restriction_matrix(n) -> SparseMatrix:

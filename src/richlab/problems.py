@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, _index_dtype
 
 # 2x2 Gauss points / weights on the unit square, exact for bilinear
 # stiffness with constant coefficients
@@ -21,6 +21,8 @@ _GPTS = [(0.5 - 0.5 / np.sqrt(3.0), 0.5 - 0.5 / np.sqrt(3.0)),
          (0.5 + 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)),
          (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))]
 _GW = 0.25
+# element corners in local node order, as (x, y) offsets of the first
+_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 
 # grid points per wavelength below which a Helmholtz grid is refused
@@ -70,10 +72,17 @@ class HelmholtzProblem:
     shannon_check: bool = True
 
     def __post_init__(self):
-        if self.angular_frequency <= 0.0:
-            raise ValueError("angular_frequency must be positive")
-        if self.wave_speed <= 0.0:
-            raise ValueError("wave_speed must be positive")
+        for name in ("angular_frequency", "wave_speed"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}")
+        width = self.sponge_width
+        if width is not None and (isinstance(width, bool)
+                                  or not isinstance(width, (int, np.integer))
+                                  or width < 1):
+            raise ValueError(
+                f"sponge_width must be None or an integer >= 1, got {width!r}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
 
@@ -127,35 +136,24 @@ def assemble_anisotropic(p: AnisotropicProblem) -> SparseMatrix:
 
     The stiffness is left unscaled by h^2 (all entries O(1)); relative
     residual iteration counts are invariant under that scaling.
+
+    Every interior node sees the same four elements, so each row is the
+    9-point stencil cut at the boundary. An offset's value sums the
+    element entries Ke[a, b] whose corners b and a lie that offset
+    apart, in (a, b) order: the order in which summing the element
+    triplets of each row adds them. Offsets of magnitude at most
+    1e-14 max|Ke| are dropped.
     """
-    n = p.n
     Ke = bilinear_element_stiffness(coefficient_matrix(p.epsilon, p.theta))
-
-    # interior index of grid node (ix, iy), -1 on the boundary
-    interior = -np.ones((n + 1, n + 1), dtype=np.int64)
-    ii, jj = np.meshgrid(np.arange(1, n), np.arange(1, n), indexing="ij")
-    interior[1:n, 1:n] = (ii - 1) * (n - 1) + (jj - 1)
-
-    ex, ey = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    ex, ey = ex.reshape(-1), ey.reshape(-1)
-    # element corner nodes in local order (0,0),(1,0),(1,1),(0,1)
-    nodes = np.stack([
-        interior[ex, ey], interior[ex + 1, ey],
-        interior[ex + 1, ey + 1], interior[ex, ey + 1],
-    ], axis=1)  # (nelem, 4)
-
-    rows, cols, vals = [], [], []
-    for a in range(4):
-        for b in range(4):
-            mask = (nodes[:, a] >= 0) & (nodes[:, b] >= 0)
-            rows.append(nodes[mask, a])
-            cols.append(nodes[mask, b])
-            vals.append(np.full(mask.sum(), Ke[a, b]))
-    A = SparseMatrix.from_triplets(
-        p.ndof, p.ndof,
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-        drop_tol=1e-14 * np.abs(Ke).max())
-    return A
+    stencil = {}
+    for a, (ax, ay) in enumerate(_CORNERS):
+        for b, (bx, by) in enumerate(_CORNERS):
+            offset = (bx - ax, by - ay)
+            stencil[offset] = stencil.get(offset, 0.0) + Ke[a, b]
+    tol = 1e-14 * np.abs(Ke).max()
+    offsets = sorted(k for k, v in stencil.items() if abs(v) > tol)
+    return _stencil_matrix(p.n - 1, offsets,
+                           np.array([[stencil[k]] for k in offsets]))
 
 
 def damping_mask(p: HelmholtzProblem) -> np.ndarray:
@@ -191,15 +189,32 @@ def assemble_helmholtz(p: HelmholtzProblem) -> SparseMatrix:
         p.angular_frequency / p.wave_speed ** 2)
     off = -1.0 / h ** 2
 
-    idx = np.arange(m * m).reshape(m, m)
-    rows = [idx.reshape(-1)]
-    cols = [idx.reshape(-1)]
-    vals = [diag]
-    for ra, ca in [(idx[:-1, :], idx[1:, :]), (idx[1:, :], idx[:-1, :]),
-                   (idx[:, :-1], idx[:, 1:]), (idx[:, 1:], idx[:, :-1])]:
-        rows.append(ra.reshape(-1))
-        cols.append(ca.reshape(-1))
-        vals.append(np.full(ra.size, off, dtype=np.complex128))
-    return SparseMatrix.from_triplets(
-        m * m, m * m, np.concatenate(rows), np.concatenate(cols),
-        np.concatenate(vals))
+    # the 5-point offsets in lexicographic order, diagonal in the middle
+    values = np.full((5, m * m), off, dtype=np.complex128)
+    values[2] = diag
+    return _stencil_matrix(m, [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)],
+                           values)
+
+
+def _stencil_matrix(m, offsets, values):
+    """CSR matrix of a stencil on the m x m interior grid, unknown (i, j)
+    at i m + j. ``offsets`` are K (di, dj) grid offsets in lexicographic
+    order, so that each row's columns ascend; row k of ``values`` holds
+    offset k's value, or one value per unknown. Entries whose neighbour
+    falls outside the grid, and exact zeros, are left out."""
+    di, dj = np.array(offsets).T
+    i = np.arange(m)
+    # offset-major (K, m^2) masks: long rows keep numpy's loops fast
+    inside_i = (0 <= i + di[:, None]) & (i + di[:, None] < m)   # (K, m)
+    inside_j = (0 <= i + dj[:, None]) & (i + dj[:, None] < m)
+    keep = (inside_i[:, :, None] & inside_j[:, None, :]).reshape(-1, m * m)
+    values = np.broadcast_to(values, keep.shape)
+    keep &= values != 0
+    cols = np.arange(m * m) + (di * m + dj)[:, None]
+    index = _index_dtype(m * m, m * m, int(np.count_nonzero(keep)))
+    row_starts = np.zeros(m * m + 1, dtype=index)
+    np.cumsum(keep.sum(axis=0, dtype=index), out=row_starts[1:])
+    # masking the transposed views reads each row's offsets in order
+    return SparseMatrix._from_valid_arrays(
+        m * m, m * m, row_starts, cols.T[keep.T].astype(index),
+        values.T[keep.T])

@@ -29,8 +29,8 @@ class SparseMatrix:
     """Immutable CSR matrix.
 
     Rows are stored with strictly increasing column indices and no
-    explicit zeros; duplicate (row, col) triplet contributions are summed
-    at build time.
+    explicit zeros; :meth:`from_scipy` sums duplicate entries of its
+    input at build time.
     """
 
     def __init__(self, nrows, ncols, row_starts, col_indices, values):
@@ -97,22 +97,6 @@ class SparseMatrix:
     @property
     def is_complex(self):
         return np.iscomplexobj(self.values)
-
-    @classmethod
-    def from_triplets(cls, nrows, ncols, rows, cols, vals, drop_tol=0.0):
-        """Build from COO triplets, summing duplicates and dropping zeros."""
-        coo = scipy.sparse.coo_matrix(
-            (np.asarray(vals), (np.asarray(rows), np.asarray(cols))),
-            shape=(nrows, ncols))
-        csr = coo.tocsr()
-        csr.sum_duplicates()
-        if drop_tol == 0.0:
-            csr.eliminate_zeros()
-        else:
-            csr.data[np.abs(csr.data) <= drop_tol] = 0.0
-            csr.eliminate_zeros()
-        csr.sort_indices()
-        return cls(nrows, ncols, csr.indptr, csr.indices, csr.data)
 
     @classmethod
     def from_scipy(cls, mat):

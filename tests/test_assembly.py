@@ -1,10 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
                               ShannonViolation, assemble_anisotropic,
                               assemble_helmholtz, bilinear_element_stiffness,
                               coefficient_matrix, damping_mask)
+
+from reference_assembly import reference_anisotropic, reference_helmholtz
+
+
+def assert_same_csr(A, B):
+    assert A.shape == B.shape
+    for name in ("row_starts", "col_indices", "values"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.dtype == b.dtype, name
+        # equal bits, signed zeros included
+        assert a.tobytes() == b.tobytes(), name
 
 
 class TestCoefficientMatrix:
@@ -90,6 +102,49 @@ class TestAnisotropicAssembly:
                 assert abs(A[k].sum()) <= 1e-12 * np.abs(A[k]).sum()
 
 
+class TestStencilAssemblyMatchesElementLoop:
+    @given(lg_eps=st.floats(-6.0, 0.0), theta=st.floats(0.0, np.pi),
+           n=st.integers(2, 64))
+    def test_anisotropic(self, lg_eps, theta, n):
+        p = AnisotropicProblem(10.0 ** lg_eps, theta, n)
+        assert_same_csr(assemble_anisotropic(p), reference_anisotropic(p))
+
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 4, np.pi / 2, np.pi])
+    @pytest.mark.parametrize("eps", [1.0, 1e-3, 1e-6])
+    def test_anisotropic_axis_and_diagonal_angles(self, eps, theta):
+        p = AnisotropicProblem(eps, theta, 16)
+        assert_same_csr(assemble_anisotropic(p), reference_anisotropic(p))
+
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 2])
+    def test_anisotropic_drops_cancelled_corners(self, theta):
+        # at eps=1/2 on the axes the corner couplings cancel to rounding
+        p = AnisotropicProblem(0.5, theta, 8)
+        A = assemble_anisotropic(p)
+        assert_same_csr(A, reference_anisotropic(p))
+        assert A.nnz == 277   # 361 with the corners kept
+
+    @settings(max_examples=30)
+    @given(n=st.sampled_from([16, 64, 128]),
+           sponge_width=st.one_of(st.none(), st.integers(1, 8)),
+           points_per_wavelength=st.floats(10.0, 40.0))
+    def test_helmholtz(self, n, sponge_width, points_per_wavelength):
+        p = HelmholtzProblem(
+            angular_frequency=2 * np.pi * n / points_per_wavelength, n=n,
+            sponge_width=sponge_width)
+        A = assemble_helmholtz(p)
+        assert_same_csr(A, reference_helmholtz(p))
+        if sponge_width == 1:   # no interior node lies inside the sponge
+            assert not np.any(A.values.imag)
+
+    def test_helmholtz_drops_a_vanishing_diagonal(self):
+        # k h = 2 exactly, so 4 - k^2 h^2 = 0 wherever the sponge is not
+        p = HelmholtzProblem(angular_frequency=32.0, n=16,
+                             shannon_check=False)
+        A = assemble_helmholtz(p)
+        assert_same_csr(A, reference_helmholtz(p))
+        assert A.nnz < 5 * 15 ** 2 - 4 * 15
+
+
 class TestHelmholtzAssembly:
     def test_interior_stencil_values(self):
         n = 32
@@ -136,6 +191,22 @@ def test_problem_invariants():
         AnisotropicProblem(epsilon=0.5, theta=4.0, n=8)
     with pytest.raises(ValueError):
         HelmholtzProblem(angular_frequency=-1.0, n=8)
+
+
+@pytest.mark.parametrize("kw,field", [
+    ({"angular_frequency": np.nan}, "angular_frequency"),
+    ({"angular_frequency": np.inf}, "angular_frequency"),
+    ({"angular_frequency": 0.0}, "angular_frequency"),
+    ({"wave_speed": np.nan}, "wave_speed"),
+    ({"wave_speed": -1.0}, "wave_speed"),
+    ({"sponge_width": 0}, "sponge_width"),
+    ({"sponge_width": -3}, "sponge_width"),
+    ({"sponge_width": 2.5}, "sponge_width"),
+])
+def test_helmholtz_parameters_rejected(kw, field):
+    args = {"angular_frequency": 2 * np.pi, "n": 16, **kw}
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        HelmholtzProblem(**args)
 
 
 def test_mu_extraction():

@@ -331,3 +331,12 @@ def test_spectral_bounds_of_a_complex_operator_stay_a_config_error(capsys):
                            capsys)
     assert code == 2
     assert err == "error: spectral bounds require a real symmetric matrix\n"
+
+
+def test_nan_frequency_is_a_config_error_that_names_the_field(capsys):
+    code, out, err = run_cli(["assemble", "--problem", "helmholtz",
+                              "--frequency", "nan", "--n", "16"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: angular_frequency must be finite and positive, "
+                   "got nan\n")

@@ -38,8 +38,9 @@ def test_rhs_moments_standard_normal():
 
 
 def test_unsupported_kind():
-    with pytest.raises(ValueError, match="unsupported"):
-        sample_dataset("poisson", 1, seed=0, n=8)
+    for kind in ("poisson", "helmholtz"):
+        with pytest.raises(ValueError, match="unsupported"):
+            sample_dataset(kind, 1, seed=0, n=8)
 
 
 def test_manifest_round_trip(tmp_path):
@@ -49,10 +50,3 @@ def test_manifest_round_trip(tmp_path):
     back = read_manifest(path)
     for sa, sb in zip(ds, back):
         assert np.array_equal(sa.f, sb.f)
-
-
-def test_helmholtz_dataset():
-    ds = sample_dataset("helmholtz", 2, seed=5, n=64)
-    for s in ds:
-        assert s.A.is_complex
-        assert np.iscomplexobj(s.f)

@@ -17,13 +17,14 @@ ROOT = Path(__file__).resolve().parent.parent
 # about 10 s a round and whose ``train_ns`` the library tests run
 LAYER_OPS = {
     "products": ["assembly", "spectral_bounds", "matvec",
-                 "plain_inner_update", "nagex_ssor_inner_update"],
+                 "plain_inner_update", "nagex_ssor_inner_update",
+                 "sample_dataset"],
     "precond": ["ssor_build", "apply_20_rows", "apply_transpose_20_rows"],
     "batches": ["block_diagonal_20x961", "hybrid_lambda_batch",
                 "hybrid_omega_batch", "plain_schedule_batch_5",
                 "nagex_ssor_schedule_batch_20"],
-    "helmholtz": ["complex_fine_matvec", "v_cycle", "fgmres_arnoldi_step",
-                  "nag_smoothing_pass"],
+    "helmholtz": ["helmholtz_assembly", "complex_fine_matvec", "v_cycle",
+                  "fgmres_arnoldi_step", "nag_smoothing_pass"],
 }
 
 

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from richlab.multigrid import (build_hierarchy, galerkin_coarse,
                                helmholtz_hierarchy, prolongation_matrix,
                                restriction_matrix, v_cycle)
 from richlab.problems import AnisotropicProblem, assemble_anisotropic
 from richlab.schedules import chebyshev_schedule
+from richlab.sparse import SparseMatrix
 from richlab.spectral import dense_spectral_bounds
 
+from reference_assembly import reference_restriction_1d
 from reference_iterations import two_grid_error_operator
 
 
@@ -55,6 +58,19 @@ def test_matches_dense_stencil_oracle():
     assert np.allclose(R, dense_restriction_stencil(n), atol=1e-15)
     P = prolongation_matrix(n).to_dense()
     assert np.allclose(P, 4.0 * dense_restriction_stencil(n).T, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 18, 64, 130, 256])
+def test_transfers_equal_the_entry_loop_oracle(n):
+    r1 = reference_restriction_1d(n)
+    p1 = (2.0 * r1.T).tocsr()
+    for got, expect in (
+            (restriction_matrix(n), scipy.sparse.kron(r1, r1, format="csr")),
+            (prolongation_matrix(n), scipy.sparse.kron(p1, p1, format="csr"))):
+        expect = SparseMatrix.from_scipy(expect)
+        for name in ("row_starts", "col_indices", "values"):
+            a, b = getattr(got, name), getattr(expect, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_galerkin_shape_symmetry_and_dense_oracle():

@@ -108,7 +108,7 @@ def test_complex_residual_on_real_factors(rng):
 
 
 def test_zero_diagonal_names_row():
-    A = SparseMatrix.from_triplets(2, 2, [0, 0, 1], [0, 1, 0], [1.0, 2.0, 3.0])
+    A = SparseMatrix.from_scipy(np.array([[1.0, 2.0], [3.0, 0.0]]))
     with pytest.raises(ZeroDiagonalError, match="row 1"):
         Preconditioner.weighted_jacobi(A)
 

@@ -45,7 +45,8 @@ def test_dimension_mismatch_names_sizes():
 
 
 def test_duplicate_triplets_summed():
-    A = SparseMatrix.from_triplets(2, 2, [0, 0, 1], [0, 0, 1], [1.0, 2.0, 5.0])
+    A = SparseMatrix.from_scipy(scipy.sparse.coo_matrix(
+        ([1.0, 2.0, 5.0], ([0, 0, 1], [0, 0, 1])), shape=(2, 2)))
     assert A.nnz == 2
     assert A.to_dense()[0, 0] == 3.0
 

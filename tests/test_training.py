@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from richlab import tape as tp
-from richlab.data import sample_dataset
+from richlab.data import Dataset, Sample, sample_dataset
 from richlab.fns import FnsTrainConfig
 from richlab.metanet import MetaNet
+from richlab.problems import HelmholtzProblem, assemble_helmholtz
 from richlab.tape import Tape, TapeReuseError
 from richlab.training import (Adam, NanLossError, TrainConfig, evaluate_loss,
                               gradient, loss_relative_residual,
@@ -254,7 +255,10 @@ def test_preconditioner_memo_lives_only_as_long_as_its_matrix():
 
 
 def test_helmholtz_dataset_is_refused_before_any_net():
-    ds = sample_dataset("helmholtz", 2, seed=0, n=32)
+    spec = HelmholtzProblem(angular_frequency=2 * np.pi, n=32)
+    sample = Sample(spec=spec, A=assemble_helmholtz(spec),
+                    f=np.ones(spec.ndof, dtype=np.complex128))
+    ds = Dataset(kind="helmholtz", seed=0, n=32, samples=[sample, sample])
     with pytest.raises(ValueError, match="got 'helmholtz'"):
         train_ns(TrainConfig(), ds)
 
