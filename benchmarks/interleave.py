@@ -153,7 +153,7 @@ def precond(mod):
 
 
 def batches(mod):
-    fns, tape, training = mod("fns"), mod("tape"), mod("training")
+    fns, training = mod("fns"), mod("training")
     samples, _ = _training_set(mod)
     blocks = [s.A for s in samples]
     cfg = fns.FnsTrainConfig()
@@ -162,15 +162,14 @@ def batches(mod):
 
     def hybrid_batch(train_lambda):
         def run():
-            T = tape.Tape()
+            (omega, _, _), records = training._schedules(samples, net)
+            _, row_grads = fns._hybrid_loss(
+                samples, omega, rows, cfg.unroll, cfg.smooth_steps,
+                wrt=("lam",) if train_lambda else ("omega",))
             if train_lambda:
-                lam = tape.stack([T.var(row) for row in rows])
-                params = net.parameters()
+                row_grads()
             else:
-                lam, params = rows, [T.var(p) for p in net.parameters()]
-            omega = training._schedules(samples, net, params)[0]
-            T.backward(fns._hybrid_loss(samples, omega, lam, cfg.unroll,
-                                        cfg.smooth_steps))
+                net.backward(records, row_grads().get("omega"))
         return run
 
     def schedule_batch(variant, precond, log_omega, batch_size, seed):

@@ -3,11 +3,11 @@ schedules, composed into multigrid and Krylov solvers."""
 
 from .sparse import SparseMatrix, read_matrix_market, write_matrix_market
 from .spectral import SpectralBounds, dense_spectral_bounds
-from .transforms import dst2, dst2_inv, sine_mode
+from .transforms import dst2, dst2_inv
 from .problems import (AnisotropicProblem, HelmholtzProblem, ProblemSpec,
                        assemble_anisotropic, assemble_helmholtz,
                        coefficient_matrix)
-from .data import Dataset, sample_dataset, read_manifest, write_manifest
+from .data import Dataset, sample_dataset
 from .schedules import (WeightSchedule, chebyshev_schedule,
                         chebyshev_semi_schedule, chebyshev_semi_weights,
                         chebyshev_weights)

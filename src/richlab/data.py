@@ -1,7 +1,6 @@
 """Seeded train/test dataset generation for the model problems."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +40,6 @@ class Dataset:
     def __iter__(self):
         return iter(self.samples)
 
-    @property
-    def metadata(self):
-        return {"kind": self.kind, "count": len(self.samples),
-                "seed": self.seed, "n": self.n}
-
 
 def assemble(spec: ProblemSpec) -> SparseMatrix:
     if spec.kind == "anisotropic":
@@ -74,23 +68,3 @@ def sample_dataset(kind, count, seed, n) -> Dataset:
         samples.append(Sample(spec=spec, A=A, f=f))
     return Dataset(kind=kind, seed=seed, n=n, samples=samples)
 
-
-def write_manifest(path, ds: Dataset):
-    """Persist the dataset manifest; matrices are regenerable, never stored."""
-    doc = dict(ds.metadata)
-    doc["mu"] = [list(map(float, s.mu)) for s in ds.samples]
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
-def read_manifest(path) -> Dataset:
-    """Regenerate a dataset from its manifest (bit-identical rhs)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    ds = sample_dataset(doc["kind"], doc["count"], doc["seed"], doc["n"])
-    stored = np.array(doc["mu"])
-    regen = np.array([list(map(float, s.mu)) for s in ds.samples])
-    if not np.allclose(stored, regen, rtol=1e-12, atol=1e-12):
-        raise ValueError("manifest parameters do not match regenerated dataset")
-    return ds

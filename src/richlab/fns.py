@@ -16,13 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tape as tp
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metanet import ANISOTROPIC_BOUNDS, MetaNet
 from .richardson import DivergenceError, SolveReport, _inner_step
 from .sparse import block_diagonal
-from .tape import Tape
-from .training import Adam, _check_config, _schedules, _unroll
+from .training import Adam, _check_config, _mean_loss, _schedules, _unroll
 from .transforms import dst2, dst2_inv
 
 import time
@@ -145,20 +143,31 @@ def solve_fns(A, f, schedule, corr, M, tol=1e-6, max_iters=10_000):
 
 # -- differentiable hybrid loss -----------------------------------------
 
-def _hybrid_loss(batch, omega, lam, n_hybrid, M):
+def _hybrid_loss(batch, omega, lam, n_hybrid, M, wrt=()):
     """Mean relative residual of a batch after n_hybrid hybrid steps from
-    a zero initial guess, recorded on the tape of ``omega`` or ``lam``.
+    a zero initial guess, and a function that returns the gradients of
+    the rows named in ``wrt`` ("omega", "lam") that the loss reads.
 
     The batch runs as one (B, N) row stack through the training unroll:
     each step is M plain updates with the (B, m) weight rows ``omega``,
     then the correction u + S(lam * S(f - A u)) with the (B, N)
-    correction rows ``lam``. One of ``omega`` and ``lam`` is a Var, the
-    other a plain array.
+    correction rows ``lam``.
     """
     A = block_diagonal([s.A for s in batch])
     F = np.stack([s.f for s in batch])
-    return tp.batch_mean(_unroll(A, F, omega, None, None, M, "plain",
-                                 lam=lam, cycles=n_hybrid))
+    return _mean_loss(*_unroll(A, F, omega, None, None, M, "plain", lam=lam,
+                               cycles=n_hybrid, wrt=wrt))
+
+
+def _bucket_gradients(g_rows, keys, buckets, size):
+    """Gradient of each bucket's correction row from the (B, size)
+    gradient rows of a batch whose instance b reads bucket keys[b]: the
+    sum of its instances' rows in increasing batch order, or zeros for a
+    bucket the batch does not read (and for all when g_rows is None)."""
+    summed = {}
+    for key, row in zip(keys, () if g_rows is None else g_rows):
+        summed[key] = summed[key] + row if key in summed else row
+    return [summed[b] if b in summed else np.zeros(size) for b in buckets]
 
 
 # -- bucketed model ------------------------------------------------------
@@ -280,29 +289,26 @@ def train_fns_lite(config: FnsTrainConfig, dataset, net=None):
             for start in range(0, len(dataset), config.batch_size):
                 batch = [dataset[int(k)]
                          for k in order[start:start + config.batch_size]]
-                tape = Tape()
-                pvars = [tape.var(p) for p in params]
+                keys = [model.bucket_of(s.mu) for s in batch]
+                (omega, _, _), records = _schedules(batch, model.net)
+                lam = np.stack([model.table[key] for key in keys])
+                loss, row_grads = _hybrid_loss(
+                    batch, omega, lam, config.unroll, config.smooth_steps,
+                    wrt=("lam",) if train_lambda else ("omega",))
                 if train_lambda:
-                    rows = dict(zip(buckets, pvars))
-                    lam = tp.stack([rows[model.bucket_of(s.mu)]
-                                    for s in batch])
-                    net_params = model.net.parameters()
+                    grads = _bucket_gradients(row_grads().get("lam"), keys,
+                                              buckets, size)
                 else:
-                    lam = np.stack([model.table[model.bucket_of(s.mu)]
-                                    for s in batch])
-                    net_params = pvars
-                omega = _schedules(batch, model.net, net_params)[0]
-                loss = _hybrid_loss(batch, omega, lam, config.unroll,
-                                    config.smooth_steps)
-                tape.backward(loss)
-                params = opt.step(params, [p.grad for p in pvars])
+                    grads = model.net.backward(records,
+                                               row_grads().get("omega"))
+                params = opt.step(params, grads)
                 if train_lambda:
                     for b, p in zip(buckets, params):
                         model.table[b[0], b[1]] = p
                 else:
                     model.net.set_parameters(params)
                     params = model.net.parameters()
-                epoch.append(float(loss.value))
+                epoch.append(float(loss))
             losses.append(float(np.mean(epoch)))
             if _plateaued(losses, config.plateau_window, config.plateau_tol):
                 break

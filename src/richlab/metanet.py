@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tape as tp
 from .checkpoint import load_checkpoint, save_checkpoint
 from .schedules import WeightSchedule
 
@@ -79,30 +78,66 @@ class MetaNet:
         lo, hi = self.input_bounds[:, 0], self.input_bounds[:, 1]
         return 2.0 * (np.asarray(mu, dtype=float) - lo) / (hi - lo) - 1.0
 
-    def forward_tape(self, mu, params):
-        """(omega, alpha, alpha_tilde) under ``params``, given in the order
-        of parameters(): recorded on their tape when they are Vars, plain
-        arrays when they are arrays. A weight the variant does not have is
-        None; nag's alpha_tilde is its alpha."""
-        nw = len(self.weights)
-        Ws, bs = params[:nw], params[nw:]
-        h = self.normalize(mu)
-        for W, b in zip(Ws[:-1], bs[:-1]):
-            h = tp.tanh(tp.matvec(W, h) + b)
-        raw = tp.matvec(Ws[-1], h) + bs[-1]
+    def forward_tape(self, mu):
+        """(omega, alpha, alpha_tilde) of the current parameters, and the
+        record of the pass that :meth:`backward` reads. A weight the
+        variant does not have is None; nag's alpha_tilde is its alpha."""
+        hs = [self.normalize(mu)]
+        for W, b in zip(self.weights[:-1], self.biases[:-1]):
+            hs.append(np.tanh(W @ hs[-1] + b))
+        raw = self.weights[-1] @ hs[-1] + self.biases[-1]
         m = self.m
-        omega = tp.exp(raw[:m]) if self.learn_log_omega \
-            else tp.softplus(raw[:m])
-        alpha = tp.sigmoid(raw[m:2 * m]) \
-            if _GROUPS[self.variant] >= 2 else None
-        if self.variant == "nagex":
-            return omega, alpha, tp.sigmoid(raw[2 * m:3 * m])
-        return omega, alpha, alpha if self.variant == "nag" else None
+        omega = np.exp(raw[:m]) if self.learn_log_omega \
+            else np.logaddexp(0.0, raw[:m])
+        alpha = _sigmoid(raw[m:2 * m]) if self.variant != "plain" else None
+        alpha_t = _sigmoid(raw[2 * m:3 * m]) if self.variant == "nagex" \
+            else None
+        record = (self.weights, hs, raw, omega, alpha, alpha_t)
+        if self.variant == "nag":
+            alpha_t = alpha
+        return (omega, alpha, alpha_t), record
 
     def schedule_arrays(self, mu):
-        """(omega, alpha, alpha_tilde) of the current parameters as plain
-        arrays, by the one forward pass :meth:`forward_tape`."""
-        return self.forward_tape(mu, self.parameters())
+        """(omega, alpha, alpha_tilde) of the current parameters, by the
+        one forward pass :meth:`forward_tape`."""
+        return self.forward_tape(mu)[0]
+
+    def backward(self, records, g_omega, g_alpha=None, g_alpha_t=None):
+        """Parameter gradients, in the order of parameters(), of a loss
+        that reads the schedule rows of B forward passes, given their
+        ``records`` and the loss's (B, m) gradients with respect to the
+        omega, alpha and alpha_tilde rows (None where the loss reads no
+        such row; nag's alpha gradient holds its look-ahead part).
+
+        Each parameter sums its instances' contributions from the last
+        instance to the first, and each contribution takes the float
+        operations of recording the forward one operation at a time
+        (``tests/reference_tape.py`` states that order).
+        """
+        if g_omega is None and g_alpha is None and g_alpha_t is None:
+            return [np.zeros_like(p) for p in self.parameters()]
+        m = self.m
+        total = None
+        for b in reversed(range(len(records))):
+            Ws, hs, raw, omega, alpha, alpha_t = records[b]
+            g = np.zeros(len(raw))
+            if g_alpha_t is not None:
+                g[2 * m:3 * m] += g_alpha_t[b] * alpha_t * (1.0 - alpha_t)
+            if g_alpha is not None:
+                g[m:2 * m] += g_alpha[b] * alpha * (1.0 - alpha)
+            if g_omega is not None:
+                g[:m] += g_omega[b] * omega if self.learn_log_omega \
+                    else g_omega[b] * (1.0 / (1.0 + np.exp(-raw[:m])))
+            gW, gb = [], []
+            for i in reversed(range(len(Ws))):
+                gW.insert(0, np.outer(g, hs[i]))
+                gb.insert(0, g)
+                if i:
+                    g = (Ws[i].T @ g) * (1.0 - hs[i] ** 2)
+            own = gW + gb
+            total = own if total is None else \
+                [t + o for t, o in zip(total, own)]
+        return total
 
     # -- persistence -----------------------------------------------------
     def save(self, path, extra_metadata=None):
@@ -129,6 +164,10 @@ class MetaNet:
                    variant=meta["variant"], m=meta["m"],
                    learn_log_omega=meta["learn_log_omega"],
                    input_bounds=arrays["input_bounds"], seed=meta["seed"])
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def meta_forward(net: MetaNet, mu) -> WeightSchedule:

@@ -1,6 +1,7 @@
 """Weight schedules for one outer sweep of the Richardson(m) family."""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,30 +23,28 @@ class WeightSchedule:
     variant: str = "plain"
 
     def __post_init__(self):
-        omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
-        object.__setattr__(self, "omega", omega)
+        omega = _weights("omega", self.omega)
         m = len(omega)
         if m < 1:
             raise ValueError("schedule needs at least one weight")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        alpha = self.alpha
-        alpha = np.zeros(m) if alpha is None else np.atleast_1d(np.asarray(alpha, dtype=float))
-        at = self.alpha_tilde
+        alpha = np.zeros(m) if self.alpha is None \
+            else _weights("alpha", self.alpha)
+        at = None if self.alpha_tilde is None \
+            else _weights("alpha_tilde", self.alpha_tilde)
         if self.variant == "plain":
-            if at is None:
-                at = np.zeros(m)
-            if np.any(alpha != 0.0) or np.any(np.atleast_1d(at) != 0.0):
+            if np.any(alpha != 0.0) or (at is not None and np.any(at != 0.0)):
                 raise ValueError("plain variant requires zero momentum coefficients")
         if self.variant == "nag":
-            if at is not None and not np.array_equal(np.atleast_1d(at), alpha):
+            if at is not None and not np.array_equal(at, alpha):
                 raise ValueError("nag requires alpha_tilde == alpha")
             at = alpha
         if at is None:
             at = np.zeros(m)
-        at = np.atleast_1d(np.asarray(at, dtype=float))
         if not (len(alpha) == len(at) == m):
             raise ValueError("omega, alpha, alpha_tilde must share length m")
+        object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "alpha_tilde", at)
 
@@ -54,12 +53,26 @@ class WeightSchedule:
         return len(self.omega)
 
 
+def _weights(name, value):
+    """``value`` as a 1-D float array (a scalar is one weight), or a
+    ValueError that names the field."""
+    x = np.atleast_1d(np.asarray(value, dtype=float))
+    if x.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite, got {x.tolist()}")
+    return x
+
+
 def chebyshev_weights(lambda_max, lambda_min, m):
     """Weights placing the degree-m residual polynomial roots at the
     Chebyshev points mapped onto [lambda_min, lambda_max]."""
-    if not lambda_max > lambda_min > 0:
+    if not (np.isfinite(lambda_max) and lambda_max > lambda_min > 0):
         raise ValueError(
-            f"need lambda_max > lambda_min > 0, got ({lambda_max}, {lambda_min})")
+            "need finite lambda_max > lambda_min > 0, got "
+            f"({lambda_max}, {lambda_min})")
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+        raise ValueError(f"m must be an integer, got {m!r}")
     if m < 1:
         raise ValueError("m must be >= 1")
     i = np.arange(1, m + 1)

@@ -6,11 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tape as tp
 from .metanet import MetaNet
 from .precond import Preconditioner
 from .sparse import block_diagonal
-from .tape import Tape, Var, _track
+from .tape import Tape
 from .transforms import dst2
 
 
@@ -93,41 +92,49 @@ def _rowwise(Ps):
 
 
 def _unroll(A, F, omega, alpha, alpha_t, K, variant, precondition=None,
-            lam=None, cycles=1):
+            lam=None, cycles=1, wrt=()):
     """Relative residuals ||F_b - A_b u_b|| / ||F_b|| of the (B, n) row
     stack u after ``cycles`` segments of K inner updates from u = 0,
-    against the block-diagonal A and the right-hand-side rows F.
+    against the block-diagonal A and the right-hand-side rows F, and
+    their adjoint.
 
     This is the one Richardson(m) unroll of training and of the hybrid
-    loss. The weights are as in :func:`unrolled_relative_residuals`.
-    Each segment starts with zero momentum, and its update k takes
-    column k mod m of the weight rows. Given the (B, n) correction rows
+    loss. ``omega``, ``alpha`` and ``alpha_t`` hold one row of m weights
+    per instance (``alpha`` is unused for plain, ``alpha_t`` for plain
+    and mom; nag takes ``alpha`` as its look-ahead weights). Each
+    segment starts with zero momentum, and its update k takes column
+    k mod m of the weight rows. Given the (B, n) correction rows
     ``lam``, each segment ends with the hybrid correction
     u <- u + S(lam * S(F - A u)), S the row-wise sine transform.
     ``precondition`` is an (apply, apply_transpose) pair over row stacks
-    (see :func:`_rowwise`), or None.
+    (see :func:`_rowwise`), or None. Each row sees the operations of a
+    one-instance unroll in the same order, so its residual does not
+    depend on the rest of the batch.
 
-    Given arrays it runs tape-free and returns an array. Given Vars it
-    keeps the history its adjoint reads, one (updates, B, n) block per
-    stored quantity, and records one tape node. The node has an edge to
-    each weight Var that an update or correction reads, and its VJP is
-    the transposed recurrence in the order :mod:`richlab.tape` states.
+    ``wrt`` names the rows to differentiate, among "omega", "alpha",
+    "alpha_t" and "lam"; the forward keeps the history their adjoint
+    reads, one (updates, B, n) block per stored quantity. The adjoint
+    maps the gradient g of the residuals to a dict of the gradients of
+    those rows that the unroll reads (nag's look-ahead part goes to
+    "alpha"). It runs the transposed recurrence, and adds its terms in
+    the order that recording the unroll one vector operation at a time
+    would (``tests/reference_tape.py`` states it).
     """
     B, n = F.shape
-    W, Al, At, L = (x.value if isinstance(x, Var) else x
-                    for x in (omega, alpha, alpha_t, lam))
     steps = K * cycles
     momentum = variant != "plain"
     look_ahead = variant in ("nag", "nagex")
-    m = W.shape[1] if steps else 1
-    read = {"omega": omega if steps else None,
-            "alpha": alpha if steps and momentum else None,
-            "alpha_t": alpha_t if steps and look_ahead else None,
-            "lam": lam if cycles else None}
-    tracked = {role: x for role, x in read.items() if isinstance(x, Var)}
-    keep_pr = "omega" in tracked
-    keep_v = "alpha" in tracked or "alpha_t" in tracked
-    keep_d = "lam" in tracked
+    if variant == "nag":
+        alpha_t = alpha
+    m = omega.shape[1] if steps else 1
+    read = {"omega": steps > 0, "alpha": steps > 0 and momentum,
+            "alpha_t": steps > 0 and variant == "nagex",
+            "lam": cycles > 0 and lam is not None}
+    wrt = [role for role in ("omega", "alpha", "alpha_t", "lam")
+           if role in wrt and read[role]]
+    keep_pr = "omega" in wrt
+    keep_v = "alpha" in wrt or "alpha_t" in wrt
+    keep_d = "lam" in wrt
     pr_hist = np.empty((steps, B, n)) if keep_pr else None
     v_hist = np.empty((steps, B, n)) if keep_v else None
     d_hist = []
@@ -153,7 +160,7 @@ def _unroll(A, F, omega, alpha, alpha_t, K, variant, precondition=None,
             c = slice(k % m, k % m + 1)
             x = u
             if look_ahead:
-                x = np.multiply(At[:, c], v, out=scratch)
+                x = np.multiply(alpha_t[:, c], v, out=scratch)
                 x += u
             r = pr_hist[j] if keep_pr and not precondition else r_buf
             np.subtract(F, product(x), out=r)
@@ -164,40 +171,35 @@ def _unroll(A, F, omega, alpha, alpha_t, K, variant, precondition=None,
             if keep_v:
                 v_hist[j] = v
             if momentum:
-                v *= Al[:, c]
-                v += np.multiply(W[:, c], pr, out=scratch)
+                v *= alpha[:, c]
+                v += np.multiply(omega[:, c], pr, out=scratch)
             else:
-                np.multiply(W[:, c], pr, out=v)
+                np.multiply(omega[:, c], pr, out=v)
             u += v
             j += 1
         if lam is not None:
             d = dst2(F - product(u))
             if keep_d:
                 d_hist.append(d)
-            u += dst2(L * d)
+            u += dst2(lam * d)
     res = F - product(u)
     norms = np.array([np.linalg.norm(row) for row in res])
     inv_fnorm = 1.0 / np.array([np.linalg.norm(f) for f in F])
     rel = norms * inv_fnorm
-    if not tracked:
-        given = [x for x in (omega, alpha, alpha_t, lam) if isinstance(x, Var)]
-        return given[0].tape.var(rel) if given else rel
-
-    tied = "alpha_t" in tracked and tracked["alpha_t"] is tracked.get("alpha")
-    if tied:   # nag: both momentum rows leave through one edge
-        del tracked["alpha_t"]
 
     def adjoint(g):
-        """Gradients of the tracked weights, by role, from the gradient
-        g of the relative residuals."""
+        """Gradients of the rows in ``wrt`` from the gradient g of the
+        relative residuals."""
+        if not wrt:
+            return {}
         gn = g * inv_fnorm
         gr = np.zeros_like(res)
         live = norms > 0
         gr[live] = gn[live, None] * res[live] / norms[live, None]
         gu = product_t(-gr)
-        grads = {role: np.zeros((B, m)) for role in tracked if role != "lam"}
+        grads = {role: np.zeros((B, m)) for role in wrt if role != "lam"}
         g_alpha = grads.get("alpha")
-        g_alpha_t = g_alpha if tied else grads.get("alpha_t")
+        g_alpha_t = g_alpha if variant == "nag" else grads.get("alpha_t")
         g_lam = None
         j = steps
         for cycle in reversed(range(cycles)):
@@ -207,8 +209,8 @@ def _unroll(A, F, omega, alpha, alpha_t, K, variant, precondition=None,
                     part = g_prod * d_hist[cycle]
                     g_lam = part if g_lam is None else g_lam + part
                 if cycle == 0 and not (keep_pr or keep_v):
-                    break   # nothing before the first correction is tracked
-                gu = gu + product_t(-dst2(g_prod * L))
+                    break   # nothing before the first correction is wanted
+                gu = gu + product_t(-dst2(g_prod * lam))
             gv_next = gla_next = None
             for k in reversed(range(K)):
                 j -= 1
@@ -217,15 +219,15 @@ def _unroll(A, F, omega, alpha, alpha_t, K, variant, precondition=None,
                 gv = gu
                 if momentum and gv_next is not None:
                     cn = slice((k + 1) % m, (k + 1) % m + 1)
-                    gv = gv_next * Al[:, cn]
+                    gv = gv_next * alpha[:, cn]
                     if look_ahead:
-                        gv = gv + gla_next * At[:, cn]
+                        gv = gv + gla_next * alpha_t[:, cn]
                     gv = gv + gu
                 if g_alpha is not None:
                     g_alpha[:, col] += (gv * v_hist[j]).sum(axis=1)
                 if keep_pr:
                     grads["omega"][:, col] += (gv * pr_hist[j]).sum(axis=1)
-                g_pr = gv * W[:, c]
+                g_pr = gv * omega[:, c]
                 gla = product_t(-(precondition[1](g_pr) if precondition
                                   else g_pr))
                 if g_alpha_t is not None:
@@ -236,89 +238,88 @@ def _unroll(A, F, omega, alpha, alpha_t, K, variant, precondition=None,
             grads["lam"] = g_lam
         return grads
 
-    grads = {}
-
-    def vjp(role):
-        def run(g):
-            if not grads:
-                grads.update(adjoint(g))
-            return grads.pop(role)
-        return run
-
-    return _track(rel, *((x, vjp(role)) for role, x in tracked.items()))
+    return rel, adjoint
 
 
-def unrolled_relative_residuals(As, fs, omega, alpha, alpha_t, K, variant,
-                                Ps=None):
-    """Relative residuals ||f_b - A_b u_K|| / ||f_b|| of a batch after K
-    inner updates from a zero initial guess.
-
-    The batch runs as one (B, n) row stack against the block-diagonal
-    operator of ``As``. ``omega``, ``alpha`` and ``alpha_t`` hold one row
-    of m weights per instance (``alpha`` is unused for plain,
-    ``alpha_t`` for plain and mom). Given tape Vars the unroll is
-    recorded and a Var is returned; given arrays it runs tape-free. Each
-    row sees the operations of a one-instance unroll in the same order,
-    so its residual does not depend on the rest of the batch.
-    """
-    return _unroll(block_diagonal(As), np.stack(fs), omega, alpha, alpha_t,
-                   K, variant, _rowwise(Ps))
+def _batch_mean(values):
+    """Mean of a 1-D stack by left-to-right adds, times 1/len."""
+    total = values[0]
+    for item in values[1:]:
+        total = total + item
+    return total * (1.0 / len(values))
 
 
-def _schedules(batch, net: MetaNet, params):
-    """(omega, alpha, alpha_t) of a batch as (B, m) rows under ``params``
-    (Vars or arrays, as for :meth:`MetaNet.forward_tape`), or None where
-    the variant has no such weights. The network runs once per instance
-    and its outputs are stacked row by row."""
-    omega, alpha, alpha_t = zip(*(net.forward_tape(sample.mu, params)
-                                  for sample in batch))
-    tied = alpha_t[0] is alpha[0]   # nag reuses its momentum rows
+def _mean_loss(rel, adjoint):
+    """The batch mean of the residuals ``rel``, and a function that
+    returns the adjoint's row gradients of that mean."""
+    B = len(rel)
+    return _batch_mean(rel), lambda: adjoint(np.full(B, 1.0 / B))
+
+
+def _schedules(batch, net: MetaNet):
+    """(omega, alpha, alpha_t) of a batch as (B, m) rows, None where the
+    variant has no such weights, and the per-instance records of
+    :meth:`MetaNet.backward`. The network runs once per instance and its
+    outputs are stacked row by row."""
+    outputs, records = zip(*(net.forward_tape(sample.mu) for sample in batch))
+    omega, alpha, alpha_t = zip(*outputs)
 
     def rows(xs):
-        return None if xs[0] is None else tp.stack(xs)
+        return None if xs[0] is None else np.stack(xs)
 
-    alpha = rows(alpha)
-    return rows(omega), alpha, alpha if tied else rows(alpha_t)
+    return (rows(omega), rows(alpha), rows(alpha_t)), records
 
 
-def _batch_losses(batch, net: MetaNet, params, K, precond):
-    """Per-instance K-step relative residuals of a batch under ``params``:
-    recorded when they are Vars, tape-free when they are arrays."""
-    omega, alpha, alpha_t = _schedules(batch, net, params)
-    return unrolled_relative_residuals(
-        [s.A for s in batch], [s.f for s in batch], omega, alpha, alpha_t, K,
-        net.variant, [make_preconditioner(precond, s.A) for s in batch])
+def _batch_losses(batch, net: MetaNet, K, precond, wrt=()):
+    """Per-instance K-step relative residuals of a batch, each from a zero
+    initial guess, as one (B, n) row stack against the block-diagonal
+    operator of the batch; the network's records; and the unroll's
+    adjoint for the schedule rows named in ``wrt``."""
+    rows, records = _schedules(batch, net)
+    rel, adjoint = _unroll(
+        block_diagonal([s.A for s in batch]), np.stack([s.f for s in batch]),
+        *rows, K, net.variant,
+        _rowwise([make_preconditioner(precond, s.A) for s in batch]),
+        wrt=wrt)
+    return rel, records, adjoint
 
 
 def loss_relative_residual(batch, net: MetaNet, K, precond=None):
-    """Mean K-step relative residual over a batch, recorded on a tape.
+    """Mean K-step relative residual over a batch, recorded for one
+    backward pass.
 
-    Returns (loss Var, tape, param Vars). Each instance starts from a
-    zero initial guess. The network runs once per instance; its
+    Returns (loss, tape, params): the loss as a float, the :class:`Tape`
+    whose ``backward`` returns its gradients, and the parameter arrays
+    those gradients align with. The network runs once per instance; its
     schedules are stacked into (B, m) rows for one batched unroll.
     """
     if not batch:
         raise ValueError("batch must be nonempty")
-    tape = Tape()
-    param_vars = [tape.var(p) for p in net.parameters()]
-    losses = _batch_losses(batch, net, param_vars, K, precond)
-    bad = np.flatnonzero(~np.isfinite(losses.value))
+    losses, records, adjoint = _batch_losses(
+        batch, net, K, precond, wrt=("omega", "alpha", "alpha_t"))
+    bad = np.flatnonzero(~np.isfinite(losses))
     if bad.size:
         raise NanLossError(int(bad[0]))
-    return tp.batch_mean(losses), tape, param_vars
+    loss, row_grads = _mean_loss(losses, adjoint)
+
+    def backward():
+        g = row_grads()
+        return net.backward(records, g.get("omega"), g.get("alpha"),
+                            g.get("alpha_t"))
+
+    return loss, Tape(backward), net.parameters()
 
 
-def gradient(loss, tape, param_vars):
-    """Reverse-mode gradients of a recorded scalar loss (single use)."""
-    tape.backward(loss)
-    return [p.grad for p in param_vars]
+def gradient(loss, tape, params):
+    """Gradients of a recorded loss, aligned with ``params`` (single
+    use)."""
+    return tape.backward()
 
 
 def evaluate_loss(samples, net: MetaNet, K, precond=None):
-    """Tape-free mean loss, equal bit for bit to the recorded loss of the
-    same batch."""
-    return tp.batch_mean(_batch_losses(samples, net, net.parameters(), K,
-                                       precond))
+    """Unrecorded mean loss, equal bit for bit to the recorded loss of
+    the same batch."""
+    return _batch_mean(_batch_losses(samples, net, K, precond)[0])
 
 
 class Adam:
@@ -377,11 +378,10 @@ def train_ns(config: TrainConfig, dataset, net=None):
         epoch_losses = []
         for start in range(0, len(train), config.batch_size):
             batch = [train[j] for j in order[start:start + config.batch_size]]
-            loss, tape, pvars = loss_relative_residual(
+            loss, tape, params = loss_relative_residual(
                 batch, net, config.unroll, precond=config.precond)
-            grads = gradient(loss, tape, pvars)
-            net.set_parameters(opt.step(net.parameters(), grads))
-            epoch_losses.append(float(loss.value))
+            net.set_parameters(opt.step(params, tape.backward()))
+            epoch_losses.append(float(loss))
         train_loss = float(np.mean(epoch_losses))
         val_loss = evaluate_loss(val or train, net, config.unroll,
                                  precond=config.precond)

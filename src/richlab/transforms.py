@@ -37,10 +37,3 @@ def dst2_inv(x):
     """Inverse of :func:`dst2` (the transform is involutory)."""
     return dst2(x)
 
-
-def sine_mode(n, p, q):
-    """Flattened sine mode sin(p*pi*i/n)*sin(q*pi*j/n) on the interior."""
-    i = np.arange(1, n)
-    sp = np.sin(p * np.pi * i / n)
-    sq = np.sin(q * np.pi * i / n)
-    return np.outer(sp, sq).reshape(-1)

@@ -28,6 +28,14 @@ def random_sparse(n, rng, density=0.4):
     return SparseMatrix.from_scipy(M)
 
 
+def sine_mode(n, p, q):
+    """Flattened sine mode sin(p*pi*i/n)*sin(q*pi*j/n) on the interior."""
+    i = np.arange(1, n)
+    sp = np.sin(p * np.pi * i / n)
+    sq = np.sin(q * np.pi * i / n)
+    return np.outer(sp, sq).reshape(-1)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

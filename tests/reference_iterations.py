@@ -14,13 +14,15 @@ The dense operators (``sweep_operator``, ``sweep_affine_term``,
 matrix, for spectral checks on small grids.
 
 ``reference_hybrid_unroll`` records the hybrid iteration one instance
-at a time on a tape, with ``norm2`` and ``mean`` as its reductions; the
-batched training loss must equal it.
+at a time on the reference tape (``tests/reference_tape.py``), with
+``norm2`` and ``mean`` as its reductions; the batched training loss
+must equal it.
 
-``reference_unroll`` is the batched training unroll as it was recorded
-before the one-node kernel: one tape node per vector operation, through
-the tape ops ``spmv``, ``linear_map`` and ``row_norms`` defined here.
-The kernel's values and gradients must equal its bit for bit.
+``reference_unroll`` is the batched training unroll recorded on that
+tape, one node per vector operation, through the tape ops ``spmv``,
+``linear_map`` and ``row_norms`` defined here. The values of
+``training._unroll`` and the gradients of its hand-written adjoint must
+equal its bit for bit.
 """
 import time
 
@@ -31,8 +33,9 @@ from richlab.fgmres import FgmresConfig
 from richlab.multigrid import (CoarseSolveError, prolongation_matrix,
                                restriction_matrix)
 from richlab.richardson import DIVERGENCE_FACTOR, DivergenceError, SolveReport
-from richlab.tape import Var, _track, _value
 from richlab.transforms import dst2, dst2_inv
+
+from reference_tape import Var, _track, _value
 
 
 def csr_matvec(A, x):

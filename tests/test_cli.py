@@ -198,6 +198,15 @@ def test_train_rejects_bad_flags_before_sampling(flags, message, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("omega", ["nan", "inf", "0.1,-inf"])
+def test_non_finite_literal_weights_are_a_config_error(omega, capsys):
+    code, _, err = run_cli(["solve", "--n", "8", "--weights", "literal",
+                            "--omega", omega, "--m", "1"], capsys)
+    assert code == 2
+    assert err.startswith("error: omega must be finite")
+    assert err.count("\n") == 1
+
+
 def test_config_file_with_cli_override(tmp_path, capsys):
     cfg = tmp_path / "conf.ini"
     cfg.write_text("[solve]\nn = 16\neps = 0.25\nm = 2\n")

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from richlab.data import (EPS_RANGE, read_manifest, sample_dataset,
-                          write_manifest)
+from richlab.data import EPS_RANGE, sample_dataset
 
 
 def test_seeded_determinism_bit_identical():
@@ -42,11 +41,3 @@ def test_unsupported_kind():
         with pytest.raises(ValueError, match="unsupported"):
             sample_dataset(kind, 1, seed=0, n=8)
 
-
-def test_manifest_round_trip(tmp_path):
-    ds = sample_dataset("anisotropic", 4, seed=3, n=8)
-    path = tmp_path / "manifest.json"
-    write_manifest(path, ds)
-    back = read_manifest(path)
-    for sa, sb in zip(ds, back):
-        assert np.array_equal(sa.f, sb.f)

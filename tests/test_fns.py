@@ -10,7 +10,9 @@ from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
                               assemble_anisotropic, assemble_helmholtz)
 from richlab.schedules import WeightSchedule
 from richlab.sparse import SparseMatrix
-from richlab.transforms import dst2, dst2_inv, sine_mode
+from richlab.transforms import dst2, dst2_inv
+
+from conftest import sine_mode
 
 
 def stencil_problem(n, eps=1.0, theta=0.0):
@@ -194,10 +196,9 @@ def hybrid_dataset():
 def test_hybrid_loss_matches_per_instance_oracle(hybrid_dataset, phase, M,
                                                  n_hybrid, batch_size):
     from reference_iterations import mean, reference_hybrid_unroll
-    from richlab import tape as tp
-    from richlab.fns import _hybrid_loss
+    from reference_tape import Tape, metanet_forward
+    from richlab.fns import _bucket_gradients, _hybrid_loss
     from richlab.metanet import MetaNet
-    from richlab.tape import Tape
     from richlab.training import _schedules
 
     batch = list(hybrid_dataset)[:batch_size]
@@ -211,31 +212,32 @@ def test_hybrid_loss_matches_per_instance_oracle(hybrid_dataset, phase, M,
     bucket = [0] * batch_size if phase == "lambda-shared" \
         else list(range(batch_size))
 
-    def run(batched):
-        tape = Tape()
-        if phase == "omega":
-            pvars = [tape.var(p) for p in net.parameters()]
-            lam = np.stack([table[b] for b in bucket])
-            omega = _schedules(batch, net, pvars)[0] \
-                if batched else [net.forward_tape(s.mu, pvars)[0]
-                                 for s in batch]
-        else:
-            pvars = [tape.var(row) for row in table]
-            lam = [pvars[b] for b in bucket]
-            lam = tp.stack(lam) if batched else lam
-            omega = np.stack([net.schedule_arrays(s.mu)[0] for s in batch])
-        if batched:
-            loss = _hybrid_loss(batch, omega, lam, n_hybrid, M)
-        else:
-            loss = mean([reference_hybrid_unroll(s.A, s.f, w, l, n_hybrid,
-                                                 M, m)
-                         for s, w, l in zip(batch, omega, lam)])
-        tape.backward(loss)
-        return loss.value, [p.grad for p in pvars]
+    # the oracle: each instance recorded on its own on the reference tape
+    tape = Tape()
+    if phase == "omega":
+        pvars = [tape.var(p) for p in net.parameters()]
+        lam = [table[b] for b in bucket]
+        omega = [metanet_forward(net, s.mu, pvars)[0] for s in batch]
+    else:
+        pvars = [tape.var(row) for row in table]
+        lam = [pvars[b] for b in bucket]
+        omega = [net.schedule_arrays(s.mu)[0] for s in batch]
+    ref_loss = mean([reference_hybrid_unroll(s.A, s.f, w, l, n_hybrid, M, m)
+                     for s, w, l in zip(batch, omega, lam)])
+    tape.backward(ref_loss)
+    ref_grads = [p.grad for p in pvars]
 
-    ref_loss, ref_grads = run(batched=False)
-    loss, grads = run(batched=True)
-    assert np.array_equal(loss, ref_loss)
+    (omega, _, _), records = _schedules(batch, net)
+    lam = np.stack([table[b] for b in bucket])
+    loss, row_grads = _hybrid_loss(batch, omega, lam, n_hybrid, M,
+                                   wrt=("omega",) if phase == "omega"
+                                   else ("lam",))
+    if phase == "omega":
+        grads = net.backward(records, row_grads().get("omega"))
+    else:
+        grads = _bucket_gradients(row_grads().get("lam"), bucket,
+                                  range(len(table)), (n - 1) ** 2)
+    assert np.array_equal(loss, ref_loss.value)
     for g, ref in zip(grads, ref_grads, strict=True):
         if phase == "lambda-shared":
             # one bucket sums its instances' gradients in another order
@@ -244,33 +246,48 @@ def test_hybrid_loss_matches_per_instance_oracle(hybrid_dataset, phase, M,
             assert np.array_equal(g, ref)
 
 
-@pytest.mark.parametrize("phase", ["lambda", "omega"])
-def test_hybrid_loss_without_hybrid_steps_is_recorded(hybrid_dataset, phase):
-    # the lambda phase starts tape-free; with no hybrid step the loss of
-    # the zero iterate must still be a node of the parameters' tape
-    from richlab import tape as tp
+@pytest.mark.parametrize("wrt", ["lam", "omega"])
+def test_hybrid_loss_without_hybrid_steps_has_zero_gradients(hybrid_dataset,
+                                                             wrt):
+    # with no hybrid step the loss is that of the zero iterate, and it
+    # reads neither the weight nor the correction rows
     from richlab.fns import _hybrid_loss
     from richlab.metanet import MetaNet
-    from richlab.tape import Tape, Var
     from richlab.training import _schedules
 
     batch = list(hybrid_dataset)
     net = MetaNet.create(3, variant="plain", hidden=(6, 6), seed=2)
     rows = np.ones((len(batch), (hybrid_dataset.n - 1) ** 2))
+    (omega, _, _), records = _schedules(batch, net)
+    loss, row_grads = _hybrid_loss(batch, omega, rows, 0, 4, wrt=(wrt,))
+    assert abs(loss - 1.0) <= 1e-15
+    assert row_grads() == {}
+    for g, p in zip(net.backward(records, None), net.parameters(),
+                    strict=True):
+        assert np.array_equal(g, np.zeros_like(p))
+
+
+def test_bucket_gradients_follow_the_stack_edges(rng):
+    """Instances that share a bucket add their gradient rows in
+    increasing batch order, as the reference tape's ``stack`` routes
+    them, bit for bit; a bucket no instance reads gets zeros."""
+    from reference_iterations import linear_map
+    from reference_tape import Tape, stack
+    from richlab.fns import _bucket_gradients
+
+    keys = [2, 0, 2, 2, 1, 2]
+    buckets = [0, 1, 2, 3]
+    # magnitudes spread over decades, so the order of the adds shows
+    G = rng.standard_normal((len(keys), 5)) \
+        * 10.0 ** rng.integers(-8, 8, (len(keys), 1))
     tape = Tape()
-    if phase == "lambda":
-        pvars = [tape.var(row) for row in rows]
-        omega, lam = _schedules(batch, net, net.parameters())[0], \
-            tp.stack(pvars)
-    else:
-        pvars = [tape.var(p) for p in net.parameters()]
-        omega, lam = _schedules(batch, net, pvars)[0], rows
-    loss = _hybrid_loss(batch, omega, lam, 0, 4)
-    assert isinstance(loss, Var) and loss.tape is tape
-    assert abs(loss.value - 1.0) <= 1e-15
-    tape.backward(loss)
-    for p in pvars:
-        assert np.array_equal(p.grad, np.zeros_like(p.value))
+    rows = [tape.var(np.zeros(5)) for _ in buckets]
+    tape.backward(linear_map(lambda z: np.sum(z * G), lambda g: g * G,
+                             stack([rows[k] for k in keys])))
+    got = _bucket_gradients(G, keys, buckets, 5)
+    for g, row in zip(got, rows, strict=True):
+        assert g.tobytes() == row.grad.tobytes()
+    assert np.array_equal(got[3], np.zeros(5))
 
 
 @pytest.fixture(scope="module")

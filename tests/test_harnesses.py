@@ -2,11 +2,13 @@
 benchmark's tracer (``perfbench/tracing.py``), the layer timings
 (``benchmarks/interleave.py``) and the spectral set-up cells
 (``benchmarks/spectral_cells.py``). All reach into the library by name,
-so a rename there breaks them without failing any library test.
+so a rename there breaks them without failing any library test; and a
+call path that stops going through a traced name leaves its span empty.
 """
 import importlib.util
 import inspect
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +39,29 @@ def test_every_traced_attribute_resolves():
                for owner, attr, *_ in tracing.PATCHES
                if inspect.getattr_static(owner, attr, None) is None]
     assert missing == []
+
+
+def test_training_spans_stay_live(tmp_path):
+    """A traced small train-schedule run passes its checks, and the
+    training batch's forward, its backward and the network's forward
+    each take time in a traced span. The benchmark runs from a copy, so
+    its results and traces stay out of the source tree."""
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
+                    ignore=shutil.ignore_patterns("results", "traces",
+                                                  "__pycache__"))
+    (tmp_path / "src").symlink_to(ROOT / "src")
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "train-schedule",
+         "--seed", "0", "--size", "small", "--seconds", "0", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, done.stderr[-2000:]
+    assert result["failed"] == 0
+    metrics = result["metrics"]
+    for name in ("tape.forward_s", "tape.backward_s", "metanet.forward_s"):
+        assert metrics[name]["value"] > 0, name
 
 
 def test_layer_timings_run_once(tmp_path):

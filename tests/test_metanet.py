@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from richlab.metanet import MetaNet, meta_forward
-from richlab.tape import Tape
+
+from reference_iterations import linear_map
+from reference_tape import Tape, metanet_forward, recorded_schedules
 
 
 def test_zero_final_layer_gives_constant_positive_map():
@@ -46,10 +50,10 @@ def test_log_omega_mode():
     assert np.allclose(s.omega, 1.0)  # exp(0)
 
 
-def test_tape_forward_matches_numpy_forward():
-    """The recorded forward and the tape-free one are the same pass: equal
-    bit for bit for every variant and both omega outputs, with None for
-    the weights a variant does not have."""
+def test_forward_matches_recorded_forward():
+    """The library's forward and the one recorded on the reference tape
+    are equal bit for bit for every variant and both omega outputs, with
+    None for the weights a variant does not have."""
     mu = [-2.5, 2.0]
     for variant in ("plain", "mom", "nag", "nagex"):
         for log_omega in (False, True):
@@ -57,8 +61,8 @@ def test_tape_forward_matches_numpy_forward():
                                  learn_log_omega=log_omega)
             plain = net.schedule_arrays(mu)
             t = Tape()
-            recorded = net.forward_tape(mu, [t.var(p)
-                                             for p in net.parameters()])
+            recorded = metanet_forward(net, mu, [t.var(p)
+                                                 for p in net.parameters()])
             for a, v in zip(plain, recorded, strict=True):
                 if a is None:
                     assert v is None
@@ -72,6 +76,45 @@ def test_tape_forward_matches_numpy_forward():
                 assert plain[2] is plain[1]
 
 
+@pytest.mark.parametrize("batch_size", [1, 3])
+@pytest.mark.parametrize("log_omega", [False, True])
+@pytest.mark.parametrize("variant", ["plain", "mom", "nag", "nagex"])
+def test_backward_matches_recorded_gradients(variant, log_omega, batch_size):
+    """Row gradients drawn at random, signed zeros among them: the
+    hand-written backward equals the reference tape's replay of the
+    recorded forwards bit for bit, signs of zeros included."""
+    rng = np.random.default_rng(batch_size)
+    net = MetaNet.create(m=3, variant=variant, seed=7, hidden=(5, 4),
+                         learn_log_omega=log_omega)
+    batch = [SimpleNamespace(mu=mu) for mu in
+             rng.uniform([-6.0, 0.0], [0.0, np.pi], (batch_size, 2))]
+    rows = {}
+    for name in ("omega", "alpha", "alpha_t"):
+        rows[name] = rng.standard_normal((batch_size, 3))
+        rows[name][0, 0], rows[name][-1, -1] = -0.0, 0.0
+
+    t = Tape()
+    pvars = [t.var(p) for p in net.parameters()]
+    recorded = dict(zip(rows, recorded_schedules(batch, net, pvars)))
+    if variant == "nag":   # one Var holds both momentum rows
+        del recorded["alpha_t"]
+    # a loss whose gradient with respect to each row stack is its row
+    loss = None
+    for name, x in recorded.items():
+        if x is not None:
+            G = rows[name]
+            term = linear_map(lambda z, G=G: np.sum(z * G),
+                              lambda g, G=G: g * G, x)
+            loss = term if loss is None else loss + term
+    t.backward(loss)
+
+    records = [net.forward_tape(s.mu)[1] for s in batch]
+    got = net.backward(records, *(rows[name] if recorded.get(name)
+                                  is not None else None for name in rows))
+    for g, p in zip(got, pvars, strict=True):
+        assert g.tobytes() == p.grad.tobytes()
+
+
 def test_meta_forward_alpha_tilde_per_variant():
     mu = [-1.0, 0.4]
     mom = meta_forward(MetaNet.create(m=3, variant="mom", seed=6), mu)
@@ -82,17 +125,12 @@ def test_meta_forward_alpha_tilde_per_variant():
                                                     nag.alpha)
 
 
-def test_hidden_weight_perturbation_matches_tape_gradient():
+def test_hidden_weight_perturbation_matches_backward():
     net = MetaNet.create(m=3, variant="plain", seed=4)
     mu = [-1.5, 0.9]
-    t = Tape()
-    pv = [t.var(p) for p in net.parameters()]
-    omega, _, _ = net.forward_tape(mu, pv)
     probe = np.array([1.0, 2.0, -1.0])
-    from reference_iterations import linear_map
-    y = linear_map(lambda x: x @ probe, lambda g: g * probe, omega)
-    t.backward(y)
-    g = pv[1].grad  # second hidden weight matrix
+    record = net.forward_tape(mu)[1]
+    g = net.backward([record], probe[None])[1]  # second hidden weight matrix
     h = 1e-6
     i, j = 5, 7
     net2 = net.copy()

@@ -5,18 +5,17 @@ import weakref
 import numpy as np
 import pytest
 
-from richlab import tape as tp
 from richlab.data import Dataset, Sample, sample_dataset
 from richlab.fns import FnsTrainConfig
 from richlab.metanet import MetaNet
 from richlab.problems import HelmholtzProblem, assemble_helmholtz
-from richlab.tape import Tape, TapeReuseError
-from richlab.training import (Adam, NanLossError, TrainConfig, evaluate_loss,
-                              gradient, loss_relative_residual,
-                              make_preconditioner, train_ns,
-                              unrolled_relative_residuals)
+from richlab.tape import TapeReuseError
+from richlab.training import (Adam, NanLossError, TrainConfig, _unroll,
+                              evaluate_loss, gradient, loss_relative_residual,
+                              make_preconditioner, train_ns)
 
 from reference_iterations import linear_map, mean, norm2, spmv
+from reference_tape import Tape, metanet_forward
 
 
 def flat_params(net):
@@ -40,13 +39,13 @@ def test_loss_matches_tape_free_oracle(small_dataset):
     net = MetaNet.create(m=3, variant="nagex", seed=0, hidden=(8, 8))
     loss, _, _ = loss_relative_residual(list(small_dataset), net, K=12)
     oracle = evaluate_loss(list(small_dataset), net, K=12)
-    assert abs(loss.value - oracle) <= 1e-13 * max(1.0, abs(oracle))
+    assert abs(loss - oracle) <= 1e-13 * max(1.0, abs(oracle))
 
 
 def test_zero_unroll_gives_unit_loss(small_dataset):
     net = MetaNet.create(m=3, variant="plain", seed=0, hidden=(8, 8))
     loss, _, _ = loss_relative_residual(list(small_dataset), net, K=0)
-    assert abs(loss.value - 1.0) <= 1e-15
+    assert abs(loss - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("variant,precond", [
@@ -88,9 +87,8 @@ def test_unrolled_oracle_rhs_scale_invariance(small_dataset):
     omega = np.array([[0.2, 0.3, 0.1]])
     alpha = np.array([[0.1, 0.2, 0.3]])
     at = alpha
-    r1 = unrolled_relative_residuals([s.A], [s.f], omega, alpha, at, 9, "nag")
-    r2 = unrolled_relative_residuals([s.A], [7.5 * s.f], omega, alpha, at, 9,
-                                     "nag")
+    r1, _ = _unroll(s.A, s.f[None], omega, alpha, at, 9, "nag")
+    r2, _ = _unroll(s.A, 7.5 * s.f[None], omega, alpha, at, 9, "nag")
     assert abs(r1[0] - r2[0]) <= 1e-13
 
 
@@ -124,7 +122,7 @@ def per_instance_loss(batch, net, K, precond):
     pvars = [tape.var(p) for p in net.parameters()]
     losses = []
     for sample in batch:
-        omega, alpha, alpha_t = net.forward_tape(sample.mu, pvars)
+        omega, alpha, alpha_t = metanet_forward(net, sample.mu, pvars)
         P = make_preconditioner(precond, sample.A)
         losses.append(per_instance_unroll(sample.A, sample.f, omega, alpha,
                                           alpha_t, K, net.variant, P))
@@ -150,10 +148,10 @@ def test_batched_unroll_bit_identical_to_per_instance(mixed_dataset, variant,
     ref_loss, ref_grads = per_instance_loss(batch, net, K, precond)
     loss, tape, pvars = loss_relative_residual(batch, net, K, precond=precond)
     grads = gradient(loss, tape, pvars)
-    assert np.array_equal(loss.value, ref_loss)
+    assert np.array_equal(loss, ref_loss)
     for g, ref in zip(grads, ref_grads, strict=True):
         assert np.array_equal(g, ref)
-    assert evaluate_loss(batch, net, K, precond=precond) == loss.value
+    assert evaluate_loss(batch, net, K, precond=precond) == loss
 
 
 def test_nan_instance_is_named(mixed_dataset):
@@ -169,18 +167,18 @@ def test_nan_instance_is_named(mixed_dataset):
 
 def test_gradient_releases_the_tape(mixed_dataset):
     net = MetaNet.create(m=3, variant="nagex", seed=0, hidden=(4, 4))
-    loss, tape, pvars = loss_relative_residual(list(mixed_dataset)[:3], net,
-                                               K=6, precond="ssor")
-    intermediate = weakref.ref(loss._parents[0][0])
-    gc.disable()   # the graph must go by reference counting alone
+    loss, tape, params = loss_relative_residual(list(mixed_dataset)[:3], net,
+                                                K=6, precond="ssor")
+    adjoint = weakref.ref(tape._adjoint)
+    gc.disable()   # the history must go by reference counting alone
     try:
-        gradient(loss, tape, pvars)
-        assert tape._nodes == []
-        assert intermediate() is None
+        grads = gradient(loss, tape, params)
+        assert adjoint() is None
     finally:
         gc.enable()
+    assert [g.shape for g in grads] == [p.shape for p in params]
     with pytest.raises(TapeReuseError):
-        tape.backward(loss)
+        tape.backward()
 
 
 def test_adam_matches_reference_step():

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from richlab.problems import AnisotropicProblem, assemble_anisotropic
-from richlab.transforms import dst2, dst2_inv, sine_mode
+from richlab.transforms import dst2, dst2_inv
+
+from conftest import sine_mode
 
 
 def test_single_mode_unit_coefficient():

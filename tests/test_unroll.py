@@ -1,24 +1,26 @@
-"""The one-node training unroll against its recorded reference.
+"""The training unroll and its hand-written adjoint against a recording.
 
-``training._unroll`` records one tape node whose VJP is the transposed
-recurrence. ``reference_unroll`` records the same iteration one vector
-operation at a time. Losses and gradients must agree bit for bit.
+``training._unroll`` returns its residuals and an adjoint that runs the
+transposed recurrence. ``reference_unroll`` records the same iteration
+one vector operation at a time on the generic tape of
+``tests/reference_tape.py``. Losses and gradients must agree bit for
+bit.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from richlab import tape as tp
+import reference_tape as tp
 from richlab.data import sample_dataset
 from richlab.fns import sine_basis_eigenvalues
 from richlab.metanet import MetaNet
 from richlab.sparse import block_diagonal
-from richlab.tape import Tape
-from richlab.training import (_rowwise, _schedules, _unroll, evaluate_loss,
+from richlab.training import (_mean_loss, _rowwise, _unroll, evaluate_loss,
                               gradient, loss_relative_residual,
                               make_preconditioner)
 
 from reference_iterations import reference_unroll
+from reference_tape import Tape, recorded_schedules
 
 N = 8
 
@@ -33,7 +35,7 @@ def reference_loss(batch, net, K, precond):
     """Loss and parameter gradients of the recorded reference unroll."""
     tape = Tape()
     pvars = [tape.var(p) for p in net.parameters()]
-    omega, alpha, alpha_t = _schedules(batch, net, pvars)
+    omega, alpha, alpha_t = recorded_schedules(batch, net, pvars)
     Ps = [make_preconditioner(precond, s.A) for s in batch]
     loss = tp.batch_mean(reference_unroll(
         block_diagonal([s.A for s in batch]), np.stack([s.f for s in batch]),
@@ -53,10 +55,10 @@ def test_kernel_matches_recorded_reference(samples, variant, precond,
     ref_loss, ref_grads = reference_loss(batch, net, K, precond)
     loss, tape, pvars = loss_relative_residual(batch, net, K, precond=precond)
     grads = gradient(loss, tape, pvars)
-    assert np.array_equal(loss.value, ref_loss)
+    assert np.array_equal(loss, ref_loss)
     for g, ref in zip(grads, ref_grads, strict=True):
         assert np.array_equal(g, ref)
-    assert evaluate_loss(batch, net, K, precond=precond) == loss.value
+    assert evaluate_loss(batch, net, K, precond=precond) == loss
 
 
 @st.composite
@@ -76,9 +78,10 @@ def unroll_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=unroll_cases())
 def test_kernel_matches_reference_on_random_weight_rows(samples, case):
-    """Weight rows drawn at random and recorded as leaves: the kernel's
-    residuals and the gradients of every row equal the reference's. nag
-    passes one Var as both momentum rows."""
+    """Weight rows drawn at random: the kernel's residuals and the
+    adjoint's gradients of every row equal those of the reference, which
+    records the rows as leaves. nag passes its alpha rows as both
+    momentum rows; a row the unroll does not read has a zero gradient."""
     rng = np.random.default_rng(case["seed"])
     batch = samples[:case["B"]]
     B, m, variant = case["B"], case["m"], case["variant"]
@@ -94,19 +97,23 @@ def test_kernel_matches_reference_on_random_weight_rows(samples, case):
             rng.uniform(0.5, 1.5, (N - 1) ** 2)
             / sine_basis_eigenvalues(s.A, N) for s in batch])
 
-    def run(unroll):
-        tape = Tape()
-        leaves = {role: tape.var(x) for role, x in rows.items()}
-        alpha = leaves["alpha"] if variant != "plain" else None
-        alpha_t = {"nag": alpha, "nagex": leaves["alpha_t"]}.get(variant)
-        out = unroll(A, F, leaves["omega"], alpha, alpha_t, case["K"],
-                     variant, precondition, lam=leaves.get("lam"),
-                     cycles=case["cycles"])
-        tape.backward(tp.batch_mean(out))
-        return out.value, {role: x.grad for role, x in leaves.items()}
+    def weights(given):
+        alpha = given["alpha"] if variant != "plain" else None
+        alpha_t = {"nag": alpha, "nagex": given["alpha_t"]}.get(variant)
+        return given["omega"], alpha, alpha_t
 
-    value, grads = run(_unroll)
-    ref_value, ref_grads = run(reference_unroll)
-    assert np.array_equal(value, ref_value)
-    for role in rows:
-        assert np.array_equal(grads[role], ref_grads[role]), role
+    tape = Tape()
+    leaves = {role: tape.var(x) for role, x in rows.items()}
+    out = reference_unroll(A, F, *weights(leaves), case["K"], variant,
+                           precondition, lam=leaves.get("lam"),
+                           cycles=case["cycles"])
+    tape.backward(tp.batch_mean(out))
+
+    value, adjoint = _unroll(A, F, *weights(rows), case["K"], variant,
+                             precondition, lam=rows.get("lam"),
+                             cycles=case["cycles"], wrt=tuple(rows))
+    grads = _mean_loss(value, adjoint)[1]()
+    assert np.array_equal(value, out.value)
+    for role, x in rows.items():
+        assert np.array_equal(grads.get(role, np.zeros_like(x)),
+                              leaves[role].grad), role
