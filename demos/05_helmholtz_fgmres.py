@@ -5,6 +5,7 @@ absorbing sponge layer and solves it with restarted flexible GMRES,
 first unpreconditioned and then right-preconditioned by a V-cycle with a
 momentum-accelerated smoother. The flexible variant stores the
 preconditioned vectors, so any solver step is a legal preconditioner.
+Last, it lists how each smoothed level runs its sweep.
 """
 import numpy as np
 
@@ -27,3 +28,8 @@ _, pre = fgmres(A, f, precond_apply=lambda r: v_cycle(h, r), cfg=cfg)
 print(f"frequency {freq:g}: identity preconditioner "
       f"{plain.iterations} iterations, V-cycle preconditioner "
       f"{pre.iterations} iterations")
+# each smoothed level runs its NAG sweep as one polynomial by Horner's
+# rule, unless its amplification bound calls for the step recurrence
+for n, count, form, bound in h.smoothing():
+    print(f"  level n={n}: {count} sweep by {form}, amplification bound "
+          f"{bound:.3g}")

@@ -26,7 +26,8 @@ import numpy as np
 from .data import assemble, sample_dataset
 from .fgmres import FgmresConfig, fgmres
 from .metanet import MetaNet, meta_forward
-from .multigrid import CoarseSolveError, helmholtz_hierarchy, v_cycle
+from .multigrid import (HELMHOLTZ_COARSEST, CoarseSolveError,
+                        coarsening_sides, helmholtz_hierarchy, v_cycle)
 from .precond import ZeroDiagonalError
 from .problems import (MIN_POINTS_PER_WAVELENGTH, AnisotropicProblem,
                        HelmholtzProblem)
@@ -122,12 +123,24 @@ def _schedule_for(args, A):
         return chebyshev_semi_schedule(b.lambda_max, args.m,
                                        alpha=args.semi_alpha)
     if source == "literal":
-        omega = np.array([float(x) for x in args.omega.split(",")])
-        return WeightSchedule(omega=omega)
+        return WeightSchedule(omega=_literal_weights(args.omega))
     # checkpoint path
     net = MetaNet.load(source)
     prob = _make_problem(args)
     return meta_forward(net, prob.mu)
+
+
+def _literal_weights(text):
+    """The comma list of ``--omega`` as an array; a ConfigError names the
+    entry that is not a number."""
+    weights = []
+    for entry in text.split(","):
+        try:
+            weights.append(float(entry))
+        except ValueError:
+            raise ConfigError(f"--omega entry {entry!r} in {text!r} is not "
+                              "a number") from None
+    return np.array(weights)
 
 
 def _make_problem(args):
@@ -143,8 +156,9 @@ def _make_problem(args):
 def _helmholtz_n(freq, n):
     """Grid side for a Helmholtz frequency.
 
-    An explicit ``n`` must resolve the wavelength; otherwise the
-    smallest power of two >= HELMHOLTZ_N_MIN that does is chosen.
+    An explicit ``n`` must resolve the wavelength and coarsen to the
+    recipe's coarsest grid; otherwise the smallest power of two
+    >= HELMHOLTZ_N_MIN that resolves it is chosen.
     """
     def resolved(side):
         prob = HelmholtzProblem(angular_frequency=2 * np.pi * freq, n=side)
@@ -155,6 +169,10 @@ def _helmholtz_n(freq, n):
             raise ConfigError(
                 f"--n {n} gives fewer than {MIN_POINTS_PER_WAVELENGTH:g} "
                 f"grid points per wavelength at frequency {freq:g}")
+        try:
+            coarsening_sides(n, HELMHOLTZ_COARSEST)
+        except ValueError as exc:
+            raise ConfigError(f"--n {n}: {exc}") from None
         return n
     n = HELMHOLTZ_N_MIN
     while not resolved(n):

@@ -6,10 +6,12 @@ diagonals are at least half full, otherwise the CSR matrix itself. With
 its offsets ascending, DIA adds each row's products in CSR's column
 order, so for finite operands both kernels give the same bits. Each
 product calls scipy's compiled kernel (``scipy.sparse._sparsetools``,
-the routine behind ``dot``) on a zeroed output, in one place
-(``_run_kernel``). ``matvec`` then probes the rows that hold DIA
-padding and recomputes by CSR where they read NaN; the unprobed product
-leaves that check to a caller that tests its result anyway.
+the routine behind ``dot``), which adds A x into its output: on a
+zeroed output in one place (``_run_kernel``), or into the caller's
+vector by the accumulating product. ``matvec`` then probes the rows
+that hold DIA padding and recomputes by CSR where they read NaN; the
+unprobed and accumulating products leave that check to a caller that
+tests its result anyway.
 """
 from __future__ import annotations
 
@@ -157,6 +159,15 @@ class SparseMatrix:
         return functools.partial(
             _run_kernel, fast, self.ncols if transpose else self.nrows,
             np.promote_types(self.values.dtype, dtype))
+
+    def _accumulating_product(self):
+        """The compiled y += A x as a function of contiguous vectors
+        (x, y), y of the product's dtype, which it updates in place: no
+        zero fill, no shape check and no padded-row probe. Each row's
+        products are added onto y's entry in the kernel's order; see
+        :meth:`_unprobed_product` for the NaN that DIA padding can add
+        where x is not finite."""
+        return self._kernel(False)[2]
 
     def _kernel(self, transpose):
         """(fast, exact) scipy matrices for A x, or A^T x when

@@ -127,6 +127,19 @@ def test_helmholtz_sweep_too_coarse_n_exits_before_any_row(capsys):
     assert "grid points per wavelength" in err
 
 
+@pytest.mark.parametrize("output", [False, True])
+def test_helmholtz_sweep_n_that_cannot_coarsen_exits_before_any_output(
+        output, tmp_path, capsys):
+    path = tmp_path / "sweep.csv"
+    flags = ["--output", str(path)] if output else []
+    code, out, err = run_cli(["reproduce", "helmholtz-sweep", "--n", "136",
+                              "--seeds", "1"] + flags, capsys)
+    assert code == 2
+    assert out == "" and not path.exists()
+    assert err == ("error: --n 136: n=136 does not coarsen to 16: its "
+                   "halvings reach the odd side 17\n")
+
+
 def test_solve_echoes_stopping_rule(capsys):
     code, out, _ = run_cli(["solve", "--n", "16", "--eps", "0.1",
                             "--weights", "chebyshev", "--m", "2"], capsys)
@@ -205,6 +218,17 @@ def test_non_finite_literal_weights_are_a_config_error(omega, capsys):
     assert code == 2
     assert err.startswith("error: omega must be finite")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("omega,entry", [("abc", "abc"), ("0.1,", ""),
+                                         ("0.1,,0.2", ""),
+                                         ("0.2, x", " x")])
+def test_malformed_literal_weights_are_a_config_error(omega, entry, capsys):
+    code, _, err = run_cli(["solve", "--n", "8", "--weights", "literal",
+                            "--omega", omega], capsys)
+    assert code == 2
+    assert err.endswith(f"error: --omega entry {entry!r} in {omega!r} is "
+                        "not a number\n")
 
 
 def test_config_file_with_cli_override(tmp_path, capsys):

@@ -1,17 +1,25 @@
+import collections
+
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings, strategies as st
 
-from richlab.multigrid import (build_hierarchy, galerkin_coarse,
+from richlab import multigrid
+from richlab.multigrid import (AMPLIFICATION_LIMIT, Level, _smooth,
+                               build_hierarchy, coarsening_sides,
+                               galerkin_coarse, gershgorin_radius,
                                helmholtz_hierarchy, prolongation_matrix,
                                restriction_matrix, v_cycle)
-from richlab.problems import AnisotropicProblem, assemble_anisotropic
-from richlab.schedules import chebyshev_schedule
+from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
+                              assemble_anisotropic, assemble_helmholtz)
+from richlab.richardson import DivergenceError
+from richlab.schedules import WeightSchedule, chebyshev_schedule
 from richlab.sparse import SparseMatrix
 from richlab.spectral import dense_spectral_bounds
 
 from reference_assembly import reference_restriction_1d
-from reference_iterations import two_grid_error_operator
+from reference_iterations import _reference_smooth, two_grid_error_operator
 
 
 def dense_restriction_stencil(n):
@@ -143,9 +151,6 @@ def test_hierarchy_invariants():
 
 
 def test_complex_operator_supported(rng):
-    from richlab.problems import HelmholtzProblem, assemble_helmholtz
-    from richlab.schedules import WeightSchedule
-
     n = 32
     prob = HelmholtzProblem(angular_frequency=2.0 * np.pi, n=n,
                             shannon_check=False)
@@ -158,15 +163,14 @@ def test_complex_operator_supported(rng):
 
 
 def _smoothed_hierarchy(kind):
-    from richlab.problems import HelmholtzProblem, assemble_helmholtz
-    from richlab.schedules import WeightSchedule
-
     n = 32
     if kind == "helmholtz":
         A = assemble_helmholtz(HelmholtzProblem(
             angular_frequency=2 * np.pi * 1.5, n=n))
         sched = WeightSchedule(omega=np.full(5, 0.8 / (8.0 * n ** 2)),
                                alpha=np.full(5, 0.3), variant="nag")
+    elif kind == "chebyshev":
+        return smoothed_hierarchy(n, eps=0.1, theta=0.4, m=12)[1]
     else:
         A = assemble_anisotropic(AnisotropicProblem(epsilon=0.1, theta=0.4,
                                                     n=n))
@@ -175,11 +179,22 @@ def _smoothed_hierarchy(kind):
     return build_hierarchy(A, n, coarsest=8, schedules=sched)
 
 
-@pytest.mark.parametrize("kind", ["helmholtz", "anisotropic"])
+# the forms the levels take at sweep counts 1-3: Chebyshev(12) smoothing
+# amplifies too much for Horner's rule on every level
+SMOOTHING_FORMS = {"helmholtz": {"horner", "recurrence"},
+                   "anisotropic": {"horner"}, "chebyshev": {"recurrence"}}
+
+
+@pytest.mark.parametrize("kind", ["helmholtz", "anisotropic", "chebyshev"])
 def test_v_cycle_matches_allocating_reference_loop(kind, rng):
+    """A level that smooths by Horner's rule sums in another order than
+    the reference loop, so it matches to 1e-12 normwise; where every
+    level keeps the step recurrence, the bits are the reference's."""
     from reference_iterations import reference_v_cycle
 
     h = _smoothed_hierarchy(kind)
+    forms = {form for _, _, form, _ in h.smoothing(counts=(1, 2, 3))}
+    assert forms == SMOOTHING_FORMS[kind]
     size = h.levels[0].A.nrows
     f = rng.standard_normal(size)
     u0 = rng.standard_normal(size)
@@ -190,7 +205,11 @@ def test_v_cycle_matches_allocating_reference_loop(kind, rng):
         for start in (None, u0):
             u = v_cycle(h, f, start, pre=pre, post=post)
             ref = reference_v_cycle(h, f, start, pre=pre, post=post)
-            assert np.array_equal(u, ref) and u.dtype == ref.dtype
+            assert u.dtype == ref.dtype
+            if forms == {"recurrence"}:
+                assert np.array_equal(u, ref)
+            else:
+                assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
             assert np.array_equal(u0, kept)   # the caller's u is untouched
 
 
@@ -204,9 +223,6 @@ def test_v_cycle_on_a_strided_column_equals_its_copy(rng):
 
 
 def test_helmholtz_recipe_is_the_spelled_out_hierarchy(rng):
-    from richlab.problems import HelmholtzProblem, assemble_helmholtz
-    from richlab.schedules import WeightSchedule
-
     n = 64
     A = assemble_helmholtz(HelmholtzProblem(angular_frequency=2 * np.pi * 3,
                                             n=n))
@@ -216,3 +232,176 @@ def test_helmholtz_recipe_is_the_spelled_out_hierarchy(rng):
     recipe = helmholtz_hierarchy(A, n)
     f = rng.standard_normal(A.ncols) + 1j * rng.standard_normal(A.ncols)
     assert np.array_equal(v_cycle(recipe, f), v_cycle(spelled, f))
+
+
+@st.composite
+def sweep_cases(draw):
+    """A schedule (m <= 5, count <= 3) on a small dense real-SPD or
+    complex-symmetric operator, with a right-hand side and a start."""
+    size = draw(st.integers(1, 8))
+    is_complex = draw(st.booleans())
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    G = gen.standard_normal((size, size))
+    if is_complex:
+        G = G + 1j * gen.standard_normal((size, size))
+        M = G + G.T + 0.1j * np.eye(size)
+    else:
+        M = G @ G.T + 0.1 * np.eye(size)
+    A = SparseMatrix.from_scipy(M * 10.0 ** draw(st.floats(-3.0, 3.0)))
+    rho = gershgorin_radius(A)
+    variant = draw(st.sampled_from(["plain", "mom", "nag", "nagex"]))
+    m = draw(st.integers(1, 5))
+    coefficients = st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                            min_size=m, max_size=m)
+    schedule = WeightSchedule(
+        omega=np.array(draw(st.lists(st.floats(0.01, 2.5), min_size=m,
+                                     max_size=m))) / rho,
+        alpha=None if variant == "plain" else draw(coefficients),
+        alpha_tilde=draw(coefficients) if variant == "nagex" else None,
+        variant=variant)
+    dtype = complex if is_complex else float
+    f, u0 = (gen.standard_normal(size).astype(dtype) for _ in range(2))
+    if is_complex:
+        f += 1j * gen.standard_normal(size)
+        u0 += 1j * gen.standard_normal(size)
+    return Level(n=0, A=A, schedule=schedule), draw(st.integers(1, 3)), f, u0
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sweep_cases())
+def test_sweep_polynomial_reproduces_the_recurrence(case):
+    """u + q(A)(f - A u) from the sweep coefficients equals the reference
+    recurrence within 4 d eps bound (|u| + |f|/rho): Horner's rounding on
+    a degree d - 1 polynomial, amplified at most by the bound. Above the
+    limit the level keeps the recurrence, with the reference's bits."""
+    level, count, f, u0 = case
+    sweep = level.sweep(count)
+    q = sweep.coefficients
+    assert len(q) == count * level.schedule.m
+    assert (sweep.form == "horner") == (sweep.bound <= AMPLIFICATION_LIMIT)
+    M, rho = level.A.to_dense(), gershgorin_radius(level.A)
+    for start in (None, u0):
+        u = np.zeros_like(f) if start is None else start
+        ref = _reference_smooth(level, f, u, count)
+        tol = (4 * len(q) * np.finfo(float).eps * sweep.bound
+               * (np.linalg.norm(u) + np.linalg.norm(f) / rho))
+        r = f - M @ u
+        y = q[-1] * r
+        for c in q[-2::-1]:
+            y = c * r + M @ y
+        assert np.linalg.norm(u + y - ref) <= tol
+        got = _smooth(level, f, None if start is None else start.copy(),
+                      count)
+        if sweep.form == "horner":
+            assert np.linalg.norm(got - ref) <= tol
+        else:
+            assert np.array_equal(got, ref)
+
+
+def _helmholtz_level():
+    """The finest level of the Helmholtz recipe at n=64: Horner's rule at
+    one sweep, the recurrence at three."""
+    n = 64
+    A = assemble_helmholtz(HelmholtzProblem(angular_frequency=2 * np.pi * 3,
+                                            n=n))
+    level = helmholtz_hierarchy(A, n).levels[0]
+    assert [level.sweep(c).form for c in (1, 3)] == ["horner", "recurrence"]
+    return level
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_f_diverges_in_either_form(count, bad, rng):
+    level = _helmholtz_level()
+    size = level.A.nrows
+    f = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    f[size // 3] = bad
+    for u in (None, np.zeros(size, dtype=complex)):
+        with pytest.raises(DivergenceError), np.errstate(invalid="ignore"):
+            _smooth(level, f, u, count)
+
+
+def _products_per_level(h, pre, post, warm):
+    """Products with each smoothed level's operator in one V-cycle, by
+    whichever route (probed, unprobed or accumulating) they run."""
+    counts = collections.Counter()
+    matvec = SparseMatrix.matvec
+
+    def counted_matvec(A, x):
+        counts[id(A)] += 1
+        return matvec(A, x)
+
+    def counting(factory):
+        def make(A, *args):
+            kernel = factory(A, *args)
+
+            def run(*vectors):
+                counts[id(A)] += 1
+                return kernel(*vectors)
+            return run
+        return make
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SparseMatrix, "matvec", counted_matvec)
+        for name in ("_unprobed_product", "_accumulating_product"):
+            patch.setattr(SparseMatrix, name,
+                          counting(getattr(SparseMatrix, name)))
+        f = np.ones(h.levels[0].A.nrows, dtype=complex)
+        v_cycle(h, f, f.copy() if warm else None, pre=pre, post=post)
+    return [counts[id(lvl.A)] for lvl in h.levels[:-1]]
+
+
+@pytest.mark.parametrize("pre,post", [(1, 1), (2, 0), (0, 3), (3, 2)])
+@pytest.mark.parametrize("warm", [False, True])
+def test_each_level_takes_the_recurrences_products(pre, post, warm,
+                                                   monkeypatch):
+    """count*m products per smoothing pass (count*m - 1 from zero) plus
+    the residual, in either form: the recurrence's count."""
+    n = 64
+    A = assemble_helmholtz(HelmholtzProblem(angular_frequency=2 * np.pi * 3,
+                                            n=n))
+    h = helmholtz_hierarchy(A, n)
+    assert "horner" in {form for *_, form, _ in h.smoothing((pre, post))}
+    polynomial = _products_per_level(h, pre, post, warm)
+    monkeypatch.setattr(multigrid, "AMPLIFICATION_LIMIT", 0.0)
+    assert {form for *_, form, _ in h.smoothing((pre, post))} \
+        == {"recurrence"}
+    recurrence = _products_per_level(h, pre, post, warm)
+    m = 5
+    # only a warm finest level starts its pre-smoothing from an iterate
+    from_zero = [not warm] + [True] * (len(polynomial) - 1)
+    assert polynomial == recurrence == [
+        pre * m - (pre > 0 and zero) + 1 + post * m for zero in from_zero]
+
+
+def test_hierarchy_reports_each_levels_smoothing():
+    n = 64
+    A = assemble_helmholtz(HelmholtzProblem(angular_frequency=2 * np.pi * 3,
+                                            n=n))
+    rows = helmholtz_hierarchy(A, n).smoothing(counts=(1, 3))
+    assert [(side, c, form) for side, c, form, _ in rows] == [
+        (64, 1, "horner"), (64, 3, "recurrence"),
+        (32, 1, "horner"), (32, 3, "horner")]
+    assert all(bound >= 1.0 for *_, bound in rows)
+
+
+def test_coarsening_sides_halve_to_the_coarsest():
+    assert coarsening_sides(128, 16) == [128, 64, 32, 16]
+    assert coarsening_sides(40, 8) == [40, 20, 10, 5]
+
+
+@pytest.mark.parametrize("n,coarsest,message", [
+    (136, 16, "n=136 does not coarsen to 16: its halvings reach the odd side 17"),
+    (12, 8, "n=12 leaves no room to coarsen to 8"),
+    (136, 4, "n=136 does not coarsen to 4: its halvings reach the odd side 17"),
+    (128, 64, "coarsest level exceeds the direct-solve budget"),
+])
+def test_build_hierarchy_refuses_before_building_a_level(n, coarsest, message,
+                                                         monkeypatch):
+    def no_level(*args):
+        raise AssertionError("a level was built")
+    monkeypatch.setattr(multigrid, "restriction_matrix", no_level)
+    monkeypatch.setattr(multigrid, "galerkin_coarse", no_level)
+    A = assemble_anisotropic(AnisotropicProblem(epsilon=1.0, theta=0.0, n=n))
+    with pytest.raises(ValueError, match=message):
+        build_hierarchy(A, n, coarsest=coarsest)
