@@ -8,8 +8,12 @@ its inputs with that code. To time one tree, pass it twice. The op sets
 - ``products``: the single-level anisotropic layers at n=64 (the
   eps=1e-2, theta=0 cell of ``aniso-solve``, 3,969 unknowns): assembly,
   spectral bounds, one product (the mean of MATVECS), and one plain
-  inner update as the solver runs it (a sweep of UPDATES updates of a
-  constant schedule, over UPDATES); and one NAG-ex update with SSOR at
+  inner update as the solver runs it (a sweep of UPDATES updates of the
+  constant schedule 1/lambda_max, over UPDATES: its sweep polynomial's
+  amplification bound is at least 2^UPDATES, so the solver keeps the
+  step recurrence); one Chebyshev(3) sweep as ``aniso-solve`` runs it
+  (SWEEPS sweeps from zero, over SWEEPS: Horner's rule on its sweep
+  polynomial); and one NAG-ex update with SSOR at
   n=32 (eps=1e-2, theta=0), as the ``train-schedule`` held-out solves
   run it (a sweep of UPDATES updates of a constant NAG-ex schedule with
   the preconditioner built beforehand, over UPDATES); and the
@@ -77,6 +81,7 @@ RESTART = 20
 TRAIN_N = 32
 TRAIN_COUNT = 200
 UPDATES = 50
+SWEEPS = 50
 MATVECS = 200
 REPEATS = 20
 UNROLL = 50
@@ -107,8 +112,11 @@ def products(mod):
     spec = problems.AnisotropicProblem(epsilon=1e-2, theta=0.0, n=N)
     A = problems.assemble_anisotropic(spec)
     x = np.random.default_rng(0).standard_normal(A.ncols)
-    lam = spectral.dense_spectral_bounds(A).lambda_max
-    plain = schedules.WeightSchedule(omega=np.full(UPDATES, 1.0 / lam))
+    bounds = spectral.dense_spectral_bounds(A)
+    plain = schedules.WeightSchedule(
+        omega=np.full(UPDATES, 1.0 / bounds.lambda_max))
+    cheb = schedules.chebyshev_schedule(bounds.lambda_max, bounds.lambda_min,
+                                        3)
     small = problems.assemble_anisotropic(problems.AnisotropicProblem(
         epsilon=1e-2, theta=0.0, n=TRAIN_N))
     ssor = mod("precond").Preconditioner.ssor(small)
@@ -124,6 +132,9 @@ def products(mod):
         "plain_inner_update": (
             lambda: richardson.solve_stationary(A, x, plain, tol=1e-300,
                                                 max_outer=1), UPDATES),
+        "cheb_sweep": (
+            lambda: richardson.solve_stationary(A, x, cheb, tol=1e-300,
+                                                max_outer=SWEEPS), SWEEPS),
         "nagex_ssor_inner_update": (
             lambda: richardson.solve_stationary(small, g, nagex, P=ssor,
                                                 tol=1e-300, max_outer=1),

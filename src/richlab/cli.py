@@ -349,20 +349,24 @@ def cmd_train(args):
 
 
 def cmd_solve(args):
+    # every flag is checked before the first line is printed
+    if not args.tol > 0:
+        raise ConfigError(f"--tol must be positive, got {args.tol:g}")
     prob = _make_problem(args)
     A = assemble(prob)
-    print(f"# stopping rule: relative residual < {args.tol:g}")
     sched = _schedule_for(args, A)
     P = make_preconditioner(args.precond, A)
+    print(f"# stopping rule: relative residual < {args.tol:g}")
     f = np.random.default_rng(args.seed).standard_normal(A.ncols)
     if A.is_complex:
         f = f + 1j * np.random.default_rng(args.seed + 1).standard_normal(A.ncols)
     u, rep = solve_stationary(A, f, sched, P=P, tol=args.tol,
                               max_outer=args.max_outer)
+    bound = "" if rep.sweep_bound is None else f" bound={rep.sweep_bound:.3g}"
     print(f"converged={rep.converged} outer={rep.iterations} "
           f"inner={rep.inner_iterations} "
           f"rel_residual={rep.final_relative_residual:.3e} "
-          f"wall={rep.wall_time:.3f}s")
+          f"sweep={rep.sweep_form}{bound} wall={rep.wall_time:.3f}s")
     if args.output:
         np.save(args.output, u)
     return 0 if rep.converged else 1

@@ -99,10 +99,14 @@ def sine_basis_eigenvalues(A, n):
     return lam.reshape(-1)
 
 
-def fns_lite_step(A, f, u, schedule, M, corr: SpectralCorrection):
+def fns_lite_step(A, f, u, schedule, M, corr: SpectralCorrection, *,
+                  _residual=None):
     """One hybrid iteration: M inner smoothing updates, one correction.
 
     The smoother is plain Richardson(m); momentum schedules are rejected.
+    ``_residual`` is f - A u when the caller holds it (``solve_fns``
+    does, from its convergence test); the step then reads it in place of
+    its first product.
     """
     if schedule.variant != "plain":
         raise ValueError(f"the hybrid smoother is plain Richardson, got a "
@@ -111,9 +115,11 @@ def fns_lite_step(A, f, u, schedule, M, corr: SpectralCorrection):
     u = u.astype(np.result_type(u, f, A.dtype))   # a copy: u stays the caller's
     step = _inner_step(A, f, u, np.empty_like(u), "plain")
     omega = schedule.omega.tolist()
+    r = _residual
     for k in range(M):
-        step(omega[k % schedule.m], 0.0, 0.0)
-    u += corr.apply(f - A.matvec(u))
+        step(omega[k % schedule.m], 0.0, 0.0, r)
+        r = None
+    u += corr.apply(f - A.matvec(u) if r is None else r)
     if not np.all(np.isfinite(u)):
         raise DivergenceError("hybrid step produced a non-finite iterate",
                               inner_iteration=M)
@@ -129,10 +135,12 @@ def solve_fns(A, f, schedule, corr, M, tol=1e-6, max_iters=10_000):
     trace = [rel]
     it = 0
     converged = fnorm == 0.0
+    r = None   # f - A u, once a step has run: the next step reads it
     while not converged and it < max_iters:
-        u = fns_lite_step(A, f, u, schedule, M, corr)
+        u = fns_lite_step(A, f, u, schedule, M, corr, _residual=r)
         it += 1
-        rel = float(np.linalg.norm(f - A.matvec(u))) / fnorm
+        r = f - A.matvec(u)
+        rel = float(np.linalg.norm(r)) / fnorm
         trace.append(rel)
         converged = rel <= tol
     return u, SolveReport(iterations=it, inner_iterations=it * M,

@@ -12,7 +12,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .richardson import DivergenceError, _inner_step
+from .richardson import (DivergenceError, SweepPolynomial, _horner_pass,
+                         _inner_step, _weights, gershgorin_radius,
+                         sweep_polynomial)
 from .schedules import WeightSchedule
 from .sparse import SparseMatrix
 
@@ -20,9 +22,6 @@ from .sparse import SparseMatrix
 HELMHOLTZ_COARSEST = 16
 # unknowns the coarsest level may hold: it is factored dense
 COARSEST_UNKNOWNS = 1024
-# the largest Horner amplification bound (SweepPolynomial.bound) at
-# which a level smooths by its sweep polynomial
-AMPLIFICATION_LIMIT = 1e4
 
 
 class CoarseSolveError(RuntimeError):
@@ -61,74 +60,6 @@ def galerkin_coarse(A: SparseMatrix, R: SparseMatrix,
         raise ValueError("transfer operator dimensions do not chain")
     prod = R.to_scipy() @ A.to_scipy() @ P.to_scipy()
     return SparseMatrix.from_scipy(prod.tocsr())
-
-
-@dataclass(frozen=True)
-class SweepPolynomial:
-    """``count`` outer sweeps of a schedule from a fresh velocity, as one
-    update u <- u + q(A)(f - A u) with q of degree count*m - 1.
-
-    ``coefficients`` are q's, ascending. ``bound`` is sum_k |p_k| rho^k
-    for the residual polynomial p(lam) = 1 - lam q(lam) and the
-    Gershgorin radius rho of A. It bounds how far Horner's rule can
-    amplify a rounding error relative to the size of its input, so a
-    level smooths by the polynomial (``form`` "horner") only while it
-    is at most AMPLIFICATION_LIMIT, and by the step recurrence
-    (``form`` "recurrence") above it, or when it is not finite.
-    """
-    count: int
-    coefficients: np.ndarray
-    bound: float
-
-    @property
-    def form(self):
-        return "horner" if self.bound <= AMPLIFICATION_LIMIT \
-            else "recurrence"
-
-
-class _TimesLambda:
-    """Multiplication by lam on ascending polynomial coefficients. It
-    drops the top coefficient, which sweep_polynomial never fills."""
-
-    @staticmethod
-    def matvec(c):
-        out = np.zeros_like(c)
-        out[1:] = c[:-1]
-        return out
-
-
-def sweep_polynomial(schedule: WeightSchedule, count, radius):
-    """The SweepPolynomial of ``count`` sweeps of ``schedule`` on an
-    operator of Gershgorin radius ``radius``.
-
-    q comes from the update that smooths, ``richardson._inner_step``,
-    run on coefficient vectors: its right-hand side is the constant 1,
-    standing for the residual r0 = f - A u, its iterate starts at the
-    zero polynomial and its operator multiplies by lam. Step k leaves
-    the iterate of degree k - 1, so the d = count*m coefficients of
-    degree below d hold every step (none when count is 0).
-    """
-    d = count * schedule.m
-    q = np.zeros(d)
-    one = np.zeros(d)
-    one[:1] = 1.0
-    step = _inner_step(_TimesLambda, one, q, np.zeros(d), schedule.variant)
-    weights = list(zip(schedule.omega.tolist(), schedule.alpha.tolist(),
-                       schedule.alpha_tilde.tolist()))
-    for _ in range(count):
-        for w, a, at in weights:
-            step(w, a, at)
-    # sum_k |q_k| radius^k by Horner: it overflows to inf, never raises
-    growth = 0.0
-    for c in reversed(q.tolist()):
-        growth = growth * radius + abs(c)
-    return SweepPolynomial(count=count, coefficients=q,
-                           bound=1.0 + radius * growth)
-
-
-def gershgorin_radius(A: SparseMatrix):
-    """max_i sum_j |a_ij|: every eigenvalue of A lies within it of 0."""
-    return float(abs(A.to_scipy()).sum(axis=1).max())
 
 
 @dataclass
@@ -238,40 +169,15 @@ def _smooth(level: Level, f, u, count):
     if count == 0 or s is None:
         return np.zeros_like(f) if u is None else u
     sweep = level.sweep(count)
-    if sweep.form == "horner":
-        u = _horner_pass(level.A, sweep.coefficients, f, u)
-    else:
-        u = _recurrence_pass(level.A, s, f, u, count)
+    # a non-finite f or iterate raises below, so the pass need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        if sweep.form == "horner":
+            u = _horner_pass(level.A, sweep.coefficients, f, u)
+        else:
+            u = _recurrence_pass(level.A, s, f, u, count)
     if not np.all(np.isfinite(u.view(float))):
         raise DivergenceError("smoother produced a non-finite iterate",
                               inner_iteration=count * s.m)
-    return u
-
-
-def _horner_pass(A: SparseMatrix, q, f, u):
-    """u + q(A)(f - A u), or q(A) f when ``u`` is None, by Horner's rule
-    from q's top coefficient: y <- q_k r + A y. Each step is one pass
-    that writes q_k r into a work vector, into which the compiled kernel
-    adds A y. The coefficients are real, so the pass runs on the float
-    view of complex data."""
-    accumulate = A._accumulating_product()
-    if u is None:
-        r, coefficients = f, q.tolist()
-    else:
-        # -r = A u - f, added onto -f; the coefficients change sign instead
-        r = np.negative(f)
-        accumulate(u, r)
-        coefficients = (-q).tolist()
-    r_real = r.view(float)
-    y, work = np.empty_like(f), np.empty_like(f)
-    np.multiply(r_real, coefficients[-1], out=y.view(float))
-    for c in coefficients[-2::-1]:
-        np.multiply(r_real, c, out=work.view(float))
-        accumulate(y, work)
-        y, work = work, y
-    if u is None:
-        return y
-    u += y
     return u
 
 
@@ -287,8 +193,7 @@ def _recurrence_pass(A: SparseMatrix, s: WeightSchedule, f, u, count):
     if u is None:
         u, first_r = np.zeros_like(f), f
     step = _inner_step(A, f, u, np.zeros_like(u), s.variant)
-    weights = list(zip(s.omega.tolist(), s.alpha.tolist(),
-                       s.alpha_tilde.tolist()))
+    weights = _weights(s)
     for _ in range(count):
         for w, a, at in weights:
             step(w, a, at, first_r)

@@ -3,6 +3,12 @@
 One outer sweep applies the m inner updates of the selected variant,
 with the preconditioner applied to every residual. The velocity vector
 persists across outer sweeps and is reset only at solver entry.
+
+Started from a fresh velocity, ``count`` sweeps are one update
+u <- u + q(A)(f - A u) with q of degree count*m - 1, the sweep
+polynomial. A solve whose velocity never crosses a sweep (a plain
+schedule without a preconditioner) and the multigrid smoother evaluate
+it by Horner's rule while its amplification bound allows.
 """
 from __future__ import annotations
 
@@ -13,6 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 DIVERGENCE_FACTOR = 1e12
+# the largest Horner amplification bound (SweepPolynomial.bound) at
+# which a sweep runs by its polynomial
+AMPLIFICATION_LIMIT = 1e4
 
 
 class DivergenceError(RuntimeError):
@@ -33,6 +42,11 @@ class SolveReport:
     restarts: int = 0          # FGMRES restart cycles run, the first included
     matvecs: int = 0           # products with the operator, recomputes included
     precond_applies: int = 0   # preconditioner applications B^{-1} r
+    # how a stationary solve ran its sweeps, "horner" or "recurrence", and
+    # the SweepPolynomial bound that chose it (None where the variant or
+    # the preconditioner fixes the recurrence)
+    sweep_form: str | None = None
+    sweep_bound: float | None = None
 
 
 def _norm(r):
@@ -41,6 +55,13 @@ def _norm(r):
     if r.dtype.kind == "c":
         return math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
     return math.sqrt(r.dot(r))
+
+
+def _weights(schedule):
+    """The schedule's (omega, alpha, alpha_tilde) per inner step, as
+    Python floats."""
+    return list(zip(schedule.omega.tolist(), schedule.alpha.tolist(),
+                    schedule.alpha_tilde.tolist()))
 
 
 def _inner_step(A, f, u, v, variant, P=None):
@@ -80,6 +101,105 @@ def _inner_step(A, f, u, v, variant, P=None):
     return step
 
 
+@dataclass(frozen=True)
+class SweepPolynomial:
+    """``count`` outer sweeps of a schedule from a fresh velocity, as one
+    update u <- u + q(A)(f - A u) with q of degree count*m - 1.
+
+    ``coefficients`` are q's, ascending. ``bound`` is sum_k |p_k| rho^k
+    for the residual polynomial p(lam) = 1 - lam q(lam) and the
+    Gershgorin radius rho of A. It bounds how far Horner's rule can
+    amplify a rounding error relative to the size of its input, so the
+    sweeps run by the polynomial (``form`` "horner") only while it is at
+    most AMPLIFICATION_LIMIT, and by the step recurrence (``form``
+    "recurrence") above it, or when it is not finite.
+    """
+    count: int
+    coefficients: np.ndarray
+    bound: float
+
+    @property
+    def form(self):
+        return "horner" if self.bound <= AMPLIFICATION_LIMIT \
+            else "recurrence"
+
+
+class _TimesLambda:
+    """Multiplication by lam on ascending polynomial coefficients. It
+    drops the top coefficient, which sweep_polynomial never fills."""
+
+    @staticmethod
+    def matvec(c):
+        out = np.zeros_like(c)
+        out[1:] = c[:-1]
+        return out
+
+
+def sweep_polynomial(schedule, count, radius):
+    """The SweepPolynomial of ``count`` sweeps of ``schedule`` on an
+    operator of Gershgorin radius ``radius``.
+
+    q comes from the update that sweeps, ``_inner_step``, run on
+    coefficient vectors: its right-hand side is the constant 1, standing
+    for the residual r0 = f - A u, its iterate starts at the zero
+    polynomial and its operator multiplies by lam. Step k leaves the
+    iterate of degree k - 1, so the d = count*m coefficients of degree
+    below d hold every step (none when count is 0).
+    """
+    d = count * schedule.m
+    q = np.zeros(d)
+    one = np.zeros(d)
+    one[:1] = 1.0
+    step = _inner_step(_TimesLambda, one, q, np.zeros(d), schedule.variant)
+    weights = _weights(schedule)
+    for _ in range(count):
+        for w, a, at in weights:
+            step(w, a, at)
+    # sum_k |q_k| radius^k by Horner: it overflows to inf, never raises
+    growth = 0.0
+    for c in reversed(q.tolist()):
+        growth = growth * radius + abs(c)
+    return SweepPolynomial(count=count, coefficients=q,
+                           bound=1.0 + radius * growth)
+
+
+def gershgorin_radius(A):
+    """max_i sum_j |a_ij|: every eigenvalue of A lies within it of 0 (0
+    for a matrix without rows)."""
+    return float(np.asarray(abs(A.to_scipy()).sum(axis=1)).max(initial=0.0))
+
+
+def _horner(accumulate, coefficients, r, y, work):
+    """c(A) r for the ascending ``coefficients`` c, by Horner's rule from
+    the top one: y <- c_k r + A y. Each step is one pass that writes
+    c_k r into a work vector, into which the compiled kernel
+    ``accumulate`` (``SparseMatrix._accumulating_product``) adds A y.
+    The coefficients are real, so the passes run on the float view of
+    complex data. ``y`` and ``work`` are contiguous scratch vectors of
+    r's dtype; returns whichever of them holds the result."""
+    r_real = r.view(float)
+    np.multiply(r_real, coefficients[-1], out=y.view(float))
+    for c in coefficients[-2::-1]:
+        np.multiply(r_real, c, out=work.view(float))
+        accumulate(y, work)
+        y, work = work, y
+    return y
+
+
+def _horner_pass(A, q, f, u):
+    """u + q(A)(f - A u), or q(A) f when ``u`` is None, by Horner's rule
+    (``_horner``). ``f`` is contiguous and of the iterate's dtype."""
+    accumulate = A._accumulating_product()
+    y, work = np.empty_like(f), np.empty_like(f)
+    if u is None:
+        return _horner(accumulate, q.tolist(), f, y, work)
+    # -r = A u - f, added onto -f; the coefficients change sign instead
+    s = np.negative(f)
+    accumulate(u, s)
+    u += _horner(accumulate, (-q).tolist(), s, y, work)
+    return u
+
+
 def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
                      u0=None):
     """Iterate outer sweeps from a zero initial guess until the relative
@@ -89,11 +209,21 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
     convention): cyclic weight schedules show transient mid-sweep
     residual dips that would otherwise stop the iteration early.
 
+    A plain schedule without a preconditioner carries no velocity
+    across sweeps, so each sweep is u <- u + q(A)(f - A u) with its
+    SweepPolynomial q, computed once per solve. While its bound allows,
+    each sweep evaluates q by Horner's rule on the residual the previous
+    sweep ended on, kept negated as A u - f, and the divergence guard
+    runs at sweep ends. Every other solve runs the step recurrence, and
+    plain ones guard after every update. ``report.sweep_form`` and
+    ``report.sweep_bound`` record the choice. Either form takes m
+    products per sweep after the initial residual.
+
     Every residual whose norm is taken runs through the matrix's
-    unprobed product. A finite norm shows that the product held no NaN,
-    so it has ``matvec``'s bytes; a non-finite one is recomputed by
-    ``matvec`` before the divergence test, and counts as one more
-    product in ``report.matvecs``.
+    unprobed or accumulating product. A finite norm shows that the
+    product held no NaN, so it has ``matvec``'s bytes; a non-finite one
+    is recomputed by ``matvec`` before the divergence test, and counts
+    as one more product in ``report.matvecs``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -102,22 +232,19 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
     f = np.asarray(f)
     dtype = np.promote_types(A.dtype, f.dtype)
     u = np.zeros(n, dtype=dtype) if u0 is None else np.array(u0, dtype=dtype)
-    v = np.zeros(n, dtype=dtype)
+    sweep = None
+    if schedule.variant == "plain" and P is None:
+        sweep = sweep_polynomial(schedule, 1, gershgorin_radius(A))
+    horner = sweep is not None and sweep.form == "horner"
+    form = dict(sweep_form="horner" if horner else "recurrence",
+                sweep_bound=None if sweep is None else sweep.bound)
     fnorm = float(np.linalg.norm(f))
     if fnorm == 0.0:
         report = SolveReport(0, 0, True, 0.0, time.perf_counter() - t0,
-                             np.array([0.0]))
+                             np.array([0.0]), **form)
         return u, report
 
     m = schedule.m
-    weights = list(zip(schedule.omega.tolist(), schedule.alpha.tolist(),
-                       schedule.alpha_tilde.tolist()))
-    # for plain/mom the step residual is the residual at the current u,
-    # so one product per inner step suffices; nag/nagex take one at the
-    # look-ahead point in each step and one at each sweep end
-    reuse_residual = schedule.variant in ("plain", "mom")
-    step = _inner_step(A, f, u, v, schedule.variant, P)
-    product = A._unprobed_product(dtype)
     r = f - A.matvec(u)
     matvecs = 1
     rel = _norm(r) / fnorm
@@ -126,22 +253,56 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
     inner = 0
     outer = 0
     converged = rel <= tol
+
+    def checked_norm():
+        """rel of the residual just taken into r by an unprobed or an
+        accumulating product, taken again by ``matvec`` when it is not
+        finite; a DivergenceError when it is still not finite or above
+        the limit."""
+        nonlocal matvecs
+        rel = _norm(r) / fnorm
+        if not math.isfinite(rel):
+            np.subtract(f, A.matvec(u), out=r)
+            if horner:
+                np.negative(r, out=r)
+            matvecs += 1
+            rel = _norm(r) / fnorm
+        if not math.isfinite(rel) or rel > limit:
+            raise DivergenceError(
+                f"residual blew up to {rel:.3g} at inner iteration {inner}",
+                inner_iteration=inner)
+        return rel
+
+    # for plain/mom the step residual is the residual at the current u,
+    # so one product per inner step suffices; nag/nagex take one at the
+    # look-ahead point in each step and one at each sweep end
+    reuse_residual = schedule.variant in ("plain", "mom")
+    if horner:
+        accumulate = A._accumulating_product()
+        coefficients = (-sweep.coefficients).tolist()
+        np.negative(r, out=r)
+        y, work = np.empty_like(u), np.empty_like(u)
+    else:
+        weights = _weights(schedule)
+        step = _inner_step(A, f, u, np.zeros(n, dtype=dtype),
+                           schedule.variant, P)
+        product = A._unprobed_product(dtype)
     while not converged and outer < max_outer:
-        for i, (w, a, at) in enumerate(weights):
-            step(w, a, at, r if reuse_residual else None)
-            inner += 1
-            if reuse_residual or i == m - 1:
-                np.subtract(f, product(u), out=r)
-                matvecs += 1
-                rel = _norm(r) / fnorm
-                if not math.isfinite(rel):
-                    np.subtract(f, A.matvec(u), out=r)
+        if horner:
+            u += _horner(accumulate, coefficients, r, y, work)
+            np.negative(f, out=r)
+            accumulate(u, r)
+            matvecs += m
+            inner += m
+            rel = checked_norm()
+        else:
+            for i, (w, a, at) in enumerate(weights):
+                step(w, a, at, r if reuse_residual else None)
+                inner += 1
+                if reuse_residual or i == m - 1:
+                    np.subtract(f, product(u), out=r)
                     matvecs += 1
-                    rel = _norm(r) / fnorm
-                if not math.isfinite(rel) or rel > limit:
-                    raise DivergenceError(
-                        f"residual blew up to {rel:.3g} at inner iteration {inner}",
-                        inner_iteration=inner)
+                    rel = checked_norm()
         outer += 1
         trace.append(rel)
         converged = rel <= tol
@@ -150,5 +311,5 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
         final_relative_residual=rel, wall_time=time.perf_counter() - t0,
         trace=np.array(trace),
         matvecs=matvecs + (0 if reuse_residual else inner),
-        precond_applies=0 if P is None else inner)
+        precond_applies=0 if P is None else inner, **form)
     return u, report

@@ -148,6 +148,27 @@ def test_solve_echoes_stopping_rule(capsys):
     assert "converged=True" in out
 
 
+@pytest.mark.parametrize("flags,sweep", [
+    ([], "sweep=horner bound="),
+    (["--precond", "ssor"], "sweep=recurrence wall="),
+    (["--weights", "literal", "--omega", ",".join(["0.3"] * 14)],
+     "sweep=recurrence bound="),
+])
+def test_solve_reports_its_sweep_form(flags, sweep, capsys):
+    code, out, _ = run_cli(["solve", "--n", "16", "--eps", "0.1"] + flags,
+                           capsys)
+    assert code == 0
+    assert sweep in out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_solve_non_positive_tol_exits_before_any_output(tol, capsys):
+    code, out, err = run_cli(["solve", "--n", "8", "--tol", tol], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --tol must be positive, got {float(tol):g}\n"
+
+
 def test_solve_literal_weights(capsys):
     code, out, _ = run_cli(["solve", "--n", "16", "--weights", "literal",
                             "--omega", "0.2,0.3"], capsys)
@@ -224,11 +245,12 @@ def test_non_finite_literal_weights_are_a_config_error(omega, capsys):
                                          ("0.1,,0.2", ""),
                                          ("0.2, x", " x")])
 def test_malformed_literal_weights_are_a_config_error(omega, entry, capsys):
-    code, _, err = run_cli(["solve", "--n", "8", "--weights", "literal",
-                            "--omega", omega], capsys)
+    code, out, err = run_cli(["solve", "--n", "8", "--weights", "literal",
+                              "--omega", omega], capsys)
     assert code == 2
-    assert err.endswith(f"error: --omega entry {entry!r} in {omega!r} is "
-                        "not a number\n")
+    assert out == ""
+    assert err == (f"error: --omega entry {entry!r} in {omega!r} is not a "
+                   "number\n")
 
 
 def test_config_file_with_cli_override(tmp_path, capsys):

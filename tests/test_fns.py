@@ -175,6 +175,41 @@ def test_solve_counts_inner_iterations(rng):
     assert rep.converged and rep.inner_iterations == 2 * rep.iterations
 
 
+@pytest.mark.parametrize("M", [0, 1, 3])
+def test_solve_matches_the_step_oracle_with_one_residual_per_step(
+        M, rng, monkeypatch):
+    """Each hybrid step reads the residual that the convergence test took,
+    so a step after the first saves one product, and every iterate keeps
+    the oracle's bits."""
+    from richlab import fns
+    from reference_iterations import reference_fns_lite_step
+
+    n = 16
+    A = stencil_problem(n, eps=1e-2, theta=np.pi / 3)
+    corr = SpectralCorrection(lambda_tilde=1.0 / sine_basis_eigenvalues(A, n),
+                              n=n)
+    sched = WeightSchedule(omega=np.array([0.1, 0.25, 0.4]))
+    f = rng.standard_normal((n - 1) ** 2)
+    products, steps = [], []
+    matvec, step = SparseMatrix.matvec, fns.fns_lite_step
+    monkeypatch.setattr(SparseMatrix, "matvec",
+                        lambda self, x: products.append(1) or matvec(self, x))
+    monkeypatch.setattr(fns, "fns_lite_step",
+                        lambda *a, **k: steps.append(1) or step(*a, **k))
+    u, rep = solve_fns(A, f, sched, corr, M=M, tol=1e-8)
+    monkeypatch.undo()
+    assert rep.converged and rep.iterations > 2
+    assert len(steps) == rep.iterations
+    assert len(products) == rep.iterations * (M + 1) + 1
+    u_ref, trace = np.zeros_like(f), [1.0]
+    for _ in range(rep.iterations):
+        u_ref = reference_fns_lite_step(A, f, u_ref, sched, M, corr)
+        trace.append(float(np.linalg.norm(f - A.to_scipy() @ u_ref))
+                     / np.linalg.norm(f))
+    assert np.array_equal(u, u_ref)
+    assert np.array_equal(rep.trace, trace)
+
+
 def test_correction_checkpoint_round_trip(tmp_path):
     n = 8
     corr = SpectralCorrection(

@@ -19,7 +19,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # about 10 s a round and whose ``train_ns`` the library tests run
 LAYER_OPS = {
     "products": ["assembly", "spectral_bounds", "matvec",
-                 "plain_inner_update", "nagex_ssor_inner_update",
+                 "plain_inner_update", "cheb_sweep",
+                 "nagex_ssor_inner_update",
                  "sample_dataset"],
     "precond": ["ssor_build", "apply_20_rows", "apply_transpose_20_rows"],
     "batches": ["block_diagonal_20x961", "hybrid_lambda_batch",

@@ -5,15 +5,15 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
-from richlab import multigrid
-from richlab.multigrid import (AMPLIFICATION_LIMIT, Level, _smooth,
-                               build_hierarchy, coarsening_sides,
-                               galerkin_coarse, gershgorin_radius,
+from richlab import multigrid, richardson
+from richlab.multigrid import (Level, _smooth, build_hierarchy,
+                               coarsening_sides, galerkin_coarse,
                                helmholtz_hierarchy, prolongation_matrix,
                                restriction_matrix, v_cycle)
 from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
                               assemble_anisotropic, assemble_helmholtz)
-from richlab.richardson import DivergenceError
+from richlab.richardson import (AMPLIFICATION_LIMIT, DivergenceError,
+                                gershgorin_radius)
 from richlab.schedules import WeightSchedule, chebyshev_schedule
 from richlab.sparse import SparseMatrix
 from richlab.spectral import dense_spectral_bounds
@@ -309,15 +309,18 @@ def _helmholtz_level():
     return level
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("count", [1, 3])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_f_diverges_in_either_form(count, bad, rng):
+    """The pass raises DivergenceError, with no floating-point warning
+    before it."""
     level = _helmholtz_level()
     size = level.A.nrows
     f = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     f[size // 3] = bad
     for u in (None, np.zeros(size, dtype=complex)):
-        with pytest.raises(DivergenceError), np.errstate(invalid="ignore"):
+        with pytest.raises(DivergenceError):
             _smooth(level, f, u, count)
 
 
@@ -363,7 +366,7 @@ def test_each_level_takes_the_recurrences_products(pre, post, warm,
     h = helmholtz_hierarchy(A, n)
     assert "horner" in {form for *_, form, _ in h.smoothing((pre, post))}
     polynomial = _products_per_level(h, pre, post, warm)
-    monkeypatch.setattr(multigrid, "AMPLIFICATION_LIMIT", 0.0)
+    monkeypatch.setattr(richardson, "AMPLIFICATION_LIMIT", 0.0)
     assert {form for *_, form, _ in h.smoothing((pre, post))} \
         == {"recurrence"}
     recurrence = _products_per_level(h, pre, post, warm)

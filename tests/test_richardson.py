@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from richlab.precond import Preconditioner
 from richlab.problems import AnisotropicProblem, assemble_anisotropic
-from richlab.richardson import DivergenceError, solve_stationary
+from richlab.richardson import (DivergenceError, gershgorin_radius,
+                                solve_stationary)
 from richlab.schedules import WeightSchedule, chebyshev_weights
 from richlab.sparse import SparseMatrix
 
@@ -224,13 +225,17 @@ def _oracle_system(field):
 
 
 def _oracle_schedule(variant, A, P):
-    """Weights scaled to the preconditioned spectral radius."""
+    """Weights scaled to the preconditioned spectral radius. "plain-long"
+    repeats the plain weights seven times: the sweep polynomial's bound
+    (about 2.4e4) then exceeds AMPLIFICATION_LIMIT."""
     Ad = A.to_dense()
     BA = np.column_stack([precondition(P, col) for col in Ad.T])
     rho = np.max(np.abs(np.linalg.eigvals(BA)))
     omega = np.array([0.3, 0.9, 0.6]) / rho
     if variant == "plain":
         return WeightSchedule(omega=omega)
+    if variant == "plain-long":
+        return WeightSchedule(omega=np.tile(omega, 7))
     alpha = np.array([0.2, 0.3, 0.1])
     at = np.array([0.1, 0.25, 0.05]) if variant == "nagex" else None
     return WeightSchedule(omega=omega, alpha=alpha, alpha_tilde=at,
@@ -242,60 +247,76 @@ ORACLE_CASES = [(p, fld) for p in (None, "jacobi", "ssor")
 
 
 VARIANTS = ["plain", "mom", "nag", "nagex"]
+ORACLE_VARIANTS = ["plain", "plain-long", "mom", "nag", "nagex"]
 
 
 # "outer" in the ids names where convergence is tested: at sweep boundaries.
 @pytest.mark.parametrize("precond,field", ORACLE_CASES)
-@pytest.mark.parametrize("variant", VARIANTS,
-                         ids=[f"{v}-outer" for v in VARIANTS])
+@pytest.mark.parametrize("variant", ORACLE_VARIANTS,
+                         ids=[f"{v}-outer" for v in ORACLE_VARIANTS])
 def test_solve_matches_allocating_reference_loop(variant, precond, field):
+    """The step recurrence keeps the reference's bits. A plain solve
+    without a preconditioner sweeps by Horner's rule, which sums in
+    another order: its iterate is compared normwise, and its residual
+    ratios, which carry the iterate's rounding amplified by about
+    |A| |u| / |f - A u|, to 1e-8."""
     A, f, u0 = _oracle_system(field)
     P = {None: None, "jacobi": lambda: Preconditioner.weighted_jacobi(A),
          "ssor": lambda: Preconditioner.ssor(A)}[precond]
     P = P() if P else None
     sched = _oracle_schedule(variant, A, P)
+    horner = variant == "plain" and P is None
     for start in (None, u0):
         kept = None if start is None else start.copy()
         u, rep = solve_stationary(A, f, sched, P=P, tol=1e-5, max_outer=150,
                                   u0=start)
         u_ref, ref = reference_solve_stationary(
             A, f, sched, P=P, tol=1e-5, max_outer=150, u0=kept)
-        assert np.array_equal(u, u_ref) and u.dtype == u_ref.dtype
-        assert np.array_equal(rep.trace, ref.trace)
-        assert (rep.iterations, rep.inner_iterations, rep.converged,
-                rep.final_relative_residual) == (
-            ref.iterations, ref.inner_iterations, ref.converged,
-            ref.final_relative_residual)
+        assert rep.sweep_form == ("horner" if horner else "recurrence")
+        assert u.dtype == u_ref.dtype
+        assert (rep.iterations, rep.inner_iterations, rep.converged) == (
+            ref.iterations, ref.inner_iterations, ref.converged)
+        if horner:
+            assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
+            assert np.allclose(rep.trace, ref.trace, rtol=1e-8, atol=0.0)
+        else:
+            assert np.array_equal(u, u_ref)
+            assert np.array_equal(rep.trace, ref.trace)
+            assert rep.final_relative_residual == ref.final_relative_residual
         if start is not None:
             assert np.array_equal(start, kept)   # the caller's u0 is untouched
 
 
 def _counting_products(monkeypatch):
-    """Patch SparseMatrix so that every product the solver runs, probed
-    or not, appends to the returned list."""
+    """Patch SparseMatrix so that every product the solver runs, probed,
+    unprobed or accumulating, appends its route to the returned list."""
     calls = []
     matvec = SparseMatrix.matvec
-    unprobed = SparseMatrix._unprobed_product
 
     def counted_matvec(self, x):
         calls.append("matvec")
         return matvec(self, x)
 
-    def counted_unprobed(self, dtype, transpose=False):
-        product = unprobed(self, dtype, transpose)
+    def counting(name):
+        factory = getattr(SparseMatrix, name)
 
-        def run(x):
-            calls.append("unprobed")
-            return product(x)
-        return run
+        def make(self, *args):
+            kernel = factory(self, *args)
+
+            def run(*vectors):
+                calls.append(name)
+                return kernel(*vectors)
+            return run
+        return make
 
     monkeypatch.setattr(SparseMatrix, "matvec", counted_matvec)
-    monkeypatch.setattr(SparseMatrix, "_unprobed_product", counted_unprobed)
+    for name in ("_unprobed_product", "_accumulating_product"):
+        monkeypatch.setattr(SparseMatrix, name, counting(name))
     return calls
 
 
 @pytest.mark.parametrize("precond", [None, "jacobi", "ssor"])
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", ORACLE_VARIANTS)
 def test_report_counts_products_and_applies(variant, precond, monkeypatch):
     A, f, _ = _oracle_system("real")
     P = _oracle_preconditioner(precond, A)
@@ -303,10 +324,13 @@ def test_report_counts_products_and_applies(variant, precond, monkeypatch):
     calls = _counting_products(monkeypatch)
     _, rep = solve_stationary(A, f, sched, P=P, tol=1e-5, max_outer=150)
     assert rep.inner_iterations > 0
-    # one initial residual, one product per update; nag/nagex add the
-    # sweep-end residual
-    sweep_ends = 0 if variant in ("plain", "mom") else rep.iterations
+    # one initial residual, one product per update in either sweep form;
+    # nag/nagex add the sweep-end residual
+    sweep_ends = 0 if variant.startswith("plain") or variant == "mom" \
+        else rep.iterations
     assert rep.matvecs == len(calls) == 1 + rep.inner_iterations + sweep_ends
+    horner = variant == "plain" and P is None
+    assert ("_accumulating_product" in calls) == horner
     assert rep.precond_applies == (0 if P is None else rep.inner_iterations)
 
 
@@ -400,3 +424,56 @@ def test_scaling_f_by_a_power_of_two_scales_only_u(k, variant, precond,
                  "final_relative_residual", "stagnated", "restarts",
                  "matvecs", "precond_applies"):
         assert getattr(rep_k, name) == getattr(rep, name)
+
+
+@st.composite
+def plain_cases(draw):
+    """A plain schedule (m <= 5) on a small dense real-SPD or complex-
+    symmetric operator B + iC (B, C symmetric positive, so every
+    eigenvalue has a positive real part), with a right-hand side and a
+    start. Each weight lies below min 2 Re(lam)/|lam|^2, where every
+    factor |1 - w lam| < 1: the sweeps contract, so no solve diverges."""
+    size = draw(st.integers(1, 8))
+    is_complex = draw(st.booleans())
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    G = gen.standard_normal((size, size))
+    M = G @ G.T + 0.1 * np.eye(size)
+    if is_complex:
+        H = gen.standard_normal((size, size))
+        M = M + 0.5j * (H @ H.T)
+    M = M * 10.0 ** draw(st.floats(-3.0, 3.0))
+    lam = np.linalg.eigvals(M)
+    reach = float(np.min(2.0 * lam.real / np.abs(lam) ** 2))
+    m = draw(st.integers(1, 5))
+    omega = reach * np.array(draw(st.lists(st.floats(0.05, 0.95),
+                                           min_size=m, max_size=m)))
+    dtype = complex if is_complex else float
+    f, u0 = (gen.standard_normal(size).astype(dtype) for _ in range(2))
+    if is_complex:
+        f += 1j * gen.standard_normal(size)
+        u0 += 1j * gen.standard_normal(size)
+    return SparseMatrix.from_scipy(M), WeightSchedule(omega=omega), f, u0
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=plain_cases())
+def test_horner_sweeps_track_the_reference_loop(case):
+    """Each Horner sweep rounds within 4 m eps bound (|u| + |f|/rho) of
+    the recurrence, and a contracting sweep does not amplify what
+    earlier sweeps left: after k sweeps the iterates differ by at most k
+    times that. The sweep counts are the reference's."""
+    A, sched, f, u0 = case
+    rho = gershgorin_radius(A)
+    for start in (None, u0):
+        u, rep = solve_stationary(A, f, sched, tol=1e-8, max_outer=200,
+                                  u0=start)
+        u_ref, ref = reference_solve_stationary(A, f, sched, tol=1e-8,
+                                                max_outer=200, u0=start)
+        assert rep.sweep_form == "horner"
+        assert (rep.iterations, rep.inner_iterations, rep.converged) == (
+            ref.iterations, ref.inner_iterations, ref.converged)
+        size = max(np.linalg.norm(u_ref),
+                   0.0 if start is None else np.linalg.norm(start))
+        tol = (4 * sched.m * max(rep.iterations, 1) * np.finfo(float).eps
+               * rep.sweep_bound * (size + np.linalg.norm(f) / rho))
+        assert np.linalg.norm(u - u_ref) <= tol
