@@ -35,9 +35,11 @@ its inputs with that code. To time one tree, pass it twice. The op sets
   damped Helmholtz at n=128 (16,129 complex unknowns) and its
   ``multigrid.helmholtz_hierarchy``: its assembly, one complex product
   (the mean of MATVECS), one V-cycle from zero, one Arnoldi step of
-  unpreconditioned FGMRES(RESTART) (a restart cycle, over RESTART), and
-  one NAG-Richardson(5) smoothing pass on the finest level, from a copy
-  of a fixed iterate.
+  unpreconditioned FGMRES(RESTART) (a restart cycle, over RESTART), one
+  NAG-Richardson(5) smoothing pass on the finest level, from a copy of a
+  fixed iterate, and one build of the hierarchy itself (transfers,
+  Galerkin products and the coarsest factorisation), through public
+  names only.
 - ``epochs``: one ``train_ns`` epoch of each schedule net of the
   criterion-2/3 fixture (plain, nag, nagex and SSOR NAG-ex, with the
   fixture's batch sizes, seeds and output maps) on its 200-sample set at
@@ -230,6 +232,8 @@ def helmholtz(mod):
         "fgmres_arnoldi_step": (restart_cycle, RESTART),
         "nag_smoothing_pass": (
             lambda: multigrid._smooth(h.levels[0], f, u.copy(), 1), 1),
+        "hierarchy_build": (
+            lambda: multigrid.helmholtz_hierarchy(A, HELMHOLTZ_N), 1),
     }
 
 

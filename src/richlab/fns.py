@@ -127,14 +127,18 @@ def fns_lite_step(A, f, u, schedule, M, corr: SpectralCorrection, *,
 
 
 def solve_fns(A, f, schedule, corr, M, tol=1e-6, max_iters=10_000):
-    """Run the hybrid iteration from zero to the relative-residual tol."""
+    """Run the hybrid iteration from zero to the relative-residual tol.
+
+    A zero ``f`` is solved by the zero iterate, with relative residual 0
+    and no product taken.
+    """
     t0 = time.perf_counter()
     u = np.zeros(A.ncols)
     fnorm = np.linalg.norm(f)
-    rel = 1.0
+    converged = fnorm == 0.0
+    rel = 0.0 if converged else 1.0
     trace = [rel]
     it = 0
-    converged = fnorm == 0.0
     r = None   # f - A u, once a step has run: the next step reads it
     while not converged and it < max_iters:
         u = fns_lite_step(A, f, u, schedule, M, corr, _residual=r)
@@ -143,10 +147,12 @@ def solve_fns(A, f, schedule, corr, M, tol=1e-6, max_iters=10_000):
         rel = float(np.linalg.norm(r)) / fnorm
         trace.append(rel)
         converged = rel <= tol
+    # the first step takes its own residual; each later one reads r
     return u, SolveReport(iterations=it, inner_iterations=it * M,
                           converged=converged, final_relative_residual=rel,
                           wall_time=time.perf_counter() - t0,
-                          trace=np.array(trace))
+                          trace=np.array(trace),
+                          matvecs=it * (M + 1) + (it > 0))
 
 
 # -- differentiable hybrid loss -----------------------------------------

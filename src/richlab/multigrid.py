@@ -10,13 +10,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .richardson import (DivergenceError, SweepPolynomial, _horner_pass,
                          _inner_step, _weights, gershgorin_radius,
                          sweep_polynomial)
 from .schedules import WeightSchedule
-from .sparse import SparseMatrix
+from .sparse import (SparseMatrix, _scaled_transpose, _wrap_built,
+                     _wrap_product)
 
 # the coarsest grid of the Helmholtz recipe (helmholtz_hierarchy)
 HELMHOLTZ_COARSEST = 16
@@ -28,29 +28,36 @@ class CoarseSolveError(RuntimeError):
     pass
 
 
-def _restriction_1d(n):
-    """1D full-weighting (1/4)[1,2,1] from the n-1 interior to n/2-1."""
-    if n % 2 != 0:
-        raise ValueError(f"grid side {n} must be even to coarsen")
-    rows = n // 2 - 1
-    # row i holds columns 2i, 2i+1, 2i+2
-    cols = 2 * np.arange(rows)[:, None] + np.arange(3)
-    return scipy.sparse.csr_matrix(
-        (np.tile([0.25, 0.5, 0.25], rows), cols.reshape(-1),
-         3 * np.arange(rows + 1)), shape=(rows, n - 1))
+# the 1D full-weighting weights w of fine nodes 2I, 2I+1, 2I+2
+_FULL_WEIGHTS = np.array([0.25, 0.5, 0.25])
 
 
 def restriction_matrix(n) -> SparseMatrix:
-    """Full-weighting restriction from the n grid to the n/2 grid."""
-    r1 = _restriction_1d(n)
-    return SparseMatrix.from_scipy(scipy.sparse.kron(r1, r1, format="csr"))
+    """Full-weighting restriction from the n grid to the n/2 grid.
+
+    Built straight into CSR arrays: coarse unknown (I, J) reads the fine
+    unknowns (2I+a, 2J+b), a, b in {0, 1, 2}, with weight w_a w_b. All
+    nine lie inside the fine grid, and taking (a, b) in lexicographic
+    order makes each row's columns ascend.
+    """
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"grid side {n} must be even and at least 2 to "
+                         "coarsen")
+    m, mc = n - 1, n // 2 - 1
+    a = np.arange(3)
+    corner = 2 * np.arange(mc)   # fine index of (2I, 2J) along one axis
+    cols = ((corner[:, None] * m + corner).reshape(-1, 1)
+            + (a[:, None] * m + a).reshape(-1))
+    values = np.tile(np.outer(_FULL_WEIGHTS, _FULL_WEIGHTS).reshape(-1),
+                     mc * mc)
+    return _wrap_built(mc * mc, m * m, 9 * np.arange(mc * mc + 1),
+                       cols.reshape(-1), values)
 
 
 def prolongation_matrix(n) -> SparseMatrix:
-    """Bilinear interpolation from the n/2 grid to the n grid (4 R^T)."""
-    r1 = _restriction_1d(n)
-    p1 = (2.0 * r1.T).tocsr()
-    return SparseMatrix.from_scipy(scipy.sparse.kron(p1, p1, format="csr"))
+    """Bilinear interpolation from the n/2 grid to the n grid, 4 R^T (R's
+    weights are powers of two, so its entries are exact)."""
+    return _scaled_transpose(restriction_matrix(n), 4.0)
 
 
 def galerkin_coarse(A: SparseMatrix, R: SparseMatrix,
@@ -58,8 +65,7 @@ def galerkin_coarse(A: SparseMatrix, R: SparseMatrix,
     """Sparse triple product R A P."""
     if R.ncols != A.nrows or A.ncols != P.nrows:
         raise ValueError("transfer operator dimensions do not chain")
-    prod = R.to_scipy() @ A.to_scipy() @ P.to_scipy()
-    return SparseMatrix.from_scipy(prod.tocsr())
+    return _wrap_product(R.to_scipy() @ A.to_scipy() @ P.to_scipy())
 
 
 @dataclass
@@ -131,7 +137,7 @@ def build_hierarchy(A: SparseMatrix, n, coarsest=8, schedules=None):
     Al = A
     for side in sides[:-1]:
         R = restriction_matrix(side)
-        P = prolongation_matrix(side)
+        P = _scaled_transpose(R, 4.0)
         levels.append(Level(n=side, A=Al, R=R, P=P, schedule=schedules))
         Al = galerkin_coarse(Al, R, P)
     levels.append(Level(n=sides[-1], A=Al))

@@ -31,8 +31,10 @@ class SparseMatrix:
     """Immutable CSR matrix.
 
     Rows are stored with strictly increasing column indices and no
-    explicit zeros; :meth:`from_scipy` sums duplicate entries of its
-    input at build time.
+    explicit zeros. The constructor and :meth:`from_scipy` validate
+    matrices from outside the library (:meth:`from_scipy` first sums
+    duplicate entries and drops zeros); matrices the library builds
+    itself are wrapped as built (:func:`_wrap_built`).
     """
 
     def __init__(self, nrows, ncols, row_starts, col_indices, values):
@@ -227,7 +229,7 @@ class SparseMatrix:
 
     def __matmul__(self, other):
         if isinstance(other, SparseMatrix):
-            return SparseMatrix.from_scipy(self._csr @ other._csr)
+            return _wrap_product(self._csr @ other._csr)
         return self.matvec(other)
 
     def __repr__(self):
@@ -241,6 +243,42 @@ def _index_dtype(nrows, ncols, nnz):
     stored in it reach scipy without a copy."""
     fits = max(nrows, ncols, nnz) <= np.iinfo(np.int32).max
     return np.int32 if fits else np.int64
+
+
+def _wrap_built(nrows, ncols, row_starts, col_indices, values):
+    """The SparseMatrix of CSR arrays the library built itself, wrapped
+    without the constructor's checks: every row's columns in range and
+    strictly ascending, no explicit zeros, float64 or complex128 values.
+    Only the index dtype is settled here (that of :func:`_index_dtype`,
+    without a copy when it already is)."""
+    index = _index_dtype(nrows, ncols, len(values))
+    return SparseMatrix._from_valid_arrays(
+        nrows, ncols, row_starts.astype(index, copy=False),
+        col_indices.astype(index, copy=False), values)
+
+
+def _wrap_product(csr):
+    """A scipy CSR product of library matrices as a SparseMatrix. Its
+    compiled product sums each row's duplicates as it goes, but may
+    leave the columns unsorted and keep exact zeros: both are settled in
+    place before the arrays are wrapped as built."""
+    csr.sort_indices()
+    csr.eliminate_zeros()
+    return _wrap_built(*csr.shape, csr.indptr, csr.indices, csr.data)
+
+
+def _scaled_transpose(A, scale):
+    """scale * A^T from A's arrays, by scipy's compiled CSR-to-CSC
+    conversion: it visits A's rows in order, so each row of A^T lists
+    its columns in ascending order. ``scale`` must leave every entry
+    nonzero."""
+    row_starts = np.empty(A.ncols + 1, dtype=A.row_starts.dtype)
+    col_indices = np.empty(A.nnz, dtype=A.col_indices.dtype)
+    values = np.empty(A.nnz, dtype=A.dtype)
+    _sparsetools.csr_tocsc(A.nrows, A.ncols, A.row_starts, A.col_indices,
+                           A.values, row_starts, col_indices, values)
+    values *= scale
+    return _wrap_built(A.ncols, A.nrows, row_starts, col_indices, values)
 
 
 def _run_kernel(kernel, size, dtype, x):

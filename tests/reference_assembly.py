@@ -7,9 +7,12 @@ operator lists its diagonal and its four neighbour couplings, and
 scipy's COO to CSR conversion sorts each row and sums its duplicates.
 The library's CSR arrays must equal theirs bit for bit.
 
-``reference_restriction_1d`` is the 1D full-weighting matrix as it was
-built entry by entry, from which the grid transfers are Kronecker
-products.
+``reference_restriction`` and ``reference_prolongation`` are the grid
+transfers as they were built before their CSR arrays were written by
+index arithmetic: Kronecker products of the 1D full-weighting matrix,
+built entry by entry, canonicalised by ``SparseMatrix.from_scipy``.
+``reference_galerkin`` is the coarse operator R A P as scipy's product,
+canonicalised the same way.
 """
 import numpy as np
 import scipy.sparse
@@ -91,7 +94,7 @@ def reference_helmholtz(p):
         np.concatenate(vals))
 
 
-def reference_restriction_1d(n):
+def _reference_restriction_1d(n):
     """1D full-weighting (1/4)[1,2,1] from the n-1 interior to n/2-1."""
     nc = n // 2
     rows, cols, vals = [], [], []
@@ -102,3 +105,22 @@ def reference_restriction_1d(n):
             vals.append(w)
     return scipy.sparse.csr_matrix((vals, (rows, cols)),
                                    shape=(nc - 1, n - 1))
+
+
+def reference_restriction(n):
+    """Full weighting from the n grid to the n/2 grid, r (x) r."""
+    r1 = _reference_restriction_1d(n)
+    return SparseMatrix.from_scipy(scipy.sparse.kron(r1, r1, format="csr"))
+
+
+def reference_prolongation(n):
+    """Bilinear interpolation from the n/2 grid to the n grid, p (x) p
+    with p = 2 r^T."""
+    p1 = (2.0 * _reference_restriction_1d(n).T).tocsr()
+    return SparseMatrix.from_scipy(scipy.sparse.kron(p1, p1, format="csr"))
+
+
+def reference_galerkin(A, R, P):
+    """The Galerkin product R A P."""
+    return SparseMatrix.from_scipy(
+        (R.to_scipy() @ A.to_scipy() @ P.to_scipy()).tocsr())

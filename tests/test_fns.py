@@ -200,7 +200,7 @@ def test_solve_matches_the_step_oracle_with_one_residual_per_step(
     monkeypatch.undo()
     assert rep.converged and rep.iterations > 2
     assert len(steps) == rep.iterations
-    assert len(products) == rep.iterations * (M + 1) + 1
+    assert len(products) == rep.iterations * (M + 1) + 1 == rep.matvecs
     u_ref, trace = np.zeros_like(f), [1.0]
     for _ in range(rep.iterations):
         u_ref = reference_fns_lite_step(A, f, u_ref, sched, M, corr)
@@ -208,6 +208,20 @@ def test_solve_matches_the_step_oracle_with_one_residual_per_step(
                      / np.linalg.norm(f))
     assert np.array_equal(u, u_ref)
     assert np.array_equal(rep.trace, trace)
+
+
+def test_solve_of_a_zero_right_hand_side_takes_no_step(monkeypatch):
+    n = 16
+    A = stencil_problem(n)
+    corr = SpectralCorrection(lambda_tilde=1.0 / sine_basis_eigenvalues(A, n),
+                              n=n)
+    monkeypatch.setattr(SparseMatrix, "matvec", None)   # no product runs
+    u, rep = solve_fns(A, np.zeros((n - 1) ** 2),
+                       WeightSchedule(omega=np.array([0.1])), corr, M=2)
+    assert np.array_equal(u, np.zeros((n - 1) ** 2))
+    assert rep.converged and rep.iterations == rep.matvecs == 0
+    assert rep.final_relative_residual == 0.0
+    assert rep.trace.tolist() == [0.0]
 
 
 def test_correction_checkpoint_round_trip(tmp_path):

@@ -27,7 +27,8 @@ LAYER_OPS = {
                 "hybrid_omega_batch", "plain_schedule_batch_5",
                 "nagex_ssor_schedule_batch_20"],
     "helmholtz": ["helmholtz_assembly", "complex_fine_matvec", "v_cycle",
-                  "fgmres_arnoldi_step", "nag_smoothing_pass"],
+                  "fgmres_arnoldi_step", "nag_smoothing_pass",
+                  "hierarchy_build"],
 }
 
 

@@ -2,7 +2,6 @@ import collections
 
 import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from richlab import multigrid, richardson
@@ -18,7 +17,8 @@ from richlab.schedules import WeightSchedule, chebyshev_schedule
 from richlab.sparse import SparseMatrix
 from richlab.spectral import dense_spectral_bounds
 
-from reference_assembly import reference_restriction_1d
+from reference_assembly import (reference_galerkin, reference_prolongation,
+                                reference_restriction)
 from reference_iterations import _reference_smooth, two_grid_error_operator
 
 
@@ -39,9 +39,11 @@ def dense_restriction_stencil(n):
     return R
 
 
-def test_odd_n_rejected():
-    with pytest.raises(ValueError):
-        restriction_matrix(7)
+@pytest.mark.parametrize("n", [7, 0])
+def test_odd_or_empty_side_rejected(n):
+    for transfer in (restriction_matrix, prolongation_matrix):
+        with pytest.raises(ValueError, match=f"grid side {n} must be even"):
+            transfer(n)
 
 
 def test_constant_restricts_to_constant_interior():
@@ -68,17 +70,65 @@ def test_matches_dense_stencil_oracle():
     assert np.allclose(P, 4.0 * dense_restriction_stencil(n).T, atol=1e-15)
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8, 18, 64, 130, 256])
+def assert_same_arrays(got, expect):
+    assert got.shape == expect.shape
+    for name in ("row_starts", "col_indices", "values"):
+        a, b = getattr(got, name), getattr(expect, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("n", [*range(2, 66, 2), 130, 256])
 def test_transfers_equal_the_entry_loop_oracle(n):
-    r1 = reference_restriction_1d(n)
-    p1 = (2.0 * r1.T).tocsr()
-    for got, expect in (
-            (restriction_matrix(n), scipy.sparse.kron(r1, r1, format="csr")),
-            (prolongation_matrix(n), scipy.sparse.kron(p1, p1, format="csr"))):
-        expect = SparseMatrix.from_scipy(expect)
-        for name in ("row_starts", "col_indices", "values"):
-            a, b = getattr(got, name), getattr(expect, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert_same_arrays(restriction_matrix(n), reference_restriction(n))
+    assert_same_arrays(prolongation_matrix(n), reference_prolongation(n))
+
+
+def hierarchy_case(kind, n):
+    if kind == "anisotropic":
+        A = assemble_anisotropic(AnisotropicProblem(epsilon=1e-2,
+                                                    theta=np.pi / 3, n=n))
+        return build_hierarchy(A, n, coarsest=8)
+    A = assemble_helmholtz(HelmholtzProblem(angular_frequency=2 * np.pi * 5,
+                                            n=n))
+    return helmholtz_hierarchy(A, n)
+
+
+@pytest.mark.parametrize("kind,n", [("helmholtz", 64), ("helmholtz", 128),
+                                    ("anisotropic", 64)])
+def test_hierarchy_levels_equal_the_kron_oracle(kind, n):
+    """Every level's R, P and coarse A carry the arrays and dtypes of the
+    Kronecker transfers and the canonicalised scipy product."""
+    h = hierarchy_case(kind, n)
+    for fine, coarse in zip(h.levels, h.levels[1:]):
+        R, P = reference_restriction(fine.n), reference_prolongation(fine.n)
+        assert_same_arrays(fine.R, R)
+        assert_same_arrays(fine.P, P)
+        assert_same_arrays(coarse.A, reference_galerkin(fine.A, R, P))
+        assert_same_arrays(galerkin_coarse(fine.A, R, P), coarse.A)
+
+
+def test_galerkin_drops_an_entry_that_cancels_to_zero():
+    """R A P whose (0, 1) entry sums 1 + (-1) to an exact zero, and whose
+    second row scipy's product lists with columns (2, 0): the zero is
+    left out and the columns sorted, as the oracle has them."""
+    R = SparseMatrix.from_scipy(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    A = SparseMatrix.from_scipy(np.array([[2.0, 1.0, 0.0],
+                                          [0.0, -1.0, 0.0],
+                                          [3.0, 0.0, 4.0]]))
+    P = SparseMatrix.identity(3)
+    got = galerkin_coarse(A, R, P)
+    assert_same_arrays(got, reference_galerkin(A, R, P))
+    assert got.to_dense().tolist() == [[2.0, 0.0, 0.0], [3.0, 0.0, 4.0]]
+    assert got.nnz == 3 and np.all(got.values != 0)
+
+
+def test_galerkin_refuses_transfers_that_do_not_chain():
+    n = 8
+    A = assemble_anisotropic(AnisotropicProblem(epsilon=1.0, theta=0.0, n=n))
+    with pytest.raises(ValueError, match="do not chain"):
+        galerkin_coarse(A, restriction_matrix(2 * n), prolongation_matrix(n))
+    with pytest.raises(ValueError, match="do not chain"):
+        galerkin_coarse(A, restriction_matrix(n), prolongation_matrix(2 * n))
 
 
 def test_galerkin_shape_symmetry_and_dense_oracle():

@@ -5,8 +5,10 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
+from richlab.multigrid import helmholtz_hierarchy
 from richlab.precond import Preconditioner
-from richlab.problems import AnisotropicProblem, assemble_anisotropic
+from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
+                              assemble_anisotropic, assemble_helmholtz)
 from richlab.richardson import (DivergenceError, gershgorin_radius,
                                 solve_stationary)
 from richlab.schedules import WeightSchedule, chebyshev_weights
@@ -477,3 +479,27 @@ def test_horner_sweeps_track_the_reference_loop(case):
         tol = (4 * sched.m * max(rep.iterations, 1) * np.finfo(float).eps
                * rep.sweep_bound * (size + np.linalg.norm(f) / rho))
         assert np.linalg.norm(u - u_ref) <= tol
+
+
+def scipy_row_sum_radius(A):
+    """The radius as scipy computes it: the row sums of abs(A)."""
+    return float(np.asarray(abs(A.to_scipy()).sum(axis=1)).max(initial=0.0))
+
+
+def gershgorin_cases():
+    n = 64
+    helm = assemble_helmholtz(HelmholtzProblem(angular_frequency=2 * np.pi * 5,
+                                               n=n))
+    coarse = [level.A for level in helmholtz_hierarchy(helm, n).levels[1:]]
+    aniso = assemble_anisotropic(AnisotropicProblem(epsilon=1e-3, theta=0.7,
+                                                    n=n))
+    # rows 0 and 2 hold no entry
+    gaps = SparseMatrix(4, 3, [0, 0, 2, 2, 3], [0, 2, 1], [1.5, -2.0, 3.0])
+    return [aniso, helm, *coarse, gaps]
+
+
+def test_gershgorin_radius_reads_scipys_row_sums():
+    for A in gershgorin_cases():
+        assert gershgorin_radius(A) == scipy_row_sum_radius(A)
+    assert gershgorin_radius(SparseMatrix(0, 3, [0], [], [])) == 0.0
+    assert gershgorin_radius(SparseMatrix(2, 2, [0, 0, 0], [], [])) == 0.0
