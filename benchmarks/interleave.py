@@ -1,8 +1,8 @@
 """Layer timings of two source trees, interleaved in one process.
 
 Each tree's ``richlab`` package is loaded whole under its own name, so
-every module of one tree calls that tree's code, and each op set builds
-its inputs with that code. To time one tree, pass it twice. The op sets
+every module of one tree calls that tree's code, and each op builds its
+inputs with that code. To time one tree, pass it twice. The op sets
 (``--ops``, all by default):
 
 - ``products``: the single-level anisotropic layers at n=64 (the
@@ -20,17 +20,22 @@ its inputs with that code. To time one tree, pass it twice. The op sets
   ``train-schedule`` training set, ``sample_dataset`` of TRAIN_COUNT
   anisotropic samples at n=32 (seed 42).
 - ``precond``: one ``Preconditioner.ssor`` build at n=32, cycling
-  through the 20-sample anisotropic set, and one forward and one
-  transposed apply over its 20-row stack, one preconditioner per row,
-  as a preconditioned training batch runs them.
+  through the 20-sample anisotropic set, and one apply over its 20-row
+  stack, one preconditioner per row, as the Krylov projection of a
+  preconditioned training set runs it.
 - ``batches``: ``block_diagonal`` of that set (the mean of REPEATS);
   one recorded hybrid batch on it in each training phase, lambda and
   omega (forward and backward, the ``FnsTrainConfig`` defaults, the
-  initial smoother and zero correction rows); and one recorded forward
-  and backward of each ``train-schedule`` net at its untrained initial
+  initial smoother and zero correction rows); one recorded forward and
+  backward of each ``train-schedule`` net at its untrained initial
   state with the unroll K=50: the plain net (log-omega output, seed 1)
   on the first 5 samples, and the SSOR NAG-ex net (seed 0) on all 20,
-  with the preconditioners built beforehand as training builds them.
+  with the preconditioners built beforehand as training builds them
+  (the loss projects a batch of raw samples itself); the same two
+  batches as ``train_ns`` runs them, on samples projected beforehand;
+  and ``training.krylov_projection`` of the 20 samples at K=50, without
+  a preconditioner and with SSOR (built beforehand), as ``train_ns``
+  projects its set before the first epoch.
 - ``helmholtz``: the ``helmholtz-fgmres`` layers at frequency 5, on
   damped Helmholtz at n=128 (16,129 complex unknowns) and its
   ``multigrid.helmholtz_hierarchy``: its assembly, one complex product
@@ -43,20 +48,23 @@ its inputs with that code. To time one tree, pass it twice. The op sets
 - ``epochs``: one ``train_ns`` epoch of each schedule net of the
   criterion-2/3 fixture (plain, nag, nagex and SSOR NAG-ex, with the
   fixture's batch sizes, seeds and output maps) on its 200-sample set at
-  n=32, from the net's initial state. Training keeps each matrix's
-  preconditioners with the matrix, so later rounds time a warm memo.
+  n=32, from the net's initial state, the Krylov projection of the set
+  included. Training keeps each matrix's preconditioners with the
+  matrix, so later rounds time a warm memo.
 
-Each op's time and minor page faults (``resource.getrusage``) are
-taken per call. ``--json`` also records the python, numpy and scipy
-builds, the BLAS of each (numpy's ``blas``, scipy's ``scipy_blas``: they
+Ops run one after another. Each op is built in both trees just before
+its rounds, and dropped after them, so what other ops allocate does not
+move its timings. In every round both trees run the op once, and which
+tree goes first alternates between rounds, so both see the same machine
+load. An op that reads a library name one tree lacks (a layer the change
+adds or removes) is timed in the other tree only. Each op's time and
+minor page faults (``resource.getrusage``) are taken per call.
+``--json`` also records the python, numpy and scipy builds, the BLAS of
+each (numpy's ``blas``, scipy's ``scipy_blas``: they
 load separate OpenBLAS libraries with separate thread pools; ARPACK and
 the banded Cholesky run on scipy's), ``OPENBLAS_NUM_THREADS`` and the
 CPU count: FGMRES bits and times move with the BLAS thread count, so
-fix it before comparing.
-
-In every round both trees run every op once, and which tree goes first
-alternates between rounds, so both see the same machine load. Run from
-the repository root:
+fix it before comparing. Run from the repository root:
 
     python benchmarks/interleave.py OLD_SRC NEW_SRC --rounds 100 \\
         --json out.json
@@ -112,99 +120,157 @@ def products(mod):
     problems, spectral = mod("problems"), mod("spectral")
     richardson, schedules = mod("richardson"), mod("schedules")
     spec = problems.AnisotropicProblem(epsilon=1e-2, theta=0.0, n=N)
-    A = problems.assemble_anisotropic(spec)
-    x = np.random.default_rng(0).standard_normal(A.ncols)
-    bounds = spectral.dense_spectral_bounds(A)
-    plain = schedules.WeightSchedule(
-        omega=np.full(UPDATES, 1.0 / bounds.lambda_max))
-    cheb = schedules.chebyshev_schedule(bounds.lambda_max, bounds.lambda_min,
-                                        3)
-    small = problems.assemble_anisotropic(problems.AnisotropicProblem(
-        epsilon=1e-2, theta=0.0, n=TRAIN_N))
-    ssor = mod("precond").Preconditioner.ssor(small)
-    nagex = schedules.WeightSchedule(
-        omega=np.full(UPDATES, 0.5), alpha=np.full(UPDATES, 0.3),
-        alpha_tilde=np.full(UPDATES, 0.2), variant="nagex")
-    g = np.random.default_rng(1).standard_normal(small.ncols)
-    sample_dataset = mod("data").sample_dataset
+    small_spec = problems.AnisotropicProblem(epsilon=1e-2, theta=0.0,
+                                             n=TRAIN_N)
+
+    def operator():
+        A = problems.assemble_anisotropic(spec)
+        return A, np.random.default_rng(0).standard_normal(A.ncols)
+
+    def spectral_bounds():
+        A, _ = operator()
+        return lambda: spectral.dense_spectral_bounds(A)
+
+    def matvec():
+        A, x = operator()
+        return _repeat(lambda: A.matvec(x), MATVECS)
+
+    def sweep(schedule, max_outer):
+        def build():
+            A, x = operator()
+            bounds = spectral.dense_spectral_bounds(A)
+            sched = schedule(bounds)
+            return lambda: richardson.solve_stationary(
+                A, x, sched, tol=1e-300, max_outer=max_outer)
+        return build
+
+    def nagex_ssor():
+        small = problems.assemble_anisotropic(small_spec)
+        ssor = mod("precond").Preconditioner.ssor(small)
+        nagex = schedules.WeightSchedule(
+            omega=np.full(UPDATES, 0.5), alpha=np.full(UPDATES, 0.3),
+            alpha_tilde=np.full(UPDATES, 0.2), variant="nagex")
+        g = np.random.default_rng(1).standard_normal(small.ncols)
+        return lambda: richardson.solve_stationary(
+            small, g, nagex, P=ssor, tol=1e-300, max_outer=1)
+
+    def sample_dataset():
+        sample = mod("data").sample_dataset
+        return lambda: sample("anisotropic", TRAIN_COUNT, seed=42,
+                              n=TRAIN_N)
+
     return {
-        "assembly": (lambda: problems.assemble_anisotropic(spec), 1),
-        "spectral_bounds": (lambda: spectral.dense_spectral_bounds(A), 1),
-        "matvec": (_repeat(lambda: A.matvec(x), MATVECS), MATVECS),
-        "plain_inner_update": (
-            lambda: richardson.solve_stationary(A, x, plain, tol=1e-300,
-                                                max_outer=1), UPDATES),
-        "cheb_sweep": (
-            lambda: richardson.solve_stationary(A, x, cheb, tol=1e-300,
-                                                max_outer=SWEEPS), SWEEPS),
-        "nagex_ssor_inner_update": (
-            lambda: richardson.solve_stationary(small, g, nagex, P=ssor,
-                                                tol=1e-300, max_outer=1),
-            UPDATES),
-        "sample_dataset": (
-            lambda: sample_dataset("anisotropic", TRAIN_COUNT, seed=42,
-                                   n=TRAIN_N), 1),
+        "assembly": (lambda: lambda: problems.assemble_anisotropic(spec), 1),
+        "spectral_bounds": (spectral_bounds, 1),
+        "matvec": (matvec, MATVECS),
+        "plain_inner_update": (sweep(
+            lambda b: schedules.WeightSchedule(
+                omega=np.full(UPDATES, 1.0 / b.lambda_max)), 1), UPDATES),
+        "cheb_sweep": (sweep(
+            lambda b: schedules.chebyshev_schedule(b.lambda_max,
+                                                   b.lambda_min, 3),
+            SWEEPS), SWEEPS),
+        "nagex_ssor_inner_update": (nagex_ssor, UPDATES),
+        "sample_dataset": (sample_dataset, 1),
     }
 
 
 def _training_set(mod):
-    samples = list(mod("data").sample_dataset("anisotropic", 20, seed=0,
-                                              n=TRAIN_N))
-    return samples, np.stack([s.f for s in samples])
+    return list(mod("data").sample_dataset("anisotropic", 20, seed=0,
+                                           n=TRAIN_N))
 
 
 def precond(mod):
     ssor = mod("precond").Preconditioner.ssor
-    samples, X = _training_set(mod)
-    apply, apply_t = mod("training")._rowwise([ssor(s.A) for s in samples])
-    cycle = itertools.cycle(samples)
-    return {
-        "ssor_build": (lambda: ssor(next(cycle).A), 1),
-        "apply_20_rows": (lambda: apply(X), 1),
-        "apply_transpose_20_rows": (lambda: apply_t(X), 1),
-    }
+
+    def build():
+        cycle = itertools.cycle(_training_set(mod))
+        return lambda: ssor(next(cycle).A)
+
+    def apply():
+        samples = _training_set(mod)
+        Ps = [ssor(s.A) for s in samples]
+        X = np.stack([s.f for s in samples])
+        return lambda: np.stack([P.apply(x) for P, x in zip(Ps, X)])
+
+    return {"ssor_build": (build, 1), "apply_20_rows": (apply, 1)}
 
 
 def batches(mod):
     fns, training = mod("fns"), mod("training")
-    samples, _ = _training_set(mod)
-    blocks = [s.A for s in samples]
     cfg = fns.FnsTrainConfig()
-    net = fns._initial_net(cfg, input_dim=2)
-    rows = np.zeros((len(samples), (TRAIN_N - 1) ** 2))
 
     def hybrid_batch(train_lambda):
-        def run():
-            (omega, _, _), records = training._schedules(samples, net)
-            _, row_grads = fns._hybrid_loss(
-                samples, omega, rows, cfg.unroll, cfg.smooth_steps,
-                wrt=("lam",) if train_lambda else ("omega",))
-            if train_lambda:
-                row_grads()
-            else:
-                net.backward(records, row_grads().get("omega"))
-        return run
+        def build():
+            samples = _training_set(mod)
+            net = fns._initial_net(cfg, input_dim=2)
+            rows = np.zeros((len(samples), (TRAIN_N - 1) ** 2))
+
+            def run():
+                (omega, _, _), records = training._schedules(samples, net)
+                _, row_grads = fns._hybrid_loss(
+                    samples, omega, rows, cfg.unroll, cfg.smooth_steps,
+                    wrt=("lam",) if train_lambda else ("omega",))
+                if train_lambda:
+                    row_grads()
+                else:
+                    net.backward(records, row_grads().get("omega"))
+            return run
+        return build
 
     def schedule_batch(variant, precond, log_omega, batch_size, seed):
-        net = mod("metanet").MetaNet.create(
-            3, variant=variant, input_dim=2, learn_log_omega=log_omega,
-            seed=seed)
-        batch = samples[:batch_size]
-        for sample in batch:
-            training.make_preconditioner(precond, sample.A)
-        return lambda: training.gradient(*training.loss_relative_residual(
-            batch, net, UNROLL, precond=precond))
+        def build():
+            net = mod("metanet").MetaNet.create(
+                3, variant=variant, input_dim=2, learn_log_omega=log_omega,
+                seed=seed)
+            batch = _training_set(mod)[:batch_size]
+            for sample in batch:
+                training.make_preconditioner(precond, sample.A)
+            return lambda: training.gradient(
+                *training.loss_relative_residual(batch, net, UNROLL,
+                                                 precond=precond))
+        return build
 
-    block_diagonal = mod("sparse").block_diagonal
+    def projected_batch(variant, precond, log_omega, batch_size, seed):
+        def build():
+            net = mod("metanet").MetaNet.create(
+                3, variant=variant, input_dim=2, learn_log_omega=log_omega,
+                seed=seed)
+            batch = training.project(_training_set(mod)[:batch_size],
+                                     UNROLL, precond)
+            return lambda: training.gradient(
+                *training.loss_relative_residual(batch, net, UNROLL,
+                                                 precond=precond))
+        return build
+
+    def projection(precond):
+        def build():
+            project = training.krylov_projection
+            samples = _training_set(mod)
+            for sample in samples:
+                training.make_preconditioner(precond, sample.A)
+            return lambda: project(samples, UNROLL, precond)
+        return build
+
+    def block_diagonal():
+        blocks = [s.A for s in _training_set(mod)]
+        block_diagonal = mod("sparse").block_diagonal
+        return _repeat(lambda: block_diagonal(blocks), REPEATS)
+
     return {
-        "block_diagonal_20x961": (
-            _repeat(lambda: block_diagonal(blocks), REPEATS), REPEATS),
+        "block_diagonal_20x961": (block_diagonal, REPEATS),
         "hybrid_lambda_batch": (hybrid_batch(True), 1),
         "hybrid_omega_batch": (hybrid_batch(False), 1),
         "plain_schedule_batch_5": (
             schedule_batch("plain", None, True, 5, 1), 1),
         "nagex_ssor_schedule_batch_20": (
             schedule_batch("nagex", "ssor", False, 20, 0), 1),
+        "plain_projected_batch_5": (
+            projected_batch("plain", None, True, 5, 1), 1),
+        "nagex_ssor_projected_batch_20": (
+            projected_batch("nagex", "ssor", False, 20, 0), 1),
+        "krylov_projection_20": (projection(None), 1),
+        "krylov_projection_20_ssor": (projection("ssor"), 1),
     }
 
 
@@ -213,27 +279,50 @@ def helmholtz(mod):
                                    mod("fgmres"))
     spec = problems.HelmholtzProblem(angular_frequency=2 * np.pi * FREQUENCY,
                                      n=HELMHOLTZ_N)
-    A = problems.assemble_helmholtz(spec)
-    h = multigrid.helmholtz_hierarchy(A, HELMHOLTZ_N)
-    rng = np.random.default_rng(0)
-    f = rng.standard_normal(A.ncols) + 1j * rng.standard_normal(A.ncols)
-    u = multigrid.v_cycle(h, f)
-    cfg = krylov.FgmresConfig(restart=RESTART, tol=1e-300, max_outer=1)
+
+    def operator():
+        A = problems.assemble_helmholtz(spec)
+        rng = np.random.default_rng(0)
+        f = rng.standard_normal(A.ncols) + 1j * rng.standard_normal(A.ncols)
+        return A, f
+
+    def matvec():
+        A, f = operator()
+        return _repeat(lambda: A.matvec(f), MATVECS)
+
+    def v_cycle():
+        A, f = operator()
+        h = multigrid.helmholtz_hierarchy(A, HELMHOLTZ_N)
+        return lambda: multigrid.v_cycle(h, f)
 
     def restart_cycle():
-        return krylov.fgmres(A, f, None, cfg)
+        A, f = operator()
+        cfg = krylov.FgmresConfig(restart=RESTART, tol=1e-300, max_outer=1)
 
-    assert restart_cycle()[1].iterations == RESTART
+        def run():
+            return krylov.fgmres(A, f, None, cfg)
+
+        assert run()[1].iterations == RESTART
+        return run
+
+    def smoothing_pass():
+        A, f = operator()
+        h = multigrid.helmholtz_hierarchy(A, HELMHOLTZ_N)
+        u = multigrid.v_cycle(h, f)
+        return lambda: multigrid._smooth(h.levels[0], f, u.copy(), 1)
+
+    def hierarchy_build():
+        A, _ = operator()
+        return lambda: multigrid.helmholtz_hierarchy(A, HELMHOLTZ_N)
+
     return {
-        "helmholtz_assembly": (lambda: problems.assemble_helmholtz(spec), 1),
-        "complex_fine_matvec": (_repeat(lambda: A.matvec(f), MATVECS),
-                                MATVECS),
-        "v_cycle": (lambda: multigrid.v_cycle(h, f), 1),
+        "helmholtz_assembly": (
+            lambda: lambda: problems.assemble_helmholtz(spec), 1),
+        "complex_fine_matvec": (matvec, MATVECS),
+        "v_cycle": (v_cycle, 1),
         "fgmres_arnoldi_step": (restart_cycle, RESTART),
-        "nag_smoothing_pass": (
-            lambda: multigrid._smooth(h.levels[0], f, u.copy(), 1), 1),
-        "hierarchy_build": (
-            lambda: multigrid.helmholtz_hierarchy(A, HELMHOLTZ_N), 1),
+        "nag_smoothing_pass": (smoothing_pass, 1),
+        "hierarchy_build": (hierarchy_build, 1),
     }
 
 
@@ -246,14 +335,17 @@ FIXTURE_NETS = (("plain", "plain", None, True, 5, 1),
 
 def epochs(mod):
     training = mod("training")
-    dataset = mod("data").sample_dataset("anisotropic", TRAIN_COUNT,
-                                         seed=42, n=TRAIN_N)
 
     def epoch(variant, precond, log_omega, batch_size, seed):
-        cfg = training.TrainConfig(
-            m=3, unroll=UNROLL, n_epochs=1, batch_size=batch_size, seed=seed,
-            variant=variant, precond=precond, learn_log_omega=log_omega)
-        return lambda: training.train_ns(cfg, dataset)
+        def build():
+            dataset = mod("data").sample_dataset("anisotropic", TRAIN_COUNT,
+                                                 seed=42, n=TRAIN_N)
+            cfg = training.TrainConfig(
+                m=3, unroll=UNROLL, n_epochs=1, batch_size=batch_size,
+                seed=seed, variant=variant, precond=precond,
+                learn_log_omega=log_omega)
+            return lambda: training.train_ns(cfg, dataset)
+        return build
 
     return {f"epoch_{name}": (epoch(*config), 1)
             for name, *config in FIXTURE_NETS}
@@ -294,34 +386,44 @@ def main():
     ap.add_argument("--rounds", type=int, default=100)
     ap.add_argument("--json")
     args = ap.parse_args()
-    ops = {}
-    for side, src in (("parent", args.old_src), ("change", args.new_src)):
-        mod = load_package(src, f"richlab_{side}")
-        ops[side] = {name: op for op_set in args.ops
-                     for name, op in OP_SETS[op_set](mod).items()}
-    names = list(ops["parent"])
-    times = {side: {name: [] for name in names} for side in ops}
-    faults = {side: {name: [] for name in names} for side in ops}
-    for k in range(args.rounds):
-        for side in (list(ops) if k % 2 == 0 else list(ops)[::-1]):
-            for name, (run, per) in ops[side].items():
+    mods = {side: load_package(src, f"richlab_{side}")
+            for side, src in (("parent", args.old_src),
+                              ("change", args.new_src))}
+    op_sets = {side: {name: op for op_set in args.ops
+                      for name, op in OP_SETS[op_set](mod).items()}
+               for side, mod in mods.items()}
+    result = {}
+    for name in op_sets["parent"]:
+        runs = {}
+        for side, ops in op_sets.items():
+            build, per = ops[name]
+            try:
+                runs[side] = build()
+            except AttributeError as exc:   # a layer this tree lacks
+                print(f"{name}: not in the {side} tree ({exc})")
+        times = {side: [] for side in runs}
+        faults = {side: [] for side in runs}
+        for k in range(args.rounds):
+            for side in (list(runs) if k % 2 == 0 else list(runs)[::-1]):
                 f0 = _minor_faults()
                 t0 = time.perf_counter()
-                run()
-                times[side][name].append((time.perf_counter() - t0) / per)
-                faults[side][name].append((_minor_faults() - f0) / per)
-    result = {}
-    for name in names:
-        sides = {side: summary(times[side][name], faults[side][name])
-                 for side in ops}
-        sides["change_over_parent"] = (sides["change"]["median_s"]
-                                       / sides["parent"]["median_s"])
+                runs[side]()
+                times[side].append((time.perf_counter() - t0) / per)
+                faults[side].append((_minor_faults() - f0) / per)
+        del runs
+        sides = {side: summary(times[side], faults[side]) for side in times}
+        line = [f"{name:30s}"]
+        for side in ("parent", "change"):
+            if side in sides:
+                line.append(f"{side} {sides[side]['median_s'] * 1e6:.1f} us"
+                            f" ({sides[side]['median_minor_faults']:.0f}"
+                            " faults)")
+        if len(sides) == 2:
+            sides["change_over_parent"] = (sides["change"]["median_s"]
+                                           / sides["parent"]["median_s"])
+            line.append(f"ratio {sides['change_over_parent']:.3f}")
         result[name] = sides
-        print(f"{name:30s} parent {sides['parent']['median_s'] * 1e6:.1f} us"
-              f" ({sides['parent']['median_minor_faults']:.0f} faults)"
-              f"  change {sides['change']['median_s'] * 1e6:.1f} us"
-              f" ({sides['change']['median_minor_faults']:.0f} faults)"
-              f"  ratio {sides['change_over_parent']:.3f}")
+        print("  ".join(line), flush=True)
     if args.json:
         with open(args.json, "w") as fh:
             json.dump({"rounds": args.rounds, "ops": args.ops,

@@ -339,6 +339,10 @@ def cmd_train(args):
         net.save(args.output, extra_metadata={"epochs": args.epochs,
                                               "unroll": args.unroll})
         best = net.training_history["val"][net.best_epoch]
+        closed = net.training_history["krylov_closed"]
+        if closed:
+            print(f"{closed} of {len(ds)} samples' Krylov spaces closed "
+                  f"before {args.unroll} steps")
         print(f"saved {args.output} (best validation loss {best:.4g} at "
               f"epoch {net.best_epoch})")
     else:

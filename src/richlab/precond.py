@@ -93,8 +93,8 @@ class Preconditioner:
         return self._apply(np.asarray(r))
 
     def apply_transpose(self, r):
-        """Action of B^{-T} (not conjugated), needed by reverse-mode
-        differentiation."""
+        """Action of B^{-T} (not conjugated): the adjoint of ``apply``,
+        for differentiating through a preconditioned iteration."""
         return self._apply_t(np.asarray(r))
 
     @classmethod

@@ -1,6 +1,7 @@
 """Training of weight-schedule networks through the unrolled iteration."""
 from __future__ import annotations
 
+import time
 import weakref
 from dataclasses import dataclass
 
@@ -79,24 +80,102 @@ def make_preconditioner(name, A):
     return built[name]
 
 
-def _rowwise(Ps):
-    """(apply, apply_transpose) of per-instance preconditioners over a row
-    stack, row b through Ps[b], each into ``out`` when it is given; None
-    when there are none."""
-    if Ps is None or Ps[0] is None:
-        return None
-    return (lambda X, out=None: np.stack(
-                [P.apply(x) for P, x in zip(Ps, X)], out=out),
-            lambda G, out=None: np.stack(
-                [P.apply_transpose(g) for P, g in zip(Ps, G)], out=out))
+# the projection's chunk of samples, and the relative norm below which an
+# orthogonalised Arnoldi column counts as closing the Krylov space
+PROJECTION_CHUNK = 20
+KRYLOV_CLOSED = 1e-12
 
 
-def _unroll(A, F, omega, alpha, alpha_t, K, variant, precondition=None,
-            lam=None, cycles=1, wrt=()):
+def _arnoldi(chunk, Ps, fnorm, H, K):
+    """K Arnoldi steps on (A_b M_b^{-1}, f_b) for each sample b of a chunk,
+    M_b = Ps[b] (the identity for None), by classical Gram-Schmidt run
+    twice on the chunk's basis stack, into the (B, K+1, K+1) slice H. A
+    column whose orthogonalised norm is KRYLOV_CLOSED or less of its
+    norm before closes its sample's Krylov space: it and every later
+    basis column stay zero."""
+    B, n = len(chunk), len(chunk[0].f)
+    A = block_diagonal([s.A for s in chunk])
+    Q = np.zeros((B, K + 1, n))
+    np.divide(np.stack([s.f for s in chunk]), fnorm[:, None], out=Q[:, 0])
+    live = np.ones(B, dtype=bool)
+    for j in range(K):
+        X = Q[:, j]
+        if Ps[0] is not None:
+            X = np.stack([P.apply(x) for P, x in zip(Ps, X)])
+        W = A.matvec(X.reshape(-1)).reshape(B, n)
+        before = np.linalg.norm(W, axis=1)
+        basis = Q[:, :j + 1]
+        h = np.zeros((B, 1, j + 1))
+        for _ in range(2):
+            part = np.matmul(basis, W[:, :, None]).transpose(0, 2, 1)
+            W -= np.matmul(part, basis)[:, 0]
+            h += part
+        H[:, :j + 1, j] = h[:, 0]
+        after = np.linalg.norm(W, axis=1)
+        live &= after > KRYLOV_CLOSED * before
+        H[live, j + 1, j] = after[live]
+        Q[live, j + 1] = W[live] / after[live, None]
+
+
+def krylov_projection(samples, K, precond=None):
+    """Each sample's (K+1, K+1) upper Hessenberg H of K Arnoldi steps on
+    (A M^{-1}, f), M the preconditioner ``precond`` of A, and ||f||.
+
+    With Q the orthonormal Krylov basis, (A M^{-1})^j f = ||f|| Q H^j e_1
+    for every j <= K, so K left-preconditioned inner updates from u = 0
+    leave a residual of the norm that the same updates leave on H with
+    right-hand side ||f|| e_1 and no preconditioner. H's last column is
+    zero: no such residual reads it. Where a sample's Krylov space closes
+    after j < K steps, H's rows and columns past j are zero, which keeps
+    those residuals exact. The samples go through in chunks of
+    PROJECTION_CHUNK, each as one block-diagonal row stack, and a
+    sample's H does not depend on the chunk it sits in.
+    """
+    # every factorisation is built before the first chunk, so the chunks'
+    # temporaries do not interleave with the factor builds (interleaved,
+    # SSOR on 200 samples at n=32 doubled the peak RSS)
+    Ps = [make_preconditioner(precond, s.A) for s in samples]
+    H = np.zeros((len(samples), K + 1, K + 1))
+    fnorm = np.array([np.linalg.norm(s.f) for s in samples])
+    for start in range(0, len(samples), PROJECTION_CHUNK):
+        stop = start + PROJECTION_CHUNK
+        _arnoldi(samples[start:stop], Ps[start:stop], fnorm[start:stop],
+                 H[start:stop], K)
+    return H, fnorm
+
+
+def closed_before(H):
+    """Per sample of an H stack, whether its Krylov space closed before
+    K = len(H[0]) - 1 steps (a zero subdiagonal entry)."""
+    return (np.diagonal(H, offset=-1, axis1=1, axis2=2) == 0).any(axis=1)
+
+
+@dataclass(frozen=True)
+class ProjectedSample:
+    """A training sample reduced to what the K-step loss reads: its
+    parameters ``mu``, its Hessenberg ``H`` from :func:`krylov_projection`
+    under the preconditioner named ``precond``, and ||f||."""
+    mu: np.ndarray
+    H: np.ndarray
+    fnorm: float
+    precond: str | None
+
+
+def project(samples, K, precond=None):
+    """The :class:`ProjectedSample` rows of samples, by
+    :func:`krylov_projection`."""
+    H, fnorm = krylov_projection(samples, K, precond)
+    return [ProjectedSample(s.mu, h, float(c), precond)
+            for s, h, c in zip(samples, H, fnorm)]
+
+
+def _unroll(A, F, omega, alpha, alpha_t, K, variant, lam=None, cycles=1,
+            wrt=()):
     """Relative residuals ||F_b - A_b u_b|| / ||F_b|| of the (B, n) row
     stack u after ``cycles`` segments of K inner updates from u = 0,
-    against the block-diagonal A and the right-hand-side rows F, and
-    their adjoint.
+    against the right-hand-side rows F, and their adjoint. A is either
+    the block-diagonal SparseMatrix of the A_b or their (B, n, n) stack,
+    whose products go through ``np.matmul``.
 
     This is the one Richardson(m) unroll of training and of the hybrid
     loss. ``omega``, ``alpha`` and ``alpha_t`` hold one row of m weights
@@ -106,10 +185,8 @@ def _unroll(A, F, omega, alpha, alpha_t, K, variant, precondition=None,
     k mod m of the weight rows. Given the (B, n) correction rows
     ``lam``, each segment ends with the hybrid correction
     u <- u + S(lam * S(F - A u)), S the row-wise sine transform.
-    ``precondition`` is an (apply, apply_transpose) pair over row stacks
-    (see :func:`_rowwise`), or None. Each row sees the operations of a
-    one-instance unroll in the same order, so its residual does not
-    depend on the rest of the batch.
+    Each row sees the operations of a one-instance unroll in the same
+    order, so its residual does not depend on the rest of the batch.
 
     ``wrt`` names the rows to differentiate, among "omega", "alpha",
     "alpha_t" and "lam"; the forward keeps the history their adjoint
@@ -132,27 +209,34 @@ def _unroll(A, F, omega, alpha, alpha_t, K, variant, precondition=None,
             "lam": cycles > 0 and lam is not None}
     wrt = [role for role in ("omega", "alpha", "alpha_t", "lam")
            if role in wrt and read[role]]
-    keep_pr = "omega" in wrt
+    keep_r = "omega" in wrt
     keep_v = "alpha" in wrt or "alpha_t" in wrt
     keep_d = "lam" in wrt
-    pr_hist = np.empty((steps, B, n)) if keep_pr else None
+    r_hist = np.empty((steps, B, n)) if keep_r else None
     v_hist = np.empty((steps, B, n)) if keep_v else None
     d_hist = []
 
-    def product(X):
-        return A.matvec(X.reshape(-1)).reshape(B, n)
+    if isinstance(A, np.ndarray):
+        A_t = A.transpose(0, 2, 1)
 
-    def product_t(G):
-        return A.rmatvec(G.reshape(-1)).reshape(B, n)
+        def product(X):
+            return np.matmul(A, X[:, :, None])[:, :, 0]
+
+        def product_t(G):
+            return np.matmul(A_t, G[:, :, None])[:, :, 0]
+    else:
+        def product(X):
+            return A.matvec(X.reshape(-1)).reshape(B, n)
+
+        def product_t(G):
+            return A.rmatvec(G.reshape(-1)).reshape(B, n)
 
     # the float operations are those of r = F - A x at x = u, or at the
-    # look-ahead point x = u + alpha_t v; v <- alpha v + omega B^{-1} r;
-    # u <- u + v
+    # look-ahead point x = u + alpha_t v; v <- alpha v + omega r; u <- u + v
     u = np.zeros((B, n))
     v = np.zeros((B, n))
     r_buf = np.empty((B, n))
     scratch = np.empty((B, n))
-    pr_buf = np.empty((B, n)) if precondition and not keep_pr else None
     j = 0
     for _ in range(cycles):
         v.fill(0.0)
@@ -162,19 +246,15 @@ def _unroll(A, F, omega, alpha, alpha_t, K, variant, precondition=None,
             if look_ahead:
                 x = np.multiply(alpha_t[:, c], v, out=scratch)
                 x += u
-            r = pr_hist[j] if keep_pr and not precondition else r_buf
+            r = r_hist[j] if keep_r else r_buf
             np.subtract(F, product(x), out=r)
-            pr = r
-            if precondition:
-                pr = precondition[0](r, out=pr_hist[j] if keep_pr
-                                     else pr_buf)
             if keep_v:
                 v_hist[j] = v
             if momentum:
                 v *= alpha[:, c]
-                v += np.multiply(omega[:, c], pr, out=scratch)
+                v += np.multiply(omega[:, c], r, out=scratch)
             else:
-                np.multiply(omega[:, c], pr, out=v)
+                np.multiply(omega[:, c], r, out=v)
             u += v
             j += 1
         if lam is not None:
@@ -208,7 +288,7 @@ def _unroll(A, F, omega, alpha, alpha_t, K, variant, precondition=None,
                 if keep_d:
                     part = g_prod * d_hist[cycle]
                     g_lam = part if g_lam is None else g_lam + part
-                if cycle == 0 and not (keep_pr or keep_v):
+                if cycle == 0 and not (keep_r or keep_v):
                     break   # nothing before the first correction is wanted
                 gu = gu + product_t(-dst2(g_prod * lam))
             gv_next = gla_next = None
@@ -225,11 +305,9 @@ def _unroll(A, F, omega, alpha, alpha_t, K, variant, precondition=None,
                     gv = gv + gu
                 if g_alpha is not None:
                     g_alpha[:, col] += (gv * v_hist[j]).sum(axis=1)
-                if keep_pr:
-                    grads["omega"][:, col] += (gv * pr_hist[j]).sum(axis=1)
-                g_pr = gv * omega[:, c]
-                gla = product_t(-(precondition[1](g_pr) if precondition
-                                  else g_pr))
+                if keep_r:
+                    grads["omega"][:, col] += (gv * r_hist[j]).sum(axis=1)
+                gla = product_t(-(gv * omega[:, c]))
                 if g_alpha_t is not None:
                     g_alpha_t[:, col] += (gla * v_hist[j]).sum(axis=1)
                 gu = gu + gla
@@ -270,17 +348,32 @@ def _schedules(batch, net: MetaNet):
     return (rows(omega), rows(alpha), rows(alpha_t)), records
 
 
+def _projections(batch, K, precond):
+    """The batch's (H, F) stacks for the projected unroll, F = ||f|| e_1:
+    raw samples are projected here, :class:`ProjectedSample` rows pass
+    as they are."""
+    if not isinstance(batch[0], ProjectedSample):
+        H, fnorm = krylov_projection(batch, K, precond)
+    else:
+        if any(s.H.shape != (K + 1, K + 1) or s.precond != precond
+               for s in batch):
+            raise ValueError(f"batch was not projected for K={K} and "
+                             f"preconditioner {precond!r}")
+        H = np.stack([s.H for s in batch])
+        fnorm = np.array([s.fnorm for s in batch])
+    F = np.zeros((len(batch), K + 1))
+    F[:, 0] = fnorm
+    return H, F
+
+
 def _batch_losses(batch, net: MetaNet, K, precond, wrt=()):
     """Per-instance K-step relative residuals of a batch, each from a zero
-    initial guess, as one (B, n) row stack against the block-diagonal
-    operator of the batch; the network's records; and the unroll's
-    adjoint for the schedule rows named in ``wrt``."""
+    initial guess, as one row stack on the instances' Krylov
+    projections; the network's records; and the unroll's adjoint for
+    the schedule rows named in ``wrt``."""
     rows, records = _schedules(batch, net)
-    rel, adjoint = _unroll(
-        block_diagonal([s.A for s in batch]), np.stack([s.f for s in batch]),
-        *rows, K, net.variant,
-        _rowwise([make_preconditioner(precond, s.A) for s in batch]),
-        wrt=wrt)
+    rel, adjoint = _unroll(*_projections(batch, K, precond), *rows, K,
+                           net.variant, wrt=wrt)
     return rel, records, adjoint
 
 
@@ -291,7 +384,11 @@ def loss_relative_residual(batch, net: MetaNet, K, precond=None):
     Returns (loss, tape, params): the loss as a float, the :class:`Tape`
     whose ``backward`` returns its gradients, and the parameter arrays
     those gradients align with. The network runs once per instance; its
-    schedules are stacked into (B, m) rows for one batched unroll.
+    schedules are stacked into (B, m) rows for one batched unroll on the
+    instances' Krylov projections (see :func:`krylov_projection`). The
+    batch holds raw samples, projected here, or the
+    :class:`ProjectedSample` rows of :func:`project` under the same K and
+    ``precond``.
     """
     if not batch:
         raise ValueError("batch must be nonempty")
@@ -345,7 +442,12 @@ def train_ns(config: TrainConfig, dataset, net=None):
     """Mini-batch training of the schedule network on the K-step
     relative-residual loss; returns the best-validation checkpoint.
 
-    Deterministic under ``config.seed``.
+    Every sample is projected once, before the first epoch, and every
+    batch and validation pass runs on the projections. The returned
+    net's ``training_history`` holds the per-epoch "train" and "val"
+    losses, the projection's wall time "projection_s", and
+    "krylov_closed", the number of samples whose Krylov space closed
+    before K steps. Deterministic under ``config.seed``.
     """
     if dataset.kind != "anisotropic":
         raise ValueError("schedule-net training expects an anisotropic "
@@ -357,19 +459,20 @@ def train_ns(config: TrainConfig, dataset, net=None):
                              learn_log_omega=config.learn_log_omega,
                              seed=config.seed)
     rng = np.random.default_rng(config.seed)
+    t0 = time.perf_counter()
+    projected = project(dataset.samples, config.unroll, config.precond)
+    projection_s = time.perf_counter() - t0
     n_val = max(1, int(round(config.val_fraction * len(dataset)))) \
         if len(dataset) > 1 else 0
-    train = dataset.samples[:len(dataset) - n_val]
-    val = dataset.samples[len(dataset) - n_val:]
+    train = projected[:len(dataset) - n_val]
+    val = projected[len(dataset) - n_val:]
     if not train:
-        train, val = dataset.samples, dataset.samples
-    # every factorisation is built before the first batch, so the
-    # batches' temporaries do not interleave with the factor builds
-    for sample in dataset.samples:
-        make_preconditioner(config.precond, sample.A)
+        train, val = projected, projected
 
     opt = Adam(net.parameters(), lr=config.learning_rate)
-    history = {"train": [], "val": []}
+    history = {"train": [], "val": [], "projection_s": projection_s,
+               "krylov_closed": int(closed_before(
+                   np.stack([s.H for s in projected])).sum())}
     best = (np.inf, net.copy(), -1)
     bad_epochs = 0
     diverged_streak = 0

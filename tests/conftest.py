@@ -36,6 +36,12 @@ def sine_mode(n, p, q):
     return np.outer(sp, sq).reshape(-1)
 
 
+def assert_close(value, ref, rtol=1e-12):
+    """Within rtol of the reference, relative to its largest entry."""
+    value, ref = np.asarray(value), np.asarray(ref)
+    assert np.abs(value - ref).max() <= rtol * np.abs(ref).max()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

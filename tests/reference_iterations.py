@@ -346,11 +346,25 @@ def reference_hybrid_unroll(A, f, omega, lam, n_hybrid, M, m):
 
 def spmv(A, x):
     """Sparse A @ x with a constant SparseMatrix A. A row stack x of
-    shape (B, n) is multiplied as one vector by a block-diagonal A."""
+    shape (B, n) is multiplied as one vector by a block-diagonal A, or
+    row by row by the matrices of a (B, n, n) stack A."""
     X = _value(x)
+    if isinstance(A, np.ndarray):
+        A_t = A.transpose(0, 2, 1)
+        return _track(np.matmul(A, X[:, :, None])[:, :, 0],
+                      (x, lambda g: np.matmul(A_t, g[:, :, None])[:, :, 0]))
     shape = X.shape
     return _track(A.matvec(X.reshape(-1)).reshape(shape),
                   (x, lambda g: A.rmatvec(g.reshape(-1)).reshape(shape)))
+
+
+def rowwise(Ps):
+    """(apply, apply_transpose) of per-instance preconditioners over a row
+    stack, row b through Ps[b]; None when there are none."""
+    if Ps[0] is None:
+        return None
+    return (lambda X: np.stack([P.apply(x) for P, x in zip(Ps, X)]),
+            lambda G: np.stack([P.apply_transpose(g) for P, g in zip(Ps, G)]))
 
 
 def linear_map(apply_fn, apply_transpose_fn, x):

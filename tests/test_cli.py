@@ -199,6 +199,18 @@ def test_train_deterministic_checkpoints(tmp_path, capsys):
         (tmp_path / "b.ckpt").read_bytes()
 
 
+@pytest.mark.parametrize("n,closed", [(4, "4 of 4 samples' Krylov spaces "
+                                          "closed before 50 steps\n"),
+                                      (16, "")])
+def test_train_reports_closed_krylov_spaces(n, closed, tmp_path, capsys):
+    # n=4 has 9 unknowns, fewer than the default unroll's 51 directions
+    code, out, _ = run_cli(["train", "--n", str(n), "--count", "4",
+                            "--epochs", "1", "--batch-size", "2",
+                            "--output", str(tmp_path / "net.ckpt")], capsys)
+    assert code == 0
+    assert out.startswith(closed + "saved ")
+
+
 def test_train_desk_scale_guard(capsys):
     code = main(["train", "--count", "501", "--output", "/tmp/x.ckpt"])
     capsys.readouterr()

@@ -22,10 +22,12 @@ LAYER_OPS = {
                  "plain_inner_update", "cheb_sweep",
                  "nagex_ssor_inner_update",
                  "sample_dataset"],
-    "precond": ["ssor_build", "apply_20_rows", "apply_transpose_20_rows"],
+    "precond": ["ssor_build", "apply_20_rows"],
     "batches": ["block_diagonal_20x961", "hybrid_lambda_batch",
                 "hybrid_omega_batch", "plain_schedule_batch_5",
-                "nagex_ssor_schedule_batch_20"],
+                "nagex_ssor_schedule_batch_20", "plain_projected_batch_5",
+                "nagex_ssor_projected_batch_20", "krylov_projection_20",
+                "krylov_projection_20_ssor"],
     "helmholtz": ["helmholtz_assembly", "complex_fine_matvec", "v_cycle",
                   "fgmres_arnoldi_step", "nag_smoothing_pass",
                   "hierarchy_build"],
