@@ -20,9 +20,9 @@ inputs with that code. To time one tree, pass it twice. The op sets
   ``train-schedule`` training set, ``sample_dataset`` of TRAIN_COUNT
   anisotropic samples at n=32 (seed 42).
 - ``precond``: one ``Preconditioner.ssor`` build at n=32, cycling
-  through the 20-sample anisotropic set, and one apply over its 20-row
-  stack, one preconditioner per row, as the Krylov projection of a
-  preconditioned training set runs it.
+  through the 20-sample anisotropic set, and one apply of each sample's
+  preconditioner to its right-hand side, as one Arnoldi step of the
+  Krylov projection of the 20 samples runs them, one sample at a time.
 - ``batches``: ``block_diagonal`` of that set (the mean of REPEATS);
   one recorded hybrid batch on it in each training phase, lambda and
   omega (forward and backward, the ``FnsTrainConfig`` defaults, the
@@ -33,9 +33,9 @@ inputs with that code. To time one tree, pass it twice. The op sets
   with the preconditioners built beforehand as training builds them
   (the loss projects a batch of raw samples itself); the same two
   batches as ``train_ns`` runs them, on samples projected beforehand;
-  and ``training.krylov_projection`` of the 20 samples at K=50, without
-  a preconditioner and with SSOR (built beforehand), as ``train_ns``
-  projects its set before the first epoch.
+  and ``training.krylov_projection`` of the 20 samples at K=50, one
+  sample at a time, without a preconditioner and with SSOR (built
+  beforehand), as ``train_ns`` projects its set before the first epoch.
 - ``helmholtz``: the ``helmholtz-fgmres`` layers at frequency 5, on
   damped Helmholtz at n=128 (16,129 complex unknowns) and its
   ``multigrid.helmholtz_hierarchy``: its assembly, one complex product
@@ -190,8 +190,8 @@ def precond(mod):
     def apply():
         samples = _training_set(mod)
         Ps = [ssor(s.A) for s in samples]
-        X = np.stack([s.f for s in samples])
-        return lambda: np.stack([P.apply(x) for P, x in zip(Ps, X)])
+        X = [s.f for s in samples]
+        return lambda: [P.apply(x) for P, x in zip(Ps, X)]
 
     return {"ssor_build": (build, 1), "apply_20_rows": (apply, 1)}
 

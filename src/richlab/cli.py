@@ -71,35 +71,42 @@ def _load_config(path, section):
     return dict(parser[section])
 
 
-def _explicit_dests(argv):
-    """Dests set on the command line: a re-parse with every default
-    suppressed leaves only those in the namespace."""
+def _file_value(action, raw):
+    """A config file's string for the flag ``action``, converted and
+    checked as argparse converts and checks the flag's own values, or
+    ValueError."""
+    if action.nargs == 0:   # a switch such as --full
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        if raw.lower() not in states:
+            raise ValueError(f"{raw!r} is not a boolean")
+        return states[raw.lower()]
+    value = raw if action.type is None else action.type(raw)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"invalid choice {raw!r} (choose from "
+                         f"{', '.join(map(str, action.choices))})")
+    return value
+
+
+def _parse(argv):
+    """The command line parsed over the config file's values: each file
+    value goes through its subcommand flag's type and choices and becomes
+    that flag's default, so a flag given on the command line wins."""
     parser, subparsers = build_parser()
-    for p in (parser, *subparsers.values()):
-        for action in p._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
-def _resolve(args, explicit):
-    """Fill the flags not in ``explicit`` from the config file."""
-    file_values = _load_config(args.config, args.command)
-    for key, raw in file_values.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+    args = parser.parse_args(argv)
+    sub = subparsers[args.command]
+    flags = {action.dest: action for action in sub._actions
+             if action.option_strings and action.dest != "help"}
+    for key, raw in _load_config(args.config, args.command).items():
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
             raise ConfigError(f"unknown config key {key!r} in "
                               f"[{args.command}]")
-        if dest not in explicit:
-            current = getattr(args, dest)
-            if isinstance(current, bool):
-                setattr(args, dest, raw.lower() in ("1", "true", "yes"))
-            elif isinstance(current, int):
-                setattr(args, dest, int(raw))
-            elif isinstance(current, float):
-                setattr(args, dest, float(raw))
-            else:
-                setattr(args, dest, raw)
-    return args
+        try:
+            sub.set_defaults(**{action.dest: _file_value(action, raw)})
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r} in [{args.command}]: "
+                              f"{exc}") from None
+    return parser.parse_args(argv)
 
 
 def _print_config(args):
@@ -469,10 +476,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser, _ = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _resolve(args, _explicit_dests(argv))
+        args = _parse(argv)
         if args.print_config:
             _print_config(args)
             return 0

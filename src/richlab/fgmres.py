@@ -30,6 +30,18 @@ class FgmresConfig:
             raise ValueError("max_outer must be >= 1")
 
 
+def orthogonalise(V, w):
+    """Classical Gram-Schmidt run twice, as block products: removes from
+    w, in place, its components along the orthonormal rows of V, and
+    returns their coefficients (the new Hessenberg column's upper part).
+    Works over the real or complex field."""
+    h1 = np.conj(V @ np.conj(w))
+    w -= h1 @ V
+    h2 = np.conj(V @ np.conj(w))
+    w -= h2 @ V
+    return h1 + h2
+
+
 def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None, u0=None):
     """Solve A u = f; returns (u, SolveReport).
 
@@ -81,13 +93,7 @@ def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None, u0=None):
             Z[k] = precond_apply(V[k])
             w = A.matvec(Z[k])
             matvecs += 1
-            # classical Gram-Schmidt run twice, as block products
-            Vk = V[:k + 1]
-            h1 = np.conj(Vk @ np.conj(w))
-            w -= h1 @ Vk
-            h2 = np.conj(Vk @ np.conj(w))
-            w -= h2 @ Vk
-            H[:k + 1, k] = h1 + h2
+            H[:k + 1, k] = orthogonalise(V[:k + 1], w)
             hk1 = np.linalg.norm(w)
             H[k + 1, k] = hk1
             # apply stored Givens rotations to the new column

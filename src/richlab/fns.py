@@ -53,6 +53,9 @@ class SpectralCorrection:
         meta, arrays = load_checkpoint(path)
         if meta.get("kind") != "spectral-correction":
             raise ValueError("checkpoint does not hold a spectral correction")
+        if meta.get("bucketed"):
+            raise ValueError(f"{path} holds a bucketed correction table; "
+                             "load it with FnsLiteModel.load")
         return cls(lambda_tilde=arrays["lambda_tilde"], n=meta["n"])
 
 
@@ -224,10 +227,13 @@ class FnsLiteModel:
 
     @classmethod
     def load(cls, path_prefix):
-        net = MetaNet.load(str(path_prefix) + ".net")
         meta, arrays = load_checkpoint(str(path_prefix) + ".corr")
         if meta.get("kind") != "spectral-correction":
             raise ValueError("checkpoint does not hold a spectral correction")
+        if not meta.get("bucketed"):
+            raise ValueError(f"{path_prefix}.corr holds a single spectral "
+                             "correction; load it with SpectralCorrection.load")
+        net = MetaNet.load(str(path_prefix) + ".net")
         return cls(net=net, table=arrays["lambda_tilde"], n=meta["n"],
                    bounds=arrays["input_bounds"])
 

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fgmres import orthogonalise
 from .metanet import MetaNet
 from .precond import Preconditioner
-from .sparse import block_diagonal
 from .tape import Tape
 from .transforms import dst2
 
@@ -80,41 +80,9 @@ def make_preconditioner(name, A):
     return built[name]
 
 
-# the projection's chunk of samples, and the relative norm below which an
-# orthogonalised Arnoldi column counts as closing the Krylov space
-PROJECTION_CHUNK = 20
+# the relative norm below which an orthogonalised Arnoldi column counts as
+# closing the Krylov space
 KRYLOV_CLOSED = 1e-12
-
-
-def _arnoldi(chunk, Ps, fnorm, H, K):
-    """K Arnoldi steps on (A_b M_b^{-1}, f_b) for each sample b of a chunk,
-    M_b = Ps[b] (the identity for None), by classical Gram-Schmidt run
-    twice on the chunk's basis stack, into the (B, K+1, K+1) slice H. A
-    column whose orthogonalised norm is KRYLOV_CLOSED or less of its
-    norm before closes its sample's Krylov space: it and every later
-    basis column stay zero."""
-    B, n = len(chunk), len(chunk[0].f)
-    A = block_diagonal([s.A for s in chunk])
-    Q = np.zeros((B, K + 1, n))
-    np.divide(np.stack([s.f for s in chunk]), fnorm[:, None], out=Q[:, 0])
-    live = np.ones(B, dtype=bool)
-    for j in range(K):
-        X = Q[:, j]
-        if Ps[0] is not None:
-            X = np.stack([P.apply(x) for P, x in zip(Ps, X)])
-        W = A.matvec(X.reshape(-1)).reshape(B, n)
-        before = np.linalg.norm(W, axis=1)
-        basis = Q[:, :j + 1]
-        h = np.zeros((B, 1, j + 1))
-        for _ in range(2):
-            part = np.matmul(basis, W[:, :, None]).transpose(0, 2, 1)
-            W -= np.matmul(part, basis)[:, 0]
-            h += part
-        H[:, :j + 1, j] = h[:, 0]
-        after = np.linalg.norm(W, axis=1)
-        live &= after > KRYLOV_CLOSED * before
-        H[live, j + 1, j] = after[live]
-        Q[live, j + 1] = W[live] / after[live, None]
 
 
 def krylov_projection(samples, K, precond=None):
@@ -125,22 +93,35 @@ def krylov_projection(samples, K, precond=None):
     for every j <= K, so K left-preconditioned inner updates from u = 0
     leave a residual of the norm that the same updates leave on H with
     right-hand side ||f|| e_1 and no preconditioner. H's last column is
-    zero: no such residual reads it. Where a sample's Krylov space closes
-    after j < K steps, H's rows and columns past j are zero, which keeps
-    those residuals exact. The samples go through in chunks of
-    PROJECTION_CHUNK, each as one block-diagonal row stack, and a
-    sample's H does not depend on the chunk it sits in.
+    zero: no such residual reads it. Each sample runs alone, by classical
+    Gram-Schmidt run twice, so its H does not depend on the rest of the
+    list. A column that keeps KRYLOV_CLOSED or less of its norm after
+    orthogonalisation closes the sample's Krylov space: its steps stop
+    there, and H's later rows and columns stay zero, which keeps those
+    residuals exact.
     """
-    # every factorisation is built before the first chunk, so the chunks'
-    # temporaries do not interleave with the factor builds (interleaved,
-    # SSOR on 200 samples at n=32 doubled the peak RSS)
+    # every factorisation is built before the first sample is projected,
+    # so the projection's temporaries do not interleave with the factor
+    # builds (interleaved, SSOR on 200 samples at n=32 doubled the peak RSS)
     Ps = [make_preconditioner(precond, s.A) for s in samples]
     H = np.zeros((len(samples), K + 1, K + 1))
     fnorm = np.array([np.linalg.norm(s.f) for s in samples])
-    for start in range(0, len(samples), PROJECTION_CHUNK):
-        stop = start + PROJECTION_CHUNK
-        _arnoldi(samples[start:stop], Ps[start:stop], fnorm[start:stop],
-                 H[start:stop], K)
+    for s, P, c, h in zip(samples, Ps, fnorm, H):
+        # the CSR view has matvec's bits, but keeps no product kernel on
+        # the matrix: 200 such caches, left in the heap for the dataset's
+        # life, raised train-schedule's peak RSS from 182 to 283 MB
+        A = s.A.to_scipy()
+        Q = np.empty((K + 1, len(s.f)))
+        np.divide(s.f, c, out=Q[0])
+        for j in range(K):
+            w = A @ (Q[j] if P is None else P.apply(Q[j]))
+            before = np.linalg.norm(w)
+            h[:j + 1, j] = orthogonalise(Q[:j + 1], w)
+            after = np.linalg.norm(w)
+            if not after > KRYLOV_CLOSED * before:
+                break
+            h[j + 1, j] = after
+            np.divide(w, after, out=Q[j + 1])
     return H, fnorm
 
 

@@ -23,6 +23,11 @@ tape, one node per vector operation, through the tape ops ``spmv``,
 ``linear_map`` and ``row_norms`` defined here. The values of
 ``training._unroll`` and the gradients of its hand-written adjoint must
 equal its bit for bit.
+
+``reference_krylov_projection`` projects samples in chunks, each chunk
+as one block-diagonal row stack with its Gram-Schmidt through
+``np.matmul`` stacks. Those sum in another order than the library's
+one-sample-at-a-time projection, so the two match to rounding only.
 """
 import time
 
@@ -33,6 +38,8 @@ from richlab.fgmres import FgmresConfig
 from richlab.multigrid import (CoarseSolveError, prolongation_matrix,
                                restriction_matrix)
 from richlab.richardson import DIVERGENCE_FACTOR, DivergenceError, SolveReport
+from richlab.sparse import block_diagonal
+from richlab.training import KRYLOV_CLOSED, make_preconditioner
 from richlab.transforms import dst2, dst2_inv
 
 from reference_tape import Var, _track, _value
@@ -422,3 +429,49 @@ def reference_unroll(A, F, omega, alpha, alpha_t, K, variant,
             u = u + linear_map(dst2, dst2, lam * linear_map(dst2, dst2, r))
     inv_fnorm = 1.0 / np.array([np.linalg.norm(f) for f in F])
     return row_norms(F - spmv(A, u)) * inv_fnorm
+
+
+# -- the Krylov projection of training ----------------------------------
+
+def _chunk_arnoldi(chunk, Ps, fnorm, H, K):
+    """K Arnoldi steps on (A_b M_b^{-1}, f_b) for each sample b of a chunk,
+    M_b = Ps[b] (the identity for None), by classical Gram-Schmidt run
+    twice on the chunk's basis stack, into the (B, K+1, K+1) slice H. A
+    column whose orthogonalised norm is KRYLOV_CLOSED or less of its
+    norm before closes its sample's Krylov space: it and every later
+    basis column stay zero."""
+    B, n = len(chunk), len(chunk[0].f)
+    A = block_diagonal([s.A for s in chunk])
+    Q = np.zeros((B, K + 1, n))
+    np.divide(np.stack([s.f for s in chunk]), fnorm[:, None], out=Q[:, 0])
+    live = np.ones(B, dtype=bool)
+    for j in range(K):
+        X = Q[:, j]
+        if Ps[0] is not None:
+            X = np.stack([P.apply(x) for P, x in zip(Ps, X)])
+        W = A.matvec(X.reshape(-1)).reshape(B, n)
+        before = np.linalg.norm(W, axis=1)
+        basis = Q[:, :j + 1]
+        h = np.zeros((B, 1, j + 1))
+        for _ in range(2):
+            part = np.matmul(basis, W[:, :, None]).transpose(0, 2, 1)
+            W -= np.matmul(part, basis)[:, 0]
+            h += part
+        H[:, :j + 1, j] = h[:, 0]
+        after = np.linalg.norm(W, axis=1)
+        live &= after > KRYLOV_CLOSED * before
+        H[live, j + 1, j] = after[live]
+        Q[live, j + 1] = W[live] / after[live, None]
+
+
+def reference_krylov_projection(samples, K, precond=None, chunk=20):
+    """(H, ||f||) of ``training.krylov_projection``, ``chunk`` samples of
+    one grid size at a time."""
+    Ps = [make_preconditioner(precond, s.A) for s in samples]
+    H = np.zeros((len(samples), K + 1, K + 1))
+    fnorm = np.array([np.linalg.norm(s.f) for s in samples])
+    for start in range(0, len(samples), chunk):
+        stop = start + chunk
+        _chunk_arnoldi(samples[start:stop], Ps[start:stop],
+                       fnorm[start:stop], H[start:stop], K)
+    return H, fnorm

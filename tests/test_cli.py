@@ -298,6 +298,46 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_values_take_their_flags_types(tmp_path, capsys):
+    """File values are converted by their flag's own type, so ``--n``,
+    whose default is None, still reaches the problem as an int."""
+    cfg = tmp_path / "conf.ini"
+    cfg.write_text("[reproduce]\nn = 16\nseeds = 1\n")
+    out = tmp_path / "t2.csv"
+    code, _, err = run_cli(["--config", str(cfg), "reproduce", "t2",
+                            "--output", str(out)], capsys)
+    assert code == 0, err
+    assert {row["n"] for row in read_rows(out)} == {"16"}
+    cfg.write_text("[train]\nfull = yes\nprecond = ssor\n")
+    code, out, _ = run_cli(["--config", str(cfg), "--print-config", "train",
+                            "--output", "x"], capsys)
+    assert code == 0
+    assert "full = True" in out.splitlines()
+    assert "precond = ssor" in out.splitlines()
+
+
+@pytest.mark.parametrize("section,key,raw,message", [
+    ("train", "variant", "bogus",
+     "invalid choice 'bogus' (choose from plain, mom, nag, nagex)"),
+    ("solve", "precond", "none",
+     "invalid choice 'none' (choose from ssor, jacobi, gs)"),
+    ("solve", "n", "sixteen",
+     "invalid literal for int() with base 10: 'sixteen'"),
+    ("solve", "tol", "small", "could not convert string to float: 'small'"),
+    ("reproduce", "full", "maybe", "'maybe' is not a boolean"),
+])
+def test_bad_config_value_names_its_key(tmp_path, capsys, section, key, raw,
+                                        message):
+    cfg = tmp_path / "conf.ini"
+    cfg.write_text(f"[{section}]\n{key} = {raw}\n")
+    argv = {"train": ["train", "--output", str(tmp_path / "x")],
+            "solve": ["solve"], "reproduce": ["reproduce", "t2"]}[section]
+    code, out, err = run_cli(["--config", str(cfg), *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: config key {key!r} in [{section}]: {message}\n"
+
+
 def test_missing_config_file_is_config_error(capsys):
     code = main(["--config", "/nonexistent.ini", "solve"])
     capsys.readouterr()

@@ -6,6 +6,7 @@ from richlab.data import sample_dataset
 from richlab.fns import (FnsLiteModel, FnsTrainConfig, SpectralCorrection,
                          fns_lite_step, sine_basis_eigenvalues, solve_fns,
                          train_fns_lite)
+from richlab.metanet import MetaNet
 from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
                               assemble_anisotropic, assemble_helmholtz)
 from richlab.schedules import WeightSchedule
@@ -411,3 +412,19 @@ def test_model_round_trip(tmp_path, tiny_dataset):
     assert back.bucket_of(mu) == model.bucket_of(mu)
     assert np.array_equal(back.correction_for(mu).lambda_tilde,
                           model.correction_for(mu).lambda_tilde)
+
+
+def test_cross_loads_name_the_checkpoint_kind(tmp_path):
+    n = 4
+    net = MetaNet.create(m=2, variant="plain", input_dim=2, hidden=(4, 4))
+    FnsLiteModel(net=net, table=np.zeros((2, 2, (n - 1) ** 2)),
+                 n=n).save(tmp_path / "model")
+    with pytest.raises(ValueError, match="holds a bucketed correction "
+                       "table; load it with FnsLiteModel.load"):
+        SpectralCorrection.load(tmp_path / "model.corr")
+    SpectralCorrection(lambda_tilde=np.zeros((n - 1) ** 2),
+                       n=n).save(tmp_path / "single.corr")
+    net.save(tmp_path / "single.net")
+    with pytest.raises(ValueError, match="holds a single spectral "
+                       "correction; load it with SpectralCorrection.load"):
+        FnsLiteModel.load(tmp_path / "single")

@@ -12,14 +12,15 @@ from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
                               assemble_anisotropic, assemble_helmholtz)
 from richlab.tape import TapeReuseError
 from richlab.training import (Adam, NanLossError, TrainConfig,
-                              _batch_losses, _unroll, closed_before,
-                              evaluate_loss, gradient, krylov_projection,
-                              loss_relative_residual, make_preconditioner,
-                              project, train_ns)
+                              _batch_losses, _schedules, _unroll,
+                              closed_before, evaluate_loss, gradient,
+                              krylov_projection, loss_relative_residual,
+                              make_preconditioner, project, train_ns)
 
 from conftest import assert_close, sine_mode
 
-from reference_iterations import linear_map, mean, norm2, spmv
+from reference_iterations import (linear_map, mean, norm2,
+                                  reference_krylov_projection, spmv)
 from reference_tape import Tape, metanet_forward
 
 
@@ -160,16 +161,20 @@ def test_projected_loss_matches_per_instance(mixed_dataset, variant, precond,
 
 
 @pytest.mark.parametrize("precond", [None, "ssor"])
-def test_sample_loss_does_not_depend_on_its_batch_or_chunk(precond):
-    """25 samples project as a chunk of 20 and one of 5. A sample's loss
-    is the same bits alone, in either chunk and in any batch."""
+def test_sample_loss_does_not_depend_on_its_batch_or_position(precond):
+    """A sample's H and loss are the same bits alone and at any position
+    of any list or batch, raw or projected."""
     samples = list(sample_dataset("anisotropic", 25, seed=3, n=8))
     net = MetaNet.create(m=3, variant="nagex", seed=2, hidden=(6, 6))
     K = 12
+    alone_H = [krylov_projection([s], K, precond)[0][0] for s in samples]
     alone = np.array([_batch_losses([s], net, K, precond)[0][0]
                       for s in samples])
-    projected = project(samples, K, precond)
     order = np.random.default_rng(0).permutation(len(samples))
+    H, _ = krylov_projection([samples[j] for j in order], K, precond)
+    for h, j in zip(H, order):
+        assert np.array_equal(h, alone_H[j])
+    projected = project(samples, K, precond)
     for size in (3, 7, 25):
         for start in range(0, len(samples), size):
             rows = order[start:start + size]
@@ -177,6 +182,55 @@ def test_sample_loss_does_not_depend_on_its_batch_or_chunk(precond):
                           [projected[j] for j in rows]):
                 losses = _batch_losses(batch, net, K, precond)[0]
                 assert np.array_equal(losses, alone[rows])
+
+
+def closing_steps(H):
+    """Per sample of an H stack, the Arnoldi steps taken: up to the first
+    zero subdiagonal entry, where the Krylov space closed, or all K."""
+    sub = np.diagonal(H, offset=-1, axis1=1, axis2=2) == 0
+    return np.where(sub.any(axis=1), sub.argmax(axis=1) + 1, sub.shape[1])
+
+
+# SSOR at n=4 and n=8 runs each Krylov space to within a few steps of its
+# dimension, where the subdiagonal entries fall to 1e-10 of the column
+# norms. Every such step amplifies the rounding in the next basis vector,
+# so the last columns of H differ between the two summation orders by up
+# to 0.07 (on both sides a valid Arnoldi projection), while the losses
+# they give agree to 1e-14.
+@pytest.mark.parametrize("precond,n,whole_H", [
+    *[(precond, n, True) for precond in (None, "jacobi")
+      for n in (2, 4, 8, 32)],
+    ("ssor", 2, True), ("ssor", 4, False), ("ssor", 8, False),
+    ("ssor", 32, True)])
+def test_projection_matches_chunked_oracle(precond, n, whole_H):
+    """Each sample closes at the oracle's step, and its loss, and where
+    the basis is well conditioned its whole H, match the chunked
+    block-diagonal projection. The list ends with a sine mode at
+    theta=0, an eigenvector of A, and of A M^{-1} under Jacobi, which
+    closes after one step; at n <= 8 every sample closes before K."""
+    spec = AnisotropicProblem(epsilon=0.3, theta=0.0, n=n)
+    samples = list(sample_dataset("anisotropic", 24, seed=5, n=n))
+    samples.append(Sample(spec=spec, A=assemble_anisotropic(spec),
+                          f=sine_mode(n, 1, 1)))
+    K = 50
+    H, fnorm = krylov_projection(samples, K, precond)
+    ref_H, ref_fnorm = reference_krylov_projection(samples, K, precond)
+    assert np.array_equal(fnorm, ref_fnorm)
+    steps = closing_steps(H)
+    assert np.array_equal(steps, closing_steps(ref_H))
+    if n == 32 and precond != "ssor":
+        assert (steps == K).any() and steps[-1] == 1
+    if n <= 8:
+        assert (steps < K).all()
+    net = MetaNet.create(m=3, variant="nagex", seed=4, hidden=(6, 6))
+    rows, _ = _schedules(samples, net)
+    F = np.zeros((len(samples), K + 1))
+    F[:, 0] = fnorm
+    assert_close(_unroll(H, F, *rows, K, "nagex")[0],
+                 _unroll(ref_H, F, *rows, K, "nagex")[0])
+    if whole_H:
+        for h, ref in zip(H, ref_H, strict=True):
+            assert_close(h, ref)
 
 
 def test_projected_batch_must_match_the_loss():
