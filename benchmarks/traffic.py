@@ -1,0 +1,158 @@
+"""Count what one round of each benchmark workload asks of the library.
+
+    python benchmarks/traffic.py --size full
+
+Run from the repository root. Each workload of ``perfbench/workloads.py``
+is imported as it is, set up as the benchmark sets it up, and run for
+one round under counting patches; set-up runs unpatched. Per workload
+it prints:
+
+- products by entry point: ``matvec``, ``rmatvec`` and the accumulating
+  y += A x calls (``_accumulating_product``'s kernels);
+- product-kernel builds: forward kernels (``_kernel`` on first use) and
+  the transposed products ``rmatvec`` binds on first use;
+- stationary solver updates by (sweep form, variant, preconditioner),
+  from each ``solve_stationary`` report, with the solve count;
+- ``training._unroll`` calls by operator type (the schedule nets'
+  projected H stacks are ``ndarray``, the hybrid's block-diagonal
+  operators ``SparseMatrix``).
+
+The counts say which library paths a workload exercises, so a fast path
+that no workload runs shows up as a zero. ``--size small`` runs the
+benchmark's reduced sizes (its own tests use them).
+"""
+from __future__ import annotations
+
+import argparse
+import collections
+import contextlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.dont_write_bytecode = True   # nothing is written next to perfbench
+
+from richlab import fns, richardson, training  # noqa: E402
+from richlab.sparse import SparseMatrix  # noqa: E402
+import workloads  # noqa: E402
+
+
+def _precond_name(P):
+    """The builder that made P, read off its apply closure
+    (``Preconditioner.ssor.<locals>.<lambda>`` names ``ssor``)."""
+    return "none" if P is None else P._apply.__qualname__.split(".")[1]
+
+
+@contextlib.contextmanager
+def counting(counts):
+    """Install the counters of ``counts`` (a Counter keyed by tuples)
+    for the duration of the block."""
+    matvec, rmatvec = SparseMatrix.matvec, SparseMatrix.rmatvec
+    accumulating, kernel = (SparseMatrix._accumulating_product,
+                            SparseMatrix._kernel)
+    solve = richardson.solve_stationary
+
+    def counted_matvec(self, x):
+        counts["product", "matvec"] += 1
+        return matvec(self, x)
+
+    def counted_rmatvec(self, x):
+        counts["product", "rmatvec"] += 1
+        if self._transposed is None:
+            counts["build", "transposed"] += 1
+        return rmatvec(self, x)
+
+    def counted_accumulating(self):
+        run = accumulating(self)
+
+        def counted(x, y):
+            counts["product", "accumulating"] += 1
+            return run(x, y)
+        return counted
+
+    def counted_kernel(self):
+        if self._kernels is None:
+            counts["build", "forward"] += 1
+        return kernel(self)
+
+    def counted_solve(A, f, schedule, P=None, **kwargs):
+        u, report = solve(A, f, schedule, P=P, **kwargs)
+        key = (report.sweep_form, schedule.variant, _precond_name(P))
+        counts[("updates",) + key] += report.inner_iterations
+        counts[("solves",) + key] += 1
+        return u, report
+
+    def counted_unroll(unroll):
+        def run(A, *args, **kwargs):
+            counts["unroll", type(A).__name__] += 1
+            return unroll(A, *args, **kwargs)
+        return run
+
+    replacements = {
+        (SparseMatrix, "matvec"): counted_matvec,
+        (SparseMatrix, "rmatvec"): counted_rmatvec,
+        (SparseMatrix, "_accumulating_product"): counted_accumulating,
+        (SparseMatrix, "_kernel"): counted_kernel,
+        (richardson, "solve_stationary"): counted_solve,
+        # fns calls the _unroll it imported, so both names are replaced
+        (training, "_unroll"): counted_unroll(training._unroll),
+        (fns, "_unroll"): counted_unroll(fns._unroll),
+    }
+    original = {key: getattr(*key) for key in replacements}
+    try:
+        for (owner, name), fn in replacements.items():
+            setattr(owner, name, fn)
+        yield counts
+    finally:
+        for (owner, name), fn in original.items():
+            setattr(owner, name, fn)
+
+
+def traffic(name, sizes, seed=0):
+    """The Counter of one round of workload ``name`` at ``sizes``."""
+    wl = workloads.WORKLOADS[name](seed, sizes)
+    for unit in wl.setup_units():
+        unit()
+    wl.prepare_checks()
+    counts = collections.Counter()
+    with counting(counts):
+        ops = wl.round()
+    failed = [op.label for op in ops if not op.ok]
+    if failed:
+        raise SystemExit(f"error: {name}: operations failed: {failed}")
+    return counts
+
+
+def report(name, counts):
+    def cells(section, kinds):
+        return ", ".join(f"{kind} {counts[section, kind]:,}"
+                         for kind in kinds) or "none"
+
+    unrolls = sorted(k[1] for k in counts if k[0] == "unroll")
+    solves = sorted(k[1:] for k in counts if k[0] == "solves")
+    lines = [f"{name}:",
+             f"  products: "
+             f"{cells('product', ('matvec', 'rmatvec', 'accumulating'))}",
+             f"  kernel builds: {cells('build', ('forward', 'transposed'))}",
+             f"  _unroll calls: {cells('unroll', unrolls)}",
+             "  solver updates (sweep form, variant, preconditioner):"
+             + ("" if solves else " none")]
+    for key in solves:
+        lines.append(f"    {', '.join(map(str, key))}: "
+                     f"{counts[('updates',) + key]:,} in "
+                     f"{counts[('solves',) + key]:,} solves")
+    return "\n".join(lines)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--size", choices=("small", "full"), default="full")
+    args = ap.parse_args(argv)
+    sizes = workloads.SMALL if args.size == "small" else workloads.FULL
+    for name in workloads.WORKLOADS:
+        print(report(name, traffic(name, sizes)), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -11,7 +11,8 @@ Configuration may come from an INI file with one section per subcommand;
 command-line flags override file values. Exit codes: 0 success, 1 solver
 or training failure (divergence, a failed coarse solve, a non-finite
 training loss, an operator that is not SPD where spectral bounds need
-one, a zero diagonal under a preconditioner), 2 configuration error.
+one, a zero diagonal under a preconditioner), 2 configuration error
+(a path that cannot be read or written included).
 """
 from __future__ import annotations
 
@@ -489,7 +490,7 @@ def main(argv=None):
     except ZeroDiagonalError as exc:
         print(f"preconditioner failed: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

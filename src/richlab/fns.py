@@ -245,32 +245,34 @@ class FnsTrainConfig:
     unroll: int = 3            # hybrid iterations differentiated through
     cycles: int = 3            # alternation cycles after the initial phase
     n_epochs: int = 50         # cap per phase
-    plateau_window: int = 5    # phase stops when relative loss decrease
-    plateau_tol: float = 0.01  # over this many epochs falls below this
     batch_size: int = 20
     learning_rate: float = 1e-3
     seed: int = 0
-    n_buckets: int = 16
     hidden: tuple = (64, 64)
-    omega_init: float = 0.5    # initial constant smoother weight
 
     def __post_init__(self):
         _check_config(self)
 
 
+PLATEAU_WINDOW = 5   # a phase stops when its relative loss decrease over
+PLATEAU_TOL = 0.01   # PLATEAU_WINDOW epochs falls below PLATEAU_TOL
+OMEGA_INIT = 0.5     # the initial constant smoother weight
+N_BUCKETS = 16       # buckets per (lg eps, theta) axis of a new table
+
+
 def _initial_net(config, input_dim):
     net = MetaNet.create(config.m, variant="plain", hidden=config.hidden,
                          input_dim=input_dim, seed=config.seed)
-    # raw bias placing the initial step weight at omega_init
-    net.biases[-1][:] = np.log(np.expm1(config.omega_init))
+    # raw bias placing the initial step weight at OMEGA_INIT
+    net.biases[-1][:] = np.log(np.expm1(OMEGA_INIT))
     return net
 
 
-def _plateaued(losses, window, tol):
-    if len(losses) <= window:
+def _plateaued(losses):
+    if len(losses) <= PLATEAU_WINDOW:
         return False
-    ref = losses[-window - 1]
-    return (ref - losses[-1]) < tol * abs(ref)
+    ref = losses[-PLATEAU_WINDOW - 1]
+    return (ref - losses[-1]) < PLATEAU_TOL * abs(ref)
 
 
 def train_fns_lite(config: FnsTrainConfig, dataset, net=None):
@@ -289,8 +291,7 @@ def train_fns_lite(config: FnsTrainConfig, dataset, net=None):
     if net is None:
         net = _initial_net(config, input_dim=len(dataset[0].mu))
     model = FnsLiteModel(net=net,
-                         table=np.zeros((config.n_buckets, config.n_buckets,
-                                         size)), n=n)
+                         table=np.zeros((N_BUCKETS, N_BUCKETS, size)), n=n)
     rng = np.random.default_rng(config.seed)
     history = []
 
@@ -330,7 +331,7 @@ def train_fns_lite(config: FnsTrainConfig, dataset, net=None):
                     params = model.net.parameters()
                 epoch.append(float(loss))
             losses.append(float(np.mean(epoch)))
-            if _plateaued(losses, config.plateau_window, config.plateau_tol):
+            if _plateaued(losses):
                 break
         return losses
 

@@ -74,8 +74,10 @@ def _inner_step(A, f, u, v, variant, P=None):
     ``r`` is the step residual when the caller already has it: f - A u
     for plain and mom, f - A (u + at v) at the nag/nagex look-ahead
     point. It is read, never written. Otherwise the step takes it
-    through ``A.matvec``. The float operations are those of
-    v <- a v + w B^{-1} r, u <- u + v.
+    through ``A.matvec``. The step returns the residual it read. Its
+    float operations, v <- a v + w B^{-1} r and u <- u + v, run
+    elementwise, so u, v and f may be (B, n) row stacks with (B, 1)
+    weight columns and a row-stack ``A.matvec``.
     """
     precondition = None if P is None else P._apply
     momentum = variant != "plain"
@@ -97,6 +99,7 @@ def _inner_step(A, f, u, v, variant, P=None):
         else:
             np.multiply(z, w, out=v)
         np.add(u, v, out=u)
+        return r
 
     return step
 
@@ -223,11 +226,11 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
     ``report.sweep_bound`` record the choice. Either form takes m
     products per sweep after the initial residual.
 
-    Every residual whose norm is taken runs through the matrix's
-    unprobed or accumulating product. A finite norm shows that the
-    product held no NaN, so it has ``matvec``'s bytes; a non-finite one
-    is recomputed by ``matvec`` before the divergence test, and counts
-    as one more product in ``report.matvecs``.
+    The recurrence takes its sweep-end residuals by ``matvec``. A Horner
+    sweep ends on the accumulating product, whose finite norm shows that
+    it held no NaN, so it has ``matvec``'s bytes; a non-finite one is
+    recomputed by ``matvec`` before the divergence test, and counts as
+    one more product in ``report.matvecs``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -259,16 +262,15 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
     converged = rel <= tol
 
     def checked_norm():
-        """rel of the residual just taken into r by an unprobed or an
-        accumulating product, taken again by ``matvec`` when it is not
-        finite; a DivergenceError when it is still not finite or above
-        the limit."""
+        """rel of the residual just taken into r, taken again by
+        ``matvec`` when a Horner sweep's accumulating product left it
+        not finite; a DivergenceError when it is still not finite or
+        above the limit."""
         nonlocal matvecs
         rel = _norm(r) / fnorm
-        if not math.isfinite(rel):
+        if horner and not math.isfinite(rel):
             np.subtract(f, A.matvec(u), out=r)
-            if horner:
-                np.negative(r, out=r)
+            np.negative(r, out=r)
             matvecs += 1
             rel = _norm(r) / fnorm
         if not math.isfinite(rel) or rel > limit:
@@ -290,7 +292,6 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
         weights = _weights(schedule)
         step = _inner_step(A, f, u, np.zeros(n, dtype=dtype),
                            schedule.variant, P)
-        product = A._unprobed_product(dtype)
     while not converged and outer < max_outer:
         if horner:
             u += _horner(accumulate, coefficients, r, y, work)
@@ -304,7 +305,7 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
                 step(w, a, at, r if reuse_residual else None)
                 inner += 1
                 if reuse_residual or i == m - 1:
-                    np.subtract(f, product(u), out=r)
+                    np.subtract(f, A.matvec(u), out=r)
                     matvecs += 1
                     rel = checked_norm()
         outer += 1

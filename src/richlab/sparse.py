@@ -1,17 +1,15 @@
 """Compressed sparse row matrices over a real or complex scalar field.
 
-CSR is the storage. Products run through a kernel chosen from the
-sparsity pattern on first use: diagonal storage (DIA) when the occupied
-diagonals are at least half full, otherwise the CSR matrix itself. With
-its offsets ascending, DIA adds each row's products in CSR's column
-order, so for finite operands both kernels give the same bits. Each
-product calls scipy's compiled kernel (``scipy.sparse._sparsetools``,
-the routine behind ``dot``), which adds A x into its output: on a
-zeroed output in one place (``_run_kernel``), or into the caller's
-vector by the accumulating product. ``matvec`` then probes the rows
-that hold DIA padding and recomputes by CSR where they read NaN; the
-unprobed and accumulating products leave that check to a caller that
-tests its result anyway.
+CSR is the storage. A x runs through a kernel chosen from the sparsity
+pattern on first use: diagonal storage (DIA) when the occupied
+diagonals are at least half full, otherwise CSR itself. With its
+offsets ascending, DIA adds each row's products in CSR's column order,
+so for finite operands both kernels give the same bits. Every product
+calls scipy's compiled kernel (``scipy.sparse._sparsetools``, the
+routine behind ``dot``), on a zeroed output (``_run_kernel``) or into
+the caller's vector (the accumulating product). ``matvec`` recomputes
+by CSR where a row that holds DIA padding reads NaN; the accumulating
+product leaves that to its caller. A^T x runs ``csr.T @ x``'s kernel.
 """
 from __future__ import annotations
 
@@ -83,8 +81,10 @@ class SparseMatrix:
         self.values = values
         self._csr = scipy.sparse.csr_matrix(
             (values, col_indices, row_starts), shape=(nrows, ncols))
-        # product kernels of A and A^T (see _kernel), built on first use
-        self._kernels = [None, None]
+        # the product kernels of A (see _kernel) and the compiled A^T x,
+        # built on first use
+        self._kernels = None
+        self._transposed = None
 
     @property
     def shape(self):
@@ -125,21 +125,9 @@ class SparseMatrix:
         if x.shape != (self.ncols,):
             raise DimensionMismatch(
                 f"matrix has {self.ncols} columns but vector has length {x.shape}")
-        return self._probed_product(x, transpose=False)
-
-    def rmatvec(self, x):
-        """Transpose product A^T x (not conjugated)."""
-        x = np.asarray(x)
-        if x.shape != (self.nrows,):
-            raise DimensionMismatch(
-                f"matrix has {self.nrows} rows but vector has length {x.shape}")
-        return self._probed_product(x, transpose=True)
-
-    def _probed_product(self, x, transpose):
-        _, _, fast, exact, padded = self._kernel(transpose)
-        size = self.ncols if transpose else self.nrows
+        _, _, fast, exact, padded = self._kernel()
         dtype = np.promote_types(self.values.dtype, x.dtype)
-        y = _run_kernel(fast, size, dtype, x)
+        y = _run_kernel(fast, self.nrows, dtype, x)
         # DIA multiplies each padding zero by its x_j, so a non-finite x_j
         # puts NaN in a padded row that CSR leaves alone. A padded row
         # without NaN met only finite x_j there, and 0 x_j, a signed zero,
@@ -147,58 +135,48 @@ class SparseMatrix:
         # padded rows calls for CSR. (count_nonzero is the cheap any.)
         if padded is None or not np.count_nonzero(np.isnan(y.take(padded))):
             return y
-        return _run_kernel(exact, size, dtype, x)
+        return _run_kernel(exact, self.nrows, dtype, x)
 
-    def _unprobed_product(self, dtype, transpose=False):
-        """The product x -> A x (A^T x when ``transpose``) of contiguous
-        vectors x of ``dtype``, its kernel resolved once: no shape check
-        and no padded-row probe. Its bytes are those of :meth:`matvec`
-        whenever the result holds no NaN; where a non-finite x_j meets
-        DIA padding, a row may read NaN that CSR leaves finite, so a
-        caller that sees a non-finite result recomputes it by
-        :meth:`matvec`."""
-        fast = self._kernel(transpose)[2]
-        return functools.partial(
-            _run_kernel, fast, self.ncols if transpose else self.nrows,
-            np.promote_types(self.values.dtype, dtype))
+    def rmatvec(self, x):
+        """Transpose product A^T x (not conjugated), by scipy's compiled
+        CSC product of A's CSR arrays, bound on first use."""
+        x = np.asarray(x)
+        if x.shape != (self.nrows,):
+            raise DimensionMismatch(
+                f"matrix has {self.nrows} rows but vector has length {x.shape}")
+        if self._transposed is None:
+            self._transposed = _compiled(self._csr.T)
+        return _run_kernel(self._transposed, self.ncols,
+                           np.promote_types(self.values.dtype, x.dtype), x)
 
     def _accumulating_product(self):
         """The compiled y += A x as a function of contiguous vectors
-        (x, y), y of the product's dtype, which it updates in place: no
-        zero fill, no shape check and no padded-row probe. Each row's
-        products are added onto y's entry in the kernel's order; see
-        :meth:`_unprobed_product` for the NaN that DIA padding can add
-        where x is not finite."""
-        return self._kernel(False)[2]
+        (x, y), y of the product's dtype, each row's products added onto
+        y's entry in the kernel's order. No zero fill, shape check or
+        padded-row probe: where a non-finite x_j meets DIA padding, a row
+        may read NaN that :meth:`matvec` leaves finite."""
+        return self._kernel()[2]
 
-    def _kernel(self, transpose):
-        """(fast, exact) scipy matrices for A x, or A^T x when
-        ``transpose`` (DIA and CSR, or CSR twice when the pattern is too
-        scattered), then their compiled products and the rows where the
-        DIA kernel multiplies padding (None when there are none)."""
-        if self._kernels[transpose] is None:
-            exact = self._csr.T if transpose else self._csr
-            if transpose:
-                # A^T's diagonals are A's, so it takes DIA exactly when A does
-                forward = self._kernel(False)[0]
-                parts = (_transposed_diagonals(forward.offsets, forward.data,
-                                               self.nrows)
-                         if forward.format == "dia" else None)
-            else:
-                parts = self._diagonals()
+    def _kernel(self):
+        """(fast, exact) scipy matrices for A x (DIA and CSR, or CSR twice
+        when the pattern is too scattered), then their compiled products
+        and the rows where the DIA kernel multiplies padding (None when
+        there are none)."""
+        if self._kernels is None:
+            exact = self._csr
             run_exact = _compiled(exact)
+            parts = self._diagonals()
             if parts is None:
-                kernel = (exact, exact, run_exact, run_exact, None)
+                self._kernels = (exact, exact, run_exact, run_exact, None)
             else:
                 offsets, data = parts
                 fast = scipy.sparse.dia_matrix((data, offsets),
                                                shape=exact.shape)
-                entries = (np.bincount(self.col_indices, minlength=self.ncols)
-                           if transpose else np.diff(self.row_starts))
-                kernel = (fast, exact, _compiled(fast), run_exact,
-                          _padded_rows(offsets, entries, exact.shape[1]))
-            self._kernels[transpose] = kernel
-        return self._kernels[transpose]
+                self._kernels = (fast, exact, _compiled(fast), run_exact,
+                                 _padded_rows(offsets,
+                                              np.diff(self.row_starts),
+                                              self.ncols))
+        return self._kernels
 
     def _diagonals(self):
         """(ascending offsets, DIA data) of A by one O(nnz) scatter of the
@@ -226,11 +204,6 @@ class SparseMatrix:
 
     def diagonal(self):
         return self._csr.diagonal()
-
-    def __matmul__(self, other):
-        if isinstance(other, SparseMatrix):
-            return _wrap_product(self._csr @ other._csr)
-        return self.matvec(other)
 
     def __repr__(self):
         field = "complex" if self.is_complex else "real"
@@ -313,18 +286,6 @@ def _padded_rows(offsets, entries, ncols):
     return rows if len(rows) else None
 
 
-def _transposed_diagonals(offsets, data, nrows):
-    """DIA (offsets, data) of A^T from those of an nrows-row A. Entry
-    (i, i+k) of A sits in A's diagonal k at column i+k and in A^T's
-    diagonal -k at column i."""
-    ncols = data.shape[1]
-    data_t = np.zeros((len(offsets), nrows), dtype=data.dtype)
-    for row, k in enumerate(offsets[::-1]):   # A^T's offsets -k ascend
-        lo, hi = max(0, -k), min(nrows, ncols - k)
-        data_t[row, lo:hi] = data[len(offsets) - 1 - row, lo + k:hi + k]
-    return -offsets[::-1], data_t
-
-
 def block_diagonal(blocks):
     """The block-diagonal matrix diag(blocks[0], blocks[1], ...), built by
     filling one set of CSR arrays with the blocks' arrays, each shifted
@@ -356,10 +317,11 @@ def block_diagonal(blocks):
 
 
 def write_matrix_market(path, A):
-    """Export in Matrix Market coordinate format (1-based, general symmetry)."""
-    scipy.io.mmwrite(str(path), A.to_scipy(), symmetry="general")
+    """Export in Matrix Market coordinate format (1-based, general
+    symmetry) to exactly ``path``, with no ``.mtx`` added."""
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, A.to_scipy(), symmetry="general")
 
 
 def read_matrix_market(path):
-    mat = scipy.io.mmread(str(path))
-    return SparseMatrix.from_scipy(mat)
+    return SparseMatrix.from_scipy(scipy.io.mmread(str(path)))

@@ -4,12 +4,14 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .fgmres import orthogonalise
 from .metanet import MetaNet
 from .precond import Preconditioner
+from .richardson import _inner_step
 from .tape import Tape
 from .transforms import dst2
 
@@ -38,11 +40,13 @@ class TrainConfig:
     precond: str | None = None      # None | "ssor" | "jacobi" | "gs"
     learn_log_omega: bool = False
     hidden: tuple = (64, 64)
-    patience: int = 20
-    val_fraction: float = 0.2
 
     def __post_init__(self):
         _check_config(self)
+
+
+PATIENCE = 20        # epochs without a better validation loss before a stop
+VAL_FRACTION = 0.2   # share of the dataset, from its end, held out
 
 
 def _check_config(cfg):
@@ -168,15 +172,18 @@ def _unroll(A, F, omega, alpha, alpha_t, K, variant, lam=None, cycles=1,
     u <- u + S(lam * S(F - A u)), S the row-wise sine transform.
     Each row sees the operations of a one-instance unroll in the same
     order, so its residual does not depend on the rest of the batch.
+    Each update is the solver's own, ``richardson._inner_step``, run on
+    the row stacks with the unroll's row-stack product as its operator.
 
     ``wrt`` names the rows to differentiate, among "omega", "alpha",
     "alpha_t" and "lam"; the forward keeps the history their adjoint
-    reads, one (updates, B, n) block per stored quantity. The adjoint
-    maps the gradient g of the residuals to a dict of the gradients of
-    those rows that the unroll reads (nag's look-ahead part goes to
-    "alpha"). It runs the transposed recurrence, and adds its terms in
-    the order that recording the unroll one vector operation at a time
-    would (``tests/reference_tape.py`` states it).
+    reads: each update's residual, as the step returns it, and its
+    starting velocity. The adjoint maps the gradient g of the residuals
+    to a dict of the gradients of those rows that the unroll reads
+    (nag's look-ahead part goes to "alpha"). It runs the transposed
+    recurrence, and adds its terms in the order that recording the
+    unroll one vector operation at a time would
+    (``tests/reference_tape.py`` states it).
     """
     B, n = F.shape
     steps = K * cycles
@@ -193,9 +200,7 @@ def _unroll(A, F, omega, alpha, alpha_t, K, variant, lam=None, cycles=1,
     keep_r = "omega" in wrt
     keep_v = "alpha" in wrt or "alpha_t" in wrt
     keep_d = "lam" in wrt
-    r_hist = np.empty((steps, B, n)) if keep_r else None
-    v_hist = np.empty((steps, B, n)) if keep_v else None
-    d_hist = []
+    r_hist, v_hist, d_hist = [], [], []
 
     if isinstance(A, np.ndarray):
         A_t = A.transpose(0, 2, 1)
@@ -212,32 +217,20 @@ def _unroll(A, F, omega, alpha, alpha_t, K, variant, lam=None, cycles=1,
         def product_t(G):
             return A.rmatvec(G.reshape(-1)).reshape(B, n)
 
-    # the float operations are those of r = F - A x at x = u, or at the
-    # look-ahead point x = u + alpha_t v; v <- alpha v + omega r; u <- u + v
+    # update k takes column k mod m of (omega, alpha, alpha_t), as (B, 1)
     u = np.zeros((B, n))
     v = np.zeros((B, n))
-    r_buf = np.empty((B, n))
-    scratch = np.empty((B, n))
-    j = 0
+    step = _inner_step(SimpleNamespace(matvec=product), F, u, v, variant)
+    columns = [[None if w is None else w[:, c:c + 1]
+                for w in (omega, alpha, alpha_t)] for c in range(m)]
     for _ in range(cycles):
         v.fill(0.0)
         for k in range(K):
-            c = slice(k % m, k % m + 1)
-            x = u
-            if look_ahead:
-                x = np.multiply(alpha_t[:, c], v, out=scratch)
-                x += u
-            r = r_hist[j] if keep_r else r_buf
-            np.subtract(F, product(x), out=r)
             if keep_v:
-                v_hist[j] = v
-            if momentum:
-                v *= alpha[:, c]
-                v += np.multiply(omega[:, c], r, out=scratch)
-            else:
-                np.multiply(omega[:, c], r, out=v)
-            u += v
-            j += 1
+                v_hist.append(v.copy())
+            r = step(*columns[k % m])
+            if keep_r:
+                r_hist.append(r)
         if lam is not None:
             d = dst2(F - product(u))
             if keep_d:
@@ -443,7 +436,7 @@ def train_ns(config: TrainConfig, dataset, net=None):
     t0 = time.perf_counter()
     projected = project(dataset.samples, config.unroll, config.precond)
     projection_s = time.perf_counter() - t0
-    n_val = max(1, int(round(config.val_fraction * len(dataset)))) \
+    n_val = max(1, int(round(VAL_FRACTION * len(dataset)))) \
         if len(dataset) > 1 else 0
     train = projected[:len(dataset) - n_val]
     val = projected[len(dataset) - n_val:]
@@ -481,7 +474,7 @@ def train_ns(config: TrainConfig, dataset, net=None):
             raise TrainingDiverged(
                 f"loss above 1e3 for 3 consecutive epochs (epoch {epoch})",
                 history)
-        if bad_epochs >= config.patience:
+        if bad_epochs >= PATIENCE:
             break
     result = best[1] if best[2] >= 0 else net
     result.training_history = history

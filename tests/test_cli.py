@@ -188,6 +188,33 @@ def test_assemble_export_round_trip(tmp_path, capsys):
     assert np.array_equal(back.to_dense(), ref.to_dense())
 
 
+def test_assemble_export_writes_the_path_it_prints(tmp_path, capsys):
+    path = tmp_path / "op"
+    code, out, _ = run_cli(["assemble", "--n", "8", "--export", str(path)],
+                           capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == f"wrote {path}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["op"]
+    assert read_matrix_market(path).shape == (49, 49)
+
+
+@pytest.mark.parametrize("argv", [
+    ["assemble", "--n", "8", "--export"],
+    ["solve", "--n", "8", "--weights"],
+    ["train", "--n", "8", "--count", "4", "--m", "2", "--unroll", "4",
+     "--epochs", "1", "--batch-size", "2", "--output"],
+], ids=["assemble-export", "solve-weights", "train-output"])
+def test_directory_path_is_a_config_error_that_names_it(argv, tmp_path,
+                                                        capsys):
+    # a directory can be neither written as a file nor read as a
+    # checkpoint: one error line naming it, exit 2, no traceback
+    code, _, err = run_cli(argv + [str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert str(tmp_path) in err and "Traceback" not in err
+    assert not tmp_path.with_name(tmp_path.name + ".mtx").exists()
+
+
 def test_train_deterministic_checkpoints(tmp_path, capsys):
     args = ["train", "--n", "8", "--count", "4", "--m", "2", "--unroll", "4",
             "--epochs", "2", "--batch-size", "2", "--seed", "3"]

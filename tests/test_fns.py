@@ -347,7 +347,7 @@ def tiny_dataset():
 
 def fast_config(**kw):
     base = dict(m=2, smooth_steps=2, unroll=2, cycles=1, n_epochs=3,
-                batch_size=2, seed=5, hidden=(6, 6), n_buckets=16)
+                batch_size=2, seed=5, hidden=(6, 6))
     base.update(kw)
     return FnsTrainConfig(**base)
 

@@ -1,7 +1,8 @@
 """Guards for the timing harnesses that live outside ``testpaths``: the
 benchmark's tracer (``perfbench/tracing.py``), the layer timings
-(``benchmarks/interleave.py``) and the spectral set-up cells
-(``benchmarks/spectral_cells.py``). All reach into the library by name,
+(``benchmarks/interleave.py``), the spectral set-up cells
+(``benchmarks/spectral_cells.py``) and the traffic counter
+(``benchmarks/traffic.py``). All reach into the library by name,
 so a rename there breaks them without failing any library test; and a
 call path that stops going through a traced name leaves its span empty.
 """
@@ -100,3 +101,28 @@ def test_spectral_cells_run_once(tmp_path):
             assert parent[key] == change[key]
         assert change["products"] > 0 and change["solves"] > 0
         assert change["factorisations"] >= 3
+
+
+def test_traffic_counter_runs_small():
+    # the counter patches library names; one it cannot find, or a path
+    # that stops going through them, fails or reads zero here
+    done = subprocess.run(
+        [sys.executable, "benchmarks/traffic.py", "--size", "small"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    sections = {}
+    for line in done.stdout.splitlines():
+        if not line.startswith(" "):
+            name = line.rstrip(":")
+            sections[name] = []
+        else:
+            sections[name].append(line.strip())
+    assert list(sections) == ["aniso-solve", "train-schedule",
+                              "helmholtz-fgmres"]
+    aniso, train, helmholtz = sections.values()
+    assert aniso[0].startswith("products: matvec ")
+    assert "accumulating 0" not in aniso[0]
+    assert train[2].startswith("_unroll calls: ndarray ")
+    assert any(line.startswith("recurrence, nagex, ssor: ")
+               for line in train)
+    assert not helmholtz[1].startswith("kernel builds: forward 0")

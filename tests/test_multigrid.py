@@ -376,7 +376,7 @@ def test_non_finite_f_diverges_in_either_form(count, bad, rng):
 
 def _products_per_level(h, pre, post, warm):
     """Products with each smoothed level's operator in one V-cycle, by
-    whichever route (probed, unprobed or accumulating) they run."""
+    whichever route (probed or accumulating) they run."""
     counts = collections.Counter()
     matvec = SparseMatrix.matvec
 
@@ -396,9 +396,8 @@ def _products_per_level(h, pre, post, warm):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SparseMatrix, "matvec", counted_matvec)
-        for name in ("_unprobed_product", "_accumulating_product"):
-            patch.setattr(SparseMatrix, name,
-                          counting(getattr(SparseMatrix, name)))
+        patch.setattr(SparseMatrix, "_accumulating_product",
+                      counting(SparseMatrix._accumulating_product))
         f = np.ones(h.levels[0].A.nrows, dtype=complex)
         v_cycle(h, f, f.copy() if warm else None, pre=pre, post=post)
     return [counts[id(lvl.A)] for lvl in h.levels[:-1]]

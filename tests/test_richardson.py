@@ -1,4 +1,5 @@
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from richlab.multigrid import helmholtz_hierarchy
 from richlab.precond import Preconditioner
 from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
                               assemble_anisotropic, assemble_helmholtz)
-from richlab.richardson import (DivergenceError, gershgorin_radius,
-                                solve_stationary)
+from richlab.richardson import (DivergenceError, _inner_step,
+                                gershgorin_radius, solve_stationary)
 from richlab.schedules import WeightSchedule, chebyshev_weights
-from richlab.sparse import SparseMatrix
+from richlab.sparse import SparseMatrix, block_diagonal
 
-from conftest import random_spd
+from conftest import random_sparse, random_spd
 from reference_iterations import (precondition, reference_solve_stationary,
                                   sweep_affine_term, sweep_operator)
 
@@ -290,8 +291,8 @@ def test_solve_matches_allocating_reference_loop(variant, precond, field):
 
 
 def _counting_products(monkeypatch):
-    """Patch SparseMatrix so that every product the solver runs, probed,
-    unprobed or accumulating, appends its route to the returned list."""
+    """Patch SparseMatrix so that every product the solver runs, probed
+    or accumulating, appends its route to the returned list."""
     calls = []
     matvec = SparseMatrix.matvec
 
@@ -312,8 +313,8 @@ def _counting_products(monkeypatch):
         return make
 
     monkeypatch.setattr(SparseMatrix, "matvec", counted_matvec)
-    for name in ("_unprobed_product", "_accumulating_product"):
-        monkeypatch.setattr(SparseMatrix, name, counting(name))
+    monkeypatch.setattr(SparseMatrix, "_accumulating_product",
+                        counting("_accumulating_product"))
     return calls
 
 
@@ -360,11 +361,10 @@ def test_non_finite_iterate_in_padded_rows_gives_the_csr_outcome(variant):
     # one update from zero puts w f_j = inf in u_j alone. A CSR row meets
     # at most that one infinite term, so its residual is +-inf or finite;
     # a DIA row whose padding meets column j reads 0 * inf = NaN. The
-    # solver takes its residuals by the unprobed product, so it must
-    # recompute a non-finite one to report CSR's "inf", not "nan".
+    # solver must report CSR's "inf", not "nan".
     A = _aniso_blocks_padded()
     csr = A.to_scipy()
-    fast = A._unprobed_product(np.float64)
+    fast = A._kernel()[0].dot   # the raw DIA kernel, without the probe
     weights = dict(omega=[1e160])
     if variant != "plain":
         weights.update(alpha=[0.5], variant=variant)
@@ -387,14 +387,14 @@ def test_non_finite_iterate_in_padded_rows_gives_the_csr_outcome(variant):
                 assert np.array_equal(a, b, equal_nan=True)
             else:
                 assert a == b
-    assert differs > 0   # some j meet padding, so the recompute is run
+    assert differs > 0   # some j meet padding, which matvec must mend
 
 
 def _aniso_blocks_padded():
     """An n=8 rotated anisotropic operator: its DIA product multiplies
     padding in the rows where the stencil meets a grid line."""
     A = assemble_anisotropic(AnisotropicProblem(epsilon=1e-2, theta=0.5, n=8))
-    assert A._kernel(False)[4] is not None
+    assert A._kernel()[4] is not None
     return A
 
 
@@ -503,3 +503,33 @@ def test_gershgorin_radius_reads_scipys_row_sums():
         assert gershgorin_radius(A) == scipy_row_sum_radius(A)
     assert gershgorin_radius(SparseMatrix(0, 3, [0], [], [])) == 0.0
     assert gershgorin_radius(SparseMatrix(2, 2, [0, 0, 0], [], [])) == 0.0
+
+
+@settings(max_examples=60)
+@given(variant=st.sampled_from(VARIANTS), m=st.integers(1, 4),
+       B=st.integers(1, 4), n=st.integers(1, 8), K=st.integers(1, 9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_row_stack_step_gives_each_row_its_one_vector_bytes(variant, m, B, n,
+                                                            K, seed):
+    # the training unroll runs the step on (B, n) row stacks with (B, 1)
+    # weight columns and a row-stack product: row b must see the bytes of
+    # the one-vector step on row b, in u, v and the residual it returns
+    rng = np.random.default_rng(seed)
+    blocks = [random_sparse(n, rng) for _ in range(B)]
+    D = block_diagonal(blocks)
+    F = rng.standard_normal((B, n))
+    U, V = rng.standard_normal((B, n)), rng.standard_normal((B, n))
+    rows = [(U[b].copy(), V[b].copy()) for b in range(B)]
+    weights = [rng.uniform(-1.0, 1.0, (B, m)) for _ in range(3)]
+    stack = SimpleNamespace(
+        matvec=lambda X: D.matvec(X.reshape(-1)).reshape(B, n))
+    step = _inner_step(stack, F, U, V, variant)
+    row_steps = [_inner_step(A, f, u, v, variant)
+                 for A, f, (u, v) in zip(blocks, F, rows)]
+    for k in range(K):
+        c = k % m
+        R = step(*(w[:, c:c + 1] for w in weights))
+        for b, (row_step, (u, v)) in enumerate(zip(row_steps, rows)):
+            r = row_step(*(float(w[b, c]) for w in weights))
+            for got, want in ((U[b], u), (V[b], v), (R[b], r)):
+                assert got.tobytes() == want.tobytes()

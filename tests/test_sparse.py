@@ -80,6 +80,15 @@ def test_matrix_market_complex(tmp_path):
     assert np.array_equal(A.to_dense(), B.to_dense())
 
 
+def test_matrix_market_writes_exactly_the_path_given(tmp_path):
+    # a name without the .mtx extension stays as it is, and reads back
+    A = random_sparse(6, np.random.default_rng(4))
+    path = tmp_path / "op"
+    write_matrix_market(path, A)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["op"]
+    assert np.array_equal(read_matrix_market(path).to_dense(), A.to_dense())
+
+
 @pytest.mark.parametrize("complex_values", [False, True])
 def test_rmatvec_equals_scipy_transpose_product(complex_values):
     rng = np.random.default_rng(5)
@@ -145,8 +154,8 @@ def test_scipy_view_shares_the_index_arrays(build):
 
 # -- product kernels ------------------------------------------------------
 
-def _kernel_format(A, transpose=False):
-    return A._kernel(transpose)[0].format
+def _kernel_format(A):
+    return A._kernel()[0].format
 
 
 @st.composite
@@ -186,7 +195,7 @@ def test_products_equal_csr_bit_for_bit(data, banded, complex_x):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     csr = A.to_scipy()
     if banded:
-        assert _kernel_format(A) == _kernel_format(A, True) == "dia"
+        assert _kernel_format(A) == "dia"
     for _ in range(2):
         x, xt = _vector(rng, A.ncols, complex_x), _vector(rng, A.nrows, complex_x)
         y, yt = A.matvec(x), A.rmatvec(xt)
@@ -248,7 +257,7 @@ def test_each_non_finite_position_gives_csr_bytes(bad):
         for product, ref in ((A.matvec, csr.dot), (A.rmatvec, csr.T.dot)):
             y = product(x)
             assert y.tobytes() == ref(x).tobytes()
-        _, _, fast, _, padded = A._kernel(False)
+        _, _, fast, _, padded = A._kernel()
         y = np.zeros(A.nrows)
         fast(x, y)
         kept += not np.isnan(y[padded]).any()
@@ -261,7 +270,7 @@ def test_kernel_choice_follows_the_pattern():
                                   assemble_anisotropic, assemble_helmholtz)
 
     aniso = assemble_anisotropic(AnisotropicProblem(1e-2, np.pi / 3, 16))
-    assert _kernel_format(aniso) == _kernel_format(aniso, True) == "dia"
+    assert _kernel_format(aniso) == "dia"
     h = build_hierarchy(assemble_helmholtz(HelmholtzProblem(
         angular_frequency=2 * np.pi * 1.5, n=32)), 32, coarsest=8)
     for level in h.levels:   # fine and Galerkin coarse operators
@@ -279,12 +288,11 @@ def _aniso_blocks():
             for eps, theta in ((1.0, 0.0), (1e-2, 0.5), (1e-4, 2.0))]
 
 
-def test_block_diagonal_takes_the_dia_kernel_both_ways():
+def test_block_diagonal_takes_the_dia_kernel():
     D = block_diagonal(_aniso_blocks())
-    for transpose, dense in ((False, D.to_dense()), (True, D.to_dense().T)):
-        kernel = D._kernel(transpose)[0]
-        assert kernel.format == "dia" and np.all(np.diff(kernel.offsets) > 0)
-        assert np.array_equal(kernel.toarray(), dense)
+    kernel = D._kernel()[0]
+    assert kernel.format == "dia" and np.all(np.diff(kernel.offsets) > 0)
+    assert np.array_equal(kernel.toarray(), D.to_dense())
 
 
 def test_nan_in_one_block_stays_in_its_rows():
