@@ -151,6 +151,16 @@ def _literal_weights(text):
     return np.array(weights)
 
 
+def _check_run_flags(args, *counts):
+    """Refuse a --tol that is not positive, or a ``counts`` flag below 1."""
+    if not args.tol > 0:
+        raise ConfigError(f"--tol must be positive, got {args.tol:g}")
+    for dest in counts:
+        if getattr(args, dest) < 1:
+            raise ConfigError(f"--{dest.replace('_', '-')} must be at least "
+                              f"1, got {getattr(args, dest)}")
+
+
 def _make_problem(args):
     if args.problem == "anisotropic":
         return AnisotropicProblem(epsilon=args.eps, theta=args.theta,
@@ -300,6 +310,8 @@ def _run_cell(cell, args, cache):
 
 
 def cmd_reproduce(args):
+    # every flag is checked before the CSV header is written
+    _check_run_flags(args, "seeds", "max_outer")
     if args.full:
         print("# --full grid requested; expect hours of CPU time at the "
               "largest sizes", file=sys.stderr)
@@ -327,6 +339,11 @@ def cmd_train(args):
             f"{DESK_TRAIN_LIMIT}; pass --full to proceed")
     if args.epochs < 1:
         raise ConfigError(f"--epochs must be at least 1, got {args.epochs}")
+    if args.model == "fns" and (args.variant != "plain" or args.precond):
+        flag = (f"--variant {args.variant}" if args.variant != "plain"
+                else f"--precond {args.precond}")
+        raise ConfigError(f"{flag} does not apply to --model fns, whose "
+                          "smoother is plain, unpreconditioned Richardson")
     # the configs validate before the dataset is sampled
     if args.model == "schedule":
         cfg = TrainConfig(m=args.m, unroll=args.unroll,
@@ -362,8 +379,7 @@ def cmd_train(args):
 
 def cmd_solve(args):
     # every flag is checked before the first line is printed
-    if not args.tol > 0:
-        raise ConfigError(f"--tol must be positive, got {args.tol:g}")
+    _check_run_flags(args, "max_outer")
     prob = _make_problem(args)
     A = assemble(prob)
     sched = _schedule_for(args, A)

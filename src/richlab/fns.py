@@ -18,7 +18,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metanet import ANISOTROPIC_BOUNDS, MetaNet
-from .richardson import DivergenceError, SolveReport, _inner_step
+from .richardson import DivergenceError, SolveReport, _recurrence_pass
 from .sparse import block_diagonal
 from .training import Adam, _check_config, _mean_loss, _schedules, _unroll
 from .transforms import dst2, dst2_inv
@@ -116,13 +116,9 @@ def fns_lite_step(A, f, u, schedule, M, corr: SpectralCorrection, *,
                          f"{schedule.variant!r} schedule")
     f, u = np.asarray(f), np.asarray(u)
     u = u.astype(np.result_type(u, f, A.dtype))   # a copy: u stays the caller's
-    step = _inner_step(A, f, u, np.empty_like(u), "plain")
-    omega = schedule.omega.tolist()
-    r = _residual
-    for k in range(M):
-        step(omega[k % schedule.m], 0.0, 0.0, r)
-        r = None
-    u += corr.apply(f - A.matvec(u) if r is None else r)
+    _recurrence_pass(A, schedule, f, u, M, _residual)
+    stale = M or _residual is None   # updates outdate _residual
+    u += corr.apply(f - A.matvec(u) if stale else _residual)
     if not np.all(np.isfinite(u)):
         raise DivergenceError("hybrid step produced a non-finite iterate",
                               inner_iteration=M)
@@ -135,6 +131,8 @@ def solve_fns(A, f, schedule, corr, M, tol=1e-6, max_iters=10_000):
     A zero ``f`` is solved by the zero iterate, with relative residual 0
     and no product taken.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     t0 = time.perf_counter()
     u = np.zeros(A.ncols)
     fnorm = np.linalg.norm(f)

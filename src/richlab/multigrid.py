@@ -6,22 +6,20 @@ P = 4 R^T; coarse operators are Galerkin triple products R A P.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .richardson import (DivergenceError, SweepPolynomial, _horner_pass,
-                         _inner_step, _weights, gershgorin_radius,
+                         _recurrence_pass, gershgorin_radius,
                          sweep_polynomial)
 from .schedules import WeightSchedule
 from .sparse import (SparseMatrix, _scaled_transpose, _wrap_built,
-                     _wrap_product)
+                     _wrap_product, lu_solver)
 
 # the coarsest grid of the Helmholtz recipe (helmholtz_hierarchy)
 HELMHOLTZ_COARSEST = 16
-# unknowns the coarsest level may hold: it is factored dense
-COARSEST_UNKNOWNS = 1024
 
 
 class CoarseSolveError(RuntimeError):
@@ -93,7 +91,7 @@ class Level:
 @dataclass
 class Hierarchy:
     levels: list
-    coarsest_lu: tuple = None
+    coarse_solve: Callable   # the coarsest level's solve, by SuperLU
 
     @property
     def depth(self):
@@ -110,8 +108,7 @@ class Hierarchy:
 def coarsening_sides(n, coarsest):
     """The grid sides n, n/2, ... that coarsening by factors of 2 visits,
     down to the first at or below ``coarsest``. A ValueError names what
-    stops it: too small an n, an odd side above ``coarsest``, or a last
-    side too large to factor dense."""
+    stops it: too small an n, or an odd side above ``coarsest``."""
     if n < 2 * coarsest:
         raise ValueError(f"n={n} leaves no room to coarsen to {coarsest}")
     sides = [n]
@@ -120,8 +117,6 @@ def coarsening_sides(n, coarsest):
             raise ValueError(f"n={n} does not coarsen to {coarsest}: its "
                              f"halvings reach the odd side {sides[-1]}")
         sides.append(sides[-1] // 2)
-    if (sides[-1] - 1) ** 2 > COARSEST_UNKNOWNS:
-        raise ValueError("coarsest level exceeds the direct-solve budget")
     return sides
 
 
@@ -130,7 +125,8 @@ def build_hierarchy(A: SparseMatrix, n, coarsest=8, schedules=None):
 
     ``schedules`` is the WeightSchedule that smooths every level above
     the coarsest (None: no smoothing). An ``n`` that does not coarsen
-    (see coarsening_sides) is refused before any level is built.
+    (see coarsening_sides) is refused before any level is built, and a
+    coarsest operator that SuperLU cannot factor by a CoarseSolveError.
     """
     sides = coarsening_sides(n, coarsest)
     levels = []
@@ -141,15 +137,13 @@ def build_hierarchy(A: SparseMatrix, n, coarsest=8, schedules=None):
         levels.append(Level(n=side, A=Al, R=R, P=P, schedule=schedules))
         Al = galerkin_coarse(Al, R, P)
     levels.append(Level(n=sides[-1], A=Al))
-    dense = Al.to_dense()
+    if not np.all(np.isfinite(Al.values)):   # splu factors inf quietly
+        raise CoarseSolveError("coarsest operator is not finite")
     try:
-        lu = scipy.linalg.lu_factor(dense)
-    except (ValueError, scipy.linalg.LinAlgError) as exc:
+        solve = lu_solver(Al.to_scipy())
+    except RuntimeError as exc:
         raise CoarseSolveError(f"coarsest factorization failed: {exc}")
-    if not np.all(np.isfinite(lu[0])):
-        raise CoarseSolveError("coarsest factorization produced non-finite "
-                               "factors (singular coarse operator)")
-    return Hierarchy(levels=levels, coarsest_lu=lu)
+    return Hierarchy(levels=levels, coarse_solve=solve)
 
 
 def helmholtz_hierarchy(A: SparseMatrix, n) -> Hierarchy:
@@ -180,30 +174,10 @@ def _smooth(level: Level, f, u, count):
         if sweep.form == "horner":
             u = _horner_pass(level.A, sweep.coefficients, f, u)
         else:
-            u = _recurrence_pass(level.A, s, f, u, count)
+            u = _recurrence_pass(level.A, s, f, u, count * s.m)
     if not np.all(np.isfinite(u.view(float))):
         raise DivergenceError("smoother produced a non-finite iterate",
                               inner_iteration=count * s.m)
-    return u
-
-
-def _recurrence_pass(A: SparseMatrix, s: WeightSchedule, f, u, count):
-    """``count`` sweeps of ``s`` step by step, by the solver's update.
-
-    ``u`` None starts from a zero iterate. The first step's residual is
-    then ``f`` itself, read but never written: a finite operator times
-    zeros is +0 in every entry, and f - (+0) is f bit for bit, so that
-    matvec is skipped.
-    """
-    first_r = None
-    if u is None:
-        u, first_r = np.zeros_like(f), f
-    step = _inner_step(A, f, u, np.zeros_like(u), s.variant)
-    weights = _weights(s)
-    for _ in range(count):
-        for w, a, at in weights:
-            step(w, a, at, first_r)
-            first_r = None
     return u
 
 
@@ -225,10 +199,10 @@ def _v_cycle_level(h, k, f, u, pre, post):
     may be overwritten."""
     level = h.levels[k]
     if k == h.depth - 1:
-        try:
-            return scipy.linalg.lu_solve(h.coarsest_lu, f)
-        except (ValueError, scipy.linalg.LinAlgError) as exc:
-            raise CoarseSolveError(f"coarsest solve failed: {exc}")
+        u = h.coarse_solve(f)
+        if not np.all(np.isfinite(u.view(float))):
+            raise CoarseSolveError("coarse solve gave a non-finite iterate")
+        return u
     u = _smooth(level, f, u, pre)
     r = level.A.matvec(u)
     np.subtract(f, r, out=r)

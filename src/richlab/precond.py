@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
+
+from .sparse import lu_solver
 
 
 class ZeroDiagonalError(ValueError):
@@ -32,32 +33,6 @@ def _check_diagonal(diag):
         raise ZeroDiagonalError(int(zero[0]))
 
 
-def _tri_factor(T):
-    """Cached solver ``solve(r, trans)`` for a triangular sparse matrix T:
-    T^{-1} r for trans "N", T^{-T} r for trans "T".
-
-    A no-pivot natural-order LU of a triangular matrix is the matrix
-    itself, so this is just a fast C-level substitution routine. SuperLU
-    will not solve real factors for a complex right-hand side, so such a
-    side is solved as its real and imaginary parts.
-    """
-    lu = scipy.sparse.linalg.splu(T.tocsc(), permc_spec="NATURAL",
-                                  diag_pivot_thresh=0.0,
-                                  options={"SymmetricMode": True})
-    if np.iscomplexobj(T.data):
-        return lu.solve
-
-    def solve(r, trans="N"):
-        if not np.iscomplexobj(r):
-            return lu.solve(r, trans)
-        x = np.empty_like(r)
-        x.real = lu.solve(r.real, trans)
-        x.imag = lu.solve(r.imag, trans)
-        return x
-
-    return solve
-
-
 def _relaxed_diagonal(A, relax, method):
     """diag(A), after checking the relaxation and the diagonal."""
     if not 0.0 < relax < 2.0:
@@ -68,18 +43,21 @@ def _relaxed_diagonal(A, relax, method):
 
 
 def _triangle(A, relax, lower):
-    """Solver for D + relax * (the strict lower or upper triangle of A),
-    built from A's CSR arrays: each row keeps its diagonal entry and the
-    relaxed entries on one side of it, in column order. Like a scipy sum,
-    it drops entries that the relaxation rounds to zero."""
+    """Solver ``solve(r, trans)`` for D + relax * (the strict lower or
+    upper triangle of A) from A's CSR arrays: each row keeps its diagonal
+    and, in column order, its relaxed entries on one side; like a scipy
+    sum, it drops those the relaxation rounds to zero. A no-pivot natural
+    order LU of a triangle is the triangle: SuperLU just substitutes."""
     rows = np.repeat(np.arange(A.nrows), np.diff(A.row_starts))
     cols = A.col_indices
     values = np.where(cols == rows, A.values, relax * A.values)
     keep = (cols <= rows) if lower else (cols >= rows)
     keep &= values != 0
     starts = np.concatenate(([0], np.cumsum(keep)))[A.row_starts]
-    return _tri_factor(scipy.sparse.csr_matrix(
-        (values[keep], cols[keep], starts), shape=A.shape))
+    return lu_solver(scipy.sparse.csr_matrix(
+        (values[keep], cols[keep], starts), shape=A.shape),
+        permc_spec="NATURAL", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True})
 
 
 class Preconditioner:

@@ -142,7 +142,7 @@ def sweep_polynomial(schedule, count, radius):
     """The SweepPolynomial of ``count`` sweeps of ``schedule`` on an
     operator of Gershgorin radius ``radius``.
 
-    q comes from the update that sweeps, ``_inner_step``, run on
+    q comes from the updates that sweep, ``_recurrence_pass``, run on
     coefficient vectors: its right-hand side is the constant 1, standing
     for the residual r0 = f - A u, its iterate starts at the zero
     polynomial and its operator multiplies by lam. Step k leaves the
@@ -153,11 +153,7 @@ def sweep_polynomial(schedule, count, radius):
     q = np.zeros(d)
     one = np.zeros(d)
     one[:1] = 1.0
-    step = _inner_step(_TimesLambda, one, q, np.zeros(d), schedule.variant)
-    weights = _weights(schedule)
-    for _ in range(count):
-        for w, a, at in weights:
-            step(w, a, at)
+    _recurrence_pass(_TimesLambda, schedule, one, q, d)
     # sum_k |q_k| radius^k by Horner: it overflows to inf, never raises
     growth = 0.0
     for c in reversed(q.tolist()):
@@ -204,6 +200,22 @@ def _horner_pass(A, q, f, u):
     s = np.negative(f)
     accumulate(u, s)
     u += _horner(accumulate, (-q).tolist(), s, y, work)
+    return u
+
+
+def _recurrence_pass(A, s, f, u, updates, r=None):
+    """``updates`` inner updates of ``s`` from a fresh velocity, weights
+    cycling k mod m, in place on the returned iterate. The first reads
+    ``r`` = f - A u when given. ``u`` None starts from zero, whose
+    residual is ``f`` itself, read but never written: a finite A times
+    zeros is +0, and f - (+0) is f bit for bit, so no matvec runs."""
+    if u is None:
+        u, r = np.zeros_like(f), f
+    step = _inner_step(A, f, u, np.zeros_like(u), s.variant)
+    weights = _weights(s)
+    for k in range(updates):
+        step(*weights[k % s.m], r)
+        r = None
     return u
 
 

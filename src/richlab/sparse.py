@@ -18,6 +18,7 @@ import functools
 import numpy as np
 import scipy.io
 import scipy.sparse
+import scipy.sparse.linalg
 from scipy.sparse import _sparsetools
 
 
@@ -284,6 +285,26 @@ def _padded_rows(offsets, entries, ncols):
     slots = np.searchsorted(offsets, ncols - i) - np.searchsorted(offsets, -i)
     rows = np.flatnonzero(slots > entries)
     return rows if len(rows) else None
+
+
+def lu_solver(mat, **options):
+    """``solve(r, trans="N")``, mat^{-1} r (mat^{-T} r for "T"), by
+    ``scipy.sparse.linalg.splu(mat, **options)``, whose RuntimeError on a
+    singular matrix propagates. SuperLU will not solve real factors for a
+    complex r, so such an r is solved as its real and imaginary parts."""
+    lu = scipy.sparse.linalg.splu(mat.tocsc(), **options)
+    if np.iscomplexobj(mat.data):
+        return lu.solve
+
+    def solve(r, trans="N"):
+        if not np.iscomplexobj(r):
+            return lu.solve(r, trans)
+        x = np.empty_like(r)
+        x.real = lu.solve(r.real, trans)
+        x.imag = lu.solve(r.imag, trans)
+        return x
+
+    return solve
 
 
 def block_diagonal(blocks):

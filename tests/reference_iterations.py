@@ -32,11 +32,9 @@ one-sample-at-a-time projection, so the two match to rounding only.
 import time
 
 import numpy as np
-import scipy.linalg
 
 from richlab.fgmres import FgmresConfig
-from richlab.multigrid import (CoarseSolveError, prolongation_matrix,
-                               restriction_matrix)
+from richlab.multigrid import prolongation_matrix, restriction_matrix
 from richlab.richardson import DIVERGENCE_FACTOR, DivergenceError, SolveReport
 from richlab.sparse import block_diagonal
 from richlab.training import KRYLOV_CLOSED, make_preconditioner
@@ -131,10 +129,7 @@ def _reference_smooth(level, f, u, count):
 def _reference_v_cycle_level(h, k, f, u, pre, post):
     level = h.levels[k]
     if k == h.depth - 1:
-        try:
-            return scipy.linalg.lu_solve(h.coarsest_lu, f)
-        except (ValueError, scipy.linalg.LinAlgError) as exc:
-            raise CoarseSolveError(f"coarsest solve failed: {exc}")
+        return h.coarse_solve(f)
     u = _reference_smooth(level, f, u, pre)
     r = f - csr_matvec(level.A, u)
     fc = csr_matvec(level.R, r)

@@ -169,6 +169,27 @@ def test_solve_non_positive_tol_exits_before_any_output(tol, capsys):
     assert err == f"error: --tol must be positive, got {float(tol):g}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["reproduce", "t2", "--n", "8", "--tol", "0"],
+     "--tol must be positive, got 0"),
+    (["reproduce", "helmholtz-sweep", "--tol", "-1"],
+     "--tol must be positive, got -1"),
+    (["reproduce", "t2", "--n", "8", "--max-outer", "0"],
+     "--max-outer must be at least 1, got 0"),
+    (["reproduce", "t2", "--n", "8", "--seeds", "-2"],
+     "--seeds must be at least 1, got -2"),
+    (["solve", "--n", "8", "--max-outer", "-3"],
+     "--max-outer must be at least 1, got -3"),
+    (["solve", "--n", "8", "--max-outer", "0"],
+     "--max-outer must be at least 1, got 0"),
+])
+def test_bad_run_flag_exits_before_any_output(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_solve_literal_weights(capsys):
     code, out, _ = run_cli(["solve", "--n", "16", "--weights", "literal",
                             "--omega", "0.2,0.3"], capsys)
@@ -255,6 +276,10 @@ def test_train_desk_scale_guard(capsys):
     (["--lr", "-1"], "learning_rate must be positive, got -1.0"),
     (["--lr", "0"], "learning_rate must be positive, got 0.0"),
     (["--model", "fns", "--lr", "0"], "learning_rate must be positive"),
+    (["--model", "fns", "--variant", "nagex"],
+     "--variant nagex does not apply to --model fns"),
+    (["--model", "fns", "--precond", "ssor"],
+     "--precond ssor does not apply to --model fns"),
 ])
 def test_train_rejects_bad_flags_before_sampling(flags, message, tmp_path,
                                                  capsys, monkeypatch):

@@ -225,6 +225,17 @@ def test_solve_of_a_zero_right_hand_side_takes_no_step(monkeypatch):
     assert rep.trace.tolist() == [0.0]
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+def test_solve_refuses_a_tol_that_is_not_positive(tol, monkeypatch):
+    n = 8
+    A = stencil_problem(n)
+    corr = SpectralCorrection(lambda_tilde=np.zeros((n - 1) ** 2), n=n)
+    monkeypatch.setattr(SparseMatrix, "matvec", None)   # no step runs
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve_fns(A, np.ones((n - 1) ** 2),
+                  WeightSchedule(omega=np.array([0.1])), corr, M=2, tol=tol)
+
+
 def test_correction_checkpoint_round_trip(tmp_path):
     n = 8
     corr = SpectralCorrection(

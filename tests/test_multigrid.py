@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from richlab import multigrid, richardson
-from richlab.multigrid import (Level, _smooth, build_hierarchy,
-                               coarsening_sides, galerkin_coarse,
-                               helmholtz_hierarchy, prolongation_matrix,
-                               restriction_matrix, v_cycle)
+from richlab.multigrid import (CoarseSolveError, Level, _smooth,
+                               build_hierarchy, coarsening_sides,
+                               galerkin_coarse, helmholtz_hierarchy,
+                               prolongation_matrix, restriction_matrix,
+                               v_cycle)
 from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
                               assemble_anisotropic, assemble_helmholtz)
 from richlab.richardson import (AMPLIFICATION_LIMIT, DivergenceError,
@@ -197,7 +198,7 @@ def test_hierarchy_invariants():
     for lvl in h.levels[:-1]:
         assert lvl.R.shape == (((lvl.n // 2) - 1) ** 2, (lvl.n - 1) ** 2)
         assert lvl.A.nrows == (lvl.n - 1) ** 2
-    assert (h.levels[-1].n - 1) ** 2 <= 1024
+    assert h.levels[-1].n == 8
 
 
 def test_complex_operator_supported(rng):
@@ -446,7 +447,6 @@ def test_coarsening_sides_halve_to_the_coarsest():
     (136, 16, "n=136 does not coarsen to 16: its halvings reach the odd side 17"),
     (12, 8, "n=12 leaves no room to coarsen to 8"),
     (136, 4, "n=136 does not coarsen to 4: its halvings reach the odd side 17"),
-    (128, 64, "coarsest level exceeds the direct-solve budget"),
 ])
 def test_build_hierarchy_refuses_before_building_a_level(n, coarsest, message,
                                                          monkeypatch):
@@ -457,3 +457,80 @@ def test_build_hierarchy_refuses_before_building_a_level(n, coarsest, message,
     A = assemble_anisotropic(AnisotropicProblem(epsilon=1.0, theta=0.0, n=n))
     with pytest.raises(ValueError, match=message):
         build_hierarchy(A, n, coarsest=coarsest)
+
+
+@pytest.mark.parametrize("kind", ["anisotropic", "helmholtz"])
+def test_coarse_solve_matches_a_dense_solve(kind, rng):
+    if kind == "helmholtz":
+        n = 64
+        h = helmholtz_hierarchy(assemble_helmholtz(HelmholtzProblem(
+            angular_frequency=2 * np.pi * 3, n=n)), n)
+    else:
+        h = smoothed_hierarchy(32, eps=0.1, theta=0.4)[1]
+    Ac = h.levels[-1].A
+    f = rng.standard_normal(Ac.nrows)
+    if Ac.is_complex:
+        f = f + 1j * rng.standard_normal(Ac.nrows)
+    exact = np.linalg.solve(Ac.to_dense(), f)
+    x = h.coarse_solve(f)
+    assert x.dtype == exact.dtype
+    assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+def test_real_coarse_factor_solves_a_complex_side_by_parts(rng):
+    h = smoothed_hierarchy(32, eps=0.1, theta=0.4)[1]
+    size = h.levels[-1].A.nrows
+    f = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    x = h.coarse_solve(f)
+    assert x.dtype == np.complex128
+    assert np.array_equal(x.real, h.coarse_solve(f.real))
+    assert np.array_equal(x.imag, h.coarse_solve(f.imag))
+
+
+def test_hierarchy_coarsens_to_the_64_grid(rng):
+    """A 3,969-unknown coarsest level: past what a dense factor held."""
+    n = 128
+    A = assemble_helmholtz(HelmholtzProblem(
+        angular_frequency=2 * np.pi * 10, n=n))
+    sched = WeightSchedule(omega=np.full(5, 0.8 / (8.0 * n ** 2)),
+                           alpha=np.full(5, 0.3), variant="nag")
+    h = build_hierarchy(A, n, coarsest=64, schedules=sched)
+    assert [lvl.n for lvl in h.levels] == [128, 64]
+    assert h.levels[-1].A.nrows == 63 ** 2
+    f = rng.standard_normal(A.nrows) + 1j * rng.standard_normal(A.nrows)
+    u = v_cycle(h, f)
+    assert np.linalg.norm(f - A.matvec(u)) < 0.5 * np.linalg.norm(f)
+
+
+def _infinite_corner(n):
+    """The n-grid isotropic operator with a_00 (row 0's first stored
+    entry) set to +inf."""
+    A = assemble_anisotropic(AnisotropicProblem(epsilon=1.0, theta=0.0, n=n))
+    values = A.values.copy()
+    values[0] = np.inf
+    return SparseMatrix(A.nrows, A.ncols, A.row_starts, A.col_indices, values)
+
+
+@pytest.mark.parametrize("operator,message", [
+    (lambda: SparseMatrix(15 ** 2, 15 ** 2, np.zeros(15 ** 2 + 1), [], []),
+     "coarsest factorization failed: Factor is exactly singular"),
+    (lambda: _infinite_corner(16),
+     "coarsest operator is not finite"),
+], ids=["zero", "infinite"])
+def test_build_refuses_a_singular_or_non_finite_coarsest_operator(operator,
+                                                                  message):
+    with pytest.raises(CoarseSolveError, match=message):
+        build_hierarchy(operator(), 16, coarsest=8)
+
+
+def test_non_finite_coarse_solve_raises(rng):
+    """An unsmoothed V-cycle hands a NaN right-hand side straight to the
+    coarse solve, which refuses the iterate it makes of it."""
+    n = 16
+    A = assemble_anisotropic(AnisotropicProblem(epsilon=1.0, theta=0.0, n=n))
+    h = build_hierarchy(A, n, coarsest=8)
+    f = rng.standard_normal(A.nrows)
+    f[7] = np.nan
+    with pytest.raises(CoarseSolveError,
+                       match="coarse solve gave a non-finite iterate"):
+        v_cycle(h, f)
