@@ -4,8 +4,8 @@
 
 Run from the repository root. Each workload of ``perfbench/workloads.py``
 is imported as it is, set up as the benchmark sets it up, and run for
-one round under counting patches; set-up runs unpatched. Per workload
-it prints:
+``ROUNDS`` rounds under counting patches; set-up runs unpatched. Per
+workload it prints, for the first round:
 
 - products by entry point: ``matvec``, ``rmatvec`` and the accumulating
   y += A x calls (``_accumulating_product``'s kernels);
@@ -15,7 +15,14 @@ it prints:
   from each ``solve_stationary`` report, with the solve count;
 - ``training._unroll`` calls by operator type (the schedule nets'
   projected H stacks are ``ndarray``, the hybrid's block-diagonal
-  operators ``SparseMatrix``).
+  operators ``SparseMatrix``);
+
+and, for each round, the Krylov projections ``training`` computed
+(``_arnoldi`` runs, wherever they come from) and the samples whose
+projection the memo served to ``train_ns``'s up-front pass (its
+``projection_reused``; the batches' lookups are not counted). The
+benchmark trains every round on the dataset it set up, so after the
+first round nothing should be computed and every sample served.
 
 The counts say which library paths a workload exercises, so a fast path
 that no workload runs shows up as a zero. ``--size small`` runs the
@@ -37,6 +44,10 @@ from richlab import fns, richardson, training  # noqa: E402
 from richlab.sparse import SparseMatrix  # noqa: E402
 import workloads  # noqa: E402
 
+# the first round projects the training sets; the second shows what the
+# projection memo serves when the same sets are trained on again
+ROUNDS = 2
+
 
 def _precond_name(P):
     """The builder that made P, read off its apply closure
@@ -52,6 +63,7 @@ def counting(counts):
     accumulating, kernel = (SparseMatrix._accumulating_product,
                             SparseMatrix._kernel)
     solve = richardson.solve_stationary
+    arnoldi, train_ns = training._arnoldi, training.train_ns
 
     def counted_matvec(self, x):
         counts["product", "matvec"] += 1
@@ -83,6 +95,16 @@ def counting(counts):
         counts[("solves",) + key] += 1
         return u, report
 
+    def counted_arnoldi(*args):
+        counts["projections", "computed"] += 1
+        return arnoldi(*args)
+
+    def counted_train_ns(config, dataset, net=None):
+        net = train_ns(config, dataset, net)
+        counts["projections", "served"] += \
+            net.training_history["projection_reused"]
+        return net
+
     def counted_unroll(unroll):
         def run(A, *args, **kwargs):
             counts["unroll", type(A).__name__] += 1
@@ -95,6 +117,8 @@ def counting(counts):
         (SparseMatrix, "_accumulating_product"): counted_accumulating,
         (SparseMatrix, "_kernel"): counted_kernel,
         (richardson, "solve_stationary"): counted_solve,
+        (training, "_arnoldi"): counted_arnoldi,
+        (training, "train_ns"): counted_train_ns,
         # fns calls the _unroll it imported, so both names are replaced
         (training, "_unroll"): counted_unroll(training._unroll),
         (fns, "_unroll"): counted_unroll(fns._unroll),
@@ -110,21 +134,27 @@ def counting(counts):
 
 
 def traffic(name, sizes, seed=0):
-    """The Counter of one round of workload ``name`` at ``sizes``."""
+    """The Counters of ``ROUNDS`` rounds of workload ``name`` at
+    ``sizes``, one per round."""
     wl = workloads.WORKLOADS[name](seed, sizes)
     for unit in wl.setup_units():
         unit()
     wl.prepare_checks()
-    counts = collections.Counter()
-    with counting(counts):
-        ops = wl.round()
-    failed = [op.label for op in ops if not op.ok]
-    if failed:
-        raise SystemExit(f"error: {name}: operations failed: {failed}")
-    return counts
+    per_round = []
+    for _ in range(ROUNDS):
+        counts = collections.Counter()
+        with counting(counts):
+            ops = wl.round()
+        failed = [op.label for op in ops if not op.ok]
+        if failed:
+            raise SystemExit(f"error: {name}: operations failed: {failed}")
+        per_round.append(counts)
+    return per_round
 
 
-def report(name, counts):
+def report(name, per_round):
+    counts = per_round[0]
+
     def cells(section, kinds):
         return ", ".join(f"{kind} {counts[section, kind]:,}"
                          for kind in kinds) or "none"
@@ -136,6 +166,11 @@ def report(name, counts):
              f"{cells('product', ('matvec', 'rmatvec', 'accumulating'))}",
              f"  kernel builds: {cells('build', ('forward', 'transposed'))}",
              f"  _unroll calls: {cells('unroll', unrolls)}",
+             "  projections (computed / served to train_ns by the memo), "
+             "by round: "
+             + "; ".join(f"{c['projections', 'computed']:,} / "
+                         f"{c['projections', 'served']:,}"
+                         for c in per_round),
              "  solver updates (sweep form, variant, preconditioner):"
              + ("" if solves else " none")]
     for key in solves:

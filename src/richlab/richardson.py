@@ -244,7 +244,7 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
     recomputed by ``matvec`` before the divergence test, and counts as
     one more product in ``report.matvecs``.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     t0 = time.perf_counter()
     n = A.ncols

@@ -89,6 +89,11 @@ def make_preconditioner(name, A):
 KRYLOV_CLOSED = 1e-12
 
 
+# each matrix's sample projections by (K, preconditioner name, f's bytes),
+# kept as long as the matrix lives
+_PROJECTIONS = weakref.WeakKeyDictionary()
+
+
 def krylov_projection(samples, K, precond=None):
     """Each sample's (K+1, K+1) upper Hessenberg H of K Arnoldi steps on
     (A M^{-1}, f), M the preconditioner ``precond`` of A, and ||f||.
@@ -103,55 +108,70 @@ def krylov_projection(samples, K, precond=None):
     orthogonalisation closes the sample's Krylov space: its steps stop
     there, and H's later rows and columns stay zero, which keeps those
     residuals exact.
+
+    A sample's H and ||f|| are kept with its matrix, keyed on K,
+    ``precond`` and the bytes of f, so a later call on the same matrix
+    object and right-hand side returns them without projecting again,
+    with the bits a fresh projection gives. Another matrix object, K,
+    preconditioner or f, or an f changed in place, is projected afresh.
     """
+    H, fnorm, _ = _project(samples, K, precond)
+    return H, fnorm
+
+
+def _project(samples, K, precond):
+    """(H, ||f||) of :func:`krylov_projection`, and the number of samples
+    whose projection the memo served."""
+    slots = [(_PROJECTIONS.setdefault(s.A, {}), (K, precond, s.f.tobytes()))
+             for s in samples]
+    found = [memo.get(key) for memo, key in slots]
+    misses = [i for i, hit in enumerate(found) if hit is None]
     # every factorisation is built before the first sample is projected,
     # so the projection's temporaries do not interleave with the factor
     # builds (interleaved, SSOR on 200 samples at n=32 doubled the peak RSS)
-    Ps = [make_preconditioner(precond, s.A) for s in samples]
-    H = np.zeros((len(samples), K + 1, K + 1))
-    fnorm = np.array([np.linalg.norm(s.f) for s in samples])
-    for s, P, c, h in zip(samples, Ps, fnorm, H):
-        # the CSR view has matvec's bits, but keeps no product kernel on
-        # the matrix: 200 such caches, left in the heap for the dataset's
-        # life, raised train-schedule's peak RSS from 182 to 283 MB
-        A = s.A.to_scipy()
-        Q = np.empty((K + 1, len(s.f)))
-        np.divide(s.f, c, out=Q[0])
-        for j in range(K):
-            w = A @ (Q[j] if P is None else P.apply(Q[j]))
-            before = np.linalg.norm(w)
-            h[:j + 1, j] = orthogonalise(Q[:j + 1], w)
-            after = np.linalg.norm(w)
-            if not after > KRYLOV_CLOSED * before:
-                break
-            h[j + 1, j] = after
-            np.divide(w, after, out=Q[j + 1])
-    return H, fnorm
+    Ps = [make_preconditioner(precond, samples[i].A) for i in misses]
+    # the memo keeps rows of one block per call, not one small array per
+    # sample scattered through the heap
+    block = np.zeros((len(misses), K + 1, K + 1))
+    computed = 0
+    for i, P, h in zip(misses, Ps, block):
+        memo, key = slots[i]
+        if key not in memo:   # not a repeat of an earlier sample of the list
+            memo[key] = (h, _arnoldi(samples[i], K, P, h))
+            computed += 1
+        found[i] = memo[key]
+    block.flags.writeable = False
+    H = np.array([h for h, _ in found]).reshape(len(samples), K + 1, K + 1)
+    fnorm = np.array([c for _, c in found])
+    return H, fnorm, len(samples) - computed
+
+
+def _arnoldi(sample, K, P, h):
+    """Fill the zero (K+1, K+1) array h with the sample's projection
+    under the preconditioner P (or None); return ||f||."""
+    c = np.linalg.norm(sample.f)
+    # the CSR view has matvec's bits, but keeps no product kernel on
+    # the matrix: 200 such caches, left in the heap for the dataset's
+    # life, raised train-schedule's peak RSS from 182 to 283 MB
+    A = sample.A.to_scipy()
+    Q = np.empty((K + 1, len(sample.f)))
+    np.divide(sample.f, c, out=Q[0])
+    for j in range(K):
+        w = A @ (Q[j] if P is None else P.apply(Q[j]))
+        before = np.linalg.norm(w)
+        h[:j + 1, j] = orthogonalise(Q[:j + 1], w)
+        after = np.linalg.norm(w)
+        if not after > KRYLOV_CLOSED * before:
+            break
+        h[j + 1, j] = after
+        np.divide(w, after, out=Q[j + 1])
+    return c
 
 
 def closed_before(H):
     """Per sample of an H stack, whether its Krylov space closed before
     K = len(H[0]) - 1 steps (a zero subdiagonal entry)."""
     return (np.diagonal(H, offset=-1, axis1=1, axis2=2) == 0).any(axis=1)
-
-
-@dataclass(frozen=True)
-class ProjectedSample:
-    """A training sample reduced to what the K-step loss reads: its
-    parameters ``mu``, its Hessenberg ``H`` from :func:`krylov_projection`
-    under the preconditioner named ``precond``, and ||f||."""
-    mu: np.ndarray
-    H: np.ndarray
-    fnorm: float
-    precond: str | None
-
-
-def project(samples, K, precond=None):
-    """The :class:`ProjectedSample` rows of samples, by
-    :func:`krylov_projection`."""
-    H, fnorm = krylov_projection(samples, K, precond)
-    return [ProjectedSample(s.mu, h, float(c), precond)
-            for s, h, c in zip(samples, H, fnorm)]
 
 
 def _unroll(A, F, omega, alpha, alpha_t, K, variant, lam=None, cycles=1,
@@ -323,18 +343,8 @@ def _schedules(batch, net: MetaNet):
 
 
 def _projections(batch, K, precond):
-    """The batch's (H, F) stacks for the projected unroll, F = ||f|| e_1:
-    raw samples are projected here, :class:`ProjectedSample` rows pass
-    as they are."""
-    if not isinstance(batch[0], ProjectedSample):
-        H, fnorm = krylov_projection(batch, K, precond)
-    else:
-        if any(s.H.shape != (K + 1, K + 1) or s.precond != precond
-               for s in batch):
-            raise ValueError(f"batch was not projected for K={K} and "
-                             f"preconditioner {precond!r}")
-        H = np.stack([s.H for s in batch])
-        fnorm = np.array([s.fnorm for s in batch])
+    """The batch's (H, F) stacks for the projected unroll, F = ||f|| e_1."""
+    H, fnorm = krylov_projection(batch, K, precond)
     F = np.zeros((len(batch), K + 1))
     F[:, 0] = fnorm
     return H, F
@@ -359,10 +369,9 @@ def loss_relative_residual(batch, net: MetaNet, K, precond=None):
     whose ``backward`` returns its gradients, and the parameter arrays
     those gradients align with. The network runs once per instance; its
     schedules are stacked into (B, m) rows for one batched unroll on the
-    instances' Krylov projections (see :func:`krylov_projection`). The
-    batch holds raw samples, projected here, or the
-    :class:`ProjectedSample` rows of :func:`project` under the same K and
-    ``precond``.
+    instances' Krylov projections (see :func:`krylov_projection`, whose
+    memo serves every sample projected before under the same K and
+    ``precond``).
     """
     if not batch:
         raise ValueError("batch must be nonempty")
@@ -416,12 +425,14 @@ def train_ns(config: TrainConfig, dataset, net=None):
     """Mini-batch training of the schedule network on the K-step
     relative-residual loss; returns the best-validation checkpoint.
 
-    Every sample is projected once, before the first epoch, and every
-    batch and validation pass runs on the projections. The returned
-    net's ``training_history`` holds the per-epoch "train" and "val"
-    losses, the projection's wall time "projection_s", and
-    "krylov_closed", the number of samples whose Krylov space closed
-    before K steps. Deterministic under ``config.seed``.
+    Every sample is projected before the first epoch, or served by the
+    memo of :func:`krylov_projection` if an earlier call projected it,
+    and every batch and validation pass runs on those projections. The
+    returned net's ``training_history`` holds the per-epoch "train" and
+    "val" losses, the projection's wall time "projection_s", the number
+    of samples the memo served "projection_reused", and "krylov_closed",
+    the number of samples whose Krylov space closed before K steps.
+    Deterministic under ``config.seed``.
     """
     if dataset.kind != "anisotropic":
         raise ValueError("schedule-net training expects an anisotropic "
@@ -434,19 +445,20 @@ def train_ns(config: TrainConfig, dataset, net=None):
                              seed=config.seed)
     rng = np.random.default_rng(config.seed)
     t0 = time.perf_counter()
-    projected = project(dataset.samples, config.unroll, config.precond)
-    projection_s = time.perf_counter() - t0
+    H, _, reused = _project(dataset.samples, config.unroll, config.precond)
+    history = {"train": [], "val": [],
+               "projection_s": time.perf_counter() - t0,
+               "projection_reused": reused,
+               "krylov_closed": int(closed_before(H).sum())}
+    del H   # the batches read the memo's copy
     n_val = max(1, int(round(VAL_FRACTION * len(dataset)))) \
         if len(dataset) > 1 else 0
-    train = projected[:len(dataset) - n_val]
-    val = projected[len(dataset) - n_val:]
+    train = dataset.samples[:len(dataset) - n_val]
+    val = dataset.samples[len(dataset) - n_val:]
     if not train:
-        train, val = projected, projected
+        train, val = dataset.samples, dataset.samples
 
     opt = Adam(net.parameters(), lr=config.learning_rate)
-    history = {"train": [], "val": [], "projection_s": projection_s,
-               "krylov_closed": int(closed_before(
-                   np.stack([s.H for s in projected])).sum())}
     best = (np.inf, net.copy(), -1)
     bad_epochs = 0
     diverged_streak = 0

@@ -178,6 +178,8 @@ def test_solve_non_positive_tol_exits_before_any_output(tol, capsys):
      "--max-outer must be at least 1, got 0"),
     (["reproduce", "t2", "--n", "8", "--seeds", "-2"],
      "--seeds must be at least 1, got -2"),
+    (["reproduce", "t2", "--n", "8", "--m", "0"],
+     "--m must be at least 1, got 0"),
     (["solve", "--n", "8", "--max-outer", "-3"],
      "--max-outer must be at least 1, got -3"),
     (["solve", "--n", "8", "--max-outer", "0"],
@@ -412,6 +414,36 @@ def test_learned_rows_run_from_checkpoint(tmp_path, capsys):
     learned = [r for r in rows if r["method"] == "learned"]
     assert len(learned) == len(THETA_GRID)
     assert all(r["inner_iters"] != "" for r in learned)
+
+
+@pytest.mark.parametrize("output", [False, True])
+def test_missing_checkpoint_exits_before_any_output(output, tmp_path,
+                                                    capsys):
+    path, missing = tmp_path / "t2.csv", tmp_path / "nope.npz"
+    flags = ["--output", str(path)] if output else []
+    code, out, err = run_cli(["reproduce", "t2", "--seeds", "1", "--n", "16",
+                              "--checkpoint", str(missing)] + flags, capsys)
+    assert code == 2
+    assert out == "" and not path.exists()
+    assert err.startswith("error: ") and str(missing) in err
+
+
+def test_learned_rows_charge_the_load_to_the_first_row(tmp_path, capsys):
+    ck = tmp_path / "net.ckpt"
+    assert main(["train", "--n", "8", "--count", "4", "--m", "2",
+                 "--unroll", "4", "--epochs", "1", "--batch-size", "2",
+                 "--output", str(ck)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "t2.csv"
+    code, _, _ = run_cli(["reproduce", "t2", "--n", "8", "--m", "2",
+                          "--seeds", "1", "--max-outer", "2000",
+                          "--checkpoint", str(ck), "--output", str(out)],
+                         capsys)
+    assert code == 0
+    learned = [r for r in read_rows(out) if r["method"] == "learned"]
+    # the operator of every cell was built for its cheb row
+    assert [float(r["setup_ms"]) > 0 for r in learned] == \
+        [True] + [False] * (len(learned) - 1)
 
 
 def _raise(exc):

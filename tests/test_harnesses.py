@@ -26,8 +26,8 @@ LAYER_OPS = {
     "precond": ["ssor_build", "apply_20_rows"],
     "batches": ["block_diagonal_20x961", "hybrid_lambda_batch",
                 "hybrid_omega_batch", "plain_schedule_batch_5",
-                "nagex_ssor_schedule_batch_20", "plain_projected_batch_5",
-                "nagex_ssor_projected_batch_20", "krylov_projection_20",
+                "nagex_ssor_schedule_batch_20", "plain_warm_batch_5",
+                "nagex_ssor_warm_batch_20", "krylov_projection_20",
                 "krylov_projection_20_ssor"],
     "helmholtz": ["helmholtz_assembly", "complex_fine_matvec", "v_cycle",
                   "fgmres_arnoldi_step", "nag_smoothing_pass",
@@ -123,6 +123,13 @@ def test_traffic_counter_runs_small():
     assert aniso[0].startswith("products: matvec ")
     assert "accumulating 0" not in aniso[0]
     assert train[2].startswith("_unroll calls: ndarray ")
+    # the small set's 20 samples, plain and SSOR, projected in the first
+    # of the two rounds only, and served by the memo in the second
+    computed, served = zip(*(map(int, cell.split(" / ")) for cell in
+                             train[3].split(": ", 1)[1].split("; ")))
+    assert train[3].startswith("projections (computed / served")
+    assert computed == (40, 0)
+    assert served == (0, 40)
     assert any(line.startswith("recurrence, nagex, ssor: ")
                for line in train)
     assert not helmholtz[1].startswith("kernel builds: forward 0")

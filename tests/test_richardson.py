@@ -533,3 +533,15 @@ def test_row_stack_step_gives_each_row_its_one_vector_bytes(variant, m, B, n,
             r = row_step(*(float(w[b, c]) for w in weights))
             for got, want in ((U[b], u), (V[b], v), (R[b], r)):
                 assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_solve_refuses_a_tol_that_is_not_positive(tol, monkeypatch):
+    """NaN compares false with every bound, so a ``tol <= 0`` test let it
+    run all ``max_outer`` sweeps."""
+    A = assemble_anisotropic(AnisotropicProblem(epsilon=1.0, theta=0.0, n=8))
+    monkeypatch.setattr(SparseMatrix, "matvec", None)   # no sweep runs
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve_stationary(A, np.ones(A.ncols),
+                         WeightSchedule(omega=np.array([0.1])), tol=tol,
+                         max_outer=500)

@@ -11,11 +11,12 @@ from richlab.metanet import MetaNet
 from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
                               assemble_anisotropic, assemble_helmholtz)
 from richlab.tape import TapeReuseError
-from richlab.training import (Adam, NanLossError, TrainConfig,
-                              _batch_losses, _schedules, _unroll,
-                              closed_before, evaluate_loss, gradient,
-                              krylov_projection, loss_relative_residual,
-                              make_preconditioner, project, train_ns)
+from richlab.training import (_PROJECTIONS, Adam, NanLossError,
+                              TrainConfig, _batch_losses, _project,
+                              _schedules, _unroll, closed_before,
+                              evaluate_loss, gradient, krylov_projection,
+                              loss_relative_residual, make_preconditioner,
+                              train_ns)
 
 from conftest import assert_close, sine_mode
 
@@ -163,25 +164,93 @@ def test_projected_loss_matches_per_instance(mixed_dataset, variant, precond,
 @pytest.mark.parametrize("precond", [None, "ssor"])
 def test_sample_loss_does_not_depend_on_its_batch_or_position(precond):
     """A sample's H and loss are the same bits alone and at any position
-    of any list or batch, raw or projected."""
+    of any list or batch, projected afresh or served by the memo."""
     samples = list(sample_dataset("anisotropic", 25, seed=3, n=8))
     net = MetaNet.create(m=3, variant="nagex", seed=2, hidden=(6, 6))
     K = 12
-    alone_H = [krylov_projection([s], K, precond)[0][0] for s in samples]
+    alone_H = []
+    for s in samples:
+        _PROJECTIONS.clear()
+        alone_H.append(krylov_projection([s], K, precond)[0][0])
     alone = np.array([_batch_losses([s], net, K, precond)[0][0]
                       for s in samples])
     order = np.random.default_rng(0).permutation(len(samples))
+    _PROJECTIONS.clear()
     H, _ = krylov_projection([samples[j] for j in order], K, precond)
     for h, j in zip(H, order):
         assert np.array_equal(h, alone_H[j])
-    projected = project(samples, K, precond)
     for size in (3, 7, 25):
         for start in range(0, len(samples), size):
             rows = order[start:start + size]
-            for batch in ([samples[j] for j in rows],
-                          [projected[j] for j in rows]):
-                losses = _batch_losses(batch, net, K, precond)[0]
-                assert np.array_equal(losses, alone[rows])
+            losses = _batch_losses([samples[j] for j in rows], net, K,
+                                   precond)[0]
+            assert np.array_equal(losses, alone[rows])
+
+
+# -- the projection memo -----------------------------------------------------
+
+@pytest.mark.parametrize("precond", [None, "jacobi", "ssor"])
+def test_memo_hit_has_the_bits_of_a_fresh_projection(precond):
+    samples = list(sample_dataset("anisotropic", 5, seed=13, n=8))
+    H, fnorm, reused = _project(samples, 10, precond)
+    assert reused == 0
+    expected_H, expected_fnorm = H.copy(), fnorm.copy()
+    H[:] = 0.0   # the caller's copy, not the memo's
+    H, fnorm, reused = _project(samples[::-1], 10, precond)
+    assert reused == len(samples)
+    assert np.array_equal(H, expected_H[::-1])
+    assert np.array_equal(fnorm, expected_fnorm[::-1])
+
+
+def test_memo_misses_another_matrix_f_k_or_preconditioner():
+    sample = sample_dataset("anisotropic", 1, seed=14, n=8)[0]
+    K = 6
+    assert _project([sample, sample], K, None)[2] == 1
+    assert _project([sample], K, None)[2] == 1
+    for other, k, precond in [
+            (dataclasses.replace(sample, f=sample.f[::-1].copy()), K, None),
+            (dataclasses.replace(sample, A=assemble_anisotropic(sample.spec)),
+             K, None),
+            (sample, K + 1, None),
+            (sample, K, "jacobi")]:
+        assert _project([other], k, precond)[2] == 0
+    _, before = krylov_projection([sample], K)
+    sample.f[0] += 1.0
+    _, fnorm, reused = _project([sample], K, None)
+    assert reused == 0 and fnorm[0] != before[0]
+
+
+def test_memo_entry_dies_with_its_matrix():
+    sample = sample_dataset("anisotropic", 1, seed=15, n=8)[0]
+    krylov_projection([sample], 6, "ssor")
+    (h, _), = _PROJECTIONS[sample.A].values()
+    matrix, block = weakref.ref(sample.A), weakref.ref(h.base)
+    del sample, h
+    gc.collect()
+    assert matrix() is None and block() is None
+
+
+def test_one_dataset_is_projected_once_for_every_net():
+    ds = sample_dataset("anisotropic", 10, seed=16, n=8)
+    reused = []
+    for variant in ("plain", "nag", "nagex"):
+        cfg = TrainConfig(m=2, unroll=6, n_epochs=1, batch_size=5, seed=0,
+                          variant=variant, hidden=(4, 4))
+        reused.append(train_ns(cfg, ds).training_history["projection_reused"])
+    assert reused == [0, len(ds), len(ds)]
+
+
+def test_equal_datasets_are_projected_independently():
+    """Criterion 9 trains on two draws of one dataset: their matrices are
+    different objects, so each draw is projected, to the same nets."""
+    cfg = TrainConfig(m=2, unroll=5, n_epochs=3, batch_size=3, seed=9,
+                      variant="nag", hidden=(8, 8))
+    nets = [train_ns(cfg, sample_dataset("anisotropic", 6, seed=21, n=8))
+            for _ in range(2)]
+    assert [net.training_history["projection_reused"] for net in nets] == \
+        [0, 0]
+    for a, b in zip(*(net.parameters() for net in nets), strict=True):
+        assert np.array_equal(a, b)
 
 
 def closing_steps(H):
@@ -231,15 +300,6 @@ def test_projection_matches_chunked_oracle(precond, n, whole_H):
     if whole_H:
         for h, ref in zip(H, ref_H, strict=True):
             assert_close(h, ref)
-
-
-def test_projected_batch_must_match_the_loss():
-    samples = list(sample_dataset("anisotropic", 2, seed=3, n=8))
-    batch = project(samples, 6, "ssor")
-    net = MetaNet.create(m=3, variant="nag", seed=0, hidden=(4, 4))
-    for K, precond in ((5, "ssor"), (6, "jacobi"), (6, None)):
-        with pytest.raises(ValueError, match="was not projected"):
-            loss_relative_residual(batch, net, K, precond=precond)
 
 
 # -- a Krylov space that closes before K steps -------------------------------
@@ -354,9 +414,11 @@ def test_training_is_deterministic(small_dataset):
     n2 = train_ns(cfg, small_dataset)
     for a, b in zip(n1.parameters(), n2.parameters()):
         assert np.array_equal(a, b)
-    # all but the projection's wall time
+    # all but the projection's wall time, and the second run reads the
+    # first one's projections from the memo
     for key in ("train", "val", "krylov_closed"):
         assert n1.training_history[key] == n2.training_history[key]
+    assert n2.training_history["projection_reused"] == len(small_dataset)
 
 
 def test_training_reduces_validation_loss(small_dataset):
