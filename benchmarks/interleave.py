@@ -30,14 +30,17 @@ inputs with that code. To time one tree, pass it twice. The op sets
   backward of each ``train-schedule`` net at its untrained initial
   state with the unroll K=50: the plain net (log-omega output, seed 1)
   on the first 5 samples, and the SSOR NAG-ex net (seed 0) on all 20,
-  with the preconditioners built beforehand as training builds them
-  and the batch projected afresh in the call; the same two batches as
+  with the batch projected afresh in the call; the same two batches as
   ``train_ns`` runs them, with every projection served by the memo of
   ``training.krylov_projection`` (filled beforehand; a tree without
   that memo does not run these two); and ``training.krylov_projection``
   of the 20 samples at K=50, one sample at a time, without a
-  preconditioner and with SSOR (built beforehand), as ``train_ns``
-  projects a set it has not seen before the first epoch.
+  preconditioner and with SSOR, as ``train_ns`` projects a set it has
+  not seen before the first epoch. The projection builds each sample's
+  factor for itself and drops it, so the SSOR projection and the SSOR
+  batch include their 20 factor builds in every call. (A tree whose
+  projection reads the memo of ``training.make_preconditioner`` builds
+  them in the first call only.)
 - ``helmholtz``: the ``helmholtz-fgmres`` layers at frequency 5, on
   damped Helmholtz at n=128 (16,129 complex unknowns) and its
   ``multigrid.helmholtz_hierarchy``: its assembly, one complex product
@@ -51,8 +54,7 @@ inputs with that code. To time one tree, pass it twice. The op sets
   criterion-2/3 fixture (plain, nag, nagex and SSOR NAG-ex, with the
   fixture's batch sizes, seeds and output maps) on its 200-sample set at
   n=32, from the net's initial state, the Krylov projection of the set
-  included. Training keeps each matrix's preconditioners with the
-  matrix, so later rounds build none.
+  included, and with it the SSOR net's 200 factor builds.
 
 Every call of an op that projects afresh (the two projections, the two
 schedule batches and the epochs) first empties the projection memo of
@@ -240,8 +242,6 @@ def batches(mod):
                 3, variant=variant, input_dim=2, learn_log_omega=log_omega,
                 seed=seed)
             batch = _training_set(mod)[:batch_size]
-            for sample in batch:
-                training.make_preconditioner(precond, sample.A)
 
             def run():
                 forget()
@@ -268,8 +268,6 @@ def batches(mod):
         def build():
             project = training.krylov_projection
             samples = _training_set(mod)
-            for sample in samples:
-                training.make_preconditioner(precond, sample.A)
 
             def run():
                 forget()

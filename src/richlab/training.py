@@ -73,15 +73,22 @@ def make_preconditioner(name, A):
         return None
     built = _PRECONDITIONERS.setdefault(A, {})
     if name not in built:
-        if name == "ssor":
-            built[name] = Preconditioner.ssor(A, relax=1.0)
-        elif name == "jacobi":
-            built[name] = Preconditioner.weighted_jacobi(A)
-        elif name == "gs":
-            built[name] = Preconditioner.gauss_seidel(A)
-        else:
-            raise ValueError(f"unknown preconditioner {name!r}")
+        built[name] = _build_preconditioner(name, A)
     return built[name]
+
+
+def _build_preconditioner(name, A):
+    """A new preconditioner ``name`` of A, kept by no memo (None for
+    none or "identity")."""
+    if name is None or name == "identity":
+        return None
+    if name == "ssor":
+        return Preconditioner.ssor(A, relax=1.0)
+    if name == "jacobi":
+        return Preconditioner.weighted_jacobi(A)
+    if name == "gs":
+        return Preconditioner.gauss_seidel(A)
+    raise ValueError(f"unknown preconditioner {name!r}")
 
 
 # the relative norm below which an orthogonalised Arnoldi column counts as
@@ -114,6 +121,8 @@ def krylov_projection(samples, K, precond=None):
     object and right-hand side returns them without projecting again,
     with the bits a fresh projection gives. Another matrix object, K,
     preconditioner or f, or an f changed in place, is projected afresh.
+    M is built for each sample projected and dropped before the next one;
+    the memo of :func:`make_preconditioner` is neither read nor filled.
     """
     H, fnorm, _ = _project(samples, K, precond)
     return H, fnorm
@@ -126,18 +135,20 @@ def _project(samples, K, precond):
              for s in samples]
     found = [memo.get(key) for memo, key in slots]
     misses = [i for i, hit in enumerate(found) if hit is None]
-    # every factorisation is built before the first sample is projected,
-    # so the projection's temporaries do not interleave with the factor
-    # builds (interleaved, SSOR on 200 samples at n=32 doubled the peak RSS)
-    Ps = [make_preconditioner(precond, samples[i].A) for i in misses]
     # the memo keeps rows of one block per call, not one small array per
     # sample scattered through the heap
     block = np.zeros((len(misses), K + 1, K + 1))
     computed = 0
-    for i, P, h in zip(misses, Ps, block):
+    for i, h in zip(misses, block):
         memo, key = slots[i]
         if key not in memo:   # not a repeat of an earlier sample of the list
+            # the projection is the one reader of a sample's factor (every
+            # later batch reads the memo), so the factor lives for this
+            # call only: one is held at a time, not one per sample for as
+            # long as the dataset lives
+            P = _build_preconditioner(precond, samples[i].A)
             memo[key] = (h, _arnoldi(samples[i], K, P, h))
+            del P   # before the next sample's factor is built
             computed += 1
         found[i] = memo[key]
     block.flags.writeable = False

@@ -11,9 +11,9 @@ from richlab.metanet import MetaNet
 from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
                               assemble_anisotropic, assemble_helmholtz)
 from richlab.tape import TapeReuseError
-from richlab.training import (_PROJECTIONS, Adam, NanLossError,
-                              TrainConfig, _batch_losses, _project,
-                              _schedules, _unroll, closed_before,
+from richlab.training import (_PRECONDITIONERS, _PROJECTIONS, Adam,
+                              NanLossError, TrainConfig, _batch_losses,
+                              _project, _schedules, _unroll, closed_before,
                               evaluate_loss, gradient, krylov_projection,
                               loss_relative_residual, make_preconditioner,
                               train_ns)
@@ -228,6 +228,21 @@ def test_memo_entry_dies_with_its_matrix():
     del sample, h
     gc.collect()
     assert matrix() is None and block() is None
+
+
+def test_projection_keeps_no_factor_or_kernel_on_the_dataset():
+    # whatever a projection leaves on each of a dataset's matrices lives
+    # as long as the dataset: SSOR's two triangles outweigh the matrix,
+    # and product kernels left on 200 samples once fragmented the heap
+    for project in (
+            lambda ds: krylov_projection(ds.samples, 6, "ssor"),
+            lambda ds: train_ns(TrainConfig(
+                m=2, unroll=6, n_epochs=1, batch_size=4, seed=0,
+                precond="ssor", hidden=(4, 4)), ds)):
+        ds = sample_dataset("anisotropic", 12, seed=17, n=16)
+        project(ds)
+        assert [s.A in _PRECONDITIONERS for s in ds] == [False] * len(ds)
+        assert all(s.A._kernels is None for s in ds)
 
 
 def test_one_dataset_is_projected_once_for_every_net():
@@ -456,7 +471,7 @@ def test_preconditioner_built_once_per_sample(small_dataset, monkeypatch):
                       hidden=(4, 4), precond="jacobi")
     train_ns(cfg, small_dataset)
     assert sorted(calls) == sorted(id(s.A) for s in small_dataset)
-    # the matrices are immutable, so a second run reuses every build
+    # the projection memo serves every sample, so a second run builds none
     train_ns(cfg, small_dataset)
     assert len(calls) == len(small_dataset)
 
