@@ -39,7 +39,7 @@ inputs with that code. To time one tree, pass it twice. The op sets
   not seen before the first epoch. The projection builds each sample's
   factor for itself and drops it, so the SSOR projection and the SSOR
   batch include their 20 factor builds in every call. (A tree whose
-  projection reads the memo of ``training.make_preconditioner`` builds
+  ``training.make_preconditioner`` keeps each matrix's factors builds
   them in the first call only.)
 - ``helmholtz``: the ``helmholtz-fgmres`` layers at frequency 5, on
   damped Helmholtz at n=128 (16,129 complex unknowns) and its

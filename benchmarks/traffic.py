@@ -22,11 +22,7 @@ and, for each round, the Krylov projections ``training`` computed
 projection the memo served to ``train_ns``'s up-front pass (its
 ``projection_reused``; the batches' lookups are not counted). The
 benchmark trains every round on the dataset it set up, so after the
-first round nothing should be computed and every sample served. Also
-for each round, the preconditioners built (``Preconditioner``
-instances, whatever builds them) and those that the memo of
-``training.make_preconditioner`` holds when the round ends: one held
-for a training sample lives as long as the dataset does.
+first round nothing should be computed and every sample served.
 
 The counts say which library paths a workload exercises, so a fast path
 that no workload runs shows up as a zero. ``--size small`` runs the
@@ -45,7 +41,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 sys.dont_write_bytecode = True   # nothing is written next to perfbench
 
 from richlab import fns, richardson, training  # noqa: E402
-from richlab.precond import Preconditioner  # noqa: E402
 from richlab.sparse import SparseMatrix  # noqa: E402
 import workloads  # noqa: E402
 
@@ -68,7 +63,6 @@ def counting(counts):
     accumulating, kernel = (SparseMatrix._accumulating_product,
                             SparseMatrix._kernel)
     solve = richardson.solve_stationary
-    build = Preconditioner.__init__
     arnoldi, train_ns = training._arnoldi, training.train_ns
 
     def counted_matvec(self, x):
@@ -101,10 +95,6 @@ def counting(counts):
         counts[("solves",) + key] += 1
         return u, report
 
-    def counted_build(self, *args):
-        counts["preconditioners", "built"] += 1
-        build(self, *args)
-
     def counted_arnoldi(*args):
         counts["projections", "computed"] += 1
         return arnoldi(*args)
@@ -127,7 +117,6 @@ def counting(counts):
         (SparseMatrix, "_accumulating_product"): counted_accumulating,
         (SparseMatrix, "_kernel"): counted_kernel,
         (richardson, "solve_stationary"): counted_solve,
-        (Preconditioner, "__init__"): counted_build,
         (training, "_arnoldi"): counted_arnoldi,
         (training, "train_ns"): counted_train_ns,
         # fns calls the _unroll it imported, so both names are replaced
@@ -159,8 +148,6 @@ def traffic(name, sizes, seed=0):
         failed = [op.label for op in ops if not op.ok]
         if failed:
             raise SystemExit(f"error: {name}: operations failed: {failed}")
-        counts["preconditioners", "held"] = sum(
-            map(len, training._PRECONDITIONERS.values()))
         per_round.append(counts)
     return per_round
 
@@ -172,10 +159,6 @@ def report(name, per_round):
         return ", ".join(f"{kind} {counts[section, kind]:,}"
                          for kind in kinds) or "none"
 
-    def by_round(section, first, second):
-        return "; ".join(f"{c[section, first]:,} / {c[section, second]:,}"
-                         for c in per_round)
-
     unrolls = sorted(k[1] for k in counts if k[0] == "unroll")
     solves = sorted(k[1:] for k in counts if k[0] == "solves")
     lines = [f"{name}:",
@@ -184,9 +167,10 @@ def report(name, per_round):
              f"  kernel builds: {cells('build', ('forward', 'transposed'))}",
              f"  _unroll calls: {cells('unroll', unrolls)}",
              "  projections (computed / served to train_ns by the memo), "
-             f"by round: {by_round('projections', 'computed', 'served')}",
-             "  preconditioners (built / held by the memo at the end), "
-             f"by round: {by_round('preconditioners', 'built', 'held')}",
+             "by round: "
+             + "; ".join(f"{c['projections', 'computed']:,} / "
+                         f"{c['projections', 'served']:,}"
+                         for c in per_round),
              "  solver updates (sweep form, variant, preconditioner):"
              + ("" if solves else " none")]
     for key in solves:

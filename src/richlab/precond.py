@@ -91,8 +91,6 @@ class Preconditioner:
     def sor(cls, A, relax):
         _relaxed_diagonal(A, relax, "SOR")
         dl = _triangle(A, relax, lower=True)
-        if relax == 1.0:   # Gauss-Seidel: the scale would only copy
-            return cls(lambda r: dl(r), lambda r: dl(r, "T"))
         return cls(lambda r: relax * dl(r), lambda r: relax * dl(r, "T"))
 
     @classmethod
@@ -101,9 +99,6 @@ class Preconditioner:
         dl = _triangle(A, relax, lower=True)
         du = _triangle(A, relax, lower=False)
         c = relax * (2.0 - relax)
-        if c == 1.0:   # the scale would only copy
-            return cls(lambda r: du(diag * dl(r)),
-                       lambda r: dl(diag * du(r, "T"), "T"))
         return cls(lambda r: c * du(diag * dl(r)),
                    lambda r: c * dl(diag * du(r, "T"), "T"))
 

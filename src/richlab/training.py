@@ -61,25 +61,8 @@ def _check_config(cfg):
             f"learning_rate must be positive, got {cfg.learning_rate}")
 
 
-# each matrix's preconditioners by name, kept as long as the matrix lives
-_PRECONDITIONERS = weakref.WeakKeyDictionary()
-
-
 def make_preconditioner(name, A):
-    """The preconditioner ``name`` of A (None for none or "identity").
-    A matrix is immutable, so each (matrix, name) is built once, and
-    later calls return the same preconditioner."""
-    if name is None or name == "identity":
-        return None
-    built = _PRECONDITIONERS.setdefault(A, {})
-    if name not in built:
-        built[name] = _build_preconditioner(name, A)
-    return built[name]
-
-
-def _build_preconditioner(name, A):
-    """A new preconditioner ``name`` of A, kept by no memo (None for
-    none or "identity")."""
+    """A new preconditioner ``name`` of A (None for none or "identity")."""
     if name is None or name == "identity":
         return None
     if name == "ssor":
@@ -121,8 +104,7 @@ def krylov_projection(samples, K, precond=None):
     object and right-hand side returns them without projecting again,
     with the bits a fresh projection gives. Another matrix object, K,
     preconditioner or f, or an f changed in place, is projected afresh.
-    M is built for each sample projected and dropped before the next one;
-    the memo of :func:`make_preconditioner` is neither read nor filled.
+    M is built for each sample projected and dropped before the next one.
     """
     H, fnorm, _ = _project(samples, K, precond)
     return H, fnorm
@@ -142,11 +124,10 @@ def _project(samples, K, precond):
     for i, h in zip(misses, block):
         memo, key = slots[i]
         if key not in memo:   # not a repeat of an earlier sample of the list
-            # the projection is the one reader of a sample's factor (every
-            # later batch reads the memo), so the factor lives for this
-            # call only: one is held at a time, not one per sample for as
-            # long as the dataset lives
-            P = _build_preconditioner(precond, samples[i].A)
+            # the projection is a factor's one reader (every later batch
+            # reads the memo), so one factor is held at a time, not one
+            # per sample for as long as the dataset lives
+            P = make_preconditioner(precond, samples[i].A)
             memo[key] = (h, _arnoldi(samples[i], K, P, h))
             del P   # before the next sample's factor is built
             computed += 1

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from richlab.precond import Preconditioner, ZeroDiagonalError, _triangle
+from richlab.precond import Preconditioner, ZeroDiagonalError
 from richlab.sparse import SparseMatrix
 
 from conftest import random_spd, random_sparse
@@ -105,31 +105,6 @@ def test_complex_residual_on_real_factors(rng):
             assert z.dtype == np.complex128
             assert np.array_equal(z.real, apply(r.real))
             assert np.array_equal(z.imag, apply(r.imag))
-
-
-@pytest.mark.parametrize("method", ["ssor", "sor"])
-def test_unit_relaxation_skips_the_scale_with_the_same_bits(rng, method):
-    # relax = 1 scales SSOR and SOR by exactly 1.0, so the apply skips
-    # that multiply; these are the scaled forms, with the scale kept
-    A = random_sparse(8, rng)
-    diag = A.diagonal()
-    dl = _triangle(A, 1.0, lower=True)
-    du = _triangle(A, 1.0, lower=False)
-    scaled = {
-        "ssor": (lambda r: 1.0 * du(diag * dl(r)),
-                 lambda r: 1.0 * dl(diag * du(r, "T"), "T")),
-        "sor": (lambda r: 1.0 * dl(r), lambda r: 1.0 * dl(r, "T"))}[method]
-    P = getattr(Preconditioner, method)(A, 1.0)
-    # a lone inf spreads as +-inf and NaN through the triangular solves
-    inputs = [rng.standard_normal(8), np.array([0.0, -0.0] * 4)]
-    for i, value in ((0, -np.inf), (7, np.inf), (3, np.nan)):
-        inputs.append(rng.standard_normal(8))
-        inputs[-1][i] = value
-    with np.errstate(invalid="ignore"):
-        for r in inputs:
-            for apply, reference in zip((P.apply, P.apply_transpose),
-                                        scaled):
-                assert apply(r).tobytes() == reference(r).tobytes()
 
 
 def test_zero_diagonal_names_row():

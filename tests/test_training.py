@@ -11,9 +11,9 @@ from richlab.metanet import MetaNet
 from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
                               assemble_anisotropic, assemble_helmholtz)
 from richlab.tape import TapeReuseError
-from richlab.training import (_PRECONDITIONERS, _PROJECTIONS, Adam,
-                              NanLossError, TrainConfig, _batch_losses,
-                              _project, _schedules, _unroll, closed_before,
+from richlab.training import (_PROJECTIONS, Adam, NanLossError,
+                              TrainConfig, _batch_losses, _project,
+                              _schedules, _unroll, closed_before,
                               evaluate_loss, gradient, krylov_projection,
                               loss_relative_residual, make_preconditioner,
                               train_ns)
@@ -230,18 +230,32 @@ def test_memo_entry_dies_with_its_matrix():
     assert matrix() is None and block() is None
 
 
-def test_projection_keeps_no_factor_or_kernel_on_the_dataset():
+def test_projection_keeps_no_factor_or_kernel_on_the_dataset(monkeypatch):
     # whatever a projection leaves on each of a dataset's matrices lives
     # as long as the dataset: SSOR's two triangles outweigh the matrix,
     # and product kernels left on 200 samples once fragmented the heap
+    from richlab.precond import Preconditioner
+
+    built = []
+    build = Preconditioner.ssor.__func__
+
+    def one_at_a_time(cls, A, relax):
+        assert all(P() is None for P in built)
+        P = build(cls, A, relax)
+        built.append(weakref.ref(P))
+        return P
+
+    monkeypatch.setattr(Preconditioner, "ssor", classmethod(one_at_a_time))
     for project in (
             lambda ds: krylov_projection(ds.samples, 6, "ssor"),
             lambda ds: train_ns(TrainConfig(
                 m=2, unroll=6, n_epochs=1, batch_size=4, seed=0,
                 precond="ssor", hidden=(4, 4)), ds)):
         ds = sample_dataset("anisotropic", 12, seed=17, n=16)
+        built.clear()
         project(ds)
-        assert [s.A in _PRECONDITIONERS for s in ds] == [False] * len(ds)
+        assert len(built) == len(ds)
+        assert all(P() is None for P in built)
         assert all(s.A._kernels is None for s in ds)
 
 
@@ -474,17 +488,6 @@ def test_preconditioner_built_once_per_sample(small_dataset, monkeypatch):
     # the projection memo serves every sample, so a second run builds none
     train_ns(cfg, small_dataset)
     assert len(calls) == len(small_dataset)
-
-
-def test_preconditioner_memo_lives_only_as_long_as_its_matrix():
-    A = sample_dataset("anisotropic", 1, seed=7, n=8)[0].A
-    P = make_preconditioner("ssor", A)
-    assert make_preconditioner("ssor", A) is P
-    assert make_preconditioner("jacobi", A) is not P
-    matrix, built = weakref.ref(A), weakref.ref(P)
-    del A, P
-    gc.collect()
-    assert matrix() is None and built() is None
 
 
 def test_helmholtz_dataset_is_refused_before_any_net():
