@@ -37,13 +37,18 @@ def save_checkpoint(path, metadata: dict, arrays: dict):
             fh.write(buf)
 
 
-def load_checkpoint(path):
-    """Read back (metadata, arrays); inverse of :func:`save_checkpoint`."""
+def load_checkpoint(path, kind=None):
+    """Read back (metadata, arrays); inverse of :func:`save_checkpoint`.
+    Given a ``kind``, a file whose header names another kind is refused
+    before its payload is read, by a ValueError that names both."""
     with open(path, "rb") as fh:
         magic = fh.readline().decode().rstrip("\n")
         if magic not in (MAGIC, MAGIC_V1):
             raise ValueError(f"not a checkpoint file (banner {magic!r})")
         header = json.loads(fh.readline().decode())
+        if kind is not None and header.get("kind") != kind:
+            raise ValueError(f"{path} holds a checkpoint of kind "
+                             f"{header.get('kind')!r}, not {kind!r}")
         if fh.readline() not in (b"\n", b""):
             raise ValueError("malformed checkpoint header")
         expected_hash = header.pop(HASH_KEY, None) if magic == MAGIC else None

@@ -377,13 +377,13 @@ def cmd_train(args):
     else:
         model = train_fns_lite(cfg, ds)
         model.save(args.output)
-        print(f"saved {args.output}.net and {args.output}.corr")
+        print(f"saved {args.output}")
     return 0
 
 
 def cmd_solve(args):
     # every flag is checked before the first line is printed
-    _check_run_flags(args, "max_outer")
+    _check_run_flags(args, "max_outer", "m")
     prob = _make_problem(args)
     A = assemble(prob)
     sched = _schedule_for(args, A)

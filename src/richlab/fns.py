@@ -12,12 +12,12 @@ weight network, each phase freezing the other.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .metanet import ANISOTROPIC_BOUNDS, MetaNet
+from .metanet import MetaNet
 from .richardson import DivergenceError, SolveReport, _recurrence_pass
 from .sparse import block_diagonal
 from .training import Adam, _check_config, _mean_loss, _schedules, _unroll
@@ -41,22 +41,6 @@ class SpectralCorrection:
 
     def apply(self, r):
         return dst2_inv(self.lambda_tilde * dst2(r))
-
-    def save(self, path, extra_metadata=None):
-        meta = {"kind": "spectral-correction", "n": self.n}
-        if extra_metadata:
-            meta["config"] = extra_metadata
-        save_checkpoint(path, meta, {"lambda_tilde": self.lambda_tilde})
-
-    @classmethod
-    def load(cls, path):
-        meta, arrays = load_checkpoint(path)
-        if meta.get("kind") != "spectral-correction":
-            raise ValueError("checkpoint does not hold a spectral correction")
-        if meta.get("bucketed"):
-            raise ValueError(f"{path} holds a bucketed correction table; "
-                             "load it with FnsLiteModel.load")
-        return cls(lambda_tilde=arrays["lambda_tilde"], n=meta["n"])
 
 
 def sine_basis_eigenvalues(A, n):
@@ -185,27 +169,25 @@ def _bucket_gradients(g_rows, keys, buckets, size):
     return [summed[b] if b in summed else np.zeros(size) for b in buckets]
 
 
-# -- bucketed model ------------------------------------------------------
+# -- hybrid model -------------------------------------------------------
 
 @dataclass
 class FnsLiteModel:
     """Smoother weight network plus a per-bucket correction table.
 
-    Buckets quantize (lg eps, theta) onto an n_buckets x n_buckets grid;
-    lookup is nearest-bucket.
+    Buckets quantize the net's input box, (lg eps, theta), onto an
+    n_buckets x n_buckets grid; lookup is nearest-bucket.
     """
     net: MetaNet
     table: np.ndarray             # (n_buckets, n_buckets, (n-1)^2)
     n: int
-    bounds: np.ndarray = field(
-        default_factory=lambda: ANISOTROPIC_BOUNDS.copy())
 
     @property
     def n_buckets(self):
         return self.table.shape[0]
 
     def bucket_of(self, mu):
-        lo, hi = self.bounds[:, 0], self.bounds[:, 1]
+        lo, hi = self.net.input_bounds[:, 0], self.net.input_bounds[:, 1]
         frac = (np.asarray(mu, dtype=float) - lo) / (hi - lo)
         idx = np.clip((frac * self.n_buckets).astype(int), 0,
                       self.n_buckets - 1)
@@ -215,25 +197,18 @@ class FnsLiteModel:
         i, j = self.bucket_of(mu)
         return SpectralCorrection(lambda_tilde=self.table[i, j], n=self.n)
 
-    def save(self, path_prefix):
-        self.net.save(str(path_prefix) + ".net")
-        meta = {"kind": "spectral-correction", "n": self.n,
-                "n_buckets": self.n_buckets, "bucketed": True}
-        save_checkpoint(str(path_prefix) + ".corr", meta,
-                        {"lambda_tilde": self.table,
-                         "input_bounds": self.bounds})
+    def save(self, path):
+        """One checkpoint of kind "fns-lite": the net's header and arrays,
+        the grid size and the correction table."""
+        meta, arrays = self.net._checkpoint()
+        meta.update(kind="fns-lite", n=self.n)
+        save_checkpoint(path, meta, {**arrays, "table": self.table})
 
     @classmethod
-    def load(cls, path_prefix):
-        meta, arrays = load_checkpoint(str(path_prefix) + ".corr")
-        if meta.get("kind") != "spectral-correction":
-            raise ValueError("checkpoint does not hold a spectral correction")
-        if not meta.get("bucketed"):
-            raise ValueError(f"{path_prefix}.corr holds a single spectral "
-                             "correction; load it with SpectralCorrection.load")
-        net = MetaNet.load(str(path_prefix) + ".net")
-        return cls(net=net, table=arrays["lambda_tilde"], n=meta["n"],
-                   bounds=arrays["input_bounds"])
+    def load(cls, path):
+        meta, arrays = load_checkpoint(path, "fns-lite")
+        return cls(net=MetaNet._from_checkpoint(meta, arrays),
+                   table=arrays["table"], n=meta["n"])
 
 
 @dataclass

@@ -140,23 +140,21 @@ class MetaNet:
         return total
 
     # -- persistence -----------------------------------------------------
-    def save(self, path, extra_metadata=None):
+    def _checkpoint(self):
+        """The (header, arrays) of this net's checkpoint, which a hybrid
+        checkpoint extends."""
         meta = {"kind": "metanet", "widths": list(self.widths),
                 "activation": "tanh", "variant": self.variant, "m": self.m,
                 "learn_log_omega": self.learn_log_omega, "seed": self.seed}
-        if extra_metadata:
-            meta["config"] = extra_metadata
         arrays = {"input_bounds": self.input_bounds}
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
             arrays[f"weight_{i}"] = W
             arrays[f"bias_{i}"] = b
-        save_checkpoint(path, meta, arrays)
+        return meta, arrays
 
     @classmethod
-    def load(cls, path):
-        meta, arrays = load_checkpoint(path)
-        if meta.get("kind") != "metanet":
-            raise ValueError("checkpoint does not hold a metanet")
+    def _from_checkpoint(cls, meta, arrays):
+        """Inverse of :meth:`_checkpoint`; the header's kind is not read."""
         nlayers = len(meta["widths"]) - 1
         return cls(widths=meta["widths"],
                    weights=[arrays[f"weight_{i}"] for i in range(nlayers)],
@@ -164,6 +162,16 @@ class MetaNet:
                    variant=meta["variant"], m=meta["m"],
                    learn_log_omega=meta["learn_log_omega"],
                    input_bounds=arrays["input_bounds"], seed=meta["seed"])
+
+    def save(self, path, extra_metadata=None):
+        meta, arrays = self._checkpoint()
+        if extra_metadata:
+            meta["config"] = extra_metadata
+        save_checkpoint(path, meta, arrays)
+
+    @classmethod
+    def load(cls, path):
+        return cls._from_checkpoint(*load_checkpoint(path, "metanet"))
 
 
 def _sigmoid(x):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import SparseMatrix, _index_dtype
+from .sparse import SparseMatrix, _index_dtype, _wrap_built
 
 # 2x2 Gauss points / weights on the unit square, exact for bilinear
 # stiffness with constant coefficients
@@ -215,6 +215,5 @@ def _stencil_matrix(m, offsets, values):
     row_starts = np.zeros(m * m + 1, dtype=index)
     np.cumsum(keep.sum(axis=0, dtype=index), out=row_starts[1:])
     # masking the transposed views reads each row's offsets in order
-    return SparseMatrix._from_valid_arrays(
-        m * m, m * m, row_starts, cols.T[keep.T].astype(index),
-        values.T[keep.T])
+    return _wrap_built(m * m, m * m, row_starts, cols.T[keep.T],
+                       values.T[keep.T])

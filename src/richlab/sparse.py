@@ -63,17 +63,6 @@ class SparseMatrix:
         self._adopt(nrows, ncols, row_starts.astype(index, copy=False),
                     col_indices.astype(index, copy=False), values)
 
-    @classmethod
-    def _from_valid_arrays(cls, nrows, ncols, row_starts, col_indices,
-                           values):
-        """Wrap CSR arrays that meet every invariant the constructor
-        checks (indices of :func:`_index_dtype`, float64 or complex128
-        values, in-range and strictly increasing columns per row) without
-        checking them."""
-        self = cls.__new__(cls)
-        self._adopt(nrows, ncols, row_starts, col_indices, values)
-        return self
-
     def _adopt(self, nrows, ncols, row_starts, col_indices, values):
         self.nrows = nrows
         self.ncols = ncols
@@ -226,9 +215,10 @@ def _wrap_built(nrows, ncols, row_starts, col_indices, values):
     Only the index dtype is settled here (that of :func:`_index_dtype`,
     without a copy when it already is)."""
     index = _index_dtype(nrows, ncols, len(values))
-    return SparseMatrix._from_valid_arrays(
-        nrows, ncols, row_starts.astype(index, copy=False),
-        col_indices.astype(index, copy=False), values)
+    A = SparseMatrix.__new__(SparseMatrix)
+    A._adopt(nrows, ncols, row_starts.astype(index, copy=False),
+             col_indices.astype(index, copy=False), values)
+    return A
 
 
 def _wrap_product(csr):
@@ -333,8 +323,7 @@ def block_diagonal(blocks):
         row, col, k = row + M.nrows, col + M.ncols, k + M.nnz
     # the blocks were validated when they were built, and shifting their
     # rows and columns past the previous blocks keeps every invariant
-    return SparseMatrix._from_valid_arrays(nrows, ncols, row_starts,
-                                           col_indices, values)
+    return _wrap_built(nrows, ncols, row_starts, col_indices, values)
 
 
 def write_matrix_market(path, A):

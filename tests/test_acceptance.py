@@ -116,19 +116,31 @@ def desk_counts(trained_nets):
     return out
 
 
+def _learned(trained_nets, names):
+    """Each named fixture net's best epoch; a best epoch of 0 or -1 means
+    training kept nothing over the untrained net."""
+    parts = []
+    for name in names:
+        epoch = trained_nets[name][0].best_epoch
+        parts.append(f"{name} " + ("nothing learned" if epoch <= 0
+                                   else f"best epoch {epoch}"))
+    return "; ".join(parts)
+
+
 @pytest.mark.slow
-def test_criterion_2_learned_near_parity(desk_counts):
+def test_criterion_2_learned_near_parity(desk_counts, trained_nets):
     details, ok = [], True
     for eps, row in desk_counts.items():
         ratio = row["plain"] / row["cheb"]
         ok = ok and ratio <= 1.3
         details.append(f"eps={eps:g}: learned {row['plain']:.0f} vs "
                        f"chebyshev {row['cheb']:.0f} (ratio {ratio:.2f})")
+    details.append(_learned(trained_nets, ["plain"]))
     _report(2, ok, "; ".join(details))
 
 
 @pytest.mark.slow
-def test_criterion_3_momentum_orderings(desk_counts):
+def test_criterion_3_momentum_orderings(desk_counts, trained_nets):
     details, ok = [], True
     for eps, row in desk_counts.items():
         o1 = row["nag"] < row["plain"]
@@ -138,6 +150,8 @@ def test_criterion_3_momentum_orderings(desk_counts):
             f"eps={eps:g}: nag {row['nag']:.0f} < plain {row['plain']:.0f} "
             f"({o1}); ssor-nagex {row['nagex_ssor']:.0f} < nagex "
             f"{row['nagex']:.0f} ({o2})")
+    details.append(_learned(trained_nets, ["plain", "nag", "nagex",
+                                           "nagex_ssor"]))
     _report(3, ok, "; ".join(details))
 
 

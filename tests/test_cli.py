@@ -184,6 +184,9 @@ def test_solve_non_positive_tol_exits_before_any_output(tol, capsys):
      "--max-outer must be at least 1, got -3"),
     (["solve", "--n", "8", "--max-outer", "0"],
      "--max-outer must be at least 1, got 0"),
+    (["solve", "--n", "16", "--m", "0"], "--m must be at least 1, got 0"),
+    (["solve", "--n", "16", "--weights", "literal", "--omega", "0.1",
+      "--m", "0"], "--m must be at least 1, got 0"),
 ])
 def test_bad_run_flag_exits_before_any_output(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -414,6 +417,23 @@ def test_learned_rows_run_from_checkpoint(tmp_path, capsys):
     learned = [r for r in rows if r["method"] == "learned"]
     assert len(learned) == len(THETA_GRID)
     assert all(r["inner_iters"] != "" for r in learned)
+
+
+def test_hybrid_trains_to_one_checkpoint_that_solve_refuses(tmp_path,
+                                                             capsys):
+    ck = tmp_path / "hybrid"
+    code, out, _ = run_cli(["train", "--model", "fns", "--n", "4",
+                            "--count", "2", "--epochs", "1",
+                            "--output", str(ck)], capsys)
+    assert code == 0 and out == f"saved {ck}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["hybrid"]
+    refusal = f"error: {ck} holds a checkpoint of kind 'fns-lite', not " \
+              "'metanet'\n"
+    for argv in (["solve", "--n", "16", "--weights", str(ck)],
+                 ["reproduce", "t2", "--n", "16", "--seeds", "1",
+                  "--checkpoint", str(ck)]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", refusal)
 
 
 @pytest.mark.parametrize("output", [False, True])

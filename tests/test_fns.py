@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from richlab.checkpoint import save_checkpoint
 from richlab.data import sample_dataset
 from richlab.fns import (FnsLiteModel, FnsTrainConfig, SpectralCorrection,
                          fns_lite_step, sine_basis_eigenvalues, solve_fns,
@@ -236,16 +237,6 @@ def test_solve_refuses_a_tol_that_is_not_positive(tol, monkeypatch):
                   WeightSchedule(omega=np.array([0.1])), corr, M=2, tol=tol)
 
 
-def test_correction_checkpoint_round_trip(tmp_path):
-    n = 8
-    corr = SpectralCorrection(
-        lambda_tilde=np.linspace(0, 1, (n - 1) ** 2), n=n)
-    corr.save(tmp_path / "c.ckpt")
-    back = SpectralCorrection.load(tmp_path / "c.ckpt")
-    assert np.array_equal(back.lambda_tilde, corr.lambda_tilde)
-    assert back.n == n
-
-
 @pytest.fixture(scope="module")
 def hybrid_dataset():
     return sample_dataset("anisotropic", 3, seed=11, n=16)
@@ -414,15 +405,20 @@ def test_training_is_deterministic(tiny_dataset):
 
 
 def test_model_round_trip(tmp_path, tiny_dataset):
-    cfg = fast_config(cycles=0, n_epochs=1)
-    model = train_fns_lite(cfg, tiny_dataset)
-    model.save(tmp_path / "fns")
-    back = FnsLiteModel.load(tmp_path / "fns")
+    model = train_fns_lite(fast_config(n_epochs=1), tiny_dataset)
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+    back = FnsLiteModel.load(path)
+    for a, b in zip(model.net.parameters(), back.net.parameters()):
+        assert np.array_equal(a, b)
+    assert np.array_equal(back.net.input_bounds, model.net.input_bounds)
     assert np.array_equal(back.table, model.table)
-    mu = tiny_dataset[0].mu
-    assert back.bucket_of(mu) == model.bucket_of(mu)
-    assert np.array_equal(back.correction_for(mu).lambda_tilde,
-                          model.correction_for(mu).lambda_tilde)
+    assert back.n == model.n
+    for s in tiny_dataset:
+        assert back.bucket_of(s.mu) == model.bucket_of(s.mu)
+        assert np.array_equal(back.correction_for(s.mu).lambda_tilde,
+                              model.correction_for(s.mu).lambda_tilde)
 
 
 def test_cross_loads_name_the_checkpoint_kind(tmp_path):
@@ -430,12 +426,21 @@ def test_cross_loads_name_the_checkpoint_kind(tmp_path):
     net = MetaNet.create(m=2, variant="plain", input_dim=2, hidden=(4, 4))
     FnsLiteModel(net=net, table=np.zeros((2, 2, (n - 1) ** 2)),
                  n=n).save(tmp_path / "model")
-    with pytest.raises(ValueError, match="holds a bucketed correction "
-                       "table; load it with FnsLiteModel.load"):
-        SpectralCorrection.load(tmp_path / "model.corr")
-    SpectralCorrection(lambda_tilde=np.zeros((n - 1) ** 2),
-                       n=n).save(tmp_path / "single.corr")
-    net.save(tmp_path / "single.net")
-    with pytest.raises(ValueError, match="holds a single spectral "
-                       "correction; load it with SpectralCorrection.load"):
-        FnsLiteModel.load(tmp_path / "single")
+    net.save(tmp_path / "net")
+    # the former second half of a hybrid: a bucketed table on its own
+    save_checkpoint(tmp_path / "old.corr",
+                    {"kind": "spectral-correction", "n": n, "n_buckets": 2,
+                     "bucketed": True},
+                    {"lambda_tilde": np.zeros((2, 2, (n - 1) ** 2)),
+                     "input_bounds": net.input_bounds})
+    for load, name, found, wanted in [
+            (MetaNet.load, "model", "fns-lite", "metanet"),
+            (MetaNet.load, "old.corr", "spectral-correction", "metanet"),
+            (FnsLiteModel.load, "net", "metanet", "fns-lite"),
+            (FnsLiteModel.load, "old.corr", "spectral-correction",
+             "fns-lite")]:
+        path = tmp_path / name
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(info.value) == (f"{path} holds a checkpoint of kind "
+                                   f"{found!r}, not {wanted!r}")
