@@ -331,7 +331,7 @@ def helmholtz(mod):
         A, f = operator()
         h = multigrid.helmholtz_hierarchy(A, HELMHOLTZ_N)
         u = multigrid.v_cycle(h, f)
-        return lambda: multigrid._smooth(h.levels[0], f, u.copy(), 1)
+        return lambda: multigrid._smooth(h.levels[0], f, u.copy())
 
     def hierarchy_build():
         A, _ = operator()

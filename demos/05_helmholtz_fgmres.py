@@ -30,6 +30,6 @@ print(f"frequency {freq:g}: identity preconditioner "
       f"{pre.iterations} iterations")
 # each smoothed level runs its NAG sweep as one polynomial by Horner's
 # rule, unless its amplification bound calls for the step recurrence
-for n, count, form, bound in h.smoothing():
-    print(f"  level n={n}: {count} sweep by {form}, amplification bound "
+for n, form, bound in h.smoothing():
+    print(f"  level n={n}: 1 sweep by {form}, amplification bound "
           f"{bound:.3g}")

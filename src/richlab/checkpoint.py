@@ -4,18 +4,18 @@ Layout: a magic line, a JSON header line (metadata plus array names,
 shapes and byte lengths in storage order, and the sha256 of the
 payload), a blank line, then the raw little-endian float64 array
 payloads concatenated in header order. Round trips are bit-exact. A
-short, overlong or corrupt payload raises ValueError. Version 1 files
-(no byte lengths, no hash) are still read.
+file of another banner, a malformed header, or a short, overlong or
+corrupt payload raises ValueError.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
 MAGIC = "RICHLAB-CHECKPOINT v2"
-MAGIC_V1 = "RICHLAB-CHECKPOINT v1"
 HASH_KEY = "payload_sha256"
 
 
@@ -37,30 +37,37 @@ def save_checkpoint(path, metadata: dict, arrays: dict):
             fh.write(buf)
 
 
-def load_checkpoint(path, kind=None):
+def load_checkpoint(path, kind):
     """Read back (metadata, arrays); inverse of :func:`save_checkpoint`.
-    Given a ``kind``, a file whose header names another kind is refused
-    before its payload is read, by a ValueError that names both."""
+    Before any payload is read, a ValueError naming ``path`` refuses a
+    banner other than MAGIC, a header that is not a JSON object listing
+    its arrays as {name, shape, nbytes}, and a kind other than ``kind``."""
     with open(path, "rb") as fh:
-        magic = fh.readline().decode().rstrip("\n")
-        if magic not in (MAGIC, MAGIC_V1):
-            raise ValueError(f"not a checkpoint file (banner {magic!r})")
-        header = json.loads(fh.readline().decode())
-        if kind is not None and header.get("kind") != kind:
+        magic = fh.readline().decode(errors="replace").rstrip("\n")
+        if magic != MAGIC:
+            raise ValueError(f"{path} is not a checkpoint file: banner "
+                             f"{magic!r}, expected {MAGIC!r}")
+        try:
+            header = json.loads(fh.readline())
+            entries = [(e["name"], tuple(e["shape"]), e["nbytes"])
+                       for e in header.pop("arrays")]
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            raise ValueError(f"{path}: checkpoint header is not a JSON "
+                             f"object listing its arrays ({exc!r})") from None
+        if header.get("kind") != kind:
             raise ValueError(f"{path} holds a checkpoint of kind "
                              f"{header.get('kind')!r}, not {kind!r}")
         if fh.readline() not in (b"\n", b""):
-            raise ValueError("malformed checkpoint header")
-        expected_hash = header.pop(HASH_KEY, None) if magic == MAGIC else None
+            raise ValueError(f"{path}: malformed checkpoint header")
+        expected_hash = header.pop(HASH_KEY, None)
         digest = hashlib.sha256()
         arrays = {}
-        for entry in header.pop("arrays"):
-            name, shape = entry["name"], tuple(entry["shape"])
+        for name, shape, listed in entries:
             nbytes = 8 * (int(np.prod(shape)) if shape else 1)
-            if magic == MAGIC and entry["nbytes"] != nbytes:
+            if listed != nbytes:
                 raise ValueError(
                     f"checkpoint array {name!r} of shape {shape} needs "
-                    f"{nbytes} bytes, but the header lists {entry['nbytes']}")
+                    f"{nbytes} bytes, but the header lists {listed}")
             buf = fh.read(nbytes)
             if len(buf) != nbytes:
                 raise ValueError(
@@ -71,8 +78,19 @@ def load_checkpoint(path, kind=None):
         trailing = len(fh.read())
     if trailing:
         raise ValueError(f"checkpoint has {trailing} bytes after its last array")
-    if magic == MAGIC and digest.hexdigest() != expected_hash:
+    if digest.hexdigest() != expected_hash:
         raise ValueError(
             f"checkpoint payload sha256 mismatch: header {expected_hash}, "
             f"payload {digest.hexdigest()}")
     return header, arrays
+
+
+@contextmanager
+def missing_entries_refused(path):
+    """Turns a KeyError within, a header key or array that a reader of the
+    checkpoint at ``path`` lacks, into a ValueError naming it and path."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path} lacks the checkpoint entry "
+                         f"{exc.args[0]!r}") from None

@@ -151,14 +151,15 @@ def _literal_weights(text):
     return np.array(weights)
 
 
-def _check_run_flags(args, *counts):
-    """Refuse a --tol that is not positive, or a ``counts`` flag below 1."""
-    if not args.tol > 0:
-        raise ConfigError(f"--tol must be positive, got {args.tol:g}")
-    for dest in counts:
-        if getattr(args, dest) < 1:
-            raise ConfigError(f"--{dest.replace('_', '-')} must be at least "
-                              f"1, got {getattr(args, dest)}")
+def _check_flags(args, positive, **minimums):
+    """Refuse the ``positive`` flag unless it is above 0, and a flag in
+    ``minimums`` below its minimum; the ConfigError names flag and value."""
+    for dest, low in [(positive, None), *minimums.items()]:
+        value, flag = getattr(args, dest), "--" + dest.replace("_", "-")
+        if low is None and not value > 0:
+            raise ConfigError(f"{flag} must be positive, got {value:g}")
+        if low is not None and value < low:
+            raise ConfigError(f"{flag} must be at least {low}, got {value}")
 
 
 def _make_problem(args):
@@ -202,7 +203,7 @@ def _grid_cells(table, args):
     """Deterministic cell list for a benchmark table."""
     cells = []
     seeds = list(range(args.seeds))
-    n_fixed = args.n or 64
+    n_fixed = 64 if args.n is None else args.n
     if table == "t2":
         for eps in EPS_GRID:
             for method in ("cheb", "semi", "learned"):
@@ -233,6 +234,10 @@ def _grid_cells(table, args):
                                       seed=seed))
     else:
         raise ConfigError(f"unknown table id {table!r}")
+    if table != "helmholtz-sweep":   # refuse a bad side before any row
+        for cell in cells:
+            AnisotropicProblem(epsilon=cell["eps"], theta=cell["theta"],
+                               n=cell["n"])
     return cells
 
 
@@ -309,7 +314,7 @@ def _run_cell(cell, args, cache):
 
 def cmd_reproduce(args):
     # every flag is checked before the CSV header is written
-    _check_run_flags(args, "seeds", "max_outer", "m")
+    _check_flags(args, "tol", seeds=1, max_outer=1, m=1)
     if args.full:
         print("# --full grid requested; expect hours of CPU time at the "
               "largest sizes", file=sys.stderr)
@@ -337,18 +342,17 @@ def cmd_reproduce(args):
 # -- train / solve / assemble -------------------------------------------
 
 def cmd_train(args):
+    # every flag is checked before the dataset is sampled
+    _check_flags(args, "lr", count=1, epochs=1, batch_size=1, unroll=0, m=1)
     if args.count > DESK_TRAIN_LIMIT and not args.full:
         raise ConfigError(
             f"training-set size {args.count} above the desk-scale limit "
             f"{DESK_TRAIN_LIMIT}; pass --full to proceed")
-    if args.epochs < 1:
-        raise ConfigError(f"--epochs must be at least 1, got {args.epochs}")
     if args.model == "fns" and (args.variant != "plain" or args.precond):
         flag = (f"--variant {args.variant}" if args.variant != "plain"
                 else f"--precond {args.precond}")
         raise ConfigError(f"{flag} does not apply to --model fns, whose "
                           "smoother is plain, unpreconditioned Richardson")
-    # the configs validate before the dataset is sampled
     if args.model == "schedule":
         cfg = TrainConfig(m=args.m, unroll=args.unroll,
                           n_epochs=args.epochs, batch_size=args.batch_size,
@@ -356,10 +360,9 @@ def cmd_train(args):
                           variant=args.variant, precond=args.precond)
     else:
         from .fns import FnsTrainConfig, train_fns_lite
-        # one hybrid step per ten inner updates, at least one; a negative
-        # --unroll reaches the config's check as it is
-        unroll = args.unroll if args.unroll < 0 else max(1, args.unroll // 10)
-        cfg = FnsTrainConfig(m=args.m, unroll=unroll, n_epochs=args.epochs,
+        # one hybrid step per ten inner updates, at least one
+        cfg = FnsTrainConfig(m=args.m, unroll=max(1, args.unroll // 10),
+                             n_epochs=args.epochs,
                              batch_size=args.batch_size,
                              learning_rate=args.lr, seed=args.seed)
     ds = sample_dataset("anisotropic", args.count, seed=args.seed, n=args.n)
@@ -383,7 +386,7 @@ def cmd_train(args):
 
 def cmd_solve(args):
     # every flag is checked before the first line is printed
-    _check_run_flags(args, "max_outer", "m")
+    _check_flags(args, "tol", max_outer=1, m=1)
     prob = _make_problem(args)
     A = assemble(prob)
     sched = _schedule_for(args, A)

@@ -42,8 +42,8 @@ def orthogonalise(V, w):
     return h1 + h2
 
 
-def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None, u0=None):
-    """Solve A u = f; returns (u, SolveReport).
+def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None):
+    """Solve A u = f from a zero initial guess; returns (u, SolveReport).
 
     ``report.iterations`` counts Arnoldi steps (preconditioner
     applications) and ``report.restarts`` the restart cycles run;
@@ -63,7 +63,7 @@ def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None, u0=None):
     t0 = time.perf_counter()
     n = A.ncols
     dtype = np.promote_types(A.dtype, np.asarray(f).dtype)
-    u = np.zeros(n, dtype=dtype) if u0 is None else np.array(u0, dtype=dtype)
+    u = np.zeros(n, dtype=dtype)
     fnorm = float(np.linalg.norm(f))
     if fnorm == 0.0:
         return u, SolveReport(0, 0, True, 0.0, time.perf_counter() - t0,

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import (load_checkpoint, missing_entries_refused,
+                         save_checkpoint)
 from .metanet import MetaNet
 from .richardson import DivergenceError, SolveReport, _recurrence_pass
 from .sparse import block_diagonal
@@ -109,7 +110,7 @@ def fns_lite_step(A, f, u, schedule, M, corr: SpectralCorrection, *,
     return u
 
 
-def solve_fns(A, f, schedule, corr, M, tol=1e-6, max_iters=10_000):
+def solve_fns(A, f, schedule, corr, M, tol=1e-6):
     """Run the hybrid iteration from zero to the relative-residual tol.
 
     A zero ``f`` is solved by the zero iterate, with relative residual 0
@@ -125,7 +126,7 @@ def solve_fns(A, f, schedule, corr, M, tol=1e-6, max_iters=10_000):
     trace = [rel]
     it = 0
     r = None   # f - A u, once a step has run: the next step reads it
-    while not converged and it < max_iters:
+    while not converged and it < 10_000:   # a cap on hybrid steps
         u = fns_lite_step(A, f, u, schedule, M, corr, _residual=r)
         it += 1
         r = f - A.matvec(u)
@@ -207,8 +208,9 @@ class FnsLiteModel:
     @classmethod
     def load(cls, path):
         meta, arrays = load_checkpoint(path, "fns-lite")
-        return cls(net=MetaNet._from_checkpoint(meta, arrays),
-                   table=arrays["table"], n=meta["n"])
+        with missing_entries_refused(path):
+            return cls(net=MetaNet._from_checkpoint(meta, arrays),
+                       table=arrays["table"], n=meta["n"])
 
 
 @dataclass

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import (load_checkpoint, missing_entries_refused,
+                         save_checkpoint)
 from .schedules import WeightSchedule
 
 # raw-output bias at init: omega starts near softplus(-2) ~ 0.127,
@@ -37,7 +38,7 @@ class MetaNet:
 
     @classmethod
     def create(cls, m, variant="plain", hidden=(64, 64), input_dim=2,
-               learn_log_omega=False, input_bounds=None, seed=0):
+               learn_log_omega=False, seed=0):
         out_dim = m * _GROUPS[variant]
         widths = [input_dim, *hidden, out_dim]
         rng = np.random.default_rng(seed)
@@ -50,11 +51,9 @@ class MetaNet:
         # schedule stable for unrolled training
         weights[-1] *= 0.01
         biases[-1][:] = _RAW_BIAS
-        bounds = ANISOTROPIC_BOUNDS.copy() if input_bounds is None \
-            else np.asarray(input_bounds, dtype=float)
         return cls(widths=widths, weights=weights, biases=biases,
                    variant=variant, m=m, learn_log_omega=learn_log_omega,
-                   input_bounds=bounds, seed=seed)
+                   seed=seed)
 
     # -- parameter plumbing ---------------------------------------------
     def parameters(self):
@@ -171,7 +170,8 @@ class MetaNet:
 
     @classmethod
     def load(cls, path):
-        return cls._from_checkpoint(*load_checkpoint(path, "metanet"))
+        with missing_entries_refused(path):
+            return cls._from_checkpoint(*load_checkpoint(path, "metanet"))
 
 
 def _sigmoid(x):

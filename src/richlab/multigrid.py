@@ -6,8 +6,9 @@ P = 4 R^T; coarse operators are Galerkin triple products R A P.
 """
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,19 +74,12 @@ class Level:
     R: SparseMatrix | None = None   # to the next coarser level
     P: SparseMatrix | None = None
     schedule: WeightSchedule | None = None
-    # sweep count -> SweepPolynomial, made on first use (see sweep)
-    sweeps: dict = field(default_factory=dict, repr=False)
 
-    def sweep(self, count) -> SweepPolynomial:
-        """The SweepPolynomial of ``count`` sweeps of the level's
-        schedule, computed once per count: the schedule is fixed once
-        the level has smoothed."""
-        sweep = self.sweeps.get(count)
-        if sweep is None:
-            sweep = sweep_polynomial(self.schedule, count,
-                                     gershgorin_radius(self.A))
-            self.sweeps[count] = sweep
-        return sweep
+    @functools.cached_property
+    def sweep(self) -> SweepPolynomial:
+        """The SweepPolynomial of a sweep of the level's schedule, made on
+        first use: the schedule is fixed once the level has smoothed."""
+        return sweep_polynomial(self.schedule, gershgorin_radius(self.A))
 
 
 @dataclass
@@ -97,12 +91,11 @@ class Hierarchy:
     def depth(self):
         return len(self.levels)
 
-    def smoothing(self, counts=(1,)):
-        """How each smoothed level runs each sweep count, finest first:
-        rows of (n, count, form, amplification bound)."""
-        return [(lvl.n, c, lvl.sweep(c).form, lvl.sweep(c).bound)
-                for lvl in self.levels if lvl.schedule is not None
-                for c in counts]
+    def smoothing(self):
+        """How each smoothed level runs its sweep, finest first: rows of
+        (n, form, amplification bound)."""
+        return [(lvl.n, lvl.sweep.form, lvl.sweep.bound)
+                for lvl in self.levels if lvl.schedule is not None]
 
 
 def coarsening_sides(n, coarsest):
@@ -156,33 +149,34 @@ def helmholtz_hierarchy(A: SparseMatrix, n) -> Hierarchy:
                            schedules=smoother)
 
 
-def _smooth(level: Level, f, u, count):
-    """``count`` outer sweeps of the level's schedule with a fresh
-    velocity, in place on ``u``; returns ``u``. ``f`` is contiguous and
-    of the iterate's dtype.
+def _smooth(level: Level, f, u):
+    """One outer sweep of the level's schedule with a fresh velocity, in
+    place on ``u``; returns ``u``. ``f`` is contiguous and of the
+    iterate's dtype.
 
     ``u`` None starts from a zero iterate. The level's sweep polynomial
     (``Level.sweep``) picks the form: Horner's rule on it, or the step
     recurrence. Either way a non-finite iterate raises DivergenceError.
     """
     s = level.schedule
-    if count == 0 or s is None:
+    if s is None:
         return np.zeros_like(f) if u is None else u
-    sweep = level.sweep(count)
+    sweep = level.sweep
     # a non-finite f or iterate raises below, so the pass need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         if sweep.form == "horner":
             u = _horner_pass(level.A, sweep.coefficients, f, u)
         else:
-            u = _recurrence_pass(level.A, s, f, u, count * s.m)
+            u = _recurrence_pass(level.A, s, f, u, s.m)
     if not np.all(np.isfinite(u.view(float))):
         raise DivergenceError("smoother produced a non-finite iterate",
-                              inner_iteration=count * s.m)
+                              inner_iteration=s.m)
     return u
 
 
-def v_cycle(h: Hierarchy, f, u=None, pre=1, post=1):
-    """One V-cycle for the finest-level system; returns the new iterate.
+def v_cycle(h: Hierarchy, f, u=None):
+    """One V(1,1)-cycle for the finest-level system, a sweep before and
+    one after each coarse-grid correction; returns the new iterate.
 
     ``u`` None starts from zero. Neither ``f`` nor ``u`` is modified.
     """
@@ -190,11 +184,10 @@ def v_cycle(h: Hierarchy, f, u=None, pre=1, post=1):
     dtype = np.promote_types(lvl0.A.dtype, np.asarray(f).dtype)
     if u is not None:
         u = np.array(u, dtype=dtype)   # smoothed in place
-    return _v_cycle_level(h, 0, np.ascontiguousarray(f, dtype=dtype), u,
-                          pre, post)
+    return _v_cycle_level(h, 0, np.ascontiguousarray(f, dtype=dtype), u)
 
 
-def _v_cycle_level(h, k, f, u, pre, post):
+def _v_cycle_level(h, k, f, u):
     """The V-cycle from level k down; ``u`` (None: zero) is owned and
     may be overwritten."""
     level = h.levels[k]
@@ -203,9 +196,9 @@ def _v_cycle_level(h, k, f, u, pre, post):
         if not np.all(np.isfinite(u.view(float))):
             raise CoarseSolveError("coarse solve gave a non-finite iterate")
         return u
-    u = _smooth(level, f, u, pre)
+    u = _smooth(level, f, u)
     r = level.A.matvec(u)
     np.subtract(f, r, out=r)
-    ec = _v_cycle_level(h, k + 1, level.R.matvec(r), None, pre, post)
+    ec = _v_cycle_level(h, k + 1, level.R.matvec(r), None)
     u += level.P.matvec(ec)
-    return _smooth(level, f, u, post)
+    return _smooth(level, f, u)

@@ -63,26 +63,15 @@ class AnisotropicProblem:
 
 @dataclass(frozen=True)
 class HelmholtzProblem:
-    """-Lap u - k^2 u + i gamma (omega/c^2) u = f with a sponge layer."""
+    """-Lap u - k^2 u + i gamma k u = f with a sponge layer, k = omega."""
 
     angular_frequency: float
     n: int
-    wave_speed: float = 1.0
-    sponge_width: int | None = None  # cells; default one wavelength
-    shannon_check: bool = True
 
     def __post_init__(self):
-        for name in ("angular_frequency", "wave_speed"):
-            value = getattr(self, name)
-            if not 0.0 < value < np.inf:
-                raise ValueError(
-                    f"{name} must be finite and positive, got {value}")
-        width = self.sponge_width
-        if width is not None and (isinstance(width, bool)
-                                  or not isinstance(width, (int, np.integer))
-                                  or width < 1):
-            raise ValueError(
-                f"sponge_width must be None or an integer >= 1, got {width!r}")
+        if not 0.0 < self.angular_frequency < np.inf:
+            raise ValueError("angular_frequency must be finite and positive, "
+                             f"got {self.angular_frequency}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
 
@@ -95,7 +84,7 @@ class HelmholtzProblem:
     @property
     def wavelength_cells(self):
         h = 1.0 / self.n
-        return 2.0 * np.pi * self.wave_speed / (self.angular_frequency * h)
+        return 2.0 * np.pi / (self.angular_frequency * h)
 
     @property
     def mu(self):
@@ -160,12 +149,10 @@ def damping_mask(p: HelmholtzProblem) -> np.ndarray:
     """Sponge-layer damping gamma on the interior grid (flattened).
 
     Zero in the interior, rising quadratically to the angular frequency
-    over ``sponge_width`` cells adjacent to the boundary.
+    over the wavelength's width in cells adjacent to the boundary.
     """
     n = p.n
-    width = p.sponge_width
-    if width is None:
-        width = max(1, int(round(p.wavelength_cells)))
+    width = max(1, int(round(p.wavelength_cells)))
     i = np.arange(1, n)
     edge = np.minimum(i, n - i)  # cells to the nearest boundary
     dist = np.minimum(edge[:, None], edge[None, :])
@@ -174,19 +161,17 @@ def damping_mask(p: HelmholtzProblem) -> np.ndarray:
 
 
 def assemble_helmholtz(p: HelmholtzProblem) -> SparseMatrix:
-    """5-point damped Helmholtz operator, complex symmetric."""
-    if p.shannon_check and p.wavelength_cells < MIN_POINTS_PER_WAVELENGTH:
+    """5-point damped Helmholtz operator, complex symmetric; a grid below
+    MIN_POINTS_PER_WAVELENGTH points per wavelength is refused."""
+    if p.wavelength_cells < MIN_POINTS_PER_WAVELENGTH:
         raise ShannonViolation(
             f"only {p.wavelength_cells:.2f} grid points per wavelength "
             f"(need >= {MIN_POINTS_PER_WAVELENGTH:g})")
     n = p.n
     h = 1.0 / n
     m = n - 1
-    k = p.angular_frequency / p.wave_speed
-    gamma = damping_mask(p)
-
-    diag = (4.0 - k ** 2 * h ** 2) / h ** 2 + 1j * gamma * (
-        p.angular_frequency / p.wave_speed ** 2)
+    k = p.angular_frequency
+    diag = (4.0 - k ** 2 * h ** 2) / h ** 2 + 1j * damping_mask(p) * k
     off = -1.0 / h ** 2
 
     # the 5-point offsets in lexicographic order, diagonal in the middle

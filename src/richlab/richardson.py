@@ -4,11 +4,11 @@ One outer sweep applies the m inner updates of the selected variant,
 with the preconditioner applied to every residual. The velocity vector
 persists across outer sweeps and is reset only at solver entry.
 
-Started from a fresh velocity, ``count`` sweeps are one update
-u <- u + q(A)(f - A u) with q of degree count*m - 1, the sweep
-polynomial. A solve whose velocity never crosses a sweep (a plain
-schedule without a preconditioner) and the multigrid smoother evaluate
-it by Horner's rule while its amplification bound allows.
+Started from a fresh velocity, a sweep is one update
+u <- u + q(A)(f - A u) with q of degree m - 1, the sweep polynomial. A
+solve whose velocity never crosses a sweep (a plain schedule without a
+preconditioner) and the multigrid smoother evaluate it by Horner's rule
+while its amplification bound allows.
 """
 from __future__ import annotations
 
@@ -106,18 +106,17 @@ def _inner_step(A, f, u, v, variant, P=None):
 
 @dataclass(frozen=True)
 class SweepPolynomial:
-    """``count`` outer sweeps of a schedule from a fresh velocity, as one
-    update u <- u + q(A)(f - A u) with q of degree count*m - 1.
+    """One outer sweep of a schedule from a fresh velocity, as the update
+    u <- u + q(A)(f - A u) with q of degree m - 1.
 
     ``coefficients`` are q's, ascending. ``bound`` is sum_k |p_k| rho^k
     for the residual polynomial p(lam) = 1 - lam q(lam) and the
     Gershgorin radius rho of A. It bounds how far Horner's rule can
     amplify a rounding error relative to the size of its input, so the
-    sweeps run by the polynomial (``form`` "horner") only while it is at
+    sweep runs by the polynomial (``form`` "horner") only while it is at
     most AMPLIFICATION_LIMIT, and by the step recurrence (``form``
     "recurrence") above it, or when it is not finite.
     """
-    count: int
     coefficients: np.ndarray
     bound: float
 
@@ -138,18 +137,18 @@ class _TimesLambda:
         return out
 
 
-def sweep_polynomial(schedule, count, radius):
-    """The SweepPolynomial of ``count`` sweeps of ``schedule`` on an
-    operator of Gershgorin radius ``radius``.
+def sweep_polynomial(schedule, radius):
+    """The SweepPolynomial of one sweep of ``schedule`` on an operator of
+    Gershgorin radius ``radius``.
 
     q comes from the updates that sweep, ``_recurrence_pass``, run on
     coefficient vectors: its right-hand side is the constant 1, standing
     for the residual r0 = f - A u, its iterate starts at the zero
     polynomial and its operator multiplies by lam. Step k leaves the
-    iterate of degree k - 1, so the d = count*m coefficients of degree
-    below d hold every step (none when count is 0).
+    iterate of degree k - 1, so the d = m coefficients of degree below d
+    hold every step.
     """
-    d = count * schedule.m
+    d = schedule.m
     q = np.zeros(d)
     one = np.zeros(d)
     one[:1] = 1.0
@@ -158,8 +157,7 @@ def sweep_polynomial(schedule, count, radius):
     growth = 0.0
     for c in reversed(q.tolist()):
         growth = growth * radius + abs(c)
-    return SweepPolynomial(count=count, coefficients=q,
-                           bound=1.0 + radius * growth)
+    return SweepPolynomial(coefficients=q, bound=1.0 + radius * growth)
 
 
 def gershgorin_radius(A):
@@ -253,7 +251,7 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
     u = np.zeros(n, dtype=dtype) if u0 is None else np.array(u0, dtype=dtype)
     sweep = None
     if schedule.variant == "plain" and P is None:
-        sweep = sweep_polynomial(schedule, 1, gershgorin_radius(A))
+        sweep = sweep_polynomial(schedule, gershgorin_radius(A))
     horner = sweep is not None and sweep.form == "horner"
     form = dict(sweep_form="horner" if horner else "recurrence",
                 sweep_bound=None if sweep is None else sweep.bound)

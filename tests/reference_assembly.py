@@ -73,11 +73,10 @@ def reference_helmholtz(p):
     n = p.n
     h = 1.0 / n
     m = n - 1
-    k = p.angular_frequency / p.wave_speed
+    k = p.angular_frequency
     gamma = damping_mask(p)
 
-    diag = (4.0 - k ** 2 * h ** 2) / h ** 2 + 1j * gamma * (
-        p.angular_frequency / p.wave_speed ** 2)
+    diag = (4.0 - k ** 2 * h ** 2) / h ** 2 + 1j * gamma * k
     off = -1.0 / h ** 2
 
     idx = np.arange(m * m).reshape(m, m)

@@ -112,39 +112,38 @@ def reference_solve_stationary(A, f, schedule, P=None, tol=1e-6,
         trace=np.array(trace))
 
 
-def _reference_smooth(level, f, u, count):
+def _reference_smooth(level, f, u):
     s = level.schedule
-    if count == 0 or s is None:
+    if s is None:
         return u
     v = np.zeros_like(u)
-    for _ in range(count):
-        for i in range(s.m):
-            u, v = reference_inner_update(level.A, f, u, v, i, s, None)
+    for i in range(s.m):
+        u, v = reference_inner_update(level.A, f, u, v, i, s, None)
     if not np.all(np.isfinite(u.view(float))):
         raise DivergenceError("smoother produced a non-finite iterate",
-                              inner_iteration=count * s.m)
+                              inner_iteration=s.m)
     return u
 
 
-def _reference_v_cycle_level(h, k, f, u, pre, post):
+def _reference_v_cycle_level(h, k, f, u):
     level = h.levels[k]
     if k == h.depth - 1:
         return h.coarse_solve(f)
-    u = _reference_smooth(level, f, u, pre)
+    u = _reference_smooth(level, f, u)
     r = f - csr_matvec(level.A, u)
     fc = csr_matvec(level.R, r)
-    ec = _reference_v_cycle_level(h, k + 1, fc, np.zeros_like(fc), pre, post)
+    ec = _reference_v_cycle_level(h, k + 1, fc, np.zeros_like(fc))
     u = u + csr_matvec(level.P, ec)
-    return _reference_smooth(level, f, u, post)
+    return _reference_smooth(level, f, u)
 
 
-def reference_v_cycle(h, f, u=None, pre=1, post=1):
+def reference_v_cycle(h, f, u=None):
     lvl0 = h.levels[0]
     dtype = np.promote_types(lvl0.A.dtype, np.asarray(f).dtype)
     if u is None:
         u = np.zeros(lvl0.A.ncols, dtype=dtype)
     return _reference_v_cycle_level(h, 0, np.asarray(f, dtype=dtype),
-                                    np.asarray(u, dtype=dtype), pre, post)
+                                    np.asarray(u, dtype=dtype))
 
 
 def reference_fns_lite_step(A, f, u, schedule, M, corr):
@@ -157,7 +156,7 @@ def reference_fns_lite_step(A, f, u, schedule, M, corr):
     return u
 
 
-def reference_fgmres(A, f, precond_apply=None, cfg=None, u0=None):
+def reference_fgmres(A, f, precond_apply=None, cfg=None):
     """FGMRES with column-major Krylov bases V (n, restart+1) and
     Z (n, restart); returns (u, SolveReport)."""
     if cfg is None:
@@ -167,7 +166,7 @@ def reference_fgmres(A, f, precond_apply=None, cfg=None, u0=None):
     t0 = time.perf_counter()
     n = A.ncols
     dtype = np.promote_types(A.dtype, np.asarray(f).dtype)
-    u = np.zeros(n, dtype=dtype) if u0 is None else np.array(u0, dtype=dtype)
+    u = np.zeros(n, dtype=dtype)
     fnorm = float(np.linalg.norm(f))
     if fnorm == 0.0:
         return u, SolveReport(0, 0, True, 0.0, time.perf_counter() - t0,

@@ -125,31 +125,18 @@ class TestStencilAssemblyMatchesElementLoop:
 
     @settings(max_examples=30)
     @given(n=st.sampled_from([16, 64, 128]),
-           sponge_width=st.one_of(st.none(), st.integers(1, 8)),
            points_per_wavelength=st.floats(10.0, 40.0))
-    def test_helmholtz(self, n, sponge_width, points_per_wavelength):
+    def test_helmholtz(self, n, points_per_wavelength):
         p = HelmholtzProblem(
-            angular_frequency=2 * np.pi * n / points_per_wavelength, n=n,
-            sponge_width=sponge_width)
-        A = assemble_helmholtz(p)
-        assert_same_csr(A, reference_helmholtz(p))
-        if sponge_width == 1:   # no interior node lies inside the sponge
-            assert not np.any(A.values.imag)
-
-    def test_helmholtz_drops_a_vanishing_diagonal(self):
-        # k h = 2 exactly, so 4 - k^2 h^2 = 0 wherever the sponge is not
-        p = HelmholtzProblem(angular_frequency=32.0, n=16,
-                             shannon_check=False)
-        A = assemble_helmholtz(p)
-        assert_same_csr(A, reference_helmholtz(p))
-        assert A.nnz < 5 * 15 ** 2 - 4 * 15
+            angular_frequency=2 * np.pi * n / points_per_wavelength, n=n)
+        assert_same_csr(assemble_helmholtz(p), reference_helmholtz(p))
 
 
 class TestHelmholtzAssembly:
     def test_interior_stencil_values(self):
         n = 32
-        omega = 2.0 * np.pi  # very low frequency
-        p = HelmholtzProblem(angular_frequency=omega, n=n, sponge_width=4)
+        omega = 6.0 * np.pi  # a sponge of 11 cells leaves the center free
+        p = HelmholtzProblem(angular_frequency=omega, n=n)
         A = assemble_helmholtz(p)
         h = 1.0 / n
         m = n - 1
@@ -166,11 +153,10 @@ class TestHelmholtzAssembly:
         gamma = damping_mask(p)
         diag = A.diagonal()
         assert np.all(diag.imag[gamma > 0] > 0)
-        assert np.allclose(diag.imag, gamma * p.angular_frequency / p.wave_speed ** 2)
+        assert np.allclose(diag.imag, gamma * p.angular_frequency)
 
     def test_complex_symmetric_not_hermitian(self):
-        p = HelmholtzProblem(angular_frequency=4 * np.pi, n=16,
-                             shannon_check=False)
+        p = HelmholtzProblem(angular_frequency=4 * np.pi, n=32)
         A = assemble_helmholtz(p).to_dense()
         assert np.array_equal(A, A.T)
         assert not np.array_equal(A, A.conj().T)
@@ -178,10 +164,6 @@ class TestHelmholtzAssembly:
     def test_shannon_violation_reports_ppw(self):
         with pytest.raises(ShannonViolation, match="per wavelength"):
             assemble_helmholtz(HelmholtzProblem(angular_frequency=100.0, n=16))
-
-    def test_shannon_check_can_be_disabled(self):
-        p = HelmholtzProblem(angular_frequency=100.0, n=16, shannon_check=False)
-        assemble_helmholtz(p)
 
 
 def test_problem_invariants():
@@ -197,11 +179,6 @@ def test_problem_invariants():
     ({"angular_frequency": np.nan}, "angular_frequency"),
     ({"angular_frequency": np.inf}, "angular_frequency"),
     ({"angular_frequency": 0.0}, "angular_frequency"),
-    ({"wave_speed": np.nan}, "wave_speed"),
-    ({"wave_speed": -1.0}, "wave_speed"),
-    ({"sponge_width": 0}, "sponge_width"),
-    ({"sponge_width": -3}, "sponge_width"),
-    ({"sponge_width": 2.5}, "sponge_width"),
 ])
 def test_helmholtz_parameters_rejected(kw, field):
     args = {"angular_frequency": 2 * np.pi, "n": 16, **kw}

@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
+from richlab.checkpoint import MAGIC
 from richlab.cli import CSV_COLUMNS, N_GRID_FULL, THETA_GRID, main
 from richlab.multigrid import CoarseSolveError
 from richlab.training import NanLossError, TrainingDiverged
@@ -187,6 +189,22 @@ def test_solve_non_positive_tol_exits_before_any_output(tol, capsys):
     (["solve", "--n", "16", "--m", "0"], "--m must be at least 1, got 0"),
     (["solve", "--n", "16", "--weights", "literal", "--omega", "0.1",
       "--m", "0"], "--m must be at least 1, got 0"),
+    (["reproduce", "t2", "--n", "1", "--seeds", "1"],
+     "n must be >= 2, got 1"),
+    (["reproduce", "t3", "--n", "1", "--seeds", "1"],
+     "n must be >= 2, got 1"),
+    (["reproduce", "t2", "--n", "0", "--seeds", "1"],
+     "n must be >= 2, got 0"),
+    (["train", "--count", "0", "--output", "unused.ckpt"],
+     "--count must be at least 1, got 0"),
+    (["train", "--batch-size", "0", "--output", "unused.ckpt"],
+     "--batch-size must be at least 1, got 0"),
+    (["train", "--unroll", "-1", "--output", "unused.ckpt"],
+     "--unroll must be at least 0, got -1"),
+    (["train", "--lr", "0", "--output", "unused.ckpt"],
+     "--lr must be positive, got 0"),
+    (["train", "--m", "0", "--output", "unused.ckpt"],
+     "--m must be at least 1, got 0"),
 ])
 def test_bad_run_flag_exits_before_any_output(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -273,14 +291,16 @@ def test_train_desk_scale_guard(capsys):
 @pytest.mark.parametrize("flags,message", [
     (["--epochs", "0"], "--epochs must be at least 1, got 0"),
     (["--model", "fns", "--epochs", "-1"], "--epochs must be at least 1"),
-    (["--model", "fns", "--batch-size", "0"], "batch_size >= 1"),
-    (["--model", "fns", "--unroll", "-10"], "unroll must be >= 0"),
-    (["--unroll", "-1"], "unroll must be >= 0"),
-    (["--m", "0"], "m must be >= 1, got 0"),
-    (["--model", "fns", "--m", "0"], "m must be >= 1, got 0"),
-    (["--lr", "-1"], "learning_rate must be positive, got -1.0"),
-    (["--lr", "0"], "learning_rate must be positive, got 0.0"),
-    (["--model", "fns", "--lr", "0"], "learning_rate must be positive"),
+    (["--model", "fns", "--batch-size", "0"],
+     "--batch-size must be at least 1, got 0"),
+    (["--model", "fns", "--unroll", "-10"],
+     "--unroll must be at least 0, got -10"),
+    (["--unroll", "-1"], "--unroll must be at least 0, got -1"),
+    (["--m", "0"], "--m must be at least 1, got 0"),
+    (["--model", "fns", "--m", "0"], "--m must be at least 1, got 0"),
+    (["--lr", "-1"], "--lr must be positive, got -1"),
+    (["--lr", "0"], "--lr must be positive, got 0"),
+    (["--model", "fns", "--lr", "0"], "--lr must be positive, got 0"),
     (["--model", "fns", "--variant", "nagex"],
      "--variant nagex does not apply to --model fns"),
     (["--model", "fns", "--precond", "ssor"],
@@ -434,6 +454,24 @@ def test_hybrid_trains_to_one_checkpoint_that_solve_refuses(tmp_path,
                   "--checkpoint", str(ck)]):
         code, out, err = run_cli(argv, capsys)
         assert (code, out, err) == (2, "", refusal)
+
+
+@pytest.mark.parametrize("header", [
+    b'{"kind": "metanet", "arrays": [], "payload_sha256": "'
+    + hashlib.sha256().hexdigest().encode() + b'"}',
+    b'["kind", "metanet"]',
+    b'{"kind": "metanet"}',
+    b'{"kind": "metanet", "arrays": [',
+], ids=["no-widths", "list", "no-arrays", "not-json"])
+def test_malformed_checkpoint_header_is_a_config_error(header, tmp_path,
+                                                       capsys):
+    ck = tmp_path / "net.ckpt"
+    ck.write_bytes(MAGIC.encode() + b"\n" + header + b"\n\n")
+    code, out, err = run_cli(["solve", "--n", "8", "--weights", str(ck)],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(ck) in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("output", [False, True])

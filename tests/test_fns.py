@@ -48,8 +48,9 @@ def diagonal_case(kind, n):
         return stencil_problem(n, eps=1e-2, theta=np.pi / 3)
     if kind == "random":
         return random_nine_point(n, np.random.default_rng(n))
+    # 12 grid points per wavelength at every n
     helm = assemble_helmholtz(HelmholtzProblem(
-        angular_frequency=2 * np.pi * 1.5, n=n, shannon_check=False))
+        angular_frequency=2 * np.pi * n / 12, n=n))
     return SparseMatrix.from_scipy(helm.to_scipy().real)
 
 
@@ -444,3 +445,19 @@ def test_cross_loads_name_the_checkpoint_kind(tmp_path):
             load(path)
         assert str(info.value) == (f"{path} holds a checkpoint of kind "
                                    f"{found!r}, not {wanted!r}")
+
+
+@pytest.mark.parametrize("dropped", ["table", "n", "weight_1", "widths"])
+def test_hybrid_missing_an_entry_names_it(dropped, tmp_path):
+    n = 4
+    net = MetaNet.create(m=2, variant="plain", input_dim=2, hidden=(4, 4))
+    meta, arrays = net._checkpoint()
+    meta.update(kind="fns-lite", n=n)
+    arrays["table"] = np.zeros((2, 2, (n - 1) ** 2))
+    meta.pop(dropped, None)
+    arrays.pop(dropped, None)
+    path = tmp_path / "model"
+    save_checkpoint(path, meta, arrays)
+    with pytest.raises(ValueError) as info:
+        FnsLiteModel.load(path)
+    assert str(info.value) == f"{path} lacks the checkpoint entry {dropped!r}"

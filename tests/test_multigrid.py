@@ -179,11 +179,12 @@ def test_v_cycle_residual_never_increases(rng):
 
 def test_zero_smoothing_two_level_equals_coarse_grid_correction(rng):
     n = 8
-    A, h_full = smoothed_hierarchy(n, coarsest=4)
-    assert h_full.depth == 2
+    A = assemble_anisotropic(AnisotropicProblem(epsilon=1.0, theta=0.0, n=n))
+    h = build_hierarchy(A, n, coarsest=4, schedules=None)
+    assert h.depth == 2
     f = rng.standard_normal((n - 1) ** 2)
     u0 = rng.standard_normal((n - 1) ** 2)
-    out = v_cycle(h_full, f, u0, pre=0, post=0)
+    out = v_cycle(h, f, u0)
     Ad = A.to_dense()
     R = restriction_matrix(n).to_dense()
     P = prolongation_matrix(n).to_dense()
@@ -203,8 +204,7 @@ def test_hierarchy_invariants():
 
 def test_complex_operator_supported(rng):
     n = 32
-    prob = HelmholtzProblem(angular_frequency=2.0 * np.pi, n=n,
-                            shannon_check=False)
+    prob = HelmholtzProblem(angular_frequency=2.0 * np.pi, n=n)
     A = assemble_helmholtz(prob)
     sched = WeightSchedule(omega=np.array([1e-4, 1e-4]))
     h = build_hierarchy(A, n, coarsest=8, schedules=sched)
@@ -230,9 +230,9 @@ def _smoothed_hierarchy(kind):
     return build_hierarchy(A, n, coarsest=8, schedules=sched)
 
 
-# the forms the levels take at sweep counts 1-3: Chebyshev(12) smoothing
-# amplifies too much for Horner's rule on every level
-SMOOTHING_FORMS = {"helmholtz": {"horner", "recurrence"},
+# the forms the levels take: Chebyshev(12) smoothing amplifies too much
+# for Horner's rule on every level
+SMOOTHING_FORMS = {"helmholtz": {"horner"},
                    "anisotropic": {"horner"}, "chebyshev": {"recurrence"}}
 
 
@@ -244,7 +244,7 @@ def test_v_cycle_matches_allocating_reference_loop(kind, rng):
     from reference_iterations import reference_v_cycle
 
     h = _smoothed_hierarchy(kind)
-    forms = {form for _, _, form, _ in h.smoothing(counts=(1, 2, 3))}
+    forms = {form for _, form, _ in h.smoothing()}
     assert forms == SMOOTHING_FORMS[kind]
     size = h.levels[0].A.nrows
     f = rng.standard_normal(size)
@@ -252,16 +252,15 @@ def test_v_cycle_matches_allocating_reference_loop(kind, rng):
     if kind == "helmholtz":
         f, u0 = f + 1j * rng.standard_normal(size), u0 + 1j * rng.standard_normal(size)
     kept = u0.copy()
-    for pre, post in ((1, 1), (2, 0), (0, 3)):
-        for start in (None, u0):
-            u = v_cycle(h, f, start, pre=pre, post=post)
-            ref = reference_v_cycle(h, f, start, pre=pre, post=post)
-            assert u.dtype == ref.dtype
-            if forms == {"recurrence"}:
-                assert np.array_equal(u, ref)
-            else:
-                assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
-            assert np.array_equal(u0, kept)   # the caller's u is untouched
+    for start in (None, u0):
+        u = v_cycle(h, f, start)
+        ref = reference_v_cycle(h, f, start)
+        assert u.dtype == ref.dtype
+        if forms == {"recurrence"}:
+            assert np.array_equal(u, ref)
+        else:
+            assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.array_equal(u0, kept)   # the caller's u is untouched
 
 
 def test_v_cycle_on_a_strided_column_equals_its_copy(rng):
@@ -287,8 +286,8 @@ def test_helmholtz_recipe_is_the_spelled_out_hierarchy(rng):
 
 @st.composite
 def sweep_cases(draw):
-    """A schedule (m <= 5, count <= 3) on a small dense real-SPD or
-    complex-symmetric operator, with a right-hand side and a start."""
+    """A schedule (m <= 15) on a small dense real-SPD or complex-symmetric
+    operator, with a right-hand side and a start."""
     size = draw(st.integers(1, 8))
     is_complex = draw(st.booleans())
     gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -301,7 +300,7 @@ def sweep_cases(draw):
     A = SparseMatrix.from_scipy(M * 10.0 ** draw(st.floats(-3.0, 3.0)))
     rho = gershgorin_radius(A)
     variant = draw(st.sampled_from(["plain", "mom", "nag", "nagex"]))
-    m = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 15))
     coefficients = st.lists(st.floats(0.0, 1.0, exclude_max=True),
                             min_size=m, max_size=m)
     schedule = WeightSchedule(
@@ -315,7 +314,7 @@ def sweep_cases(draw):
     if is_complex:
         f += 1j * gen.standard_normal(size)
         u0 += 1j * gen.standard_normal(size)
-    return Level(n=0, A=A, schedule=schedule), draw(st.integers(1, 3)), f, u0
+    return Level(n=0, A=A, schedule=schedule), f, u0
 
 
 @settings(max_examples=150, deadline=None)
@@ -325,15 +324,15 @@ def test_sweep_polynomial_reproduces_the_recurrence(case):
     recurrence within 4 d eps bound (|u| + |f|/rho): Horner's rounding on
     a degree d - 1 polynomial, amplified at most by the bound. Above the
     limit the level keeps the recurrence, with the reference's bits."""
-    level, count, f, u0 = case
-    sweep = level.sweep(count)
+    level, f, u0 = case
+    sweep = level.sweep
     q = sweep.coefficients
-    assert len(q) == count * level.schedule.m
+    assert len(q) == level.schedule.m
     assert (sweep.form == "horner") == (sweep.bound <= AMPLIFICATION_LIMIT)
     M, rho = level.A.to_dense(), gershgorin_radius(level.A)
     for start in (None, u0):
         u = np.zeros_like(f) if start is None else start
-        ref = _reference_smooth(level, f, u, count)
+        ref = _reference_smooth(level, f, u)
         tol = (4 * len(q) * np.finfo(float).eps * sweep.bound
                * (np.linalg.norm(u) + np.linalg.norm(f) / rho))
         r = f - M @ u
@@ -341,41 +340,36 @@ def test_sweep_polynomial_reproduces_the_recurrence(case):
         for c in q[-2::-1]:
             y = c * r + M @ y
         assert np.linalg.norm(u + y - ref) <= tol
-        got = _smooth(level, f, None if start is None else start.copy(),
-                      count)
+        got = _smooth(level, f, None if start is None else start.copy())
         if sweep.form == "horner":
             assert np.linalg.norm(got - ref) <= tol
         else:
             assert np.array_equal(got, ref)
 
 
-def _helmholtz_level():
-    """The finest level of the Helmholtz recipe at n=64: Horner's rule at
-    one sweep, the recurrence at three."""
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("form", ["horner", "recurrence"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_f_diverges_in_either_form(form, bad, rng, monkeypatch):
+    """The pass raises DivergenceError, with no floating-point warning
+    before it. The finest level of the Helmholtz recipe at n=64 smooths
+    by Horner's rule, and by the recurrence under a zero limit."""
     n = 64
     A = assemble_helmholtz(HelmholtzProblem(angular_frequency=2 * np.pi * 3,
                                             n=n))
     level = helmholtz_hierarchy(A, n).levels[0]
-    assert [level.sweep(c).form for c in (1, 3)] == ["horner", "recurrence"]
-    return level
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("count", [1, 3])
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_f_diverges_in_either_form(count, bad, rng):
-    """The pass raises DivergenceError, with no floating-point warning
-    before it."""
-    level = _helmholtz_level()
+    if form == "recurrence":
+        monkeypatch.setattr(richardson, "AMPLIFICATION_LIMIT", 0.0)
+    assert level.sweep.form == form
     size = level.A.nrows
     f = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     f[size // 3] = bad
     for u in (None, np.zeros(size, dtype=complex)):
         with pytest.raises(DivergenceError):
-            _smooth(level, f, u, count)
+            _smooth(level, f, u)
 
 
-def _products_per_level(h, pre, post, warm):
+def _products_per_level(h, warm):
     """Products with each smoothed level's operator in one V-cycle, by
     whichever route (probed or accumulating) they run."""
     counts = collections.Counter()
@@ -400,41 +394,37 @@ def _products_per_level(h, pre, post, warm):
         patch.setattr(SparseMatrix, "_accumulating_product",
                       counting(SparseMatrix._accumulating_product))
         f = np.ones(h.levels[0].A.nrows, dtype=complex)
-        v_cycle(h, f, f.copy() if warm else None, pre=pre, post=post)
+        v_cycle(h, f, f.copy() if warm else None)
     return [counts[id(lvl.A)] for lvl in h.levels[:-1]]
 
 
-@pytest.mark.parametrize("pre,post", [(1, 1), (2, 0), (0, 3), (3, 2)])
 @pytest.mark.parametrize("warm", [False, True])
-def test_each_level_takes_the_recurrences_products(pre, post, warm,
-                                                   monkeypatch):
-    """count*m products per smoothing pass (count*m - 1 from zero) plus
-    the residual, in either form: the recurrence's count."""
+def test_each_level_takes_the_recurrences_products(warm, monkeypatch):
+    """m products per smoothing pass (m - 1 from zero) plus the residual,
+    in either form: the recurrence's count."""
     n = 64
     A = assemble_helmholtz(HelmholtzProblem(angular_frequency=2 * np.pi * 3,
                                             n=n))
     h = helmholtz_hierarchy(A, n)
-    assert "horner" in {form for *_, form, _ in h.smoothing((pre, post))}
-    polynomial = _products_per_level(h, pre, post, warm)
+    assert {form for _, form, _ in h.smoothing()} == {"horner"}
+    polynomial = _products_per_level(h, warm)
     monkeypatch.setattr(richardson, "AMPLIFICATION_LIMIT", 0.0)
-    assert {form for *_, form, _ in h.smoothing((pre, post))} \
-        == {"recurrence"}
-    recurrence = _products_per_level(h, pre, post, warm)
+    assert {form for _, form, _ in h.smoothing()} == {"recurrence"}
+    recurrence = _products_per_level(h, warm)
     m = 5
     # only a warm finest level starts its pre-smoothing from an iterate
     from_zero = [not warm] + [True] * (len(polynomial) - 1)
     assert polynomial == recurrence == [
-        pre * m - (pre > 0 and zero) + 1 + post * m for zero in from_zero]
+        m - zero + 1 + m for zero in from_zero]
 
 
 def test_hierarchy_reports_each_levels_smoothing():
     n = 64
     A = assemble_helmholtz(HelmholtzProblem(angular_frequency=2 * np.pi * 3,
                                             n=n))
-    rows = helmholtz_hierarchy(A, n).smoothing(counts=(1, 3))
-    assert [(side, c, form) for side, c, form, _ in rows] == [
-        (64, 1, "horner"), (64, 3, "recurrence"),
-        (32, 1, "horner"), (32, 3, "horner")]
+    rows = helmholtz_hierarchy(A, n).smoothing()
+    assert [(side, form) for side, form, _ in rows] == [
+        (64, "horner"), (32, "horner")]
     assert all(bound >= 1.0 for *_, bound in rows)
 
 
