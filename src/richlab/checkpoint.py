@@ -41,7 +41,8 @@ def load_checkpoint(path, kind):
     """Read back (metadata, arrays); inverse of :func:`save_checkpoint`.
     Before any payload is read, a ValueError naming ``path`` refuses a
     banner other than MAGIC, a header that is not a JSON object listing
-    its arrays as {name, shape, nbytes}, and a kind other than ``kind``."""
+    its arrays as {name, shape, nbytes} (a string and non-negative
+    integers), and a kind other than ``kind``."""
     with open(path, "rb") as fh:
         magic = fh.readline().decode(errors="replace").rstrip("\n")
         if magic != MAGIC:
@@ -49,8 +50,7 @@ def load_checkpoint(path, kind):
                              f"{magic!r}, expected {MAGIC!r}")
         try:
             header = json.loads(fh.readline())
-            entries = [(e["name"], tuple(e["shape"]), e["nbytes"])
-                       for e in header.pop("arrays")]
+            entries = [_entry(e) for e in header.pop("arrays")]
         except (ValueError, TypeError, KeyError, AttributeError) as exc:
             raise ValueError(f"{path}: checkpoint header is not a JSON "
                              f"object listing its arrays ({exc!r})") from None
@@ -83,6 +83,17 @@ def load_checkpoint(path, kind):
             f"checkpoint payload sha256 mismatch: header {expected_hash}, "
             f"payload {digest.hexdigest()}")
     return header, arrays
+
+
+def _entry(e):
+    """(name, shape, nbytes) of a header's array entry, or a TypeError
+    unless its name is a string and its shape and byte length are
+    non-negative integers."""
+    name, shape, nbytes = e["name"], list(e["shape"]), e["nbytes"]
+    if not isinstance(name, str) or not all(
+            type(k) is int and k >= 0 for k in [*shape, nbytes]):
+        raise TypeError(f"array entry {e!r} has a value of the wrong type")
+    return name, tuple(shape), nbytes
 
 
 @contextmanager

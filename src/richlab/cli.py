@@ -21,6 +21,7 @@ import configparser
 import csv
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -379,8 +380,11 @@ def cmd_train(args):
               f"epoch {net.best_epoch})")
     else:
         model = train_fns_lite(cfg, ds)
-        model.save(args.output)
-        print(f"saved {args.output}")
+        finals = [[tag, losses[-1]] for tag, losses in model.training_history]
+        model.save(args.output, extra_metadata={**asdict(cfg),
+                                                "final_losses": finals})
+        print(f"saved {args.output} (final {finals[-1][0]}-phase loss "
+              f"{finals[-1][1]:.4g})")
     return 0
 
 

@@ -5,10 +5,10 @@ diagonal correction in the orthonormal 2D sine basis:
 u <- u + dst2_inv(lambda_tilde * dst2(f - A u)). With homogeneous
 Dirichlet boundaries the sine basis diagonalizes the isotropic and
 axis-aligned constant-coefficient operators exactly, so the correction
-can represent their exact inverse.
-
-Training alternates between the correction table and the smoother
-weight network, each phase freezing the other.
+can represent their exact inverse. A trained hybrid anchors its
+correction on the operator's own sine-basis diagonal and learns one
+log-multiplier per mode; training alternates between that multiplier
+and the smoother weight network, each phase freezing the other.
 """
 from __future__ import annotations
 
@@ -159,58 +159,47 @@ def _hybrid_loss(batch, omega, lam, n_hybrid, M, wrt=()):
                                cycles=n_hybrid, wrt=wrt))
 
 
-def _bucket_gradients(g_rows, keys, buckets, size):
-    """Gradient of each bucket's correction row from the (B, size)
-    gradient rows of a batch whose instance b reads bucket keys[b]: the
-    sum of its instances' rows in increasing batch order, or zeros for a
-    bucket the batch does not read (and for all when g_rows is None)."""
-    summed = {}
-    for key, row in zip(keys, () if g_rows is None else g_rows):
-        summed[key] = summed[key] + row if key in summed else row
-    return [summed[b] if b in summed else np.zeros(size) for b in buckets]
+def _g_gradient(lam_grads, lam):
+    """The gradient of g from a batch's (B, N) correction-row gradients
+    (None when the loss reads no correction row), given its rows
+    lam = exp(g) / d: each row's derivative in g is the row itself, mode
+    by mode, so the gradient is the sum over b of lam_grads_b * lam_b."""
+    if lam_grads is None:
+        return np.zeros(lam.shape[1])
+    return np.sum(lam_grads * lam, axis=0)
 
 
 # -- hybrid model -------------------------------------------------------
 
 @dataclass
 class FnsLiteModel:
-    """Smoother weight network plus a per-bucket correction table.
-
-    Buckets quantize the net's input box, (lg eps, theta), onto an
-    n_buckets x n_buckets grid; lookup is nearest-bucket.
-    """
+    """Smoother weight network plus a learned per-mode log-multiplier g
+    on the operator's own sine-basis diagonal: the correction for A is
+    exp(g) / diag(S A S), so g = 0 gives that diagonal's inverse."""
     net: MetaNet
-    table: np.ndarray             # (n_buckets, n_buckets, (n-1)^2)
+    g: np.ndarray                 # ((n-1)^2,)
     n: int
 
-    @property
-    def n_buckets(self):
-        return self.table.shape[0]
+    def correction_for(self, A) -> SpectralCorrection:
+        return SpectralCorrection(
+            lambda_tilde=np.exp(self.g) / sine_basis_eigenvalues(A, self.n),
+            n=self.n)
 
-    def bucket_of(self, mu):
-        lo, hi = self.net.input_bounds[:, 0], self.net.input_bounds[:, 1]
-        frac = (np.asarray(mu, dtype=float) - lo) / (hi - lo)
-        idx = np.clip((frac * self.n_buckets).astype(int), 0,
-                      self.n_buckets - 1)
-        return int(idx[0]), int(idx[1])
-
-    def correction_for(self, mu) -> SpectralCorrection:
-        i, j = self.bucket_of(mu)
-        return SpectralCorrection(lambda_tilde=self.table[i, j], n=self.n)
-
-    def save(self, path):
-        """One checkpoint of kind "fns-lite": the net's header and arrays,
-        the grid size and the correction table."""
+    def save(self, path, extra_metadata=None):
+        """One checkpoint of kind "fns-anchored": the net's header and
+        arrays, the grid size, g, and ``extra_metadata`` as "config"."""
         meta, arrays = self.net._checkpoint()
-        meta.update(kind="fns-lite", n=self.n)
-        save_checkpoint(path, meta, {**arrays, "table": self.table})
+        meta.update(kind="fns-anchored", n=self.n)
+        if extra_metadata:
+            meta["config"] = extra_metadata
+        save_checkpoint(path, meta, {**arrays, "g": self.g})
 
     @classmethod
     def load(cls, path):
-        meta, arrays = load_checkpoint(path, "fns-lite")
+        meta, arrays = load_checkpoint(path, "fns-anchored")
         with missing_entries_refused(path):
-            return cls(net=MetaNet._from_checkpoint(meta, arrays),
-                       table=arrays["table"], n=meta["n"])
+            return cls(net=MetaNet._from_checkpoint(meta, arrays, path),
+                       g=arrays["g"], n=meta["n"])
 
 
 @dataclass
@@ -232,7 +221,6 @@ class FnsTrainConfig:
 PLATEAU_WINDOW = 5   # a phase stops when its relative loss decrease over
 PLATEAU_TOL = 0.01   # PLATEAU_WINDOW epochs falls below PLATEAU_TOL
 OMEGA_INIT = 0.5     # the initial constant smoother weight
-N_BUCKETS = 16       # buckets per (lg eps, theta) axis of a new table
 
 
 def _initial_net(config, input_dim):
@@ -251,56 +239,49 @@ def _plateaued(losses):
 
 
 def train_fns_lite(config: FnsTrainConfig, dataset, net=None):
-    """Alternating optimization of the correction table and the weights.
+    """Alternating optimization of the correction's g and the weights.
 
-    Phase 0 trains the correction under the frozen initial smoother;
-    each subsequent cycle retrains the weight network under the frozen
-    correction, then the correction under the frozen network.
-    ``cycles=0`` returns the phase-0 artifacts. Returns an FnsLiteModel
-    with a ``training_history`` list of per-phase loss curves.
+    Phase 0 trains g from zero under the frozen initial smoother; each
+    subsequent cycle retrains the weight network under the frozen g,
+    then g under the frozen network. Each sample's sine-basis diagonal
+    d is taken once per run, and a batch's correction rows are
+    exp(g) / d. ``cycles=0`` returns the phase-0 artifacts. Returns an
+    FnsLiteModel with a ``training_history`` list of per-phase loss
+    curves.
     """
     if dataset.kind != "anisotropic":
         raise ValueError("hybrid training expects an anisotropic dataset")
     n = dataset.n
-    size = (n - 1) ** 2
     if net is None:
         net = _initial_net(config, input_dim=len(dataset[0].mu))
-    model = FnsLiteModel(net=net,
-                         table=np.zeros((N_BUCKETS, N_BUCKETS, size)), n=n)
+    model = FnsLiteModel(net=net, g=np.zeros((n - 1) ** 2), n=n)
+    diagonals = np.stack([sine_basis_eigenvalues(s.A, n) for s in dataset])
     rng = np.random.default_rng(config.seed)
     history = []
 
-    buckets = sorted({model.bucket_of(s.mu) for s in dataset})
-
     def run_phase(train_lambda):
         losses = []
-        if train_lambda:
-            params = [model.table[i, j] for (i, j) in buckets]
-        else:
-            params = model.net.parameters()
+        params = [model.g] if train_lambda else model.net.parameters()
         opt = Adam(params, lr=config.learning_rate)
         for _ in range(config.n_epochs):
             order = rng.permutation(len(dataset))
             epoch = []
             for start in range(0, len(dataset), config.batch_size):
-                batch = [dataset[int(k)]
-                         for k in order[start:start + config.batch_size]]
-                keys = [model.bucket_of(s.mu) for s in batch]
+                idx = order[start:start + config.batch_size]
+                batch = [dataset[int(k)] for k in idx]
                 (omega, _, _), records = _schedules(batch, model.net)
-                lam = np.stack([model.table[key] for key in keys])
+                lam = np.exp(model.g) / diagonals[idx]
                 loss, row_grads = _hybrid_loss(
                     batch, omega, lam, config.unroll, config.smooth_steps,
                     wrt=("lam",) if train_lambda else ("omega",))
                 if train_lambda:
-                    grads = _bucket_gradients(row_grads().get("lam"), keys,
-                                              buckets, size)
+                    grads = [_g_gradient(row_grads().get("lam"), lam)]
                 else:
                     grads = model.net.backward(records,
                                                row_grads().get("omega"))
                 params = opt.step(params, grads)
                 if train_lambda:
-                    for b, p in zip(buckets, params):
-                        model.table[b[0], b[1]] = p
+                    model.g = params[0]
                 else:
                     model.net.set_parameters(params)
                     params = model.net.parameters()

@@ -152,10 +152,17 @@ class MetaNet:
         return meta, arrays
 
     @classmethod
-    def _from_checkpoint(cls, meta, arrays):
-        """Inverse of :meth:`_checkpoint`; the header's kind is not read."""
-        nlayers = len(meta["widths"]) - 1
-        return cls(widths=meta["widths"],
+    def _from_checkpoint(cls, meta, arrays, path):
+        """Inverse of :meth:`_checkpoint`; the header's kind is not read.
+        Widths other than a list of at least two positive integers raise a
+        ValueError naming ``path``, the checkpoint read."""
+        widths = meta["widths"]
+        if not (isinstance(widths, list) and len(widths) >= 2 and all(
+                type(w) is int and w > 0 for w in widths)):
+            raise ValueError(f"{path}: checkpoint widths {widths!r} are not "
+                             "a list of at least two positive integers")
+        nlayers = len(widths) - 1
+        return cls(widths=widths,
                    weights=[arrays[f"weight_{i}"] for i in range(nlayers)],
                    biases=[arrays[f"bias_{i}"] for i in range(nlayers)],
                    variant=meta["variant"], m=meta["m"],
@@ -171,7 +178,8 @@ class MetaNet:
     @classmethod
     def load(cls, path):
         with missing_entries_refused(path):
-            return cls._from_checkpoint(*load_checkpoint(path, "metanet"))
+            return cls._from_checkpoint(*load_checkpoint(path, "metanet"),
+                                        path)
 
 
 def _sigmoid(x):

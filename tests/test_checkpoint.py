@@ -103,8 +103,15 @@ def test_header_length_disagreeing_with_shape_rejected(tmp_path):
     b'{"kind": "x"}', b'{"kind": "x", "arrays": 3}',
     b'{"kind": "x", "arrays": {"a": 1}}',
     b'{"kind": "x", "arrays": [{"name": "a", "shape": [2]}]}',
+    b'{"kind": "x", "arrays": [{"name": "a", "shape": [2.5], "nbytes": 16}]}',
+    b'{"kind": "x", "arrays": [{"name": "a", "shape": [-1], "nbytes": 8}]}',
+    b'{"kind": "x", "arrays": [{"name": "a", "shape": 2, "nbytes": 16}]}',
+    b'{"kind": "x", "arrays": [{"name": "a", "shape": [2], "nbytes": "16"}]}',
+    b'{"kind": "x", "arrays": [{"name": "a", "shape": [], "nbytes": true}]}',
+    b'{"kind": "x", "arrays": [{"name": 3, "shape": [1], "nbytes": 8}]}',
 ], ids=["cut", "not-utf8", "list", "string", "no-arrays", "arrays-int",
-        "arrays-dict", "no-nbytes"])
+        "arrays-dict", "no-nbytes", "shape-float", "shape-negative",
+        "shape-int", "nbytes-string", "nbytes-bool", "name-int"])
 def test_malformed_header_names_the_path(tmp_path, header):
     path = tmp_path / "a.ckpt"
     path.write_bytes(MAGIC.encode() + b"\n" + header + b"\n\n")

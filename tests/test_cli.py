@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from richlab.checkpoint import MAGIC
+from richlab.checkpoint import MAGIC, load_checkpoint
 from richlab.cli import CSV_COLUMNS, N_GRID_FULL, THETA_GRID, main
 from richlab.multigrid import CoarseSolveError
 from richlab.training import NanLossError, TrainingDiverged
@@ -445,10 +445,18 @@ def test_hybrid_trains_to_one_checkpoint_that_solve_refuses(tmp_path,
     code, out, _ = run_cli(["train", "--model", "fns", "--n", "4",
                             "--count", "2", "--epochs", "1",
                             "--output", str(ck)], capsys)
-    assert code == 0 and out == f"saved {ck}\n"
+    meta, _ = load_checkpoint(ck, "fns-anchored")
+    finals = meta["config"].pop("final_losses")
+    assert [tag for tag, _ in finals] == ["lambda"] + ["omega", "lambda"] * 3
+    assert meta["config"] == {"m": 3, "smooth_steps": 10, "unroll": 5,
+                              "cycles": 3, "n_epochs": 1, "batch_size": 20,
+                              "learning_rate": 1e-3, "seed": 0,
+                              "hidden": [64, 64]}
+    assert code == 0 and out == f"saved {ck} (final lambda-phase loss " \
+                                f"{finals[-1][1]:.4g})\n"
     assert [p.name for p in tmp_path.iterdir()] == ["hybrid"]
-    refusal = f"error: {ck} holds a checkpoint of kind 'fns-lite', not " \
-              "'metanet'\n"
+    refusal = f"error: {ck} holds a checkpoint of kind 'fns-anchored', " \
+              "not 'metanet'\n"
     for argv in (["solve", "--n", "16", "--weights", str(ck)],
                  ["reproduce", "t2", "--n", "16", "--seeds", "1",
                   "--checkpoint", str(ck)]):
@@ -456,17 +464,26 @@ def test_hybrid_trains_to_one_checkpoint_that_solve_refuses(tmp_path,
         assert (code, out, err) == (2, "", refusal)
 
 
-@pytest.mark.parametrize("header", [
-    b'{"kind": "metanet", "arrays": [], "payload_sha256": "'
-    + hashlib.sha256().hexdigest().encode() + b'"}',
-    b'["kind", "metanet"]',
-    b'{"kind": "metanet"}',
-    b'{"kind": "metanet", "arrays": [',
-], ids=["no-widths", "list", "no-arrays", "not-json"])
-def test_malformed_checkpoint_header_is_a_config_error(header, tmp_path,
-                                                       capsys):
+EMPTY_SHA = hashlib.sha256().hexdigest().encode()
+
+
+@pytest.mark.parametrize("header,payload", [
+    (b'{"kind": "metanet", "arrays": [], "payload_sha256": "'
+     + EMPTY_SHA + b'"}', b""),
+    (b'["kind", "metanet"]', b""),
+    (b'{"kind": "metanet"}', b""),
+    (b'{"kind": "metanet", "arrays": [', b""),
+    (b'{"kind": "metanet", "arrays": [{"name": "input_bounds", "shape": '
+     b'[2.5], "nbytes": 16}], "payload_sha256": "'
+     + hashlib.sha256(bytes(16)).hexdigest().encode() + b'"}', bytes(16)),
+    (b'{"kind": "metanet", "widths": 3, "arrays": [], "payload_sha256": "'
+     + EMPTY_SHA + b'"}', b""),
+], ids=["no-widths", "list", "no-arrays", "not-json", "shape-float",
+        "widths-int"])
+def test_malformed_checkpoint_header_is_a_config_error(header, payload,
+                                                       tmp_path, capsys):
     ck = tmp_path / "net.ckpt"
-    ck.write_bytes(MAGIC.encode() + b"\n" + header + b"\n\n")
+    ck.write_bytes(MAGIC.encode() + b"\n" + header + b"\n\n" + payload)
     code, out, err = run_cli(["solve", "--n", "8", "--weights", str(ck)],
                              capsys)
     assert (code, out) == (2, "")

@@ -245,35 +245,31 @@ def hybrid_dataset():
 
 @pytest.mark.parametrize("batch_size", [1, 3])
 @pytest.mark.parametrize("M,n_hybrid", [(0, 2), (4, 0), (4, 2)])
-@pytest.mark.parametrize("phase", ["lambda", "lambda-shared", "omega"])
+@pytest.mark.parametrize("phase", ["lambda", "omega"])
 def test_hybrid_loss_matches_per_instance_oracle(hybrid_dataset, phase, M,
                                                  n_hybrid, batch_size):
     from reference_iterations import mean, reference_hybrid_unroll
-    from reference_tape import Tape, metanet_forward
-    from richlab.fns import _bucket_gradients, _hybrid_loss
+    from reference_tape import Tape, exp, metanet_forward
+    from richlab.fns import _g_gradient, _hybrid_loss
     from richlab.metanet import MetaNet
     from richlab.training import _schedules
 
     batch = list(hybrid_dataset)[:batch_size]
     n, m = hybrid_dataset.n, 3
     net = MetaNet.create(m, variant="plain", hidden=(6, 6), seed=2)
-    rng = np.random.default_rng(8)
-    # correction rows near the inverse of the sine-basis diagonal; the
-    # shared phase puts every instance in one bucket
-    table = [rng.uniform(0.5, 1.5, (n - 1) ** 2)
-             / sine_basis_eigenvalues(s.A, n) for s in batch]
-    bucket = [0] * batch_size if phase == "lambda-shared" \
-        else list(range(batch_size))
+    # the correction rows exp(g) / d of a log-multiplier g near zero
+    g = np.random.default_rng(8).uniform(-0.4, 0.4, (n - 1) ** 2)
+    diagonals = [sine_basis_eigenvalues(s.A, n) for s in batch]
 
     # the oracle: each instance recorded on its own on the reference tape
     tape = Tape()
     if phase == "omega":
         pvars = [tape.var(p) for p in net.parameters()]
-        lam = [table[b] for b in bucket]
+        lam = [np.exp(g) / d for d in diagonals]
         omega = [metanet_forward(net, s.mu, pvars)[0] for s in batch]
     else:
-        pvars = [tape.var(row) for row in table]
-        lam = [pvars[b] for b in bucket]
+        pvars = [tape.var(g)]
+        lam = [exp(pvars[0]) / d for d in diagonals]
         omega = [net.schedule_arrays(s.mu)[0] for s in batch]
     ref_loss = mean([reference_hybrid_unroll(s.A, s.f, w, l, n_hybrid, M, m)
                      for s, w, l in zip(batch, omega, lam)])
@@ -281,22 +277,22 @@ def test_hybrid_loss_matches_per_instance_oracle(hybrid_dataset, phase, M,
     ref_grads = [p.grad for p in pvars]
 
     (omega, _, _), records = _schedules(batch, net)
-    lam = np.stack([table[b] for b in bucket])
+    lam = np.exp(g) / np.stack(diagonals)
     loss, row_grads = _hybrid_loss(batch, omega, lam, n_hybrid, M,
                                    wrt=("omega",) if phase == "omega"
                                    else ("lam",))
-    if phase == "omega":
-        grads = net.backward(records, row_grads().get("omega"))
-    else:
-        grads = _bucket_gradients(row_grads().get("lam"), bucket,
-                                  range(len(table)), (n - 1) ** 2)
     assert np.array_equal(loss, ref_loss.value)
-    for g, ref in zip(grads, ref_grads, strict=True):
-        if phase == "lambda-shared":
-            # one bucket sums its instances' gradients in another order
-            assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
-        else:
-            assert np.array_equal(g, ref)
+    if phase == "omega":
+        for got, ref in zip(net.backward(records, row_grads().get("omega")),
+                            ref_grads, strict=True):
+            assert np.array_equal(got, ref)
+    else:
+        # the tape sums exp(g) times the rows' gradients over d, one
+        # instance at a time; the library sums each row's gradient times
+        # that row: the same terms, rounded in another order
+        got = _g_gradient(row_grads().get("lam"), lam)
+        assert np.max(np.abs(got - ref_grads[0])) <= \
+            1e-13 * np.max(np.abs(ref_grads[0]))
 
 
 @pytest.mark.parametrize("wrt", ["lam", "omega"])
@@ -318,29 +314,6 @@ def test_hybrid_loss_without_hybrid_steps_has_zero_gradients(hybrid_dataset,
     for g, p in zip(net.backward(records, None), net.parameters(),
                     strict=True):
         assert np.array_equal(g, np.zeros_like(p))
-
-
-def test_bucket_gradients_follow_the_stack_edges(rng):
-    """Instances that share a bucket add their gradient rows in
-    increasing batch order, as the reference tape's ``stack`` routes
-    them, bit for bit; a bucket no instance reads gets zeros."""
-    from reference_iterations import linear_map
-    from reference_tape import Tape, stack
-    from richlab.fns import _bucket_gradients
-
-    keys = [2, 0, 2, 2, 1, 2]
-    buckets = [0, 1, 2, 3]
-    # magnitudes spread over decades, so the order of the adds shows
-    G = rng.standard_normal((len(keys), 5)) \
-        * 10.0 ** rng.integers(-8, 8, (len(keys), 1))
-    tape = Tape()
-    rows = [tape.var(np.zeros(5)) for _ in buckets]
-    tape.backward(linear_map(lambda z: np.sum(z * G), lambda g: g * G,
-                             stack([rows[k] for k in keys])))
-    got = _bucket_gradients(G, keys, buckets, 5)
-    for g, row in zip(got, rows, strict=True):
-        assert g.tobytes() == row.grad.tobytes()
-    assert np.array_equal(got[3], np.zeros(5))
 
 
 @pytest.fixture(scope="module")
@@ -372,7 +345,7 @@ def test_zero_cycles_trains_only_correction(tiny_dataset):
     for a, b in zip(init.parameters(), model.net.parameters()):
         assert np.array_equal(a, b)
     assert [tag for tag, _ in model.training_history] == ["lambda"]
-    assert np.any(model.table != 0.0)
+    assert np.any(model.g != 0.0)
 
 
 def test_initial_weight_is_half(tiny_dataset):
@@ -400,7 +373,7 @@ def test_training_is_deterministic(tiny_dataset):
     cfg = fast_config()
     m1 = train_fns_lite(cfg, tiny_dataset)
     m2 = train_fns_lite(cfg, tiny_dataset)
-    assert np.array_equal(m1.table, m2.table)
+    assert np.array_equal(m1.g, m2.g)
     for a, b in zip(m1.net.parameters(), m2.net.parameters()):
         assert np.array_equal(a, b)
 
@@ -414,20 +387,38 @@ def test_model_round_trip(tmp_path, tiny_dataset):
     for a, b in zip(model.net.parameters(), back.net.parameters()):
         assert np.array_equal(a, b)
     assert np.array_equal(back.net.input_bounds, model.net.input_bounds)
-    assert np.array_equal(back.table, model.table)
+    assert np.array_equal(back.g, model.g)
     assert back.n == model.n
     for s in tiny_dataset:
-        assert back.bucket_of(s.mu) == model.bucket_of(s.mu)
-        assert np.array_equal(back.correction_for(s.mu).lambda_tilde,
-                              model.correction_for(s.mu).lambda_tilde)
+        assert np.array_equal(back.correction_for(s.A).lambda_tilde,
+                              model.correction_for(s.A).lambda_tilde)
+
+
+@pytest.mark.parametrize("eps,theta", [(1.0, 0.0), (1e-2, np.pi / 6),
+                                       (1e-4, np.pi / 3), (1e-6, np.pi / 2)])
+def test_untrained_correction_is_the_inverse_sine_diagonal(tiny_dataset, eps,
+                                                           theta):
+    """With g = 0, as training starts, the correction for any operator is
+    criterion 6's: the inverse of its sine-basis diagonal, bit for bit."""
+    n = tiny_dataset.n
+    model = train_fns_lite(fast_config(n_epochs=0), tiny_dataset)
+    A = stencil_problem(n, eps, theta)
+    want = SpectralCorrection(1.0 / sine_basis_eigenvalues(A, n), n)
+    assert model.correction_for(A).lambda_tilde.tobytes() == \
+        want.lambda_tilde.tobytes()
 
 
 def test_cross_loads_name_the_checkpoint_kind(tmp_path):
     n = 4
     net = MetaNet.create(m=2, variant="plain", input_dim=2, hidden=(4, 4))
-    FnsLiteModel(net=net, table=np.zeros((2, 2, (n - 1) ** 2)),
-                 n=n).save(tmp_path / "model")
+    FnsLiteModel(net=net, g=np.zeros((n - 1) ** 2), n=n).save(
+        tmp_path / "model")
     net.save(tmp_path / "net")
+    # a trained hybrid that looked its correction up in a bucketed table
+    meta, arrays = net._checkpoint()
+    meta.update(kind="fns-lite", n=n)
+    save_checkpoint(tmp_path / "bucketed", meta,
+                    {**arrays, "table": np.zeros((2, 2, (n - 1) ** 2))})
     # the former second half of a hybrid: a bucketed table on its own
     save_checkpoint(tmp_path / "old.corr",
                     {"kind": "spectral-correction", "n": n, "n_buckets": 2,
@@ -435,11 +426,12 @@ def test_cross_loads_name_the_checkpoint_kind(tmp_path):
                     {"lambda_tilde": np.zeros((2, 2, (n - 1) ** 2)),
                      "input_bounds": net.input_bounds})
     for load, name, found, wanted in [
-            (MetaNet.load, "model", "fns-lite", "metanet"),
+            (MetaNet.load, "model", "fns-anchored", "metanet"),
             (MetaNet.load, "old.corr", "spectral-correction", "metanet"),
-            (FnsLiteModel.load, "net", "metanet", "fns-lite"),
+            (FnsLiteModel.load, "net", "metanet", "fns-anchored"),
+            (FnsLiteModel.load, "bucketed", "fns-lite", "fns-anchored"),
             (FnsLiteModel.load, "old.corr", "spectral-correction",
-             "fns-lite")]:
+             "fns-anchored")]:
         path = tmp_path / name
         with pytest.raises(ValueError) as info:
             load(path)
@@ -447,13 +439,13 @@ def test_cross_loads_name_the_checkpoint_kind(tmp_path):
                                    f"{found!r}, not {wanted!r}")
 
 
-@pytest.mark.parametrize("dropped", ["table", "n", "weight_1", "widths"])
+@pytest.mark.parametrize("dropped", ["g", "n", "weight_1", "widths"])
 def test_hybrid_missing_an_entry_names_it(dropped, tmp_path):
     n = 4
     net = MetaNet.create(m=2, variant="plain", input_dim=2, hidden=(4, 4))
     meta, arrays = net._checkpoint()
-    meta.update(kind="fns-lite", n=n)
-    arrays["table"] = np.zeros((2, 2, (n - 1) ** 2))
+    meta.update(kind="fns-anchored", n=n)
+    arrays["g"] = np.zeros((n - 1) ** 2)
     meta.pop(dropped, None)
     arrays.pop(dropped, None)
     path = tmp_path / "model"
