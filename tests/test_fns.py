@@ -348,6 +348,29 @@ def test_zero_cycles_trains_only_correction(tiny_dataset):
     assert np.any(model.g != 0.0)
 
 
+def test_first_correction_step_reads_each_samples_diagonal(tiny_dataset):
+    """One epoch of one batch: its loss is that of the rows 1/d of each
+    sample's own diagonal, and g takes one Adam step along the gradient
+    that those rows give (the batch runs in another order, so both match
+    to rounding)."""
+    from richlab.fns import _g_gradient, _hybrid_loss, _initial_net
+    from richlab.training import Adam, _schedules
+
+    cfg = fast_config(cycles=0, n_epochs=1, batch_size=len(tiny_dataset))
+    model = train_fns_lite(cfg, tiny_dataset)
+    batch, n = list(tiny_dataset), tiny_dataset.n
+    lam = np.stack([1.0 / sine_basis_eigenvalues(s.A, n) for s in batch])
+    (omega, _, _), _ = _schedules(batch, _initial_net(cfg, input_dim=2))
+    loss, row_grads = _hybrid_loss(batch, omega, lam, cfg.unroll,
+                                   cfg.smooth_steps, wrt=("lam",))
+    zero = np.zeros((n - 1) ** 2)
+    step, = Adam([zero], lr=cfg.learning_rate).step(
+        [zero], [_g_gradient(row_grads()["lam"], lam)])
+    (tag, (got,)), = model.training_history
+    assert tag == "lambda" and abs(got - loss) <= 1e-14 * loss
+    assert np.max(np.abs(model.g - step)) <= 1e-9 * cfg.learning_rate
+
+
 def test_initial_weight_is_half(tiny_dataset):
     from richlab.fns import _initial_net
 
