@@ -23,9 +23,8 @@ inputs with that code. To time one tree, pass it twice. The op sets
   through the 20-sample anisotropic set, and one apply of each sample's
   preconditioner to its right-hand side, as one Arnoldi step of the
   Krylov projection of the 20 samples runs them, one sample at a time.
-- ``batches``: ``block_diagonal`` of that set (the mean of REPEATS);
-  one recorded hybrid batch on it in each training phase, lambda and
-  omega (forward and backward, the ``FnsTrainConfig`` defaults, the
+- ``batches``: one recorded hybrid batch on that set in each training
+  phase, lambda and omega (forward and backward, the ``FnsTrainConfig`` defaults, the
   initial smoother and zero correction rows); one recorded forward and
   backward of each ``train-schedule`` net at its untrained initial
   state with the unroll K=50: the plain net (log-omega output, seed 1)
@@ -103,7 +102,6 @@ TRAIN_COUNT = 200
 UPDATES = 50
 SWEEPS = 50
 MATVECS = 200
-REPEATS = 20
 UNROLL = 50
 
 
@@ -275,13 +273,7 @@ def batches(mod):
             return run
         return build
 
-    def block_diagonal():
-        blocks = [s.A for s in _training_set(mod)]
-        block_diagonal = mod("sparse").block_diagonal
-        return _repeat(lambda: block_diagonal(blocks), REPEATS)
-
     return {
-        "block_diagonal_20x961": (block_diagonal, REPEATS),
         "hybrid_lambda_batch": (hybrid_batch(True), 1),
         "hybrid_omega_batch": (hybrid_batch(False), 1),
         "plain_schedule_batch_5": (

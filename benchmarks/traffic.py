@@ -9,13 +9,13 @@ workload it prints, for the first round:
 
 - products by entry point: ``matvec``, ``rmatvec`` and the accumulating
   y += A x calls (``_accumulating_product``'s kernels);
-- product-kernel builds: forward kernels (``_kernel`` on first use) and
-  the transposed products ``rmatvec`` binds on first use;
+- product-kernel builds: forward kernels (``_kernel`` on first use;
+  ``rmatvec`` and training's uncached products build none);
 - stationary solver updates by (sweep form, variant, preconditioner),
   from each ``solve_stationary`` report, with the solve count;
-- ``training._unroll`` calls by operator type (the schedule nets'
-  projected H stacks are ``ndarray``, the hybrid's block-diagonal
-  operators ``SparseMatrix``);
+- ``training._unroll`` calls by operator kind: "H stack" for the
+  schedule nets' projected (B, K+1, K+1) stacks, "matrices" for the
+  hybrid's lists of its samples' operators;
 
 and, for each round, the Krylov projections ``training`` computed
 (``_arnoldi`` runs, wherever they come from) and the samples whose
@@ -35,6 +35,8 @@ import collections
 import contextlib
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -71,8 +73,6 @@ def counting(counts):
 
     def counted_rmatvec(self, x):
         counts["product", "rmatvec"] += 1
-        if self._transposed is None:
-            counts["build", "transposed"] += 1
         return rmatvec(self, x)
 
     def counted_accumulating(self):
@@ -107,7 +107,8 @@ def counting(counts):
 
     def counted_unroll(unroll):
         def run(A, *args, **kwargs):
-            counts["unroll", type(A).__name__] += 1
+            kind = "H stack" if isinstance(A, np.ndarray) else "matrices"
+            counts["unroll", kind] += 1
             return unroll(A, *args, **kwargs)
         return run
 
@@ -164,7 +165,7 @@ def report(name, per_round):
     lines = [f"{name}:",
              f"  products: "
              f"{cells('product', ('matvec', 'rmatvec', 'accumulating'))}",
-             f"  kernel builds: {cells('build', ('forward', 'transposed'))}",
+             f"  kernel builds: {cells('build', ('forward',))}",
              f"  _unroll calls: {cells('unroll', unrolls)}",
              "  projections (computed / served to train_ns by the memo), "
              "by round: "

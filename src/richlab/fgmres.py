@@ -24,7 +24,7 @@ class FgmresConfig:
     def __post_init__(self):
         if self.restart < 1:
             raise ValueError("restart must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")

@@ -20,7 +20,6 @@ from .checkpoint import (load_checkpoint, missing_entries_refused,
                          save_checkpoint)
 from .metanet import MetaNet
 from .richardson import DivergenceError, SolveReport, _recurrence_pass
-from .sparse import block_diagonal
 from .training import Adam, _check_config, _mean_loss, _schedules, _unroll
 from .transforms import dst2, dst2_inv
 
@@ -153,8 +152,7 @@ def _hybrid_loss(batch, omega, lam, n_hybrid, M, wrt=()):
     then the correction u + S(lam * S(f - A u)) with the (B, N)
     correction rows ``lam``.
     """
-    A = block_diagonal([s.A for s in batch])
-    F = np.stack([s.f for s in batch])
+    A, F = [s.A for s in batch], np.stack([s.f for s in batch])
     return _mean_loss(*_unroll(A, F, omega, None, None, M, "plain", lam=lam,
                                cycles=n_hybrid, wrt=wrt))
 

@@ -154,20 +154,47 @@ class MetaNet:
     @classmethod
     def _from_checkpoint(cls, meta, arrays, path):
         """Inverse of :meth:`_checkpoint`; the header's kind is not read.
-        Widths other than a list of at least two positive integers raise a
-        ValueError naming ``path``, the checkpoint read."""
-        widths = meta["widths"]
+        A ValueError naming ``path``, the checkpoint read, refuses widths
+        other than a list of at least two positive integers, an m other
+        than a positive integer, a variant outside _GROUPS, a non-boolean
+        learn_log_omega, a non-integer seed, a last width other than m
+        times the variant's output groups, and an array whose shape the
+        widths do not give."""
+        def refuse(what):
+            raise ValueError(f"{path}: checkpoint {what}")
+
+        widths, m, variant = meta["widths"], meta["m"], meta["variant"]
+        log_omega, seed = meta["learn_log_omega"], meta["seed"]
         if not (isinstance(widths, list) and len(widths) >= 2 and all(
                 type(w) is int and w > 0 for w in widths)):
-            raise ValueError(f"{path}: checkpoint widths {widths!r} are not "
-                             "a list of at least two positive integers")
+            refuse(f"widths {widths!r} are not a list of at least two "
+                   "positive integers")
+        if not (type(m) is int and m > 0):
+            refuse(f"m {m!r} is not a positive integer")
+        if variant not in tuple(_GROUPS):   # no hash: a list is refused too
+            refuse(f"variant {variant!r} is not one of {', '.join(_GROUPS)}")
+        if type(log_omega) is not bool:
+            refuse(f"learn_log_omega {log_omega!r} is not a boolean")
+        if type(seed) is not int:
+            refuse(f"seed {seed!r} is not an integer")
+        outputs = m * _GROUPS[variant]
+        if widths[-1] != outputs:
+            refuse(f"widths {widths} end in {widths[-1]} outputs, not the "
+                   f"{outputs} of m={m} and variant {variant!r}")
+        shapes = {"input_bounds": (widths[0], 2)}
+        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+            shapes[f"weight_{i}"] = (fan_out, fan_in)
+            shapes[f"bias_{i}"] = (fan_out,)
+        for name, shape in shapes.items():
+            if arrays[name].shape != shape:
+                refuse(f"array {name!r} has shape {arrays[name].shape}, "
+                       f"not the {shape} of widths {widths}")
         nlayers = len(widths) - 1
         return cls(widths=widths,
                    weights=[arrays[f"weight_{i}"] for i in range(nlayers)],
                    biases=[arrays[f"bias_{i}"] for i in range(nlayers)],
-                   variant=meta["variant"], m=meta["m"],
-                   learn_log_omega=meta["learn_log_omega"],
-                   input_bounds=arrays["input_bounds"], seed=meta["seed"])
+                   variant=variant, m=m, learn_log_omega=log_omega,
+                   input_bounds=arrays["input_bounds"], seed=seed)
 
     def save(self, path, extra_metadata=None):
         meta, arrays = self._checkpoint()

@@ -9,7 +9,7 @@ calls scipy's compiled kernel (``scipy.sparse._sparsetools``, the
 routine behind ``dot``), on a zeroed output (``_run_kernel``) or into
 the caller's vector (the accumulating product). ``matvec`` recomputes
 by CSR where a row that holds DIA padding reads NaN; the accumulating
-product leaves that to its caller. A^T x runs ``csr.T @ x``'s kernel.
+product leaves that to its caller. A^T x runs ``_product``, uncached.
 """
 from __future__ import annotations
 
@@ -71,10 +71,8 @@ class SparseMatrix:
         self.values = values
         self._csr = scipy.sparse.csr_matrix(
             (values, col_indices, row_starts), shape=(nrows, ncols))
-        # the product kernels of A (see _kernel) and the compiled A^T x,
-        # built on first use
+        # the product kernels of A (see _kernel), built on first use
         self._kernels = None
-        self._transposed = None
 
     @property
     def shape(self):
@@ -128,16 +126,13 @@ class SparseMatrix:
         return _run_kernel(exact, self.nrows, dtype, x)
 
     def rmatvec(self, x):
-        """Transpose product A^T x (not conjugated), by scipy's compiled
-        CSC product of A's CSR arrays, bound on first use."""
+        """Transpose product A^T x (not conjugated), by :func:`_product`."""
         x = np.asarray(x)
         if x.shape != (self.nrows,):
             raise DimensionMismatch(
                 f"matrix has {self.nrows} rows but vector has length {x.shape}")
-        if self._transposed is None:
-            self._transposed = _compiled(self._csr.T)
-        return _run_kernel(self._transposed, self.ncols,
-                           np.promote_types(self.values.dtype, x.dtype), x)
+        return _run_kernel(_product(self, transpose=True), self.ncols,
+                           np.promote_types(self.dtype, x.dtype), x)
 
     def _accumulating_product(self):
         """The compiled y += A x as a function of contiguous vectors
@@ -154,7 +149,7 @@ class SparseMatrix:
         there are none)."""
         if self._kernels is None:
             exact = self._csr
-            run_exact = _compiled(exact)
+            run_exact = _product(self)
             parts = self._diagonals()
             if parts is None:
                 self._kernels = (exact, exact, run_exact, run_exact, None)
@@ -162,7 +157,7 @@ class SparseMatrix:
                 offsets, data = parts
                 fast = scipy.sparse.dia_matrix((data, offsets),
                                                shape=exact.shape)
-                self._kernels = (fast, exact, _compiled(fast), run_exact,
+                self._kernels = (fast, exact, _dia_product(fast), run_exact,
                                  _padded_rows(offsets,
                                               np.diff(self.row_starts),
                                               self.ncols))
@@ -246,25 +241,30 @@ def _scaled_transpose(A, scale):
 
 
 def _run_kernel(kernel, size, dtype, x):
-    """y = mat x by a compiled product of :func:`_compiled` on a zeroed
-    ``size`` output of ``dtype``: the one place a product runs."""
+    """y = mat x by a compiled y += mat x (of :func:`_product` or
+    :func:`_dia_product`) on a zeroed ``size`` output of ``dtype``."""
     # the kernels add into their output, which starts at +0
     y = np.zeros(size, dtype=dtype)
     kernel(x, y)
     return y
 
 
-def _compiled(mat):
-    """scipy's compiled y += mat x for a DIA, CSR or CSC matrix, as a
-    function of (x, y): the kernel and arguments that ``mat.dot(x)``
-    runs on its zeroed output."""
-    if mat.format == "dia":
-        head = (*mat.shape, len(mat.offsets), mat.data.shape[1],
-                mat.offsets, mat.data)
-    else:
-        head = (*mat.shape, mat.indptr, mat.indices, mat.data)
-    return functools.partial(getattr(_sparsetools, mat.format + "_matvec"),
-                             *head)
+def _product(A, transpose=False):
+    """scipy's compiled y += A x (A^T x, not conjugated, if ``transpose``)
+    as an unchecked function of (x, y): the CSR routine over A's own
+    arrays (the CSC one over them as A^T's). Nothing is kept on A."""
+    shape = (A.ncols, A.nrows) if transpose else A.shape
+    kernel = _sparsetools.csc_matvec if transpose else _sparsetools.csr_matvec
+    return functools.partial(kernel, *shape, A.row_starts, A.col_indices,
+                             A.values)
+
+
+def _dia_product(mat):
+    """scipy's compiled y += mat x for a DIA matrix, as a function of
+    (x, y): the kernel and arguments that ``mat.dot(x)`` runs."""
+    return functools.partial(_sparsetools.dia_matvec, *mat.shape,
+                             len(mat.offsets), mat.data.shape[1],
+                             mat.offsets, mat.data)
 
 
 def _padded_rows(offsets, entries, ncols):
@@ -295,35 +295,6 @@ def lu_solver(mat, **options):
         return x
 
     return solve
-
-
-def block_diagonal(blocks):
-    """The block-diagonal matrix diag(blocks[0], blocks[1], ...), built by
-    filling one set of CSR arrays with the blocks' arrays, each shifted
-    past the previous blocks. Row b of a row stack X then meets only
-    block b in ``matvec(X.ravel())``, entry for entry in the order of
-    ``blocks[b].matvec(X[b])``."""
-    blocks = list(blocks)
-    if len(blocks) == 1:
-        return blocks[0]
-    nrows = sum(M.nrows for M in blocks)
-    ncols = sum(M.ncols for M in blocks)
-    nnz = sum(M.nnz for M in blocks)
-    index = _index_dtype(nrows, ncols, nnz)
-    row_starts = np.empty(nrows + 1, dtype=index)
-    col_indices = np.empty(nnz, dtype=index)
-    values = np.empty(nnz, dtype=np.result_type(*(M.values for M in blocks)))
-    row_starts[0] = 0
-    row = col = k = 0
-    for M in blocks:
-        np.add(M.row_starts[1:], index(k),
-               out=row_starts[row + 1:row + 1 + M.nrows])
-        np.add(M.col_indices, index(col), out=col_indices[k:k + M.nnz])
-        values[k:k + M.nnz] = M.values
-        row, col, k = row + M.nrows, col + M.ncols, k + M.nnz
-    # the blocks were validated when they were built, and shifting their
-    # rows and columns past the previous blocks keeps every invariant
-    return _wrap_built(nrows, ncols, row_starts, col_indices, values)
 
 
 def write_matrix_market(path, A):

@@ -12,6 +12,7 @@ from .fgmres import orthogonalise
 from .metanet import MetaNet
 from .precond import Preconditioner
 from .richardson import _inner_step
+from .sparse import _product
 from .tape import Tape
 from .transforms import dst2
 
@@ -142,14 +143,14 @@ def _arnoldi(sample, K, P, h):
     """Fill the zero (K+1, K+1) array h with the sample's projection
     under the preconditioner P (or None); return ||f||."""
     c = np.linalg.norm(sample.f)
-    # the CSR view has matvec's bits, but keeps no product kernel on
-    # the matrix: 200 such caches, left in the heap for the dataset's
-    # life, raised train-schedule's peak RSS from 182 to 283 MB
-    A = sample.A.to_scipy()
+    # matvec's bits, uncached: kernels kept on 200 matrices for the
+    # dataset's life raised train-schedule's peak RSS from 182 to 283 MB
+    product = _product(sample.A)
     Q = np.empty((K + 1, len(sample.f)))
     np.divide(sample.f, c, out=Q[0])
     for j in range(K):
-        w = A @ (Q[j] if P is None else P.apply(Q[j]))
+        w = np.zeros(len(sample.f))
+        product(Q[j] if P is None else P.apply(Q[j]), w)
         before = np.linalg.norm(w)
         h[:j + 1, j] = orthogonalise(Q[:j + 1], w)
         after = np.linalg.norm(w)
@@ -166,13 +167,35 @@ def closed_before(H):
     return (np.diagonal(H, offset=-1, axis1=1, axis2=2) == 0).any(axis=1)
 
 
+def _row_products(A):
+    """The maps X -> (A_b X_b)_b and G -> (A_b^T G_b)_b of real (B, n)
+    row stacks, for A a list of B SparseMatrix operators (row by row by
+    the uncached ``sparse._product``, bound once here) or a (B, n, n)
+    stack (by ``np.matmul``). Neither is assumed symmetric."""
+    if isinstance(A, np.ndarray):
+        A_t = A.transpose(0, 2, 1)
+        return (lambda X: np.matmul(A, X[:, :, None])[:, :, 0],
+                lambda G: np.matmul(A_t, G[:, :, None])[:, :, 0])
+
+    def rows(transpose):
+        products = [_product(a, transpose) for a in A]
+
+        def run(X):
+            Y = np.zeros(X.shape)   # each row's kernel adds into +0
+            for product, x, y in zip(products, X, Y):
+                product(x, y)
+            return Y
+        return run
+
+    return rows(False), rows(True)
+
+
 def _unroll(A, F, omega, alpha, alpha_t, K, variant, lam=None, cycles=1,
             wrt=()):
     """Relative residuals ||F_b - A_b u_b|| / ||F_b|| of the (B, n) row
     stack u after ``cycles`` segments of K inner updates from u = 0,
-    against the right-hand-side rows F, and their adjoint. A is either
-    the block-diagonal SparseMatrix of the A_b or their (B, n, n) stack,
-    whose products go through ``np.matmul``.
+    against the right-hand-side rows F, and their adjoint, for A an
+    operator list or stack of :func:`_row_products`.
 
     This is the one Richardson(m) unroll of training and of the hybrid
     loss. ``omega``, ``alpha`` and ``alpha_t`` hold one row of m weights
@@ -214,21 +237,7 @@ def _unroll(A, F, omega, alpha, alpha_t, K, variant, lam=None, cycles=1,
     keep_d = "lam" in wrt
     r_hist, v_hist, d_hist = [], [], []
 
-    if isinstance(A, np.ndarray):
-        A_t = A.transpose(0, 2, 1)
-
-        def product(X):
-            return np.matmul(A, X[:, :, None])[:, :, 0]
-
-        def product_t(G):
-            return np.matmul(A_t, G[:, :, None])[:, :, 0]
-    else:
-        def product(X):
-            return A.matvec(X.reshape(-1)).reshape(B, n)
-
-        def product_t(G):
-            return A.rmatvec(G.reshape(-1)).reshape(B, n)
-
+    product, product_t = _row_products(A)
     # update k takes column k mod m of (omega, alpha, alpha_t), as (B, 1)
     u = np.zeros((B, n))
     v = np.zeros((B, n))

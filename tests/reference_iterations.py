@@ -25,9 +25,10 @@ tape, one node per vector operation, through the tape ops ``spmv``,
 equal its bit for bit.
 
 ``reference_krylov_projection`` projects samples in chunks, each chunk
-as one block-diagonal row stack with its Gram-Schmidt through
-``np.matmul`` stacks. Those sum in another order than the library's
-one-sample-at-a-time projection, so the two match to rounding only.
+as one row stack, multiplied row by row by scipy's product of each
+sample's matrix, with its Gram-Schmidt through ``np.matmul`` stacks.
+Those sum in another order than the library's one-sample-at-a-time
+projection, so the two match to rounding only.
 """
 import time
 
@@ -36,7 +37,6 @@ import numpy as np
 from richlab.fgmres import FgmresConfig
 from richlab.multigrid import prolongation_matrix, restriction_matrix
 from richlab.richardson import DIVERGENCE_FACTOR, DivergenceError, SolveReport
-from richlab.sparse import block_diagonal
 from richlab.training import KRYLOV_CLOSED, make_preconditioner
 from richlab.transforms import dst2, dst2_inv
 
@@ -346,17 +346,21 @@ def reference_hybrid_unroll(A, f, omega, lam, n_hybrid, M, m):
 # -- the recorded batched unroll ----------------------------------------
 
 def spmv(A, x):
-    """Sparse A @ x with a constant SparseMatrix A. A row stack x of
-    shape (B, n) is multiplied as one vector by a block-diagonal A, or
-    row by row by the matrices of a (B, n, n) stack A."""
+    """Sparse A @ x with a constant SparseMatrix A and a vector x, or a
+    (B, n) row stack x multiplied row by row by the SparseMatrix
+    operators of a list A or by the matrices of a (B, n, n) stack A.
+    The transpose runs scipy's product of ``A.to_scipy().T``."""
     X = _value(x)
     if isinstance(A, np.ndarray):
         A_t = A.transpose(0, 2, 1)
         return _track(np.matmul(A, X[:, :, None])[:, :, 0],
                       (x, lambda g: np.matmul(A_t, g[:, :, None])[:, :, 0]))
-    shape = X.shape
-    return _track(A.matvec(X.reshape(-1)).reshape(shape),
-                  (x, lambda g: A.rmatvec(g.reshape(-1)).reshape(shape)))
+    if isinstance(A, list):
+        csrs = [M.to_scipy() for M in A]
+        return _track(np.stack([M @ row for M, row in zip(csrs, X)]),
+                      (x, lambda g: np.stack([M.T @ row
+                                              for M, row in zip(csrs, g)])))
+    return _track(A.matvec(X), (x, lambda g: A.to_scipy().T @ g))
 
 
 def rowwise(Ps):
@@ -435,7 +439,6 @@ def _chunk_arnoldi(chunk, Ps, fnorm, H, K):
     norm before closes its sample's Krylov space: it and every later
     basis column stay zero."""
     B, n = len(chunk), len(chunk[0].f)
-    A = block_diagonal([s.A for s in chunk])
     Q = np.zeros((B, K + 1, n))
     np.divide(np.stack([s.f for s in chunk]), fnorm[:, None], out=Q[:, 0])
     live = np.ones(B, dtype=bool)
@@ -443,7 +446,7 @@ def _chunk_arnoldi(chunk, Ps, fnorm, H, K):
         X = Q[:, j]
         if Ps[0] is not None:
             X = np.stack([P.apply(x) for P, x in zip(Ps, X)])
-        W = A.matvec(X.reshape(-1)).reshape(B, n)
+        W = np.stack([s.A.to_scipy() @ x for s, x in zip(chunk, X)])
         before = np.linalg.norm(W, axis=1)
         basis = Q[:, :j + 1]
         h = np.zeros((B, 1, j + 1))

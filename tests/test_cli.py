@@ -1,12 +1,14 @@
 import csv
 import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
 
 from richlab.checkpoint import MAGIC, load_checkpoint
 from richlab.cli import CSV_COLUMNS, N_GRID_FULL, THETA_GRID, main
+from richlab.metanet import MetaNet
 from richlab.multigrid import CoarseSolveError
 from richlab.training import NanLossError, TrainingDiverged
 from richlab.sparse import read_matrix_market
@@ -467,6 +469,22 @@ def test_hybrid_trains_to_one_checkpoint_that_solve_refuses(tmp_path,
 EMPTY_SHA = hashlib.sha256().hexdigest().encode()
 
 
+def edited_net(**edits):
+    """(header, payload) of a small plain net's checkpoint, m=2 and
+    widths [2, 3, 2], with the header entries or arrays named in
+    ``edits`` replaced, laid out as ``save_checkpoint`` lays them."""
+    meta, arrays = MetaNet.create(2, hidden=(3,))._checkpoint()
+    for key, value in edits.items():
+        (arrays if key in arrays else meta)[key] = value
+    payloads = {k: np.asarray(a, dtype="<f8").tobytes()
+                for k, a in arrays.items()}
+    payload = b"".join(payloads.values())
+    meta["arrays"] = [{"name": k, "shape": list(np.shape(arrays[k])),
+                       "nbytes": len(buf)} for k, buf in payloads.items()]
+    meta["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    return json.dumps(meta).encode(), payload
+
+
 @pytest.mark.parametrize("header,payload", [
     (b'{"kind": "metanet", "arrays": [], "payload_sha256": "'
      + EMPTY_SHA + b'"}', b""),
@@ -478,8 +496,29 @@ EMPTY_SHA = hashlib.sha256().hexdigest().encode()
      + hashlib.sha256(bytes(16)).hexdigest().encode() + b'"}', bytes(16)),
     (b'{"kind": "metanet", "widths": 3, "arrays": [], "payload_sha256": "'
      + EMPTY_SHA + b'"}', b""),
+    edited_net(m="2"),
+    edited_net(m=2.5),
+    edited_net(m=0),
+    edited_net(m=True),
+    edited_net(variant="bogus"),
+    edited_net(variant=["plain"]),
+    edited_net(learn_log_omega="yes"),
+    edited_net(learn_log_omega=1),
+    edited_net(seed="x"),
+    edited_net(seed=1.0),
+    edited_net(m=3),
+    edited_net(variant="mom"),
+    edited_net(weight_0=np.zeros((3, 3))),
+    edited_net(weight_1=np.zeros((2, 3, 1))),
+    edited_net(bias_0=np.zeros(2)),
+    edited_net(bias_1=np.zeros((2, 1))),
+    edited_net(input_bounds=np.zeros((3, 2))),
 ], ids=["no-widths", "list", "no-arrays", "not-json", "shape-float",
-        "widths-int"])
+        "widths-int", "m-str", "m-float", "m-zero", "m-bool",
+        "variant-bogus", "variant-list", "log-omega-str", "log-omega-int",
+        "seed-str", "seed-float", "widths-not-m", "widths-not-variant",
+        "weight-shape", "weight-rank", "bias-shape", "bias-rank",
+        "bounds-shape"])
 def test_malformed_checkpoint_header_is_a_config_error(header, payload,
                                                        tmp_path, capsys):
     ck = tmp_path / "net.ckpt"

@@ -155,8 +155,9 @@ def test_zero_rhs():
 def test_invalid_config():
     with pytest.raises(ValueError):
         FgmresConfig(restart=0)
-    with pytest.raises(ValueError):
-        FgmresConfig(tol=0.0)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            FgmresConfig(tol=tol)
     for max_outer in (0, -1):
         with pytest.raises(ValueError, match="max_outer"):
             FgmresConfig(max_outer=max_outer)

@@ -24,8 +24,8 @@ LAYER_OPS = {
                  "nagex_ssor_inner_update",
                  "sample_dataset"],
     "precond": ["ssor_build", "apply_20_rows"],
-    "batches": ["block_diagonal_20x961", "hybrid_lambda_batch",
-                "hybrid_omega_batch", "plain_schedule_batch_5",
+    "batches": ["hybrid_lambda_batch", "hybrid_omega_batch",
+                "plain_schedule_batch_5",
                 "nagex_ssor_schedule_batch_20", "plain_warm_batch_5",
                 "nagex_ssor_warm_batch_20", "krylov_projection_20",
                 "krylov_projection_20_ssor"],
@@ -122,7 +122,7 @@ def test_traffic_counter_runs_small():
     aniso, train, helmholtz = sections.values()
     assert aniso[0].startswith("products: matvec ")
     assert "accumulating 0" not in aniso[0]
-    assert train[2].startswith("_unroll calls: ndarray ")
+    assert train[2].startswith("_unroll calls: H stack ")
     # the small set's 20 samples, plain and SSOR, projected in the first
     # of the two rounds only, and served by the memo in the second
     computed, served = zip(*(map(int, cell.split(" / ")) for cell in

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse
 from hypothesis import given, strategies as st
 
-from richlab.sparse import (DimensionMismatch, SparseMatrix, _compiled,
-                            block_diagonal, read_matrix_market,
+from richlab.sparse import (DimensionMismatch, SparseMatrix, _dia_product,
+                            _product, read_matrix_market,
                             write_matrix_market)
 
 from conftest import random_sparse
@@ -97,55 +96,19 @@ def test_rmatvec_equals_scipy_transpose_product(complex_values):
         M = M + 1j * scipy.sparse.random(9, 7, density=0.4, random_state=7,
                                          format="csr")
     A = SparseMatrix.from_scipy(M)
-    for _ in range(3):   # the cached transpose serves every call alike
+    for _ in range(3):
         x = rng.standard_normal(9) + (1j * rng.standard_normal(9)
                                       if complex_values else 0.0)
         assert np.array_equal(A.rmatvec(x), A.to_scipy().T @ x)
+    assert A._kernels is None   # the transpose keeps no kernel on A
     with pytest.raises(DimensionMismatch):
         A.rmatvec(np.ones(7))
 
 
-def test_block_diagonal_rows_match_their_blocks_exactly():
-    rng = np.random.default_rng(8)
-    blocks = [random_sparse(n, rng) for n in (5, 3, 6)]
-    D = block_diagonal(blocks)
-    assert D.shape == (14, 14) and D.nnz == sum(b.nnz for b in blocks)
-    assert np.array_equal(D.to_dense(), scipy.linalg.block_diag(
-        *(b.to_dense() for b in blocks)))
-    xs = [rng.standard_normal(b.ncols) for b in blocks]
-    y, yt = D.matvec(np.concatenate(xs)), D.rmatvec(np.concatenate(xs))
-    pos = 0
-    for b, x in zip(blocks, xs):
-        assert np.array_equal(y[pos:pos + b.nrows], b.matvec(x))
-        assert np.array_equal(yt[pos:pos + b.nrows], b.rmatvec(x))
-        pos += b.nrows
-    assert block_diagonal(blocks[:1]) is blocks[0]
-
-
-@pytest.mark.parametrize("complex_block", [False, True])
-def test_block_diagonal_arrays_pass_validation_unchanged(complex_block):
-    # block_diagonal skips the constructor's checks; the validated build
-    # of the same arrays must accept them and keep them as they are
-    rng = np.random.default_rng(9)
-    blocks = [random_sparse(n, rng) for n in (4, 1, 7)] + _aniso_blocks()
-    if complex_block:
-        blocks[1] = SparseMatrix.from_scipy(blocks[1].to_scipy() * (1 + 2j))
-    D = block_diagonal(blocks)
-    checked = SparseMatrix(D.nrows, D.ncols, D.row_starts, D.col_indices,
-                           D.values)
-    for name in ("row_starts", "col_indices", "values"):
-        got, want = getattr(D, name), getattr(checked, name)
-        assert np.array_equal(got, want) and got.dtype == want.dtype
-    assert D.shape == checked.shape and D.dtype == checked.dtype
-    assert (D.to_scipy() != checked.to_scipy()).nnz == 0
-
-
-@pytest.mark.parametrize("build", ["constructor", "block_diagonal"])
-def test_scipy_view_shares_the_index_arrays(build):
+def test_scipy_view_shares_the_index_arrays():
     # the stored index dtype is the one scipy keeps, so wrapping the
     # arrays in a csr_matrix copies none of them
-    blocks = _aniso_blocks()
-    A = block_diagonal(blocks) if build == "block_diagonal" else blocks[0]
+    A = _aniso_blocks()[0]
     csr = A.to_scipy()
     assert np.shares_memory(csr.indices, A.col_indices)
     assert np.shares_memory(csr.indptr, A.row_starts)
@@ -225,22 +188,28 @@ def test_non_finite_input_matches_csr(data, banded, bad):
         assert y.tobytes() == expect.tobytes()
 
 
-@pytest.mark.parametrize("fmt", ["dia", "csr", "csc"])
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_compiled_kernels_give_scipys_bytes(fmt, dtype):
+def test_compiled_kernels_give_scipys_bytes(dtype):
     # the direct calls into scipy.sparse._sparsetools must run the
-    # product that scipy's own dot runs; a change to those private
-    # signatures fails here
+    # products that scipy's own dot runs, of the DIA matrix and of the
+    # CSR matrix and its transpose; a change to those private signatures
+    # fails here
     rng = np.random.default_rng(6)
     M = scipy.sparse.random(30, 20, density=0.3, random_state=3,
-                            format=fmt, dtype=float)
-    M = M.astype(dtype) * (1 + (0.5j if dtype is complex else 0))
+                            format="csr", dtype=float)
+    A = SparseMatrix.from_scipy(M.astype(dtype) * (1 + (0.5j if dtype is
+                                                        complex else 0)))
+    csr = A.to_scipy()
+    dia = csr.todia()
     for x_dtype in (float, complex):
-        x = rng.standard_normal(20).astype(x_dtype)
-        want = M.dot(x)
-        y = np.zeros(30, dtype=want.dtype)
-        _compiled(M)(x, y)
-        assert y.tobytes() == want.tobytes()
+        for product, mat in ((_dia_product(dia), dia), (_product(A), csr),
+                             (_product(A, transpose=True), csr.T)):
+            x = rng.standard_normal(mat.shape[1]).astype(x_dtype)
+            want = mat.dot(x)
+            y = np.zeros(len(want), dtype=want.dtype)
+            product(x, y)
+            assert y.tobytes() == want.tobytes()
+    assert A._kernels is None   # the CSR and CSC products keep nothing
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -286,26 +255,6 @@ def _aniso_blocks():
 
     return [assemble_anisotropic(AnisotropicProblem(eps, theta, 8))
             for eps, theta in ((1.0, 0.0), (1e-2, 0.5), (1e-4, 2.0))]
-
-
-def test_block_diagonal_takes_the_dia_kernel():
-    D = block_diagonal(_aniso_blocks())
-    kernel = D._kernel()[0]
-    assert kernel.format == "dia" and np.all(np.diff(kernel.offsets) > 0)
-    assert np.array_equal(kernel.toarray(), D.to_dense())
-
-
-def test_nan_in_one_block_stays_in_its_rows():
-    blocks = _aniso_blocks()
-    D = block_diagonal(blocks)
-    rng = np.random.default_rng(4)
-    for product in (D.matvec, D.rmatvec):
-        x = rng.standard_normal(D.ncols)
-        x[2 * 49 + 20] = np.nan   # block 2 holds the NaN
-        y = product(x)
-        assert np.all(np.isfinite(y[:2 * 49]))
-        assert np.array_equal(np.isfinite(y), np.isfinite(
-            (D.to_scipy() if product == D.matvec else D.to_scipy().T) @ x))
 
 
 # -- validation -------------------------------------------------------------

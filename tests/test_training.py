@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from richlab.data import Dataset, Sample, sample_dataset
-from richlab.fns import FnsTrainConfig
+from richlab.fns import FnsTrainConfig, train_fns_lite
 from richlab.metanet import MetaNet
 from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
                               assemble_anisotropic, assemble_helmholtz)
@@ -94,8 +94,8 @@ def test_unrolled_oracle_rhs_scale_invariance(small_dataset):
     omega = np.array([[0.2, 0.3, 0.1]])
     alpha = np.array([[0.1, 0.2, 0.3]])
     at = alpha
-    r1, _ = _unroll(s.A, s.f[None], omega, alpha, at, 9, "nag")
-    r2, _ = _unroll(s.A, 7.5 * s.f[None], omega, alpha, at, 9, "nag")
+    r1, _ = _unroll([s.A], s.f[None], omega, alpha, at, 9, "nag")
+    r2, _ = _unroll([s.A], 7.5 * s.f[None], omega, alpha, at, 9, "nag")
     assert abs(r1[0] - r2[0]) <= 1e-13
 
 
@@ -246,15 +246,20 @@ def test_projection_keeps_no_factor_or_kernel_on_the_dataset(monkeypatch):
         return P
 
     monkeypatch.setattr(Preconditioner, "ssor", classmethod(one_at_a_time))
-    for project in (
-            lambda ds: krylov_projection(ds.samples, 6, "ssor"),
-            lambda ds: train_ns(TrainConfig(
+    for project, factors in (
+            (lambda ds: krylov_projection(ds.samples, 6, "ssor"), 12),
+            (lambda ds: train_ns(TrainConfig(
                 m=2, unroll=6, n_epochs=1, batch_size=4, seed=0,
-                precond="ssor", hidden=(4, 4)), ds)):
+                precond="ssor", hidden=(4, 4)), ds), 12),
+            # batches of 11 and 1: the hybrid loss multiplies by the
+            # dataset's own matrices, a lone one included
+            (lambda ds: train_fns_lite(FnsTrainConfig(
+                m=2, smooth_steps=2, unroll=1, cycles=1, n_epochs=1,
+                batch_size=11, hidden=(4, 4)), ds), 0)):
         ds = sample_dataset("anisotropic", 12, seed=17, n=16)
         built.clear()
         project(ds)
-        assert len(built) == len(ds)
+        assert len(built) == factors
         assert all(P() is None for P in built)
         assert all(s.A._kernels is None for s in ds)
 
@@ -303,7 +308,7 @@ def closing_steps(H):
 def test_projection_matches_chunked_oracle(precond, n, whole_H):
     """Each sample closes at the oracle's step, and its loss, and where
     the basis is well conditioned its whole H, match the chunked
-    block-diagonal projection. The list ends with a sine mode at
+    row-stack projection. The list ends with a sine mode at
     theta=0, an eigenvector of A, and of A M^{-1} under Jacobi, which
     closes after one step; at n <= 8 every sample closes before K."""
     spec = AnisotropicProblem(epsilon=0.3, theta=0.0, n=n)

@@ -11,14 +11,16 @@ loss and its gradients must agree with the full-operator recording to
 """
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 import reference_tape as tp
 from richlab.data import sample_dataset
 from richlab.fns import sine_basis_eigenvalues
 from richlab.metanet import MetaNet
-from richlab.sparse import block_diagonal
-from richlab.training import (_mean_loss, _unroll, evaluate_loss, gradient,
+from richlab.sparse import SparseMatrix
+from richlab.training import (_mean_loss, _row_products, _unroll,
+                              evaluate_loss, gradient,
                               krylov_projection, loss_relative_residual,
                               make_preconditioner)
 
@@ -36,10 +38,9 @@ def samples():
 
 
 def full_operator(batch, precond):
-    """The batch's block-diagonal operator, right-hand-side rows and
-    row-wise preconditioner pair, as the full-operator unroll reads
-    them."""
-    return (block_diagonal([s.A for s in batch]),
+    """The batch's list of operators, right-hand-side rows and row-wise
+    preconditioner pair, as the full-operator unroll reads them."""
+    return ([s.A for s in batch],
             np.stack([s.f for s in batch]),
             rowwise([make_preconditioner(precond, s.A) for s in batch]))
 
@@ -139,7 +140,7 @@ def unroll_cases(draw):
 def test_kernel_matches_reference_on_random_weight_rows(samples, case):
     """Weight rows drawn at random: the kernel's residuals and the
     adjoint's gradients of every row equal those of the reference, which
-    records the rows as leaves, on the block-diagonal operator and on a
+    records the rows as leaves, on the list of operators and on a
     stack of projections. nag passes its alpha rows as both momentum
     rows; a row the unroll does not read has a zero gradient."""
     rng = np.random.default_rng(case["seed"])
@@ -150,7 +151,7 @@ def test_kernel_matches_reference_on_random_weight_rows(samples, case):
         F = np.zeros((B, K + 1))
         F[:, 0] = fnorm
     else:
-        A = block_diagonal([s.A for s in batch])
+        A = [s.A for s in batch]
         F = np.stack([s.f for s in batch])
     rows = {"omega": rng.uniform(0.01, 0.4, (B, m)),
             "alpha": rng.uniform(0.0, 0.9, (B, m)),
@@ -179,3 +180,47 @@ def test_kernel_matches_reference_on_random_weight_rows(samples, case):
     for role, x in rows.items():
         assert np.array_equal(grads.get(role, np.zeros_like(x)),
                               leaves[role].grad), role
+
+
+# -- the row-stack products of a list of operators ----------------------------
+
+@st.composite
+def operator_lists(draw):
+    """1-4 random non-symmetric n x n blocks, banded (the DIA kernel of
+    ``matvec``) or scattered (its CSR kernel), one with an empty row;
+    and a (B, n) row stack."""
+    B, n = draw(st.integers(1, 4)), draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dense = rng.standard_normal((B, n, n))
+    if draw(st.booleans()):
+        offset = np.arange(n)[None, :] - np.arange(n)[:, None]
+        dense *= np.abs(offset) <= 1
+    else:
+        dense *= rng.random((B, n, n)) < 0.4
+    dense[draw(st.integers(0, B - 1)), draw(st.integers(0, n - 1))] = 0.0
+    blocks = [SparseMatrix.from_scipy(scipy.sparse.csr_matrix(d))
+              for d in dense]
+    return blocks, rng.standard_normal((B, n))
+
+
+@given(case=operator_lists())
+def test_list_products_give_each_blocks_bytes(case):
+    # row b meets only A_b: A_b x_b by matvec's bytes, A_b^T x_b by those
+    # of scipy's CSC product of the transpose
+    blocks, X = case
+    product, product_t = _row_products(blocks)
+    Y, Yt = product(X), product_t(X)
+    assert Y.shape == Yt.shape == X.shape
+    assert all(A._kernels is None for A in blocks)   # nothing kept
+    for A, x, y, yt in zip(blocks, X, Y, Yt):
+        assert y.tobytes() == A.matvec(x).tobytes()
+        assert yt.tobytes() == (A.to_scipy().T @ x).tobytes()
+
+
+def test_nan_in_one_row_stays_in_its_rows(samples):
+    blocks = [s.A for s in samples]
+    X = np.random.default_rng(4).standard_normal((len(blocks), (N - 1) ** 2))
+    X[2, 20] = np.nan   # block 2 holds the NaN
+    for product in _row_products(blocks):
+        Y = product(X)
+        assert np.isfinite(Y[:2]).all() and np.isnan(Y[2]).any()
