@@ -7,8 +7,11 @@ is imported as it is, set up as the benchmark sets it up, and run for
 ``ROUNDS`` rounds under counting patches; set-up runs unpatched. Per
 workload it prints, for the first round:
 
-- products by entry point: ``matvec``, ``rmatvec`` and the accumulating
-  y += A x calls (``_accumulating_product``'s kernels);
+- products by entry point: ``matvec``, ``rmatvec``, the accumulating
+  y += A x calls (``_accumulating_product``'s kernels), and training's
+  uncached products (the kernels ``training`` binds by
+  ``sparse._product``: the projection's and the hybrid rows' A x, and
+  the hybrid rows' A^T x);
 - product-kernel builds: forward kernels (``_kernel`` on first use;
   ``rmatvec`` and training's uncached products build none);
 - stationary solver updates by (sweep form, variant, preconditioner),
@@ -49,6 +52,9 @@ import workloads  # noqa: E402
 # the first round projects the training sets; the second shows what the
 # projection memo serves when the same sets are trained on again
 ROUNDS = 2
+# the product entry points, in the order the products line lists them
+PRODUCTS = ("matvec", "rmatvec", "accumulating", "uncached",
+            "uncached transposed")
 
 
 def _precond_name(P):
@@ -66,6 +72,7 @@ def counting(counts):
                             SparseMatrix._kernel)
     solve = richardson.solve_stationary
     arnoldi, train_ns = training._arnoldi, training.train_ns
+    uncached = training._product
 
     def counted_matvec(self, x):
         counts["product", "matvec"] += 1
@@ -80,6 +87,15 @@ def counting(counts):
 
         def counted(x, y):
             counts["product", "accumulating"] += 1
+            return run(x, y)
+        return counted
+
+    def counted_uncached(A, transpose=False):
+        run = uncached(A, transpose)
+        kind = "uncached transposed" if transpose else "uncached"
+
+        def counted(x, y):
+            counts["product", kind] += 1
             return run(x, y)
         return counted
 
@@ -120,6 +136,7 @@ def counting(counts):
         (richardson, "solve_stationary"): counted_solve,
         (training, "_arnoldi"): counted_arnoldi,
         (training, "train_ns"): counted_train_ns,
+        (training, "_product"): counted_uncached,
         # fns calls the _unroll it imported, so both names are replaced
         (training, "_unroll"): counted_unroll(training._unroll),
         (fns, "_unroll"): counted_unroll(fns._unroll),
@@ -163,8 +180,7 @@ def report(name, per_round):
     unrolls = sorted(k[1] for k in counts if k[0] == "unroll")
     solves = sorted(k[1:] for k in counts if k[0] == "solves")
     lines = [f"{name}:",
-             f"  products: "
-             f"{cells('product', ('matvec', 'rmatvec', 'accumulating'))}",
+             f"  products: {cells('product', PRODUCTS)}",
              f"  kernel builds: {cells('build', ('forward',))}",
              f"  _unroll calls: {cells('unroll', unrolls)}",
              "  projections (computed / served to train_ns by the memo), "

@@ -12,7 +12,7 @@ from .fgmres import orthogonalise
 from .metanet import MetaNet
 from .precond import Preconditioner
 from .richardson import _inner_step
-from .sparse import _product
+from .sparse import _product, _run_kernel
 from .tape import Tape
 from .transforms import dst2
 
@@ -149,8 +149,8 @@ def _arnoldi(sample, K, P, h):
     Q = np.empty((K + 1, len(sample.f)))
     np.divide(sample.f, c, out=Q[0])
     for j in range(K):
-        w = np.zeros(len(sample.f))
-        product(Q[j] if P is None else P.apply(Q[j]), w)
+        w = _run_kernel(product, len(sample.f), float,
+                        Q[j] if P is None else P.apply(Q[j]))
         before = np.linalg.norm(w)
         h[:j + 1, j] = orthogonalise(Q[:j + 1], w)
         after = np.linalg.norm(w)
