@@ -4,8 +4,8 @@
 
 Run from the repository root. Each workload of ``perfbench/workloads.py``
 is imported as it is, set up as the benchmark sets it up, and run for
-``ROUNDS`` rounds under counting patches; set-up runs unpatched. Per
-workload it prints, for the first round:
+``ROUNDS`` rounds under counting patches; of set-up, only its scipy-view
+builds are reported. Per workload it prints, for the first round:
 
 - products by entry point: ``matvec``, ``rmatvec``, the accumulating
   y += A x calls (``_accumulating_product``'s kernels), and training's
@@ -13,7 +13,10 @@ workload it prints, for the first round:
   ``sparse._product``: the projection's and the hybrid rows' A x, and
   the hybrid rows' A^T x);
 - product-kernel builds: forward kernels (``_kernel`` on first use;
-  ``rmatvec`` and training's uncached products build none);
+  ``rmatvec`` and training's uncached products build none); next to
+  them, the scipy CSR views built (``SparseMatrix._csr`` on first use:
+  ``to_scipy``, ``to_dense`` and a scattered pattern's kernel), in
+  set-up and in each round;
 - stationary solver updates by (sweep form, variant, preconditioner),
   from each ``solve_stationary`` report, with the solve count;
 - ``training._unroll`` calls by operator kind: "H stack" for the
@@ -36,6 +39,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import functools
 import sys
 from pathlib import Path
 
@@ -73,6 +77,7 @@ def counting(counts):
     solve = richardson.solve_stationary
     arnoldi, train_ns = training._arnoldi, training.train_ns
     uncached = training._product
+    view = SparseMatrix.__dict__["_csr"]
 
     def counted_matvec(self, x):
         counts["product", "matvec"] += 1
@@ -104,6 +109,12 @@ def counting(counts):
             counts["build", "forward"] += 1
         return kernel(self)
 
+    @functools.cached_property
+    def counted_view(self):
+        counts["build", "scipy view"] += 1
+        return view.func(self)
+    counted_view.__set_name__(SparseMatrix, "_csr")
+
     def counted_solve(A, f, schedule, P=None, **kwargs):
         u, report = solve(A, f, schedule, P=P, **kwargs)
         key = (report.sweep_form, schedule.variant, _precond_name(P))
@@ -133,6 +144,7 @@ def counting(counts):
         (SparseMatrix, "rmatvec"): counted_rmatvec,
         (SparseMatrix, "_accumulating_product"): counted_accumulating,
         (SparseMatrix, "_kernel"): counted_kernel,
+        (SparseMatrix, "_csr"): counted_view,
         (richardson, "solve_stationary"): counted_solve,
         (training, "_arnoldi"): counted_arnoldi,
         (training, "train_ns"): counted_train_ns,
@@ -152,11 +164,13 @@ def counting(counts):
 
 
 def traffic(name, sizes, seed=0):
-    """The Counters of ``ROUNDS`` rounds of workload ``name`` at
-    ``sizes``, one per round."""
+    """The Counters of workload ``name`` at ``sizes``: its set-up's, then
+    one per round of its ``ROUNDS`` rounds."""
     wl = workloads.WORKLOADS[name](seed, sizes)
-    for unit in wl.setup_units():
-        unit()
+    setup = collections.Counter()
+    with counting(setup):
+        for unit in wl.setup_units():
+            unit()
     wl.prepare_checks()
     per_round = []
     for _ in range(ROUNDS):
@@ -167,10 +181,10 @@ def traffic(name, sizes, seed=0):
         if failed:
             raise SystemExit(f"error: {name}: operations failed: {failed}")
         per_round.append(counts)
-    return per_round
+    return setup, per_round
 
 
-def report(name, per_round):
+def report(name, setup, per_round):
     counts = per_round[0]
 
     def cells(section, kinds):
@@ -181,7 +195,10 @@ def report(name, per_round):
     solves = sorted(k[1:] for k in counts if k[0] == "solves")
     lines = [f"{name}:",
              f"  products: {cells('product', PRODUCTS)}",
-             f"  kernel builds: {cells('build', ('forward',))}",
+             f"  kernel builds: {cells('build', ('forward',))}; "
+             "scipy views (set-up; by round): "
+             + "; ".join(f"{c['build', 'scipy view']:,}"
+                         for c in [setup, *per_round]),
              f"  _unroll calls: {cells('unroll', unrolls)}",
              "  projections (computed / served to train_ns by the memo), "
              "by round: "
@@ -203,7 +220,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     sizes = workloads.SMALL if args.size == "small" else workloads.FULL
     for name in workloads.WORKLOADS:
-        print(report(name, traffic(name, sizes)), flush=True)
+        print(report(name, *traffic(name, sizes)), flush=True)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import (AnisotropicProblem, ProblemSpec, assemble_anisotropic,
+from .problems import (AnisotropicProblem, ProblemSpec, _integer,
+                       assemble_anisotropic, assemble_anisotropic_batch,
                        assemble_helmholtz)
 from .sparse import SparseMatrix
 
@@ -52,19 +53,19 @@ def sample_dataset(kind, count, seed, n) -> Dataset:
     under ``seed``: eps ~ U(1e-6, 1), theta ~ U(0, pi), and standard
     normal right-hand sides. ``kind`` must be ``"anisotropic"``, the
     family the schedule trainers accept; it is recorded in the metadata.
+    The operators are assembled in one batch, so they share one
+    read-only sparsity pattern (see :func:`assemble_anisotropic_batch`).
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _integer("count", count, 1)
     if kind != "anisotropic":
         raise ValueError(f"unsupported dataset kind: {kind!r}")
     rng = np.random.default_rng(seed)
-    samples = []
+    specs, rhs = [], []
     for _ in range(count):
         eps = rng.uniform(*EPS_RANGE)
         theta = rng.uniform(*THETA_RANGE)
-        spec = AnisotropicProblem(epsilon=eps, theta=theta, n=n)
-        A = assemble_anisotropic(spec)
-        f = rng.standard_normal(spec.ndof)
-        samples.append(Sample(spec=spec, A=A, f=f))
-    return Dataset(kind=kind, seed=seed, n=n, samples=samples)
-
+        specs.append(AnisotropicProblem(epsilon=eps, theta=theta, n=n))
+        rhs.append(rng.standard_normal(specs[-1].ndof))
+    samples = [Sample(spec=spec, A=A, f=f) for spec, A, f in
+               zip(specs, assemble_anisotropic_batch(specs), rhs)]
+    return Dataset(kind=kind, seed=seed, n=specs[0].n, samples=samples)

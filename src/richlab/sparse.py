@@ -69,10 +69,14 @@ class SparseMatrix:
         self.row_starts = row_starts
         self.col_indices = col_indices
         self.values = values
-        self._csr = scipy.sparse.csr_matrix(
-            (values, col_indices, row_starts), shape=(nrows, ncols))
         # the product kernels of A (see _kernel), built on first use
         self._kernels = None
+
+    @functools.cached_property
+    def _csr(self):
+        """The scipy CSR view of A's arrays, built on first use."""
+        return scipy.sparse.csr_matrix(
+            (self.values, self.col_indices, self.row_starts), shape=self.shape)
 
     @property
     def shape(self):
@@ -113,7 +117,7 @@ class SparseMatrix:
         if x.shape != (self.ncols,):
             raise DimensionMismatch(
                 f"matrix has {self.ncols} columns but vector has length {x.shape}")
-        _, _, fast, exact, padded = self._kernel()
+        _, fast, exact, padded = self._kernel()
         dtype = np.promote_types(self.values.dtype, x.dtype)
         y = _run_kernel(fast, self.nrows, dtype, x)
         # DIA multiplies each padding zero by its x_j, so a non-finite x_j
@@ -140,24 +144,23 @@ class SparseMatrix:
         y's entry in the kernel's order. No zero fill, shape check or
         padded-row probe: where a non-finite x_j meets DIA padding, a row
         may read NaN that :meth:`matvec` leaves finite."""
-        return self._kernel()[2]
+        return self._kernel()[1]
 
     def _kernel(self):
-        """(fast, exact) scipy matrices for A x (DIA and CSR, or CSR twice
-        when the pattern is too scattered), then their compiled products
-        and the rows where the DIA kernel multiplies padding (None when
-        there are none)."""
+        """The fast scipy matrix for A x (DIA, or the CSR view when the
+        pattern is too scattered), the compiled products of it and of
+        CSR, and the rows where the DIA kernel multiplies padding (None
+        when there are none)."""
         if self._kernels is None:
-            exact = self._csr
             run_exact = _product(self)
             parts = self._diagonals()
             if parts is None:
-                self._kernels = (exact, exact, run_exact, run_exact, None)
+                self._kernels = (self._csr, run_exact, run_exact, None)
             else:
                 offsets, data = parts
                 fast = scipy.sparse.dia_matrix((data, offsets),
-                                               shape=exact.shape)
-                self._kernels = (fast, exact, _dia_product(fast), run_exact,
+                                               shape=self.shape)
+                self._kernels = (fast, _dia_product(fast), run_exact,
                                  _padded_rows(offsets,
                                               np.diff(self.row_starts),
                                               self.ncols))
@@ -188,7 +191,14 @@ class SparseMatrix:
         return np.flatnonzero(occupied) - (nrows - 1), data
 
     def diagonal(self):
-        return self._csr.diagonal()
+        """The main diagonal, of length min(nrows, ncols), read from the
+        CSR arrays: 0 where A holds no entry, and each held entry added
+        onto a zero as scipy's ``diagonal`` adds it."""
+        rows = np.repeat(np.arange(self.nrows), np.diff(self.row_starts))
+        on = self.col_indices == rows
+        diag = np.zeros(min(self.nrows, self.ncols), dtype=self.dtype)
+        diag[rows[on]] += self.values[on]
+        return diag
 
     def __repr__(self):
         field = "complex" if self.is_complex else "real"

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
-                              ShannonViolation, assemble_anisotropic,
-                              assemble_helmholtz, bilinear_element_stiffness,
-                              coefficient_matrix, damping_mask)
+                              ShannonViolation, _stencil_matrix,
+                              assemble_anisotropic,
+                              assemble_anisotropic_batch, assemble_helmholtz,
+                              bilinear_element_stiffness, coefficient_matrix,
+                              damping_mask)
 
 from reference_assembly import reference_anisotropic, reference_helmholtz
 
@@ -123,6 +125,22 @@ class TestStencilAssemblyMatchesElementLoop:
         assert_same_csr(A, reference_anisotropic(p))
         assert A.nnz == 277   # 361 with the corners kept
 
+    @given(params=st.lists(st.tuples(st.floats(-6.0, 0.0),
+                                     st.floats(0.0, np.pi),
+                                     st.sampled_from([2, 3, 8])),
+                           min_size=1, max_size=8),
+           at=st.integers(0, 8))
+    def test_anisotropic_batch(self, params, at):
+        # eps=1/2 on an axis drops the corner offsets, so the batch forms
+        # at least two pattern groups
+        specs = [AnisotropicProblem(10.0 ** lg_eps, theta, n)
+                 for lg_eps, theta, n in params]
+        specs.insert(min(at, len(specs)), AnisotropicProblem(0.5, 0.0, 8))
+        batch = assemble_anisotropic_batch(specs)
+        assert len(batch) == len(specs)
+        for p, A in zip(specs, batch):
+            assert_same_csr(A, reference_anisotropic(p))
+
     @settings(max_examples=30)
     @given(n=st.sampled_from([16, 64, 128]),
            points_per_wavelength=st.floats(10.0, 40.0))
@@ -161,6 +179,24 @@ class TestHelmholtzAssembly:
         assert np.array_equal(A, A.T)
         assert not np.array_equal(A, A.conj().T)
 
+    def test_stencil_drops_exact_zeros(self):
+        # one unknown's diagonal value is an exact zero: it is left out,
+        # and so are the neighbours that fall outside the 3 x 3 grid
+        offsets = [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
+        values = np.full((5, 9), -1.0 + 0j)
+        values[2] = 4.0
+        values[2, 4] = 0.0
+        A = _stencil_matrix(3, offsets, values)
+        dense = np.zeros((9, 9), dtype=complex)
+        for (di, dj), row in zip(offsets, values):
+            for i in range(3):
+                for j in range(3):
+                    if 0 <= i + di < 3 and 0 <= j + dj < 3:
+                        dense[3 * i + j, 3 * (i + di) + j + dj] = row[3 * i + j]
+        assert A.nnz == 32   # 33 couplings inside the grid, one zero
+        assert np.all(A.values != 0)
+        assert np.array_equal(A.to_dense(), dense)
+
     def test_shannon_violation_reports_ppw(self):
         with pytest.raises(ShannonViolation, match="per wavelength"):
             assemble_helmholtz(HelmholtzProblem(angular_frequency=100.0, n=16))
@@ -191,3 +227,22 @@ def test_mu_extraction():
     assert np.allclose(p.mu, [-3.0, 0.5])
     q = HelmholtzProblem(angular_frequency=3.0, n=64)
     assert np.allclose(q.mu, [3.0])
+
+
+@pytest.mark.parametrize("cls,kw", [
+    (AnisotropicProblem, {"epsilon": 0.5, "theta": 0.0}),
+    (HelmholtzProblem, {"angular_frequency": 2 * np.pi}),
+])
+@pytest.mark.parametrize("n", [True, np.True_, 32.5, 32.0, "32", None])
+def test_non_integer_grid_size_rejected(cls, kw, n):
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        cls(n=n, **kw)
+
+
+@pytest.mark.parametrize("n", [np.int64(8), np.int32(8), np.uint8(8)])
+def test_numpy_grid_size_stored_as_int(n):
+    p = AnisotropicProblem(0.5, 0.0, n)
+    assert type(p.n) is int and p == AnisotropicProblem(0.5, 0.0, 8)
+    shape = assemble_anisotropic(p).shape
+    assert shape == (49, 49) and all(type(k) is int for k in shape)
+    assert type(HelmholtzProblem(2 * np.pi, n).n) is int

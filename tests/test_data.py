@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from richlab.data import EPS_RANGE, sample_dataset
+from richlab.precond import Preconditioner
 
 
 def test_seeded_determinism_bit_identical():
@@ -41,3 +44,61 @@ def test_unsupported_kind():
         with pytest.raises(ValueError, match="unsupported"):
             sample_dataset(kind, 1, seed=0, n=8)
 
+
+
+def _digest(ds):
+    """sha256 over each sample's CSR arrays and right-hand side, in
+    order: each array's bytes, then its dtype's name."""
+    h = hashlib.sha256()
+    for sample in ds:
+        for array in (sample.A.row_starts, sample.A.col_indices,
+                      sample.A.values, sample.f):
+            h.update(array.tobytes())
+            h.update(array.dtype.name.encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("count,seed,n,digest", [
+    # the training set of criteria 2 and 3 and of perfbench
+    # train-schedule, as the per-matrix assembly built it
+    (200, 42, 32, "b4709d6a611533ac8069b84bbc0859b2"
+                  "ccf794f467418e6368705071d3574999"),
+    (30, 7, 16, "059e3edd0db5b907f307c75ee2baf6cb"
+                "5da58cb1b41aae6b7be40ccb2aa3578b"),
+])
+def test_dataset_digest_is_unchanged(count, seed, n, digest):
+    assert _digest(sample_dataset("anisotropic", count, seed, n)) == digest
+
+
+def test_samples_share_one_read_only_pattern():
+    ds = sample_dataset("anisotropic", 6, seed=3, n=8)
+    first = ds[0].A
+    for sample in ds:
+        A = sample.A
+        assert np.shares_memory(A.row_starts, first.row_starts)
+        assert np.shares_memory(A.col_indices, first.col_indices)
+        for array in (A.row_starts, A.col_indices):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        assert "_csr" not in A.__dict__
+    for i, a in enumerate(ds):
+        for b in ds.samples[i + 1:]:
+            assert not np.shares_memory(a.A.values, b.A.values)
+    # SSOR reads the diagonal from the arrays, building no scipy view
+    Preconditioner.ssor(first)
+    assert "_csr" not in first.__dict__
+
+
+@pytest.mark.parametrize("count", [True, 2.5, "3", np.float64(2.0)])
+def test_non_integer_count_rejected(count):
+    with pytest.raises(ValueError, match="^count must be an integer"):
+        sample_dataset("anisotropic", count, seed=0, n=8)
+
+
+def test_numpy_integer_count_and_n_accepted():
+    ds = sample_dataset("anisotropic", np.int64(2), seed=5, n=np.int32(8))
+    assert len(ds) == 2
+    assert type(ds.n) is type(ds[0].spec.n) is int
+    assert ds[0].A.shape == (49, 49)
+    with pytest.raises(ValueError, match="^count must be >= 1, got 0"):
+        sample_dataset("anisotropic", 0, seed=0, n=8)

@@ -133,3 +133,10 @@ def test_traffic_counter_runs_small():
     assert any(line.startswith("recurrence, nagex, ssor: ")
                for line in train)
     assert not helmholtz[1].startswith("kernel builds: forward 0")
+    # the training set shares one pattern and never needs scipy's view of
+    # a matrix: SSOR reads its diagonal from the CSR arrays, and the
+    # held-out operators run the DIA kernel
+    views = [int(cell) for cell in train[1].split("by round): ")[1].split("; ")]
+    assert views[:2] == [0, 0]
+    # the spectral bounds of set-up do build views: the count is live
+    assert int(aniso[1].split("by round): ")[1].split("; ")[0]) > 0

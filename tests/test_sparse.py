@@ -115,6 +115,26 @@ def test_scipy_view_shares_the_index_arrays():
     assert np.shares_memory(csr.data, A.values)
 
 
+@given(nrows=st.integers(0, 9), ncols=st.integers(0, 9),
+       density=st.floats(0.0, 1.0), is_complex=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_diagonal_equals_scipys(nrows, ncols, density, is_complex, seed):
+    # rectangular, complex, and with empty rows and missing diagonal
+    # entries; the arrays are read without building the scipy view
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((nrows, ncols))
+    if is_complex:
+        M = M + 1j * rng.standard_normal((nrows, ncols))
+    A = SparseMatrix.from_scipy(
+        scipy.sparse.csr_matrix(M * (rng.random(M.shape) < density)))
+    diag = A.diagonal()
+    assert "_csr" not in A.__dict__
+    want = A.to_scipy().diagonal()
+    assert diag.shape == (min(nrows, ncols),)
+    assert diag.dtype == want.dtype == A.dtype
+    assert diag.tobytes() == want.tobytes()
+
+
 # -- product kernels ------------------------------------------------------
 
 def _kernel_format(A):
@@ -226,7 +246,7 @@ def test_each_non_finite_position_gives_csr_bytes(bad):
         for product, ref in ((A.matvec, csr.dot), (A.rmatvec, csr.T.dot)):
             y = product(x)
             assert y.tobytes() == ref(x).tobytes()
-        _, _, fast, _, padded = A._kernel()
+        _, fast, _, padded = A._kernel()
         y = np.zeros(A.nrows)
         fast(x, y)
         kept += not np.isnan(y[padded]).any()
