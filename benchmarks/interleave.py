@@ -23,13 +23,11 @@ inputs with that code. To time one tree, pass it twice. The op sets
   through the 20-sample anisotropic set, and one apply of each sample's
   preconditioner to its right-hand side, as one Arnoldi step of the
   Krylov projection of the 20 samples runs them, one sample at a time.
-- ``batches``: one recorded hybrid batch on that set in each training
-  phase, lambda and omega (forward and backward, the ``FnsTrainConfig`` defaults, the
-  initial smoother and zero correction rows); one recorded forward and
-  backward of each ``train-schedule`` net at its untrained initial
-  state with the unroll K=50: the plain net (log-omega output, seed 1)
-  on the first 5 samples, and the SSOR NAG-ex net (seed 0) on all 20,
-  with the batch projected afresh in the call; the same two batches as
+- ``batches``: one recorded forward and backward of each
+  ``train-schedule`` net at its untrained initial state with the unroll
+  K=50: the plain net (log-omega output, seed 1) on the first 5
+  samples, and the SSOR NAG-ex net (seed 0) on all 20, with the batch
+  projected afresh in the call; the same two batches as
   ``train_ns`` runs them, with every projection served by the memo of
   ``training.krylov_projection`` (filled beforehand; a tree without
   that memo does not run these two); and ``training.krylov_projection``
@@ -212,27 +210,8 @@ def _forget_projections(training):
 
 
 def batches(mod):
-    fns, training = mod("fns"), mod("training")
+    training = mod("training")
     forget = _forget_projections(training)
-    cfg = fns.FnsTrainConfig()
-
-    def hybrid_batch(train_lambda):
-        def build():
-            samples = _training_set(mod)
-            net = fns._initial_net(cfg, input_dim=2)
-            rows = np.zeros((len(samples), (TRAIN_N - 1) ** 2))
-
-            def run():
-                (omega, _, _), records = training._schedules(samples, net)
-                _, row_grads = fns._hybrid_loss(
-                    samples, omega, rows, cfg.unroll, cfg.smooth_steps,
-                    wrt=("lam",) if train_lambda else ("omega",))
-                if train_lambda:
-                    row_grads()
-                else:
-                    net.backward(records, row_grads().get("omega"))
-            return run
-        return build
 
     def schedule_batch(variant, precond, log_omega, batch_size, seed):
         def build():
@@ -274,8 +253,6 @@ def batches(mod):
         return build
 
     return {
-        "hybrid_lambda_batch": (hybrid_batch(True), 1),
-        "hybrid_omega_batch": (hybrid_batch(False), 1),
         "plain_schedule_batch_5": (
             schedule_batch("plain", None, True, 5, 1), 1),
         "nagex_ssor_schedule_batch_20": (

@@ -10,8 +10,7 @@ builds are reported. Per workload it prints, for the first round:
 - products by entry point: ``matvec``, ``rmatvec``, the accumulating
   y += A x calls (``_accumulating_product``'s kernels), and training's
   uncached products (the kernels ``training`` binds by
-  ``sparse._product``: the projection's and the hybrid rows' A x, and
-  the hybrid rows' A^T x);
+  ``sparse._product``: the projection's A x);
 - product-kernel builds: forward kernels (``_kernel`` on first use;
   ``rmatvec`` and training's uncached products build none); next to
   them, the scipy CSR views built (``SparseMatrix._csr`` on first use:
@@ -19,9 +18,8 @@ builds are reported. Per workload it prints, for the first round:
   set-up and in each round;
 - stationary solver updates by (sweep form, variant, preconditioner),
   from each ``solve_stationary`` report, with the solve count;
-- ``training._unroll`` calls by operator kind: "H stack" for the
-  schedule nets' projected (B, K+1, K+1) stacks, "matrices" for the
-  hybrid's lists of its samples' operators;
+- ``training._unroll`` calls on the schedule nets' projected
+  (B, K+1, K+1) stacks ("H stack");
 
 and, for each round, the Krylov projections ``training`` computed
 (``_arnoldi`` runs, wherever they come from) and the samples whose
@@ -43,13 +41,11 @@ import functools
 import sys
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 sys.dont_write_bytecode = True   # nothing is written next to perfbench
 
-from richlab import fns, richardson, training  # noqa: E402
+from richlab import richardson, training  # noqa: E402
 from richlab.sparse import SparseMatrix  # noqa: E402
 import workloads  # noqa: E402
 
@@ -57,8 +53,7 @@ import workloads  # noqa: E402
 # projection memo serves when the same sets are trained on again
 ROUNDS = 2
 # the product entry points, in the order the products line lists them
-PRODUCTS = ("matvec", "rmatvec", "accumulating", "uncached",
-            "uncached transposed")
+PRODUCTS = ("matvec", "rmatvec", "accumulating", "uncached")
 
 
 def _precond_name(P):
@@ -76,7 +71,7 @@ def counting(counts):
                             SparseMatrix._kernel)
     solve = richardson.solve_stationary
     arnoldi, train_ns = training._arnoldi, training.train_ns
-    uncached = training._product
+    uncached, unroll = training._product, training._unroll
     view = SparseMatrix.__dict__["_csr"]
 
     def counted_matvec(self, x):
@@ -95,12 +90,11 @@ def counting(counts):
             return run(x, y)
         return counted
 
-    def counted_uncached(A, transpose=False):
-        run = uncached(A, transpose)
-        kind = "uncached transposed" if transpose else "uncached"
+    def counted_uncached(A):
+        run = uncached(A)
 
         def counted(x, y):
-            counts["product", kind] += 1
+            counts["product", "uncached"] += 1
             return run(x, y)
         return counted
 
@@ -132,12 +126,9 @@ def counting(counts):
             net.training_history["projection_reused"]
         return net
 
-    def counted_unroll(unroll):
-        def run(A, *args, **kwargs):
-            kind = "H stack" if isinstance(A, np.ndarray) else "matrices"
-            counts["unroll", kind] += 1
-            return unroll(A, *args, **kwargs)
-        return run
+    def counted_unroll(*args, **kwargs):
+        counts["unroll", "H stack"] += 1
+        return unroll(*args, **kwargs)
 
     replacements = {
         (SparseMatrix, "matvec"): counted_matvec,
@@ -149,9 +140,7 @@ def counting(counts):
         (training, "_arnoldi"): counted_arnoldi,
         (training, "train_ns"): counted_train_ns,
         (training, "_product"): counted_uncached,
-        # fns calls the _unroll it imported, so both names are replaced
-        (training, "_unroll"): counted_unroll(training._unroll),
-        (fns, "_unroll"): counted_unroll(fns._unroll),
+        (training, "_unroll"): counted_unroll,
     }
     original = {key: getattr(*key) for key in replacements}
     try:

@@ -20,9 +20,8 @@ from .training import (Adam, TrainConfig, evaluate_loss, train_ns,
 from .multigrid import (Hierarchy, build_hierarchy, galerkin_coarse,
                         helmholtz_hierarchy, prolongation_matrix,
                         restriction_matrix, v_cycle)
-from .fns import (FnsLiteModel, FnsTrainConfig, SpectralCorrection,
-                  fns_lite_step, sine_basis_eigenvalues, solve_fns,
-                  train_fns_lite)
+from .fns import (SpectralCorrection, fns_lite_step, sine_basis_eigenvalues,
+                  solve_fns)
 from .fgmres import FgmresConfig, fgmres
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -3,7 +3,7 @@
 Subcommands
 -----------
 reproduce  run a benchmark grid (t2 / t3 / t4 / helmholtz-sweep) to CSV
-train      fit a weight-schedule network (or the hybrid model) and save it
+train      fit a weight-schedule network and save it
 solve      solve one problem instance with a chosen method
 assemble   build an operator and export it in Matrix Market form
 
@@ -21,7 +21,6 @@ import configparser
 import csv
 import sys
 import time
-from dataclasses import asdict
 
 import numpy as np
 
@@ -349,42 +348,21 @@ def cmd_train(args):
         raise ConfigError(
             f"training-set size {args.count} above the desk-scale limit "
             f"{DESK_TRAIN_LIMIT}; pass --full to proceed")
-    if args.model == "fns" and (args.variant != "plain" or args.precond):
-        flag = (f"--variant {args.variant}" if args.variant != "plain"
-                else f"--precond {args.precond}")
-        raise ConfigError(f"{flag} does not apply to --model fns, whose "
-                          "smoother is plain, unpreconditioned Richardson")
-    if args.model == "schedule":
-        cfg = TrainConfig(m=args.m, unroll=args.unroll,
-                          n_epochs=args.epochs, batch_size=args.batch_size,
-                          learning_rate=args.lr, seed=args.seed,
-                          variant=args.variant, precond=args.precond)
-    else:
-        from .fns import FnsTrainConfig, train_fns_lite
-        # one hybrid step per ten inner updates, at least one
-        cfg = FnsTrainConfig(m=args.m, unroll=max(1, args.unroll // 10),
-                             n_epochs=args.epochs,
-                             batch_size=args.batch_size,
-                             learning_rate=args.lr, seed=args.seed)
+    cfg = TrainConfig(m=args.m, unroll=args.unroll, n_epochs=args.epochs,
+                      batch_size=args.batch_size, learning_rate=args.lr,
+                      seed=args.seed, variant=args.variant,
+                      precond=args.precond)
     ds = sample_dataset("anisotropic", args.count, seed=args.seed, n=args.n)
-    if args.model == "schedule":
-        net = train_ns(cfg, ds)
-        net.save(args.output, extra_metadata={"epochs": args.epochs,
-                                              "unroll": args.unroll})
-        best = net.training_history["val"][net.best_epoch]
-        closed = net.training_history["krylov_closed"]
-        if closed:
-            print(f"{closed} of {len(ds)} samples' Krylov spaces closed "
-                  f"before {args.unroll} steps")
-        print(f"saved {args.output} (best validation loss {best:.4g} at "
-              f"epoch {net.best_epoch})")
-    else:
-        model = train_fns_lite(cfg, ds)
-        finals = [[tag, losses[-1]] for tag, losses in model.training_history]
-        model.save(args.output, extra_metadata={**asdict(cfg),
-                                                "final_losses": finals})
-        print(f"saved {args.output} (final {finals[-1][0]}-phase loss "
-              f"{finals[-1][1]:.4g})")
+    net = train_ns(cfg, ds)
+    net.save(args.output, extra_metadata={"epochs": args.epochs,
+                                          "unroll": args.unroll})
+    best = net.training_history["val"][net.best_epoch]
+    closed = net.training_history["krylov_closed"]
+    if closed:
+        print(f"{closed} of {len(ds)} samples' Krylov spaces closed "
+              f"before {args.unroll} steps")
+    print(f"saved {args.output} (best validation loss {best:.4g} at "
+          f"epoch {net.best_epoch})")
     return 0
 
 
@@ -460,8 +438,7 @@ def build_parser():
                    help="full-scale grid instead of the desk-scale budget")
     p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("train", help="fit and save a model")
-    p.add_argument("--model", choices=["schedule", "fns"], default="schedule")
+    p = sub.add_parser("train", help="fit and save a schedule network")
     p.add_argument("--n", type=int, default=32)
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--m", type=int, default=3)

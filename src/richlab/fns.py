@@ -1,29 +1,21 @@
 """Hybrid smoother + sine-spectral correction iteration.
 
-One hybrid step applies M inner smoothing updates, then adds a learned
-diagonal correction in the orthonormal 2D sine basis:
+One hybrid step applies M inner smoothing updates, then adds a diagonal
+correction in the orthonormal 2D sine basis:
 u <- u + dst2_inv(lambda_tilde * dst2(f - A u)). With homogeneous
 Dirichlet boundaries the sine basis diagonalizes the isotropic and
 axis-aligned constant-coefficient operators exactly, so the correction
-can represent their exact inverse. A trained hybrid anchors its
-correction on the operator's own sine-basis diagonal and learns one
-log-multiplier per mode; training alternates between that multiplier
-and the smoother weight network, each phase freezing the other.
+1 / diag(S A S) (:func:`sine_basis_eigenvalues`) is their exact inverse.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import (load_checkpoint, missing_entries_refused,
-                         save_checkpoint)
-from .metanet import MetaNet
 from .richardson import DivergenceError, SolveReport, _recurrence_pass
-from .training import Adam, _check_config, _mean_loss, _schedules, _unroll
 from .transforms import dst2, dst2_inv
-
-import time
 
 
 @dataclass
@@ -139,159 +131,3 @@ def solve_fns(A, f, schedule, corr, M, tol=1e-6):
                           trace=np.array(trace),
                           matvecs=it * (M + 1) + (it > 0))
 
-
-# -- differentiable hybrid loss -----------------------------------------
-
-def _hybrid_loss(batch, omega, lam, n_hybrid, M, wrt=()):
-    """Mean relative residual of a batch after n_hybrid hybrid steps from
-    a zero initial guess, and a function that returns the gradients of
-    the rows named in ``wrt`` ("omega", "lam") that the loss reads.
-
-    The batch runs as one (B, N) row stack through the training unroll:
-    each step is M plain updates with the (B, m) weight rows ``omega``,
-    then the correction u + S(lam * S(f - A u)) with the (B, N)
-    correction rows ``lam``.
-    """
-    A, F = [s.A for s in batch], np.stack([s.f for s in batch])
-    return _mean_loss(*_unroll(A, F, omega, None, None, M, "plain", lam=lam,
-                               cycles=n_hybrid, wrt=wrt))
-
-
-def _g_gradient(lam_grads, lam):
-    """The gradient of g from a batch's (B, N) correction-row gradients
-    (None when the loss reads no correction row), given its rows
-    lam = exp(g) / d: each row's derivative in g is the row itself, mode
-    by mode, so the gradient is the sum over b of lam_grads_b * lam_b."""
-    if lam_grads is None:
-        return np.zeros(lam.shape[1])
-    return np.sum(lam_grads * lam, axis=0)
-
-
-# -- hybrid model -------------------------------------------------------
-
-@dataclass
-class FnsLiteModel:
-    """Smoother weight network plus a learned per-mode log-multiplier g
-    on the operator's own sine-basis diagonal: the correction for A is
-    exp(g) / diag(S A S), so g = 0 gives that diagonal's inverse."""
-    net: MetaNet
-    g: np.ndarray                 # ((n-1)^2,)
-    n: int
-
-    def correction_for(self, A) -> SpectralCorrection:
-        return SpectralCorrection(
-            lambda_tilde=np.exp(self.g) / sine_basis_eigenvalues(A, self.n),
-            n=self.n)
-
-    def save(self, path, extra_metadata=None):
-        """One checkpoint of kind "fns-anchored": the net's header and
-        arrays, the grid size, g, and ``extra_metadata`` as "config"."""
-        meta, arrays = self.net._checkpoint()
-        meta.update(kind="fns-anchored", n=self.n)
-        if extra_metadata:
-            meta["config"] = extra_metadata
-        save_checkpoint(path, meta, {**arrays, "g": self.g})
-
-    @classmethod
-    def load(cls, path):
-        meta, arrays = load_checkpoint(path, "fns-anchored")
-        with missing_entries_refused(path):
-            return cls(net=MetaNet._from_checkpoint(meta, arrays, path),
-                       g=arrays["g"], n=meta["n"])
-
-
-@dataclass
-class FnsTrainConfig:
-    m: int = 3                 # smoother schedule length
-    smooth_steps: int = 10     # M inner smoothing updates per hybrid step
-    unroll: int = 3            # hybrid iterations differentiated through
-    cycles: int = 3            # alternation cycles after the initial phase
-    n_epochs: int = 50         # cap per phase
-    batch_size: int = 20
-    learning_rate: float = 1e-3
-    seed: int = 0
-    hidden: tuple = (64, 64)
-
-    def __post_init__(self):
-        _check_config(self)
-
-
-PLATEAU_WINDOW = 5   # a phase stops when its relative loss decrease over
-PLATEAU_TOL = 0.01   # PLATEAU_WINDOW epochs falls below PLATEAU_TOL
-OMEGA_INIT = 0.5     # the initial constant smoother weight
-
-
-def _initial_net(config, input_dim):
-    net = MetaNet.create(config.m, variant="plain", hidden=config.hidden,
-                         input_dim=input_dim, seed=config.seed)
-    # raw bias placing the initial step weight at OMEGA_INIT
-    net.biases[-1][:] = np.log(np.expm1(OMEGA_INIT))
-    return net
-
-
-def _plateaued(losses):
-    if len(losses) <= PLATEAU_WINDOW:
-        return False
-    ref = losses[-PLATEAU_WINDOW - 1]
-    return (ref - losses[-1]) < PLATEAU_TOL * abs(ref)
-
-
-def train_fns_lite(config: FnsTrainConfig, dataset, net=None):
-    """Alternating optimization of the correction's g and the weights.
-
-    Phase 0 trains g from zero under the frozen initial smoother; each
-    subsequent cycle retrains the weight network under the frozen g,
-    then g under the frozen network. Each sample's sine-basis diagonal
-    d is taken once per run, and a batch's correction rows are
-    exp(g) / d. ``cycles=0`` returns the phase-0 artifacts. Returns an
-    FnsLiteModel with a ``training_history`` list of per-phase loss
-    curves.
-    """
-    if dataset.kind != "anisotropic":
-        raise ValueError("hybrid training expects an anisotropic dataset")
-    n = dataset.n
-    if net is None:
-        net = _initial_net(config, input_dim=len(dataset[0].mu))
-    model = FnsLiteModel(net=net, g=np.zeros((n - 1) ** 2), n=n)
-    diagonals = np.stack([sine_basis_eigenvalues(s.A, n) for s in dataset])
-    rng = np.random.default_rng(config.seed)
-    history = []
-
-    def run_phase(train_lambda):
-        losses = []
-        params = [model.g] if train_lambda else model.net.parameters()
-        opt = Adam(params, lr=config.learning_rate)
-        for _ in range(config.n_epochs):
-            order = rng.permutation(len(dataset))
-            epoch = []
-            for start in range(0, len(dataset), config.batch_size):
-                idx = order[start:start + config.batch_size]
-                batch = [dataset[int(k)] for k in idx]
-                (omega, _, _), records = _schedules(batch, model.net)
-                lam = np.exp(model.g) / diagonals[idx]
-                loss, row_grads = _hybrid_loss(
-                    batch, omega, lam, config.unroll, config.smooth_steps,
-                    wrt=("lam",) if train_lambda else ("omega",))
-                if train_lambda:
-                    grads = [_g_gradient(row_grads().get("lam"), lam)]
-                else:
-                    grads = model.net.backward(records,
-                                               row_grads().get("omega"))
-                params = opt.step(params, grads)
-                if train_lambda:
-                    model.g = params[0]
-                else:
-                    model.net.set_parameters(params)
-                    params = model.net.parameters()
-                epoch.append(float(loss))
-            losses.append(float(np.mean(epoch)))
-            if _plateaued(losses):
-                break
-        return losses
-
-    history.append(("lambda", run_phase(True)))
-    for _ in range(config.cycles):
-        history.append(("omega", run_phase(False)))
-        history.append(("lambda", run_phase(True)))
-    model.training_history = history
-    return model

@@ -139,74 +139,66 @@ class MetaNet:
         return total
 
     # -- persistence -----------------------------------------------------
-    def _checkpoint(self):
-        """The (header, arrays) of this net's checkpoint, which a hybrid
-        checkpoint extends."""
+    def save(self, path, extra_metadata=None):
         meta = {"kind": "metanet", "widths": list(self.widths),
                 "activation": "tanh", "variant": self.variant, "m": self.m,
                 "learn_log_omega": self.learn_log_omega, "seed": self.seed}
+        if extra_metadata:
+            meta["config"] = extra_metadata
         arrays = {"input_bounds": self.input_bounds}
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
             arrays[f"weight_{i}"] = W
             arrays[f"bias_{i}"] = b
-        return meta, arrays
-
-    @classmethod
-    def _from_checkpoint(cls, meta, arrays, path):
-        """Inverse of :meth:`_checkpoint`; the header's kind is not read.
-        A ValueError naming ``path``, the checkpoint read, refuses widths
-        other than a list of at least two positive integers, an m other
-        than a positive integer, a variant outside _GROUPS, a non-boolean
-        learn_log_omega, a non-integer seed, a last width other than m
-        times the variant's output groups, and an array whose shape the
-        widths do not give."""
-        def refuse(what):
-            raise ValueError(f"{path}: checkpoint {what}")
-
-        widths, m, variant = meta["widths"], meta["m"], meta["variant"]
-        log_omega, seed = meta["learn_log_omega"], meta["seed"]
-        if not (isinstance(widths, list) and len(widths) >= 2 and all(
-                type(w) is int and w > 0 for w in widths)):
-            refuse(f"widths {widths!r} are not a list of at least two "
-                   "positive integers")
-        if not (type(m) is int and m > 0):
-            refuse(f"m {m!r} is not a positive integer")
-        if variant not in tuple(_GROUPS):   # no hash: a list is refused too
-            refuse(f"variant {variant!r} is not one of {', '.join(_GROUPS)}")
-        if type(log_omega) is not bool:
-            refuse(f"learn_log_omega {log_omega!r} is not a boolean")
-        if type(seed) is not int:
-            refuse(f"seed {seed!r} is not an integer")
-        outputs = m * _GROUPS[variant]
-        if widths[-1] != outputs:
-            refuse(f"widths {widths} end in {widths[-1]} outputs, not the "
-                   f"{outputs} of m={m} and variant {variant!r}")
-        shapes = {"input_bounds": (widths[0], 2)}
-        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
-            shapes[f"weight_{i}"] = (fan_out, fan_in)
-            shapes[f"bias_{i}"] = (fan_out,)
-        for name, shape in shapes.items():
-            if arrays[name].shape != shape:
-                refuse(f"array {name!r} has shape {arrays[name].shape}, "
-                       f"not the {shape} of widths {widths}")
-        nlayers = len(widths) - 1
-        return cls(widths=widths,
-                   weights=[arrays[f"weight_{i}"] for i in range(nlayers)],
-                   biases=[arrays[f"bias_{i}"] for i in range(nlayers)],
-                   variant=variant, m=m, learn_log_omega=log_omega,
-                   input_bounds=arrays["input_bounds"], seed=seed)
-
-    def save(self, path, extra_metadata=None):
-        meta, arrays = self._checkpoint()
-        if extra_metadata:
-            meta["config"] = extra_metadata
         save_checkpoint(path, meta, arrays)
 
     @classmethod
     def load(cls, path):
+        """Inverse of :meth:`save`. A ValueError naming ``path`` refuses a
+        checkpoint of a kind other than "metanet", widths other than a
+        list of at least two positive integers, an m other than a
+        positive integer, a variant outside _GROUPS, a non-boolean
+        learn_log_omega, a non-integer seed, a last width other than m
+        times the variant's output groups, an array whose shape the
+        widths do not give, and a missing header key or array."""
+        def refuse(what):
+            raise ValueError(f"{path}: checkpoint {what}")
+
+        meta, arrays = load_checkpoint(path, "metanet")
         with missing_entries_refused(path):
-            return cls._from_checkpoint(*load_checkpoint(path, "metanet"),
-                                        path)
+            widths, m, variant = meta["widths"], meta["m"], meta["variant"]
+            log_omega, seed = meta["learn_log_omega"], meta["seed"]
+            if not (isinstance(widths, list) and len(widths) >= 2 and all(
+                    type(w) is int and w > 0 for w in widths)):
+                refuse(f"widths {widths!r} are not a list of at least two "
+                       "positive integers")
+            if not (type(m) is int and m > 0):
+                refuse(f"m {m!r} is not a positive integer")
+            if variant not in tuple(_GROUPS):  # no hash: a list is refused too
+                refuse(f"variant {variant!r} is not one of "
+                       f"{', '.join(_GROUPS)}")
+            if type(log_omega) is not bool:
+                refuse(f"learn_log_omega {log_omega!r} is not a boolean")
+            if type(seed) is not int:
+                refuse(f"seed {seed!r} is not an integer")
+            outputs = m * _GROUPS[variant]
+            if widths[-1] != outputs:
+                refuse(f"widths {widths} end in {widths[-1]} outputs, not "
+                       f"the {outputs} of m={m} and variant {variant!r}")
+            shapes = {"input_bounds": (widths[0], 2)}
+            for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+                shapes[f"weight_{i}"] = (fan_out, fan_in)
+                shapes[f"bias_{i}"] = (fan_out,)
+            for name, shape in shapes.items():
+                if arrays[name].shape != shape:
+                    refuse(f"array {name!r} has shape {arrays[name].shape}, "
+                           f"not the {shape} of widths {widths}")
+            nlayers = len(widths) - 1
+            return cls(widths=widths,
+                       weights=[arrays[f"weight_{i}"]
+                                for i in range(nlayers)],
+                       biases=[arrays[f"bias_{i}"] for i in range(nlayers)],
+                       variant=variant, m=m, learn_log_omega=log_omega,
+                       input_bounds=arrays["input_bounds"], seed=seed)
 
 
 def _sigmoid(x):

@@ -238,10 +238,13 @@ def _stencil_pattern(m, offsets):
     index = _index_dtype(m * m, m * m, int(counts.sum()))
     row_starts = np.zeros(m * m + 1, dtype=index)
     np.cumsum(counts, out=row_starts[1:])
-    # masking the transposed views reads each row's offsets in order
+    # masking the (m^2, K) transposes reads each row's offsets in order;
+    # contiguous copies and an int8 slot source select faster than the
+    # strided transposed views
+    mask = np.ascontiguousarray(keep.T)
     cols = np.arange(m * m, dtype=index) + (di * m + dj).astype(index)[:, None]
-    col_indices = cols.T[keep.T]
-    slots = np.broadcast_to(np.arange(len(di))[:, None], keep.shape).T[keep.T]
+    col_indices = np.ascontiguousarray(cols.T)[mask]
+    slots = np.tile(np.arange(len(di), dtype=np.int8), (m * m, 1))[mask]
     for array in (row_starts, col_indices, slots):
         array.flags.writeable = False
     return row_starts, col_indices, slots

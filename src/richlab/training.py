@@ -14,7 +14,6 @@ from .precond import Preconditioner
 from .richardson import _inner_step
 from .sparse import _product, _run_kernel
 from .tape import Tape
-from .transforms import dst2
 
 
 class TrainingDiverged(RuntimeError):
@@ -43,23 +42,17 @@ class TrainConfig:
     hidden: tuple = (64, 64)
 
     def __post_init__(self):
-        _check_config(self)
+        if self.unroll < 0 or self.batch_size < 1:
+            raise ValueError("unroll must be >= 0 and batch_size >= 1")
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
+        if not self.learning_rate > 0:
+            raise ValueError(
+                f"learning_rate must be positive, got {self.learning_rate}")
 
 
 PATIENCE = 20        # epochs without a better validation loss before a stop
 VAL_FRACTION = 0.2   # share of the dataset, from its end, held out
-
-
-def _check_config(cfg):
-    """Reject the settings no training run can use (shared by the
-    hybrid's config)."""
-    if cfg.unroll < 0 or cfg.batch_size < 1:
-        raise ValueError("unroll must be >= 0 and batch_size >= 1")
-    if cfg.m < 1:
-        raise ValueError(f"m must be >= 1, got {cfg.m}")
-    if not cfg.learning_rate > 0:
-        raise ValueError(
-            f"learning_rate must be positive, got {cfg.learning_rate}")
 
 
 def make_preconditioner(name, A):
@@ -167,96 +160,67 @@ def closed_before(H):
     return (np.diagonal(H, offset=-1, axis1=1, axis2=2) == 0).any(axis=1)
 
 
-def _row_products(A):
-    """The maps X -> (A_b X_b)_b and G -> (A_b^T G_b)_b of real (B, n)
-    row stacks, for A a list of B SparseMatrix operators (row by row by
-    the uncached ``sparse._product``, bound once here) or a (B, n, n)
-    stack (by ``np.matmul``). Neither is assumed symmetric."""
-    if isinstance(A, np.ndarray):
-        A_t = A.transpose(0, 2, 1)
-        return (lambda X: np.matmul(A, X[:, :, None])[:, :, 0],
-                lambda G: np.matmul(A_t, G[:, :, None])[:, :, 0])
-
-    def rows(transpose):
-        products = [_product(a, transpose) for a in A]
-
-        def run(X):
-            Y = np.zeros(X.shape)   # each row's kernel adds into +0
-            for product, x, y in zip(products, X, Y):
-                product(x, y)
-            return Y
-        return run
-
-    return rows(False), rows(True)
+def _row_products(H):
+    """The maps X -> (H_b X_b)_b and G -> (H_b^T G_b)_b of real (B, n)
+    row stacks, for H a (B, n, n) stack, by ``np.matmul``."""
+    H_t = H.transpose(0, 2, 1)
+    return (lambda X: np.matmul(H, X[:, :, None])[:, :, 0],
+            lambda G: np.matmul(H_t, G[:, :, None])[:, :, 0])
 
 
-def _unroll(A, F, omega, alpha, alpha_t, K, variant, lam=None, cycles=1,
-            wrt=()):
-    """Relative residuals ||F_b - A_b u_b|| / ||F_b|| of the (B, n) row
-    stack u after ``cycles`` segments of K inner updates from u = 0,
-    against the right-hand-side rows F, and their adjoint, for A an
-    operator list or stack of :func:`_row_products`.
+def _unroll(H, F, omega, alpha, alpha_t, K, variant, wrt=()):
+    """Relative residuals ||F_b - H_b u_b|| / ||F_b|| of the (B, n) row
+    stack u after K inner updates from u = 0, against the
+    right-hand-side rows F, and their adjoint, for H a stack of
+    :func:`_row_products`.
 
-    This is the one Richardson(m) unroll of training and of the hybrid
-    loss. ``omega``, ``alpha`` and ``alpha_t`` hold one row of m weights
-    per instance (``alpha`` is unused for plain, ``alpha_t`` for plain
-    and mom; nag takes ``alpha`` as its look-ahead weights). Each
-    segment starts with zero momentum, and its update k takes column
-    k mod m of the weight rows. Given the (B, n) correction rows
-    ``lam``, each segment ends with the hybrid correction
-    u <- u + S(lam * S(F - A u)), S the row-wise sine transform.
-    Each row sees the operations of a one-instance unroll in the same
-    order, so its residual does not depend on the rest of the batch.
-    Each update is the solver's own, ``richardson._inner_step``, run on
-    the row stacks with the unroll's row-stack product as its operator.
+    This is the one Richardson(m) unroll of training. ``omega``,
+    ``alpha`` and ``alpha_t`` hold one row of m weights per instance
+    (``alpha`` is unused for plain, ``alpha_t`` for plain and mom; nag
+    takes ``alpha`` as its look-ahead weights). The unroll starts with
+    zero momentum, and its update k takes column k mod m of the weight
+    rows. Each row sees the operations of a one-instance unroll in the
+    same order, so its residual does not depend on the rest of the
+    batch. Each update is the solver's own, ``richardson._inner_step``,
+    run on the row stacks with the unroll's row-stack product as its
+    operator.
 
-    ``wrt`` names the rows to differentiate, among "omega", "alpha",
-    "alpha_t" and "lam"; the forward keeps the history their adjoint
-    reads: each update's residual, as the step returns it, and its
-    starting velocity. The adjoint maps the gradient g of the residuals
-    to a dict of the gradients of those rows that the unroll reads
-    (nag's look-ahead part goes to "alpha"). It runs the transposed
-    recurrence, and adds its terms in the order that recording the
-    unroll one vector operation at a time would
-    (``tests/reference_tape.py`` states it).
+    ``wrt`` names the rows to differentiate, among "omega", "alpha" and
+    "alpha_t"; the forward keeps the history their adjoint reads: each
+    update's residual, as the step returns it, and its starting
+    velocity. The adjoint maps the gradient g of the residuals to a dict
+    of the gradients of those rows that the unroll reads (nag's
+    look-ahead part goes to "alpha"). It runs the transposed recurrence,
+    and adds its terms in the order that recording the unroll one vector
+    operation at a time would (``tests/reference_tape.py`` states it).
     """
     B, n = F.shape
-    steps = K * cycles
     momentum = variant != "plain"
     look_ahead = variant in ("nag", "nagex")
     if variant == "nag":
         alpha_t = alpha
-    m = omega.shape[1] if steps else 1
-    read = {"omega": steps > 0, "alpha": steps > 0 and momentum,
-            "alpha_t": steps > 0 and variant == "nagex",
-            "lam": cycles > 0 and lam is not None}
-    wrt = [role for role in ("omega", "alpha", "alpha_t", "lam")
+    m = omega.shape[1] if K else 1
+    read = {"omega": K > 0, "alpha": K > 0 and momentum,
+            "alpha_t": K > 0 and variant == "nagex"}
+    wrt = [role for role in ("omega", "alpha", "alpha_t")
            if role in wrt and read[role]]
     keep_r = "omega" in wrt
     keep_v = "alpha" in wrt or "alpha_t" in wrt
-    keep_d = "lam" in wrt
-    r_hist, v_hist, d_hist = [], [], []
+    r_hist, v_hist = [], []
 
-    product, product_t = _row_products(A)
+    product, product_t = _row_products(H)
     # update k takes column k mod m of (omega, alpha, alpha_t), as (B, 1)
     u = np.zeros((B, n))
     v = np.zeros((B, n))
     step = _inner_step(SimpleNamespace(matvec=product), F, u, v, variant)
     columns = [[None if w is None else w[:, c:c + 1]
                 for w in (omega, alpha, alpha_t)] for c in range(m)]
-    for _ in range(cycles):
-        v.fill(0.0)
-        for k in range(K):
-            if keep_v:
-                v_hist.append(v.copy())
-            r = step(*columns[k % m])
-            if keep_r:
-                r_hist.append(r)
-        if lam is not None:
-            d = dst2(F - product(u))
-            if keep_d:
-                d_hist.append(d)
-            u += dst2(lam * d)
+    for k in range(K):
+        if keep_v:
+            v_hist.append(v.copy())
+        r = step(*columns[k % m])
+        if keep_r:
+            r_hist.append(r)
     res = F - product(u)
     norms = np.array([np.linalg.norm(row) for row in res])
     inv_fnorm = 1.0 / np.array([np.linalg.norm(f) for f in F])
@@ -272,43 +236,29 @@ def _unroll(A, F, omega, alpha, alpha_t, K, variant, lam=None, cycles=1,
         live = norms > 0
         gr[live] = gn[live, None] * res[live] / norms[live, None]
         gu = product_t(-gr)
-        grads = {role: np.zeros((B, m)) for role in wrt if role != "lam"}
+        grads = {role: np.zeros((B, m)) for role in wrt}
         g_alpha = grads.get("alpha")
         g_alpha_t = g_alpha if variant == "nag" else grads.get("alpha_t")
-        g_lam = None
-        j = steps
-        for cycle in reversed(range(cycles)):
-            if lam is not None:
-                g_prod = dst2(gu)
-                if keep_d:
-                    part = g_prod * d_hist[cycle]
-                    g_lam = part if g_lam is None else g_lam + part
-                if cycle == 0 and not (keep_r or keep_v):
-                    break   # nothing before the first correction is wanted
-                gu = gu + product_t(-dst2(g_prod * lam))
-            gv_next = gla_next = None
-            for k in reversed(range(K)):
-                j -= 1
-                col = k % m
-                c = slice(col, col + 1)
-                gv = gu
-                if momentum and gv_next is not None:
-                    cn = slice((k + 1) % m, (k + 1) % m + 1)
-                    gv = gv_next * alpha[:, cn]
-                    if look_ahead:
-                        gv = gv + gla_next * alpha_t[:, cn]
-                    gv = gv + gu
-                if g_alpha is not None:
-                    g_alpha[:, col] += (gv * v_hist[j]).sum(axis=1)
-                if keep_r:
-                    grads["omega"][:, col] += (gv * r_hist[j]).sum(axis=1)
-                gla = product_t(-(gv * omega[:, c]))
-                if g_alpha_t is not None:
-                    g_alpha_t[:, col] += (gla * v_hist[j]).sum(axis=1)
-                gu = gu + gla
-                gv_next, gla_next = gv, gla
-        if keep_d:
-            grads["lam"] = g_lam
+        gv_next = gla_next = None
+        for k in reversed(range(K)):
+            col = k % m
+            c = slice(col, col + 1)
+            gv = gu
+            if momentum and gv_next is not None:
+                cn = slice((k + 1) % m, (k + 1) % m + 1)
+                gv = gv_next * alpha[:, cn]
+                if look_ahead:
+                    gv = gv + gla_next * alpha_t[:, cn]
+                gv = gv + gu
+            if g_alpha is not None:
+                g_alpha[:, col] += (gv * v_hist[k]).sum(axis=1)
+            if keep_r:
+                grads["omega"][:, col] += (gv * r_hist[k]).sum(axis=1)
+            gla = product_t(-(gv * omega[:, c]))
+            if g_alpha_t is not None:
+                g_alpha_t[:, col] += (gla * v_hist[k]).sum(axis=1)
+            gu = gu + gla
+            gv_next, gla_next = gv, gla
         return grads
 
     return rel, adjoint

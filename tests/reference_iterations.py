@@ -13,10 +13,8 @@ The dense operators (``sweep_operator``, ``sweep_affine_term``,
 ``two_grid_error_operator``) give one sweep or one two-grid cycle as a
 matrix, for spectral checks on small grids.
 
-``reference_hybrid_unroll`` records the hybrid iteration one instance
-at a time on the reference tape (``tests/reference_tape.py``), with
-``norm2`` and ``mean`` as its reductions; the batched training loss
-must equal it.
+``norm2`` and ``mean`` are reductions recorded on the reference tape
+(``tests/reference_tape.py``).
 
 ``reference_unroll`` is the batched training unroll recorded on that
 tape, one node per vector operation, through the tape ops ``spmv``,
@@ -38,7 +36,6 @@ from richlab.fgmres import FgmresConfig
 from richlab.multigrid import prolongation_matrix, restriction_matrix
 from richlab.richardson import DIVERGENCE_FACTOR, DivergenceError, SolveReport
 from richlab.training import KRYLOV_CLOSED, make_preconditioner
-from richlab.transforms import dst2, dst2_inv
 
 from reference_tape import Var, _track, _value
 
@@ -312,37 +309,6 @@ def mean(xs):
     return total * (1.0 / len(xs))
 
 
-def _correction_tape(lam, r):
-    """dst2_inv(lam * dst2(r)) with either argument recorded on a tape."""
-    if isinstance(lam, Var):
-        Fr = dst2(r.value if isinstance(r, Var) else r)
-        val = dst2_inv(lam.value * Fr)
-        parents = [(lam, lambda g: dst2(g) * Fr)]
-        if isinstance(r, Var):
-            lam_v = lam.value
-            parents.append((r, lambda g: dst2_inv(lam_v * dst2(g))))
-        return lam.tape._record(val, tuple(parents))
-    return linear_map(lambda x: dst2_inv(lam * dst2(x)),
-                      lambda g: dst2_inv(lam * dst2(g)), r)
-
-
-def reference_hybrid_unroll(A, f, omega, lam, n_hybrid, M, m):
-    """Tape-recorded hybrid unroll of one instance from zero; its
-    relative residual as a Var.
-
-    ``omega`` is a Var (length m, cycled) or a constant array; ``lam``
-    likewise a Var or constant correction array.
-    """
-    tape = omega.tape if isinstance(omega, Var) else lam.tape
-    u = tape.var(np.zeros(len(f)))
-    fnorm = float(np.linalg.norm(f))
-    for _ in range(n_hybrid):
-        for k in range(M):
-            u = u + omega[k % m] * (f - spmv(A, u))
-        u = u + _correction_tape(lam, f - spmv(A, u))
-    return norm2(f - spmv(A, u)) * (1.0 / fnorm)
-
-
 # -- the recorded batched unroll ----------------------------------------
 
 def spmv(A, x):
@@ -392,8 +358,13 @@ def row_norms(x):
     return _track(n, (x, vjp))
 
 
-def _reference_segment(A, F, u, omega, alpha, alpha_t, K, variant,
-                       precondition):
+def reference_unroll(A, F, omega, alpha, alpha_t, K, variant,
+                     precondition=None):
+    """``training._unroll`` recorded one vector operation at a time:
+    per-row relative residuals after K updates from zero."""
+    u = np.zeros(F.shape)
+    if isinstance(omega, Var):
+        u = omega.tape.var(u)
     v = np.zeros(F.shape)
     m = omega.shape[1]
     for k in range(K):
@@ -406,25 +377,6 @@ def _reference_segment(A, F, u, omega, alpha, alpha_t, K, variant,
         step = omega[:, i] * pr
         v = step if variant == "plain" else alpha[:, i] * v + step
         u = u + v
-    return u
-
-
-def reference_unroll(A, F, omega, alpha, alpha_t, K, variant,
-                     precondition=None, lam=None, cycles=1):
-    """``training._unroll`` recorded one vector operation at a time:
-    per-row relative residuals after ``cycles`` segments of K updates,
-    each followed by the hybrid correction when ``lam`` is given."""
-    u = np.zeros(F.shape)
-    if isinstance(omega, Var):
-        u = omega.tape.var(u)
-    elif isinstance(lam, Var) and cycles == 0:
-        u = lam.tape.var(u)
-    for _ in range(cycles):
-        u = _reference_segment(A, F, u, omega, alpha, alpha_t, K, variant,
-                               precondition)
-        if lam is not None:
-            r = F - spmv(A, u)
-            u = u + linear_map(dst2, dst2, lam * linear_map(dst2, dst2, r))
     inv_fnorm = 1.0 / np.array([np.linalg.norm(f) for f in F])
     return row_norms(F - spmv(A, u)) * inv_fnorm
 

@@ -32,8 +32,6 @@ follow the order in which this tape's replay accumulates:
   to the first; under nag the momentum and look-ahead rows are one Var,
   and its two contributions of each update go out through one edge in
   that order (momentum first);
-- the correction rows of the hybrid collect one contribution per
-  correction, the last correction first;
 - a network parameter collects one contribution per instance of a
   batch, the last instance first; the raw output's gradient is a zero
   vector with each output's slice added, so a -0 there reads +0.
@@ -129,12 +127,6 @@ class Var:
                       (other, lambda g: _unbroadcast(g * self.value, o)))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _value(other)
-        q = self.value / o
-        return _track(q, (self, lambda g: _unbroadcast(g / o, self.value)),
-                      (other, lambda g: _unbroadcast(-g * q / o, o)))
 
     def __getitem__(self, idx):
         def vjp(g):

@@ -2,11 +2,13 @@ import csv
 import hashlib
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from richlab.checkpoint import MAGIC, load_checkpoint
+from richlab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from richlab.cli import CSV_COLUMNS, N_GRID_FULL, THETA_GRID, main
 from richlab.metanet import MetaNet
 from richlab.multigrid import CoarseSolveError
@@ -292,21 +294,13 @@ def test_train_desk_scale_guard(capsys):
 
 @pytest.mark.parametrize("flags,message", [
     (["--epochs", "0"], "--epochs must be at least 1, got 0"),
-    (["--model", "fns", "--epochs", "-1"], "--epochs must be at least 1"),
-    (["--model", "fns", "--batch-size", "0"],
-     "--batch-size must be at least 1, got 0"),
-    (["--model", "fns", "--unroll", "-10"],
-     "--unroll must be at least 0, got -10"),
+    (["--epochs", "-1"], "--epochs must be at least 1"),
+    (["--batch-size", "0"], "--batch-size must be at least 1, got 0"),
+    (["--unroll", "-10"], "--unroll must be at least 0, got -10"),
     (["--unroll", "-1"], "--unroll must be at least 0, got -1"),
     (["--m", "0"], "--m must be at least 1, got 0"),
-    (["--model", "fns", "--m", "0"], "--m must be at least 1, got 0"),
     (["--lr", "-1"], "--lr must be positive, got -1"),
     (["--lr", "0"], "--lr must be positive, got 0"),
-    (["--model", "fns", "--lr", "0"], "--lr must be positive, got 0"),
-    (["--model", "fns", "--variant", "nagex"],
-     "--variant nagex does not apply to --model fns"),
-    (["--model", "fns", "--precond", "ssor"],
-     "--precond ssor does not apply to --model fns"),
 ])
 def test_train_rejects_bad_flags_before_sampling(flags, message, tmp_path,
                                                  capsys, monkeypatch):
@@ -441,22 +435,16 @@ def test_learned_rows_run_from_checkpoint(tmp_path, capsys):
     assert all(r["inner_iters"] != "" for r in learned)
 
 
-def test_hybrid_trains_to_one_checkpoint_that_solve_refuses(tmp_path,
-                                                             capsys):
+def test_hybrid_checkpoints_and_the_model_flag_are_refused(tmp_path,
+                                                           capsys):
+    """A trained-hybrid file (kind "fns-anchored") from before the learned
+    hybrid was retired fails loudly, and so does asking for one."""
+    net = tmp_path / "net"
+    MetaNet.create(2, hidden=(3,)).save(net)
+    meta, arrays = load_checkpoint(net, "metanet")
     ck = tmp_path / "hybrid"
-    code, out, _ = run_cli(["train", "--model", "fns", "--n", "4",
-                            "--count", "2", "--epochs", "1",
-                            "--output", str(ck)], capsys)
-    meta, _ = load_checkpoint(ck, "fns-anchored")
-    finals = meta["config"].pop("final_losses")
-    assert [tag for tag, _ in finals] == ["lambda"] + ["omega", "lambda"] * 3
-    assert meta["config"] == {"m": 3, "smooth_steps": 10, "unroll": 5,
-                              "cycles": 3, "n_epochs": 1, "batch_size": 20,
-                              "learning_rate": 1e-3, "seed": 0,
-                              "hidden": [64, 64]}
-    assert code == 0 and out == f"saved {ck} (final lambda-phase loss " \
-                                f"{finals[-1][1]:.4g})\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["hybrid"]
+    save_checkpoint(ck, {**meta, "kind": "fns-anchored", "n": 4},
+                    {**arrays, "g": np.zeros(9)})
     refusal = f"error: {ck} holds a checkpoint of kind 'fns-anchored', " \
               "not 'metanet'\n"
     for argv in (["solve", "--n", "16", "--weights", str(ck)],
@@ -464,6 +452,18 @@ def test_hybrid_trains_to_one_checkpoint_that_solve_refuses(tmp_path,
                   "--checkpoint", str(ck)]):
         code, out, err = run_cli(argv, capsys)
         assert (code, out, err) == (2, "", refusal)
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--model", "fns", "--output", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --model" in capsys.readouterr().err
+    cfg = tmp_path / "conf.ini"
+    cfg.write_text("[train]\nmodel = fns\n")
+    code, stdout, err = run_cli(["--config", str(cfg), "train", "--output",
+                                 str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == "error: unknown config key 'model' in [train]\n"
+    assert not out.exists()
 
 
 EMPTY_SHA = hashlib.sha256().hexdigest().encode()
@@ -473,7 +473,10 @@ def edited_net(**edits):
     """(header, payload) of a small plain net's checkpoint, m=2 and
     widths [2, 3, 2], with the header entries or arrays named in
     ``edits`` replaced, laid out as ``save_checkpoint`` lays them."""
-    meta, arrays = MetaNet.create(2, hidden=(3,))._checkpoint()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "net")
+        MetaNet.create(2, hidden=(3,)).save(path)
+        meta, arrays = load_checkpoint(path, "metanet")
     for key, value in edits.items():
         (arrays if key in arrays else meta)[key] = value
     payloads = {k: np.asarray(a, dtype="<f8").tobytes()

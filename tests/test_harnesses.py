@@ -24,8 +24,7 @@ LAYER_OPS = {
                  "nagex_ssor_inner_update",
                  "sample_dataset"],
     "precond": ["ssor_build", "apply_20_rows"],
-    "batches": ["hybrid_lambda_batch", "hybrid_omega_batch",
-                "plain_schedule_batch_5",
+    "batches": ["plain_schedule_batch_5",
                 "nagex_ssor_schedule_batch_20", "plain_warm_batch_5",
                 "nagex_ssor_warm_batch_20", "krylov_projection_20",
                 "krylov_projection_20_ssor"],

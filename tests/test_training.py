@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from richlab.data import Dataset, Sample, sample_dataset
-from richlab.fns import FnsTrainConfig, train_fns_lite
 from richlab.metanet import MetaNet
 from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
                               assemble_anisotropic, assemble_helmholtz)
@@ -94,8 +93,9 @@ def test_unrolled_oracle_rhs_scale_invariance(small_dataset):
     omega = np.array([[0.2, 0.3, 0.1]])
     alpha = np.array([[0.1, 0.2, 0.3]])
     at = alpha
-    r1, _ = _unroll([s.A], s.f[None], omega, alpha, at, 9, "nag")
-    r2, _ = _unroll([s.A], 7.5 * s.f[None], omega, alpha, at, 9, "nag")
+    H = s.A.to_dense()[None]   # the operator as a stack of one
+    r1, _ = _unroll(H, s.f[None], omega, alpha, at, 9, "nag")
+    r2, _ = _unroll(H, 7.5 * s.f[None], omega, alpha, at, 9, "nag")
     assert abs(r1[0] - r2[0]) <= 1e-13
 
 
@@ -250,12 +250,7 @@ def test_projection_keeps_no_factor_or_kernel_on_the_dataset(monkeypatch):
             (lambda ds: krylov_projection(ds.samples, 6, "ssor"), 12),
             (lambda ds: train_ns(TrainConfig(
                 m=2, unroll=6, n_epochs=1, batch_size=4, seed=0,
-                precond="ssor", hidden=(4, 4)), ds), 12),
-            # batches of 11 and 1: the hybrid loss multiplies by the
-            # dataset's own matrices, a lone one included
-            (lambda ds: train_fns_lite(FnsTrainConfig(
-                m=2, smooth_steps=2, unroll=1, cycles=1, n_epochs=1,
-                batch_size=11, hidden=(4, 4)), ds), 0)):
+                precond="ssor", hidden=(4, 4)), ds), 12)):
         ds = sample_dataset("anisotropic", 12, seed=17, n=16)
         built.clear()
         project(ds)
@@ -520,15 +515,15 @@ def test_zero_epochs_returns_the_initial_net(small_dataset):
     assert history["krylov_closed"] == 0 and history["projection_s"] >= 0
 
 
-@pytest.mark.parametrize("config", [TrainConfig, FnsTrainConfig])
 @pytest.mark.parametrize("kw,message", [
+    (dict(unroll=-1), "unroll must be >= 0 and batch_size >= 1"),
+    (dict(batch_size=0), "unroll must be >= 0 and batch_size >= 1"),
     (dict(m=0), "m must be >= 1, got 0"),
     (dict(m=-2), "m must be >= 1, got -2"),
     (dict(learning_rate=0.0), "learning_rate must be positive, got 0.0"),
     (dict(learning_rate=-1e-3), "learning_rate must be positive"),
     (dict(learning_rate=float("nan")), "learning_rate must be positive"),
 ])
-def test_configs_reject_empty_schedules_and_non_positive_rates(config, kw,
-                                                               message):
+def test_config_rejects_settings_no_run_can_use(kw, message):
     with pytest.raises(ValueError, match=message):
-        config(**kw)
+        TrainConfig(**kw)

@@ -3,7 +3,7 @@
 ``training._unroll`` returns its residuals and an adjoint that runs the
 transposed recurrence. ``reference_unroll`` records the same iteration
 one vector operation at a time on the generic tape of
-``tests/reference_tape.py``. On one operator, losses and gradients must
+``tests/reference_tape.py``. On one H stack, losses and gradients must
 agree bit for bit. The schedule loss runs the unroll on each sample's
 Krylov projection instead of the full preconditioned operator; that
 loss and its gradients must agree with the full-operator recording to
@@ -11,16 +11,12 @@ loss and its gradients must agree with the full-operator recording to
 """
 import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 import reference_tape as tp
 from richlab.data import sample_dataset
-from richlab.fns import sine_basis_eigenvalues
 from richlab.metanet import MetaNet
-from richlab.sparse import SparseMatrix
-from richlab.training import (_mean_loss, _row_products, _unroll,
-                              evaluate_loss, gradient,
+from richlab.training import (_mean_loss, _unroll, evaluate_loss, gradient,
                               krylov_projection, loss_relative_residual,
                               make_preconditioner)
 
@@ -120,17 +116,13 @@ def test_projected_unroll_matches_full_operator_on_diverging_schedule(
 
 @st.composite
 def unroll_cases(draw):
-    """A variant, an operator, sizes, optional hybrid corrections and a
-    seed for the weight and correction rows. The projected operator is
-    the H stack of the batch under a drawn preconditioner; the hybrid
-    correction needs the grid, so it runs on the sparse operator only."""
+    """A variant, sizes, a preconditioner for the projection and a seed
+    for the weight rows. The operator is the batch's H stack under the
+    drawn preconditioner."""
     variant = draw(st.sampled_from(["plain", "mom", "nag", "nagex"]))
-    projected = draw(st.booleans())
-    hybrid = not projected and draw(st.booleans())
-    return dict(variant=variant, hybrid=hybrid, projected=projected,
-                m=draw(st.integers(1, 3)), B=draw(st.integers(1, 3)),
+    return dict(variant=variant, m=draw(st.integers(1, 3)),
+                B=draw(st.integers(1, 3)),
                 K=draw(st.integers(0, 6)),
-                cycles=draw(st.integers(0, 2)) if hybrid else 1,
                 precond=draw(st.sampled_from([None, "jacobi", "ssor"])),
                 seed=draw(st.integers(0, 2 ** 16)))
 
@@ -140,26 +132,18 @@ def unroll_cases(draw):
 def test_kernel_matches_reference_on_random_weight_rows(samples, case):
     """Weight rows drawn at random: the kernel's residuals and the
     adjoint's gradients of every row equal those of the reference, which
-    records the rows as leaves, on the list of operators and on a
-    stack of projections. nag passes its alpha rows as both momentum
-    rows; a row the unroll does not read has a zero gradient."""
+    records the rows as leaves, on a stack of projections. nag passes its
+    alpha rows as both momentum rows; a row the unroll does not read has
+    a zero gradient."""
     rng = np.random.default_rng(case["seed"])
     batch = samples[:case["B"]]
     B, m, K, variant = case["B"], case["m"], case["K"], case["variant"]
-    if case["projected"]:
-        A, fnorm = krylov_projection(batch, K, case["precond"])
-        F = np.zeros((B, K + 1))
-        F[:, 0] = fnorm
-    else:
-        A = [s.A for s in batch]
-        F = np.stack([s.f for s in batch])
+    H, fnorm = krylov_projection(batch, K, case["precond"])
+    F = np.zeros((B, K + 1))
+    F[:, 0] = fnorm
     rows = {"omega": rng.uniform(0.01, 0.4, (B, m)),
             "alpha": rng.uniform(0.0, 0.9, (B, m)),
             "alpha_t": rng.uniform(0.0, 0.9, (B, m))}
-    if case["hybrid"]:
-        rows["lam"] = np.stack([
-            rng.uniform(0.5, 1.5, (N - 1) ** 2)
-            / sine_basis_eigenvalues(s.A, N) for s in batch])
 
     def weights(given):
         alpha = given["alpha"] if variant != "plain" else None
@@ -168,67 +152,13 @@ def test_kernel_matches_reference_on_random_weight_rows(samples, case):
 
     tape = Tape()
     leaves = {role: tape.var(x) for role, x in rows.items()}
-    out = reference_unroll(A, F, *weights(leaves), K, variant,
-                           lam=leaves.get("lam"), cycles=case["cycles"])
+    out = reference_unroll(H, F, *weights(leaves), K, variant)
     tape.backward(tp.batch_mean(out))
 
-    value, adjoint = _unroll(A, F, *weights(rows), K, variant,
-                             lam=rows.get("lam"), cycles=case["cycles"],
+    value, adjoint = _unroll(H, F, *weights(rows), K, variant,
                              wrt=tuple(rows))
     grads = _mean_loss(value, adjoint)[1]()
     assert np.array_equal(value, out.value)
     for role, x in rows.items():
         assert np.array_equal(grads.get(role, np.zeros_like(x)),
                               leaves[role].grad), role
-
-
-# -- the row-stack products of a list of operators ----------------------------
-
-@st.composite
-def operator_lists(draw):
-    """1-4 random non-symmetric n x n blocks, banded (the DIA kernel of
-    ``matvec``) or scattered (its CSR kernel), one with an empty row;
-    and a (B, n) row stack."""
-    B, n = draw(st.integers(1, 4)), draw(st.integers(2, 10))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    dense = rng.standard_normal((B, n, n))
-    if draw(st.booleans()):
-        offset = np.arange(n)[None, :] - np.arange(n)[:, None]
-        dense *= np.abs(offset) <= 1
-    else:
-        dense *= rng.random((B, n, n)) < 0.4
-    dense[draw(st.integers(0, B - 1)), draw(st.integers(0, n - 1))] = 0.0
-    blocks = [SparseMatrix.from_scipy(scipy.sparse.csr_matrix(d))
-              for d in dense]
-    return blocks, rng.standard_normal((B, n))
-
-
-@given(case=operator_lists())
-def test_list_products_give_each_blocks_bytes(case):
-    # row b meets only A_b: A_b x_b by matvec's bytes, A_b^T x_b by those
-    # of scipy's CSC product of the transpose
-    blocks, X = case
-    product, product_t = _row_products(blocks)
-    Y, Yt = product(X), product_t(X)
-    assert Y.shape == Yt.shape == X.shape
-    assert all(A._kernels is None for A in blocks)   # nothing kept
-    for A, x, y, yt in zip(blocks, X, Y, Yt):
-        assert y.tobytes() == A.matvec(x).tobytes()
-        assert yt.tobytes() == (A.to_scipy().T @ x).tobytes()
-
-
-def test_nan_in_one_row_stays_in_its_rows(samples):
-    # each row holds the finite/non-finite pattern of scipy's own product
-    # of its block (a DIA kernel's padding would spread 0 * x_j = NaN)
-    blocks = [s.A for s in samples]
-    rng = np.random.default_rng(4)
-    for bad in (np.nan, np.inf):
-        X = rng.standard_normal((len(blocks), (N - 1) ** 2))
-        X[2, 20] = bad   # block 2 holds it
-        for product, view in zip(_row_products(blocks),
-                                 (lambda M: M, lambda M: M.T)):
-            Y = product(X)
-            want = np.stack([view(A.to_scipy()) @ x
-                             for A, x in zip(blocks, X)])
-            assert np.isfinite(Y[:2]).all()
-            assert np.array_equal(np.isfinite(Y), np.isfinite(want))
