@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
                               ShannonViolation, _stencil_matrix,
+                              _stencil_pattern,
                               assemble_anisotropic,
                               assemble_anisotropic_batch, assemble_helmholtz,
                               bilinear_element_stiffness, coefficient_matrix,
@@ -148,6 +149,34 @@ class TestStencilAssemblyMatchesElementLoop:
         p = HelmholtzProblem(
             angular_frequency=2 * np.pi * n / points_per_wavelength, n=n)
         assert_same_csr(assemble_helmholtz(p), reference_helmholtz(p))
+
+
+NINE_POINT = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+FIVE_POINT = [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
+ANTI_DIAGONAL = [(-1, 1), (0, 0), (1, -1)]
+
+
+@pytest.mark.parametrize("offsets", [NINE_POINT, FIVE_POINT, ANTI_DIAGONAL],
+                         ids=["nine", "five", "anti-diagonal"])
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 16])
+def test_stencil_pattern_matches_a_row_by_row_walk(m, offsets):
+    # each unknown (i, j) in turn, its in-grid neighbours in offset order
+    starts, cols, slots = [0], [], []
+    for i in range(m):
+        for j in range(m):
+            for k, (di, dj) in enumerate(offsets):
+                if 0 <= i + di < m and 0 <= j + dj < m:
+                    cols.append((i + di) * m + j + dj)
+                    slots.append(k)
+            starts.append(len(cols))
+    row_starts, col_indices, got_slots = _stencil_pattern(m, offsets)
+    assert row_starts.dtype == col_indices.dtype == np.int32
+    assert got_slots.dtype == np.int8
+    assert row_starts.tolist() == starts
+    assert col_indices.tolist() == cols
+    assert got_slots.tolist() == slots
+    for array in (row_starts, col_indices, got_slots):
+        assert not array.flags.writeable
 
 
 class TestHelmholtzAssembly:

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from richlab.checkpoint import load_checkpoint, save_checkpoint
 from richlab.metanet import MetaNet, meta_forward
 
 from reference_iterations import linear_map
@@ -149,3 +150,19 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert back.variant == "nag" and back.m == 3
     s1, s2 = meta_forward(net, [-2, 1]), meta_forward(back, [-2, 1])
     assert np.array_equal(s1.omega, s2.omega)
+
+
+@pytest.mark.parametrize("dropped", [
+    "widths", "m", "variant", "learn_log_omega", "seed",
+    "input_bounds", "weight_0", "bias_0", "weight_1", "bias_1"])
+def test_load_names_a_missing_entry(dropped, tmp_path):
+    # each header key and array that load reads, dropped on its own
+    MetaNet.create(m=2, variant="plain", hidden=(3,)).save(tmp_path / "net")
+    meta, arrays = load_checkpoint(tmp_path / "net", "metanet")
+    meta.pop(dropped, None)
+    arrays.pop(dropped, None)
+    path = tmp_path / "short"
+    save_checkpoint(path, meta, arrays)
+    with pytest.raises(ValueError) as info:
+        MetaNet.load(path)
+    assert str(info.value) == f"{path} lacks the checkpoint entry {dropped!r}"
