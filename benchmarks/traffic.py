@@ -7,15 +7,15 @@ is imported as it is, set up as the benchmark sets it up, and run for
 ``ROUNDS`` rounds under counting patches; of set-up, only its scipy-view
 builds are reported. Per workload it prints, for the first round:
 
-- products by entry point: ``matvec``, ``rmatvec``, the accumulating
-  y += A x calls (``_accumulating_product``'s kernels), and training's
-  uncached products (the kernels ``training`` binds by
-  ``sparse._product``: the projection's A x);
-- product-kernel builds: forward kernels (``_kernel`` on first use;
-  ``rmatvec`` and training's uncached products build none); next to
-  them, the scipy CSR views built (``SparseMatrix._csr`` on first use:
-  ``to_scipy``, ``to_dense`` and a scattered pattern's kernel), in
-  set-up and in each round;
+- products by route: a bound operator's probed ``matvec`` and its
+  accumulating y += A x (``accumulate``), both of ``sparse._Operator``,
+  and a matrix's own ``SparseMatrix.matvec`` and ``rmatvec``, which
+  bind the CSR product on each call (the V-cycle's transfers, the
+  projection's A x in ``training``, and one-off products);
+- operator binds (``_Operator`` built: once per solve, and once per
+  V-cycle level on its first product, which a hierarchy keeps across
+  rounds) and the scipy CSR views built (``SparseMatrix._csr`` on first
+  use: ``to_scipy`` and ``to_dense``), in set-up and in each round;
 - stationary solver updates by (sweep form, variant, preconditioner),
   from each ``solve_stationary`` report, with the solve count;
 - ``training._unroll`` calls on the schedule nets' projected
@@ -46,14 +46,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 sys.dont_write_bytecode = True   # nothing is written next to perfbench
 
 from richlab import richardson, training  # noqa: E402
-from richlab.sparse import SparseMatrix  # noqa: E402
+from richlab.sparse import SparseMatrix, _Operator  # noqa: E402
 import workloads  # noqa: E402
 
 # the first round projects the training sets; the second shows what the
 # projection memo serves when the same sets are trained on again
 ROUNDS = 2
-# the product entry points, in the order the products line lists them
-PRODUCTS = ("matvec", "rmatvec", "accumulating", "uncached")
+# the product routes, in the order the products line lists them
+PRODUCTS = ("bound matvec", "bound accumulate", "matvec", "rmatvec")
 
 
 def _precond_name(P):
@@ -67,11 +67,11 @@ def counting(counts):
     """Install the counters of ``counts`` (a Counter keyed by tuples)
     for the duration of the block."""
     matvec, rmatvec = SparseMatrix.matvec, SparseMatrix.rmatvec
-    accumulating, kernel = (SparseMatrix._accumulating_product,
-                            SparseMatrix._kernel)
+    bind, bound_matvec = _Operator.__init__, _Operator.matvec
+    accumulate = _Operator.accumulate.fget
     solve = richardson.solve_stationary
     arnoldi, train_ns = training._arnoldi, training.train_ns
-    uncached, unroll = training._product, training._unroll
+    unroll = training._unroll
     view = SparseMatrix.__dict__["_csr"]
 
     def counted_matvec(self, x):
@@ -82,26 +82,22 @@ def counting(counts):
         counts["product", "rmatvec"] += 1
         return rmatvec(self, x)
 
-    def counted_accumulating(self):
-        run = accumulating(self)
+    def counted_bind(self, A):
+        counts["build", "operator"] += 1
+        bind(self, A)
+
+    def counted_bound_matvec(self, x):
+        counts["product", "bound matvec"] += 1
+        return bound_matvec(self, x)
+
+    @property
+    def counted_accumulate(self):
+        run = accumulate(self)
 
         def counted(x, y):
-            counts["product", "accumulating"] += 1
+            counts["product", "bound accumulate"] += 1
             return run(x, y)
         return counted
-
-    def counted_uncached(A):
-        run = uncached(A)
-
-        def counted(x, y):
-            counts["product", "uncached"] += 1
-            return run(x, y)
-        return counted
-
-    def counted_kernel(self):
-        if self._kernels is None:
-            counts["build", "forward"] += 1
-        return kernel(self)
 
     @functools.cached_property
     def counted_view(self):
@@ -133,13 +129,13 @@ def counting(counts):
     replacements = {
         (SparseMatrix, "matvec"): counted_matvec,
         (SparseMatrix, "rmatvec"): counted_rmatvec,
-        (SparseMatrix, "_accumulating_product"): counted_accumulating,
-        (SparseMatrix, "_kernel"): counted_kernel,
+        (_Operator, "__init__"): counted_bind,
+        (_Operator, "matvec"): counted_bound_matvec,
+        (_Operator, "accumulate"): counted_accumulate,
         (SparseMatrix, "_csr"): counted_view,
         (richardson, "solve_stationary"): counted_solve,
         (training, "_arnoldi"): counted_arnoldi,
         (training, "train_ns"): counted_train_ns,
-        (training, "_product"): counted_uncached,
         (training, "_unroll"): counted_unroll,
     }
     original = {key: getattr(*key) for key in replacements}
@@ -184,8 +180,10 @@ def report(name, setup, per_round):
     solves = sorted(k[1:] for k in counts if k[0] == "solves")
     lines = [f"{name}:",
              f"  products: {cells('product', PRODUCTS)}",
-             f"  kernel builds: {cells('build', ('forward',))}; "
-             "scipy views (set-up; by round): "
+             "  operator binds (set-up; by round): "
+             + "; ".join(f"{c['build', 'operator']:,}"
+                         for c in [setup, *per_round])
+             + "; scipy views (set-up; by round): "
              + "; ".join(f"{c['build', 'scipy view']:,}"
                          for c in [setup, *per_round]),
              f"  _unroll calls: {cells('unroll', unrolls)}",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -94,14 +93,3 @@ def _entry(e):
             type(k) is int and k >= 0 for k in [*shape, nbytes]):
         raise TypeError(f"array entry {e!r} has a value of the wrong type")
     return name, tuple(shape), nbytes
-
-
-@contextmanager
-def missing_entries_refused(path):
-    """Turns a KeyError within, a header key or array that a reader of the
-    checkpoint at ``path`` lacks, into a ValueError naming it and path."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ValueError(f"{path} lacks the checkpoint entry "
-                         f"{exc.args[0]!r}") from None

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .richardson import SolveReport
+from .sparse import _Operator
 
 
 @dataclass
@@ -68,7 +69,8 @@ def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None):
     if fnorm == 0.0:
         return u, SolveReport(0, 0, True, 0.0, time.perf_counter() - t0,
                               np.array([0.0]))
-    r = f - A.matvec(u)
+    op = _Operator(A)
+    r = f - op.matvec(u)
     matvecs = 1
     beta = float(np.linalg.norm(r))
     rel = beta / fnorm
@@ -91,7 +93,7 @@ def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None):
         k = 0
         while k < mr:
             Z[k] = precond_apply(V[k])
-            w = A.matvec(Z[k])
+            w = op.matvec(Z[k])
             matvecs += 1
             H[:k + 1, k] = orthogonalise(V[:k + 1], w)
             hk1 = np.linalg.norm(w)
@@ -135,7 +137,7 @@ def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None):
                 # operator): take the minimum-norm least-squares update
                 y, *_ = np.linalg.lstsq(Hk, g[:k], rcond=None)
         u = u + y @ Z[:k]
-        r = f - A.matvec(u)
+        r = f - op.matvec(u)
         matvecs += 1
         beta = float(np.linalg.norm(r))
         rel = beta / fnorm

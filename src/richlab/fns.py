@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .richardson import DivergenceError, SolveReport, _recurrence_pass
+from .sparse import _Operator
 from .transforms import dst2, dst2_inv
 
 
@@ -83,9 +84,9 @@ def fns_lite_step(A, f, u, schedule, M, corr: SpectralCorrection, *,
     """One hybrid iteration: M inner smoothing updates, one correction.
 
     The smoother is plain Richardson(m); momentum schedules are rejected.
-    ``_residual`` is f - A u when the caller holds it (``solve_fns``
-    does, from its convergence test); the step then reads it in place of
-    its first product.
+    ``A`` may be the operator ``solve_fns`` bound, which also passes
+    ``_residual``, f - A u from its convergence test; the step then
+    reads it in place of its first product.
     """
     if schedule.variant != "plain":
         raise ValueError(f"the hybrid smoother is plain Richardson, got a "
@@ -105,8 +106,7 @@ def solve_fns(A, f, schedule, corr, M, tol=1e-6):
     """Run the hybrid iteration from zero to the relative-residual tol.
 
     A zero ``f`` is solved by the zero iterate, with relative residual 0
-    and no product taken.
-    """
+    and no product taken. Its steps share the operator it binds."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     t0 = time.perf_counter()
@@ -117,10 +117,11 @@ def solve_fns(A, f, schedule, corr, M, tol=1e-6):
     trace = [rel]
     it = 0
     r = None   # f - A u, once a step has run: the next step reads it
+    op = _Operator(A)
     while not converged and it < 10_000:   # a cap on hybrid steps
-        u = fns_lite_step(A, f, u, schedule, M, corr, _residual=r)
+        u = fns_lite_step(op, f, u, schedule, M, corr, _residual=r)
         it += 1
-        r = f - A.matvec(u)
+        r = f - op.matvec(u)
         rel = float(np.linalg.norm(r)) / fnorm
         trace.append(rel)
         converged = rel <= tol

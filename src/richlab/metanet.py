@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import (load_checkpoint, missing_entries_refused,
-                         save_checkpoint)
+from .checkpoint import load_checkpoint, save_checkpoint
 from .schedules import WeightSchedule
 
 # raw-output bias at init: omega starts near softplus(-2) ~ 0.127,
@@ -74,8 +73,12 @@ class MetaNet:
 
     # -- forward passes --------------------------------------------------
     def normalize(self, mu):
+        mu = np.asarray(mu, dtype=float)
+        if mu.shape != (self.widths[0],):   # the bounds would broadcast it
+            raise ValueError(f"the net takes a parameter vector of length "
+                             f"{self.widths[0]}, got shape {mu.shape}")
         lo, hi = self.input_bounds[:, 0], self.input_bounds[:, 1]
-        return 2.0 * (np.asarray(mu, dtype=float) - lo) / (hi - lo) - 1.0
+        return 2.0 * (mu - lo) / (hi - lo) - 1.0
 
     def forward_tape(self, mu):
         """(omega, alpha, alpha_tilde) of the current parameters, and the
@@ -164,7 +167,7 @@ class MetaNet:
             raise ValueError(f"{path}: checkpoint {what}")
 
         meta, arrays = load_checkpoint(path, "metanet")
-        with missing_entries_refused(path):
+        try:   # a KeyError names a header key or array the file lacks
             widths, m, variant = meta["widths"], meta["m"], meta["variant"]
             log_omega, seed = meta["learn_log_omega"], meta["seed"]
             if not (isinstance(widths, list) and len(widths) >= 2 and all(
@@ -199,6 +202,9 @@ class MetaNet:
                        biases=[arrays[f"bias_{i}"] for i in range(nlayers)],
                        variant=variant, m=m, learn_log_omega=log_omega,
                        input_bounds=arrays["input_bounds"], seed=seed)
+        except KeyError as exc:
+            raise ValueError(f"{path} lacks the checkpoint entry "
+                             f"{exc.args[0]!r}") from None
 
 
 def _sigmoid(x):

@@ -16,8 +16,8 @@ from .richardson import (DivergenceError, SweepPolynomial, _horner_pass,
                          _recurrence_pass, gershgorin_radius,
                          sweep_polynomial)
 from .schedules import WeightSchedule
-from .sparse import (SparseMatrix, _scaled_transpose, _wrap_built,
-                     _wrap_product, lu_solver)
+from .sparse import (SparseMatrix, _Operator, _scaled_transpose,
+                     _wrap_built, _wrap_product, lu_solver)
 
 # the coarsest grid of the Helmholtz recipe (helmholtz_hierarchy)
 HELMHOLTZ_COARSEST = 16
@@ -80,6 +80,11 @@ class Level:
         """The SweepPolynomial of a sweep of the level's schedule, made on
         first use: the schedule is fixed once the level has smoothed."""
         return sweep_polynomial(self.schedule, gershgorin_radius(self.A))
+
+    @functools.cached_property
+    def _operator(self):
+        """The level's A, bound on its first product, not at build."""
+        return _Operator(self.A)
 
 
 @dataclass
@@ -165,9 +170,9 @@ def _smooth(level: Level, f, u):
     # a non-finite f or iterate raises below, so the pass need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         if sweep.form == "horner":
-            u = _horner_pass(level.A, sweep.coefficients, f, u)
+            u = _horner_pass(level._operator, sweep.coefficients, f, u)
         else:
-            u = _recurrence_pass(level.A, s, f, u, s.m)
+            u = _recurrence_pass(level._operator, s, f, u, s.m)
     if not np.all(np.isfinite(u.view(float))):
         raise DivergenceError("smoother produced a non-finite iterate",
                               inner_iteration=s.m)
@@ -197,7 +202,7 @@ def _v_cycle_level(h, k, f, u):
             raise CoarseSolveError("coarse solve gave a non-finite iterate")
         return u
     u = _smooth(level, f, u)
-    r = level.A.matvec(u)
+    r = level._operator.matvec(u)
     np.subtract(f, r, out=r)
     ec = _v_cycle_level(h, k + 1, level.R.matvec(r), None)
     u += level.P.matvec(ec)

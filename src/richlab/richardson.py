@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sparse import _Operator
+
 DIVERGENCE_FACTOR = 1e12
 # the largest Horner amplification bound (SweepPolynomial.bound) at
 # which a sweep runs by its polynomial
@@ -174,7 +176,7 @@ def _horner(accumulate, coefficients, r, y, work):
     """c(A) r for the ascending ``coefficients`` c, by Horner's rule from
     the top one: y <- c_k r + A y. Each step is one pass that writes
     c_k r into a work vector, into which the compiled kernel
-    ``accumulate`` (``SparseMatrix._accumulating_product``) adds A y.
+    ``accumulate`` (``_Operator.accumulate``) adds A y.
     The coefficients are real, so the passes run on the float view of
     complex data. ``y`` and ``work`` are contiguous scratch vectors of
     r's dtype; returns whichever of them holds the result."""
@@ -187,10 +189,10 @@ def _horner(accumulate, coefficients, r, y, work):
     return y
 
 
-def _horner_pass(A, q, f, u):
+def _horner_pass(op, q, f, u):
     """u + q(A)(f - A u), or q(A) f when ``u`` is None, by Horner's rule
-    (``_horner``). ``f`` is contiguous and of the iterate's dtype."""
-    accumulate = A._accumulating_product()
+    on A's bound ``op``. ``f`` is contiguous and of the iterate's dtype."""
+    accumulate = op.accumulate
     y, work = np.empty_like(f), np.empty_like(f)
     if u is None:
         return _horner(accumulate, q.tolist(), f, y, work)
@@ -262,7 +264,8 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
         return u, report
 
     m = schedule.m
-    r = f - A.matvec(u)
+    op = _Operator(A)
+    r = f - op.matvec(u)
     matvecs = 1
     rel = _norm(r) / fnorm
     trace = [rel]
@@ -279,7 +282,7 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
         nonlocal matvecs
         rel = _norm(r) / fnorm
         if horner and not math.isfinite(rel):
-            np.subtract(f, A.matvec(u), out=r)
+            np.subtract(f, op.matvec(u), out=r)
             np.negative(r, out=r)
             matvecs += 1
             rel = _norm(r) / fnorm
@@ -294,13 +297,13 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
     # look-ahead point in each step and one at each sweep end
     reuse_residual = schedule.variant in ("plain", "mom")
     if horner:
-        accumulate = A._accumulating_product()
+        accumulate = op.accumulate
         coefficients = (-sweep.coefficients).tolist()
         np.negative(r, out=r)
         y, work = np.empty_like(u), np.empty_like(u)
     else:
         weights = _weights(schedule)
-        step = _inner_step(A, f, u, np.zeros(n, dtype=dtype),
+        step = _inner_step(op, f, u, np.zeros(n, dtype=dtype),
                            schedule.variant, P)
     while not converged and outer < max_outer:
         if horner:
@@ -315,7 +318,7 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
                 step(w, a, at, r if reuse_residual else None)
                 inner += 1
                 if reuse_residual or i == m - 1:
-                    np.subtract(f, A.matvec(u), out=r)
+                    np.subtract(f, op.matvec(u), out=r)
                     matvecs += 1
                     rel = checked_norm()
         outer += 1

@@ -1,15 +1,15 @@
 """Compressed sparse row matrices over a real or complex scalar field.
 
-CSR is the storage. A x runs through a kernel chosen from the sparsity
-pattern on first use: diagonal storage (DIA) when the occupied
-diagonals are at least half full, otherwise CSR itself. With its
-offsets ascending, DIA adds each row's products in CSR's column order,
-so for finite operands both kernels give the same bits. Every product
-calls scipy's compiled kernel (``scipy.sparse._sparsetools``, the
-routine behind ``dot``), on a zeroed output (``_run_kernel``) or into
-the caller's vector (the accumulating product). ``matvec`` recomputes
-by CSR where a row that holds DIA padding reads NaN; the accumulating
-product leaves that to its caller. A^T x runs ``_product``, uncached.
+CSR is the storage, and a matrix keeps nothing but its arrays (and
+their scipy view, once asked for). ``matvec`` and ``rmatvec`` bind the
+CSR product on each call; a solver binds one ``_Operator``, whose
+kernel the sparsity pattern picks: diagonal storage (DIA) when the
+occupied diagonals are at least half full, else CSR. With its offsets
+ascending, DIA adds each row's products in CSR's column order, so for
+finite operands both give the same bits. Every product calls scipy's
+compiled kernel (``scipy.sparse._sparsetools``, the routine behind
+``dot``). ``_Operator.matvec`` recomputes by CSR where a row that holds
+DIA padding reads NaN; ``_Operator.accumulate`` leaves that to its caller.
 """
 from __future__ import annotations
 
@@ -69,8 +69,6 @@ class SparseMatrix:
         self.row_starts = row_starts
         self.col_indices = col_indices
         self.values = values
-        # the product kernels of A (see _kernel), built on first use
-        self._kernels = None
 
     @functools.cached_property
     def _csr(self):
@@ -113,21 +111,13 @@ class SparseMatrix:
         return self._csr.toarray()
 
     def matvec(self, x):
+        """A x by :func:`_product`, bound afresh on each call."""
         x = np.asarray(x)
         if x.shape != (self.ncols,):
             raise DimensionMismatch(
                 f"matrix has {self.ncols} columns but vector has length {x.shape}")
-        _, fast, exact, padded = self._kernel()
-        dtype = np.promote_types(self.values.dtype, x.dtype)
-        y = _run_kernel(fast, self.nrows, dtype, x)
-        # DIA multiplies each padding zero by its x_j, so a non-finite x_j
-        # puts NaN in a padded row that CSR leaves alone. A padded row
-        # without NaN met only finite x_j there, and 0 x_j, a signed zero,
-        # leaves a sum that starts at +0 as it is; so only NaN in the
-        # padded rows calls for CSR. (count_nonzero is the cheap any.)
-        if padded is None or not np.count_nonzero(np.isnan(y.take(padded))):
-            return y
-        return _run_kernel(exact, self.nrows, dtype, x)
+        return _run_kernel(_product(self), self.nrows,
+                           np.promote_types(self.dtype, x.dtype), x)
 
     def rmatvec(self, x):
         """Transpose product A^T x (not conjugated), by :func:`_product`."""
@@ -137,34 +127,6 @@ class SparseMatrix:
                 f"matrix has {self.nrows} rows but vector has length {x.shape}")
         return _run_kernel(_product(self, transpose=True), self.ncols,
                            np.promote_types(self.dtype, x.dtype), x)
-
-    def _accumulating_product(self):
-        """The compiled y += A x as a function of contiguous vectors
-        (x, y), y of the product's dtype, each row's products added onto
-        y's entry in the kernel's order. No zero fill, shape check or
-        padded-row probe: where a non-finite x_j meets DIA padding, a row
-        may read NaN that :meth:`matvec` leaves finite."""
-        return self._kernel()[1]
-
-    def _kernel(self):
-        """The fast scipy matrix for A x (DIA, or the CSR view when the
-        pattern is too scattered), the compiled products of it and of
-        CSR, and the rows where the DIA kernel multiplies padding (None
-        when there are none)."""
-        if self._kernels is None:
-            run_exact = _product(self)
-            parts = self._diagonals()
-            if parts is None:
-                self._kernels = (self._csr, run_exact, run_exact, None)
-            else:
-                offsets, data = parts
-                fast = scipy.sparse.dia_matrix((data, offsets),
-                                               shape=self.shape)
-                self._kernels = (fast, _dia_product(fast), run_exact,
-                                 _padded_rows(offsets,
-                                              np.diff(self.row_starts),
-                                              self.ncols))
-        return self._kernels
 
     def _diagonals(self):
         """(ascending offsets, DIA data) of A by one O(nnz) scatter of the
@@ -203,6 +165,52 @@ class SparseMatrix:
     def __repr__(self):
         field = "complex" if self.is_complex else "real"
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz}, {field})"
+
+
+class _Operator:
+    """A x for one matrix by the kernel its pattern picks, built when a
+    solver binds it and dropped with the solver's state: DIA over
+    :meth:`SparseMatrix._diagonals` when the occupied diagonals are at
+    least half full, otherwise the CSR product."""
+
+    def __init__(self, A):
+        self.shape, self.dtype = A.shape, A.dtype
+        self._fast = self._exact = _product(A)
+        self._padded = None   # the rows where DIA multiplies padding
+        parts = A._diagonals()
+        if parts is not None:
+            offsets, data = parts
+            self._fast = functools.partial(
+                _sparsetools.dia_matvec, *A.shape, len(offsets), A.ncols,
+                offsets, data)
+            self._padded = _padded_rows(offsets, np.diff(A.row_starts),
+                                        A.ncols)
+
+    @property
+    def accumulate(self):
+        """The compiled y += A x as a function of contiguous vectors
+        (x, y), y of the product's dtype, each row's products added onto
+        y's entry in the kernel's order. No zero fill, shape check or
+        padded-row probe: where a non-finite x_j meets DIA padding, a row
+        may read NaN that :meth:`matvec` leaves finite."""
+        return self._fast
+
+    def matvec(self, x):
+        nrows, ncols = self.shape
+        if x.shape != (ncols,):
+            raise DimensionMismatch(
+                f"matrix has {ncols} columns but vector has length {x.shape}")
+        dtype = np.promote_types(self.dtype, x.dtype)
+        y = _run_kernel(self._fast, nrows, dtype, x)
+        # DIA multiplies each padding zero by its x_j, so a non-finite x_j
+        # puts NaN in a padded row that CSR leaves alone. A padded row
+        # without NaN met only finite x_j there, and 0 x_j, a signed zero,
+        # leaves a sum that starts at +0 as it is; so only NaN in the
+        # padded rows calls for CSR. (count_nonzero is the cheap any.)
+        if self._padded is None or \
+                not np.count_nonzero(np.isnan(y.take(self._padded))):
+            return y
+        return _run_kernel(self._exact, nrows, dtype, x)
 
 
 def _index_dtype(nrows, ncols, nnz):
@@ -251,8 +259,8 @@ def _scaled_transpose(A, scale):
 
 
 def _run_kernel(kernel, size, dtype, x):
-    """y = mat x by a compiled y += mat x (of :func:`_product` or
-    :func:`_dia_product`) on a zeroed ``size`` output of ``dtype``."""
+    """y = mat x by a compiled y += mat x (``_product``'s, or an
+    ``_Operator``'s) on a zeroed ``size`` output of ``dtype``."""
     # the kernels add into their output, which starts at +0
     y = np.zeros(size, dtype=dtype)
     kernel(x, y)
@@ -267,14 +275,6 @@ def _product(A, transpose=False):
     kernel = _sparsetools.csc_matvec if transpose else _sparsetools.csr_matvec
     return functools.partial(kernel, *shape, A.row_starts, A.col_indices,
                              A.values)
-
-
-def _dia_product(mat):
-    """scipy's compiled y += mat x for a DIA matrix, as a function of
-    (x, y): the kernel and arguments that ``mat.dot(x)`` runs."""
-    return functools.partial(_sparsetools.dia_matvec, *mat.shape,
-                             len(mat.offsets), mat.data.shape[1],
-                             mat.offsets, mat.data)
 
 
 def _padded_rows(offsets, entries, ncols):

@@ -12,7 +12,6 @@ from .fgmres import orthogonalise
 from .metanet import MetaNet
 from .precond import Preconditioner
 from .richardson import _inner_step
-from .sparse import _product, _run_kernel
 from .tape import Tape
 
 
@@ -136,14 +135,10 @@ def _arnoldi(sample, K, P, h):
     """Fill the zero (K+1, K+1) array h with the sample's projection
     under the preconditioner P (or None); return ||f||."""
     c = np.linalg.norm(sample.f)
-    # matvec's bits, uncached: kernels kept on 200 matrices for the
-    # dataset's life raised train-schedule's peak RSS from 182 to 283 MB
-    product = _product(sample.A)
     Q = np.empty((K + 1, len(sample.f)))
     np.divide(sample.f, c, out=Q[0])
     for j in range(K):
-        w = _run_kernel(product, len(sample.f), float,
-                        Q[j] if P is None else P.apply(Q[j]))
+        w = sample.A.matvec(Q[j] if P is None else P.apply(Q[j]))
         before = np.linalg.norm(w)
         h[:j + 1, j] = orthogonalise(Q[:j + 1], w)
         after = np.linalg.norm(w)

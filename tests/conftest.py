@@ -7,7 +7,7 @@ from hypothesis import settings
 settings.register_profile("richlab", derandomize=True, deadline=None)
 settings.load_profile("richlab")
 
-from richlab.sparse import SparseMatrix
+from richlab.sparse import SparseMatrix, _Operator
 
 
 def random_spd(n, rng, density=1.0):
@@ -26,6 +26,30 @@ def random_sparse(n, rng, density=0.4):
     M = M * mask
     np.fill_diagonal(M, np.abs(M.diagonal()) + 1.0)
     return SparseMatrix.from_scipy(M)
+
+
+def count_bound_products(monkeypatch):
+    """Patch the bound operator (``sparse._Operator``) so that each
+    product it runs, probed (``matvec``) or accumulating
+    (``accumulate``), appends (operator, route) to the returned list."""
+    calls = []
+    matvec, accumulate = _Operator.matvec, _Operator.accumulate.fget
+
+    def counted_matvec(op, x):
+        calls.append((op, "matvec"))
+        return matvec(op, x)
+
+    def counted_accumulate(op):
+        kernel = accumulate(op)
+
+        def run(x, y):
+            calls.append((op, "accumulate"))
+            return kernel(x, y)
+        return run
+
+    monkeypatch.setattr(_Operator, "matvec", counted_matvec)
+    monkeypatch.setattr(_Operator, "accumulate", property(counted_accumulate))
+    return calls
 
 
 def sine_mode(n, p, q):

@@ -435,6 +435,19 @@ def test_learned_rows_run_from_checkpoint(tmp_path, capsys):
     assert all(r["inner_iters"] != "" for r in learned)
 
 
+def test_solve_refuses_a_net_of_another_parameter_count(tmp_path, capsys):
+    # an anisotropic net reads (log10 eps, theta); a Helmholtz problem
+    # has one parameter, which the net's bounds would broadcast
+    net = tmp_path / "net"
+    MetaNet.create(2, hidden=(3,)).save(net)
+    code, out, err = run_cli(["solve", "--problem", "helmholtz", "--n", "32",
+                              "--frequency", "2", "--weights", str(net),
+                              "--max-outer", "5"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: the net takes a parameter vector of length 2, "
+                   "got shape (1,)\n")
+
+
 def test_hybrid_checkpoints_and_the_model_flag_are_refused(tmp_path,
                                                            capsys):
     """A trained-hybrid file (kind "fns-anchored") from before the learned

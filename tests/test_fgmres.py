@@ -6,7 +6,7 @@ from richlab.multigrid import helmholtz_hierarchy, v_cycle
 from richlab.problems import HelmholtzProblem, assemble_helmholtz
 from richlab.sparse import SparseMatrix
 
-from conftest import random_spd
+from conftest import count_bound_products, random_spd
 from reference_iterations import reference_fgmres
 
 
@@ -97,13 +97,13 @@ def test_restarts_count_cycles(rng):
 def test_report_counts_products(rng, monkeypatch):
     A = random_spd(40, rng)
     f = rng.standard_normal(40)
-    calls = []
-    matvec = SparseMatrix.matvec
-    monkeypatch.setattr(SparseMatrix, "matvec",
-                        lambda self, x: calls.append(1) or matvec(self, x))
+    calls = count_bound_products(monkeypatch)
+    monkeypatch.setattr(SparseMatrix, "matvec", None)   # all on the operator
     _, rep = fgmres(A, f, cfg=FgmresConfig(restart=5, tol=1e-10))
     assert rep.restarts > 1
     assert rep.matvecs == len(calls) == 1 + rep.iterations + rep.restarts
+    assert {route for _, route in calls} == {"matvec"}
+    assert len({op for op, _ in calls}) == 1   # bound once per solve
 
 
 def test_matches_textbook_gmres_iterates(rng):

@@ -119,8 +119,18 @@ def test_traffic_counter_runs_small():
     assert list(sections) == ["aniso-solve", "train-schedule",
                               "helmholtz-fgmres"]
     aniso, train, helmholtz = sections.values()
-    assert aniso[0].startswith("products: matvec ")
-    assert "accumulating 0" not in aniso[0]
+
+    def cells(line):   # "name: kind n, kind n" -> {kind: n}
+        return {kind: int(n.replace(",", "")) for kind, n in (
+            cell.rsplit(" ", 1) for cell in line.split(": ", 1)[1].split(", "))}
+    products = cells(aniso[0])
+    assert aniso[0].startswith("products: ")
+    assert list(products) == ["bound matvec", "bound accumulate", "matvec",
+                              "rmatvec"]
+    # the Horner sweeps accumulate on the operator each solve binds
+    assert products["bound matvec"] > 0 and products["bound accumulate"] > 0
+    # the projection multiplies by each sample's own matrix, unbound
+    assert cells(train[0])["matvec"] > 0
     assert train[2].startswith("_unroll calls: H stack ")
     # the small set's 20 samples, plain and SSOR, projected in the first
     # of the two rounds only, and served by the memo in the second
@@ -131,11 +141,19 @@ def test_traffic_counter_runs_small():
     assert served == (0, 40)
     assert any(line.startswith("recurrence, nagex, ssor: ")
                for line in train)
-    assert not helmholtz[1].startswith("kernel builds: forward 0")
+    # one bind per solve; a V-cycle level binds on its first product,
+    # and the hierarchy built in set-up keeps it for the next rounds
+    binds = {name: [int(cell.replace(",", "")) for cell in
+                    section[1].split("by round): ")[1].split(";")[:3]]
+             for name, section in sections.items()}
+    assert binds["aniso-solve"] == [0, 47, 47]
+    assert binds["train-schedule"] == [0, 12, 12]
+    first, second = binds["helmholtz-fgmres"][1:]
+    assert binds["helmholtz-fgmres"][0] == 0 and first > second > 0
     # the training set shares one pattern and never needs scipy's view of
     # a matrix: SSOR reads its diagonal from the CSR arrays, and the
     # held-out operators run the DIA kernel
-    views = [int(cell) for cell in train[1].split("by round): ")[1].split("; ")]
+    views = [int(cell) for cell in train[1].split("by round): ")[2].split("; ")]
     assert views[:2] == [0, 0]
     # the spectral bounds of set-up do build views: the count is live
-    assert int(aniso[1].split("by round): ")[1].split("; ")[0]) > 0
+    assert int(aniso[1].split("by round): ")[2].split("; ")[0]) > 0

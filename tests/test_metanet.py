@@ -18,6 +18,19 @@ def test_zero_final_layer_gives_constant_positive_map():
     assert np.allclose(sched.omega, np.log(2.0))  # softplus(0)
 
 
+@pytest.mark.parametrize("mu,shape", [([0.5], (1,)),
+                                      ([-2.0, 0.5, 1.0], (3,)),
+                                      ([[-2.0, 0.5]], (1, 2))])
+def test_forward_refuses_a_parameter_vector_of_another_length(mu, shape):
+    # the (2, 2) input bounds would broadcast a Helmholtz problem's one
+    # parameter, and the net would run on (omega, omega)
+    net = MetaNet.create(m=2, seed=0)
+    with pytest.raises(ValueError) as info:
+        meta_forward(net, mu)
+    assert str(info.value) == ("the net takes a parameter vector of length "
+                               f"2, got shape {shape}")
+
+
 def test_determinism_bitwise():
     net = MetaNet.create(m=3, variant="nagex", seed=1)
     a = meta_forward(net, [-3.0, 1.0])

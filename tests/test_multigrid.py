@@ -18,6 +18,7 @@ from richlab.schedules import WeightSchedule, chebyshev_schedule
 from richlab.sparse import SparseMatrix
 from richlab.spectral import dense_spectral_bounds
 
+from conftest import count_bound_products
 from reference_assembly import (reference_galerkin, reference_prolongation,
                                 reference_restriction)
 from reference_iterations import _reference_smooth, two_grid_error_operator
@@ -370,32 +371,16 @@ def test_non_finite_f_diverges_in_either_form(form, bad, rng, monkeypatch):
 
 
 def _products_per_level(h, warm):
-    """Products with each smoothed level's operator in one V-cycle, by
-    whichever route (probed or accumulating) they run."""
-    counts = collections.Counter()
-    matvec = SparseMatrix.matvec
-
-    def counted_matvec(A, x):
-        counts[id(A)] += 1
-        return matvec(A, x)
-
-    def counting(factory):
-        def make(A, *args):
-            kernel = factory(A, *args)
-
-            def run(*vectors):
-                counts[id(A)] += 1
-                return kernel(*vectors)
-            return run
-        return make
-
+    """Products with each smoothed level's bound operator in one V-cycle,
+    by whichever route (probed or accumulating) they run."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(SparseMatrix, "matvec", counted_matvec)
-        patch.setattr(SparseMatrix, "_accumulating_product",
-                      counting(SparseMatrix._accumulating_product))
+        calls = count_bound_products(patch)
         f = np.ones(h.levels[0].A.nrows, dtype=complex)
         v_cycle(h, f, f.copy() if warm else None)
-    return [counts[id(lvl.A)] for lvl in h.levels[:-1]]
+    counts = collections.Counter(op for op, _ in calls)
+    smoothed = [lvl._operator for lvl in h.levels[:-1]]
+    assert set(counts) <= set(smoothed)
+    return [counts[op] for op in smoothed]
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -406,6 +391,8 @@ def test_each_level_takes_the_recurrences_products(warm, monkeypatch):
     A = assemble_helmholtz(HelmholtzProblem(angular_frequency=2 * np.pi * 3,
                                             n=n))
     h = helmholtz_hierarchy(A, n)
+    # a level binds its operator on its first product, not at build
+    assert not any("_operator" in vars(lvl) for lvl in h.levels)
     assert {form for _, form, _ in h.smoothing()} == {"horner"}
     polynomial = _products_per_level(h, warm)
     monkeypatch.setattr(richardson, "AMPLIFICATION_LIMIT", 0.0)

@@ -13,9 +13,9 @@ from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
 from richlab.richardson import (DivergenceError, _inner_step,
                                 gershgorin_radius, solve_stationary)
 from richlab.schedules import WeightSchedule, chebyshev_weights
-from richlab.sparse import SparseMatrix
+from richlab.sparse import SparseMatrix, _Operator
 
-from conftest import random_sparse, random_spd
+from conftest import count_bound_products, random_sparse, random_spd
 from reference_iterations import (precondition, reference_solve_stationary,
                                   sweep_affine_term, sweep_operator)
 
@@ -290,41 +290,14 @@ def test_solve_matches_allocating_reference_loop(variant, precond, field):
             assert np.array_equal(start, kept)   # the caller's u0 is untouched
 
 
-def _counting_products(monkeypatch):
-    """Patch SparseMatrix so that every product the solver runs, probed
-    or accumulating, appends its route to the returned list."""
-    calls = []
-    matvec = SparseMatrix.matvec
-
-    def counted_matvec(self, x):
-        calls.append("matvec")
-        return matvec(self, x)
-
-    def counting(name):
-        factory = getattr(SparseMatrix, name)
-
-        def make(self, *args):
-            kernel = factory(self, *args)
-
-            def run(*vectors):
-                calls.append(name)
-                return kernel(*vectors)
-            return run
-        return make
-
-    monkeypatch.setattr(SparseMatrix, "matvec", counted_matvec)
-    monkeypatch.setattr(SparseMatrix, "_accumulating_product",
-                        counting("_accumulating_product"))
-    return calls
-
-
 @pytest.mark.parametrize("precond", [None, "jacobi", "ssor"])
 @pytest.mark.parametrize("variant", ORACLE_VARIANTS)
 def test_report_counts_products_and_applies(variant, precond, monkeypatch):
     A, f, _ = _oracle_system("real")
     P = _oracle_preconditioner(precond, A)
     sched = _oracle_schedule(variant, A, P)
-    calls = _counting_products(monkeypatch)
+    calls = count_bound_products(monkeypatch)
+    monkeypatch.setattr(SparseMatrix, "matvec", None)   # all on the operator
     _, rep = solve_stationary(A, f, sched, P=P, tol=1e-5, max_outer=150)
     assert rep.inner_iterations > 0
     # one initial residual, one product per update in either sweep form;
@@ -332,8 +305,10 @@ def test_report_counts_products_and_applies(variant, precond, monkeypatch):
     sweep_ends = 0 if variant.startswith("plain") or variant == "mom" \
         else rep.iterations
     assert rep.matvecs == len(calls) == 1 + rep.inner_iterations + sweep_ends
+    operators, routes = zip(*calls)
+    assert len(set(operators)) == 1   # bound once per solve
     horner = variant == "plain" and P is None
-    assert ("_accumulating_product" in calls) == horner
+    assert ("accumulate" in routes) == horner
     assert rep.precond_applies == (0 if P is None else rep.inner_iterations)
 
 
@@ -364,7 +339,13 @@ def test_non_finite_iterate_in_padded_rows_gives_the_csr_outcome(variant):
     # solver must report CSR's "inf", not "nan".
     A = _aniso_blocks_padded()
     csr = A.to_scipy()
-    fast = A._kernel()[0].dot   # the raw DIA kernel, without the probe
+    op = _Operator(A)
+
+    def fast(x):   # the raw DIA kernel, without the probe
+        y = np.zeros(A.nrows)
+        op.accumulate(x, y)
+        return y
+
     weights = dict(omega=[1e160])
     if variant != "plain":
         weights.update(alpha=[0.5], variant=variant)
@@ -394,7 +375,7 @@ def _aniso_blocks_padded():
     """An n=8 rotated anisotropic operator: its DIA product multiplies
     padding in the rows where the stencil meets a grid line."""
     A = assemble_anisotropic(AnisotropicProblem(epsilon=1e-2, theta=0.5, n=8))
-    assert A._kernel()[3] is not None
+    assert _Operator(A)._padded is not None
     return A
 
 

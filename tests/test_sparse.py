@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse
 from hypothesis import given, strategies as st
 
-from richlab.sparse import (DimensionMismatch, SparseMatrix, _dia_product,
+from richlab.sparse import (DimensionMismatch, SparseMatrix, _Operator,
                             _product, read_matrix_market,
                             write_matrix_market)
 
@@ -100,7 +100,6 @@ def test_rmatvec_equals_scipy_transpose_product(complex_values):
         x = rng.standard_normal(9) + (1j * rng.standard_normal(9)
                                       if complex_values else 0.0)
         assert np.array_equal(A.rmatvec(x), A.to_scipy().T @ x)
-    assert A._kernels is None   # the transpose keeps no kernel on A
     with pytest.raises(DimensionMismatch):
         A.rmatvec(np.ones(7))
 
@@ -138,7 +137,8 @@ def test_diagonal_equals_scipys(nrows, ncols, density, is_complex, seed):
 # -- product kernels ------------------------------------------------------
 
 def _kernel_format(A):
-    return A._kernel()[0].format
+    """"dia" or "csr": the compiled kernel that binding A picks."""
+    return _Operator(A).accumulate.func.__name__.split("_")[0]
 
 
 @st.composite
@@ -179,14 +179,15 @@ def test_products_equal_csr_bit_for_bit(data, banded, complex_x):
     csr = A.to_scipy()
     if banded:
         assert _kernel_format(A) == "dia"
+    bound = _Operator(A)
     for _ in range(2):
         x, xt = _vector(rng, A.ncols, complex_x), _vector(rng, A.nrows, complex_x)
-        y, yt = A.matvec(x), A.rmatvec(xt)
-        assert np.array_equal(y, csr @ x) and y.dtype == (csr @ x).dtype
-        assert np.array_equal(yt, csr.T @ xt)
-        # signed zeros too: DIA padding adds only +0 to a running sum
-        assert np.array_equal(np.signbit(y.view(float)),
-                              np.signbit((csr @ x).view(float)))
+        for y in (A.matvec(x), bound.matvec(x)):
+            assert np.array_equal(y, csr @ x) and y.dtype == (csr @ x).dtype
+            # signed zeros too: DIA padding adds only +0 to a running sum
+            assert np.array_equal(np.signbit(y.view(float)),
+                                  np.signbit((csr @ x).view(float)))
+        assert np.array_equal(A.rmatvec(xt), csr.T @ xt)
 
 
 @given(data=st.data(), banded=st.booleans(),
@@ -196,6 +197,7 @@ def test_non_finite_input_matches_csr(data, banded, bad):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     csr = A.to_scipy()
     for n, product, ref in ((A.ncols, A.matvec, csr.dot),
+                            (A.ncols, _Operator(A).matvec, csr.dot),
                             (A.nrows, A.rmatvec, csr.T.dot)):
         x = _vector(rng, n, A.is_complex)
         x[data.draw(st.integers(0, n - 1))] = bad
@@ -211,25 +213,32 @@ def test_non_finite_input_matches_csr(data, banded, bad):
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_compiled_kernels_give_scipys_bytes(dtype):
     # the direct calls into scipy.sparse._sparsetools must run the
-    # products that scipy's own dot runs, of the DIA matrix and of the
-    # CSR matrix and its transpose; a change to those private signatures
+    # products that scipy's own dot runs: a bound operator's DIA kernel
+    # (of a banded matrix) against scipy's DIA matrix, and its CSR kernel
+    # (of a scattered one) and the CSR and CSC products against the CSR
+    # matrix and its transpose; a change to those private signatures
     # fails here
     rng = np.random.default_rng(6)
-    M = scipy.sparse.random(30, 20, density=0.3, random_state=3,
-                            format="csr", dtype=float)
-    A = SparseMatrix.from_scipy(M.astype(dtype) * (1 + (0.5j if dtype is
-                                                        complex else 0)))
-    csr = A.to_scipy()
-    dia = csr.todia()
-    for x_dtype in (float, complex):
-        for product, mat in ((_dia_product(dia), dia), (_product(A), csr),
-                             (_product(A, transpose=True), csr.T)):
-            x = rng.standard_normal(mat.shape[1]).astype(x_dtype)
-            want = mat.dot(x)
-            y = np.zeros(len(want), dtype=want.dtype)
-            product(x, y)
-            assert y.tobytes() == want.tobytes()
-    assert A._kernels is None   # the CSR and CSC products keep nothing
+    full = scipy.sparse.random(30, 20, density=1.0, random_state=3,
+                               format="csr")
+    scattered = scipy.sparse.random(30, 20, density=0.3, random_state=3,
+                                    format="csr")
+    banded = scipy.sparse.triu(scipy.sparse.tril(full, 2), -2)
+    for M, kind in ((banded, "dia"), (scattered, "csr")):
+        A = SparseMatrix.from_scipy(M.astype(dtype) * (
+            1 + (0.5j if dtype is complex else 0)))
+        assert _kernel_format(A) == kind
+        csr = A.to_scipy()
+        fast = csr.todia() if kind == "dia" else csr
+        for x_dtype in (float, complex):
+            for product, mat in ((_Operator(A).accumulate, fast),
+                                 (_product(A), csr),
+                                 (_product(A, transpose=True), csr.T)):
+                x = rng.standard_normal(mat.shape[1]).astype(x_dtype)
+                want = mat.dot(x)
+                y = np.zeros(len(want), dtype=want.dtype)
+                product(x, y)
+                assert y.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -238,19 +247,20 @@ def test_each_non_finite_position_gives_csr_bytes(bad):
     # interior positions keep the DIA product and edge ones recompute it
     A = _aniso_blocks()[1]
     csr = A.to_scipy()
+    op = _Operator(A)
     rng = np.random.default_rng(7)
     kept = 0
     for j in range(A.ncols):
         x = rng.standard_normal(A.ncols)
         x[j] = bad
-        for product, ref in ((A.matvec, csr.dot), (A.rmatvec, csr.T.dot)):
+        for product, ref in ((op.matvec, csr.dot), (A.matvec, csr.dot),
+                             (A.rmatvec, csr.T.dot)):
             y = product(x)
             assert y.tobytes() == ref(x).tobytes()
-        _, fast, _, padded = A._kernel()
         y = np.zeros(A.nrows)
-        fast(x, y)
-        kept += not np.isnan(y[padded]).any()
-    assert 0 < kept < A.ncols
+        op.accumulate(x, y)
+        kept += not np.isnan(y[op._padded]).any()
+    assert 0 < kept < A.ncols   # both the DIA result and the CSR recompute
 
 
 def test_kernel_choice_follows_the_pattern():
@@ -268,6 +278,47 @@ def test_kernel_choice_follows_the_pattern():
         assert _kernel_format(level.R) == _kernel_format(level.P) == "csr"
     assert _kernel_format(random_sparse(30, np.random.default_rng(2),
                                         density=0.1)) == "csr"
+
+
+def test_solves_leave_nothing_but_arrays_on_their_matrices():
+    # each solver binds its operator for the call, so every matrix it
+    # read keeps its CSR arrays and nothing else, but scipy's view where
+    # that was asked for: no product kernel outlives a solve
+    from richlab.data import sample_dataset
+    from richlab.fgmres import FgmresConfig, fgmres
+    from richlab.fns import (SpectralCorrection, sine_basis_eigenvalues,
+                             solve_fns)
+    from richlab.multigrid import helmholtz_hierarchy, v_cycle
+    from richlab.problems import HelmholtzProblem, assemble_helmholtz
+    from richlab.richardson import gershgorin_radius, solve_stationary
+    from richlab.schedules import WeightSchedule
+    from richlab.training import TrainConfig, train_ns
+
+    A = _aniso_blocks()[1]
+    f = np.random.default_rng(8).standard_normal(A.ncols)
+    omega = np.full(3, 1.0 / gershgorin_radius(A))
+    plain = WeightSchedule(omega=omega)
+    nag = WeightSchedule(omega=omega, alpha=np.full(3, 0.3), variant="nag")
+    forms = [solve_stationary(A, f, s, max_outer=3)[1].sweep_form
+             for s in (plain, nag)]
+    assert forms == ["horner", "recurrence"]
+    corr = SpectralCorrection(lambda_tilde=1.0 / sine_basis_eigenvalues(A, 8),
+                              n=8)
+    assert solve_fns(A, f, plain, corr, M=2, tol=1e-2)[1].converged
+    A.matvec(f), A.rmatvec(f)
+    H = assemble_helmholtz(HelmholtzProblem(angular_frequency=2 * np.pi * 1.5,
+                                            n=32))
+    h = helmholtz_hierarchy(H, 32)
+    fgmres(H, np.ones(H.ncols, dtype=complex), lambda r: v_cycle(h, r),
+           FgmresConfig(restart=3, max_outer=1))
+    ds = sample_dataset("anisotropic", 8, seed=17, n=8)
+    train_ns(TrainConfig(m=2, unroll=6, n_epochs=1, batch_size=4, seed=0,
+                         precond="ssor", hidden=(4, 4)), ds)
+    matrices = [A, H, *(M for lvl in h.levels for M in (lvl.A, lvl.R, lvl.P)
+                        if M is not None), *(s.A for s in ds)]
+    arrays = {"nrows", "ncols", "row_starts", "col_indices", "values"}
+    for M in matrices:
+        assert set(vars(M)) - {"_csr"} == arrays
 
 
 def _aniso_blocks():

@@ -234,6 +234,7 @@ def test_projection_keeps_no_factor_or_kernel_on_the_dataset(monkeypatch):
     # whatever a projection leaves on each of a dataset's matrices lives
     # as long as the dataset: SSOR's two triangles outweigh the matrix,
     # and product kernels left on 200 samples once fragmented the heap
+    # (no matrix keeps a kernel now: see tests/test_sparse.py)
     from richlab.precond import Preconditioner
 
     built = []
@@ -257,8 +258,7 @@ def test_projection_keeps_no_factor_or_kernel_on_the_dataset(monkeypatch):
         assert len(built) == factors
         assert all(P() is None for P in built)
         # nor the scipy view: SSOR reads the diagonal from the arrays
-        assert all(s.A._kernels is None and "_csr" not in s.A.__dict__
-                   for s in ds)
+        assert all("_csr" not in vars(s.A) for s in ds)
 
 
 def test_one_dataset_is_projected_once_for_every_net():
