@@ -228,8 +228,7 @@ def batches(mod):
     def schedule_batch(variant, precond, log_omega, batch_size, seed):
         def build():
             net = mod("metanet").MetaNet.create(
-                3, variant=variant, input_dim=2, learn_log_omega=log_omega,
-                seed=seed)
+                3, variant=variant, learn_log_omega=log_omega, seed=seed)
             batch = _training_set(mod)[:batch_size]
 
             def run():
@@ -242,8 +241,7 @@ def batches(mod):
     def warm_batch(variant, precond, log_omega, batch_size, seed):
         def build():
             net = mod("metanet").MetaNet.create(
-                3, variant=variant, input_dim=2, learn_log_omega=log_omega,
-                seed=seed)
+                3, variant=variant, learn_log_omega=log_omega, seed=seed)
             batch = _training_set(mod)[:batch_size]
             training.krylov_projection(batch, UNROLL, precond)
             # a tree without the memo has no warm batch: AttributeError

@@ -10,8 +10,9 @@ builds are reported. Per workload it prints, for the first round:
 - products by route: a bound operator's probed ``matvec`` and its
   accumulating y += A x (``accumulate``), both of ``sparse._Operator``,
   and a matrix's own ``SparseMatrix.matvec`` and ``rmatvec``, which
-  bind the CSR product on each call (the V-cycle's transfers, the
-  projection's A x in ``training``, and one-off products);
+  bind the CSR product on each call (the V-cycle's restrictions by
+  ``matvec`` and its prolongations by ``rmatvec``, the projection's
+  A x in ``training``, and one-off products);
 - operator binds (``_Operator`` built: once per solve, and once per
   V-cycle level on its first product, which a hierarchy keeps across
   rounds) and the scipy CSR views built (``SparseMatrix._csr`` on first
@@ -116,8 +117,8 @@ def counting(counts):
         counts["projections", "computed"] += 1
         return arnoldi(*args)
 
-    def counted_train_ns(config, dataset, net=None):
-        net = train_ns(config, dataset, net)
+    def counted_train_ns(config, dataset):
+        net = train_ns(config, dataset)
         counts["projections", "served"] += \
             net.training_history["projection_reused"]
         return net

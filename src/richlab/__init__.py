@@ -18,8 +18,7 @@ from .metanet import MetaNet, meta_forward
 from .training import (Adam, TrainConfig, evaluate_loss, train_ns,
                        make_preconditioner)
 from .multigrid import (Hierarchy, build_hierarchy, galerkin_coarse,
-                        helmholtz_hierarchy, prolongation_matrix,
-                        restriction_matrix, v_cycle)
+                        helmholtz_hierarchy, restriction_matrix, v_cycle)
 from .fns import (SpectralCorrection, fns_lite_step, sine_basis_eigenvalues,
                   solve_fns)
 from .fgmres import FgmresConfig, fgmres

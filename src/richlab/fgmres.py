@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .richardson import SolveReport
-from .sparse import _Operator
+from .sparse import _Operator, _vector
 
 
 @dataclass
@@ -63,7 +63,8 @@ def fgmres(A, f, precond_apply=None, cfg: FgmresConfig = None):
         precond_apply = lambda r: r
     t0 = time.perf_counter()
     n = A.ncols
-    dtype = np.promote_types(A.dtype, np.asarray(f).dtype)
+    f = _vector(f, A.nrows, "f")
+    dtype = np.promote_types(A.dtype, f.dtype)
     u = np.zeros(n, dtype=dtype)
     fnorm = float(np.linalg.norm(f))
     if fnorm == 0.0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .richardson import DivergenceError, SolveReport, _recurrence_pass
-from .sparse import _Operator
+from .sparse import _Operator, _vector
 from .transforms import dst2, dst2_inv
 
 
@@ -91,7 +91,7 @@ def fns_lite_step(A, f, u, schedule, M, corr: SpectralCorrection, *,
     if schedule.variant != "plain":
         raise ValueError(f"the hybrid smoother is plain Richardson, got a "
                          f"{schedule.variant!r} schedule")
-    f, u = np.asarray(f), np.asarray(u)
+    f, u = _vector(f, A.shape[0], "f"), _vector(u, A.shape[1], "u")
     u = u.astype(np.result_type(u, f, A.dtype))   # a copy: u stays the caller's
     _recurrence_pass(A, schedule, f, u, M, _residual)
     stale = M or _residual is None   # updates outdate _residual
@@ -110,6 +110,7 @@ def solve_fns(A, f, schedule, corr, M, tol=1e-6):
     if not tol > 0:
         raise ValueError("tol must be positive")
     t0 = time.perf_counter()
+    f = _vector(f, A.nrows, "f")
     u = np.zeros(A.ncols)
     fnorm = np.linalg.norm(f)
     converged = fnorm == 0.0

@@ -36,10 +36,12 @@ class MetaNet:
     seed: int = 0
 
     @classmethod
-    def create(cls, m, variant="plain", hidden=(64, 64), input_dim=2,
+    def create(cls, m, variant="plain", hidden=(64, 64),
                learn_log_omega=False, seed=0):
+        """A new net whose inputs are the anisotropic parameters
+        (lg eps, theta) that ANISOTROPIC_BOUNDS bounds."""
         out_dim = m * _GROUPS[variant]
-        widths = [input_dim, *hidden, out_dim]
+        widths = [len(ANISOTROPIC_BOUNDS), *hidden, out_dim]
         rng = np.random.default_rng(seed)
         weights, biases = [], []
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):

@@ -2,7 +2,8 @@
 
 Grid transfer uses the full-weighting restriction stencil
 (1/16)[[1,2,1],[2,4,2],[1,2,1]] and its bilinear-interpolation adjoint
-P = 4 R^T; coarse operators are Galerkin triple products R A P.
+P = 4 R^T, which a level applies as ``R.rmatvec(4 e)`` rather than
+storing; coarse operators are Galerkin triple products R A P.
 """
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ from .richardson import (DivergenceError, SweepPolynomial, _horner_pass,
                          _recurrence_pass, gershgorin_radius,
                          sweep_polynomial)
 from .schedules import WeightSchedule
-from .sparse import (SparseMatrix, _Operator, _scaled_transpose,
-                     _wrap_built, _wrap_product, lu_solver)
+from .sparse import (SparseMatrix, _Operator, _vector, _wrap_built,
+                     _wrap_product, lu_solver)
 
 # the coarsest grid of the Helmholtz recipe (helmholtz_hierarchy)
 HELMHOLTZ_COARSEST = 16
@@ -53,18 +54,13 @@ def restriction_matrix(n) -> SparseMatrix:
                        cols.reshape(-1), values)
 
 
-def prolongation_matrix(n) -> SparseMatrix:
-    """Bilinear interpolation from the n/2 grid to the n grid, 4 R^T (R's
-    weights are powers of two, so its entries are exact)."""
-    return _scaled_transpose(restriction_matrix(n), 4.0)
-
-
-def galerkin_coarse(A: SparseMatrix, R: SparseMatrix,
-                    P: SparseMatrix) -> SparseMatrix:
-    """Sparse triple product R A P."""
-    if R.ncols != A.nrows or A.ncols != P.nrows:
+def galerkin_coarse(A: SparseMatrix, R: SparseMatrix) -> SparseMatrix:
+    """Sparse triple product R A P with P = 4 R^T, taken from scipy's
+    transpose of R (R's weights are powers of two, so P's are exact)."""
+    if not R.ncols == A.nrows == A.ncols:
         raise ValueError("transfer operator dimensions do not chain")
-    return _wrap_product(R.to_scipy() @ A.to_scipy() @ P.to_scipy())
+    R = R.to_scipy()
+    return _wrap_product(R @ A.to_scipy() @ (4.0 * R.T))
 
 
 @dataclass
@@ -72,7 +68,6 @@ class Level:
     n: int
     A: SparseMatrix
     R: SparseMatrix | None = None   # to the next coarser level
-    P: SparseMatrix | None = None
     schedule: WeightSchedule | None = None
 
     @functools.cached_property
@@ -118,22 +113,21 @@ def coarsening_sides(n, coarsest):
     return sides
 
 
-def build_hierarchy(A: SparseMatrix, n, coarsest=8, schedules=None):
+def build_hierarchy(A: SparseMatrix, n, coarsest=8, *, schedules):
     """Galerkin-coarsen by factors of 2 down to the ``coarsest`` grid.
 
     ``schedules`` is the WeightSchedule that smooths every level above
-    the coarsest (None: no smoothing). An ``n`` that does not coarsen
-    (see coarsening_sides) is refused before any level is built, and a
-    coarsest operator that SuperLU cannot factor by a CoarseSolveError.
+    the coarsest. An ``n`` that does not coarsen (see coarsening_sides)
+    is refused before any level is built, and a coarsest operator that
+    SuperLU cannot factor by a CoarseSolveError.
     """
     sides = coarsening_sides(n, coarsest)
     levels = []
     Al = A
     for side in sides[:-1]:
         R = restriction_matrix(side)
-        P = _scaled_transpose(R, 4.0)
-        levels.append(Level(n=side, A=Al, R=R, P=P, schedule=schedules))
-        Al = galerkin_coarse(Al, R, P)
+        levels.append(Level(n=side, A=Al, R=R, schedule=schedules))
+        Al = galerkin_coarse(Al, R)
     levels.append(Level(n=sides[-1], A=Al))
     if not np.all(np.isfinite(Al.values)):   # splu factors inf quietly
         raise CoarseSolveError("coarsest operator is not finite")
@@ -164,8 +158,6 @@ def _smooth(level: Level, f, u):
     recurrence. Either way a non-finite iterate raises DivergenceError.
     """
     s = level.schedule
-    if s is None:
-        return np.zeros_like(f) if u is None else u
     sweep = level.sweep
     # a non-finite f or iterate raises below, so the pass need not warn
     with np.errstate(over="ignore", invalid="ignore"):
@@ -184,11 +176,14 @@ def v_cycle(h: Hierarchy, f, u=None):
     one after each coarse-grid correction; returns the new iterate.
 
     ``u`` None starts from zero. Neither ``f`` nor ``u`` is modified.
+    Either one of another shape than the finest level's vectors is
+    refused by a DimensionMismatch.
     """
-    lvl0 = h.levels[0]
-    dtype = np.promote_types(lvl0.A.dtype, np.asarray(f).dtype)
+    size = h.levels[0].A.ncols
+    f = _vector(f, size, "f")
+    dtype = np.promote_types(h.levels[0].A.dtype, f.dtype)
     if u is not None:
-        u = np.array(u, dtype=dtype)   # smoothed in place
+        u = np.array(_vector(u, size, "u"), dtype=dtype)   # smoothed in place
     return _v_cycle_level(h, 0, np.ascontiguousarray(f, dtype=dtype), u)
 
 
@@ -205,5 +200,6 @@ def _v_cycle_level(h, k, f, u):
     r = level._operator.matvec(u)
     np.subtract(f, r, out=r)
     ec = _v_cycle_level(h, k + 1, level.R.matvec(r), None)
-    u += level.P.matvec(ec)
+    ec *= 4.0   # P ec = R^T (4 ec); 4 is a power of two, so exactly
+    u += level.R.rmatvec(ec)
     return _smooth(level, f, u)

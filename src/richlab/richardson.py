@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import _Operator
+from .sparse import _Operator, _vector
 
 DIVERGENCE_FACTOR = 1e12
 # the largest Horner amplification bound (SweepPolynomial.bound) at
@@ -248,9 +248,10 @@ def solve_stationary(A, f, schedule, P=None, tol=1e-6, max_outer=100_000,
         raise ValueError("tol must be positive")
     t0 = time.perf_counter()
     n = A.ncols
-    f = np.asarray(f)
+    f = _vector(f, A.nrows, "f")
     dtype = np.promote_types(A.dtype, f.dtype)
-    u = np.zeros(n, dtype=dtype) if u0 is None else np.array(u0, dtype=dtype)
+    u = np.zeros(n, dtype=dtype) if u0 is None else \
+        np.array(_vector(u0, n, "u0"), dtype=dtype)
     sweep = None
     if schedule.variant == "plain" and P is None:
         sweep = sweep_polynomial(schedule, gershgorin_radius(A))

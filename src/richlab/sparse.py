@@ -112,19 +112,13 @@ class SparseMatrix:
 
     def matvec(self, x):
         """A x by :func:`_product`, bound afresh on each call."""
-        x = np.asarray(x)
-        if x.shape != (self.ncols,):
-            raise DimensionMismatch(
-                f"matrix has {self.ncols} columns but vector has length {x.shape}")
+        x = _vector(x, self.ncols)
         return _run_kernel(_product(self), self.nrows,
                            np.promote_types(self.dtype, x.dtype), x)
 
     def rmatvec(self, x):
         """Transpose product A^T x (not conjugated), by :func:`_product`."""
-        x = np.asarray(x)
-        if x.shape != (self.nrows,):
-            raise DimensionMismatch(
-                f"matrix has {self.nrows} rows but vector has length {x.shape}")
+        x = _vector(x, self.nrows)
         return _run_kernel(_product(self, transpose=True), self.ncols,
                            np.promote_types(self.dtype, x.dtype), x)
 
@@ -213,6 +207,17 @@ class _Operator:
         return _run_kernel(self._exact, nrows, dtype, x)
 
 
+def _vector(x, size, name="vector"):
+    """``x`` as an array, or a DimensionMismatch naming both lengths
+    when it is not a vector of ``size`` entries: a length-1 or (size, 1)
+    array would otherwise broadcast."""
+    x = np.asarray(x)
+    if x.shape != (size,):
+        raise DimensionMismatch(f"the operator takes a vector of length "
+                                f"{size}, but {name} has shape {x.shape}")
+    return x
+
+
 def _index_dtype(nrows, ncols, nnz):
     """The index dtype scipy's CSR constructor keeps for these sizes:
     int32 while every index and row start fits, else int64. Indices
@@ -242,20 +247,6 @@ def _wrap_product(csr):
     csr.sort_indices()
     csr.eliminate_zeros()
     return _wrap_built(*csr.shape, csr.indptr, csr.indices, csr.data)
-
-
-def _scaled_transpose(A, scale):
-    """scale * A^T from A's arrays, by scipy's compiled CSR-to-CSC
-    conversion: it visits A's rows in order, so each row of A^T lists
-    its columns in ascending order. ``scale`` must leave every entry
-    nonzero."""
-    row_starts = np.empty(A.ncols + 1, dtype=A.row_starts.dtype)
-    col_indices = np.empty(A.nnz, dtype=A.col_indices.dtype)
-    values = np.empty(A.nnz, dtype=A.dtype)
-    _sparsetools.csr_tocsc(A.nrows, A.ncols, A.row_starts, A.col_indices,
-                           A.values, row_starts, col_indices, values)
-    values *= scale
-    return _wrap_built(A.ncols, A.nrows, row_starts, col_indices, values)
 
 
 def _run_kernel(kernel, size, dtype, x):

@@ -22,7 +22,6 @@ class NotSPDError(ValueError):
 class SpectralBounds:
     lambda_max: float
     lambda_min: float
-    method: str  # lanczos
 
     def __post_init__(self):
         if not self.lambda_max >= self.lambda_min:
@@ -123,5 +122,4 @@ def dense_spectral_bounds(A):
     if not lo > np.finfo(float).eps * hi:
         raise NotSPDError()
     _shifted_cholesky(csr, 1.0, (1.0 - 1e-10) * lo)
-    return SpectralBounds(lambda_max=float(hi), lambda_min=float(lo),
-                          method="lanczos")
+    return SpectralBounds(lambda_max=float(hi), lambda_min=float(lo))

@@ -367,7 +367,7 @@ class Adam:
         return out
 
 
-def train_ns(config: TrainConfig, dataset, net=None):
+def train_ns(config: TrainConfig, dataset):
     """Mini-batch training of the schedule network on the K-step
     relative-residual loss; returns the best-validation checkpoint.
 
@@ -383,12 +383,10 @@ def train_ns(config: TrainConfig, dataset, net=None):
     if dataset.kind != "anisotropic":
         raise ValueError("schedule-net training expects an anisotropic "
                          f"dataset, got {dataset.kind!r}")
-    if net is None:
-        input_dim = len(dataset[0].mu)
-        net = MetaNet.create(config.m, variant=config.variant,
-                             hidden=config.hidden, input_dim=input_dim,
-                             learn_log_omega=config.learn_log_omega,
-                             seed=config.seed)
+    net = MetaNet.create(config.m, variant=config.variant,
+                         hidden=config.hidden,
+                         learn_log_omega=config.learn_log_omega,
+                         seed=config.seed)
     rng = np.random.default_rng(config.seed)
     t0 = time.perf_counter()
     H, _, reused = _project(dataset.samples, config.unroll, config.precond)

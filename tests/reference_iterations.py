@@ -33,7 +33,7 @@ import time
 import numpy as np
 
 from richlab.fgmres import FgmresConfig
-from richlab.multigrid import prolongation_matrix, restriction_matrix
+from richlab.multigrid import restriction_matrix
 from richlab.richardson import DIVERGENCE_FACTOR, DivergenceError, SolveReport
 from richlab.training import KRYLOV_CLOSED, make_preconditioner
 
@@ -42,6 +42,12 @@ from reference_tape import Var, _track, _value
 
 def csr_matvec(A, x):
     return A.to_scipy().dot(x)
+
+
+def prolongation(R):
+    """The prolongation 4 R^T of a restriction R, as a scipy CSR matrix
+    of its own (not R's transpose product)."""
+    return (4.0 * R.to_scipy().T).tocsr()
 
 
 def precondition(P, r):
@@ -111,8 +117,6 @@ def reference_solve_stationary(A, f, schedule, P=None, tol=1e-6,
 
 def _reference_smooth(level, f, u):
     s = level.schedule
-    if s is None:
-        return u
     v = np.zeros_like(u)
     for i in range(s.m):
         u, v = reference_inner_update(level.A, f, u, v, i, s, None)
@@ -130,7 +134,7 @@ def _reference_v_cycle_level(h, k, f, u):
     r = f - csr_matvec(level.A, u)
     fc = csr_matvec(level.R, r)
     ec = _reference_v_cycle_level(h, k + 1, fc, np.zeros_like(fc))
-    u = u + csr_matvec(level.P, ec)
+    u = u + prolongation(level.R).dot(ec)
     return _reference_smooth(level, f, u)
 
 
@@ -282,7 +286,7 @@ def two_grid_error_operator(A, n, omega, pre=1, post=0):
     Richardson smoother: E = S^post (I - P Ac^{-1} R A) S^pre."""
     Ad = A.to_dense()
     R = restriction_matrix(n).to_dense()
-    P = prolongation_matrix(n).to_dense()
+    P = 4.0 * R.T
     Ac = R @ Ad @ P
     S = sweep_operator(Ad, omega)
     n_int = Ad.shape[0]

@@ -284,7 +284,7 @@ def test_cross_loads_name_the_checkpoint_kind(name, found, tmp_path):
     """Checkpoints of retired kinds, a trained hybrid among them, are
     refused by the one loader, which names the kind it found."""
     n = 4
-    net = MetaNet.create(m=2, variant="plain", input_dim=2, hidden=(4, 4))
+    net = MetaNet.create(m=2, variant="plain", hidden=(4, 4))
     net.save(tmp_path / "net")
     meta, arrays = load_checkpoint(tmp_path / "net", "metanet")
     # a trained hybrid: the net plus one log-multiplier per sine mode

@@ -131,6 +131,11 @@ def test_traffic_counter_runs_small():
     assert products["bound matvec"] > 0 and products["bound accumulate"] > 0
     # the projection multiplies by each sample's own matrix, unbound
     assert cells(train[0])["matvec"] > 0
+    # the V-cycle restricts by R's matvec and prolongs by its rmatvec,
+    # once each per smoothed level
+    transfers = cells(helmholtz[0])
+    assert transfers["rmatvec"] > 0
+    assert transfers["rmatvec"] == transfers["matvec"]
     assert train[2].startswith("_unroll calls: H stack ")
     # the small set's 20 samples, plain and SSOR, projected in the first
     # of the two rounds only, and served by the memo in the second

@@ -8,20 +8,24 @@ from richlab import multigrid, richardson
 from richlab.multigrid import (CoarseSolveError, Level, _smooth,
                                build_hierarchy, coarsening_sides,
                                galerkin_coarse, helmholtz_hierarchy,
-                               prolongation_matrix, restriction_matrix,
-                               v_cycle)
+                               restriction_matrix, v_cycle)
 from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
                               assemble_anisotropic, assemble_helmholtz)
 from richlab.richardson import (AMPLIFICATION_LIMIT, DivergenceError,
                                 gershgorin_radius)
 from richlab.schedules import WeightSchedule, chebyshev_schedule
-from richlab.sparse import SparseMatrix
+from richlab.sparse import DimensionMismatch, SparseMatrix
 from richlab.spectral import dense_spectral_bounds
 
 from conftest import count_bound_products
 from reference_assembly import (reference_galerkin, reference_prolongation,
                                 reference_restriction)
-from reference_iterations import _reference_smooth, two_grid_error_operator
+from reference_iterations import (_reference_smooth, prolongation,
+                                  two_grid_error_operator)
+
+# a schedule whose sweeps leave the iterate as it is: a hierarchy that it
+# smooths runs the bare coarse-grid correction
+NO_SMOOTHING = WeightSchedule(omega=[0.0])
 
 
 def dense_restriction_stencil(n):
@@ -43,9 +47,8 @@ def dense_restriction_stencil(n):
 
 @pytest.mark.parametrize("n", [7, 0])
 def test_odd_or_empty_side_rejected(n):
-    for transfer in (restriction_matrix, prolongation_matrix):
-        with pytest.raises(ValueError, match=f"grid side {n} must be even"):
-            transfer(n)
+    with pytest.raises(ValueError, match=f"grid side {n} must be even"):
+        restriction_matrix(n)
 
 
 def test_constant_restricts_to_constant_interior():
@@ -57,19 +60,33 @@ def test_constant_restricts_to_constant_interior():
 
 def test_transfer_transpose_relation(rng):
     n = 12
+    R = restriction_matrix(n)
     x = rng.standard_normal((n - 1) ** 2)
     y = rng.standard_normal((n // 2 - 1) ** 2)
-    lhs = restriction_matrix(n).matvec(x) @ y
-    rhs = 0.25 * (x @ prolongation_matrix(n).matvec(y))
+    lhs = R.matvec(x) @ y
+    rhs = x @ R.rmatvec(y)
     assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_prolongation_by_rmatvec_gives_the_csr_bytes(n, dtype, rng):
+    """The V-cycle prolongs by R^T (4 e): the bytes of scipy's CSR product
+    with 4 R^T, since 4 is a power of two and both add in ascending
+    coarse index."""
+    R = restriction_matrix(n)
+    e = rng.standard_normal(R.nrows).astype(dtype)
+    if dtype is complex:
+        e += 1j * rng.standard_normal(R.nrows)
+    expect = (4.0 * R.to_scipy().T).tocsr() @ e
+    got = R.rmatvec(4.0 * e)
+    assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
 
 
 def test_matches_dense_stencil_oracle():
     n = 8
     R = restriction_matrix(n).to_dense()
     assert np.allclose(R, dense_restriction_stencil(n), atol=1e-15)
-    P = prolongation_matrix(n).to_dense()
-    assert np.allclose(P, 4.0 * dense_restriction_stencil(n).T, atol=1e-15)
 
 
 def assert_same_arrays(got, expect):
@@ -81,15 +98,19 @@ def assert_same_arrays(got, expect):
 
 @pytest.mark.parametrize("n", [*range(2, 66, 2), 130, 256])
 def test_transfers_equal_the_entry_loop_oracle(n):
-    assert_same_arrays(restriction_matrix(n), reference_restriction(n))
-    assert_same_arrays(prolongation_matrix(n), reference_prolongation(n))
+    """R, and the 4 R^T that the Galerkin product takes of it."""
+    R = restriction_matrix(n)
+    assert_same_arrays(R, reference_restriction(n))
+    P = prolongation(R)
+    assert_same_arrays(SparseMatrix(*P.shape, P.indptr, P.indices, P.data),
+                       reference_prolongation(n))
 
 
 def hierarchy_case(kind, n):
     if kind == "anisotropic":
         A = assemble_anisotropic(AnisotropicProblem(epsilon=1e-2,
                                                     theta=np.pi / 3, n=n))
-        return build_hierarchy(A, n, coarsest=8)
+        return build_hierarchy(A, n, coarsest=8, schedules=NO_SMOOTHING)
     A = assemble_helmholtz(HelmholtzProblem(angular_frequency=2 * np.pi * 5,
                                             n=n))
     return helmholtz_hierarchy(A, n)
@@ -98,51 +119,53 @@ def hierarchy_case(kind, n):
 @pytest.mark.parametrize("kind,n", [("helmholtz", 64), ("helmholtz", 128),
                                     ("anisotropic", 64)])
 def test_hierarchy_levels_equal_the_kron_oracle(kind, n):
-    """Every level's R, P and coarse A carry the arrays and dtypes of the
-    Kronecker transfers and the canonicalised scipy product."""
+    """Every level's R and coarse A carry the arrays and dtypes of the
+    Kronecker transfers and the canonicalised scipy product R A P."""
     h = hierarchy_case(kind, n)
     for fine, coarse in zip(h.levels, h.levels[1:]):
         R, P = reference_restriction(fine.n), reference_prolongation(fine.n)
         assert_same_arrays(fine.R, R)
-        assert_same_arrays(fine.P, P)
         assert_same_arrays(coarse.A, reference_galerkin(fine.A, R, P))
-        assert_same_arrays(galerkin_coarse(fine.A, R, P), coarse.A)
+        assert_same_arrays(galerkin_coarse(fine.A, R), coarse.A)
 
 
 def test_galerkin_drops_an_entry_that_cancels_to_zero():
-    """R A P whose (0, 1) entry sums 1 + (-1) to an exact zero, and whose
-    second row scipy's product lists with columns (2, 0): the zero is
-    left out and the columns sorted, as the oracle has them."""
-    R = SparseMatrix.from_scipy(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-    A = SparseMatrix.from_scipy(np.array([[2.0, 1.0, 0.0],
-                                          [0.0, -1.0, 0.0],
-                                          [3.0, 0.0, 4.0]]))
-    P = SparseMatrix.identity(3)
-    got = galerkin_coarse(A, R, P)
+    """R A 4R^T whose (1, 1) entry sums 4 + (-4) to an exact zero, and
+    whose first row scipy's product lists with columns (1, 0): the zero
+    is left out and the columns sorted, as the oracle has them."""
+    R = SparseMatrix.from_scipy(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0]]))
+    A = SparseMatrix.from_scipy(np.diag([1.0, 0.0, -1.0]))
+    raw = R.to_scipy() @ A.to_scipy() @ prolongation(R)
+    assert raw.indices[:raw.indptr[1]].tolist() == [1, 0]
+    got = galerkin_coarse(A, R)
+    P = SparseMatrix.from_scipy(4.0 * R.to_dense().T)
     assert_same_arrays(got, reference_galerkin(A, R, P))
-    assert got.to_dense().tolist() == [[2.0, 0.0, 0.0], [3.0, 0.0, 4.0]]
+    assert got.to_dense().tolist() == [[4.0, 4.0], [4.0, 0.0]]
     assert got.nnz == 3 and np.all(got.values != 0)
 
 
 def test_galerkin_refuses_transfers_that_do_not_chain():
+    """An R from another grid, and an A whose rows fit R but whose
+    columns do not."""
     n = 8
     A = assemble_anisotropic(AnisotropicProblem(epsilon=1.0, theta=0.0, n=n))
     with pytest.raises(ValueError, match="do not chain"):
-        galerkin_coarse(A, restriction_matrix(2 * n), prolongation_matrix(n))
+        galerkin_coarse(A, restriction_matrix(2 * n))
+    wide = SparseMatrix.from_scipy(A.to_scipy()[:, :-1])
     with pytest.raises(ValueError, match="do not chain"):
-        galerkin_coarse(A, restriction_matrix(n), prolongation_matrix(2 * n))
+        galerkin_coarse(wide, restriction_matrix(n))
 
 
 def test_galerkin_shape_symmetry_and_dense_oracle():
     n = 8
     A = assemble_anisotropic(AnisotropicProblem(epsilon=1.0, theta=0.0, n=n))
-    R, P = restriction_matrix(n), prolongation_matrix(n)
-    Ac = galerkin_coarse(A, R, P)
+    R = restriction_matrix(n)
+    Ac = galerkin_coarse(A, R)
     nc = (n // 2 - 1) ** 2
     assert Ac.shape == (nc, nc)
     dense = Ac.to_dense()
     assert np.max(np.abs(dense - dense.T)) <= 1e-13
-    oracle = R.to_dense() @ A.to_dense() @ P.to_dense()
+    oracle = R.to_dense() @ A.to_dense() @ (4.0 * R.to_dense().T)
     assert np.max(np.abs(dense - oracle)) <= 1e-13
 
 
@@ -181,14 +204,14 @@ def test_v_cycle_residual_never_increases(rng):
 def test_zero_smoothing_two_level_equals_coarse_grid_correction(rng):
     n = 8
     A = assemble_anisotropic(AnisotropicProblem(epsilon=1.0, theta=0.0, n=n))
-    h = build_hierarchy(A, n, coarsest=4, schedules=None)
+    h = build_hierarchy(A, n, coarsest=4, schedules=NO_SMOOTHING)
     assert h.depth == 2
     f = rng.standard_normal((n - 1) ** 2)
     u0 = rng.standard_normal((n - 1) ** 2)
     out = v_cycle(h, f, u0)
     Ad = A.to_dense()
     R = restriction_matrix(n).to_dense()
-    P = prolongation_matrix(n).to_dense()
+    P = 4.0 * R.T
     Ac = R @ Ad @ P
     expected = u0 + P @ np.linalg.solve(Ac, R @ (f - Ad @ u0))
     assert np.max(np.abs(out - expected)) <= 1e-12
@@ -433,7 +456,7 @@ def test_build_hierarchy_refuses_before_building_a_level(n, coarsest, message,
     monkeypatch.setattr(multigrid, "galerkin_coarse", no_level)
     A = assemble_anisotropic(AnisotropicProblem(epsilon=1.0, theta=0.0, n=n))
     with pytest.raises(ValueError, match=message):
-        build_hierarchy(A, n, coarsest=coarsest)
+        build_hierarchy(A, n, coarsest=coarsest, schedules=NO_SMOOTHING)
 
 
 @pytest.mark.parametrize("kind", ["anisotropic", "helmholtz"])
@@ -497,17 +520,45 @@ def _infinite_corner(n):
 def test_build_refuses_a_singular_or_non_finite_coarsest_operator(operator,
                                                                   message):
     with pytest.raises(CoarseSolveError, match=message):
-        build_hierarchy(operator(), 16, coarsest=8)
+        build_hierarchy(operator(), 16, coarsest=8, schedules=NO_SMOOTHING)
 
 
-def test_non_finite_coarse_solve_raises(rng):
-    """An unsmoothed V-cycle hands a NaN right-hand side straight to the
-    coarse solve, which refuses the iterate it makes of it."""
+def test_non_finite_coarse_solve_raises():
+    """A V-cycle that does not smooth hands f straight to the coarse
+    solve: one near the largest float overflows it, and the cycle
+    refuses the iterate."""
     n = 16
     A = assemble_anisotropic(AnisotropicProblem(epsilon=1.0, theta=0.0, n=n))
-    h = build_hierarchy(A, n, coarsest=8)
-    f = rng.standard_normal(A.nrows)
-    f[7] = np.nan
+    h = build_hierarchy(A, n, coarsest=8, schedules=NO_SMOOTHING)
     with pytest.raises(CoarseSolveError,
                        match="coarse solve gave a non-finite iterate"):
-        v_cycle(h, f)
+        v_cycle(h, np.full(A.nrows, 1e307))
+
+
+@pytest.mark.parametrize("shape", ["one", "column", "short"])
+@pytest.mark.parametrize("which", ["f", "u"])
+def test_v_cycle_refuses_a_misshapen_vector(which, shape):
+    """A length-1 or (N, 1) f or u would broadcast, and a short one would
+    reach the unchecked accumulating product of a Horner pass."""
+    n = 32
+    h = helmholtz_hierarchy(assemble_helmholtz(HelmholtzProblem(
+        angular_frequency=2 * np.pi * 1.5, n=n)), n)
+    size = h.levels[0].A.ncols
+    shapes = {"one": (1,), "column": (size, 1), "short": (size - 3,)}
+    bad = np.ones(shapes[shape], dtype=complex)
+    f, u = (bad, None) if which == "f" else (np.ones(size), bad)
+    with pytest.raises(DimensionMismatch,
+                       match=f"length {size}, but {which} has shape"):
+        v_cycle(h, f, u)
+
+
+def test_v_cycle_refuses_a_short_f_that_once_aborted():
+    """This call ran scipy's kernel past the end of its buffers."""
+    n = 32
+    A = assemble_helmholtz(HelmholtzProblem(angular_frequency=2 * np.pi * 1.5,
+                                            n=n))
+    h = helmholtz_hierarchy(A, n)
+    assert {form for _, form, _ in h.smoothing()} == {"horner"}
+    with pytest.raises(DimensionMismatch, match="length 961, but f has shape "
+                                                r"\(461,\)"):
+        v_cycle(h, np.ones(A.ncols - 500, dtype=complex))

@@ -43,6 +43,52 @@ def test_dimension_mismatch_names_sizes():
         A.matvec(np.ones(4))
 
 
+def _solver_call(entry, A, good, bad):
+    """Run the solver ``entry`` on A with the vector ``bad`` in the slot
+    the entry's name ends in and ``good`` in the other."""
+    from richlab.fgmres import fgmres
+    from richlab.fns import (SpectralCorrection, fns_lite_step,
+                             sine_basis_eigenvalues, solve_fns)
+    from richlab.precond import Preconditioner
+    from richlab.richardson import gershgorin_radius, solve_stationary
+    from richlab.schedules import WeightSchedule
+
+    s = WeightSchedule(omega=np.full(3, 1.0 / gershgorin_radius(A)))
+    corr = SpectralCorrection(lambda_tilde=1.0 / sine_basis_eigenvalues(A, 16),
+                              n=16)
+    calls = {
+        "solve_stationary-f": lambda: solve_stationary(A, bad, s),
+        "solve_stationary-u0": lambda: solve_stationary(A, good, s, u0=bad),
+        "solve_stationary_ssor-f": lambda: solve_stationary(
+            A, bad, s, P=Preconditioner.ssor(A)),
+        "fns_lite_step-f": lambda: fns_lite_step(A, bad, good, s, 2, corr),
+        "fns_lite_step-u": lambda: fns_lite_step(A, good, bad, s, 2, corr),
+        "solve_fns-f": lambda: solve_fns(A, bad, s, corr, M=2),
+        "fgmres-f": lambda: fgmres(A, bad),
+    }
+    return calls[entry]()
+
+
+@pytest.mark.parametrize("shape", ["one", "column", "short"])
+@pytest.mark.parametrize("entry", [
+    "solve_stationary-f", "solve_stationary-u0", "solve_stationary_ssor-f",
+    "fns_lite_step-f", "fns_lite_step-u", "solve_fns-f", "fgmres-f"])
+def test_solver_entries_refuse_a_misshapen_vector(entry, shape):
+    """A length-1 vector would broadcast as a constant, an (N, 1) one
+    fail inside numpy, a short one reach an unchecked kernel: each is a
+    DimensionMismatch naming both lengths."""
+    from richlab.problems import AnisotropicProblem, assemble_anisotropic
+
+    A = assemble_anisotropic(AnisotropicProblem(1.0, 0.0, 16))
+    N = A.ncols
+    bad = np.ones({"one": (1,), "column": (N, 1), "short": (N - 3,)}[shape])
+    name = entry.split("-")[1]
+    with pytest.raises(DimensionMismatch,
+                       match=rf"length {N}, but {name} has shape "
+                             rf"\({bad.shape[0]},"):
+        _solver_call(entry, A, np.ones(N), bad)
+
+
 def test_duplicate_triplets_summed():
     A = SparseMatrix.from_scipy(scipy.sparse.coo_matrix(
         ([1.0, 2.0, 5.0], ([0, 0, 1], [0, 0, 1])), shape=(2, 2)))
@@ -267,15 +313,17 @@ def test_kernel_choice_follows_the_pattern():
     from richlab.multigrid import build_hierarchy
     from richlab.problems import (AnisotropicProblem, HelmholtzProblem,
                                   assemble_anisotropic, assemble_helmholtz)
+    from richlab.schedules import WeightSchedule
 
     aniso = assemble_anisotropic(AnisotropicProblem(1e-2, np.pi / 3, 16))
     assert _kernel_format(aniso) == "dia"
     h = build_hierarchy(assemble_helmholtz(HelmholtzProblem(
-        angular_frequency=2 * np.pi * 1.5, n=32)), 32, coarsest=8)
+        angular_frequency=2 * np.pi * 1.5, n=32)), 32, coarsest=8,
+        schedules=WeightSchedule(omega=[1e-4]))
     for level in h.levels:   # fine and Galerkin coarse operators
         assert _kernel_format(level.A) == "dia"
     for level in h.levels[:-1]:
-        assert _kernel_format(level.R) == _kernel_format(level.P) == "csr"
+        assert _kernel_format(level.R) == "csr"
     assert _kernel_format(random_sparse(30, np.random.default_rng(2),
                                         density=0.1)) == "csr"
 
@@ -314,7 +362,7 @@ def test_solves_leave_nothing_but_arrays_on_their_matrices():
     ds = sample_dataset("anisotropic", 8, seed=17, n=8)
     train_ns(TrainConfig(m=2, unroll=6, n_epochs=1, batch_size=4, seed=0,
                          precond="ssor", hidden=(4, 4)), ds)
-    matrices = [A, H, *(M for lvl in h.levels for M in (lvl.A, lvl.R, lvl.P)
+    matrices = [A, H, *(M for lvl in h.levels for M in (lvl.A, lvl.R)
                         if M is not None), *(s.A for s in ds)]
     arrays = {"nrows", "ncols", "row_starts", "col_indices", "values"}
     for M in matrices:

@@ -505,7 +505,7 @@ def test_zero_epochs_returns_the_initial_net(small_dataset):
     cfg = TrainConfig(m=2, unroll=6, n_epochs=0, batch_size=2, seed=11,
                       hidden=(6, 6))
     init = MetaNet.create(cfg.m, variant=cfg.variant, hidden=cfg.hidden,
-                          input_dim=2, seed=cfg.seed)
+                          seed=cfg.seed)
     net = train_ns(cfg, small_dataset)
     for a, b in zip(init.parameters(), net.parameters(), strict=True):
         assert np.array_equal(a, b)
